@@ -1,19 +1,26 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A `Tape` records operations define-by-run; `grad` walks the recorded nodes
-in reverse creation order (which equals topological order for a tape built
-forward). Supported op kinds: matmul, add, sub, mul, tanh, relu, sum, mean,
-square, concat, slice, clip, sign, plus a fused affine (x @ W + b) for the
-MLP hot path. `sign` has zero gradient and `clip` is pass-through inside
-the interval; both appear only in attack outer loops and are never
-differentiated through meaningfully.
+Operations are recorded define-by-run: each `Node` keeps its value, its
+parents and one vjp closure per parent, and takes the next index from its
+`Tape`. The tape is only that counter and keeps no list of its nodes, so a
+tape and everything on it are freed as soon as the caller drops the loss
+node. `grad` collects the loss's ancestors by walking `parents` and sweeps
+them in reverse index order; creation order is a topological order.
+
+Supported op kinds: matmul, add, sub, mul, tanh, relu, sum, mean, square,
+concat, slice, clip, sign, and a fused affine (x @ W + b). `sign` has zero
+gradient and `clip` is pass-through inside the interval; both appear only
+in attack outer loops and are never differentiated through meaningfully.
+The MLPs build their own fused nodes on `Node` directly: op "mlp"
+(`nets.mlp_forward_nodes`) and op "wm-step", one whole world-model
+transition (`worldmodel.WorldModel.forward_nodes`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,8 +55,8 @@ class Node:
         self.op = op
         self.parents = parents
         self.vjps = vjps
-        self.index = len(tape.nodes)
-        tape.nodes.append(self)
+        self.index = tape.count
+        tape.count += 1
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,13 +91,18 @@ class Node:
 
 
 class Tape:
-    """A single-threaded recording of one forward computation."""
+    """A single-threaded recording of one forward computation: hands out
+    node indices in creation order and holds no reference to its nodes."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.count = 0
 
     def leaf(self, value, op: str = "leaf") -> Node:
         return Node(self, tensor(value), op, (), ())
+
+    def leaves(self, value) -> list[Node]:
+        """One leaf per row of `value`, validated and copied once as a whole."""
+        return [Node(self, row, "leaf", (), ()) for row in tensor(value)]
 
     def constant(self, value) -> Node:
         return Node(self, tensor(value), "const", (), ())
@@ -253,38 +265,44 @@ def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
     """Gradient of a scalar `loss` node with respect to each node in `wrt`.
 
     Nodes not on a path to the loss receive a zero gradient. Raises
-    NumericFailure (naming the op kind) if NaN appears during the sweep.
+    NumericFailure (naming the op kind) if NaN appears during the sweep,
+    and ValueError if an ancestor of the loss lives on another tape.
     """
     if loss.value.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-    nodes = loss.tape.nodes[: loss.index + 1]
+    tape = loss.tape
+    seen = {loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop().parents:
+            if parent not in seen:
+                if parent.tape is not tape:
+                    raise ValueError(f"op '{parent.op}' belongs to another tape "
+                                     "than the loss")
+                seen.add(parent)
+                stack.append(parent)
+    nodes = sorted(seen, key=lambda node: node.index)
     # forward-reachability from the wrt set: gradients only need to flow
     # into ancestors of the loss that a wrt node can actually reach
-    needed = [False] * len(nodes)
-    for w in wrt:
-        if w.index < len(needed):
-            needed[w.index] = True
+    needed = set(wrt)
     for node in nodes:
-        if not needed[node.index]:
-            for parent in node.parents:
-                if needed[parent.index]:
-                    needed[node.index] = True
-                    break
-    grads: dict[int, np.ndarray] = {loss.index: np.asarray(1.0)}
+        if not needed.isdisjoint(node.parents):
+            needed.add(node)
+    grads: dict[Node, np.ndarray] = {loss: np.asarray(1.0)}
     for node in reversed(nodes):
-        g = grads.get(node.index)
+        g = grads.get(node)
         if g is None:
             continue
         # a single reduction: the sum is non-finite iff any entry is NaN/Inf
         if not np.isfinite(g.sum()):
             raise NumericFailure(f"NaN in backward pass at op '{node.op}'")
         for parent, vjp in zip(node.parents, node.vjps):
-            if needed[parent.index]:
+            if parent in needed:
                 contrib = vjp(g)
-                acc = grads.get(parent.index)
-                grads[parent.index] = contrib if acc is None else acc + contrib
-    return [np.asarray(grads.get(w.index, np.zeros_like(w.value)), dtype=np.float64)
-            for w in wrt]
+                acc = grads.get(parent)
+                grads[parent] = contrib if acc is None else acc + contrib
+    return [np.asarray(grads[w], dtype=np.float64) if w in grads
+            else np.zeros_like(w.value) for w in wrt]
 
 
 @dataclass

@@ -1,10 +1,14 @@
 """Test-time planners over a learned latent model.
 
 Gradient-based planning backpropagates the goal loss through a recursive
-model rollout and updates the action sequence with SGD or Adam. The
-sampling planners (CEM, MPPI, GradCEM) evaluate candidate sequences one at
-a time through the same rollout path, so wall-clock comparisons between
-the two families reflect their model-evaluation counts. The MPC harness
+model rollout on a tape (`rollout_nodes`, one node per model step) and
+updates the action sequence with SGD or Adam. The sampling planners (CEM,
+MPPI, GradCEM) score candidate sequences one at a time with the NumPy
+forward pass (`rollout_model`); only GradCEM's refinement steps use the
+tape. One model evaluation costs a different amount on the two paths, a
+tape forward more than a NumPy `predict`, so wall-clock between the two
+families says nothing by itself: read it next to the model forwards per
+plan that the benchmark's GBP-vs-CEM block reports. The MPC harness
 replans from re-encoded simulator states and executes the first K actions.
 """
 
@@ -102,13 +106,14 @@ def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal) -> np.ndarray:
     if cfg.init == "gaussian":
         return generator(cfg.seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
     if cfg.init == "initnet":
-        return np.asarray(cfg.init_actions(z1, z_goal), dtype=np.float64)
-    if cfg.init == "fixed":
-        arr = np.asarray(cfg.init_actions, dtype=np.float64)
-        if arr.shape != (cfg.horizon, f.d_a):
-            raise ValueError(f"fixed init shape {arr.shape} != ({cfg.horizon}, {f.d_a})")
-        return arr.copy()
-    raise ValueError(f"unknown init {cfg.init!r}")
+        arr = np.asarray(cfg.init_actions(z1, z_goal), dtype=np.float64)
+    elif cfg.init == "fixed":
+        arr = np.array(cfg.init_actions, dtype=np.float64)
+    else:
+        raise ValueError(f"unknown init {cfg.init!r}")
+    if arr.shape != (cfg.horizon, f.d_a):
+        raise ValueError(f"{cfg.init} init shape {arr.shape} != ({cfg.horizon}, {f.d_a})")
+    return arr
 
 
 def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
@@ -137,7 +142,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
             break
         tape = dc.Tape()
         params = nets.lift_params(tape, f.weights)
-        a_nodes = [tape.leaf(actions[t]) for t in range(H)]
+        a_nodes = tape.leaves(actions)
         try:
             zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
             loss_node = goal_loss(cfg.loss, zs, z_goal)
@@ -216,7 +221,7 @@ def _refine_candidate(f: WorldModel, z1, z_goal, actions: np.ndarray,
     for _ in range(rcfg.steps):
         tape = dc.Tape()
         params = nets.lift_params(tape, f.weights)
-        a_nodes = [tape.leaf(a) for a in actions]
+        a_nodes = tape.leaves(actions)
         zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
         loss = dc.sumsq(dc.sub(zs[-1], tape.constant(z_goal)))
         grads = np.stack(dc.grad(loss, a_nodes))

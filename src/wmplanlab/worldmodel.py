@@ -3,7 +3,6 @@ rollout, and the per-step model error measured against the simulator."""
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -38,14 +37,31 @@ class WorldModel:
 
     # tape path: parameters must be lifted once per tape via nets.lift_params
     def forward_nodes(self, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
-        x = dc.concat([z, a], axis=z.value.ndim - 1)
-        out = nets.mlp_forward_nodes(params, x)
-        return dc.add(z, out) if self.residual else out
+        """One transition as a single tape node (op "wm-step"), parents
+        (z, a, *params). With residual=True, z comes once more in front: the
+        skip connection is its own edge, so z's gradient accumulates in the
+        same order, hence to the same bits, as a concat -> MLP -> add chain."""
+        d_z = z.value.shape[-1]
+        weights = [p.value for p in params]
+        out, inputs = nets.mlp_forward_cache(
+            weights, np.concatenate([z.value, a.value], axis=-1))
+        back = nets.MlpBackward(weights, inputs)
+        parents = (z, a, *params)
+        vjps = (lambda g: back.dx(g)[..., :d_z], lambda g: back.dx(g)[..., d_z:],
+                *back.param_vjps())
+        if not self.residual:
+            return dc.Node(z.tape, out, "wm-step", parents, vjps)
+        return dc.Node(z.tape, z.value + out, "wm-step", (z, *parents),
+                       (_identity, *vjps))
 
     def forward_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         x = np.concatenate([z, a], axis=-1)
         out = nets.mlp_forward_np(self.weights, x)
         return z + out if self.residual else out
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),

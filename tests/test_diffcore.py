@@ -53,6 +53,31 @@ def test_grad_disconnected_is_zero():
     assert np.all(gw == 0.0)
 
 
+def test_grad_rejects_an_ancestor_on_another_tape():
+    # indices restart on every tape, so a foreign node could alias a local one
+    tape, other = dc.Tape(), dc.Tape()
+    x = tape.leaf([1.0, 2.0])
+    y = other.leaf([3.0, 4.0])
+    loss = dc.sumsq(dc.add(x, y))
+    with pytest.raises(ValueError, match="another tape"):
+        dc.grad(loss, [x])
+
+
+def test_tape_leaves_are_read_only_rows_checked_once():
+    tape = dc.Tape()
+    arr = np.arange(6.0).reshape(3, 2)
+    rows = tape.leaves(arr)
+    assert [r.op for r in rows] == ["leaf"] * 3
+    assert [r.index for r in rows] == [0, 1, 2]
+    for i, r in enumerate(rows):
+        assert np.array_equal(r.value, arr[i])
+        assert not r.value.flags.writeable
+    arr[0, 0] = 99.0  # the leaves hold a copy
+    assert rows[0].value[0] == 0.0
+    with pytest.raises(ValueError, match="finite"):
+        tape.leaves([[0.0, np.nan]])
+
+
 def test_grad_requires_scalar_loss():
     tape = dc.Tape()
     x = tape.leaf([1.0, 2.0])

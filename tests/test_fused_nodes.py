@@ -1,0 +1,157 @@
+"""The fused "wm-step" and "mlp" tape nodes against the unfused chain of
+concat, affine, tanh and add ops they replace, and tape lifetime."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from wmplanlab import diffcore as dc
+from wmplanlab import envs, initnet, nets, planners, worldmodel
+from wmplanlab.encoder import encode_dataset, make_identity
+from wmplanlab.rng import generator
+from wmplanlab.worldmodel import WorldModel, init_world_model, rollout_nodes
+
+
+def chain_mlp(params, x):
+    """Reference: the MLP as one affine node per layer and one tanh node per
+    hidden layer."""
+    n_layers = len(params) // 2
+    for i in range(n_layers):
+        x = dc.affine(x, params[2 * i], params[2 * i + 1])
+        if i < n_layers - 1:
+            x = dc.tanh(x)
+    return x
+
+
+def chain_step(self, params, z, a):
+    """Reference: one world-model transition as concat -> MLP chain -> add."""
+    x = dc.concat([z, a], axis=z.value.ndim - 1)
+    out = chain_mlp(params, x)
+    return dc.add(z, out) if self.residual else out
+
+
+def _step_grads(f, forward, z0, a0, zn):
+    tape = dc.Tape()
+    params = nets.lift_params(tape, f.weights)
+    z, a = tape.leaf(z0), tape.leaf(a0)
+    pred = forward(f, params, z, a)
+    loss = dc.sumsq(dc.sub(pred, tape.constant(zn)))
+    return [pred.value, loss.value] + dc.grad(loss, [z, a, *params])
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("batch", [None, 7])
+def test_wm_step_gradients_equal_the_chain(residual, batch):
+    f = init_world_model(6, 2, hidden=(16, 12), residual=residual, seed=4)
+    rng = generator(4, "fused", residual, batch or 0)
+    lead = () if batch is None else (batch,)
+    z0, a0, zn = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
+    fused = _step_grads(f, WorldModel.forward_nodes, z0, a0, zn)
+    chain = _step_grads(f, chain_step, z0, a0, zn)
+    assert len(fused) == 2 + 2 + len(f.weights)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("loss", ["final", "late-heavy"])
+def test_wm_step_rollout_gradients_equal_the_chain(loss):
+    # with a weighted goal loss every latent also feeds the loss, so z's
+    # gradient sums three contributions whose order the fused node keeps
+    H = 5
+    f = init_world_model(8, 2, hidden=(16, 16), seed=5)
+    rng = generator(5, "fused-rollout")
+    z1, z_goal = rng.standard_normal(8), rng.standard_normal(8)
+    acts = rng.standard_normal((H, 2))
+    spec = planners.GoalLossSpec() if loss == "final" else planners.wgl_late_heavy(H)
+
+    def run():
+        tape = dc.Tape()
+        params = nets.lift_params(tape, f.weights)
+        a_nodes = tape.leaves(acts)
+        zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
+        return dc.grad(planners.goal_loss(spec, zs, z_goal), a_nodes)
+
+    fused = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WorldModel, "forward_nodes", chain_step)
+        chain = run()
+    assert np.array_equal(np.stack(fused), np.stack(chain))
+
+
+def test_train_initnet_losses_equal_the_chain(wall_spec):
+    raw = envs.generate_dataset(wall_spec, 6, 8, "random", 0)
+    data = encode_dataset(make_identity(2), raw)
+
+    def run():
+        res = initnet.train_initnet(data, H=3, iterations=30, lr=0.2, seed=0)
+        return res.losses, res.net.weights
+
+    fused_losses, fused_weights = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "mlp_forward_nodes", chain_mlp)
+        chain_losses, chain_weights = run()
+    assert fused_losses == chain_losses
+    for got, want in zip(fused_weights, chain_weights):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("wrt", ["input", "params"])
+def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
+    # a finite forward whose backward overflows: the saturated tanh of the
+    # second layer has derivative 0 and meets an infinite incoming gradient
+    f = init_world_model(2, 2, hidden=(2, 2), seed=0)
+    f.weights[2] = np.full((2, 2), 1e200)
+    f.weights[4] = np.full((2, 2), 1e200)
+    tape = dc.Tape()
+    params = nets.lift_params(tape, f.weights)
+    a = tape.leaf([0.3, -0.2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = f.forward_nodes(params, tape.constant([0.1, 0.2]), a)
+        assert np.all(np.isfinite(pred.value))
+        loss = dc.sumsq(pred)
+        with pytest.raises(dc.NumericFailure, match="op"):
+            dc.grad(loss, [a] if wrt == "input" else params)
+
+
+@pytest.fixture
+def tape_refs(monkeypatch):
+    """Weak references to every tape created while the test runs, with the
+    cyclic garbage collector off, so only reference counting frees them."""
+    refs = []
+
+    class RecordedTape(dc.Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(dc, "Tape", RecordedTape)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_supervised_step_frees_its_tape(tape_refs):
+    f = init_world_model(6, 2, hidden=(8,), seed=1)
+    rng = generator(1, "free")
+    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+    worldmodel.supervised_step(f, opt, rng.standard_normal((5, 6)),
+                               rng.standard_normal((5, 2)),
+                               rng.standard_normal((5, 6)), 1e-3)
+    assert len(tape_refs) == 1
+    assert tape_refs[0]() is None
+
+
+def test_gbp_frees_its_tapes(tape_refs):
+    f = init_world_model(6, 2, hidden=(8,), seed=2)
+    rng = generator(2, "free")
+    cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
+    planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg)
+    assert len(tape_refs) == 3
+    assert all(ref() is None for ref in tape_refs)

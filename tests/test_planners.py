@@ -117,6 +117,15 @@ def test_gbp_single_iteration_returns_init():
         PlanConfig(horizon=3, iterations=0)
 
 
+def test_gbp_rejects_init_of_the_wrong_horizon():
+    f = init_world_model(4, 2, seed=1)
+    for init, arg in (("fixed", np.zeros((4, 2))),
+                      ("initnet", lambda z1, z_goal: np.zeros((2, 2)))):
+        cfg = PlanConfig(horizon=3, iterations=2, init=init, init_actions=arg)
+        with pytest.raises(ValueError, match=f"{init} init shape"):
+            gbp(f, np.zeros(4), np.ones(4), cfg)
+
+
 def test_gbp_adam_vanishing_eta_keeps_init():
     f = init_world_model(4, 2, seed=2)
     cfg = PlanConfig(horizon=3, iterations=20, optimizer="adam", eta=1e-12,
