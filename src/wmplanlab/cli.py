@@ -2,19 +2,21 @@
 
 Commands: gen-data, train, finetune-online, finetune-adv, train-initnet,
 eval, gap, landscape. Every command is a pure function of (config file,
-CLI overrides, seed): reports and checkpoints rerun byte-identically.
+CLI overrides, seed): reports and checkpoints rerun byte-identically, and
+`timing.json` is the only output that depends on the machine.
+A key a section leaves out takes the default of the function or dataclass
+it configures; the few keys whose callee has no default get theirs here.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import envs, evalreport, finetune, initnet, presets, worldmodel
 from .data import load_dataset, save_dataset
@@ -175,14 +177,27 @@ def _need(cfg: dict, *path: str):
     return node
 
 
+def _settings(section: dict, keys, **renamed) -> dict:
+    """The entries of `section` named in `keys` (key names, or a dataclass
+    whose fields name them), plus each `param=key` of `renamed` that the
+    section sets, as keyword arguments for the callee they configure.
+    Whatever the section leaves out keeps the callee's own default."""
+    if dataclasses.is_dataclass(keys):
+        keys = [f.name for f in dataclasses.fields(keys)]
+    out = {key: section[key] for key in keys if key in section}
+    out.update((param, section[key]) for param, key in renamed.items()
+               if key in section)
+    return out
+
+
 def build_env(cfg: dict) -> envs.EnvSpec:
     section = _need(cfg, "env")
     kind = section.get("kind", "wall2d")
-    frameskip = section.get("frameskip", 5)
+    settings = _settings(section, ["frameskip"])
     if kind == "wall2d":
-        return envs.wall2d_spec(frameskip=frameskip)
+        return envs.wall2d_spec(**settings)
     if kind == "pointmass":
-        return envs.pointmass_spec(frameskip=frameskip)
+        return envs.pointmass_spec(**settings)
     raise ConfigError(f"env.kind: unknown environment {kind!r}")
 
 
@@ -192,9 +207,8 @@ def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
     if kind == "identity":
         return make_identity(spec.obs_dim)
     if kind == "random-fourier":
-        return make_random_fourier(spec.obs_dim, d_z=section.get("d_z", 64),
-                                   sigma=section.get("sigma", 4.0),
-                                   seed=section.get("seed", 0))
+        return make_random_fourier(spec.obs_dim,
+                                   **_settings(section, ["d_z", "sigma", "seed"]))
     raise ConfigError(f"encoder.kind: unknown encoder {kind!r}")
 
 
@@ -210,43 +224,31 @@ def _build_goal_loss(name: str, horizon: int) -> GoalLossSpec:
 
 def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> PlannerSpec:
     kind = section.get("kind")
-    horizon = section.get("horizon", 25)
     if kind == "gbp":
-        init = section.get("init", "gaussian")
-        init_actions = None
-        if init == "initnet":
+        settings = _settings(section, PlanConfig, clamp_actions="clamp")
+        loss = settings.pop("loss", None)  # a name; the plan holds its spec
+        plan = PlanConfig(**settings, a_max=spec.a_max)
+        if "loss" in section:
+            plan.loss = _build_goal_loss(loss, plan.horizon)
+        if plan.init == "initnet":
             path = section.get("initnet_path")
             if not path or not os.path.exists(path):
                 raise ConfigError(f"planners.{name}.initnet_path missing")
             net, _ = initnet.load_initnet(path)
-            init_actions = initnet.as_planner_init(net)
-        plan = PlanConfig(
-            horizon=horizon, iterations=section.get("iterations", 300),
-            optimizer=section.get("optimizer", "sgd"),
-            eta=section.get("eta", 1.0),
-            loss=_build_goal_loss(section.get("loss", "final"), horizon),
-            init=init, init_actions=init_actions,
-            clamp_actions=section.get("clamp", True), a_max=spec.a_max,
-            return_best=section.get("return_best", True))
-        return PlannerSpec("gbp", horizon, plan=plan)
+            plan.init_actions = initnet.as_planner_init(net)
+        return PlannerSpec("gbp", plan.horizon, plan=plan)
+    horizon = _settings(section, ["horizon"])
     if kind in ("cem", "gradcem"):
-        cem_cfg = CemConfig(
-            n_pop=section.get("n_pop", 300), k_elite=section.get("k_elite", 30),
-            iterations=section.get("iterations", 30),
-            sigma0=section.get("sigma0", 1.0),
-            cov_mode=section.get("cov_mode", "full"),
-            jitter=section.get("jitter", 1e-6))
         refine = None
         if kind == "gradcem":
-            refine = RefineConfig(steps=section.get("refine_steps", 2),
-                                  eta=section.get("refine_eta", 0.3))
-        return PlannerSpec(kind, horizon, cem=cem_cfg, refine=refine)
+            refine = RefineConfig(**_settings(section, [], steps="refine_steps",
+                                              eta="refine_eta"))
+        return PlannerSpec(kind, **horizon,
+                           cem=CemConfig(**_settings(section, CemConfig)),
+                           refine=refine)
     if kind == "mppi":
-        mcfg = MppiConfig(samples=section.get("samples", 64),
-                          sigma=section.get("sigma", 0.5),
-                          temperature=section.get("temperature", 1.0),
-                          iterations=section.get("iterations", 1))
-        return PlannerSpec("mppi", horizon, mppi=mcfg)
+        return PlannerSpec("mppi", **horizon,
+                           mppi=MppiConfig(**_settings(section, MppiConfig)))
     raise ConfigError(f"planners.{name}.kind: unknown kind {kind!r}")
 
 
@@ -304,12 +306,10 @@ def cmd_train(cfg: dict, args) -> int:
     section = _need(cfg, "model")
     train = section.get("train", {})
     model = worldmodel.init_world_model(
-        enc.d_z, spec.action_dim, hidden=tuple(section.get("hidden", [128, 128])),
-        residual=section.get("residual", True),
+        enc.d_z, spec.action_dim, **_settings(section, ["hidden", "residual"]),
         seed=derive_seed(cfg["seed"], "model-init"))
     result = worldmodel.train_teacher_forcing(
-        model, data, epochs=train.get("epochs", 50),
-        batch_size=train.get("batch_size", 64), lr=train.get("lr", 1e-3),
+        model, data, **_settings(train, ["epochs", "batch_size", "lr"]),
         seed=derive_seed(cfg["seed"], "train"))
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
             "train": train}
@@ -337,26 +337,19 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
     model, _ = _load_model(_need(cfg, "model", "path"))
     section = _need(cfg, "finetune", "adversarial")
     pcfg = finetune.PerturbationConfig(
-        lambda_a=section.get("lambda_a", 0.5),
-        lambda_z=section.get("lambda_z", 0.2),
-        eps_a=section.get("eps_a"), eps_z=section.get("eps_z"),
-        alpha_a=section.get("alpha_a"), alpha_z=section.get("alpha_z"),
-        attack=section.get("attack", "fgsm"),
-        pgd_steps=section.get("pgd_steps", 1),
-        radius_mode=section.get("radius_mode", "fixed"),
-        per_dimension_std=section.get("per_dimension_std", False))
-    dump = section.get("dump_perturbed", False)
+        **_settings(section, finetune.PerturbationConfig))
     result = finetune.adversarial_wm(
-        model, data, pcfg, epochs=section.get("epochs", 1),
-        batch_size=section.get("batch_size", 48), lr=section.get("lr", 1e-4),
-        seed=derive_seed(cfg["seed"], "finetune-adv"), keep_perturbed=dump)
+        model, data, pcfg,
+        **_settings(section, ["epochs", "batch_size", "lr"],
+                    keep_perturbed="dump_perturbed"),
+        seed=derive_seed(cfg["seed"], "finetune-adv"))
     out = section["out_path"]
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
             "finetune": "adversarial"}
     worldmodel.save_model(out, result.model, meta)
     _write_trace(out, result)
     _write_run_manifest(out, cfg, enc)
-    if dump and result.perturbed is not None:
+    if result.perturbed is not None:
         save_dataset(section.get("perturbed_path", os.path.join(out, "perturbed")),
                      result.perturbed, env=envs.spec_to_dict(spec),
                      seed=cfg["seed"], force=True)
@@ -371,16 +364,7 @@ def cmd_finetune_online(cfg: dict, args) -> int:
     data, _ = _load_encoded_dataset(cfg, spec, enc)
     model, _ = _load_model(_need(cfg, "model", "path"))
     section = _need(cfg, "finetune", "online")
-    ocfg = finetune.OnlineConfig(
-        iterations=section.get("iterations", 40),
-        plan_iterations=section.get("plan_iterations", 100),
-        horizon=section.get("horizon", 25),
-        mix_ratio=section.get("mix_ratio", 0.5),
-        lr=section.get("lr", 1e-4),
-        finetune_steps=section.get("finetune_steps", 50),
-        batch_size=section.get("batch_size", 64),
-        plan_optimizer=section.get("plan_optimizer", "adam"),
-        plan_eta=section.get("plan_eta", 0.3))
+    ocfg = finetune.OnlineConfig(**_settings(section, finetune.OnlineConfig))
     result = finetune.online_wm(model, spec, enc, data, ocfg,
                                 seed=derive_seed(cfg["seed"], "finetune-online"))
     out = section["out_path"]
@@ -404,9 +388,8 @@ def cmd_train_initnet(cfg: dict, args) -> int:
     data, _ = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "initnet")
     result = initnet.train_initnet(
-        data, section.get("horizon", 25), iterations=section.get("iterations"),
-        lr=section.get("lr", 0.02), seed=derive_seed(cfg["seed"], "initnet"),
-        a_max=spec.a_max)
+        data, section.get("horizon", 25), **_settings(section, ["iterations", "lr"]),
+        seed=derive_seed(cfg["seed"], "initnet"), a_max=spec.a_max)
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg)}
     initnet.save_initnet(section["path"], result.net, meta)
     _write_run_manifest(section["path"], cfg, enc)
@@ -452,17 +435,12 @@ def cmd_eval(cfg: dict, args) -> int:
     if not planners:
         raise ConfigError("eval selected no planners")
     mode = args.mode or section.get("mode", "mpc")
-    mpc_section = section.get("mpc", {})
-    mpc_cfg = MpcConfig(steps=mpc_section.get("steps", 10),
-                        k_exec=mpc_section.get("k_exec"),
-                        plan_iters=mpc_section.get("plan_iters", 100),
-                        eta=mpc_section.get("eta"),
-                        warm_start=mpc_section.get("warm_start", False))
+    mpc_cfg = MpcConfig(**_settings(section.get("mpc", {}), MpcConfig))
     predicate = _cross_room_predicate(spec) if section.get("require_cross_room") else None
     report = evalreport.evaluate(
         spec, enc, models, planners, n_tasks=section.get("n_tasks", 100),
         mode=mode, seed=cfg["seed"], data=data,
-        horizon_gap=section.get("horizon_gap", 25), mpc_cfg=mpc_cfg,
+        **_settings(section, ["horizon_gap"]), mpc_cfg=mpc_cfg,
         workers=args.workers, task_predicate=predicate,
         config_hash=config_hash(cfg))
     out = section["out_path"]
@@ -481,17 +459,14 @@ def cmd_gap(cfg: dict, args) -> int:
     enc = build_encoder(cfg, spec)
     data, _ = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "gap")
-    plan = section.get("plan", {})
-    horizon = section.get("horizon", 25)
-    plan_cfg = PlanConfig(horizon=horizon,
-                          iterations=plan.get("iterations", 300),
-                          optimizer=plan.get("optimizer", "sgd"),
-                          eta=plan.get("eta", 1.0), a_max=spec.a_max)
+    plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
+                          **_settings(section.get("plan", {}), PlanConfig),
+                          a_max=spec.a_max)
     out_root = section["out_path"]
     for name, path in section.get("models", {}).items():
         model, _ = _load_model(path)
         report = evalreport.train_test_gap(
-            model, spec, enc, data, plan_cfg, n=section.get("n", 50),
+            model, spec, enc, data, plan_cfg, **_settings(section, ["n"]),
             seed=derive_seed(cfg["seed"], "gap", name))
         outdir = os.path.join(out_root, name)
         evalreport.emit_report(report, outdir)
@@ -509,22 +484,20 @@ def cmd_landscape(cfg: dict, args) -> int:
     section = _need(cfg, "landscape")
     f_base, _ = _load_model(section.get("baseline"))
     f_adv, _ = _load_model(section.get("adversarial"))
-    horizon = section.get("horizon", 25)
-    plan = section.get("plan", {})
-    plan_cfg = PlanConfig(horizon=horizon,
-                          iterations=plan.get("iterations", 300),
-                          optimizer=plan.get("optimizer", "adam"),
-                          eta=plan.get("eta", 1e-3), a_max=spec.a_max)
+    # the landscape plans with Adam at 1e-3, not PlanConfig's SGD at 1.0
+    plan = {"optimizer": "adam", "eta": 1e-3, **section.get("plan", {})}
+    plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
+                          **_settings(plan, PlanConfig), a_max=spec.a_max)
     out_root = section["out_path"]
     n_tasks = section.get("n_tasks", 10)
     smoother = 0
     rows = []
     for t in range(n_tasks):
         window = evalreport.expert_window(
-            data, enc, horizon, seed=derive_seed(cfg["seed"], "landscape", t))
+            data, enc, plan_cfg.horizon,
+            seed=derive_seed(cfg["seed"], "landscape", t))
         pair = evalreport.landscape(
-            f_base, f_adv, window, plan_cfg,
-            resolution=section.get("resolution", 50),
+            f_base, f_adv, window, plan_cfg, **_settings(section, ["resolution"]),
             coeff_range=(section.get("c_min", -1.25), section.get("c_max", 1.25)),
             seed=derive_seed(cfg["seed"], "landscape-init", t))
         evalreport.emit_report(pair, os.path.join(out_root, f"task_{t}"))

@@ -7,11 +7,8 @@ tape and everything on it are freed as soon as the caller drops the loss
 node. `grad` collects the loss's ancestors by walking `parents` and sweeps
 them in reverse index order; creation order is a topological order.
 
-Supported op kinds: matmul, add, sub, mul, tanh, relu, sum, mean, square,
-concat, slice, clip, sign, and a fused affine (x @ W + b). `sign` has zero
-gradient and `clip` is pass-through inside the interval; both appear only
-in attack outer loops and are never differentiated through meaningfully.
-The MLPs build their own fused nodes on `Node` directly: op "mlp"
+Supported op kinds: matmul, add, sub, mul, tanh, sum, mean, square,
+concat, and a fused affine (x @ W + b). The MLPs build their own fused nodes on `Node` directly: op "mlp"
 (`nets.mlp_forward_nodes`) and op "wm-step", one whole world-model
 transition (`worldmodel.WorldModel.forward_nodes`).
 
@@ -62,30 +59,6 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def __add__(self, other):
-        return add(self, _lift(self.tape, other))
-
-    def __radd__(self, other):
-        return add(_lift(self.tape, other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(self.tape, other))
-
-    def __rsub__(self, other):
-        return sub(_lift(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(self.tape, other))
-
-    def __rmul__(self, other):
-        return mul(_lift(self.tape, other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(self.tape, other))
-
-    def __neg__(self):
-        return mul(self, _lift(self.tape, -1.0))
-
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
@@ -106,10 +79,6 @@ class Tape:
 
     def constant(self, value) -> Node:
         return Node(self, tensor(value), "const", (), ())
-
-
-def _lift(tape: Tape, x) -> Node:
-    return x if isinstance(x, Node) else tape.constant(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -188,12 +157,6 @@ def tanh(a: Node) -> Node:
     return Node(a.tape, out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
 
 
-def relu(a: Node) -> Node:
-    out = np.maximum(a.value, 0.0)
-    mask = (a.value > 0.0).astype(np.float64)
-    return Node(a.tape, out, "relu", (a,), (lambda g: g * mask,))
-
-
 def square(a: Node) -> Node:
     return Node(a.tape, a.value * a.value, "square", (a,),
                 (lambda g: g * 2.0 * a.value,))
@@ -229,31 +192,6 @@ def concat(parts: Sequence[Node], axis: int = 0) -> Node:
 
     return Node(parts[0].tape, out, "concat", tuple(parts),
                 tuple(make_vjp(i) for i in range(len(parts))))
-
-
-def slice_(a: Node, start: int, stop: int, axis: int = 0) -> Node:
-    index = [slice(None)] * a.value.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    shape = a.value.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[index] = g
-        return full
-
-    return Node(a.tape, a.value[index], "slice", (a,), (vjp,))
-
-
-def clip(a: Node, lo: float, hi: float) -> Node:
-    out = np.clip(a.value, lo, hi)
-    mask = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
-    return Node(a.tape, out, "clip", (a,), (lambda g: g * mask,))
-
-
-def sign(a: Node) -> Node:
-    return Node(a.tape, np.sign(a.value), "sign", (a,),
-                (lambda g: np.zeros_like(a.value),))
 
 
 def sumsq(a: Node) -> Node:

@@ -139,7 +139,7 @@ def _eval_task(t: int):
                 warnings.warn(f"task {t} failed in cell ({mname}, {pname}): {err}")
                 ok, secs, final, trace = False, float("nan"), float("nan"), []
             out[(mname, pname)] = (ok, secs, final, trace)
-    return t, out
+    return task, out
 
 
 def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
@@ -156,19 +156,13 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
     ctx = {"spec": spec, "enc": enc, "models": models, "planners": planners,
            "mode": mode, "seed": seed, "data": data, "horizon_gap": horizon_gap,
            "mpc_cfg": mpc_cfg, "predicate": task_predicate}
-    results: dict[int, dict] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
-            for t, out in pool.map(_eval_task, range(n_tasks)):
-                results[t] = out
+            tasks, results = zip(*pool.map(_eval_task, range(n_tasks)))
     else:
         _init_worker(ctx)
-        for t in range(n_tasks):
-            t, out = _eval_task(t)
-            results[t] = out
-    tasks = [_draw_task(spec, data, horizon_gap, seed, t, task_predicate)
-             for t in range(n_tasks)]
+        tasks, results = zip(*map(_eval_task, range(n_tasks)))
     cells = []
     for mname in models:
         for pname in planners:
@@ -407,12 +401,12 @@ def emit_report(report, outdir) -> list[str]:
         with open(p, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "planner", "mode", "task_id", "success",
-                             "plan_seconds", "final_loss"])
-            for cell, tcell in zip(report.cells, timing["cells"]):
-                for row, secs in zip(cell.rows, tcell["plan_seconds"]):
+                             "final_loss"])
+            for cell in report.cells:
+                for row in cell.rows:
                     writer.writerow([cell.model, cell.planner, cell.mode,
                                      row.task_id, int(row.success),
-                                     repr(secs), repr(row.final_loss)])
+                                     repr(row.final_loss)])
         written.append(p)
     elif isinstance(report, GapReport):
         p = os.path.join(outdir, "gap.json")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 
 def _wall_base(out_dir: str) -> dict:
     return {
@@ -92,24 +90,23 @@ def _preset_wall_owm() -> dict:
     return cfg
 
 
-def _preset_pointmass_baseline() -> dict:
-    cfg = _wall_base("runs/pointmass-baseline")
-    out = cfg["out_dir"]
+def _pointmass(out_dir: str) -> dict:
+    cfg = _wall_base(out_dir)
     cfg["env"] = {"kind": "pointmass", "frameskip": 5}
-    cfg["dataset"] = {"path": f"{out}/data", "n_traj": 2000, "traj_len": 100,
+    cfg["dataset"] = {"path": f"{out_dir}/data", "n_traj": 2000, "traj_len": 100,
                       "policy": "random"}
     return cfg
 
 
+def _preset_pointmass_baseline() -> dict:
+    return _pointmass("runs/pointmass-baseline")
+
+
 def _preset_longhorizon() -> dict:
-    cfg = _preset_pointmass_baseline()
-    out = "runs/longhorizon"
-    cfg = _rewrite_paths(cfg, "runs/pointmass-baseline", out)
+    cfg = _pointmass("runs/longhorizon")
     for planner in cfg["planners"].values():
         planner["horizon"] = 50
     cfg["eval"]["horizon_gap"] = 50
-    cfg["eval"]["mode"] = "mpc"
-    cfg["eval"]["planners"] = ["gbp_adam"]
     cfg["eval"]["mpc"] = {"steps": 20, "k_exec": 1, "plan_iters": 100,
                           "eta": 0.2, "warm_start": False}
     cfg["finetune"]["online"]["horizon"] = 50
@@ -117,16 +114,6 @@ def _preset_longhorizon() -> dict:
     cfg["gap"]["horizon"] = 50
     cfg["landscape"]["horizon"] = 50
     return cfg
-
-
-def _rewrite_paths(obj, old: str, new: str):
-    if isinstance(obj, dict):
-        return {k: _rewrite_paths(v, old, new) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_rewrite_paths(v, old, new) for v in obj]
-    if isinstance(obj, str):
-        return obj.replace(old, new)
-    return obj
 
 
 PRESETS = {
@@ -141,4 +128,4 @@ PRESETS = {
 def get_preset(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    return copy.deepcopy(PRESETS[name]())
+    return PRESETS[name]()

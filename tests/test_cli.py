@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from wmplanlab import cli, envs, worldmodel
-from wmplanlab.cli import ConfigError, load_config, validate_config
+from wmplanlab import cli, envs, evalreport, finetune, initnet, worldmodel
+from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.data import load_dataset
+from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
+                                PlannerSpec, RefineConfig, wgl_late_heavy)
 from wmplanlab.presets import PRESETS, get_preset
 
 
@@ -169,12 +171,14 @@ def test_eval_single_cell_and_deterministic_rerun(pipeline, tmp_path):
     assert _run("eval", "--config", path, "--workers", "1") == 0
     out = cfg["eval"]["out_path"]
     first = open(os.path.join(out, "report.json"), "rb").read()
+    first_csv = open(os.path.join(out, "report.csv"), "rb").read()
     body = json.loads(first)
     assert len(body["cells"]) == 1
     assert body["cells"][0]["n_tasks"] == 2
     # byte-identical rerun
     assert _run("eval", "--config", path, "--workers", "1") == 0
     assert open(os.path.join(out, "report.json"), "rb").read() == first
+    assert open(os.path.join(out, "report.csv"), "rb").read() == first_csv
 
 
 def test_eval_mode_and_filters(pipeline):
@@ -293,3 +297,147 @@ def test_presets_exist_and_validate():
 def test_preset_flag_requires_known_name(tmp_path):
     assert _run("gen-data", "--preset", "galaxy") == 2
     assert _run("gen-data") == 2  # neither config nor preset
+
+
+def test_preset_config_hashes_are_pinned():
+    assert {name: config_hash(get_preset(name)) for name in PRESETS} == {
+        "wall-baseline":
+            "0b2e67ba76bce10213675380d132af1be45d51a575599cbd30ddf39d7ce04829",
+        "wall-awm":
+            "f63632b237a4218658a6d125dcdbca8329da6706dfd0250904f5dd57ec3cefe0",
+        "wall-owm":
+            "e962ff652041ae4ad9312510d1a5a8c0c780efb252b7c5880c7e1d0c5fd05dfd",
+        "pointmass-baseline":
+            "3fc51e26b6d08edb08087ab836e65d7cd013faa4c5110a2305aecfc4591a462e",
+        "longhorizon":
+            "e2432e81b644e629acb00701634023ce4711b9c942f81dbaff93ec568f735f68",
+    }
+
+
+# --- builders: every key a section sets reaches the object it configures ----
+
+
+def test_build_planner_carries_every_planner_key(tmp_path):
+    spec = envs.wall2d_spec()
+    net = initnet.make_initnet(4, spec.action_dim, 7, spec.a_max, hidden=(4,))
+    initnet.save_initnet(str(tmp_path / "initnet"), net)
+    sections = {
+        "gbp": {"kind": "gbp", "horizon": 7, "iterations": 11,
+                "optimizer": "adam", "eta": 0.07, "loss": "late-heavy",
+                "init": "initnet", "clamp": False, "return_best": False,
+                "initnet_path": str(tmp_path / "initnet")},
+        "cem": {"kind": "cem", "horizon": 9, "n_pop": 40, "k_elite": 4,
+                "iterations": 3, "sigma0": 0.7, "cov_mode": "diagonal",
+                "jitter": 1e-4},
+        "gradcem": {"kind": "gradcem", "horizon": 8, "n_pop": 12,
+                    "k_elite": 2, "iterations": 4, "sigma0": 0.6,
+                    "cov_mode": "diagonal", "jitter": 1e-5,
+                    "refine_steps": 5, "refine_eta": 0.05},
+        "mppi": {"kind": "mppi", "horizon": 6, "samples": 16, "sigma": 0.2,
+                 "temperature": 0.5, "iterations": 3},
+    }
+    assert set().union(*sections.values()) == set(cli._PLANNER_KEYS)
+    for section in sections.values():
+        validate_config({"planners": {"p": section}})
+    built = {kind: cli.build_planner(kind, section, spec)
+             for kind, section in sections.items()}
+
+    gbp = built["gbp"]
+    plan = gbp.plan
+    assert (gbp.kind, gbp.horizon, plan.horizon) == ("gbp", 7, 7)
+    assert (plan.iterations, plan.optimizer, plan.eta) == (11, "adam", 0.07)
+    assert plan.loss.mode == "weighted"
+    assert np.array_equal(plan.loss.weights, wgl_late_heavy(7).weights)
+    assert plan.init == "initnet"
+    assert plan.init_actions(np.zeros(4), np.ones(4)).shape == (7, spec.action_dim)
+    assert (plan.clamp_actions, plan.return_best, plan.a_max) == \
+        (False, False, spec.a_max)
+
+    assert built["cem"] == PlannerSpec(
+        "cem", 9, cem=CemConfig(40, 4, 3, 0.7, "diagonal", 1e-4))
+    assert built["gradcem"] == PlannerSpec(
+        "gradcem", 8, cem=CemConfig(12, 2, 4, 0.6, "diagonal", 1e-5),
+        refine=RefineConfig(5, 0.05))
+    assert built["mppi"] == PlannerSpec("mppi", 6, mppi=MppiConfig(16, 0.2, 0.5, 3))
+
+
+def test_build_planner_leaves_omitted_keys_to_the_callee():
+    spec = envs.wall2d_spec()
+    assert cli.build_planner("g", {"kind": "gbp"}, spec) == PlannerSpec(
+        "gbp", plan=PlanConfig(a_max=spec.a_max))
+    assert cli.build_planner("c", {"kind": "cem"}, spec) == PlannerSpec(
+        "cem", cem=CemConfig())
+    assert cli.build_planner("r", {"kind": "gradcem"}, spec) == PlannerSpec(
+        "gradcem", cem=CemConfig(), refine=RefineConfig())
+    assert cli.build_planner("m", {"kind": "mppi"}, spec) == PlannerSpec(
+        "mppi", mppi=MppiConfig())
+
+
+def _spy(monkeypatch, module, name) -> dict:
+    """Record the arguments of `module.name` and call through."""
+    real = getattr(module, name)
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen["args"], seen["kwargs"] = args, kwargs
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_finetune_adv_carries_every_section_key(pipeline, tmp_path, monkeypatch):
+    cfg, _ = pipeline
+    section = {"out_path": str(tmp_path / "adv-x"), "lambda_a": 0.4,
+               "lambda_z": 0.3, "eps_a": 0.01, "eps_z": 0.02, "alpha_a": 0.005,
+               "alpha_z": 0.006, "attack": "pgd", "pgd_steps": 2,
+               "radius_mode": "adaptive", "per_dimension_std": True,
+               "epochs": 2, "batch_size": 2, "lr": 5e-4, "dump_perturbed": True,
+               "perturbed_path": str(tmp_path / "perturbed-x")}
+    assert set(section) == set(cli._SCHEMA["finetune"]["adversarial"])
+    cfg["finetune"]["adversarial"] = section
+    seen = _spy(monkeypatch, finetune, "adversarial_wm")
+    assert _run("finetune-adv", "--config", _write(tmp_path, cfg)) == 0
+    assert seen["args"][2] == finetune.PerturbationConfig(
+        lambda_a=0.4, lambda_z=0.3, eps_a=0.01, eps_z=0.02, alpha_a=0.005,
+        alpha_z=0.006, attack="pgd", pgd_steps=2, radius_mode="adaptive",
+        per_dimension_std=True)
+    kwargs = dict(seen["kwargs"])
+    kwargs.pop("seed")
+    assert kwargs == {"epochs": 2, "batch_size": 2, "lr": 5e-4,
+                      "keep_perturbed": True}
+    worldmodel.load_model(section["out_path"])
+    _, manifest = load_dataset(section["perturbed_path"])
+    assert manifest["provenance"] == "adversarial"
+
+
+def test_finetune_online_carries_every_section_key(pipeline, tmp_path,
+                                                   monkeypatch):
+    cfg, _ = pipeline
+    section = {"out_path": str(tmp_path / "owm-x"),
+               "corrected_path": str(tmp_path / "corrected-x"),
+               "iterations": 1, "plan_iterations": 2, "horizon": 3,
+               "mix_ratio": 0.25, "lr": 2e-3, "finetune_steps": 1,
+               "batch_size": 4, "plan_optimizer": "sgd", "plan_eta": 0.1}
+    assert set(section) == set(cli._SCHEMA["finetune"]["online"])
+    cfg["finetune"]["online"] = section
+    seen = _spy(monkeypatch, finetune, "online_wm")
+    assert _run("finetune-online", "--config", _write(tmp_path, cfg)) == 0
+    assert seen["args"][4] == finetune.OnlineConfig(
+        iterations=1, plan_iterations=2, horizon=3, mix_ratio=0.25, lr=2e-3,
+        finetune_steps=1, batch_size=4, plan_optimizer="sgd", plan_eta=0.1)
+    worldmodel.load_model(section["out_path"])
+    corr, _ = load_dataset(section["corrected_path"])
+    assert len(corr.trajectories) == 1
+
+
+def test_eval_carries_every_mpc_key(pipeline, tmp_path, monkeypatch):
+    cfg, _ = pipeline
+    mpc = {"steps": 3, "k_exec": 2, "plan_iters": 4, "eta": 0.05,
+           "warm_start": True}
+    assert set(mpc) == set(cli._SCHEMA["eval"]["mpc"])
+    cfg["eval"].update(mode="mpc", mpc=mpc)
+    seen = _spy(monkeypatch, evalreport, "evaluate")
+    assert _run("eval", "--config", _write(tmp_path, cfg), "--workers", "1") == 0
+    assert seen["kwargs"]["mpc_cfg"] == MpcConfig(steps=3, k_exec=2, plan_iters=4,
+                                                  eta=0.05, warm_start=True)

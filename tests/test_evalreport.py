@@ -76,6 +76,22 @@ def test_evaluate_rerun_is_identical():
         assert [r.final_loss for r in c1.rows] == [r.final_loss for r in c2.rows]
 
 
+def test_evaluate_draws_each_task_once(monkeypatch):
+    spec, enc, data, model, pspec = _perfect_setup()
+    draw = evalreport._draw_task
+    drawn = []
+
+    def counting_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(evalreport, "_draw_task", counting_draw)
+    report = evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=3,
+                      mode="open-loop", seed=5, data=data, horizon_gap=1)
+    assert len(drawn) == 3
+    assert report.task_hash == evalreport._task_fingerprint(drawn)
+
+
 def test_evaluate_parallel_matches_serial():
     spec, enc, data, model, pspec = _perfect_setup()
     kwargs = dict(n_tasks=4, mode="open-loop", seed=7, data=data, horizon_gap=1)
@@ -252,7 +268,8 @@ def test_emit_report_roundtrip(tmp_path):
         body = json.load(fh)
     assert "plan_seconds" not in json.dumps(body)
     csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
-    assert csv_lines[0] == "model,planner,mode,task_id,success,plan_seconds,final_loss"
+    # wall-clock seconds go to timing.json only, so report.csv reruns byte-identically
+    assert csv_lines[0] == "model,planner,mode,task_id,success,final_loss"
     assert len(csv_lines) == 3
 
 
