@@ -39,14 +39,19 @@ class ConfigError(Exception):
 # config schema: every known key with a coarse type; unknown keys rejected
 
 _ANY_KEY = "__any__"
+_BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
+
+_CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": int,
+             "k_elite": int, "sigma0": float, "cov_mode": str, "jitter": float}
 
 _PLANNER_KEYS = {
-    "kind": str, "horizon": int, "iterations": int, "optimizer": str,
-    "eta": float, "loss": str, "init": str, "clamp": bool,
-    "return_best": bool, "initnet_path": str,
-    "n_pop": int, "k_elite": int, "sigma0": float, "cov_mode": str,
-    "jitter": float, "refine_steps": int, "refine_eta": float,
-    "samples": int, "sigma": float, "temperature": float,
+    "gbp": {"kind": str, "horizon": int, "iterations": int, "optimizer": str,
+            "eta": float, "loss": str, "init": str, "clamp": bool,
+            "return_best": bool, "initnet_path": str},
+    "cem": _CEM_KEYS,
+    "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": float},
+    "mppi": {"kind": str, "horizon": int, "iterations": int, "samples": int,
+             "sigma": float, "temperature": float},
 }
 
 _SCHEMA = {
@@ -59,22 +64,25 @@ _SCHEMA = {
               "train": {"epochs": int, "batch_size": int, "lr": float}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
-                        "eps_a": float, "eps_z": float, "alpha_a": float,
-                        "alpha_z": float, "attack": str, "pgd_steps": int,
+                        "eps_a": (float, None), "eps_z": (float, None),
+                        "alpha_a": (float, None), "alpha_z": (float, None),
+                        "attack": str, "pgd_steps": int,
                         "radius_mode": str, "per_dimension_std": bool,
                         "epochs": int, "batch_size": int, "lr": float,
                         "dump_perturbed": bool, "perturbed_path": str},
-        "online": {"out_path": str, "corrected_path": str, "iterations": int,
-                   "plan_iterations": int, "horizon": int, "mix_ratio": float,
-                   "lr": float, "finetune_steps": int, "batch_size": int,
-                   "plan_optimizer": str, "plan_eta": float},
+        "online": {"out_path": str, "corrected_path": (str, None),
+                   "iterations": int, "plan_iterations": int, "horizon": int,
+                   "mix_ratio": float, "lr": float, "finetune_steps": int,
+                   "batch_size": int, "plan_optimizer": str, "plan_eta": float},
     },
-    "initnet": {"path": str, "horizon": int, "lr": float, "iterations": int},
-    "planners": {_ANY_KEY: _PLANNER_KEYS},
+    "initnet": {"path": str, "horizon": int, "lr": float,
+                "iterations": (int, None)},
+    "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
     "eval": {"out_path": str, "n_tasks": int, "mode": str, "horizon_gap": int,
              "models": {_ANY_KEY: str}, "planners": list,
-             "mpc": {"steps": int, "k_exec": int, "plan_iters": int,
-                     "eta": float, "warm_start": bool},
+             "mpc": {"steps": int, "k_exec": (int, None),
+                     "plan_iters": (int, None), "eta": (float, None),
+                     "warm_start": bool},
              "require_cross_room": bool},
     "gap": {"out_path": str, "n": int, "horizon": int,
             "models": {_ANY_KEY: str},
@@ -87,8 +95,10 @@ _SCHEMA = {
 
 
 def _check_type(value, expect, path: str) -> None:
-    if value is None:
-        return
+    if isinstance(expect, tuple):  # (kind, None): the callee also takes None
+        if value is None:
+            return
+        expect = expect[0]
     if expect is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number, got {value!r}")
@@ -104,6 +114,11 @@ def validate_config(cfg: dict, schema: dict | None = None, path: str = "") -> No
     schema = _SCHEMA if schema is None else schema
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
+    if _BY_KIND in schema:
+        kind = cfg.get("kind")
+        if not isinstance(kind, str) or kind not in schema[_BY_KIND]:
+            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        schema = schema[_BY_KIND][kind]
     for key, value in cfg.items():
         sub = schema.get(key, schema.get(_ANY_KEY))
         here = f"{path}.{key}" if path else key

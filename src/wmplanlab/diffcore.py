@@ -7,10 +7,13 @@ tape and everything on it are freed as soon as the caller drops the loss
 node. `grad` collects the loss's ancestors by walking `parents` and sweeps
 them in reverse index order; creation order is a topological order.
 
-Supported op kinds: matmul, add, sub, mul, tanh, sum, mean, square,
-concat, and a fused affine (x @ W + b). The MLPs build their own fused nodes on `Node` directly: op "mlp"
-(`nets.mlp_forward_nodes`) and op "wm-step", one whole world-model
-transition (`worldmodel.WorldModel.forward_nodes`).
+Every gradient the lab takes is a squared distance on the output of one
+tanh MLP, so the tape holds few node kinds, each with closed-form vjps:
+"leaf", "const" and "param" inputs; "wm-step", one whole world-model
+transition (`worldmodel.WorldModel.forward_nodes`); "mlp", the init net
+(`nets.mlp_forward_nodes`); and "sq-dist", a weighted sum of squared
+distances that is every loss (`sq_dist`; the init net's tanh-bounded
+regression builds its own in `initnet`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """
@@ -55,10 +58,6 @@ class Node:
         self.index = tape.count
         tape.count += 1
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
@@ -70,8 +69,8 @@ class Tape:
     def __init__(self):
         self.count = 0
 
-    def leaf(self, value, op: str = "leaf") -> Node:
-        return Node(self, tensor(value), op, (), ())
+    def leaf(self, value) -> Node:
+        return Node(self, tensor(value), "leaf", (), ())
 
     def leaves(self, value) -> list[Node]:
         """One leaf per row of `value`, validated and copied once as a whole."""
@@ -81,122 +80,17 @@ class Tape:
         return Node(self, tensor(value), "const", (), ())
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `g` down to `shape` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a: Node, b: Node) -> Node:
-    out = a.value + b.value
-    return Node(a.tape, out, "add", (a, b),
-                (lambda g: _unbroadcast(g, a.value.shape),
-                 lambda g: _unbroadcast(g, b.value.shape)))
-
-
-def sub(a: Node, b: Node) -> Node:
-    out = a.value - b.value
-    return Node(a.tape, out, "sub", (a, b),
-                (lambda g: _unbroadcast(g, a.value.shape),
-                 lambda g: _unbroadcast(-g, b.value.shape)))
-
-
-def mul(a: Node, b: Node) -> Node:
-    out = a.value * b.value
-    return Node(a.tape, out, "mul", (a, b),
-                (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                 lambda g: _unbroadcast(g * a.value, b.value.shape)))
-
-
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product for 2D@2D, 1D@2D and 2D@1D operands."""
-    av, bv = a.value, b.value
-    out = av @ bv
-
-    def vjp_a(g):
-        if av.ndim == 1:           # (n,) @ (n,k) -> (k,)
-            return bv @ g
-        if bv.ndim == 1:           # (m,n) @ (n,) -> (m,)
-            return g[:, None] * bv[None, :]
-        return g @ bv.T
-
-    def vjp_b(g):
-        if av.ndim == 1:
-            return av[:, None] * g[None, :]
-        return av.T @ g
-
-    return Node(a.tape, out, "matmul", (a, b), (vjp_a, vjp_b))
-
-
-def affine(x: Node, W: Node, b: Node) -> Node:
-    """Fused x @ W + b for a 1D sample or 2D batch (the MLP hot path)."""
-    xv, Wv = x.value, W.value
-    out = xv @ Wv + b.value
-
-    def vjp_x(g):
-        return Wv @ g if xv.ndim == 1 else g @ Wv.T
-
-    def vjp_w(g):
-        return xv[:, None] * g[None, :] if xv.ndim == 1 else xv.T @ g
-
-    def vjp_b(g):
-        return g if g.ndim == 1 else g.sum(axis=0)
-
-    return Node(x.tape, out, "affine", (x, W, b), (vjp_x, vjp_w, vjp_b))
-
-
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.value)
-    return Node(a.tape, out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
-
-
-def square(a: Node) -> Node:
-    return Node(a.tape, a.value * a.value, "square", (a,),
-                (lambda g: g * 2.0 * a.value,))
-
-
-def sum_(a: Node) -> Node:
-    shape = a.value.shape
-    return Node(a.tape, np.asarray(a.value.sum()), "sum", (a,),
-                (lambda g: np.broadcast_to(g, shape).copy(),))
-
-
-def mean(a: Node) -> Node:
-    n = a.value.size
-    shape = a.value.shape
-    return Node(a.tape, np.asarray(a.value.mean()), "mean", (a,),
-                (lambda g: np.broadcast_to(g / n, shape).copy(),))
-
-
-def concat(parts: Sequence[Node], axis: int = 0) -> Node:
-    values = [p.value for p in parts]
-    out = np.concatenate(values, axis=axis)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return Node(parts[0].tape, out, "concat", tuple(parts),
-                tuple(make_vjp(i) for i in range(len(parts))))
-
-
-def sumsq(a: Node) -> Node:
-    """Squared L2 norm of all entries; the workhorse of every loss."""
-    return sum_(square(a))
+def sq_dist(xs: Sequence[Node], targets, weights, scale: float = 1.0) -> Node:
+    """One node (op "sq-dist") with value scale * sum_i weights[i] * ||xs[i] -
+    targets[i]||^2, summed left to right, and closed-form vjps. Targets are
+    constants and pass through `tensor`, so a non-finite one is a ValueError."""
+    ds = [x.value - tensor(t) for x, t in zip(xs, targets, strict=True)]
+    total = 0.0
+    for d, w in zip(ds, weights, strict=True):
+        total = total + (d * d).sum() * w
+    return Node(xs[0].tape, np.asarray(total * scale), "sq-dist", tuple(xs),
+                tuple(lambda g, d=d, w=w: g * scale * w * 2.0 * d
+                      for d, w in zip(ds, weights)))
 
 
 def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:

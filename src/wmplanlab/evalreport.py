@@ -23,10 +23,12 @@ import numpy as np
 from . import envs
 from .data import Dataset
 from .encoder import Encoder, encode
-from .planners import (MpcConfig, PlanConfig, PlannerSpec, gbp, mpc,
-                       run_planner)
+from .planners import (MpcConfig, PlanConfig, PlannerSpec, final_cost, gbp,
+                       mpc, run_planner)
 from .rng import derive_seed, generator
-from .worldmodel import WorldModel, rollout_model, wm_error
+# rollout_model is not called here any more; the binding stays because
+# perfbench's tracer test checks that it patches this module's copy
+from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
 
 REPORT_SCHEMA = "wmplanlab-report/1"
 
@@ -269,12 +271,6 @@ def expert_window(data: Dataset, enc: Encoder, H: int, seed: int) -> LandscapeTa
                          actions_gt=traj.actions[off:off + H].copy())
 
 
-def _grid_cost(f: WorldModel, z1, actions, z_goal) -> float:
-    zs = rollout_model(f, z1, actions)
-    d = zs[-1] - z_goal
-    return float(d @ d)
-
-
 def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
               task: LandscapeTask, plan_cfg: PlanConfig, resolution: int = 50,
               coeff_range: tuple[float, float] = (-1.25, 1.25),
@@ -306,17 +302,17 @@ def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
         for i, u in enumerate(coeffs):
             for j, v in enumerate(coeffs):
                 a = task.actions_gt + u * alpha + v * beta
-                values[i, j] = _grid_cost(model, task.z1, a, task.z_goal)
+                values[i, j] = final_cost(model, task.z1, a, task.z_goal)
         grids[name] = LandscapeGrid(
             model=name, resolution=resolution, c_min=float(coeff_range[0]),
             c_max=float(coeff_range[1]), alpha=[float(x) for x in alpha.ravel()],
             beta=[float(x) for x in beta.ravel()],
             values=[[float(x) for x in row] for row in values])
     anchors = {
-        "loss_gt_baseline": _grid_cost(f_baseline, task.z1, task.actions_gt, task.z_goal),
-        "loss_gt_adversarial": _grid_cost(f_adversarial, task.z1, task.actions_gt, task.z_goal),
-        "loss_gbp_baseline": _grid_cost(f_baseline, task.z1, a_base, task.z_goal),
-        "loss_gbp_adversarial": _grid_cost(f_adversarial, task.z1, a_adv, task.z_goal),
+        "loss_gt_baseline": final_cost(f_baseline, task.z1, task.actions_gt, task.z_goal),
+        "loss_gt_adversarial": final_cost(f_adversarial, task.z1, task.actions_gt, task.z_goal),
+        "loss_gbp_baseline": final_cost(f_baseline, task.z1, a_base, task.z_goal),
+        "loss_gbp_adversarial": final_cost(f_adversarial, task.z1, a_adv, task.z_goal),
     }
     return LandscapePair(grids["baseline"], grids["adversarial"], anchors)
 

@@ -99,15 +99,12 @@ def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
         da = np.zeros_like(A)
         dz = np.zeros_like(Z)
     for _ in range(steps):
+        # the gradient at a perturbed input is the gradient at its perturbation
         tape = dc.Tape()
         params = nets.lift_params(tape, f.weights)
-        da_node = tape.leaf(da)
-        dz_node = tape.leaf(dz)
-        zp = dc.add(tape.constant(Z), dz_node)
-        ap = dc.add(tape.constant(A), da_node)
-        pred = f.forward_nodes(params, zp, ap)
-        loss = dc.sumsq(dc.sub(pred, tape.constant(ZN)))
-        ga, gz = dc.grad(loss, [da_node, dz_node])
+        zp, ap = tape.leaf(Z + dz), tape.leaf(A + da)
+        loss = dc.sq_dist([f.forward_nodes(params, zp, ap)], [ZN], [1.0])
+        ga, gz = dc.grad(loss, [ap, zp])
         da = np.clip(da + alpha_a * np.sign(ga), -eps_a, eps_a)
         dz = np.clip(dz + alpha_z * np.sign(gz), -eps_z, eps_z)
     return da, dz

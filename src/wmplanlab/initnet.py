@@ -58,6 +58,14 @@ class InitTrainResult:
     losses: list[float] = field(default_factory=list)
 
 
+def _bounded_sq_dist(out: dc.Node, target: np.ndarray, a_max: float) -> dc.Node:
+    """||a_max * tanh(out) - target||^2 as one "sq-dist" node."""
+    t = np.tanh(out.value)
+    d = t * a_max - dc.tensor(target)
+    return dc.Node(out.tape, np.asarray((d * d).sum()), "sq-dist", (out,),
+                   (lambda g: g * 2.0 * d * a_max * (1.0 - t * t),))
+
+
 def train_initnet(data: Dataset, H: int, iterations: int | None = None,
                   lr: float = 0.02, seed: int = 0,
                   a_max: float | None = None) -> InitTrainResult:
@@ -94,8 +102,7 @@ def train_initnet(data: Dataset, H: int, iterations: int | None = None,
         tape = dc.Tape()
         params = nets.lift_params(tape, net.weights)
         out = nets.mlp_forward_nodes(params, tape.leaf(x))
-        pred = dc.mul(dc.tanh(out), tape.constant(a_max))
-        loss = dc.sumsq(dc.sub(pred, tape.constant(target)))
+        loss = _bounded_sq_dist(out, target, a_max)
         result.losses.append(float(loss.value))
         grads = dc.grad(loss, params)
         for j, g in enumerate(grads):

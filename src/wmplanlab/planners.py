@@ -4,12 +4,14 @@ Gradient-based planning backpropagates the goal loss through a recursive
 model rollout on a tape (`rollout_nodes`, one node per model step) and
 updates the action sequence with SGD or Adam. The sampling planners (CEM,
 MPPI, GradCEM) score candidate sequences one at a time with the NumPy
-forward pass (`rollout_model`); only GradCEM's refinement steps use the
-tape. One model evaluation costs a different amount on the two paths, a
-tape forward more than a NumPy `predict`, so wall-clock between the two
-families says nothing by itself: read it next to the model forwards per
-plan that the benchmark's GBP-vs-CEM block reports. The MPC harness
-replans from re-encoded simulator states and executes the first K actions.
+forward pass (`rollout_model`). GradCEM (Bharadhwaj et al. 2020) is GBP
+run from each CEM sample, so its refinement steps are `gbp` calls, the
+only tape use among the sampling planners. One model evaluation costs a
+different amount on the two paths, a tape forward more than a NumPy
+`predict`, so wall-clock between the two families says nothing by itself:
+read it next to the model forwards per plan that the benchmark's
+GBP-vs-CEM block reports. The MPC harness replans from re-encoded
+simulator states and executes the first K actions.
 """
 
 from __future__ import annotations
@@ -51,10 +53,8 @@ def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.N
     """Scalar loss node over predicted latents z_2 .. z_{H+1}."""
     if not zs:
         raise ValueError("need at least one predicted latent")
-    tape = zs[0].tape
-    zg = tape.constant(z_goal)
     if spec.mode == "final":
-        return dc.sumsq(dc.sub(zs[-1], zg))
+        return dc.sq_dist(zs[-1:], [z_goal], [1.0])
     if spec.mode != "weighted":
         raise ValueError(f"unknown goal loss mode {spec.mode!r}")
     H = len(zs)
@@ -63,12 +63,7 @@ def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.N
         raise ValueError(f"weight list length {w.shape} != horizon {H}")
     if np.any(w <= 0):
         raise ValueError("goal loss weights must be strictly positive")
-    wn = w / w.sum()
-    total = None
-    for wi, z in zip(wn, zs):
-        term = dc.mul(dc.sumsq(dc.sub(z, zg)), tape.constant(wi))
-        total = term if total is None else dc.add(total, term)
-    return dc.mul(total, tape.constant(1.0 / H))
+    return dc.sq_dist(zs, [z_goal] * H, w / w.sum(), 1.0 / H)
 
 
 @dataclass
@@ -173,7 +168,8 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
                       float(final), aborted)
 
 
-def _final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float:
+def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float:
+    """Squared distance of the last rolled-out latent to the goal (NumPy path)."""
     zs = rollout_model(f, z1, actions)
     d = zs[-1] - z_goal
     return float(d @ d)
@@ -197,7 +193,8 @@ class CemConfig:
 
 @dataclass
 class RefineConfig:
-    """Per-candidate Adam refinement inside GradCEM."""
+    """Per-candidate refinement inside GradCEM: `steps` Adam iterations of
+    `gbp` at step size `eta` from each sample, keeping the last iterate."""
 
     steps: int = 2
     eta: float = 0.3
@@ -213,20 +210,6 @@ def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
         except np.linalg.LinAlgError:
             bump = jitter if bump == 0.0 else bump * 10.0
     return None
-
-
-def _refine_candidate(f: WorldModel, z1, z_goal, actions: np.ndarray,
-                      rcfg: RefineConfig) -> np.ndarray:
-    opt = AdamState.zeros(actions.shape)
-    for _ in range(rcfg.steps):
-        tape = dc.Tape()
-        params = nets.lift_params(tape, f.weights)
-        a_nodes = tape.leaves(actions)
-        zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
-        loss = dc.sumsq(dc.sub(zs[-1], tape.constant(z_goal)))
-        grads = np.stack(dc.grad(loss, a_nodes))
-        actions, opt = dc.adam_step(actions, grads, opt, rcfg.eta)
-    return actions
 
 
 def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
@@ -251,9 +234,12 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
         candidates = samples
         if refine is not None and refine.steps > 0:
             candidates = np.stack([
-                _refine_candidate(f, z1, z_goal, c.reshape(H, f.d_a), refine).ravel()
+                gbp(f, z1, z_goal, PlanConfig(
+                    horizon=H, iterations=refine.steps, optimizer="adam",
+                    eta=refine.eta, init="fixed", init_actions=c.reshape(H, f.d_a),
+                    clamp_actions=False, return_best=False)).actions.ravel()
                 for c in samples])
-        costs = np.array([_final_cost(f, z1, c.reshape(H, f.d_a), z_goal)
+        costs = np.array([final_cost(f, z1, c.reshape(H, f.d_a), z_goal)
                           for c in candidates])
         elite_idx = np.argsort(costs, kind="stable")[: cfg.k_elite]
         elites = candidates[elite_idx]
@@ -269,7 +255,7 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
                         "elite_idx": elite_idx, "mu": mu.copy(),
                         "sigma": sigma.copy()})
     actions = mu.reshape(H, f.d_a)
-    final = _final_cost(f, z1, actions, z_goal)
+    final = final_cost(f, z1, actions, z_goal)
     return PlanResult(actions, trace, time.perf_counter() - t0, len(trace), final)
 
 
@@ -283,9 +269,9 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
 def gradcem(f: WorldModel, z1, z_goal, cfg: CemConfig, refine: RefineConfig,
             H: int, seed: int,
             trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
-    """CEM whose sampled candidates get a few Adam steps on the final-state
-    loss before cost evaluation and elite selection. With refine.steps == 0
-    this is bit-for-bit plain CEM under the same seed."""
+    """CEM whose sampled candidates each get a few Adam steps of `gbp` on
+    the final-state loss before cost evaluation and elite selection. With
+    refine.steps == 0 this is bit-for-bit plain CEM under the same seed."""
     return _cem_engine(f, z1, z_goal, cfg, H, seed, refine, trace_hook)
 
 
@@ -314,12 +300,12 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int,
     trace: list[float] = []
     for _ in range(cfg.iterations):
         eps = cfg.sigma * rng.standard_normal((cfg.samples, H, f.d_a))
-        costs = np.array([_final_cost(f, z1, nom + e, z_goal) for e in eps])
+        costs = np.array([final_cost(f, z1, nom + e, z_goal) for e in eps])
         shifted = costs - costs.min()
         w = np.exp(-shifted / cfg.temperature)
         w = w / w.sum()
         nom = nom + np.tensordot(w, eps, axes=1)
-        trace.append(_final_cost(f, z1, nom, z_goal))
+        trace.append(final_cost(f, z1, nom, z_goal))
     return PlanResult(nom, trace, time.perf_counter() - t0, len(trace), trace[-1])
 
 

@@ -135,8 +135,7 @@ def supervised_step(model: WorldModel, opt: list[AdamState], Z: np.ndarray,
     tape = dc.Tape()
     params = nets.lift_params(tape, model.weights)
     pred = model.forward_nodes(params, tape.constant(Z), tape.constant(A))
-    diff = dc.sub(pred, tape.constant(ZN))
-    loss = dc.mul(dc.sumsq(diff), tape.constant(1.0 / len(Z)))
+    loss = dc.sq_dist([pred], [ZN], [1.0], 1.0 / len(Z))
     value = float(loss.value)
     grads = dc.grad(loss, params)
     for i, g in enumerate(grads):

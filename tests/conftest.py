@@ -23,6 +23,17 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
+def linear_model(B):
+    """f(z, a) = z + a @ B as a one-layer residual world model: weight
+    [[0], [B]], bias 0, no hidden layers."""
+    from wmplanlab.worldmodel import WorldModel
+
+    B = np.asarray(B, dtype=np.float64)
+    d_a, d_z = B.shape
+    W = np.vstack([np.zeros((d_z, d_z)), B])
+    return WorldModel([W, np.zeros(d_z)], d_z, d_a, hidden=())
+
+
 @pytest.fixture(scope="session")
 def wall_spec():
     from wmplanlab.envs import wall2d_spec

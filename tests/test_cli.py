@@ -227,6 +227,58 @@ def test_validate_config_names_field_path():
         validate_config({"seed": "zero"})
 
 
+def test_null_is_accepted_only_where_the_callee_takes_none():
+    validate_config({
+        "initnet": {"iterations": None},
+        "eval": {"mpc": {"k_exec": None, "plan_iters": None, "eta": None}},
+        "finetune": {"adversarial": {"eps_a": None, "eps_z": None,
+                                     "alpha_a": None, "alpha_z": None},
+                     "online": {"corrected_path": None}}})
+    for path in ("seed", "model.train.epochs", "model.path", "eval.mpc.steps",
+                 "finetune.adversarial.lambda_a", "landscape.plan.eta",
+                 "eval.models.baseline", "planners.p.horizon"):
+        cfg = {}
+        node = cfg
+        *parents, last = path.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = None
+        if path.startswith("planners."):
+            node["kind"] = "gbp"
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            validate_config(cfg)
+
+
+def test_train_with_a_null_key_is_a_config_error(pipeline):
+    cfg, path = pipeline
+    assert _run("train", "--config", path, "--set", "model.train.epochs=null") == 2
+    assert _run("train", "--config", path, "--set", "initnet.iterations=null") == 0
+
+
+def test_planner_keys_depend_on_the_kind():
+    validate_config({"planners": {"p": {"kind": "gradcem", "refine_eta": 0.1}}})
+    for section, key in [({"kind": "gbp", "samples": 8}, "samples"),
+                         ({"kind": "gbp", "refine_eta": 0.1}, "refine_eta"),
+                         ({"kind": "cem", "refine_steps": 2}, "refine_steps"),
+                         ({"kind": "cem", "eta": 0.1}, "eta"),
+                         ({"kind": "mppi", "n_pop": 10}, "n_pop"),
+                         ({"kind": "gradcem", "temperature": 1.0}, "temperature")]:
+        with pytest.raises(ConfigError, match=f"planners.p.{key}"):
+            validate_config({"planners": {"p": section}})
+    for section in ({"kind": "ilqr"}, {"horizon": 5}):
+        with pytest.raises(ConfigError, match="planners.p.kind: unknown kind"):
+            validate_config({"planners": {"p": section}})
+
+
+def test_misplaced_planner_key_exits_with_code_2(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cfg["planners"]["gbp_gd"]["samples"] = 16
+    assert _run("gen-data", "--config", _write(tmp_path, cfg)) == 2
+    cfg["planners"]["gbp_gd"]["kind"] = "ilqr"
+    del cfg["planners"]["gbp_gd"]["samples"]
+    assert _run("gen-data", "--config", _write(tmp_path, cfg)) == 2
+
+
 def test_missing_dataset_is_config_error(tmp_path):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
@@ -336,8 +388,8 @@ def test_build_planner_carries_every_planner_key(tmp_path):
         "mppi": {"kind": "mppi", "horizon": 6, "samples": 16, "sigma": 0.2,
                  "temperature": 0.5, "iterations": 3},
     }
-    assert set().union(*sections.values()) == set(cli._PLANNER_KEYS)
-    for section in sections.values():
+    for kind, section in sections.items():
+        assert set(section) == set(cli._PLANNER_KEYS[kind]), kind
         validate_config({"planners": {"p": section}})
     built = {kind: cli.build_planner(kind, section, spec)
              for kind, section in sections.items()}

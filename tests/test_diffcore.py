@@ -4,6 +4,7 @@ import pytest
 from wmplanlab import diffcore as dc
 from wmplanlab.rng import generator
 
+import chain_ops as co
 from conftest import central_fd, rel_err
 
 
@@ -19,9 +20,19 @@ def test_tensor_rejects_nonfinite():
 def test_grad_square_scalar():
     tape = dc.Tape()
     x = tape.leaf(3.0)
-    loss = dc.square(x)
+    loss = dc.sq_dist([x], [0.0], [1.0])
+    assert float(loss.value) == 9.0
     (g,) = dc.grad(loss, [x])
     assert g == pytest.approx(6.0)
+
+
+def test_sq_dist_rejects_a_nonfinite_target():
+    tape = dc.Tape()
+    x = tape.leaf([1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        dc.sq_dist([x], [[0.0, np.nan]], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        dc.sq_dist([x], [[np.inf, 0.0]], [1.0])
 
 
 def test_grad_least_squares_matches_fd():
@@ -36,8 +47,8 @@ def test_grad_least_squares_matches_fd():
 
     tape = dc.Tape()
     x = tape.leaf(x0)
-    r = dc.sub(dc.matmul(tape.constant(W), x), tape.constant(y))
-    loss = dc.sumsq(r)
+    Wx = co.affine(x, tape.constant(W.T), tape.constant(np.zeros(4)))
+    loss = dc.sq_dist([Wx], [y], [1.0])
     (g,) = dc.grad(loss, [x])
     fd = central_fd(loss_value, x0)
     assert rel_err(g, fd) < 1e-6
@@ -47,7 +58,7 @@ def test_grad_disconnected_is_zero():
     tape = dc.Tape()
     x = tape.leaf([1.0, 2.0])
     w = tape.leaf([[3.0, 4.0]])
-    loss = dc.sumsq(x)
+    loss = dc.sq_dist([x], [[0.0, 0.0]], [1.0])
     (gw,) = dc.grad(loss, [w])
     assert gw.shape == (1, 2)
     assert np.all(gw == 0.0)
@@ -58,7 +69,7 @@ def test_grad_rejects_an_ancestor_on_another_tape():
     tape, other = dc.Tape(), dc.Tape()
     x = tape.leaf([1.0, 2.0])
     y = other.leaf([3.0, 4.0])
-    loss = dc.sumsq(dc.add(x, y))
+    loss = dc.sq_dist([co.add(x, y)], [[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError, match="another tape"):
         dc.grad(loss, [x])
 
@@ -82,53 +93,53 @@ def test_grad_requires_scalar_loss():
     tape = dc.Tape()
     x = tape.leaf([1.0, 2.0])
     with pytest.raises(ValueError, match="scalar"):
-        dc.grad(dc.square(x), [x])
+        dc.grad(co.square(x), [x])
 
 
 def _op_cases(rng):
-    """Scalar losses exercising every differentiable op kind."""
-    W = rng.standard_normal((3, 4))
-    M = rng.standard_normal((2, 3))
+    """Scalar losses exercising every reference op and `sq_dist`."""
     v = rng.standard_normal(4)
 
-    def f_matmul(tape, x):
-        return dc.sumsq(dc.matmul(tape.constant(M), dc.matmul(tape.constant(W), x)))
-
     def f_add_mul(tape, x):
-        y = dc.add(x, tape.constant(v[:, None] if x.value.ndim == 2 else v))
-        return dc.mean(dc.mul(y, y))
+        y = co.add(x, tape.constant(v[:, None] if x.value.ndim == 2 else v))
+        return co.sum_(co.mul(y, y))
 
     def f_sub_tanh(tape, x):
-        return dc.sumsq(dc.tanh(dc.sub(x, tape.constant(0.5))))
+        return co.sum_(co.square(co.tanh(co.sub(x, tape.constant(0.5)))))
 
-    def f_square_mean(tape, x):
-        return dc.mean(dc.square(x))
+    def f_square_sum(tape, x):
+        return co.sum_(co.square(x))
 
     # a distinct weight per output row, so a misplaced part changes the gradient
     rows = np.arange(1.0, 7.0)[:, None]
 
     def f_concat(tape, x):
-        c = dc.concat([x, dc.tanh(x)], axis=0)
-        return dc.sumsq(dc.mul(c, tape.constant(rows)))
+        c = co.concat([x, co.tanh(x)], axis=0)
+        return co.sum_(co.square(co.mul(c, tape.constant(rows))))
 
     Wa = rng.standard_normal((4, 3))
     ba = rng.standard_normal(3)
 
     def f_affine_1d(tape, x):
-        return dc.sumsq(dc.affine(x, tape.constant(Wa), tape.constant(ba)))
+        return co.sum_(co.square(co.affine(x, tape.constant(Wa), tape.constant(ba))))
 
     def f_affine_batch(tape, x):
-        return dc.mean(dc.square(dc.affine(x, tape.constant(Wa),
+        return co.sum_(co.square(co.affine(x, tape.constant(Wa),
                                            tape.constant(ba))))
 
+    targets = rng.standard_normal((2, 3, 4))
+
+    def f_sq_dist(tape, x):
+        return dc.sq_dist([x, co.tanh(x)], targets, [0.3, 0.7], 0.25)
+
     return {
-        "matmul": (f_matmul, (4, 2)),
         "add_mul": (f_add_mul, (4,)),
         "sub_tanh": (f_sub_tanh, (3, 4)),
-        "square_mean": (f_square_mean, (3, 4)),
+        "square_sum": (f_square_sum, (3, 4)),
         "concat": (f_concat, (3, 4)),
         "affine_1d": (f_affine_1d, (4,)),
         "affine_batch": (f_affine_batch, (5, 4)),
+        "sq_dist": (f_sq_dist, (3, 4)),
     }
 
 
@@ -165,7 +176,7 @@ def test_affine_param_gradients_match_fd(batch):
     tape = dc.Tape()
     W = tape.leaf(W0)
     b = tape.leaf(b0)
-    loss = dc.sumsq(dc.affine(tape.constant(x), W, b))
+    loss = co.sum_(co.square(co.affine(tape.constant(x), W, b)))
     gw, gb = dc.grad(loss, [W, b])
     assert rel_err(gw, central_fd(value_w, W0.ravel()).reshape(4, 3)) < 1e-5
     assert rel_err(gb, central_fd(value_b, b0)) < 1e-5
@@ -187,12 +198,13 @@ def test_backward_through_chain_matches_fd():
         return float(z @ z)
 
     tape = dc.Tape()
-    Wc, Bc = tape.constant(W), tape.constant(B)
+    Wt, Bt = tape.constant(W.T), tape.constant(B.T)
+    zero = tape.constant(np.zeros(5))
     a_nodes = [tape.leaf(acts[t]) for t in range(T)]
     z = tape.constant(z0)
     for t in range(T):
-        z = dc.tanh(dc.add(dc.matmul(Wc, z), dc.matmul(Bc, a_nodes[t])))
-    loss = dc.sumsq(z)
+        z = co.tanh(co.affine(z, Wt, co.affine(a_nodes[t], Bt, zero)))
+    loss = dc.sq_dist([z], [np.zeros(5)], [1.0])
     grads = np.stack(dc.grad(loss, a_nodes))
     fd = central_fd(final_loss, acts.ravel()).reshape(T, 2)
     assert rel_err(grads, fd) < 1e-5
@@ -202,7 +214,7 @@ def test_nonfinite_backward_raises_numeric_failure():
     tape = dc.Tape()
     x = tape.leaf(np.full(3, 1e200))
     with np.errstate(over="ignore"):
-        loss = dc.mean(dc.square(dc.square(x)))  # overflows to inf in forward
+        loss = dc.sq_dist([co.square(x)], [np.zeros(3)], [1.0])  # inf forward
         with pytest.raises(dc.NumericFailure, match="op"):
             dc.grad(loss, [x])
 
@@ -212,8 +224,9 @@ def test_tape_evaluation_deterministic():
         rng = generator(3, "det")
         tape = dc.Tape()
         x = tape.leaf(rng.standard_normal((6, 6)))
-        y = dc.tanh(dc.matmul(x, x))
-        loss = dc.mean(dc.square(y))
+        W = tape.constant(rng.standard_normal((6, 6)))
+        y = co.tanh(co.affine(x, W, tape.constant(rng.standard_normal(6))))
+        loss = dc.sq_dist([y], [rng.standard_normal((6, 6))], [1.0], 1.0 / 36)
         (g,) = dc.grad(loss, [x])
         return loss.value.tobytes(), g.tobytes()
 

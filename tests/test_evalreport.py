@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from wmplanlab import diffcore as dc
 from wmplanlab import envs, evalreport
 from wmplanlab.data import Dataset
 from wmplanlab.encoder import encode, encode_dataset, make_identity, make_random_fourier
@@ -16,18 +15,7 @@ from wmplanlab.evalreport import (Cell, EvalReport, GapReport, TaskRow,
 from wmplanlab.planners import MpcConfig, PlanConfig, PlannerSpec
 from wmplanlab.worldmodel import init_world_model, rollout_model
 
-
-class LinearModel:
-    def __init__(self, B):
-        self.B = np.asarray(B, dtype=np.float64)
-        self.d_a, self.d_z = self.B.shape
-        self.weights = [self.B]
-
-    def forward_np(self, z, a):
-        return z + a @ self.B
-
-    def forward_nodes(self, params, z, a):
-        return dc.add(z, dc.matmul(a, params[0]))
+from conftest import linear_model
 
 
 def _no_wall_spec():
@@ -38,7 +26,7 @@ def _perfect_setup():
     spec = _no_wall_spec()
     enc = make_identity(2)
     data = envs.generate_dataset(spec, 10, 10, "random", seed=0)
-    model = LinearModel(np.eye(2) * spec.frameskip)
+    model = linear_model(np.eye(2) * spec.frameskip)
     pspec = PlannerSpec("gbp", horizon=1, plan=PlanConfig(
         horizon=1, iterations=40, optimizer="sgd", eta=0.02,
         a_max=spec.a_max, seed=0))

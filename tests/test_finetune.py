@@ -120,10 +120,38 @@ def test_pgd_one_step_alpha_eps_is_fgsm_sign():
     params = nets.lift_params(tape, f.weights)
     a_node, z_node = tape.leaf(a), tape.leaf(z)
     pred = f.forward_nodes(params, z_node, a_node)
-    loss = dc.sumsq(dc.sub(pred, tape.constant(zn)))
+    loss = dc.sq_dist([pred], [zn], [1.0])
     ga, gz = dc.grad(loss, [a_node, z_node])
     assert np.array_equal(da, eps_a * np.sign(ga))
     assert np.array_equal(dz, eps_z * np.sign(gz))
+
+
+def test_fgsm_takes_the_gradient_at_its_random_start():
+    # the sign step uses the gradient at (z + dz0, a + da0); with these wide
+    # radii its signs differ from those at (z, a), (z + dz0, a) and (z, a + da0)
+    f = init_world_model(5, 2, hidden=(8,), seed=5)
+    rng = generator(5, "fgsm-start")
+    z, a, zn = rng.standard_normal(5), rng.standard_normal(2), rng.standard_normal(5)
+    pcfg = PerturbationConfig(eps_a=2.0, eps_z=2.0, attack="fgsm")
+    da, dz = attack_perturb(f, z, a, zn, pcfg, seed=11)
+    start = generator(11, "attack-init")
+    da0 = start.uniform(-2.0, 2.0, size=(1, 2))[0]
+    dz0 = start.uniform(-2.0, 2.0, size=(1, 5))[0]
+
+    def signs(z_in, a_in):
+        tape = dc.Tape()
+        params = nets.lift_params(tape, f.weights)
+        a_node, z_node = tape.leaf(a_in), tape.leaf(z_in)
+        pred = f.forward_nodes(params, z_node, a_node)
+        grads = dc.grad(dc.sq_dist([pred], [zn], [1.0]), [a_node, z_node])
+        return [np.sign(g) for g in grads]
+
+    sa, sz = signs(z + dz0, a + da0)
+    for z_in, a_in in ((z, a), (z + dz0, a), (z, a + da0)):
+        assert not np.array_equal(np.concatenate([sa, sz]),
+                                  np.concatenate(signs(z_in, a_in)))
+    assert np.array_equal(da, np.clip(da0 + 2.5 * sa, -2.0, 2.0))
+    assert np.array_equal(dz, np.clip(dz0 + 2.5 * sz, -2.0, 2.0))
 
 
 def test_attack_ascends_loss():

@@ -1,5 +1,6 @@
-"""The fused "wm-step" and "mlp" tape nodes against the unfused chain of
-concat, affine, tanh and add ops they replace, and tape lifetime."""
+"""The fused tape nodes against the unfused chains of `chain_ops` they
+replace: "wm-step" and "mlp" against concat, affine, tanh and add, and the
+"sq-dist" losses against sub, square, sum, mul and add. Also tape lifetime."""
 
 import gc
 import weakref
@@ -7,9 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
+import chain_ops as co
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, initnet, nets, planners, worldmodel
-from wmplanlab.encoder import encode_dataset, make_identity
+from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
+from wmplanlab.finetune import PerturbationConfig, adversarial_wm
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import WorldModel, init_world_model, rollout_nodes
 
@@ -19,17 +22,36 @@ def chain_mlp(params, x):
     hidden layer."""
     n_layers = len(params) // 2
     for i in range(n_layers):
-        x = dc.affine(x, params[2 * i], params[2 * i + 1])
+        x = co.affine(x, params[2 * i], params[2 * i + 1])
         if i < n_layers - 1:
-            x = dc.tanh(x)
+            x = co.tanh(x)
     return x
 
 
 def chain_step(self, params, z, a):
     """Reference: one world-model transition as concat -> MLP chain -> add."""
-    x = dc.concat([z, a], axis=z.value.ndim - 1)
+    x = co.concat([z, a], axis=z.value.ndim - 1)
     out = chain_mlp(params, x)
-    return dc.add(z, out) if self.residual else out
+    return co.add(z, out) if self.residual else out
+
+
+def chain_sq_dist(xs, targets, weights, scale=1.0):
+    """Reference: `dc.sq_dist` as a sum over i of
+    mul(sum_(square(sub(x_i, target_i))), w_i), times the scale."""
+    tape = xs[0].tape
+    total = None
+    for x, t, w in zip(xs, targets, weights, strict=True):
+        term = co.mul(co.sum_(co.square(co.sub(x, tape.constant(t)))),
+                      tape.constant(w))
+        total = term if total is None else co.add(total, term)
+    return co.mul(total, tape.constant(scale))
+
+
+def chain_bounded_sq_dist(out, target, a_max):
+    """Reference: the init net's loss, ||a_max * tanh(out) - target||^2."""
+    tape = out.tape
+    pred = co.mul(co.tanh(out), tape.constant(a_max))
+    return co.sum_(co.square(co.sub(pred, tape.constant(target))))
 
 
 def _step_grads(f, forward, z0, a0, zn):
@@ -37,7 +59,7 @@ def _step_grads(f, forward, z0, a0, zn):
     params = nets.lift_params(tape, f.weights)
     z, a = tape.leaf(z0), tape.leaf(a0)
     pred = forward(f, params, z, a)
-    loss = dc.sumsq(dc.sub(pred, tape.constant(zn)))
+    loss = co.sum_(co.square(co.sub(pred, tape.constant(zn))))
     return [pred.value, loss.value] + dc.grad(loss, [z, a, *params])
 
 
@@ -92,6 +114,7 @@ def test_train_initnet_losses_equal_the_chain(wall_spec):
     fused_losses, fused_weights = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "mlp_forward_nodes", chain_mlp)
+        mp.setattr(initnet, "_bounded_sq_dist", chain_bounded_sq_dist)
         chain_losses, chain_weights = run()
     assert fused_losses == chain_losses
     for got, want in zip(fused_weights, chain_weights):
@@ -111,9 +134,80 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
     with np.errstate(over="ignore", invalid="ignore"):
         pred = f.forward_nodes(params, tape.constant([0.1, 0.2]), a)
         assert np.all(np.isfinite(pred.value))
-        loss = dc.sumsq(pred)
+        loss = dc.sq_dist([pred], [np.zeros(2)], [1.0])
         with pytest.raises(dc.NumericFailure, match="op"):
             dc.grad(loss, [a] if wrt == "input" else params)
+
+
+def _sq_dist_cases(rng):
+    """(xs, targets, weights, scale) for the three forms the lab uses."""
+    H, N = 5, 7
+    w = np.exp2(np.arange(2, H + 2, dtype=np.float64))
+    return {
+        "final": ([rng.standard_normal(6)], [rng.standard_normal(6)], [1.0], 1.0),
+        "weighted": (list(rng.standard_normal((H, 6))),
+                     [rng.standard_normal(6)] * H, w / w.sum(), 1.0 / H),
+        "batched": ([rng.standard_normal((N, 6))], [rng.standard_normal((N, 6))],
+                    [1.0], 1.0 / N),
+    }
+
+
+@pytest.mark.parametrize("form", ["final", "weighted", "batched"])
+def test_sq_dist_equals_the_chain(form):
+    xs, targets, weights, scale = _sq_dist_cases(generator(8, "sq-dist"))[form]
+
+    def run(build):
+        tape = dc.Tape()
+        nodes = [tape.leaf(x) for x in xs]
+        loss = build(nodes, targets, weights, scale)
+        return [loss.value] + dc.grad(loss, nodes)
+
+    fused, chain = run(dc.sq_dist), run(chain_sq_dist)
+    assert len(fused) == 1 + len(xs)
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("loss", ["late-heavy", "early-heavy"])
+def test_gbp_weighted_plans_equal_the_chain(loss, optimizer):
+    H = 5
+    f = init_world_model(8, 2, hidden=(16, 16), seed=6)
+    rng = generator(6, "gbp-chain")
+    z1, z_goal = rng.standard_normal(8), rng.standard_normal(8)
+    spec = (planners.wgl_late_heavy if loss == "late-heavy"
+            else planners.wgl_early_heavy)(H)
+    cfg = planners.PlanConfig(horizon=H, iterations=12, optimizer=optimizer,
+                              eta=0.1, loss=spec, seed=3)
+    fused = planners.gbp(f, z1, z_goal, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "sq_dist", chain_sq_dist)
+        chain = planners.gbp(f, z1, z_goal, cfg)
+    assert fused.loss_trace == chain.loss_trace
+    assert fused.final_loss == chain.final_loss
+    assert np.array_equal(fused.actions, chain.actions)
+
+
+@pytest.mark.parametrize("attack", ["fgsm", "pgd"])
+def test_adversarial_wm_weights_equal_the_chain(wall_spec, attack):
+    raw = envs.generate_dataset(wall_spec, 6, 8, "goal-seeking-noisy", 1)
+    data = encode_dataset(make_random_fourier(2, d_z=8, seed=1), raw)
+    f = init_world_model(8, 2, hidden=(16,), seed=7)
+    pcfg = PerturbationConfig(attack=attack, pgd_steps=3)
+
+    def run():
+        res = adversarial_wm(f, data, pcfg, epochs=2, batch_size=4, lr=1e-3,
+                             seed=2)
+        return res.batch_losses, res.model.weights
+
+    fused_losses, fused_weights = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "sq_dist", chain_sq_dist)
+        chain_losses, chain_weights = run()
+    assert fused_losses == chain_losses
+    for got, want in zip(fused_weights, chain_weights):
+        assert np.array_equal(got, want)
 
 
 @pytest.fixture

@@ -11,20 +11,7 @@ from wmplanlab.planners import (CemConfig, GoalLossSpec, MpcConfig, MppiConfig,
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model
 
-
-class LinearModel:
-    """f(z, a) = z + a @ B; exposes the same surface planners rely on."""
-
-    def __init__(self, B):
-        self.B = np.asarray(B, dtype=np.float64)
-        self.d_a, self.d_z = self.B.shape
-        self.weights = [self.B]
-
-    def forward_np(self, z, a):
-        return z + a @ self.B
-
-    def forward_nodes(self, params, z, a):
-        return dc.add(z, dc.matmul(a, params[0]))
+from conftest import linear_model
 
 
 def _nodes_with_distances(dists, d=2):
@@ -81,7 +68,7 @@ def test_wgl_presets_shapes():
 
 def test_gbp_linear_model_reaches_least_squares_optimum():
     B = np.array([[0.6, 0.1], [0.0, 0.5]])
-    f = LinearModel(B)
+    f = linear_model(B)
     z1 = np.array([0.2, -0.3])
     z_goal = np.array([0.5, 0.4])
     cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=1.0,
@@ -146,7 +133,7 @@ def test_gbp_best_iterate_no_worse_than_init():
 
 
 def test_gbp_clamps_actions():
-    f = LinearModel(np.eye(2) * 0.5)
+    f = linear_model(np.eye(2) * 0.5)
     cfg = PlanConfig(horizon=2, iterations=30, optimizer="sgd", eta=1.0,
                      clamp_actions=True, a_max=0.05, seed=0)
     pr = gbp(f, np.zeros(2), np.array([5.0, 5.0]), cfg)
@@ -155,7 +142,7 @@ def test_gbp_clamps_actions():
 
 def test_gbp_aborts_on_divergence():
     # grossly unstable step size: loss explodes to inf, gbp truncates
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=10.0,
                      clamp_actions=False, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,7 +153,7 @@ def test_gbp_aborts_on_divergence():
 
 
 def test_cem_identity_model_quadratic():
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     z1 = np.array([0.3, -0.2])
     z_goal = np.array([-0.4, 0.5])
     cfg = CemConfig(n_pop=300, k_elite=30, iterations=30)
@@ -196,14 +183,14 @@ def test_cem_elites_and_full_selection():
 
 def test_cem_vanishing_sigma_keeps_mean():
     # degenerate sampling: every candidate collapses onto mu_0
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = CemConfig(n_pop=20, k_elite=5, iterations=1, sigma0=1e-9)
     pr = cem(f, np.zeros(2), np.ones(2), cfg, H=1, seed=5)
     assert np.all(np.abs(pr.actions) < 1e-7)
 
 
 def test_cem_diagonal_mode_runs():
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = CemConfig(n_pop=50, k_elite=10, iterations=10, cov_mode="diagonal")
     pr = cem(f, np.zeros(2), np.array([0.5, -0.5]), cfg, H=1, seed=3)
     assert np.linalg.norm(pr.actions[0] - np.array([0.5, -0.5])) < 5e-2
@@ -226,7 +213,7 @@ def test_cem_config_validation():
 
 
 def test_mppi_single_sample_moves_to_it():
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = MppiConfig(samples=1, sigma=0.7, temperature=1.0, iterations=1)
     pr = mppi(f, np.zeros(2), np.ones(2), cfg, H=2, seed=21)
     eps = 0.7 * generator(21, "mppi").standard_normal((1, 2, 2))
@@ -234,7 +221,7 @@ def test_mppi_single_sample_moves_to_it():
 
 
 def test_mppi_infinite_temperature_averages_uniformly():
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = MppiConfig(samples=16, sigma=0.5, temperature=1e12, iterations=1)
     pr = mppi(f, np.zeros(2), np.ones(2), cfg, H=2, seed=22)
     eps = 0.5 * generator(22, "mppi").standard_normal((16, 2, 2))
@@ -243,7 +230,7 @@ def test_mppi_infinite_temperature_averages_uniformly():
 
 def test_mppi_cost_decreases_on_quadratic():
     # measured on this frozen config: strictly decreasing to ~1e-3
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     cfg = MppiConfig(samples=64, sigma=0.3, temperature=0.05, iterations=50)
     pr = mppi(f, np.array([0.5, 0.5]), np.array([-0.5, -0.2]), cfg, H=1, seed=7)
     trace = np.array(pr.loss_trace)
@@ -265,7 +252,7 @@ def test_gradcem_zero_refine_steps_reduces_to_cem():
 def test_gradcem_reaches_threshold_in_fewer_iterations():
     # measured over seeds 0-5: gradcem's mean hits the 1e-2 loss threshold
     # at iteration 1, plain cem needs 2-3 under the matched population
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     z1, z_goal = np.zeros(2), np.array([0.8, -0.6])
     cfg = CemConfig(n_pop=50, k_elite=10, iterations=8)
 
@@ -304,7 +291,7 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
                       init="fixed", init_actions=sample, clamp_actions=False,
                       return_best=False, seed=0)
     ref = gbp(f, z1, z_goal, plan)
-    assert np.allclose(pr.actions, ref.actions, atol=1e-14)
+    assert np.array_equal(pr.actions, ref.actions)
 
 
 def _no_wall_spec():
@@ -314,7 +301,7 @@ def _no_wall_spec():
 def test_mpc_reduces_to_open_loop():
     spec = _no_wall_spec()
     enc = make_identity(2)
-    f = LinearModel(np.eye(2) * spec.frameskip)
+    f = linear_model(np.eye(2) * spec.frameskip)
     start = envs.EnvState(np.array([0.2, 0.2]), np.zeros(2))
     goal_obs = np.array([0.8, 0.7])
     task = envs.TaskInstance(start, goal_obs, envs.state_of_obs(spec, goal_obs), 25)
@@ -333,7 +320,7 @@ def test_mpc_reduces_to_open_loop():
 def test_mpc_perfect_model_solvable_task_succeeds():
     spec = _no_wall_spec()
     enc = make_identity(2)
-    f = LinearModel(np.eye(2) * spec.frameskip)  # exact model away from clamps
+    f = linear_model(np.eye(2) * spec.frameskip)  # exact model away from clamps
     start = envs.EnvState(np.array([0.3, 0.4]), np.zeros(2))
     goal_obs = np.array([0.4, 0.25])  # reachable in one step
     task = envs.TaskInstance(start, goal_obs, envs.state_of_obs(spec, goal_obs), 1)
@@ -347,7 +334,7 @@ def test_mpc_perfect_model_solvable_task_succeeds():
 def test_mpc_k_exec_validation():
     spec = _no_wall_spec()
     enc = make_identity(2)
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     start = envs.EnvState(np.array([0.3, 0.4]), np.zeros(2))
     task = envs.TaskInstance(start, np.array([0.9, 0.9]),
                              envs.state_of_obs(spec, np.array([0.9, 0.9])), 1)
@@ -359,7 +346,7 @@ def test_mpc_k_exec_validation():
 def test_mpc_warm_start_shifts_actions():
     spec = _no_wall_spec()
     enc = make_identity(2)
-    f = LinearModel(np.eye(2) * spec.frameskip)
+    f = linear_model(np.eye(2) * spec.frameskip)
     start = envs.EnvState(np.array([0.1, 0.1]), np.zeros(2))
     goal_obs = np.array([0.95, 0.95])
     task = envs.TaskInstance(start, goal_obs, envs.state_of_obs(spec, goal_obs), 25)
@@ -372,7 +359,7 @@ def test_mpc_warm_start_shifts_actions():
 
 
 def test_run_planner_dispatch():
-    f = LinearModel(np.eye(2))
+    f = linear_model(np.eye(2))
     for kind in ("gbp", "cem", "mppi", "gradcem"):
         pspec = PlannerSpec(kind, horizon=2,
                             plan=PlanConfig(horizon=2, iterations=3,

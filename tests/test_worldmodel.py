@@ -52,7 +52,7 @@ def test_predict_gradient_matches_fd():
     params = nets.lift_params(tape, f.weights)
     a_node = tape.leaf(a0)
     out = f.forward_nodes(params, tape.constant(z), a_node)
-    (g,) = dc.grad(dc.sumsq(out), [a_node])
+    (g,) = dc.grad(dc.sq_dist([out], [np.zeros(6)], [1.0]), [a_node])
     assert rel_err(g, central_fd(value, a0)) < 1e-5
 
 
@@ -93,7 +93,7 @@ def test_rollout_goal_gradients_match_fd(seed):
     params = nets.lift_params(tape, f.weights)
     a_nodes = [tape.leaf(a) for a in acts]
     zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
-    loss = dc.sumsq(dc.sub(zs[-1], tape.constant(z_goal)))
+    loss = dc.sq_dist(zs[-1:], [z_goal], [1.0])
     grads = np.stack(dc.grad(loss, a_nodes))
     fd = central_fd(value, acts.ravel()).reshape(H, 2)
     assert rel_err(grads, fd) < 1e-4
