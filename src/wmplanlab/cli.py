@@ -23,9 +23,9 @@ from .data import load_dataset, save_dataset
 from .diffcore import NumericFailure
 from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
                       make_random_fourier)
-from .planners import (CemConfig, GoalLossSpec, MpcConfig, MppiConfig,
-                       PlanConfig, PlannerSpec, RefineConfig, wgl_early_heavy,
-                       wgl_late_heavy)
+from .planners import (OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig,
+                       MppiConfig, PlanConfig, PlannerSpec, RefineConfig,
+                       wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
 
 SEED_ENV_VAR = "WMPLANLAB_SEED"
@@ -36,17 +36,20 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config schema: every known key with a coarse type; unknown keys rejected
+# config schema: every known key with a coarse type, or the frozenset of
+# the strings it may take; unknown keys rejected
 
 _ANY_KEY = "__any__"
 _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
+_OPTIMIZER = frozenset(OPTIMIZERS)
 
 _CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": int,
              "k_elite": int, "sigma0": float, "cov_mode": str, "jitter": float}
 
 _PLANNER_KEYS = {
-    "gbp": {"kind": str, "horizon": int, "iterations": int, "optimizer": str,
-            "eta": float, "loss": str, "init": str, "clamp": bool,
+    "gbp": {"kind": str, "horizon": int, "iterations": int,
+            "optimizer": _OPTIMIZER, "eta": float, "loss": str,
+            "init": frozenset({"gaussian", "initnet"}), "clamp": bool,
             "return_best": bool, "initnet_path": str},
     "cem": _CEM_KEYS,
     "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": float},
@@ -73,7 +76,8 @@ _SCHEMA = {
         "online": {"out_path": str, "corrected_path": (str, None),
                    "iterations": int, "plan_iterations": int, "horizon": int,
                    "mix_ratio": float, "lr": float, "finetune_steps": int,
-                   "batch_size": int, "plan_optimizer": str, "plan_eta": float},
+                   "batch_size": int, "plan_optimizer": _OPTIMIZER,
+                   "plan_eta": float},
     },
     "initnet": {"path": str, "horizon": int, "lr": float,
                 "iterations": (int, None)},
@@ -86,11 +90,11 @@ _SCHEMA = {
              "require_cross_room": bool},
     "gap": {"out_path": str, "n": int, "horizon": int,
             "models": {_ANY_KEY: str},
-            "plan": {"iterations": int, "optimizer": str, "eta": float}},
+            "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
     "landscape": {"out_path": str, "baseline": str, "adversarial": str,
                   "n_tasks": int, "resolution": int, "c_min": float,
                   "c_max": float, "horizon": int,
-                  "plan": {"iterations": int, "optimizer": str, "eta": float}},
+                  "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
 }
 
 
@@ -99,7 +103,11 @@ def _check_type(value, expect, path: str) -> None:
         if value is None:
             return
         expect = expect[0]
-    if expect is float:
+    if isinstance(expect, frozenset):
+        if not isinstance(value, str) or value not in expect:
+            raise ConfigError(f"{path}: expected one of {sorted(expect)}, "
+                              f"got {value!r}")
+    elif expect is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number, got {value!r}")
     elif expect is int:

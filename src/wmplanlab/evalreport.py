@@ -296,13 +296,12 @@ def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
         warnings.warn("degenerate landscape axis (planner stayed at the "
                       "ground-truth actions)")
     coeffs = np.linspace(coeff_range[0], coeff_range[1], resolution)
+    u = coeffs[:, None, None, None]
+    v = coeffs[None, :, None, None]
+    points = task.actions_gt + u * alpha + v * beta  # (R, R, H, d_a)
     grids = {}
     for name, model in (("baseline", f_baseline), ("adversarial", f_adversarial)):
-        values = np.empty((resolution, resolution))
-        for i, u in enumerate(coeffs):
-            for j, v in enumerate(coeffs):
-                a = task.actions_gt + u * alpha + v * beta
-                values[i, j] = final_cost(model, task.z1, a, task.z_goal)
+        values = final_cost(model, task.z1, points, task.z_goal)
         grids[name] = LandscapeGrid(
             model=name, resolution=resolution, c_min=float(coeff_range[0]),
             c_max=float(coeff_range[1]), alpha=[float(x) for x in alpha.ravel()],

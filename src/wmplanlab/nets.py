@@ -43,8 +43,8 @@ def mlp_forward_cache(weights: list[np.ndarray],
                       x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """`mlp_forward_np`, also returning each layer's input: x, then every
     tanh output, which is all the backward pass needs. Kept apart from
-    `mlp_forward_np`, which the sampling planners call per candidate and
-    which needs no cache."""
+    `mlp_forward_np`, which the sampling planners call once per rollout
+    step on their whole population and which needs no cache."""
     n_layers = len(weights) // 2
     inputs = []
     for i in range(n_layers):

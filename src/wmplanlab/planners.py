@@ -2,16 +2,17 @@
 
 Gradient-based planning backpropagates the goal loss through a recursive
 model rollout on a tape (`rollout_nodes`, one node per model step) and
-updates the action sequence with SGD or Adam. The sampling planners (CEM,
-MPPI, GradCEM) score candidate sequences one at a time with the NumPy
-forward pass (`rollout_model`). GradCEM (Bharadhwaj et al. 2020) is GBP
-run from each CEM sample, so its refinement steps are `gbp` calls, the
-only tape use among the sampling planners. One model evaluation costs a
-different amount on the two paths, a tape forward more than a NumPy
-`predict`, so wall-clock between the two families says nothing by itself:
-read it next to the model forwards per plan that the benchmark's
-GBP-vs-CEM block reports. The MPC harness replans from re-encoded
-simulator states and executes the first K actions.
+updates one action sequence with SGD or Adam. The sampling planners (CEM,
+MPPI, GradCEM) score their whole population in one batched NumPy rollout
+per iteration (`final_cost` on an (N, H, d_a) array, one `predict` call
+per step for all N sequences). GradCEM (Bharadhwaj et al. 2020) is GBP run
+from each CEM sample, so its refinement steps are `gbp` calls, still one
+sequence at a time on the tape. A model evaluation thus costs very
+different amounts on the two paths, so wall-clock between the two
+families says nothing by itself: read it next to
+`PlanResult.model_evals`, the (sequence x step) rows each plan rolled out.
+The MPC harness replans from re-encoded simulator states and executes the
+first K actions.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.N
     return dc.sq_dist(zs, [z_goal] * H, w / w.sum(), 1.0 / H)
 
 
+OPTIMIZERS = ("sgd", "adam")
+INITS = ("gaussian", "initnet", "fixed")
+
+
 @dataclass
 class PlanConfig:
     horizon: int = 25
@@ -85,6 +90,10 @@ class PlanConfig:
             raise ValueError("horizon and iterations must be >= 1")
         if self.eta <= 0:
             raise ValueError("step size must be positive")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -95,6 +104,7 @@ class PlanResult:
     iterations: int
     final_loss: float
     aborted: bool = False
+    model_evals: int = 0  # (sequence x step) rows rolled out by the model
 
 
 def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal) -> np.ndarray:
@@ -165,14 +175,18 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
     chosen = best_actions if cfg.return_best else last_actions
     final = best_loss if cfg.return_best else (trace[-1] if trace else np.inf)
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),
-                      float(final), aborted)
+                      float(final), aborted, H * len(trace))
 
 
-def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float:
-    """Squared distance of the last rolled-out latent to the goal (NumPy path)."""
-    zs = rollout_model(f, z1, actions)
-    d = zs[-1] - z_goal
-    return float(d @ d)
+def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.ndarray:
+    """Squared distance of the last rolled-out latent to the goal (NumPy path).
+
+    A float for one sequence (H, d_a); for a batch (..., H, d_a), an array
+    of one cost per sequence, from one batched rollout."""
+    d = rollout_model(f, z1, actions)[..., -1, :] - z_goal
+    if d.ndim == 1:
+        return float(d @ d)
+    return (d * d).sum(axis=-1)
 
 
 @dataclass
@@ -221,6 +235,7 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
     sigma = (cfg.sigma0 ** 2) * np.eye(d)
     rng = generator(seed, "cem")
     trace: list[float] = []
+    evals = H  # the final plan's cost
     for i in range(cfg.iterations):
         eps = rng.standard_normal((cfg.n_pop, d))
         if cfg.cov_mode == "diagonal":
@@ -233,14 +248,14 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
                 samples = mu + eps @ chol.T
         candidates = samples
         if refine is not None and refine.steps > 0:
-            candidates = np.stack([
-                gbp(f, z1, z_goal, PlanConfig(
-                    horizon=H, iterations=refine.steps, optimizer="adam",
-                    eta=refine.eta, init="fixed", init_actions=c.reshape(H, f.d_a),
-                    clamp_actions=False, return_best=False)).actions.ravel()
-                for c in samples])
-        costs = np.array([final_cost(f, z1, c.reshape(H, f.d_a), z_goal)
-                          for c in candidates])
+            refined = [gbp(f, z1, z_goal, PlanConfig(
+                horizon=H, iterations=refine.steps, optimizer="adam",
+                eta=refine.eta, init="fixed", init_actions=c.reshape(H, f.d_a),
+                clamp_actions=False, return_best=False)) for c in samples]
+            candidates = np.stack([r.actions.ravel() for r in refined])
+            evals += sum(r.model_evals for r in refined)
+        costs = final_cost(f, z1, candidates.reshape(-1, H, f.d_a), z_goal)
+        evals += cfg.n_pop * H
         elite_idx = np.argsort(costs, kind="stable")[: cfg.k_elite]
         elites = candidates[elite_idx]
         mu = elites.mean(axis=0)
@@ -256,7 +271,8 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
                         "sigma": sigma.copy()})
     actions = mu.reshape(H, f.d_a)
     final = final_cost(f, z1, actions, z_goal)
-    return PlanResult(actions, trace, time.perf_counter() - t0, len(trace), final)
+    return PlanResult(actions, trace, time.perf_counter() - t0, len(trace), final,
+                      model_evals=evals)
 
 
 def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
@@ -300,13 +316,14 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int,
     trace: list[float] = []
     for _ in range(cfg.iterations):
         eps = cfg.sigma * rng.standard_normal((cfg.samples, H, f.d_a))
-        costs = np.array([final_cost(f, z1, nom + e, z_goal) for e in eps])
+        costs = final_cost(f, z1, nom + eps, z_goal)
         shifted = costs - costs.min()
         w = np.exp(-shifted / cfg.temperature)
         w = w / w.sum()
         nom = nom + np.tensordot(w, eps, axes=1)
         trace.append(final_cost(f, z1, nom, z_goal))
-    return PlanResult(nom, trace, time.perf_counter() - t0, len(trace), trace[-1])
+    return PlanResult(nom, trace, time.perf_counter() - t0, len(trace), trace[-1],
+                      model_evals=cfg.iterations * (cfg.samples + 1) * H)
 
 
 @dataclass

@@ -81,18 +81,28 @@ def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Latents z_2 .. z_{H+1} from recursive application (value path only)."""
+    """Latents z_2 .. z_{H+1} from recursive application (value path only).
+
+    `actions` is one sequence (H, d_a) or a batch of them (..., H, d_a), and
+    `z1` one start latent (d_z,) or one per sequence (..., d_z). A batch is
+    rolled out as (B, H, d_a) with one `predict` call per step, and the
+    latents come back as (..., H, d_z)."""
     actions = np.asarray(actions, dtype=np.float64)
-    if len(actions) < 1:
-        raise ValueError("need at least one action")
-    out = np.empty((len(actions), f.d_z))
+    if actions.ndim < 2 or actions.shape[-2] < 1:
+        raise ValueError(f"need (..., H, d_a) actions with H >= 1, "
+                         f"got {actions.shape}")
+    batch, H = actions.shape[:-2], actions.shape[-2]
     z = np.asarray(z1, dtype=np.float64)
-    for t, a in enumerate(actions):
-        z = predict(f, z, a)
+    if batch:
+        z = np.broadcast_to(z, batch + z.shape[-1:]).reshape(-1, z.shape[-1])
+        actions = actions.reshape(-1, H, actions.shape[-1])
+    out = np.empty(actions.shape[:-1] + (f.d_z,))
+    for t in range(H):
+        z = predict(f, z, actions[..., t, :])
         if not np.all(np.isfinite(z)):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-        out[t] = z
-    return out
+        out[..., t, :] = z
+    return out.reshape(batch + (H, f.d_z))
 
 
 def rollout_nodes(f: WorldModel, params: list[dc.Node], z1: dc.Node,

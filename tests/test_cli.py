@@ -279,6 +279,38 @@ def test_misplaced_planner_key_exits_with_code_2(tmp_path):
     assert _run("gen-data", "--config", _write(tmp_path, cfg)) == 2
 
 
+def test_unknown_optimizer_is_a_config_error_naming_its_key():
+    for path in ("planners.p.optimizer", "gap.plan.optimizer",
+                 "landscape.plan.optimizer", "finetune.online.plan_optimizer"):
+        cfg = {}
+        node = cfg
+        *parents, last = path.split(".")
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = "adamw"
+        if path.startswith("planners."):
+            node["kind"] = "gbp"
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")
+                           + r": expected one of \['adam', 'sgd'\]"):
+            validate_config(cfg)
+        node[last] = "adam"
+        validate_config(cfg)
+    with pytest.raises(ConfigError, match=r"planners\.p\.init"):
+        validate_config({"planners": {"p": {"kind": "gbp", "init": "zeros"}}})
+
+
+def test_eval_with_an_unknown_optimizer_exits_with_code_2(pipeline):
+    _, path = pipeline
+    assert _run("eval", "--config", path, "--workers", "1", "--set",
+                "planners.gbp_gd.optimizer=adamw") == 2
+
+
+def test_finetune_online_with_an_unknown_optimizer_exits_with_code_2(pipeline):
+    _, path = pipeline
+    assert _run("finetune-online", "--config", path, "--set",
+                "finetune.online.plan_optimizer=adamw") == 2
+
+
 def test_missing_dataset_is_config_error(tmp_path):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)

@@ -12,10 +12,10 @@ from wmplanlab.evalreport import (Cell, EvalReport, GapReport, TaskRow,
                                   landscape, load_report, total_variation,
                                   train_probe_decoder, train_test_gap,
                                   wilson_interval, decode, decode_rollout_csv)
-from wmplanlab.planners import MpcConfig, PlanConfig, PlannerSpec
+from wmplanlab.planners import MpcConfig, PlanConfig, PlannerSpec, final_cost
 from wmplanlab.worldmodel import init_world_model, rollout_model
 
-from conftest import linear_model
+from conftest import linear_model, rel_err
 
 
 def _no_wall_spec():
@@ -184,6 +184,32 @@ def test_landscape_grid_anchors(wall_spec):
     assert pair.baseline.alpha == pair.adversarial.alpha
     assert pair.baseline.beta == pair.adversarial.beta
     assert pair.baseline.c_min == pair.adversarial.c_min
+
+
+def test_landscape_grid_matches_per_point_scoring(wall_spec):
+    raw = envs.generate_dataset(wall_spec, 4, 10, "goal-seeking-noisy", seed=5)
+    enc = make_random_fourier(2, d_z=16, seed=0)
+    data = encode_dataset(enc, raw)
+    models = {"baseline": init_world_model(16, 2, hidden=(8,), seed=1),
+              "adversarial": init_world_model(16, 2, hidden=(8,), seed=2)}
+    window = expert_window(data, enc, H=4, seed=0)
+    cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.05,
+                     a_max=wall_spec.a_max)
+    pair = landscape(models["baseline"], models["adversarial"], window, cfg,
+                     resolution=7, seed=4)
+    coeffs = np.linspace(-1.25, 1.25, 7)
+    for name, model in models.items():
+        grid = getattr(pair, name)
+        alpha = np.reshape(grid.alpha, (4, 2))
+        beta = np.reshape(grid.beta, (4, 2))
+        for i, u in enumerate(coeffs):
+            for j, v in enumerate(coeffs):
+                a = window.actions_gt + u * alpha + v * beta
+                alone = final_cost(model, window.z1, a, window.z_goal)
+                assert rel_err(grid.values[i][j], alone) <= 1e-12
+        # the anchors stay single-sequence costs, to the bit
+        assert pair.anchors[f"loss_gt_{name}"] == final_cost(
+            model, window.z1, window.actions_gt, window.z_goal)
 
 
 def test_landscape_warns_on_degenerate_axis(wall_spec):

@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from wmplanlab import cli, envs, presets
 from wmplanlab import diffcore as dc
-from wmplanlab import envs
 from wmplanlab.encoder import encode, make_identity
 from wmplanlab.planners import (CemConfig, GoalLossSpec, MpcConfig, MppiConfig,
                                 PlanConfig, PlannerSpec, RefineConfig, cem,
-                                gbp, goal_loss, gradcem, mpc, mppi,
+                                final_cost, gbp, goal_loss, gradcem, mpc, mppi,
                                 run_planner, wgl_late_heavy)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import init_world_model
+from wmplanlab.worldmodel import init_world_model, predict
 
-from conftest import linear_model
+from conftest import linear_model, rel_err
 
 
 def _nodes_with_distances(dists, d=2):
@@ -292,6 +294,107 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
                       return_best=False, seed=0)
     ref = gbp(f, z1, z_goal, plan)
     assert np.array_equal(pr.actions, ref.actions)
+
+
+def test_plan_config_rejects_an_unknown_optimizer_or_init():
+    with pytest.raises(ValueError, match="unknown optimizer 'adamw'"):
+        PlanConfig(optimizer="adamw")
+    with pytest.raises(ValueError, match="unknown init 'zeros'"):
+        PlanConfig(init="zeros")
+
+
+def _scoring_case(seed=9, d_z=6):
+    f = init_world_model(d_z, 2, hidden=(16, 16), seed=seed)
+    rng = generator(seed, "scoring")
+    return f, rng.standard_normal(d_z), rng.standard_normal(d_z)
+
+
+def test_final_cost_of_one_sequence_is_the_dot_of_its_last_latent():
+    f, z1, z_goal = _scoring_case()
+    acts = generator(9, "fc-one").standard_normal((4, 2))
+    z = z1
+    for a in acts:  # the one-row rollout, step by step
+        z = predict(f, z, a)
+    d = z - z_goal
+    cost = final_cost(f, z1, acts, z_goal)
+    assert type(cost) is float
+    assert cost == float(d @ d)
+
+
+def test_final_cost_scores_each_sequence_of_a_batch():
+    f, z1, z_goal = _scoring_case()
+    acts = generator(9, "fc-batch").standard_normal((2, 3, 4, 2))
+    costs = final_cost(f, z1, acts, z_goal)
+    assert costs.shape == (2, 3)
+    for cost, a in zip(costs.ravel(), acts.reshape(-1, 4, 2)):
+        assert rel_err(cost, final_cost(f, z1, a, z_goal)) <= 1e-12
+
+
+def test_cem_costs_and_elites_match_one_at_a_time_scoring():
+    f, z1, z_goal = _scoring_case()
+    H, cfg = 4, CemConfig(n_pop=60, k_elite=6, iterations=3)
+    records = []
+    cem(f, z1, z_goal, cfg, H, seed=2, trace_hook=records.append)
+    for rec in records:
+        alone = np.array([final_cost(f, z1, c.reshape(H, 2), z_goal)
+                          for c in rec["candidates"]])
+        assert rel_err(rec["costs"], alone) <= 1e-12
+        assert np.array_equal(rec["elite_idx"],
+                              np.argsort(alone, kind="stable")[:cfg.k_elite])
+
+
+def test_mppi_matches_one_at_a_time_scoring():
+    f, z1, z_goal = _scoring_case()
+    H, cfg = 4, MppiConfig(samples=32, sigma=0.5, temperature=0.5, iterations=3)
+    pr = mppi(f, z1, z_goal, cfg, H, seed=4)
+    # MPPI with every sample scored on its own
+    rng = generator(4, "mppi")
+    nom, trace = np.zeros((H, 2)), []
+    for _ in range(cfg.iterations):
+        eps = cfg.sigma * rng.standard_normal((cfg.samples, H, 2))
+        costs = np.array([final_cost(f, z1, nom + e, z_goal) for e in eps])
+        w = np.exp(-(costs - costs.min()) / cfg.temperature)
+        nom = nom + np.tensordot(w / w.sum(), eps, axes=1)
+        trace.append(final_cost(f, z1, nom, z_goal))
+    assert rel_err(pr.actions, nom) <= 1e-12
+    assert rel_err(pr.loss_trace, trace) <= 1e-12
+
+
+def test_model_evals_count_rows_at_the_benchmark_sizes(wall_spec):
+    # the benchmark's planners: the wall presets' gbp_adam under MPC's
+    # plan_iters, cem 300/30/30 and mppi 64; the model's size does not count
+    cfg = presets.get_preset("wall-baseline")
+    built = {name: cli.build_planner(name, cfg["planners"][name], wall_spec)
+             for name in ("gbp_adam", "cem", "mppi")}
+    gbp_spec = built["gbp_adam"]
+    built["gbp_adam"] = replace(gbp_spec, plan=replace(
+        gbp_spec.plan, iterations=cfg["eval"]["mpc"]["plan_iters"]))
+    f = init_world_model(4, 2, hidden=(8,), seed=0)
+    evals = {name: run_planner(f, np.zeros(4), np.ones(4), pspec, seed=3).model_evals
+             for name, pspec in built.items()}
+    assert evals == {"gbp_adam": 2500, "cem": 225025, "mppi": 1625}
+
+
+def test_gradcem_model_evals_add_each_refinement():
+    f = init_world_model(4, 2, hidden=(8,), seed=0)
+    H, cfg = 3, CemConfig(n_pop=5, k_elite=2, iterations=2)
+    pr = gradcem(f, np.zeros(4), np.ones(4), cfg, RefineConfig(steps=2), H, seed=1)
+    # per sample: a 2-step gbp (2 rollouts) plus its cost; then the plan's cost
+    assert pr.model_evals == cfg.iterations * cfg.n_pop * (2 * H + H) + H
+    plain = gradcem(f, np.zeros(4), np.ones(4), cfg, RefineConfig(steps=0), H, seed=1)
+    assert plain.model_evals == cfg.iterations * cfg.n_pop * H + H
+
+
+def test_gbp_model_evals_count_completed_rollouts():
+    f = linear_model(np.eye(2))
+    pr = gbp(f, np.zeros(2), np.ones(2), PlanConfig(horizon=3, iterations=7))
+    assert pr.model_evals == 3 * 7
+    with np.errstate(over="ignore", invalid="ignore"):
+        blown = gbp(f, np.zeros(2), np.ones(2), PlanConfig(
+            horizon=1, iterations=300, optimizer="sgd", eta=10.0,
+            clamp_actions=False))
+    assert blown.aborted
+    assert blown.model_evals == len(blown.loss_trace)
 
 
 def _no_wall_spec():

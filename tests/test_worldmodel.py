@@ -107,6 +107,50 @@ def test_rollout_detects_nonfinite():
             rollout_model(f, np.ones(2), np.ones((3, 2)))
 
 
+def _rows_alone(f, z1s, acts):
+    """Each sequence of a flat batch rolled out on its own."""
+    return np.stack([rollout_model(f, z, a) for z, a in zip(z1s, acts)])
+
+
+@pytest.mark.parametrize("batch", [(7,), (2, 3)])
+def test_batched_rollout_rows_match_their_rollout_alone(batch):
+    H, d_z = 5, 6
+    f = init_world_model(d_z, 2, hidden=(16, 16), seed=4)
+    rng = generator(4, "batch-roll")
+    z1 = rng.standard_normal(d_z)
+    acts = rng.standard_normal(batch + (H, 2))
+    out = rollout_model(f, z1, acts)
+    assert out.shape == batch + (H, d_z)
+    flat = acts.reshape(-1, H, 2)
+    ref = _rows_alone(f, [z1] * len(flat), flat)
+    for row, alone in zip(out.reshape(ref.shape), ref):
+        assert rel_err(row, alone) <= 1e-12
+
+
+def test_batched_rollout_takes_a_start_latent_per_row():
+    B, H, d_z = 4, 3, 5
+    f = init_world_model(d_z, 2, hidden=(8,), seed=5)
+    rng = generator(5, "batch-z1")
+    z1s = rng.standard_normal((B, d_z))
+    acts = rng.standard_normal((B, H, 2))
+    out = rollout_model(f, z1s, acts)
+    for row, alone in zip(out, _rows_alone(f, z1s, acts)):
+        assert rel_err(row, alone) <= 1e-12
+    # a shared start latent is broadcast to every row
+    shared = rollout_model(f, z1s[0], acts)
+    assert np.array_equal(shared, rollout_model(f, np.tile(z1s[0], (B, 1)), acts))
+
+
+def test_batched_rollout_names_the_step_of_a_nonfinite_row():
+    f = init_world_model(4, 2, hidden=(8,), seed=6)
+    acts = generator(6, "batch-nan").standard_normal((5, 4, 2))
+    acts[3, 2] = np.nan  # row 3 goes non-finite at step 3
+    with pytest.raises(dc.NumericFailure, match="step 3"):
+        rollout_model(f, np.zeros(4), acts)
+    with pytest.raises(dc.NumericFailure, match="step 3"):
+        rollout_model(f, np.zeros(4), acts[3])
+
+
 def test_train_memorizes_single_transition():
     z = np.array([0.2, -0.1])
     a = np.array([0.05, 0.0])
