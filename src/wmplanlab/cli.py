@@ -23,7 +23,7 @@ from .data import load_dataset, save_dataset
 from .diffcore import NumericFailure
 from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
                       make_random_fourier)
-from .planners import (OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig,
+from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig,
                        MppiConfig, PlanConfig, PlannerSpec, RefineConfig,
                        wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
@@ -44,7 +44,8 @@ _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
 _CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": int,
-             "k_elite": int, "sigma0": float, "cov_mode": str, "jitter": float}
+             "k_elite": int, "sigma0": float, "cov_mode": frozenset(COV_MODES),
+             "jitter": float}
 
 _PLANNER_KEYS = {
     "gbp": {"kind": str, "horizon": int, "iterations": int,
@@ -62,15 +63,17 @@ _SCHEMA = {
     "out_dir": str,
     "env": {"kind": str, "frameskip": int},
     "encoder": {"kind": str, "d_z": int, "sigma": float, "seed": int},
-    "dataset": {"path": str, "n_traj": int, "traj_len": int, "policy": str},
+    "dataset": {"path": str, "n_traj": int, "traj_len": int,
+                "policy": frozenset(envs.POLICIES)},
     "model": {"path": str, "hidden": list, "residual": bool,
               "train": {"epochs": int, "batch_size": int, "lr": float}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
                         "eps_a": (float, None), "eps_z": (float, None),
                         "alpha_a": (float, None), "alpha_z": (float, None),
-                        "attack": str, "pgd_steps": int,
-                        "radius_mode": str, "per_dimension_std": bool,
+                        "attack": frozenset(finetune.ATTACKS), "pgd_steps": int,
+                        "radius_mode": frozenset(finetune.RADIUS_MODES),
+                        "per_dimension_std": bool,
                         "epochs": int, "batch_size": int, "lr": float,
                         "dump_perturbed": bool, "perturbed_path": str},
         "online": {"out_path": str, "corrected_path": (str, None),
@@ -82,7 +85,8 @@ _SCHEMA = {
     "initnet": {"path": str, "horizon": int, "lr": float,
                 "iterations": (int, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
-    "eval": {"out_path": str, "n_tasks": int, "mode": str, "horizon_gap": int,
+    "eval": {"out_path": str, "n_tasks": int,
+             "mode": frozenset(evalreport.MODES), "horizon_gap": int,
              "models": {_ANY_KEY: str}, "planners": list,
              "mpc": {"steps": int, "k_exec": (int, None),
                      "plan_iters": (int, None), "eta": (float, None),
@@ -255,9 +259,9 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> PlannerSpec:
             plan.loss = _build_goal_loss(loss, plan.horizon)
         if plan.init == "initnet":
             path = section.get("initnet_path")
-            if not path or not os.path.exists(path):
+            if not path:
                 raise ConfigError(f"planners.{name}.initnet_path missing")
-            net, _ = initnet.load_initnet(path)
+            net, _ = _load_checkpoint(initnet.load_initnet, path)
             plan.init_actions = initnet.as_planner_init(net)
         return PlannerSpec("gbp", plan.horizon, plan=plan)
     horizon = _settings(section, ["horizon"])
@@ -283,10 +287,18 @@ def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
     return encode_dataset(enc, data), manifest
 
 
-def _load_model(path: str):
+def _load_checkpoint(load, path: str):
+    """`load(path)`, with a missing or damaged checkpoint as a config error."""
     if not path or not os.path.isdir(path):
         raise ConfigError(f"model checkpoint not found: {path}")
-    return worldmodel.load_model(path)
+    try:
+        return load(path)
+    except ValueError as err:
+        raise ConfigError(f"checkpoint {path}: {err}") from err
+
+
+def _load_model(path: str):
+    return _load_checkpoint(worldmodel.load_model, path)
 
 
 def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
@@ -573,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--models", help="comma-separated model filter")
             p.add_argument("--planners", help="comma-separated planner filter")
-            p.add_argument("--mode", choices=["open-loop", "mpc"],
+            p.add_argument("--mode", choices=evalreport.MODES,
                            help="override eval.mode")
             p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                            help="parallel task workers")

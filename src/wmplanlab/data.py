@@ -49,9 +49,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.trajectories)
 
-    def n_transitions(self) -> int:
-        return sum(len(t) for t in self.trajectories)
-
 
 def flatten_transitions(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack every (z_t, a_t, z_{t+1}) triplet from the latent sequences."""

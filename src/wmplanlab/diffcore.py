@@ -1,19 +1,24 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Operations are recorded define-by-run: each `Node` keeps its value, its
-parents and one vjp closure per parent, and takes the next index from its
+parents and one `backward` function, and takes the next index from its
 `Tape`. The tape is only that counter and keeps no list of its nodes, so a
 tape and everything on it are freed as soon as the caller drops the loss
 node. `grad` collects the loss's ancestors by walking `parents` and sweeps
 them in reverse index order; creation order is a topological order.
 
+`backward(g, needed)` maps the output gradient g to one gradient per
+parent. `needed` flags the parents a gradient must reach (PyTorch's
+`needs_input_grad`); the others may get None, and a node with no flag set
+is never asked.
+
 Every gradient the lab takes is a squared distance on the output of one
-tanh MLP, so the tape holds few node kinds, each with closed-form vjps:
-"leaf", "const" and "param" inputs; "wm-step", one whole world-model
-transition (`worldmodel.WorldModel.forward_nodes`); "mlp", the init net
-(`nets.mlp_forward_nodes`); and "sq-dist", a weighted sum of squared
-distances that is every loss (`sq_dist`; the init net's tanh-bounded
-regression builds its own in `initnet`).
+tanh MLP, so the tape holds few node kinds, each with a closed-form
+backward: "leaf", "const" and "param" inputs; "wm-step", one whole
+world-model transition (`worldmodel.WorldModel.forward_nodes`); "mlp", the
+init net (`nets.mlp_forward_nodes`); and "sq-dist", a weighted sum of
+squared distances that is every loss (`sq_dist`; the init net's
+tanh-bounded regression builds its own in `initnet`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """
@@ -44,17 +49,19 @@ def tensor(value, *, check: bool = True) -> np.ndarray:
 
 
 class Node:
-    """One tape entry: cached forward value plus per-parent vjp closures."""
+    """One tape entry: forward value, parents and `backward`; inputs
+    ("leaf", "const", "param") have neither parents nor backward."""
 
-    __slots__ = ("tape", "value", "op", "parents", "vjps", "index")
+    __slots__ = ("tape", "value", "op", "parents", "backward", "index")
 
     def __init__(self, tape: "Tape", value: np.ndarray, op: str,
-                 parents: tuple["Node", ...], vjps: tuple[Callable, ...]):
+                 parents: tuple["Node", ...] = (),
+                 backward: Callable | None = None):
         self.tape = tape
         self.value = value
         self.op = op
         self.parents = parents
-        self.vjps = vjps
+        self.backward = backward
         self.index = tape.count
         tape.count += 1
 
@@ -70,35 +77,41 @@ class Tape:
         self.count = 0
 
     def leaf(self, value) -> Node:
-        return Node(self, tensor(value), "leaf", (), ())
+        return Node(self, tensor(value), "leaf")
 
     def leaves(self, value) -> list[Node]:
         """One leaf per row of `value`, validated and copied once as a whole."""
-        return [Node(self, row, "leaf", (), ()) for row in tensor(value)]
+        return [Node(self, row, "leaf") for row in tensor(value)]
 
     def constant(self, value) -> Node:
-        return Node(self, tensor(value), "const", (), ())
+        return Node(self, tensor(value), "const")
 
 
 def sq_dist(xs: Sequence[Node], targets, weights, scale: float = 1.0) -> Node:
     """One node (op "sq-dist") with value scale * sum_i weights[i] * ||xs[i] -
-    targets[i]||^2, summed left to right, and closed-form vjps. Targets are
-    constants and pass through `tensor`, so a non-finite one is a ValueError."""
+    targets[i]||^2, summed left to right, and closed-form gradients. Targets
+    are constants and pass through `tensor`, so a non-finite one is a ValueError."""
     ds = [x.value - tensor(t) for x, t in zip(xs, targets, strict=True)]
     total = 0.0
     for d, w in zip(ds, weights, strict=True):
         total = total + (d * d).sum() * w
+
+    def backward(g, needed):
+        return [g * scale * w * 2.0 * d if need else None
+                for d, w, need in zip(ds, weights, needed)]
+
     return Node(xs[0].tape, np.asarray(total * scale), "sq-dist", tuple(xs),
-                tuple(lambda g, d=d, w=w: g * scale * w * 2.0 * d
-                      for d, w in zip(ds, weights)))
+                backward)
 
 
 def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
     """Gradient of a scalar `loss` node with respect to each node in `wrt`.
 
-    Nodes not on a path to the loss receive a zero gradient. Raises
-    NumericFailure (naming the op kind) if NaN appears during the sweep,
-    and ValueError if an ancestor of the loss lives on another tape.
+    Nodes not on a path to the loss receive a zero gradient. A node's
+    `backward` runs once, flagging the parents that a `wrt` node reaches, and
+    not at all if none is; contributions sum in sweep order, then parent
+    order. Raises NumericFailure (naming the op kind) if NaN appears during
+    the sweep, and ValueError if an ancestor of the loss lives on another tape.
     """
     if loss.value.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -128,9 +141,12 @@ def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
         # a single reduction: the sum is non-finite iff any entry is NaN/Inf
         if not np.isfinite(g.sum()):
             raise NumericFailure(f"NaN in backward pass at op '{node.op}'")
-        for parent, vjp in zip(node.parents, node.vjps):
-            if parent in needed:
-                contrib = vjp(g)
+        mask = tuple(parent in needed for parent in node.parents)
+        if not any(mask):
+            continue
+        for parent, need, contrib in zip(node.parents, mask,
+                                         node.backward(g, mask), strict=True):
+            if need:
                 acc = grads.get(parent)
                 grads[parent] = contrib if acc is None else acc + contrib
     return [np.asarray(grads[w], dtype=np.float64) if w in grads

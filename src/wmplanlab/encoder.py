@@ -9,8 +9,6 @@ nonlinear. The identity kind is kept for debugging and gradient tests.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,25 +86,3 @@ def encoder_hash(enc: Encoder) -> str:
         h.update(tensorio.tensor_bytes(enc.W))
         h.update(tensorio.tensor_bytes(enc.b))
     return h.hexdigest()
-
-
-def save_encoder(path, enc: Encoder) -> None:
-    os.makedirs(path, exist_ok=True)
-    desc = {"kind": enc.kind, "d_o": enc.d_o, "d_z": enc.d_z, "seed": enc.seed}
-    with open(os.path.join(path, "encoder.json"), "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if enc.W is not None:
-        tensorio.save_tensors(os.path.join(path, "encoder.bin"), [enc.W, enc.b])
-
-
-def load_encoder(path) -> Encoder:
-    with open(os.path.join(path, "encoder.json")) as fh:
-        desc = json.load(fh)
-    W = b = None
-    bin_path = os.path.join(path, "encoder.bin")
-    if os.path.exists(bin_path):
-        W, b = tensorio.load_tensors(bin_path, count=2)
-        W.flags.writeable = False
-        b.flags.writeable = False
-    return Encoder(desc["kind"], desc["d_o"], desc["d_z"], W, b, desc["seed"])

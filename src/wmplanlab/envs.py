@@ -19,6 +19,7 @@ from .rng import generator
 
 WALL2D = "wall2d"
 POINTMASS = "pointmass"
+POLICIES = ("random", "goal-seeking-noisy")  # dataset policies
 
 # one logical env step = `frameskip` integration substeps with the same action
 CONTACT_EPS = 1e-9
@@ -269,7 +270,7 @@ def generate_dataset(spec: EnvSpec, n_traj: int, traj_len: int, policy: str,
     """
     if n_traj < 1 or traj_len < 2:
         raise ValueError("need n_traj >= 1 and traj_len >= 2")
-    if policy not in ("random", "goal-seeking-noisy"):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     trajs = []
     for i in range(n_traj):

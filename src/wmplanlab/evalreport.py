@@ -31,6 +31,7 @@ from .rng import derive_seed, generator
 from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
 
 REPORT_SCHEMA = "wmplanlab-report/1"
+MODES = ("open-loop", "mpc")
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
@@ -151,7 +152,7 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
              task_predicate: Callable | None = None,
              config_hash: str = "") -> EvalReport:
     """Paired success-rate grid over (model, planner) cells."""
-    if mode not in ("open-loop", "mpc"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")

@@ -26,6 +26,10 @@ from .worldmodel import (TrainResult, WorldModel, iter_trajectory_batches,
                          supervised_step)
 
 
+ATTACKS = ("fgsm", "pgd")
+RADIUS_MODES = ("fixed", "adaptive")
+
+
 @dataclass
 class PerturbationConfig:
     """Attack geometry: scaling factors turn batch statistics into radii,
@@ -45,9 +49,9 @@ class PerturbationConfig:
     def __post_init__(self):
         if self.lambda_a < 0 or self.lambda_z < 0:
             raise ValueError("scaling factors must be >= 0")
-        if self.attack not in ("fgsm", "pgd"):
+        if self.attack not in ATTACKS:
             raise ValueError(f"unknown attack {self.attack!r}")
-        if self.radius_mode not in ("fixed", "adaptive"):
+        if self.radius_mode not in RADIUS_MODES:
             raise ValueError(f"unknown radius mode {self.radius_mode!r}")
         if self.lambda_a > 1.0 or self.lambda_z > 0.5:
             warnings.warn("scaling factors outside the stable ranges "

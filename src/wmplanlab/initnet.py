@@ -63,7 +63,7 @@ def _bounded_sq_dist(out: dc.Node, target: np.ndarray, a_max: float) -> dc.Node:
     t = np.tanh(out.value)
     d = t * a_max - dc.tensor(target)
     return dc.Node(out.tape, np.asarray((d * d).sum()), "sq-dist", (out,),
-                   (lambda g: g * 2.0 * d * a_max * (1.0 - t * t),))
+                   lambda g, needed: (g * 2.0 * d * a_max * (1.0 - t * t),))
 
 
 def train_initnet(data: Dataset, H: int, iterations: int | None = None,
@@ -124,7 +124,8 @@ def save_initnet(path, net: InitNet, meta: dict | None = None) -> None:
 def load_initnet(path) -> tuple[InitNet, dict]:
     with open(os.path.join(path, "model.json")) as fh:
         desc = json.load(fh)
-    weights = tensorio.load_tensors(os.path.join(path, "weights.bin"))
-    net = InitNet(weights, desc["d_z"], desc["d_a"], desc["horizon"],
-                  desc["a_max"], tuple(desc["hidden"]))
+    d_z, d_a, horizon = desc["d_z"], desc["d_a"], desc["horizon"]
+    hidden = tuple(desc["hidden"])
+    weights = nets.load_weights(path, (2 * d_z,) + hidden + (horizon * d_a,))
+    net = InitNet(weights, d_z, d_a, horizon, desc["a_max"], hidden)
     return net, desc.get("meta", {})

@@ -1,10 +1,16 @@
-"""Small tanh MLPs shared by the world model and the initialization network."""
+"""Small tanh MLPs shared by the world model and the initialization network.
+
+`mlp_backward` is the one MLP backward pass; the tape nodes of
+`mlp_forward_nodes` and `worldmodel.WorldModel.forward_nodes` wrap it."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from . import diffcore as dc
+from . import tensorio
 from .rng import generator
 
 
@@ -16,6 +22,17 @@ def init_mlp(sizes: tuple[int, ...], seed: int) -> list[np.ndarray]:
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         weights.append(rng.uniform(-bound, bound, size=fan_out))
+    return weights
+
+
+def load_weights(path, sizes: tuple[int, ...]) -> list[np.ndarray]:
+    """`path`/weights.bin, which must hold just the tensors `init_mlp(sizes)`
+    draws; a mismatched or truncated file raises ValueError."""
+    weights = tensorio.load_tensors(os.path.join(path, "weights.bin"))
+    got = [w.shape for w in weights]
+    want = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
+    if got != want:
+        raise ValueError(f"weights.bin holds shapes {got}, model.json describes {want}")
     return weights
 
 
@@ -35,7 +52,7 @@ def lift_params(tape: dc.Tape, weights: list[np.ndarray]) -> list[dc.Node]:
     Weights are replaced (never mutated in place) by the update rules, so
     aliasing them from short-lived tapes is safe; validation happened at
     initialization or checkpoint load."""
-    return [dc.Node(tape, np.asarray(w, dtype=np.float64), "param", (), ())
+    return [dc.Node(tape, np.asarray(w, dtype=np.float64), "param")
             for w in weights]
 
 
@@ -55,61 +72,35 @@ def mlp_forward_cache(weights: list[np.ndarray],
     return x, inputs
 
 
-class MlpBackward:
-    """Backward pass of one cached forward, run once per output gradient g
-    and shared by the vjps of the fused node that owns it.
-
-    The expressions and their order are those of the affine and tanh tape
-    ops, so gradients are bit-identical to the unfused chain. The input
-    gradient and each parameter gradient are computed only when asked for.
-    Holds no reference to any node, so tapes stay free of cycles."""
-
-    __slots__ = ("weights", "inputs", "g", "deltas", "dx_")
-
-    def __init__(self, weights: list[np.ndarray], inputs: list[np.ndarray]):
-        self.weights = weights
-        self.inputs = inputs
-        self.g = None
-
-    def _deltas(self, g: np.ndarray) -> list[np.ndarray]:
-        """Gradient at each layer's affine output, for this output gradient."""
-        if g is not self.g:
-            deltas = [g] * len(self.inputs)
-            for i in range(len(self.inputs) - 1, 0, -1):
-                W, x = self.weights[2 * i], self.inputs[i]
-                d = deltas[i]
-                d = W @ d if x.ndim == 1 else d @ W.T
-                deltas[i - 1] = d * (1.0 - x * x)  # x: tanh output of layer i - 1
-            self.g, self.deltas, self.dx_ = g, deltas, None
-        return self.deltas
-
-    def dx(self, g: np.ndarray) -> np.ndarray:
-        """Gradient with respect to the MLP input."""
-        delta = self._deltas(g)[0]
-        if self.dx_ is None:
-            W = self.weights[0]
-            self.dx_ = W @ delta if self.inputs[0].ndim == 1 else delta @ W.T
-        return self.dx_
-
-    def param_vjps(self) -> list:
-        """One vjp per weight and bias, in the order of `weights`."""
-        vjps = []
-        for i, x in enumerate(self.inputs):
-            def vjp_w(g, i=i, x=x):
-                d = self._deltas(g)[i]
-                return x[:, None] * d[None, :] if x.ndim == 1 else x.T @ d
-
-            def vjp_b(g, i=i):
-                d = self._deltas(g)[i]
-                return d if d.ndim == 1 else d.sum(axis=0)
-
-            vjps += [vjp_w, vjp_b]
-        return vjps
+def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
+                 g: np.ndarray, dx: bool, params: bool):
+    """(input gradient or None, [weight and bias gradients or None]) of one
+    cached forward (`mlp_forward_cache`) for the output gradient g, computed
+    only where `dx` and `params` ask. One delta sweep, with the expressions
+    and order of the affine and tanh tape ops, so gradients are
+    bit-identical to the unfused chain."""
+    deltas = [g] * len(inputs)  # gradient at each layer's affine output
+    for i in range(len(inputs) - 1, 0, -1):
+        W, x, d = weights[2 * i], inputs[i], deltas[i]
+        d = W @ d if x.ndim == 1 else d @ W.T
+        deltas[i - 1] = d * (1.0 - x * x)  # x: tanh output of layer i - 1
+    W, d = weights[0], deltas[0]
+    gx = (W @ d if d.ndim == 1 else d @ W.T) if dx else None
+    gparams = [None] * len(weights)
+    if params:
+        for i, (x, d) in enumerate(zip(inputs, deltas)):
+            gparams[2 * i] = x[:, None] * d[None, :] if x.ndim == 1 else x.T @ d
+            gparams[2 * i + 1] = d if d.ndim == 1 else d.sum(axis=0)
+    return gx, gparams
 
 
 def mlp_forward_nodes(params: list[dc.Node], x: dc.Node) -> dc.Node:
     """The whole MLP as one tape node (op "mlp"), parents (x, *params)."""
     weights = [p.value for p in params]
     out, inputs = mlp_forward_cache(weights, x.value)
-    back = MlpBackward(weights, inputs)
-    return dc.Node(x.tape, out, "mlp", (x, *params), (back.dx, *back.param_vjps()))
+
+    def backward(g, needed):
+        gx, gparams = mlp_backward(weights, inputs, g, needed[0], any(needed[1:]))
+        return (gx, *gparams)
+
+    return dc.Node(x.tape, out, "mlp", (x, *params), backward)

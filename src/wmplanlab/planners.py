@@ -69,6 +69,7 @@ def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.N
 
 OPTIMIZERS = ("sgd", "adam")
 INITS = ("gaussian", "initnet", "fixed")
+COV_MODES = ("full", "diagonal")
 
 
 @dataclass
@@ -112,10 +113,8 @@ def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal) -> np.ndarray:
         return generator(cfg.seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
     if cfg.init == "initnet":
         arr = np.asarray(cfg.init_actions(z1, z_goal), dtype=np.float64)
-    elif cfg.init == "fixed":
+    else:  # "fixed"
         arr = np.array(cfg.init_actions, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown init {cfg.init!r}")
     if arr.shape != (cfg.horizon, f.d_a):
         raise ValueError(f"{cfg.init} init shape {arr.shape} != ({cfg.horizon}, {f.d_a})")
     return arr
@@ -165,10 +164,8 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
             break
         if cfg.optimizer == "sgd":
             actions = dc.sgd_step(actions, grads, cfg.eta)
-        elif cfg.optimizer == "adam":
-            actions, opt = dc.adam_step(actions, grads, opt, cfg.eta)
         else:
-            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+            actions, opt = dc.adam_step(actions, grads, opt, cfg.eta)
         if clamp:
             actions = np.clip(actions, -cfg.a_max, cfg.a_max)
         last_actions = actions.copy()
@@ -203,6 +200,8 @@ class CemConfig:
             raise ValueError("need 1 <= k_elite <= n_pop")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.cov_mode not in COV_MODES:
+            raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
 
 
 @dataclass

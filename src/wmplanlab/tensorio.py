@@ -28,8 +28,11 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     magic = fh.read(4)
     if magic != MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
-    (rank,) = struct.unpack("<Q", fh.read(8))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+    try:
+        (rank,) = struct.unpack("<Q", fh.read(8))
+        shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+    except struct.error as err:
+        raise ValueError("truncated tensor record") from err
     count = int(np.prod(shape)) if shape else 1
     raw = fh.read(8 * count)
     if len(raw) != 8 * count:

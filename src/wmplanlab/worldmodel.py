@@ -32,9 +32,6 @@ class WorldModel:
         return WorldModel([w.copy() for w in self.weights], self.d_z, self.d_a,
                           tuple(self.hidden), self.residual)
 
-    def param_count(self) -> int:
-        return int(sum(w.size for w in self.weights))
-
     # tape path: parameters must be lifted once per tape via nets.lift_params
     def forward_nodes(self, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
         """One transition as a single tape node (op "wm-step"), parents
@@ -45,23 +42,23 @@ class WorldModel:
         weights = [p.value for p in params]
         out, inputs = nets.mlp_forward_cache(
             weights, np.concatenate([z.value, a.value], axis=-1))
-        back = nets.MlpBackward(weights, inputs)
         parents = (z, a, *params)
-        vjps = (lambda g: back.dx(g)[..., :d_z], lambda g: back.dx(g)[..., d_z:],
-                *back.param_vjps())
-        if not self.residual:
-            return dc.Node(z.tape, out, "wm-step", parents, vjps)
-        return dc.Node(z.tape, z.value + out, "wm-step", (z, *parents),
-                       (_identity, *vjps))
+        if self.residual:
+            out, parents = z.value + out, (z, *parents)
+        k = len(parents) - len(weights) - 2  # 1 with the skip edge, else 0
+
+        def backward(g, needed):
+            gx, gparams = nets.mlp_backward(weights, inputs, g, any(needed[k:k + 2]),
+                                            any(needed[k + 2:]))
+            gz, ga = (None, None) if gx is None else (gx[..., :d_z], gx[..., d_z:])
+            return (g,) * k + (gz, ga, *gparams)
+
+        return dc.Node(z.tape, out, "wm-step", parents, backward)
 
     def forward_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         x = np.concatenate([z, a], axis=-1)
         out = nets.mlp_forward_np(self.weights, x)
         return z + out if self.residual else out
-
-
-def _identity(g: np.ndarray) -> np.ndarray:
-    return g
 
 
 def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
@@ -250,7 +247,7 @@ def save_model(path, model: WorldModel, meta: dict | None = None) -> None:
 def load_model(path) -> tuple[WorldModel, dict]:
     with open(os.path.join(path, "model.json")) as fh:
         desc = json.load(fh)
-    weights = tensorio.load_tensors(os.path.join(path, "weights.bin"))
-    model = WorldModel(weights, desc["d_z"], desc["d_a"],
-                       tuple(desc["hidden"]), desc["residual"])
+    d_z, d_a, hidden = desc["d_z"], desc["d_a"], tuple(desc["hidden"])
+    weights = nets.load_weights(path, (d_z + d_a,) + hidden + (d_z,))
+    model = WorldModel(weights, d_z, d_a, hidden, desc["residual"])
     return model, desc.get("meta", {})

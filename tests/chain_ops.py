@@ -1,8 +1,9 @@
 """Elementwise tape ops, for tests only: the reference chains that the fused
 nodes of `wmplanlab.diffcore` and `wmplanlab.nets` must match bit for bit.
 
-Each op is one `dc.Node` with its closed-form vjps. Losses are built from
-them the long way, e.g. sum_(square(sub(x, target))).
+Each op is one `dc.Node` whose backward calls the closed-form vjp of each
+needed parent. Losses are built from them the long way, e.g.
+sum_(square(sub(x, target))).
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from wmplanlab import diffcore as dc
+
+
+def _node(tape: dc.Tape, value: np.ndarray, op: str,
+          parents: tuple[dc.Node, ...], vjps: tuple) -> dc.Node:
+    """A node with one vjp per parent, each called only if its parent is
+    needed."""
+    return dc.Node(tape, value, op, parents, lambda g, needed: [
+        vjp(g) if need else None for vjp, need in zip(vjps, needed)])
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -29,23 +38,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: dc.Node, b: dc.Node) -> dc.Node:
     out = a.value + b.value
-    return dc.Node(a.tape, out, "add", (a, b),
-                   (lambda g: _unbroadcast(g, a.value.shape),
-                    lambda g: _unbroadcast(g, b.value.shape)))
+    return _node(a.tape, out, "add", (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a: dc.Node, b: dc.Node) -> dc.Node:
     out = a.value - b.value
-    return dc.Node(a.tape, out, "sub", (a, b),
-                   (lambda g: _unbroadcast(g, a.value.shape),
-                    lambda g: _unbroadcast(-g, b.value.shape)))
+    return _node(a.tape, out, "sub", (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a: dc.Node, b: dc.Node) -> dc.Node:
     out = a.value * b.value
-    return dc.Node(a.tape, out, "mul", (a, b),
-                   (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                    lambda g: _unbroadcast(g * a.value, b.value.shape)))
+    return _node(a.tape, out, "mul", (a, b),
+                 (lambda g: _unbroadcast(g * b.value, a.value.shape),
+                  lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
 
 def affine(x: dc.Node, W: dc.Node, b: dc.Node) -> dc.Node:
@@ -62,23 +71,23 @@ def affine(x: dc.Node, W: dc.Node, b: dc.Node) -> dc.Node:
     def vjp_b(g):
         return g if g.ndim == 1 else g.sum(axis=0)
 
-    return dc.Node(x.tape, out, "affine", (x, W, b), (vjp_x, vjp_w, vjp_b))
+    return _node(x.tape, out, "affine", (x, W, b), (vjp_x, vjp_w, vjp_b))
 
 
 def tanh(a: dc.Node) -> dc.Node:
     out = np.tanh(a.value)
-    return dc.Node(a.tape, out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
+    return _node(a.tape, out, "tanh", (a,), (lambda g: g * (1.0 - out * out),))
 
 
 def square(a: dc.Node) -> dc.Node:
-    return dc.Node(a.tape, a.value * a.value, "square", (a,),
-                   (lambda g: g * 2.0 * a.value,))
+    return _node(a.tape, a.value * a.value, "square", (a,),
+                 (lambda g: g * 2.0 * a.value,))
 
 
 def sum_(a: dc.Node) -> dc.Node:
     shape = a.value.shape
-    return dc.Node(a.tape, np.asarray(a.value.sum()), "sum", (a,),
-                   (lambda g: np.broadcast_to(g, shape).copy(),))
+    return _node(a.tape, np.asarray(a.value.sum()), "sum", (a,),
+                 (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
 def concat(parts: Sequence[dc.Node], axis: int = 0) -> dc.Node:
@@ -96,5 +105,5 @@ def concat(parts: Sequence[dc.Node], axis: int = 0) -> dc.Node:
 
         return vjp
 
-    return dc.Node(parts[0].tape, out, "concat", tuple(parts),
-                   tuple(make_vjp(i) for i in range(len(parts))))
+    return _node(parts[0].tape, out, "concat", tuple(parts),
+                 tuple(make_vjp(i) for i in range(len(parts))))

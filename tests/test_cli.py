@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from wmplanlab import cli, envs, evalreport, finetune, initnet, worldmodel
+from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
+                       worldmodel)
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.data import load_dataset
 from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
@@ -309,6 +310,65 @@ def test_finetune_online_with_an_unknown_optimizer_exits_with_code_2(pipeline):
     _, path = pipeline
     assert _run("finetune-online", "--config", path, "--set",
                 "finetune.online.plan_optimizer=adamw") == 2
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["gen-data", "--force"], "dataset.policy", "expert"),
+    (["eval", "--workers", "1"], "eval.mode", "closed"),
+    (["eval", "--workers", "1"], "planners.cem_small.cov_mode", "diag"),
+    (["finetune-adv"], "finetune.adversarial.attack", "pgdx"),
+    (["finetune-adv"], "finetune.adversarial.radius_mode", "adapt"),
+])
+def test_a_value_outside_its_allowed_set_exits_with_code_2(pipeline, capsys,
+                                                           argv, key, value):
+    _, path = pipeline
+    assert _run(*argv, "--config", path, "--set", f"{key}={value}") == 2
+    assert f"config error: {key}: expected one of" in capsys.readouterr().err
+
+
+def test_eval_mode_flag_takes_the_modes_evaluate_accepts():
+    parser = cli.build_parser()
+    for mode in evalreport.MODES:
+        assert parser.parse_args(["eval", "--mode", mode]).mode == mode
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["eval", "--mode", "closed"])
+    assert exc.value.code == 2
+
+
+def _damage(ckpt: str, how: str) -> None:
+    """Drop the last layer of a checkpoint's weights.bin, or cut the file
+    inside the last tensor's data or inside its header."""
+    path = os.path.join(ckpt, "weights.bin")
+    weights = tensorio.load_tensors(path)
+    if how == "last-layer":
+        tensorio.save_tensors(path, weights[:-2])
+        return
+    head = sum(len(tensorio.tensor_bytes(w)) for w in weights[:-1])
+    with open(path, "r+b") as fh:
+        fh.truncate(head + 6 if how == "cut-header" else os.path.getsize(path) - 8)
+
+
+@pytest.mark.parametrize("how", ["last-layer", "cut-data", "cut-header"])
+def test_eval_rejects_a_damaged_world_model(pipeline, capsys, how):
+    cfg, path = pipeline
+    _damage(cfg["model"]["path"], how)
+    assert _run("eval", "--config", path, "--workers", "1") == 2
+    assert f"checkpoint {cfg['model']['path']}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["last-layer", "cut-data", "cut-header"])
+def test_eval_rejects_a_damaged_init_net(pipeline, capsys, how):
+    cfg, path = pipeline
+    ckpt = cfg["initnet"]["path"]
+    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
+               "initnet_path": ckpt}
+    args = ["--workers", "1", "--set", "planners.g_init=" + json.dumps(planner),
+            "--set", 'eval.planners=["g_init"]']
+    assert _run("train-initnet", "--config", path) == 0
+    assert _run("eval", "--config", path, *args) == 0
+    _damage(ckpt, how)
+    assert _run("eval", "--config", path, *args) == 2
+    assert f"checkpoint {ckpt}: " in capsys.readouterr().err
 
 
 def test_missing_dataset_is_config_error(tmp_path):

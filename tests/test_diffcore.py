@@ -64,6 +64,35 @@ def test_grad_disconnected_is_zero():
     assert np.all(gw == 0.0)
 
 
+def test_grad_asks_each_backward_only_for_the_needed_parents():
+    asked = []
+
+    def recorded(node):
+        inner = node.backward
+
+        def backward(g, needed):
+            asked.append((node.op, needed))
+            return inner(g, needed)
+
+        node.backward = backward
+        return node
+
+    tape = dc.Tape()
+    x, c, w = tape.leaf([1.0, 2.0]), tape.constant([3.0, 4.0]), tape.leaf([5.0])
+    y = recorded(co.add(x, c))
+    loss = recorded(dc.sq_dist([y], [[0.0, 0.0]], [1.0]))
+    expected = 2.0 * (x.value + c.value)
+    (gw,) = dc.grad(loss, [w])  # the loss does not reach w
+    assert asked == [] and np.all(gw == 0.0)
+    (gy,) = dc.grad(loss, [y])  # y's parents are not needed
+    assert asked == [("sq-dist", (True,))]
+    assert np.array_equal(gy, expected)
+    asked.clear()
+    (gx,) = dc.grad(loss, [x])
+    assert asked == [("sq-dist", (True,)), ("add", (True, False))]
+    assert np.array_equal(gx, expected)
+
+
 def test_grad_rejects_an_ancestor_on_another_tape():
     # indices restart on every tape, so a foreign node could alias a local one
     tape, other = dc.Tape(), dc.Tape()

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from wmplanlab import encoder as enc_mod
 from wmplanlab import envs
 from wmplanlab.encoder import (encode, encode_dataset, encoder_hash,
-                               latent_distance, load_encoder,
-                               make_identity, make_random_fourier,
-                               save_encoder)
+                               latent_distance, make_identity,
+                               make_random_fourier)
 
 
 def test_identity_encode():
@@ -89,18 +87,3 @@ def test_encode_dataset_fills_latents(wall_spec):
         assert np.array_equal(traj.latents[0], encode(enc, traj.obs[0]))
     # source dataset untouched
     assert all(t.latents is None for t in data.trajectories)
-
-
-def test_encoder_save_load_roundtrip(tmp_path):
-    enc = make_random_fourier(2, d_z=24, sigma=3.0, seed=9)
-    save_encoder(tmp_path / "enc", enc)
-    back = load_encoder(tmp_path / "enc")
-    assert back.kind == enc.kind
-    assert back.d_z == enc.d_z
-    assert np.array_equal(back.W, enc.W)
-    assert np.array_equal(back.b, enc.b)
-    assert encoder_hash(back) == encoder_hash(enc)
-    ident = make_identity(4)
-    save_encoder(tmp_path / "ident", ident)
-    back2 = load_encoder(tmp_path / "ident")
-    assert back2.kind == enc_mod.IDENTITY and back2.W is None

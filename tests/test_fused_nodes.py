@@ -1,6 +1,7 @@
 """The fused tape nodes against the unfused chains of `chain_ops` they
 replace: "wm-step" and "mlp" against concat, affine, tanh and add, and the
-"sq-dist" losses against sub, square, sum, mul and add. Also tape lifetime."""
+"sq-dist" losses against sub, square, sum, mul and add. Also the work each
+caller asks of `nets.mlp_backward`, and tape lifetime."""
 
 import gc
 import weakref
@@ -12,7 +13,7 @@ import chain_ops as co
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, initnet, nets, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
-from wmplanlab.finetune import PerturbationConfig, adversarial_wm
+from wmplanlab.finetune import PerturbationConfig, adversarial_wm, attack_perturb
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import WorldModel, init_world_model, rollout_nodes
 
@@ -208,6 +209,47 @@ def test_adversarial_wm_weights_equal_the_chain(wall_spec, attack):
     assert fused_losses == chain_losses
     for got, want in zip(fused_weights, chain_weights):
         assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def backward_asks(monkeypatch):
+    """The (dx, params) flags of every `nets.mlp_backward` call."""
+    asks = []
+    real = nets.mlp_backward
+
+    def spy(weights, inputs, g, dx, params):
+        asks.append((dx, params))
+        return real(weights, inputs, g, dx, params)
+
+    monkeypatch.setattr(nets, "mlp_backward", spy)
+    return asks
+
+
+def test_gbp_never_asks_for_parameter_gradients(backward_asks):
+    f = init_world_model(6, 2, hidden=(8,), seed=2)
+    rng = generator(2, "asks")
+    cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
+    planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg)
+    assert backward_asks == [(True, False)] * (3 * 4)
+
+
+def test_supervised_step_never_asks_for_the_input_gradient(backward_asks):
+    f = init_world_model(6, 2, hidden=(8,), seed=1)
+    rng = generator(1, "asks")
+    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+    worldmodel.supervised_step(f, opt, rng.standard_normal((5, 6)),
+                               rng.standard_normal((5, 2)),
+                               rng.standard_normal((5, 6)), 1e-3)
+    assert backward_asks == [(False, True)]
+
+
+def test_attack_never_asks_for_parameter_gradients(backward_asks):
+    f = init_world_model(6, 2, hidden=(8,), seed=3)
+    rng = generator(3, "asks")
+    pcfg = PerturbationConfig(eps_a=0.1, eps_z=0.1, attack="pgd", pgd_steps=3)
+    attack_perturb(f, rng.standard_normal(6), rng.standard_normal(2),
+                   rng.standard_normal(6), pcfg)
+    assert backward_asks == [(True, False)] * 3
 
 
 @pytest.fixture

@@ -191,6 +191,11 @@ def test_cem_vanishing_sigma_keeps_mean():
     assert np.all(np.abs(pr.actions) < 1e-7)
 
 
+def test_cem_rejects_an_unknown_cov_mode():
+    with pytest.raises(ValueError, match="cov_mode"):
+        CemConfig(cov_mode="diag")
+
+
 def test_cem_diagonal_mode_runs():
     f = linear_model(np.eye(2))
     cfg = CemConfig(n_pop=50, k_elite=10, iterations=10, cov_mode="diagonal")
