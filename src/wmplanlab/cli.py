@@ -262,6 +262,11 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> PlannerSpec:
             if not path:
                 raise ConfigError(f"planners.{name}.initnet_path missing")
             net, _ = _load_checkpoint(initnet.load_initnet, path)
+            if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
+                raise ConfigError(
+                    f"planners.{name}.initnet_path: init net {path} proposes "
+                    f"(horizon {net.horizon}, d_a {net.d_a}), the planner needs "
+                    f"(horizon {plan.horizon}, d_a {spec.action_dim})")
             plan.init_actions = initnet.as_planner_init(net)
         return PlannerSpec("gbp", plan.horizon, plan=plan)
     horizon = _settings(section, ["horizon"])
@@ -297,8 +302,16 @@ def _load_checkpoint(load, path: str):
         raise ConfigError(f"checkpoint {path}: {err}") from err
 
 
-def _load_model(path: str):
-    return _load_checkpoint(worldmodel.load_model, path)
+def _load_model(path: str, enc: Encoder):
+    """A world model checkpoint, rejected if it records training under
+    another encoder than `enc`."""
+    model, meta = _load_checkpoint(worldmodel.load_model, path)
+    trained_under = meta.get("encoder_hash")
+    if trained_under is not None and trained_under != encoder_hash(enc):
+        raise ConfigError(f"checkpoint {path}: trained under another encoder "
+                          f"(encoder_hash {trained_under[:12]}, configured "
+                          f"{encoder_hash(enc)[:12]})")
+    return model
 
 
 def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
@@ -369,7 +382,7 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
     data, _ = _load_encoded_dataset(cfg, spec, enc)
-    model, _ = _load_model(_need(cfg, "model", "path"))
+    model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "adversarial")
     pcfg = finetune.PerturbationConfig(
         **_settings(section, finetune.PerturbationConfig))
@@ -397,7 +410,7 @@ def cmd_finetune_online(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
     data, _ = _load_encoded_dataset(cfg, spec, enc)
-    model, _ = _load_model(_need(cfg, "model", "path"))
+    model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "online")
     ocfg = finetune.OnlineConfig(**_settings(section, finetune.OnlineConfig))
     result = finetune.online_wm(model, spec, enc, data, ocfg,
@@ -454,7 +467,7 @@ def cmd_eval(cfg: dict, args) -> int:
         model_paths = {k: v for k, v in model_paths.items() if k in keep}
     models = {}
     for name, path in model_paths.items():
-        models[name], _ = _load_model(path)
+        models[name] = _load_model(path, enc)
     if not models:
         raise ConfigError("eval.models selected no checkpoints")
     planner_names = section.get("planners", list(cfg.get("planners", {})))
@@ -499,7 +512,7 @@ def cmd_gap(cfg: dict, args) -> int:
                           a_max=spec.a_max)
     out_root = section["out_path"]
     for name, path in section.get("models", {}).items():
-        model, _ = _load_model(path)
+        model = _load_model(path, enc)
         report = evalreport.train_test_gap(
             model, spec, enc, data, plan_cfg, **_settings(section, ["n"]),
             seed=derive_seed(cfg["seed"], "gap", name))
@@ -517,8 +530,8 @@ def cmd_landscape(cfg: dict, args) -> int:
     enc = build_encoder(cfg, spec)
     data, _ = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "landscape")
-    f_base, _ = _load_model(section.get("baseline"))
-    f_adv, _ = _load_model(section.get("adversarial"))
+    f_base = _load_model(section.get("baseline"), enc)
+    f_adv = _load_model(section.get("adversarial"), enc)
     # the landscape plans with Adam at 1e-3, not PlanConfig's SGD at 1.0
     plan = {"optimizer": "adam", "eta": 1e-3, **section.get("plan", {})}
     plan_cfg = PlanConfig(**_settings(section, ["horizon"]),

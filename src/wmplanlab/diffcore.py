@@ -12,13 +12,14 @@ parent. `needed` flags the parents a gradient must reach (PyTorch's
 `needs_input_grad`); the others may get None, and a node with no flag set
 is never asked.
 
-Every gradient the lab takes is a squared distance on the output of one
-tanh MLP, so the tape holds few node kinds, each with a closed-form
-backward: "leaf", "const" and "param" inputs; "wm-step", one whole
-world-model transition (`worldmodel.WorldModel.forward_nodes`); "mlp", the
-init net (`nets.mlp_forward_nodes`); and "sq-dist", a weighted sum of
-squared distances that is every loss (`sq_dist`; the init net's
-tanh-bounded regression builds its own in `initnet`).
+Only gradient-based planning (`planners.gbp`) uses the tape: it is the one
+gradient taken through an H-step rollout. Every other gradient is one MLP
+forward and one `nets.mlp_backward` called directly
+(`worldmodel.step_loss_grad`, `initnet.loss_grad`). So the tape holds just
+the graph GBP builds: "leaf" actions, a "const" start latent, "wm-step"
+nodes, one world-model transition each with the weights as constants
+(`worldmodel.WorldModel.forward_nodes`), and one "sq-dist" goal loss, a
+weighted sum of squared distances (`sq_dist`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """
@@ -50,7 +51,7 @@ def tensor(value, *, check: bool = True) -> np.ndarray:
 
 class Node:
     """One tape entry: forward value, parents and `backward`; inputs
-    ("leaf", "const", "param") have neither parents nor backward."""
+    ("leaf", "const") have neither parents nor backward."""
 
     __slots__ = ("tape", "value", "op", "parents", "backward", "index")
 

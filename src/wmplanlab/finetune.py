@@ -15,15 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import diffcore as dc
-from . import envs, nets
+from . import envs
 from .data import Dataset, Trajectory, flatten_transitions
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .planners import PlanConfig, gbp
 from .rng import derive_seed, generator
 from .worldmodel import (TrainResult, WorldModel, iter_trajectory_batches,
-                         supervised_step)
+                         step_loss_grad, supervised_step)
 
 
 ATTACKS = ("fgsm", "pgd")
@@ -104,11 +103,7 @@ def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
         dz = np.zeros_like(Z)
     for _ in range(steps):
         # the gradient at a perturbed input is the gradient at its perturbation
-        tape = dc.Tape()
-        params = nets.lift_params(tape, f.weights)
-        zp, ap = tape.leaf(Z + dz), tape.leaf(A + da)
-        loss = dc.sq_dist([f.forward_nodes(params, zp, ap)], [ZN], [1.0])
-        ga, gz = dc.grad(loss, [ap, zp])
+        _, gz, ga, _ = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, False)
         da = np.clip(da + alpha_a * np.sign(ga), -eps_a, eps_a)
         dz = np.clip(dz + alpha_z * np.sign(gz), -eps_z, eps_z)
     return da, dz

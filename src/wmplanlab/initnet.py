@@ -43,7 +43,7 @@ def init_actions(g: InitNet, z1: np.ndarray, z_goal: np.ndarray) -> np.ndarray:
     if z1.shape != (g.d_z,) or z_goal.shape != (g.d_z,):
         raise ValueError(f"latent dims must be ({g.d_z},)")
     x = np.concatenate([z1, z_goal])
-    out = g.a_max * np.tanh(nets.mlp_forward_np(g.weights, x))
+    out = g.a_max * np.tanh(nets.mlp_forward(g.weights, x)[0])
     return out.reshape(g.horizon, g.d_a)
 
 
@@ -58,12 +58,19 @@ class InitTrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def _bounded_sq_dist(out: dc.Node, target: np.ndarray, a_max: float) -> dc.Node:
-    """||a_max * tanh(out) - target||^2 as one "sq-dist" node."""
-    t = np.tanh(out.value)
-    d = t * a_max - dc.tensor(target)
-    return dc.Node(out.tape, np.asarray((d * d).sum()), "sq-dist", (out,),
-                   lambda g, needed: (g * 2.0 * d * a_max * (1.0 - t * t),))
+def loss_grad(net: InitNet, x: np.ndarray, target: np.ndarray):
+    """(loss, weight gradients) of ||a_max * tanh(mlp(x)) - target||^2, with
+    the expressions and order of a tanh, mul, sub, square and sum chain on
+    the tape (`tests/chain_ops.py`), so the bits are too. A non-finite x or
+    target raises ValueError, a non-finite gradient NumericFailure."""
+    out, inputs = nets.mlp_forward(net.weights, dc.tensor(x))
+    t = np.tanh(out)
+    d = t * net.a_max - dc.tensor(target)
+    g = 2.0 * d * net.a_max * (1.0 - t * t)
+    _, grads = nets.mlp_backward(net.weights, inputs, g, False, True)
+    if not all(np.isfinite(grad.sum()) for grad in grads):
+        raise dc.NumericFailure("NaN in the backward pass of the init net loss")
+    return float((d * d).sum()), grads
 
 
 def train_initnet(data: Dataset, H: int, iterations: int | None = None,
@@ -99,12 +106,8 @@ def train_initnet(data: Dataset, H: int, iterations: int | None = None,
         off = int(rng.integers(len(traj) - H + 1))
         x = np.concatenate([traj.latents[off], traj.latents[off + H]])
         target = traj.actions[off:off + H].ravel()
-        tape = dc.Tape()
-        params = nets.lift_params(tape, net.weights)
-        out = nets.mlp_forward_nodes(params, tape.leaf(x))
-        loss = _bounded_sq_dist(out, target, a_max)
-        result.losses.append(float(loss.value))
-        grads = dc.grad(loss, params)
+        loss, grads = loss_grad(net, x, target)
+        result.losses.append(loss)
         for j, g in enumerate(grads):
             net.weights[j] = dc.sgd_step(net.weights[j], g, lr)
     return result

@@ -1,7 +1,9 @@
 """Small tanh MLPs shared by the world model and the initialization network.
 
-`mlp_backward` is the one MLP backward pass; the tape nodes of
-`mlp_forward_nodes` and `worldmodel.WorldModel.forward_nodes` wrap it."""
+`mlp_forward` is the one forward pass and `mlp_backward` the one backward
+pass. Every gradient in the lab calls the two directly, except GBP's,
+whose "wm-step" tape node (`worldmodel.WorldModel.forward_nodes`) wraps
+them."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ import os
 
 import numpy as np
 
-from . import diffcore as dc
 from . import tensorio
 from .rng import generator
 
@@ -36,32 +37,11 @@ def load_weights(path, sizes: tuple[int, ...]) -> list[np.ndarray]:
     return weights
 
 
-def mlp_forward_np(weights: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """tanh hidden layers, linear output; x is (d,) or a batch (B, d)."""
-    n_layers = len(weights) // 2
-    for i in range(n_layers):
-        x = x @ weights[2 * i] + weights[2 * i + 1]
-        if i < n_layers - 1:
-            x = np.tanh(x)
-    return x
-
-
-def lift_params(tape: dc.Tape, weights: list[np.ndarray]) -> list[dc.Node]:
-    """Put parameter tensors on a tape without copying.
-
-    Weights are replaced (never mutated in place) by the update rules, so
-    aliasing them from short-lived tapes is safe; validation happened at
-    initialization or checkpoint load."""
-    return [dc.Node(tape, np.asarray(w, dtype=np.float64), "param")
-            for w in weights]
-
-
-def mlp_forward_cache(weights: list[np.ndarray],
-                      x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """`mlp_forward_np`, also returning each layer's input: x, then every
-    tanh output, which is all the backward pass needs. Kept apart from
-    `mlp_forward_np`, which the sampling planners call once per rollout
-    step on their whole population and which needs no cache."""
+def mlp_forward(weights: list[np.ndarray],
+                x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """tanh hidden layers, linear output; x is (d,) or a batch (B, d).
+    Also returns each layer's input: x, then every tanh output, which is
+    all `mlp_backward` needs."""
     n_layers = len(weights) // 2
     inputs = []
     for i in range(n_layers):
@@ -75,10 +55,10 @@ def mlp_forward_cache(weights: list[np.ndarray],
 def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
                  g: np.ndarray, dx: bool, params: bool):
     """(input gradient or None, [weight and bias gradients or None]) of one
-    cached forward (`mlp_forward_cache`) for the output gradient g, computed
+    cached forward (`mlp_forward`) for the output gradient g, computed
     only where `dx` and `params` ask. One delta sweep, with the expressions
-    and order of the affine and tanh tape ops, so gradients are
-    bit-identical to the unfused chain."""
+    and order of the affine and tanh reference ops in `tests/chain_ops.py`,
+    so gradients are bit-identical to that unfused chain."""
     deltas = [g] * len(inputs)  # gradient at each layer's affine output
     for i in range(len(inputs) - 1, 0, -1):
         W, x, d = weights[2 * i], inputs[i], deltas[i]
@@ -92,15 +72,3 @@ def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
             gparams[2 * i] = x[:, None] * d[None, :] if x.ndim == 1 else x.T @ d
             gparams[2 * i + 1] = d if d.ndim == 1 else d.sum(axis=0)
     return gx, gparams
-
-
-def mlp_forward_nodes(params: list[dc.Node], x: dc.Node) -> dc.Node:
-    """The whole MLP as one tape node (op "mlp"), parents (x, *params)."""
-    weights = [p.value for p in params]
-    out, inputs = mlp_forward_cache(weights, x.value)
-
-    def backward(g, needed):
-        gx, gparams = mlp_backward(weights, inputs, g, needed[0], any(needed[1:]))
-        return (gx, *gparams)
-
-    return dc.Node(x.tape, out, "mlp", (x, *params), backward)

@@ -1,11 +1,13 @@
 """Test-time planners over a learned latent model.
 
 Gradient-based planning backpropagates the goal loss through a recursive
-model rollout on a tape (`rollout_nodes`, one node per model step) and
-updates one action sequence with SGD or Adam. The sampling planners (CEM,
-MPPI, GradCEM) score their whole population in one batched NumPy rollout
-per iteration (`final_cost` on an (N, H, d_a) array, one `predict` call
-per step for all N sequences). GradCEM (Bharadhwaj et al. 2020) is GBP run
+model rollout on a tape (`rollout_nodes`: action leaves, a constant start
+latent, one "wm-step" node per model step and one "sq-dist" loss node) and
+updates one action sequence with SGD or Adam; it is the only code in the
+lab that builds a tape. The sampling planners (CEM, MPPI, GradCEM) score
+their whole population in one batched NumPy rollout per iteration
+(`final_cost` on an (N, H, d_a) array, one `predict` call per step for
+all N sequences). GradCEM (Bharadhwaj et al. 2020) is GBP run
 from each CEM sample, so its refinement steps are `gbp` calls, still one
 sequence at a time on the tape. A model evaluation thus costs very
 different amounts on the two paths, so wall-clock between the two
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from . import envs, nets
+from . import envs
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
@@ -145,10 +147,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
             aborted = True
             break
         tape = dc.Tape()
-        params = nets.lift_params(tape, f.weights)
         a_nodes = tape.leaves(actions)
         try:
-            zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
+            zs = rollout_nodes(f, tape.constant(z1), a_nodes)
             loss_node = goal_loss(cfg.loss, zs, z_goal)
             loss = float(loss_node.value)
             trace.append(loss)

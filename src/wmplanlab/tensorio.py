@@ -55,7 +55,7 @@ def load_tensors(path, count: int | None = None) -> list[np.ndarray]:
             head = fh.read(4)
             if not head:
                 break
-            fh.seek(-4, 1)
+            fh.seek(-len(head), 1)  # a cut magic is read again, and rejected
             out.append(read_tensor(fh))
     if count is not None and len(out) != count:
         raise ValueError(f"expected {count} tensor records, found {len(out)}")

@@ -32,33 +32,26 @@ class WorldModel:
         return WorldModel([w.copy() for w in self.weights], self.d_z, self.d_a,
                           tuple(self.hidden), self.residual)
 
-    # tape path: parameters must be lifted once per tape via nets.lift_params
-    def forward_nodes(self, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
-        """One transition as a single tape node (op "wm-step"), parents
-        (z, a, *params). With residual=True, z comes once more in front: the
-        skip connection is its own edge, so z's gradient accumulates in the
-        same order, hence to the same bits, as a concat -> MLP -> add chain."""
-        d_z = z.value.shape[-1]
-        weights = [p.value for p in params]
-        out, inputs = nets.mlp_forward_cache(
-            weights, np.concatenate([z.value, a.value], axis=-1))
-        parents = (z, a, *params)
-        if self.residual:
-            out, parents = z.value + out, (z, *parents)
-        k = len(parents) - len(weights) - 2  # 1 with the skip edge, else 0
+    def forward(self, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list]:
+        """z_{t+1} for one transition or a batch, and the MLP's layer inputs
+        (`nets.mlp_forward`) that `nets.mlp_backward` takes."""
+        out, inputs = nets.mlp_forward(self.weights, np.concatenate([z, a], axis=-1))
+        return (z + out if self.residual else out), inputs
+
+    def forward_nodes(self, z: dc.Node, a: dc.Node) -> dc.Node:
+        """One transition as a single tape node (op "wm-step"), parents (z, a).
+        With residual=True, z comes once more in front: the skip connection
+        is its own edge, so z's gradient accumulates in the same order, hence
+        to the same bits, as a concat -> MLP -> add chain. The weights are
+        constants of the node; only GBP differentiates through it."""
+        out, inputs = self.forward(z.value, a.value)
+        parents = (z, z, a) if self.residual else (z, a)
 
         def backward(g, needed):
-            gx, gparams = nets.mlp_backward(weights, inputs, g, any(needed[k:k + 2]),
-                                            any(needed[k + 2:]))
-            gz, ga = (None, None) if gx is None else (gx[..., :d_z], gx[..., d_z:])
-            return (g,) * k + (gz, ga, *gparams)
+            gx, _ = nets.mlp_backward(self.weights, inputs, g, True, False)
+            return (g,) * (len(parents) - 2) + (gx[..., :self.d_z], gx[..., self.d_z:])
 
         return dc.Node(z.tape, out, "wm-step", parents, backward)
-
-    def forward_np(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        x = np.concatenate([z, a], axis=-1)
-        out = nets.mlp_forward_np(self.weights, x)
-        return z + out if self.residual else out
 
 
 def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
@@ -74,7 +67,7 @@ def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if z.shape[-1] != f.d_z or a.shape[-1] != f.d_a:
         raise ValueError(f"dims ({z.shape[-1]}, {a.shape[-1]}) do not match "
                          f"model ({f.d_z}, {f.d_a})")
-    return f.forward_np(z, a)
+    return f.forward(z, a)[0]
 
 
 def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -102,13 +95,13 @@ def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndar
     return out.reshape(batch + (H, f.d_z))
 
 
-def rollout_nodes(f: WorldModel, params: list[dc.Node], z1: dc.Node,
+def rollout_nodes(f: WorldModel, z1: dc.Node,
                   action_nodes: list[dc.Node]) -> list[dc.Node]:
     """Differentiable rollout on one tape; gradients reach every action."""
     zs = []
     z = z1
     for t, a in enumerate(action_nodes):
-        z = f.forward_nodes(params, z, a)
+        z = f.forward_nodes(z, a)
         if not np.isfinite(z.value.sum()):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
         zs.append(z)
@@ -134,20 +127,39 @@ def iter_trajectory_batches(n_traj: int, batch_size: int, epochs: int, seed: int
             yield epoch, perm[lo:lo + batch_size]
 
 
+def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarray,
+                   scale: float, dx: bool, params: bool):
+    """(loss, gZ, gA, weight gradients) of the one-step loss
+    scale * ||f(Z, A) - target||^2, a float, with the input gradients only
+    if `dx` asks and the weight gradients (else None each) only if `params`
+    does. The expressions and their order are those of a "wm-step" node
+    under a "sq-dist" loss on the tape, so the bits are too. A non-finite
+    input or target raises ValueError, a non-finite gradient NumericFailure."""
+    Z, A = dc.tensor(Z), dc.tensor(A)
+    pred, inputs = f.forward(Z, A)
+    d = pred - dc.tensor(target)
+    g = 2.0 * scale * d
+    gx, gweights = nets.mlp_backward(f.weights, inputs, g, dx, params)
+    gZ = gA = None
+    if dx:
+        gZ, gA = gx[..., :f.d_z], gx[..., f.d_z:]
+        if f.residual:
+            gZ = g + gZ  # the skip edge's contribution comes first
+    for grad in (gZ, gA, *gweights):
+        if grad is not None and not np.isfinite(grad.sum()):
+            raise NumericFailure("NaN in the backward pass of a one-step loss")
+    return float((d * d).sum() * scale), gZ, gA, gweights
+
+
 def supervised_step(model: WorldModel, opt: list[AdamState], Z: np.ndarray,
                     A: np.ndarray, ZN: np.ndarray, lr: float) -> float:
     """One Adam step on the mean squared next-latent error of a batch.
 
     Mutates `model.weights` and `opt` in place; returns the batch loss."""
-    tape = dc.Tape()
-    params = nets.lift_params(tape, model.weights)
-    pred = model.forward_nodes(params, tape.constant(Z), tape.constant(A))
-    loss = dc.sq_dist([pred], [ZN], [1.0], 1.0 / len(Z))
-    value = float(loss.value)
-    grads = dc.grad(loss, params)
+    loss, _, _, grads = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False, True)
     for i, g in enumerate(grads):
         model.weights[i], opt[i] = dc.adam_step(model.weights[i], g, opt[i], lr)
-    return value
+    return loss
 
 
 def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,

@@ -371,6 +371,35 @@ def test_eval_rejects_a_damaged_init_net(pipeline, capsys, how):
     assert f"checkpoint {ckpt}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon, d_a", [(4, 2), (3, 3)])
+def test_eval_rejects_an_init_net_that_does_not_fit_the_planner(pipeline, capsys,
+                                                                 horizon, d_a):
+    # an init net of the tiny config's horizon 3 under a horizon-4 planner,
+    # or one proposing 3-d actions in a 2-d action space
+    cfg, path = pipeline
+    ckpt = cfg["initnet"]["path"]
+    if d_a == 2:
+        assert _run("train-initnet", "--config", path) == 0
+    else:
+        initnet.save_initnet(ckpt, initnet.make_initnet(8, d_a, 3, 1.0, hidden=(4,)))
+    planner = {"kind": "gbp", "horizon": horizon, "iterations": 2,
+               "init": "initnet", "initnet_path": ckpt}
+    assert _run("eval", "--config", path, "--workers", "1",
+                "--set", "planners.g_init=" + json.dumps(planner),
+                "--set", 'eval.planners=["g_init"]') == 2
+    assert "planners.g_init.initnet_path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "gap", "landscape", "finetune-adv",
+                                     "finetune-online"])
+def test_a_model_trained_under_another_encoder_exits_with_code_2(pipeline, capsys,
+                                                                 command):
+    cfg, path = pipeline
+    assert _run(command, "--config", path, "--set", "encoder.seed=1") == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {cfg['model']['path']}: trained under another encoder" in err
+
+
 def test_missing_dataset_is_config_error(tmp_path):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)

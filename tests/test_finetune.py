@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, nets
+from wmplanlab import envs
 from wmplanlab.data import Dataset, Trajectory, flatten_transitions
 from wmplanlab.encoder import encode, encode_dataset, make_identity
 from wmplanlab.finetune import (OnlineConfig, PerturbationConfig,
@@ -117,9 +117,8 @@ def test_pgd_one_step_alpha_eps_is_fgsm_sign():
                               alpha_z=eps_z, attack="pgd", pgd_steps=1)
     da, dz = attack_perturb(f, z, a, zn, pcfg, seed=4)
     tape = dc.Tape()
-    params = nets.lift_params(tape, f.weights)
     a_node, z_node = tape.leaf(a), tape.leaf(z)
-    pred = f.forward_nodes(params, z_node, a_node)
+    pred = f.forward_nodes(z_node, a_node)
     loss = dc.sq_dist([pred], [zn], [1.0])
     ga, gz = dc.grad(loss, [a_node, z_node])
     assert np.array_equal(da, eps_a * np.sign(ga))
@@ -140,9 +139,8 @@ def test_fgsm_takes_the_gradient_at_its_random_start():
 
     def signs(z_in, a_in):
         tape = dc.Tape()
-        params = nets.lift_params(tape, f.weights)
         a_node, z_node = tape.leaf(a_in), tape.leaf(z_in)
-        pred = f.forward_nodes(params, z_node, a_node)
+        pred = f.forward_nodes(z_node, a_node)
         grads = dc.grad(dc.sq_dist([pred], [zn], [1.0]), [a_node, z_node])
         return [np.sign(g) for g in grads]
 

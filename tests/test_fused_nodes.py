@@ -1,7 +1,8 @@
-"""The fused tape nodes against the unfused chains of `chain_ops` they
-replace: "wm-step" and "mlp" against concat, affine, tanh and add, and the
-"sq-dist" losses against sub, square, sum, mul and add. Also the work each
-caller asks of `nets.mlp_backward`, and tape lifetime."""
+"""The lab's gradients against the unfused tape chains of `chain_ops`: GBP's
+"wm-step" and "sq-dist" nodes, and the direct kernel calls of
+`worldmodel.step_loss_grad` (training, the attacks) and `initnet.loss_grad`,
+each equal to the chain bit for bit. Also the work each caller asks of
+`nets.mlp_backward`, which callers build a tape, and tape lifetime."""
 
 import gc
 import weakref
@@ -11,57 +12,25 @@ import pytest
 
 import chain_ops as co
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, initnet, nets, planners, worldmodel
+from wmplanlab import envs, finetune, initnet, nets, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
 from wmplanlab.finetune import PerturbationConfig, adversarial_wm, attack_perturb
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import WorldModel, init_world_model, rollout_nodes
+from wmplanlab.worldmodel import (WorldModel, init_world_model, rollout_nodes,
+                                  step_loss_grad)
 
 
-def chain_mlp(params, x):
-    """Reference: the MLP as one affine node per layer and one tanh node per
-    hidden layer."""
-    n_layers = len(params) // 2
-    for i in range(n_layers):
-        x = co.affine(x, params[2 * i], params[2 * i + 1])
-        if i < n_layers - 1:
-            x = co.tanh(x)
-    return x
-
-
-def chain_step(self, params, z, a):
-    """Reference: one world-model transition as concat -> MLP chain -> add."""
-    x = co.concat([z, a], axis=z.value.ndim - 1)
-    out = chain_mlp(params, x)
-    return co.add(z, out) if self.residual else out
-
-
-def chain_sq_dist(xs, targets, weights, scale=1.0):
-    """Reference: `dc.sq_dist` as a sum over i of
-    mul(sum_(square(sub(x_i, target_i))), w_i), times the scale."""
-    tape = xs[0].tape
-    total = None
-    for x, t, w in zip(xs, targets, weights, strict=True):
-        term = co.mul(co.sum_(co.square(co.sub(x, tape.constant(t)))),
-                      tape.constant(w))
-        total = term if total is None else co.add(total, term)
-    return co.mul(total, tape.constant(scale))
-
-
-def chain_bounded_sq_dist(out, target, a_max):
-    """Reference: the init net's loss, ||a_max * tanh(out) - target||^2."""
-    tape = out.tape
-    pred = co.mul(co.tanh(out), tape.constant(a_max))
-    return co.sum_(co.square(co.sub(pred, tape.constant(target))))
+def chain_forward_nodes(self, z, a):
+    """`WorldModel.forward_nodes` as the chain, with its own weight nodes."""
+    return co.chain_step(self, co.lift_params(z.tape, self.weights), z, a)
 
 
 def _step_grads(f, forward, z0, a0, zn):
     tape = dc.Tape()
-    params = nets.lift_params(tape, f.weights)
     z, a = tape.leaf(z0), tape.leaf(a0)
-    pred = forward(f, params, z, a)
+    pred = forward(f, z, a)
     loss = co.sum_(co.square(co.sub(pred, tape.constant(zn))))
-    return [pred.value, loss.value] + dc.grad(loss, [z, a, *params])
+    return [pred.value, loss.value] + dc.grad(loss, [z, a])
 
 
 @pytest.mark.parametrize("residual", [True, False])
@@ -72,11 +41,30 @@ def test_wm_step_gradients_equal_the_chain(residual, batch):
     lead = () if batch is None else (batch,)
     z0, a0, zn = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
     fused = _step_grads(f, WorldModel.forward_nodes, z0, a0, zn)
-    chain = _step_grads(f, chain_step, z0, a0, zn)
-    assert len(fused) == 2 + 2 + len(f.weights)
+    chain = _step_grads(f, chain_forward_nodes, z0, a0, zn)
+    assert len(fused) == 2 + 2
     for got, want in zip(fused, chain):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("dx, params", [(True, False), (False, True), (True, True)])
+def test_step_loss_grad_equals_the_chain(residual, batch, dx, params):
+    f = init_world_model(6, 2, hidden=(16, 12), residual=residual, seed=4)
+    rng = generator(4, "step-loss", residual, batch or 0)
+    lead = () if batch is None else (batch,)
+    Z, A, ZN = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
+    scale = 1.0 / (batch or 1)
+    got = step_loss_grad(f, Z, A, ZN, scale, dx, params)
+    want = co.chain_step_loss_grad(f, Z, A, ZN, scale, dx, params)
+    assert got[0] == want[0]
+    for g, w in zip([*got[1:3], *got[3]], [*want[1:3], *want[3]]):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("loss", ["final", "late-heavy"])
@@ -92,14 +80,13 @@ def test_wm_step_rollout_gradients_equal_the_chain(loss):
 
     def run():
         tape = dc.Tape()
-        params = nets.lift_params(tape, f.weights)
         a_nodes = tape.leaves(acts)
-        zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
+        zs = rollout_nodes(f, tape.constant(z1), a_nodes)
         return dc.grad(planners.goal_loss(spec, zs, z_goal), a_nodes)
 
     fused = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(WorldModel, "forward_nodes", chain_step)
+        mp.setattr(WorldModel, "forward_nodes", chain_forward_nodes)
         chain = run()
     assert np.array_equal(np.stack(fused), np.stack(chain))
 
@@ -114,8 +101,7 @@ def test_train_initnet_losses_equal_the_chain(wall_spec):
 
     fused_losses, fused_weights = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nets, "mlp_forward_nodes", chain_mlp)
-        mp.setattr(initnet, "_bounded_sq_dist", chain_bounded_sq_dist)
+        mp.setattr(initnet, "loss_grad", co.chain_initnet_loss_grad)
         chain_losses, chain_weights = run()
     assert fused_losses == chain_losses
     for got, want in zip(fused_weights, chain_weights):
@@ -125,19 +111,59 @@ def test_train_initnet_losses_equal_the_chain(wall_spec):
 @pytest.mark.parametrize("wrt", ["input", "params"])
 def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
     # a finite forward whose backward overflows: the saturated tanh of the
-    # second layer has derivative 0 and meets an infinite incoming gradient
+    # second layer has derivative 0 and meets an infinite incoming gradient,
+    # in the input gradient on GBP's tape or the weight gradients of a
+    # training step
     f = init_world_model(2, 2, hidden=(2, 2), seed=0)
     f.weights[2] = np.full((2, 2), 1e200)
     f.weights[4] = np.full((2, 2), 1e200)
-    tape = dc.Tape()
-    params = nets.lift_params(tape, f.weights)
-    a = tape.leaf([0.3, -0.2])
+    z, a, zn = np.array([[0.1, 0.2]]), np.array([[0.3, -0.2]]), np.zeros((1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = f.forward_nodes(params, tape.constant([0.1, 0.2]), a)
-        assert np.all(np.isfinite(pred.value))
-        loss = dc.sq_dist([pred], [np.zeros(2)], [1.0])
-        with pytest.raises(dc.NumericFailure, match="op"):
-            dc.grad(loss, [a] if wrt == "input" else params)
+        assert np.all(np.isfinite(f.forward(z, a)[0]))
+        if wrt == "input":
+            tape = dc.Tape()
+            a_node = tape.leaf(a)
+            loss = dc.sq_dist([f.forward_nodes(tape.constant(z), a_node)], [zn], [1.0])
+            with pytest.raises(dc.NumericFailure, match="op"):
+                dc.grad(loss, [a_node])
+        else:
+            with pytest.raises(dc.NumericFailure, match="backward pass"):
+                step_loss_grad(f, z, a, zn, 1.0, False, True)
+            opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+            with pytest.raises(dc.NumericFailure, match="backward pass"):
+                worldmodel.supervised_step(f, opt, z, a, zn, 1e-3)
+
+
+def test_nonfinite_init_net_backward_raises_numeric_failure():
+    # a_max * tanh(out) overflows the loss gradient
+    net = initnet.make_initnet(2, 2, 3, 1e200, hidden=(4,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dc.NumericFailure, match="backward pass"):
+            initnet.loss_grad(net, np.full(4, 0.1), np.zeros(6))
+
+
+@pytest.mark.parametrize("where", ["input", "target"])
+def test_a_nonfinite_input_or_target_is_a_value_error(where):
+    f = init_world_model(2, 2, hidden=(4,), seed=0)
+    z, a, zn = np.array([[0.1, 0.2]]), np.array([[0.3, -0.2]]), np.zeros((1, 2))
+    if where == "input":
+        a = np.array([[np.nan, 0.0]])
+    else:
+        zn = np.array([[0.0, np.inf]])
+    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+    for dx, params in ((True, False), (False, True)):
+        with pytest.raises(ValueError, match="finite"):
+            step_loss_grad(f, z, a, zn, 1.0, dx, params)
+    with pytest.raises(ValueError, match="finite"):
+        worldmodel.supervised_step(f, opt, z, a, zn, 1e-3)
+    net = initnet.make_initnet(2, 2, 3, 1.0, hidden=(4,))
+    x, target = np.zeros(4), np.zeros(6)
+    if where == "input":
+        x[1] = np.nan
+    else:
+        target[2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        initnet.loss_grad(net, x, target)
 
 
 def _sq_dist_cases(rng):
@@ -163,7 +189,7 @@ def test_sq_dist_equals_the_chain(form):
         loss = build(nodes, targets, weights, scale)
         return [loss.value] + dc.grad(loss, nodes)
 
-    fused, chain = run(dc.sq_dist), run(chain_sq_dist)
+    fused, chain = run(dc.sq_dist), run(co.chain_sq_dist)
     assert len(fused) == 1 + len(xs)
     for got, want in zip(fused, chain):
         assert got.shape == want.shape
@@ -183,7 +209,7 @@ def test_gbp_weighted_plans_equal_the_chain(loss, optimizer):
                               eta=0.1, loss=spec, seed=3)
     fused = planners.gbp(f, z1, z_goal, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "sq_dist", chain_sq_dist)
+        mp.setattr(dc, "sq_dist", co.chain_sq_dist)
         chain = planners.gbp(f, z1, z_goal, cfg)
     assert fused.loss_trace == chain.loss_trace
     assert fused.final_loss == chain.final_loss
@@ -204,7 +230,30 @@ def test_adversarial_wm_weights_equal_the_chain(wall_spec, attack):
 
     fused_losses, fused_weights = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "sq_dist", chain_sq_dist)
+        mp.setattr(worldmodel, "step_loss_grad", co.chain_step_loss_grad)
+        mp.setattr(finetune, "step_loss_grad", co.chain_step_loss_grad)
+        chain_losses, chain_weights = run()
+    assert fused_losses == chain_losses
+    for got, want in zip(fused_weights, chain_weights):
+        assert np.array_equal(got, want)
+
+
+def test_supervised_step_losses_and_weights_equal_the_chain():
+    f = init_world_model(8, 2, hidden=(16, 12), seed=9)
+    rng = generator(9, "supervised-chain")
+    batches = [tuple(rng.standard_normal((n, d)) for d in (8, 2, 8))
+               for n in (5, 3, 7)]
+
+    def run():
+        model = f.clone()
+        opt = [dc.AdamState.zeros(w.shape) for w in model.weights]
+        losses = [worldmodel.supervised_step(model, opt, Z, A, ZN, 1e-2)
+                  for Z, A, ZN in batches]
+        return losses, model.weights
+
+    fused_losses, fused_weights = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(worldmodel, "step_loss_grad", co.chain_step_loss_grad)
         chain_losses, chain_weights = run()
     assert fused_losses == chain_losses
     for got, want in zip(fused_weights, chain_weights):
@@ -273,15 +322,21 @@ def tape_refs(monkeypatch):
             gc.enable()
 
 
-def test_supervised_step_frees_its_tape(tape_refs):
+def test_only_gbp_builds_a_tape(tape_refs, wall_spec):
     f = init_world_model(6, 2, hidden=(8,), seed=1)
-    rng = generator(1, "free")
+    rng = generator(1, "no-tape")
+    Z, A, ZN = (rng.standard_normal((5, d)) for d in (6, 2, 6))
     opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
-    worldmodel.supervised_step(f, opt, rng.standard_normal((5, 6)),
-                               rng.standard_normal((5, 2)),
-                               rng.standard_normal((5, 6)), 1e-3)
-    assert len(tape_refs) == 1
-    assert tape_refs[0]() is None
+    worldmodel.supervised_step(f, opt, Z, A, ZN, 1e-3)
+    for attack in finetune.ATTACKS:
+        pcfg = PerturbationConfig(eps_a=0.1, eps_z=0.1, attack=attack, pgd_steps=2)
+        finetune._attack_deltas(f, Z, A, ZN, pcfg, generator(1, "attack"))
+    raw = envs.generate_dataset(wall_spec, 4, 6, "random", 0)
+    initnet.train_initnet(encode_dataset(make_identity(2), raw), H=3, iterations=4)
+    assert tape_refs == []
+    cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
+    planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg)
+    assert len(tape_refs) == 3
 
 
 def test_gbp_frees_its_tapes(tape_refs):

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wmplanlab import tensorio
 from wmplanlab.rng import derive_seed, generator
@@ -45,6 +48,48 @@ def test_wmt1_bad_magic():
     buf = io.BytesIO(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         tensorio.read_tensor(buf)
+
+
+_arrays = st.lists(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                            max_side=5),
+               elements=st.floats(allow_nan=True, allow_infinity=True)),
+    min_size=1, max_size=4)
+
+
+def _bytes_of(arrays) -> bytes:
+    return b"".join(tensorio.tensor_bytes(a) for a in arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=_arrays)
+def test_wmt1_roundtrip_keeps_every_shape_and_bit(tmp_path_factory, arrays):
+    path = tmp_path_factory.mktemp("io") / "t.bin"
+    tensorio.save_tensors(path, arrays)
+    for back in (tensorio.load_tensors(path),
+                 tensorio.load_tensors(path, count=len(arrays))):
+        assert [b.shape for b in back] == [a.shape for a in arrays]
+        assert all(b.tobytes() == a.tobytes() for a, b in zip(arrays, back))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=_arrays, data=st.data())
+def test_a_cut_wmt1_file_is_a_value_error(tmp_path_factory, arrays, data):
+    raw = _bytes_of(arrays)
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path = tmp_path_factory.mktemp("io") / "t.bin"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValueError):
+        tensorio.load_tensors(path, count=len(arrays))
+    # read to EOF, a cut between two records is a shorter file, any other a ValueError
+    ends = np.cumsum([len(tensorio.tensor_bytes(a)) for a in arrays])
+    if cut == 0 or cut in ends:
+        back = tensorio.load_tensors(path)
+        assert [b.shape for b in back] == [a.shape for a in arrays[:len(back)]]
+        assert sum(len(tensorio.tensor_bytes(b)) for b in back) == cut
+    else:
+        with pytest.raises(ValueError):
+            tensorio.load_tensors(path)
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, nets, worldmodel
+from wmplanlab import envs, worldmodel
 from wmplanlab.data import Dataset, Trajectory
 from wmplanlab.encoder import encode, encode_dataset, encoder_hash, make_identity
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (WorldModel, init_world_model, load_model,
                                   predict, rollout_model, rollout_nodes,
-                                  save_model, train_teacher_forcing, wm_error)
+                                  save_model, step_loss_grad,
+                                  train_teacher_forcing, wm_error)
 
 from conftest import central_fd, rel_err
 
@@ -49,11 +50,32 @@ def test_predict_gradient_matches_fd():
         return float(np.sum(predict(f, z, a) ** 2))
 
     tape = dc.Tape()
-    params = nets.lift_params(tape, f.weights)
     a_node = tape.leaf(a0)
-    out = f.forward_nodes(params, tape.constant(z), a_node)
+    out = f.forward_nodes(tape.constant(z), a_node)
     (g,) = dc.grad(dc.sq_dist([out], [np.zeros(6)], [1.0]), [a_node])
     assert rel_err(g, central_fd(value, a0)) < 1e-5
+    _, _, ga, _ = step_loss_grad(f, z, a0, np.zeros(6), 1.0, True, False)
+    assert rel_err(ga, central_fd(value, a0)) < 1e-5
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_step_loss_grad_matches_fd(residual):
+    # every gradient of the mean one-step loss a training step takes
+    f = init_world_model(5, 2, hidden=(8, 6), residual=residual, seed=2)
+    rng = generator(2, "step-fd", residual)
+    Z, A, ZN = (rng.standard_normal((4, d)) for d in (5, 2, 5))
+
+    def loss(Z=Z, A=A, weights=f.weights):
+        g = WorldModel(list(weights), 5, 2, (8, 6), residual)
+        return step_loss_grad(g, Z, A, ZN, 0.25, False, False)[0]
+
+    _, gZ, gA, gweights = step_loss_grad(f, Z, A, ZN, 0.25, True, True)
+    assert rel_err(gZ, central_fd(lambda z: loss(Z=z), Z)) < 1e-5
+    assert rel_err(gA, central_fd(lambda a: loss(A=a), A)) < 1e-5
+    for i, g in enumerate(gweights):
+        fd = central_fd(lambda w: loss(weights=f.weights[:i] + [w] + f.weights[i + 1:]),
+                        f.weights[i])
+        assert rel_err(g, fd) < 1e-5
 
 
 def test_rollout_single_step_is_predict():
@@ -90,9 +112,8 @@ def test_rollout_goal_gradients_match_fd(seed):
         return float(d @ d)
 
     tape = dc.Tape()
-    params = nets.lift_params(tape, f.weights)
     a_nodes = [tape.leaf(a) for a in acts]
-    zs = rollout_nodes(f, params, tape.constant(z1), a_nodes)
+    zs = rollout_nodes(f, tape.constant(z1), a_nodes)
     loss = dc.sq_dist(zs[-1:], [z_goal], [1.0])
     grads = np.stack(dc.grad(loss, a_nodes))
     fd = central_fd(value, acts.ravel()).reshape(H, 2)
