@@ -249,7 +249,11 @@ def _build_goal_loss(name: str, horizon: int) -> GoalLossSpec:
     raise ConfigError(f"unknown goal loss {name!r}")
 
 
-def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> PlannerSpec:
+def build_planner(name: str, section: dict, spec: envs.EnvSpec,
+                  enc: Encoder | None = None) -> PlannerSpec:
+    """The planner of config section `planners.<name>`. A `gbp` init net must
+    fit the planner's horizon and action space, and, given the encoder
+    `enc`, read its latents and have been trained under it."""
     kind = section.get("kind")
     if kind == "gbp":
         settings = _settings(section, PlanConfig, clamp_actions="clamp")
@@ -261,12 +265,20 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> PlannerSpec:
             path = section.get("initnet_path")
             if not path:
                 raise ConfigError(f"planners.{name}.initnet_path missing")
-            net, _ = _load_checkpoint(initnet.load_initnet, path)
+            net, meta = _load_checkpoint(initnet.load_initnet, path)
+            where = f"planners.{name}.initnet_path: init net {path}"
             if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
                 raise ConfigError(
-                    f"planners.{name}.initnet_path: init net {path} proposes "
-                    f"(horizon {net.horizon}, d_a {net.d_a}), the planner needs "
-                    f"(horizon {plan.horizon}, d_a {spec.action_dim})")
+                    f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
+                    f"the planner needs (horizon {plan.horizon}, "
+                    f"d_a {spec.action_dim})")
+            if enc is not None:
+                if net.d_z != enc.d_z:
+                    raise ConfigError(f"{where} reads d_z {net.d_z}, the "
+                                      f"encoder writes d_z {enc.d_z}")
+                mismatch = _encoder_mismatch(meta, enc)
+                if mismatch:
+                    raise ConfigError(f"{where}: {mismatch}")
             plan.init_actions = initnet.as_planner_init(net)
         return PlannerSpec("gbp", plan.horizon, plan=plan)
     horizon = _settings(section, ["horizon"])
@@ -288,7 +300,10 @@ def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
     path = _need(cfg, "dataset", "path")
     if not os.path.isdir(path):
         raise ConfigError(f"dataset directory not found: {path}")
-    data, manifest = load_dataset(path)
+    try:
+        data, manifest = load_dataset(path)
+    except ValueError as err:
+        raise ConfigError(f"dataset {path}: {err}") from err
     return encode_dataset(enc, data), manifest
 
 
@@ -302,16 +317,40 @@ def _load_checkpoint(load, path: str):
         raise ConfigError(f"checkpoint {path}: {err}") from err
 
 
+def _encoder_mismatch(meta: dict, enc: Encoder) -> str | None:
+    """Why a checkpoint with this `meta` does not fit `enc`: it records
+    training under another encoder. None if it fits or records none."""
+    trained_under = meta.get("encoder_hash")
+    if trained_under is None or trained_under == encoder_hash(enc):
+        return None
+    return (f"trained under another encoder (encoder_hash {trained_under[:12]}, "
+            f"configured {encoder_hash(enc)[:12]})")
+
+
 def _load_model(path: str, enc: Encoder):
     """A world model checkpoint, rejected if it records training under
     another encoder than `enc`."""
     model, meta = _load_checkpoint(worldmodel.load_model, path)
-    trained_under = meta.get("encoder_hash")
-    if trained_under is not None and trained_under != encoder_hash(enc):
-        raise ConfigError(f"checkpoint {path}: trained under another encoder "
-                          f"(encoder_hash {trained_under[:12]}, configured "
-                          f"{encoder_hash(enc)[:12]})")
+    mismatch = _encoder_mismatch(meta, enc)
+    if mismatch:
+        raise ConfigError(f"checkpoint {path}: {mismatch}")
     return model
+
+
+def _save_trained(out: str, cfg: dict, enc: Encoder, result, **meta) -> None:
+    """The checkpoint of a trained world model with its `meta`, its
+    `train_trace.json` (the batch losses, and the epoch losses where the
+    result keeps some) and its run manifest."""
+    meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
+            **meta}
+    worldmodel.save_model(out, result.model, meta)
+    trace = {"batch_losses": result.batch_losses}
+    if getattr(result, "epoch_losses", None):
+        trace["epoch_losses"] = result.epoch_losses
+    with open(os.path.join(out, "train_trace.json"), "w") as fh:
+        json.dump(trace, fh, sort_keys=True)
+        fh.write("\n")
+    _write_run_manifest(out, cfg, enc)
 
 
 def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
@@ -359,23 +398,10 @@ def cmd_train(cfg: dict, args) -> int:
     result = worldmodel.train_teacher_forcing(
         model, data, **_settings(train, ["epochs", "batch_size", "lr"]),
         seed=derive_seed(cfg["seed"], "train"))
-    meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
-            "train": train}
-    worldmodel.save_model(section["path"], result.model, meta)
-    _write_trace(section["path"], result)
-    _write_run_manifest(section["path"], cfg, enc)
+    _save_trained(section["path"], cfg, enc, result, train=train)
     print(f"trained model -> {section['path']} "
           f"(final epoch loss {result.epoch_losses[-1]:.6g})")
     return 0
-
-
-def _write_trace(outdir: str, result) -> None:
-    trace = {"batch_losses": result.batch_losses}
-    if getattr(result, "epoch_losses", None):
-        trace["epoch_losses"] = result.epoch_losses
-    with open(os.path.join(outdir, "train_trace.json"), "w") as fh:
-        json.dump(trace, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_finetune_adv(cfg: dict, args) -> int:
@@ -392,11 +418,7 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
                     keep_perturbed="dump_perturbed"),
         seed=derive_seed(cfg["seed"], "finetune-adv"))
     out = section["out_path"]
-    meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
-            "finetune": "adversarial"}
-    worldmodel.save_model(out, result.model, meta)
-    _write_trace(out, result)
-    _write_run_manifest(out, cfg, enc)
+    _save_trained(out, cfg, enc, result, finetune="adversarial")
     if result.perturbed is not None:
         save_dataset(section.get("perturbed_path", os.path.join(out, "perturbed")),
                      result.perturbed, env=envs.spec_to_dict(spec),
@@ -416,11 +438,7 @@ def cmd_finetune_online(cfg: dict, args) -> int:
     result = finetune.online_wm(model, spec, enc, data, ocfg,
                                 seed=derive_seed(cfg["seed"], "finetune-online"))
     out = section["out_path"]
-    meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
-            "finetune": "online"}
-    worldmodel.save_model(out, result.model, meta)
-    _write_trace(out, result)
-    _write_run_manifest(out, cfg, enc)
+    _save_trained(out, cfg, enc, result, finetune="online")
     corrected_path = section.get("corrected_path")
     if corrected_path and result.corrected.trajectories:
         save_dataset(corrected_path, result.corrected,
@@ -479,7 +497,7 @@ def cmd_eval(cfg: dict, args) -> int:
     for name in planner_names:
         if name not in planner_cfgs:
             raise ConfigError(f"eval.planners references unknown planner {name!r}")
-        planners[name] = build_planner(name, planner_cfgs[name], spec)
+        planners[name] = build_planner(name, planner_cfgs[name], spec, enc)
     if not planners:
         raise ConfigError("eval selected no planners")
     mode = args.mode or section.get("mode", "mpc")

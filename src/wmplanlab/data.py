@@ -88,12 +88,24 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    with open(os.path.join(path, "manifest.json")) as fh:
+    """The dataset in directory `path` and its manifest. A missing manifest
+    or trajectory file, or a manifest of another schema version, is a
+    ValueError, as is a damaged trajectory file (`tensorio`)."""
+    manifest_path = os.path.join(path, "manifest.json")
+    if not os.path.isfile(manifest_path):
+        raise ValueError("no manifest.json")
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
+    version = manifest.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"manifest schema_version {version!r}, expected {SCHEMA_VERSION}")
     trajs = []
     for i in range(manifest["count"]):
-        states, actions = tensorio.load_tensors(
-            os.path.join(path, f"traj_{i}.bin"), count=2)
+        traj_path = os.path.join(path, f"traj_{i}.bin")
+        if not os.path.isfile(traj_path):
+            raise ValueError(f"traj_{i}.bin is missing "
+                             f"(the manifest lists {manifest['count']})")
+        states, actions = tensorio.load_tensors(traj_path, count=2)
         if manifest["content"] == "obs":
             trajs.append(Trajectory(actions=actions, obs=states))
         else:

@@ -6,6 +6,8 @@ trajectories, expanding coverage to the states planning actually visits.
 Adversarial world modeling perturbs latent states and actions inside an
 l-infinity ball in the direction that maximizes one-step prediction error
 (signed-gradient attacks), keeping the prediction targets clean.
+Both keep teacher forcing's next-latent objective and change only the
+inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ import numpy as np
 
 from . import envs
 from .data import Dataset, Trajectory, flatten_transitions
-from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .planners import PlanConfig, gbp
 from .rng import derive_seed, generator
-from .worldmodel import (TrainResult, WorldModel, iter_trajectory_batches,
-                         step_loss_grad, supervised_step)
+from .worldmodel import TrainResult, WorldModel, fit, step_loss_grad
 
 
 ATTACKS = ("fgsm", "pgd")
@@ -121,65 +121,58 @@ def attack_perturb(f: WorldModel, z: np.ndarray, a: np.ndarray,
     return da[0], dz[0]
 
 
+def iter_trajectory_batches(n_traj: int, batch_size: int, epochs: int, seed: int):
+    """Yield (epoch, trajectory-index array) with a per-epoch seeded shuffle,
+    the batch schedule of adversarial finetuning."""
+    for epoch in range(epochs):
+        perm = generator(seed, "shuffle", epoch).permutation(n_traj)
+        for lo in range(0, n_traj, batch_size):
+            yield epoch, perm[lo:lo + batch_size]
+
+
 def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
                    epochs: int = 1, batch_size: int = 48, lr: float = 1e-4,
                    seed: int = 0, keep_perturbed: bool = False) -> TrainResult:
     """Finetune on perturbed-input / clean-target transition batches.
 
     Minibatches are whole trajectories (radii statistics are per
-    trajectory); attacks are regenerated fresh every time a batch is
-    visited. With both scaling factors zero this reduces exactly to
-    trajectory-unit teacher forcing on the same batch schedule.
+    trajectory); attacks are regenerated fresh, against the current
+    weights, every time a batch is visited. With both scaling factors zero
+    the batches are the clean transitions of each trajectory batch.
     keep_perturbed stores the final epoch's perturbed pairs as two-state
     trajectories so they can be written in the dataset format.
     """
     if not data.trajectories:
         raise ValueError("empty dataset")
     model = f.clone()
-    opt = [AdamState.zeros(w.shape) for w in model.weights]
-    result = TrainResult(model)
-    fixed_radii: tuple[float, float] | None = None
-    step_count = 0
-    current_epoch, ep = 0, []
-    if keep_perturbed:
-        result.perturbed = Dataset([], provenance="adversarial")
-    for epoch, idx in iter_trajectory_batches(len(data.trajectories),
-                                              batch_size, epochs, seed):
-        if epoch != current_epoch:
-            result.epoch_losses.append(float(np.mean(ep)))
-            current_epoch, ep = epoch, []
-        batch = [data.trajectories[i] for i in idx]
-        if pcfg.eps_a is not None and pcfg.eps_z is not None:
-            eps_a, eps_z = pcfg.eps_a, pcfg.eps_z  # explicit radii win
-        elif pcfg.radius_mode == "fixed":
-            if fixed_radii is None:
-                fixed_radii = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z,
-                                            pcfg.per_dimension_std)
-            eps_a, eps_z = fixed_radii
-        else:
-            eps_a, eps_z = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z,
-                                         pcfg.per_dimension_std)
-        Z, A, ZN = flatten_transitions(Dataset(batch))
-        if eps_a == 0.0 and eps_z == 0.0:
-            Zp, Ap = Z, A
-        else:
-            work = replace(pcfg, eps_a=eps_a, eps_z=eps_z)
-            da, dz = _attack_deltas(model, Z, A, ZN, work,
-                                    generator(seed, "attack", step_count))
-            Zp, Ap = Z + dz, A + da
-        if keep_perturbed and epoch == epochs - 1:
-            for zp, ap, zn in zip(Zp, Ap, ZN):
-                result.perturbed.trajectories.append(
-                    Trajectory(actions=ap[None, :], latents=np.stack([zp, zn])))
-        loss = supervised_step(model, opt, Zp, Ap, ZN, lr)
-        if not np.isfinite(loss):
-            raise NumericFailure("adversarial finetuning loss diverged",
-                                 trace=result.batch_losses)
-        result.batch_losses.append(loss)
-        ep.append(loss)
-        step_count += 1
-    if ep:
-        result.epoch_losses.append(float(np.mean(ep)))
+    perturbed = Dataset([], provenance="adversarial") if keep_perturbed else None
+
+    def batches():
+        radii: tuple[float, float] | None = None
+        for step, (epoch, idx) in enumerate(iter_trajectory_batches(
+                len(data.trajectories), batch_size, epochs, seed)):
+            batch = [data.trajectories[i] for i in idx]
+            if pcfg.eps_a is not None and pcfg.eps_z is not None:
+                radii = pcfg.eps_a, pcfg.eps_z  # explicit radii win
+            elif radii is None or pcfg.radius_mode == "adaptive":
+                # "fixed" mode keeps the radii of the first batch
+                radii = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z,
+                                      pcfg.per_dimension_std)
+            eps_a, eps_z = radii
+            Z, A, ZN = flatten_transitions(Dataset(batch))
+            if eps_a != 0.0 or eps_z != 0.0:
+                work = replace(pcfg, eps_a=eps_a, eps_z=eps_z)
+                da, dz = _attack_deltas(model, Z, A, ZN, work,
+                                        generator(seed, "attack", step))
+                Z, A = Z + dz, A + da
+            if perturbed is not None and epoch == epochs - 1:
+                for zp, ap, zn in zip(Z, A, ZN):
+                    perturbed.trajectories.append(
+                        Trajectory(actions=ap[None, :], latents=np.stack([zp, zn])))
+            yield epoch, Z, A, ZN
+
+    result = fit(model, batches(), lr, "adversarial finetuning")
+    result.perturbed = perturbed
     return result
 
 
@@ -211,61 +204,51 @@ class OnlineResult:
 def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
               cfg: OnlineConfig, seed: int = 0) -> OnlineResult:
     """Plan over expert start/goal pairs, execute in the simulator, and
-    finetune on the corrected trajectories (mixed with expert replay)."""
+    finetune on the corrected trajectories (mixed with expert replay).
+
+    Each iteration plans with the weights of every finetuning step before
+    it, then takes `finetune_steps` batches of `batch_size` transitions, a
+    `mix_ratio` share drawn from the expert data and the rest from every
+    corrected trajectory so far."""
     if not data.trajectories:
         raise ValueError("empty dataset")
     model = f.clone()
-    opt = [AdamState.zeros(w.shape) for w in model.weights]
     corrected = Dataset([], provenance="corrected")
-    result = OnlineResult(model, corrected)
-    Z0, A0, ZN0 = flatten_transitions(data)
-    corr_z: list[np.ndarray] = []
-    corr_a: list[np.ndarray] = []
-    corr_zn: list[np.ndarray] = []
+    expert = flatten_transitions(data)
+    n_expert = int(round(cfg.mix_ratio * cfg.batch_size))
     H = cfg.horizon
-    for i in range(cfg.iterations):
-        rng = generator(seed, "online", i)
-        traj = data.trajectories[int(rng.integers(len(data.trajectories)))]
-        if len(traj) < H:
-            warnings.warn(f"trajectory shorter than horizon {H}; skipped",
-                          stacklevel=2)
-            continue
-        off = int(rng.integers(len(traj) - H + 1))
-        z1 = traj.latents[off]
-        z_goal = traj.latents[off + H]
-        plan_cfg = PlanConfig(horizon=H, iterations=cfg.plan_iterations,
-                              optimizer=cfg.plan_optimizer, eta=cfg.plan_eta,
-                              a_max=spec.a_max,
-                              seed=derive_seed(seed, "online-plan", i))
-        pr = gbp(model, z1, z_goal, plan_cfg)
-        s1 = envs.state_of_obs(spec, traj.obs[off])
-        states = envs.rollout_env(spec, s1, pr.actions)
-        obs_seq = np.array([traj.obs[off]] + [envs.obs_of(spec, s) for s in states])
-        latents = encode(enc, obs_seq)
-        corrected.trajectories.append(
-            Trajectory(actions=pr.actions, obs=obs_seq, latents=latents))
-        corr_z.append(latents[:-1])
-        corr_a.append(pr.actions)
-        corr_zn.append(latents[1:])
-        Zc = np.concatenate(corr_z)
-        Ac = np.concatenate(corr_a)
-        ZNc = np.concatenate(corr_zn)
-        for k in range(cfg.finetune_steps):
-            brng = generator(seed, "online-batch", i, k)
-            n_orig = int(round(cfg.mix_ratio * cfg.batch_size))
-            n_corr = cfg.batch_size - n_orig
-            parts_z, parts_a, parts_zn = [], [], []
-            if n_orig > 0:
-                io = brng.integers(len(Z0), size=n_orig)
-                parts_z.append(Z0[io]); parts_a.append(A0[io]); parts_zn.append(ZN0[io])
-            if n_corr > 0:
-                ic = brng.integers(len(Zc), size=n_corr)
-                parts_z.append(Zc[ic]); parts_a.append(Ac[ic]); parts_zn.append(ZNc[ic])
-            loss = supervised_step(model, opt, np.concatenate(parts_z),
-                                   np.concatenate(parts_a),
-                                   np.concatenate(parts_zn), lr=cfg.lr)
-            if not np.isfinite(loss):
-                raise NumericFailure("online finetuning loss diverged",
-                                     trace=result.batch_losses)
-            result.batch_losses.append(loss)
-    return result
+
+    def batches():
+        for i in range(cfg.iterations):
+            rng = generator(seed, "online", i)
+            traj = data.trajectories[int(rng.integers(len(data.trajectories)))]
+            if len(traj) < H:
+                warnings.warn(f"trajectory shorter than horizon {H}; skipped",
+                              stacklevel=4)  # past fit, at online_wm's caller
+                continue
+            off = int(rng.integers(len(traj) - H + 1))
+            z1 = traj.latents[off]
+            z_goal = traj.latents[off + H]
+            plan_cfg = PlanConfig(horizon=H, iterations=cfg.plan_iterations,
+                                  optimizer=cfg.plan_optimizer, eta=cfg.plan_eta,
+                                  a_max=spec.a_max,
+                                  seed=derive_seed(seed, "online-plan", i))
+            pr = gbp(model, z1, z_goal, plan_cfg)
+            s1 = envs.state_of_obs(spec, traj.obs[off])
+            states = envs.rollout_env(spec, s1, pr.actions)
+            obs_seq = np.array([traj.obs[off]] + [envs.obs_of(spec, s) for s in states])
+            corrected.trajectories.append(
+                Trajectory(actions=pr.actions, obs=obs_seq, latents=encode(enc, obs_seq)))
+            pools = ((expert, n_expert),
+                     (flatten_transitions(corrected), cfg.batch_size - n_expert))
+            for k in range(cfg.finetune_steps):
+                brng = generator(seed, "online-batch", i, k)
+                # n random rows of each pool with n > 0, the expert rows first
+                rows = [(pool, brng.integers(len(pool[0]), size=n))
+                        for pool, n in pools if n > 0]
+                Z, A, ZN = (np.concatenate([pool[j][idx] for pool, idx in rows])
+                            for j in range(3))
+                yield i, Z, A, ZN
+
+    result = fit(model, batches(), cfg.lr, "online finetuning")
+    return OnlineResult(model, corrected, result.batch_losses)

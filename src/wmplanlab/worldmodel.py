@@ -1,5 +1,6 @@
-"""The latent transition model, its teacher-forcing training, multi-step
-rollout, and the per-step model error measured against the simulator."""
+"""The latent transition model, the one training loop (`fit`) with teacher
+forcing on it, multi-step rollout, and the per-step model error measured
+against the simulator."""
 
 from __future__ import annotations
 
@@ -116,17 +117,6 @@ class TrainResult:
     perturbed: Dataset | None = None  # filled by adversarial finetuning on request
 
 
-def iter_trajectory_batches(n_traj: int, batch_size: int, epochs: int, seed: int):
-    """Yield (epoch, trajectory-index array) with a per-epoch seeded shuffle.
-
-    Shared between trajectory-unit teacher forcing and adversarial
-    finetuning so the two consume identical batch schedules."""
-    for epoch in range(epochs):
-        perm = generator(seed, "shuffle", epoch).permutation(n_traj)
-        for lo in range(0, n_traj, batch_size):
-            yield epoch, perm[lo:lo + batch_size]
-
-
 def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarray,
                    scale: float, dx: bool, params: bool):
     """(loss, gZ, gA, weight gradients) of the one-step loss
@@ -162,55 +152,48 @@ def supervised_step(model: WorldModel, opt: list[AdamState], Z: np.ndarray,
     return loss
 
 
-def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,
-                          batch_size: int = 64, lr: float = 1e-3, seed: int = 0,
-                          batch_unit: str = "transition") -> TrainResult:
-    """Fit next-latent prediction on (z_t, a_t, z_{t+1}) triplets with Adam.
+def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
+    """Train `model` in place with one Adam step (`supervised_step`) per
+    (epoch, Z, A, ZN) batch that `batches` yields, keeping every batch loss
+    and the mean batch loss of each epoch, in the order the epochs come.
 
-    batch_unit "transition" (default) flattens and shuffles all triplets per
-    epoch; "trajectory" batches whole trajectories instead, the schedule the
-    adversarial finetuner uses.
-    """
-    if not data.trajectories:
-        raise ValueError("empty dataset")
-    model = f.clone()
+    The one training loop: teacher forcing, adversarial and online
+    finetuning differ only in the batches they feed it. `batches` is read
+    lazily, so a batch built from `model` sees the weights of every step
+    before it. A non-finite loss raises NumericFailure("<what> loss
+    diverged") with the earlier batch losses as its trace."""
     opt = [AdamState.zeros(w.shape) for w in model.weights]
     result = TrainResult(model)
-    if batch_unit == "transition":
-        Z, A, ZN = flatten_transitions(data)
-        n = len(Z)
-        for epoch in range(epochs):
-            perm = generator(seed, "shuffle", epoch).permutation(n)
-            ep = []
-            for lo in range(0, n, batch_size):
-                idx = perm[lo:lo + batch_size]
-                loss = supervised_step(model, opt, Z[idx], A[idx], ZN[idx], lr)
-                if not np.isfinite(loss):
-                    raise NumericFailure("training loss diverged",
-                                         trace=result.batch_losses)
-                result.batch_losses.append(loss)
-                ep.append(loss)
-            result.epoch_losses.append(float(np.mean(ep)))
-    elif batch_unit == "trajectory":
-        current_epoch, ep = 0, []
-        for epoch, idx in iter_trajectory_batches(len(data.trajectories),
-                                                  batch_size, epochs, seed):
-            if epoch != current_epoch:
-                result.epoch_losses.append(float(np.mean(ep)))
-                current_epoch, ep = epoch, []
-            sub = Dataset([data.trajectories[i] for i in idx], data.provenance)
-            Z, A, ZN = flatten_transitions(sub)
-            loss = supervised_step(model, opt, Z, A, ZN, lr)
-            if not np.isfinite(loss):
-                raise NumericFailure("training loss diverged",
-                                     trace=result.batch_losses)
-            result.batch_losses.append(loss)
-            ep.append(loss)
-        if ep:
-            result.epoch_losses.append(float(np.mean(ep)))
-    else:
-        raise ValueError(f"unknown batch_unit {batch_unit!r}")
+    by_epoch: dict = {}
+    for epoch, Z, A, ZN in batches:
+        loss = supervised_step(model, opt, Z, A, ZN, lr)
+        del Z, A, ZN  # the next batch is built without this one held alive
+        if not np.isfinite(loss):
+            raise NumericFailure(f"{what} loss diverged", trace=result.batch_losses)
+        result.batch_losses.append(loss)
+        by_epoch.setdefault(epoch, []).append(loss)
+    result.epoch_losses = [float(np.mean(ep)) for ep in by_epoch.values()]
     return result
+
+
+def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,
+                          batch_size: int = 64, lr: float = 1e-3,
+                          seed: int = 0) -> TrainResult:
+    """Fit next-latent prediction on (z_t, a_t, z_{t+1}) triplets with Adam:
+    every epoch shuffles all triplets of the dataset and walks them in
+    batches of `batch_size`."""
+    if not data.trajectories:
+        raise ValueError("empty dataset")
+    Z, A, ZN = flatten_transitions(data)
+
+    def batches():
+        for epoch in range(epochs):
+            perm = generator(seed, "shuffle", epoch).permutation(len(Z))
+            for lo in range(0, len(Z), batch_size):
+                idx = perm[lo:lo + batch_size]
+                yield epoch, Z[idx], A[idx], ZN[idx]
+
+    return fit(f.clone(), batches(), lr, "training")
 
 
 @dataclass

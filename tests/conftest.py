@@ -34,6 +34,26 @@ def linear_model(B):
     return WorldModel([W, np.zeros(d_z)], d_z, d_a, hidden=())
 
 
+@pytest.fixture()
+def nan_on_call(monkeypatch):
+    """Call with k to make `worldmodel.supervised_step`, the step of the one
+    training loop, return NaN as the loss of its k-th call."""
+    from wmplanlab import worldmodel
+
+    def arm(k):
+        real = worldmodel.supervised_step
+        calls = []
+
+        def step(*args):
+            calls.append(None)
+            loss = real(*args)
+            return float("nan") if len(calls) == k else loss
+
+        monkeypatch.setattr(worldmodel, "supervised_step", step)
+
+    return arm
+
+
 @pytest.fixture(scope="session")
 def wall_spec():
     from wmplanlab.envs import wall2d_spec

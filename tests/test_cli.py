@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from reference_training import trajectory_teacher_forcing
 from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
                        worldmodel)
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
@@ -132,10 +133,10 @@ def test_finetune_adv_zero_lambda_continues_teacher_forcing(pipeline):
     data, _ = load_dataset(cfg["dataset"]["path"])
     encoded = encode_dataset(enc, data)
     base, _ = worldmodel.load_model(cfg["model"]["path"])
-    ref = worldmodel.train_teacher_forcing(
+    ref, _ = trajectory_teacher_forcing(
         base, encoded, epochs=1, batch_size=3, lr=1e-3,
-        seed=derive_seed(cfg["seed"], "finetune-adv"), batch_unit="trajectory")
-    for w1, w2 in zip(tuned.weights, ref.model.weights):
+        seed=derive_seed(cfg["seed"], "finetune-adv"))
+    for w1, w2 in zip(tuned.weights, ref.weights):
         assert np.array_equal(w1, w2)
 
 
@@ -398,6 +399,65 @@ def test_a_model_trained_under_another_encoder_exits_with_code_2(pipeline, capsy
     assert _run(command, "--config", path, "--set", "encoder.seed=1") == 2
     err = capsys.readouterr().err
     assert f"checkpoint {cfg['model']['path']}: trained under another encoder" in err
+
+
+@pytest.mark.parametrize("how", ["d_z", "encoder"])
+def test_eval_rejects_an_init_net_of_another_latent_space(pipeline, capsys, how):
+    # an init net reading 5-d latents under the tiny config's 8-d encoder, or
+    # one trained under another encoder of the same size
+    cfg, path = pipeline
+    ckpt = cfg["initnet"]["path"]
+    if how == "d_z":
+        initnet.save_initnet(ckpt, initnet.make_initnet(5, 2, 3, 1.0, hidden=(4,)))
+    else:
+        assert _run("train-initnet", "--config", path, "--set", "encoder.seed=1") == 0
+    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
+               "initnet_path": ckpt}
+    assert _run("eval", "--config", path, "--workers", "1",
+                "--set", "planners.g_init=" + json.dumps(planner),
+                "--set", 'eval.planners=["g_init"]') == 2
+    err = capsys.readouterr().err
+    assert "planners.g_init.initnet_path" in err
+    assert ("reads d_z 5" if how == "d_z" else "trained under another encoder") in err
+
+
+@pytest.mark.parametrize("how", ["missing-trajectory", "cut-trajectory",
+                                 "missing-manifest", "schema-version"])
+def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    data_dir = cfg["dataset"]["path"]
+    if how == "missing-trajectory":
+        os.remove(os.path.join(data_dir, "traj_3.bin"))
+        expect = "traj_3.bin is missing"
+    elif how == "cut-trajectory":
+        with open(os.path.join(data_dir, "traj_3.bin"), "r+b") as fh:
+            fh.truncate(40)
+        expect = "truncated"
+    elif how == "missing-manifest":
+        os.remove(os.path.join(data_dir, "manifest.json"))
+        expect = "no manifest.json"
+    else:
+        manifest_path = os.path.join(data_dir, "manifest.json")
+        manifest = json.load(open(manifest_path))
+        manifest["schema_version"] = 7
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        expect = "manifest schema_version 7"
+    with pytest.raises(ValueError, match=expect):
+        load_dataset(data_dir)
+    assert _run("train", "--config", path) == 2
+    assert f"dataset {data_dir}: {expect}" in capsys.readouterr().err
+
+
+def test_train_exits_3_when_the_loss_diverges(tmp_path, nan_on_call, capsys):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    nan_on_call(2)
+    assert _run("train", "--config", path) == 3
+    assert "numeric failure: training loss diverged" in capsys.readouterr().err
 
 
 def test_missing_dataset_is_config_error(tmp_path):

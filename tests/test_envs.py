@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmplanlab import envs
 from wmplanlab.data import load_dataset, save_dataset
@@ -257,3 +259,30 @@ def test_obs_state_roundtrip(wall_spec, pm_spec):
     assert np.array_equal(back.velocity, s.velocity)
     o2 = envs.obs_of(wall_spec, s)
     assert o2.shape == (2,)
+
+
+def _crosses(start: float, end: float, coord: float) -> bool:
+    return (start - coord) * (end - coord) < 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["wall2d", "pointmass"]),
+       start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       deltas=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=20))
+def test_no_move_crosses_a_wall_or_leaves_the_box(kind, start, deltas):
+    # a chain of _move substeps from any point of the box: the x leg (at the
+    # old y) never passes through a vertical wall span, the y leg (at the new
+    # x) never through a horizontal one, and every position stays in the box
+    spec = envs.wall2d_spec() if kind == "wall2d" else envs.pointmass_spec()
+    pos = np.array(start)
+    for delta in deltas:
+        new, _ = envs._move(spec, pos, np.array(delta))
+        (x, y), (nx, ny) = pos, new
+        for w in spec.walls:
+            if w.axis == 0 and w.lo <= y <= w.hi:
+                assert not _crosses(x, nx, w.coord), (pos, delta, w)
+            if w.axis == 1 and w.lo <= nx <= w.hi:
+                assert not _crosses(y, ny, w.coord), (pos, delta, w)
+        assert np.all((new >= 0.0) & (new <= spec.size)), (pos, delta)
+        pos = new

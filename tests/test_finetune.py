@@ -1,13 +1,15 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from reference_training import trajectory_teacher_forcing
 from wmplanlab import diffcore as dc
-from wmplanlab import envs
+from wmplanlab import envs, finetune
 from wmplanlab.data import Dataset, Trajectory, flatten_transitions
 from wmplanlab.encoder import encode, encode_dataset, make_identity
-from wmplanlab.finetune import (OnlineConfig, PerturbationConfig,
+from wmplanlab.finetune import (OnlineConfig, PerturbationConfig, _attack_deltas,
                                 adversarial_wm, attack_perturb, compute_radii,
                                 online_wm)
 from wmplanlab.rng import generator
@@ -170,15 +172,41 @@ def test_attack_ascends_loss():
 
 
 def test_adversarial_zero_lambda_reduces_to_teacher_forcing(wall_spec):
+    # 12 trajectories in batches of 4: three Adam steps per epoch
     data = _encoded_wall_dataset(wall_spec)
     f = init_world_model(2, 2, hidden=(8,), seed=5)
     pcfg = PerturbationConfig(lambda_a=0.0, lambda_z=0.0)
     adv = adversarial_wm(f, data, pcfg, epochs=2, batch_size=4, lr=1e-3, seed=9)
-    ref = train_teacher_forcing(f, data, epochs=2, batch_size=4, lr=1e-3,
-                                seed=9, batch_unit="trajectory")
-    for w1, w2 in zip(adv.model.weights, ref.model.weights):
+    model, losses = trajectory_teacher_forcing(f, data, epochs=2, batch_size=4,
+                                               lr=1e-3, seed=9)
+    for w1, w2 in zip(adv.model.weights, model.weights):
         assert np.array_equal(w1, w2)
-    assert adv.batch_losses == ref.batch_losses
+    assert np.array_equal(adv.batch_losses, losses)
+    assert np.array_equal(adv.epoch_losses, [np.mean(losses[:3]), np.mean(losses[3:])])
+
+
+@pytest.mark.parametrize("attack", ["fgsm", "pgd"])
+def test_adversarial_attacks_each_batch_with_the_current_weights(wall_spec, attack):
+    # the hand loop attacks every batch with the weights of the steps before
+    # it, under adaptive radii from that batch
+    data = _encoded_wall_dataset(wall_spec)
+    f = init_world_model(2, 2, hidden=(8,), seed=5)
+    pcfg = PerturbationConfig(lambda_a=0.5, lambda_z=0.2, attack=attack,
+                              pgd_steps=2, radius_mode="adaptive")
+
+    def perturb(model, step, batch, Z, A, ZN):
+        eps_a, eps_z = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z)
+        da, dz = _attack_deltas(model, Z, A, ZN,
+                                replace(pcfg, eps_a=eps_a, eps_z=eps_z),
+                                generator(9, "attack", step))
+        return Z + dz, A + da
+
+    adv = adversarial_wm(f, data, pcfg, epochs=2, batch_size=4, lr=1e-3, seed=9)
+    model, losses = trajectory_teacher_forcing(f, data, epochs=2, batch_size=4,
+                                               lr=1e-3, seed=9, perturb=perturb)
+    for w1, w2 in zip(adv.model.weights, model.weights):
+        assert np.array_equal(w1, w2)
+    assert np.array_equal(adv.batch_losses, losses)
 
 
 def _batch_order_transitions(data, batch_size, seed):
@@ -246,6 +274,28 @@ def test_online_corrected_trajectories_resimulate(wall_spec):
     assert res.corrected.provenance == "corrected"
 
 
+def test_online_plans_with_the_weights_of_every_earlier_step(wall_spec,
+                                                             monkeypatch):
+    # the second plan sees the model a one-iteration run ends with
+    data = _encoded_wall_dataset(wall_spec, n=6, length=10)
+    f = init_world_model(2, 2, hidden=(8,), seed=3)
+    cfg = OnlineConfig(iterations=1, plan_iterations=3, horizon=5,
+                       finetune_steps=2, batch_size=4)
+    first = online_wm(f, wall_spec, make_identity(2), data, cfg, seed=5)
+    planned_with = []
+    real_gbp = finetune.gbp
+
+    def spy(model, *args):
+        planned_with.append([w.copy() for w in model.weights])
+        return real_gbp(model, *args)
+
+    monkeypatch.setattr(finetune, "gbp", spy)
+    online_wm(f, wall_spec, make_identity(2), data, replace(cfg, iterations=2), seed=5)
+    assert len(planned_with) == 2
+    for seen, expect in zip(planned_with, (f, first.model)):
+        assert all(np.array_equal(w1, w2) for w1, w2 in zip(seen, expect.weights))
+
+
 def test_online_expert_actions_reproduce_expert_trajectory(wall_spec):
     # the correction of an expert action sequence is the expert trajectory
     data = _encoded_wall_dataset(wall_spec, n=2, length=8)
@@ -274,9 +324,10 @@ def test_online_skips_short_trajectories(wall_spec):
     f = init_world_model(2, 2, hidden=(8,), seed=0)
     cfg = OnlineConfig(iterations=2, plan_iterations=2, horizon=10,
                        finetune_steps=1)
-    with pytest.warns(UserWarning, match="skipped"):
+    with pytest.warns(UserWarning, match="skipped") as record:
         res = online_wm(f, wall_spec, make_identity(2), data, cfg, seed=0)
     assert not res.corrected.trajectories
+    assert record[0].filename == __file__  # the warning names online_wm's caller
 
 
 def test_online_mix_ratio_zero_trains_on_corrected_only(wall_spec):
@@ -289,3 +340,30 @@ def test_online_mix_ratio_zero_trains_on_corrected_only(wall_spec):
     changed = any(not np.array_equal(w1, w2)
                   for w1, w2 in zip(res.model.weights, f.weights))
     assert changed and len(res.batch_losses) == 4
+
+
+TRAINERS = {
+    "training": lambda f, data, spec: train_teacher_forcing(
+        f, data, epochs=2, batch_size=16, lr=1e-3, seed=0),
+    "adversarial finetuning": lambda f, data, spec: adversarial_wm(
+        f, data, PerturbationConfig(), epochs=2, batch_size=4, lr=1e-3, seed=1),
+    "online finetuning": lambda f, data, spec: online_wm(
+        f, spec, make_identity(2), data,
+        OnlineConfig(iterations=2, plan_iterations=3, horizon=5,
+                     finetune_steps=3, batch_size=8), seed=2),
+}
+
+
+@pytest.mark.parametrize("what", TRAINERS)
+def test_a_diverged_loss_raises_with_the_earlier_losses(wall_spec, nan_on_call,
+                                                         what):
+    # the 4th step starts the second epoch of adversarial finetuning and the
+    # second iteration of online finetuning
+    data = _encoded_wall_dataset(wall_spec)
+    f = init_world_model(2, 2, hidden=(8,), seed=4)
+    train = TRAINERS[what]
+    clean = train(f, data, wall_spec).batch_losses
+    nan_on_call(4)
+    with pytest.raises(dc.NumericFailure, match=f"^{what} loss diverged$") as err:
+        train(f, data, wall_spec)
+    assert err.value.trace == clean[:3]

@@ -233,15 +233,6 @@ def test_train_empty_dataset_rejected():
         train_teacher_forcing(f, Dataset([]), epochs=1, batch_size=4, lr=1e-3, seed=0)
 
 
-def test_train_trajectory_batching_equivalence(wall_spec):
-    # trajectory-unit batches walk the same shuffle stream
-    data = _tiny_dataset(wall_spec, n=12, length=8)
-    f = init_world_model(2, 2, hidden=(8,), seed=2)
-    res = train_teacher_forcing(f, data, epochs=2, batch_size=4, lr=1e-3,
-                                seed=3, batch_unit="trajectory")
-    assert len(res.batch_losses) == 2 * 3  # 12 trajectories / 4 per batch
-
-
 def test_wm_error_zero_for_perfect_model(wall_spec):
     # residual model with zero output head predicts z_{t+1} = z_t, which is
     # exact for a zero action in the position-controlled env
