@@ -1,9 +1,10 @@
 """Command-line entry point for reproducible experiment pipelines.
 
 Commands: gen-data, train, finetune-online, finetune-adv, train-initnet,
-eval, gap, landscape. Every command is a pure function of (config file,
-CLI overrides, seed): reports and checkpoints rerun byte-identically, and
-`timing.json` is the only output that depends on the machine.
+eval, gap, landscape. Every command is a pure function of the config
+file (or preset) and its `--set` overrides, the seed included; nothing is
+read from the environment. Reports and checkpoints rerun byte-identically,
+and `timing.json` is the only output that depends on the machine.
 A key a section leaves out takes the default of the function or dataclass
 it configures; the few keys whose callee has no default get theirs here.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
@@ -28,8 +29,6 @@ from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig
                        wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
 
-SEED_ENV_VAR = "WMPLANLAB_SEED"
-
 
 class ConfigError(Exception):
     pass
@@ -41,6 +40,7 @@ class ConfigError(Exception):
 
 _ANY_KEY = "__any__"
 _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
+_COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
 _CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": int,
@@ -66,7 +66,7 @@ _SCHEMA = {
     "dataset": {"path": str, "n_traj": int, "traj_len": int,
                 "policy": frozenset(envs.POLICIES)},
     "model": {"path": str, "hidden": list, "residual": bool,
-              "train": {"epochs": int, "batch_size": int, "lr": float}},
+              "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": float}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
                         "eps_a": (float, None), "eps_z": (float, None),
@@ -74,16 +74,16 @@ _SCHEMA = {
                         "attack": frozenset(finetune.ATTACKS), "pgd_steps": int,
                         "radius_mode": frozenset(finetune.RADIUS_MODES),
                         "per_dimension_std": bool,
-                        "epochs": int, "batch_size": int, "lr": float,
+                        "epochs": _COUNT, "batch_size": _COUNT, "lr": float,
                         "dump_perturbed": bool, "perturbed_path": str},
         "online": {"out_path": str, "corrected_path": (str, None),
                    "iterations": int, "plan_iterations": int, "horizon": int,
                    "mix_ratio": float, "lr": float, "finetune_steps": int,
-                   "batch_size": int, "plan_optimizer": _OPTIMIZER,
+                   "batch_size": _COUNT, "plan_optimizer": _OPTIMIZER,
                    "plan_eta": float},
     },
     "initnet": {"path": str, "horizon": int, "lr": float,
-                "iterations": (int, None)},
+                "iterations": (_COUNT, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
     "eval": {"out_path": str, "n_tasks": int,
              "mode": frozenset(evalreport.MODES), "horizon_gap": int,
@@ -114,9 +114,11 @@ def _check_type(value, expect, path: str) -> None:
     elif expect is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number, got {value!r}")
-    elif expect is int:
+    elif expect is int or expect == _COUNT:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected integer, got {value!r}")
+        if expect == _COUNT and value < 1:
+            raise ConfigError(f"{path}: expected an integer >= 1, got {value!r}")
     elif not isinstance(value, expect):
         raise ConfigError(f"{path}: expected {expect.__name__}, got {value!r}")
 
@@ -179,12 +181,6 @@ def load_config(args) -> dict:
         raise ConfigError("provide --config FILE or --preset NAME")
     for spec in args.set or []:
         _set_override(cfg, spec)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError as err:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from err
     validate_config(cfg)
     if "seed" not in cfg:
         raise ConfigError("config must set an explicit seed")
@@ -304,7 +300,14 @@ def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
         data, manifest = load_dataset(path)
     except ValueError as err:
         raise ConfigError(f"dataset {path}: {err}") from err
-    return encode_dataset(enc, data), manifest
+    recorded = manifest.get("env")
+    if recorded is not None:
+        configured = envs.spec_to_dict(spec)
+        differ = [key for key in configured if recorded.get(key) != configured[key]]
+        if differ:
+            raise ConfigError(f"dataset {path}: generated under another env "
+                              f"({', '.join(differ)} differ from the config)")
+    return encode_dataset(enc, data)
 
 
 def _load_checkpoint(load, path: str):
@@ -389,7 +392,7 @@ def cmd_gen_data(cfg: dict, args) -> int:
 def cmd_train(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "model")
     train = section.get("train", {})
     model = worldmodel.init_world_model(
@@ -407,7 +410,7 @@ def cmd_train(cfg: dict, args) -> int:
 def cmd_finetune_adv(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "adversarial")
     pcfg = finetune.PerturbationConfig(
@@ -431,7 +434,7 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
 def cmd_finetune_online(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "online")
     ocfg = finetune.OnlineConfig(**_settings(section, finetune.OnlineConfig))
@@ -451,7 +454,7 @@ def cmd_finetune_online(cfg: dict, args) -> int:
 def cmd_train_initnet(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "initnet")
     result = initnet.train_initnet(
         data, section.get("horizon", 25), **_settings(section, ["iterations", "lr"]),
@@ -477,7 +480,7 @@ def _cross_room_predicate(spec: envs.EnvSpec):
 def cmd_eval(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "eval")
     model_paths = section.get("models", {})
     if args.models:
@@ -523,7 +526,7 @@ def cmd_eval(cfg: dict, args) -> int:
 def cmd_gap(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "gap")
     plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
                           **_settings(section.get("plan", {}), PlanConfig),
@@ -546,7 +549,7 @@ def cmd_gap(cfg: dict, args) -> int:
 def cmd_landscape(cfg: dict, args) -> int:
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    data, _ = _load_encoded_dataset(cfg, spec, enc)
+    data = _load_encoded_dataset(cfg, spec, enc)
     section = _need(cfg, "landscape")
     f_base = _load_model(section.get("baseline"), enc)
     f_adv = _load_model(section.get("adversarial"), enc)

@@ -40,10 +40,10 @@ class NumericFailure(RuntimeError):
         self.trace = trace
 
 
-def tensor(value, *, check: bool = True) -> np.ndarray:
+def tensor(value) -> np.ndarray:
     """Coerce to a read-only float64 array, rejecting NaN/Inf entries."""
     arr = np.array(value, dtype=np.float64)
-    if check and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     arr.flags.writeable = False
     return arr
@@ -154,6 +154,12 @@ def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
             else np.zeros_like(w.value) for w in wrt]
 
 
+# Adam's decay rates and denominator guard, the defaults of Kingma & Ba (2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment estimates for one parameter tensor."""
@@ -161,14 +167,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, shape, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), 0, beta1, beta2, eps)
+    def zeros(cls, shape) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape))
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
@@ -187,9 +189,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if eta <= 0:
         raise ValueError("step size must be positive")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - eta * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m, v, t)

@@ -62,16 +62,6 @@ def encode(enc: Encoder, o: np.ndarray) -> np.ndarray:
     return scale * np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
-def latent_distance(z1: np.ndarray, z2: np.ndarray) -> float:
-    """Squared L2 distance between two latents."""
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape:
-        raise ValueError(f"latent shape mismatch {z1.shape} vs {z2.shape}")
-    d = z1 - z2
-    return float(d @ d)
-
-
 def encode_dataset(enc: Encoder, data: Dataset) -> Dataset:
     """Return a copy of the dataset with latent sequences filled in."""
     trajs = [Trajectory(actions=t.actions, obs=t.obs, latents=encode(enc, t.obs))

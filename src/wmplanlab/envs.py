@@ -9,8 +9,7 @@ blocked axis is clamped at the wall face while the other axis still moves.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +78,6 @@ class EnvState:
     position: np.ndarray
     velocity: np.ndarray
 
-    def copy(self) -> "EnvState":
-        return EnvState(self.position.copy(), self.velocity.copy())
-
 
 @dataclass(eq=False)
 class TaskInstance:
@@ -120,15 +116,6 @@ def spec_to_dict(spec: EnvSpec) -> dict:
         "damping": spec.damping,
         "frameskip": spec.frameskip,
     }
-
-
-def spec_from_dict(d: dict) -> EnvSpec:
-    return EnvSpec(
-        kind=d["kind"], size=d["size"],
-        walls=tuple(Wall(int(w[0]), w[1], w[2], w[3]) for w in d["walls"]),
-        doors=tuple(Door(int(x[0]), x[1], x[2], x[3]) for x in d["doors"]),
-        a_max=d["a_max"], damping=d["damping"], frameskip=int(d["frameskip"]),
-    )
 
 
 def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):

@@ -1,5 +1,5 @@
-"""Experiment drivers: success grids, train-test gap, wall-clock, loss
-landscapes, and a linear probe decoder for diagnostics.
+"""Experiment drivers: success grids, train-test gap, wall-clock and loss
+landscapes.
 
 Every grid is evaluated paired: all (model, planner) cells see the same
 task instances and the same per-task planning seeds. Wall-clock timers
@@ -15,7 +15,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -225,9 +225,9 @@ def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
         z1 = encode(enc, traj.obs[off])
         z_goal = encode(enc, traj.obs[off + H])
         expert_actions = traj.actions[off:off + H]
-        expert_errors.append(wm_error(f, enc, spec, s1, expert_actions).mean)
+        expert_errors.append(wm_error(f, enc, spec, s1, expert_actions).mean())
         pr = gbp(f, z1, z_goal, replace(plan_cfg, seed=derive_seed(seed, "gap-plan", j)))
-        planned_errors.append(wm_error(f, enc, spec, s1, pr.actions).mean)
+        planned_errors.append(wm_error(f, enc, spec, s1, pr.actions).mean())
     me = float(np.mean(expert_errors))
     mp = float(np.mean(planned_errors))
     return GapReport(n=n, mean_expert=me, mean_planned=mp, difference=me - mp,
@@ -322,43 +322,6 @@ def total_variation(values) -> float:
     arr = np.asarray(values, dtype=np.float64)
     return float(np.abs(np.diff(arr, axis=0)).sum() +
                  np.abs(np.diff(arr, axis=1)).sum())
-
-
-@dataclass
-class ProbeDecoder:
-    W: np.ndarray  # (d_z, d_o)
-    b: np.ndarray  # (d_o,)
-    rmse: float
-
-
-def train_probe_decoder(enc: Encoder, data: Dataset,
-                        ridge: float = 1e-6) -> ProbeDecoder:
-    """Least-squares linear map latent -> observation; ridge-regularized
-    when the feature matrix is rank deficient."""
-    obs = np.concatenate([t.obs for t in data.trajectories])
-    Z = encode(enc, obs)
-    X = np.hstack([Z, np.ones((len(Z), 1))])
-    sol, _, rank, _ = np.linalg.lstsq(X, obs, rcond=None)
-    if rank < X.shape[1]:
-        A = X.T @ X + ridge * np.eye(X.shape[1])
-        sol = np.linalg.solve(A, X.T @ obs)
-    W, b = sol[:-1], sol[-1]
-    pred = Z @ W + b
-    rmse = float(np.sqrt(np.mean((pred - obs) ** 2)))
-    return ProbeDecoder(W, b, rmse)
-
-
-def decode(probe: ProbeDecoder, z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=np.float64) @ probe.W + probe.b
-
-
-def decode_rollout_csv(probe: ProbeDecoder, latents: np.ndarray, path) -> None:
-    dec = decode(probe, latents)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"obs_{i}" for i in range(dec.shape[1])])
-        for t, row in enumerate(dec):
-            writer.writerow([t] + [repr(float(x)) for x in row])
 
 
 # ---------------------------------------------------------------------------

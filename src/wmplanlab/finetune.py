@@ -54,7 +54,8 @@ class PerturbationConfig:
             raise ValueError(f"unknown radius mode {self.radius_mode!r}")
         if self.lambda_a > 1.0 or self.lambda_z > 0.5:
             warnings.warn("scaling factors outside the stable ranges "
-                          "(lambda_a <= 1, lambda_z <= 0.5)", stacklevel=2)
+                          "(lambda_a <= 1, lambda_z <= 0.5)",
+                          stacklevel=3)  # past the generated __init__
 
 
 def _traj_std(arr: np.ndarray, per_dimension: bool) -> float:

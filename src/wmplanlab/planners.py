@@ -7,9 +7,9 @@ updates one action sequence with SGD or Adam; it is the only code in the
 lab that builds a tape. The sampling planners (CEM, MPPI, GradCEM) score
 their whole population in one batched NumPy rollout per iteration
 (`final_cost` on an (N, H, d_a) array, one `predict` call per step for
-all N sequences). GradCEM (Bharadhwaj et al. 2020) is GBP run
-from each CEM sample, so its refinement steps are `gbp` calls, still one
-sequence at a time on the tape. A model evaluation thus costs very
+all N sequences). GradCEM (Bharadhwaj et al. 2020) is `cem(refine=...)`:
+GBP run from each CEM sample, so its refinement steps are `gbp` calls,
+still one sequence at a time on the tape. A model evaluation thus costs very
 different amounts on the two paths, so wall-clock between the two
 families says nothing by itself: read it next to
 `PlanResult.model_evals`, the (sequence x step) rows each plan rolled out.
@@ -226,9 +226,16 @@ def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
     return None
 
 
-def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
-                refine: RefineConfig | None,
-                trace_hook: Callable[[dict], None] | None) -> PlanResult:
+def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
+        refine: RefineConfig | None = None,
+        trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
+    """Sample, rank by final-state cost, refit the Gaussian to the elites;
+    the final mean is the plan.
+
+    With `refine`, this is GradCEM: each sampled candidate first gets
+    `refine.steps` Adam steps of `gbp` on the final-state loss, before cost
+    evaluation and elite selection. With refine.steps == 0 it is bit for
+    bit plain CEM under the same seed."""
     t0 = time.perf_counter()
     d = H * f.d_a
     mu = np.zeros(d)
@@ -275,22 +282,6 @@ def _cem_engine(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
                       model_evals=evals)
 
 
-def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
-        trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
-    """Sample, rank by final-state cost, refit the Gaussian to the elites;
-    the final mean is the plan."""
-    return _cem_engine(f, z1, z_goal, cfg, H, seed, None, trace_hook)
-
-
-def gradcem(f: WorldModel, z1, z_goal, cfg: CemConfig, refine: RefineConfig,
-            H: int, seed: int,
-            trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
-    """CEM whose sampled candidates each get a few Adam steps of `gbp` on
-    the final-state loss before cost evaluation and elite selection. With
-    refine.steps == 0 this is bit-for-bit plain CEM under the same seed."""
-    return _cem_engine(f, z1, z_goal, cfg, H, seed, refine, trace_hook)
-
-
 @dataclass
 class MppiConfig:
     samples: int = 64
@@ -303,16 +294,16 @@ class MppiConfig:
             raise ValueError("need at least one sample")
 
 
-def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int,
-         nominal: np.ndarray | None = None) -> PlanResult:
-    """Softmin-weighted perturbation averaging around a nominal sequence.
+def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int) -> PlanResult:
+    """Softmin-weighted perturbation averaging around a nominal sequence,
+    starting from zero actions.
 
     Single-shot update by default (iterations=1); the execute-and-replan
     loop belongs to mpc().
     """
     t0 = time.perf_counter()
     rng = generator(seed, "mppi")
-    nom = np.zeros((H, f.d_a)) if nominal is None else np.array(nominal, dtype=np.float64)
+    nom = np.zeros((H, f.d_a))
     trace: list[float] = []
     for _ in range(cfg.iterations):
         eps = cfg.sigma * rng.standard_normal((cfg.samples, H, f.d_a))
@@ -348,8 +339,8 @@ def run_planner(f: WorldModel, z1, z_goal, pspec: PlannerSpec,
     if pspec.kind == "cem":
         return cem(f, z1, z_goal, pspec.cem or CemConfig(), H, seed)
     if pspec.kind == "gradcem":
-        return gradcem(f, z1, z_goal, pspec.cem or CemConfig(),
-                       pspec.refine or RefineConfig(), H, seed)
+        return cem(f, z1, z_goal, pspec.cem or CemConfig(), H, seed,
+                   refine=pspec.refine or RefineConfig())
     if pspec.kind == "mppi":
         return mppi(f, z1, z_goal, pspec.mppi or MppiConfig(), H, seed)
     raise ValueError(f"unknown planner kind {pspec.kind!r}")

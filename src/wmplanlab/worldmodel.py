@@ -196,23 +196,11 @@ def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,
     return fit(f.clone(), batches(), lr, "training")
 
 
-@dataclass
-class WmErrorSeries:
-    """Per-step model error along a simulator-corrected state chain."""
-
-    values: np.ndarray
-    mean: float
-
-    @classmethod
-    def from_values(cls, values) -> "WmErrorSeries":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(arr, float(arr.mean()))
-
-
 def wm_error(f: WorldModel, enc: Encoder, spec: envs.EnvSpec,
-             s1: envs.EnvState, actions) -> WmErrorSeries:
-    """Teacher-forced model error: at each step the model is fed the latent
-    of the *true* state, so errors never compound in this metric."""
+             s1: envs.EnvState, actions) -> np.ndarray:
+    """Teacher-forced model error, one squared distance per step: at each
+    step the model is fed the latent of the *true* state, so errors never
+    compound in this metric."""
     actions = np.asarray(actions, dtype=np.float64)
     values = np.empty(len(actions))
     s = s1
@@ -223,7 +211,7 @@ def wm_error(f: WorldModel, enc: Encoder, spec: envs.EnvSpec,
         z_next = encode(enc, envs.obs_of(spec, s))
         d = pred - z_next
         values[t] = float(d @ d)
-    return WmErrorSeries.from_values(values)
+    return values
 
 
 def save_model(path, model: WorldModel, meta: dict | None = None) -> None:

@@ -466,21 +466,55 @@ def test_missing_dataset_is_config_error(tmp_path):
     assert _run("train", "--config", path) == 2  # dataset never generated
 
 
-def test_seed_env_var_override(tmp_path, monkeypatch):
-    cfg = tiny_config(tmp_path)
-    path = _write(tmp_path, cfg)
+def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypatch):
+    path = _write(tmp_path, tiny_config(tmp_path))
 
     class Args:
         preset = None
         config = path
         set = None
 
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-    loaded = load_config(Args())
-    assert loaded["seed"] == 123
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-    with pytest.raises(ConfigError):
-        load_config(Args())
+    plain = load_config(Args())
+    for value in ("123", "abc"):
+        monkeypatch.setenv("WMPLANLAB_SEED", value)
+        assert load_config(Args()) == plain
+    Args.set = ["seed=123"]
+    assert load_config(Args())["seed"] == 123
+
+
+@pytest.mark.parametrize("command, key, out", [
+    ("train", "model.train.epochs", "model"),
+    ("train", "model.train.batch_size", "model"),
+    ("finetune-adv", "finetune.adversarial.epochs", "model-adv"),
+    ("finetune-adv", "finetune.adversarial.batch_size", "model-adv"),
+    ("finetune-online", "finetune.online.batch_size", "model-owm"),
+    ("train-initnet", "initnet.iterations", "initnet"),
+], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
+        "initnet-iterations"])
+def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key, out):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    if command.startswith("finetune"):
+        assert _run("train", "--config", path) == 0
+    assert _run(command, "--config", path, "--set", f"{key}=0") == 2
+    assert f"{key}: expected an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / out / "weights.bin").exists()
+
+
+@pytest.mark.parametrize("override, differ", [
+    ("env.frameskip=3", "frameskip"),
+    ("env.kind=pointmass", "kind, walls, doors, a_max, damping"),
+], ids=["frameskip", "kind"])
+def test_a_dataset_of_another_env_exits_with_code_2(tmp_path, capsys, override,
+                                                    differ):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    assert _run("train", "--config", path, "--set", override) == 2
+    assert (f"dataset {cfg['dataset']['path']}: generated under another env "
+            f"({differ} differ from the config)") in capsys.readouterr().err
+    assert not (tmp_path / "model" / "weights.bin").exists()
 
 
 def test_set_override_parses_json_scalars(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from wmplanlab import envs
 from wmplanlab.encoder import (encode, encode_dataset, encoder_hash,
-                               latent_distance, make_identity,
-                               make_random_fourier)
+                               make_identity, make_random_fourier)
 
 
 def test_identity_encode():
@@ -60,17 +59,6 @@ def test_random_fourier_injective_on_grid():
     d2 = sq[:, None] + sq[None, :] - 2 * (Z @ Z.T)
     np.fill_diagonal(d2, np.inf)
     assert np.sqrt(max(d2.min(), 0.0)) > 1e-6
-
-
-def test_latent_distance():
-    assert latent_distance(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
-    assert latent_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(2.0)
-    rng = np.random.default_rng(5)
-    z1, z2 = rng.standard_normal(16), rng.standard_normal(16)
-    direct = sum((a - b) ** 2 for a, b in zip(z1, z2))
-    assert latent_distance(z1, z2) == pytest.approx(direct)
-    with pytest.raises(ValueError):
-        latent_distance(np.zeros(3), np.zeros(4))
 
 
 def test_d_z_must_be_even():

@@ -225,11 +225,6 @@ def test_success_symmetric(wall_spec):
     assert envs.success(wall_spec, p, task_pq) == envs.success(wall_spec, q, task_qp)
 
 
-def test_spec_dict_roundtrip(pm_spec):
-    back = envs.spec_from_dict(envs.spec_to_dict(pm_spec))
-    assert back == pm_spec
-
-
 def test_spec_validates_frameskip():
     with pytest.raises(ValueError):
         envs.wall2d_spec(frameskip=0)

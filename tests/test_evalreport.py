@@ -6,14 +6,13 @@ import pytest
 
 from wmplanlab import envs, evalreport
 from wmplanlab.data import Dataset
-from wmplanlab.encoder import encode, encode_dataset, make_identity, make_random_fourier
+from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
 from wmplanlab.evalreport import (Cell, EvalReport, GapReport, TaskRow,
                                   emit_report, evaluate, expert_window,
                                   landscape, load_report, total_variation,
-                                  train_probe_decoder, train_test_gap,
-                                  wilson_interval, decode, decode_rollout_csv)
+                                  train_test_gap, wilson_interval)
 from wmplanlab.planners import MpcConfig, PlanConfig, PlannerSpec, final_cost
-from wmplanlab.worldmodel import init_world_model, rollout_model
+from wmplanlab.worldmodel import init_world_model
 
 from conftest import linear_model, rel_err
 
@@ -229,35 +228,6 @@ def test_landscape_warns_on_degenerate_axis(wall_spec):
 def test_total_variation_hand_example():
     assert total_variation([[0.0, 1.0], [2.0, 3.0]]) == 6.0
     assert total_variation(np.zeros((4, 4))) == 0.0
-
-
-def test_probe_identity_encoder(wall_spec):
-    data = envs.generate_dataset(wall_spec, 20, 10, "random", seed=0)
-    probe = train_probe_decoder(make_identity(2), data)
-    assert probe.rmse < 1e-8
-    assert np.allclose(probe.W, np.eye(2), atol=1e-6)
-
-
-def test_probe_random_fourier_position_reconstruction(wall_spec):
-    # frozen pilot measurement: rmse ~6e-7 on this config, bound 0.02
-    data = envs.generate_dataset(wall_spec, 100, 30, "goal-seeking-noisy", seed=0)
-    enc = make_random_fourier(2, d_z=64, sigma=4.0, seed=0)
-    probe = train_probe_decoder(enc, data)
-    assert probe.rmse < 0.02
-
-
-def test_probe_decodes_rollout_to_csv(tmp_path, wall_spec):
-    data = envs.generate_dataset(wall_spec, 10, 8, "random", seed=1)
-    enc = make_random_fourier(2, d_z=32, seed=0)
-    probe = train_probe_decoder(enc, data)
-    f = init_world_model(32, 2, hidden=(8,), seed=0)
-    z1 = encode(enc, data.trajectories[0].obs[0])
-    latents = rollout_model(f, z1, data.trajectories[0].actions)
-    path = tmp_path / "rollout.csv"
-    decode_rollout_csv(probe, latents, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,obs_0,obs_1"
-    assert len(lines) == 1 + len(latents)
 
 
 def _tiny_report():

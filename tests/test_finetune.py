@@ -34,8 +34,9 @@ def test_perturbation_config_validation():
         PerturbationConfig(lambda_a=-0.1)
     with pytest.raises(ValueError):
         PerturbationConfig(attack="bim")
-    with pytest.warns(UserWarning, match="stable"):
+    with pytest.warns(UserWarning, match="stable") as record:
         PerturbationConfig(lambda_z=0.9)
+    assert record[0].filename == __file__  # the warning names the caller
 
 
 def test_compute_radii_hand_example():

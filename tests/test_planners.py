@@ -8,7 +8,7 @@ from wmplanlab import diffcore as dc
 from wmplanlab.encoder import encode, make_identity
 from wmplanlab.planners import (CemConfig, GoalLossSpec, MpcConfig, MppiConfig,
                                 PlanConfig, PlannerSpec, RefineConfig, cem,
-                                final_cost, gbp, goal_loss, gradcem, mpc, mppi,
+                                final_cost, gbp, goal_loss, mpc, mppi,
                                 run_planner, wgl_late_heavy)
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model, predict
@@ -250,8 +250,8 @@ def test_gradcem_zero_refine_steps_reduces_to_cem():
     f = init_world_model(4, 2, seed=5)
     cfg = CemConfig(n_pop=20, k_elite=5, iterations=4)
     base = cem(f, np.zeros(4), np.ones(4), cfg, H=2, seed=13)
-    red = gradcem(f, np.zeros(4), np.ones(4), cfg, RefineConfig(steps=0),
-                  H=2, seed=13)
+    red = cem(f, np.zeros(4), np.ones(4), cfg, H=2, seed=13,
+              refine=RefineConfig(steps=0))
     assert np.array_equal(base.actions, red.actions)
     assert base.loss_trace == red.loss_trace
 
@@ -276,9 +276,9 @@ def test_gradcem_reaches_threshold_in_fewer_iterations():
     for seed in (0, 3, 5):
         plain = mu_costs(lambda h: cem(f, z1, z_goal, cfg, H=1, seed=seed,
                                        trace_hook=h))
-        refined = mu_costs(lambda h: gradcem(
-            f, z1, z_goal, cfg, RefineConfig(steps=2, eta=0.3), H=1,
-            seed=seed, trace_hook=h))
+        refined = mu_costs(lambda h: cem(
+            f, z1, z_goal, cfg, H=1, seed=seed,
+            refine=RefineConfig(steps=2, eta=0.3), trace_hook=h))
         assert first_below(refined) < first_below(plain)
 
 
@@ -287,8 +287,8 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
     z1, z_goal = np.zeros(4), np.ones(4)
     cfg = CemConfig(n_pop=1, k_elite=1, iterations=1, sigma0=1.0)
     steps = 25
-    pr = gradcem(f, z1, z_goal, cfg, RefineConfig(steps=steps, eta=0.3),
-                 H=2, seed=31)
+    pr = cem(f, z1, z_goal, cfg, H=2, seed=31,
+             refine=RefineConfig(steps=steps, eta=0.3))
     # reconstruct the single sample, then run gbp from it
     rng = generator(31, "cem")
     eps = rng.standard_normal((1, 4))
@@ -383,10 +383,10 @@ def test_model_evals_count_rows_at_the_benchmark_sizes(wall_spec):
 def test_gradcem_model_evals_add_each_refinement():
     f = init_world_model(4, 2, hidden=(8,), seed=0)
     H, cfg = 3, CemConfig(n_pop=5, k_elite=2, iterations=2)
-    pr = gradcem(f, np.zeros(4), np.ones(4), cfg, RefineConfig(steps=2), H, seed=1)
+    pr = cem(f, np.zeros(4), np.ones(4), cfg, H, seed=1, refine=RefineConfig(steps=2))
     # per sample: a 2-step gbp (2 rollouts) plus its cost; then the plan's cost
     assert pr.model_evals == cfg.iterations * cfg.n_pop * (2 * H + H) + H
-    plain = gradcem(f, np.zeros(4), np.ones(4), cfg, RefineConfig(steps=0), H, seed=1)
+    plain = cem(f, np.zeros(4), np.ones(4), cfg, H, seed=1, refine=RefineConfig(steps=0))
     assert plain.model_evals == cfg.iterations * cfg.n_pop * H + H
 
 

@@ -1,0 +1,80 @@
+"""Every public module-level function and class of the package is reached
+by the package itself or by the benchmark, or is a named test seam.
+
+A name counts as reached when code in `src/wmplanlab` (other than the
+`__init__.py` re-exports, and other than its own definition) or in
+`perfbench/` refers to it, or when a dotted string in `perfbench/` names
+it, as the layer tracer's "module.attr" paths do."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wmplanlab"
+
+# (module, name) -> why the name stays although only tests call it
+TEST_SEAMS = {
+    ("finetune", "attack_perturb"):
+        "the one-transition attack that tests compare the batched "
+        "`_attack_deltas` against",
+    ("evalreport", "load_report"):
+        "reads back what `emit_report` writes, so tests can check the report "
+        "format; the reports of ROADMAP item 4 extend it",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _public_defs() -> dict[tuple[str, str], int]:
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[(path.stem, node.name)] = node.lineno
+    return defs
+
+
+def _names(tree: ast.AST, strings: bool) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and _DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def _references() -> set[str]:
+    refs = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = _names(stmt, strings=False)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)  # a definition does not reach itself
+            refs |= names
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        refs |= _names(ast.parse(path.read_text()), strings=True)
+    return refs
+
+
+def test_every_public_definition_is_reached_or_a_named_test_seam():
+    refs = _references()
+    unreached = [f"src/wmplanlab/{module}.py:{line} {name}"
+                 for (module, name), line in sorted(_public_defs().items())
+                 if name not in refs and (module, name) not in TEST_SEAMS]
+    assert not unreached, ("reached by no command, preset or benchmark; delete "
+                           "it or name it in TEST_SEAMS: " + ", ".join(unreached))
+
+
+def test_every_test_seam_exists_and_is_otherwise_unreached():
+    defs, refs = _public_defs(), _references()
+    for module, name in TEST_SEAMS:
+        assert (module, name) in defs, f"{module}.{name} is gone"
+        assert name not in refs, f"{module}.{name} is reached; drop it from TEST_SEAMS"

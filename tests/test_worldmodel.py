@@ -241,9 +241,9 @@ def test_wm_error_zero_for_perfect_model(wall_spec):
     f.weights[-1] = np.zeros_like(f.weights[-1])
     enc = make_identity(2)
     s1 = envs.EnvState(np.array([0.2, 0.2]), np.zeros(2))
-    series = wm_error(f, enc, wall_spec, s1, np.zeros((5, 2)))
-    assert series.mean == 0.0
-    assert np.all(series.values == 0.0)
+    errors = wm_error(f, enc, wall_spec, s1, np.zeros((5, 2)))
+    assert errors.shape == (5,)
+    assert np.all(errors == 0.0)
 
 
 def test_wm_error_zero_model_algebraic(wall_spec):
@@ -253,14 +253,14 @@ def test_wm_error_zero_model_algebraic(wall_spec):
     enc = make_identity(2)
     s1 = envs.EnvState(np.array([0.4, 0.6]), np.zeros(2))
     actions = np.array([[0.01, 0.0], [0.0, 0.01]])
-    series = wm_error(f, enc, wall_spec, s1, actions)
+    errors = wm_error(f, enc, wall_spec, s1, actions)
     s = s1
     expected = []
     for a in actions:
         s = envs.step(wall_spec, s, a)
         z = encode(enc, envs.obs_of(wall_spec, s))
         expected.append(float(z @ z))
-    assert np.allclose(series.values, expected)
+    assert np.allclose(errors, expected)
 
 
 def test_wm_error_chunking_invariance(wall_spec):
@@ -273,9 +273,7 @@ def test_wm_error_chunking_invariance(wall_spec):
     first = wm_error(f, enc, wall_spec, s1, actions[:4])
     mid_state = envs.rollout_env(wall_spec, s1, actions[:4])[-1]
     rest = wm_error(f, enc, wall_spec, mid_state, actions[4:])
-    stitched = np.concatenate([first.values, rest.values])
-    assert np.array_equal(full.values, stitched)
-    assert full.mean == pytest.approx(stitched.mean())
+    assert np.array_equal(full, np.concatenate([first, rest]))
 
 
 def test_checkpoint_roundtrip(tmp_path):
