@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -20,7 +21,7 @@ import os
 import sys
 
 from . import envs, evalreport, finetune, initnet, presets, worldmodel
-from .data import load_dataset, save_dataset
+from .data import HorizonTooLong, load_dataset, save_dataset
 from .diffcore import NumericFailure
 from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
                       make_random_fourier)
@@ -28,6 +29,7 @@ from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig
                        MppiConfig, PlanConfig, PlannerSpec, RefineConfig,
                        wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
+from .tensorio import atomic_open
 
 
 class ConfigError(Exception):
@@ -43,7 +45,7 @@ _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
 _COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
-_CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": int,
+_CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": _COUNT,
              "k_elite": int, "sigma0": float, "cov_mode": frozenset(COV_MODES),
              "jitter": float}
 
@@ -63,7 +65,7 @@ _SCHEMA = {
     "out_dir": str,
     "env": {"kind": str, "frameskip": int},
     "encoder": {"kind": str, "d_z": int, "sigma": float, "seed": int},
-    "dataset": {"path": str, "n_traj": int, "traj_len": int,
+    "dataset": {"path": str, "n_traj": _COUNT, "traj_len": int,
                 "policy": frozenset(envs.POLICIES)},
     "model": {"path": str, "hidden": list, "residual": bool,
               "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": float}},
@@ -85,18 +87,18 @@ _SCHEMA = {
     "initnet": {"path": str, "horizon": int, "lr": float,
                 "iterations": (_COUNT, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
-    "eval": {"out_path": str, "n_tasks": int,
+    "eval": {"out_path": str, "n_tasks": _COUNT,
              "mode": frozenset(evalreport.MODES), "horizon_gap": int,
              "models": {_ANY_KEY: str}, "planners": list,
              "mpc": {"steps": int, "k_exec": (int, None),
                      "plan_iters": (int, None), "eta": (float, None),
                      "warm_start": bool},
              "require_cross_room": bool},
-    "gap": {"out_path": str, "n": int, "horizon": int,
+    "gap": {"out_path": str, "n": _COUNT, "horizon": int,
             "models": {_ANY_KEY: str},
             "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
     "landscape": {"out_path": str, "baseline": str, "adversarial": str,
-                  "n_tasks": int, "resolution": int, "c_min": float,
+                  "n_tasks": _COUNT, "resolution": _COUNT, "c_min": float,
                   "c_max": float, "horizon": int,
                   "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
 }
@@ -300,6 +302,9 @@ def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
         data, manifest = load_dataset(path)
     except ValueError as err:
         raise ConfigError(f"dataset {path}: {err}") from err
+    if manifest["content"] != "obs":
+        raise ConfigError(f"dataset {path} holds latents, not observations "
+                          "(dataset.path names a gen-data output)")
     recorded = manifest.get("env")
     if recorded is not None:
         configured = envs.spec_to_dict(spec)
@@ -350,7 +355,7 @@ def _save_trained(out: str, cfg: dict, enc: Encoder, result, **meta) -> None:
     trace = {"batch_losses": result.batch_losses}
     if getattr(result, "epoch_losses", None):
         trace["epoch_losses"] = result.epoch_losses
-    with open(os.path.join(out, "train_trace.json"), "w") as fh:
+    with atomic_open(os.path.join(out, "train_trace.json"), "w") as fh:
         json.dump(trace, fh, sort_keys=True)
         fh.write("\n")
     _write_run_manifest(out, cfg, enc)
@@ -363,7 +368,7 @@ def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
     if enc is not None:
         manifest["encoder_hash"] = encoder_hash(enc)
     manifest.update(extra or {})
-    with open(os.path.join(outdir, "run.json"), "w") as fh:
+    with atomic_open(os.path.join(outdir, "run.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -383,9 +388,9 @@ def cmd_gen_data(cfg: dict, args) -> int:
     data = envs.generate_dataset(spec, section.get("n_traj", 100),
                                  section.get("traj_len", 50),
                                  section.get("policy", "random"), seed)
-    save_dataset(path, data, env=envs.spec_to_dict(spec), seed=seed, force=True)
-    _write_run_manifest(path, cfg, None, {"n_traj": len(data.trajectories)})
-    print(f"wrote {len(data.trajectories)} trajectories to {path}")
+    save_dataset(path, data, env=envs.spec_to_dict(spec), seed=seed)
+    _write_run_manifest(path, cfg, None, {"n_traj": len(data)})
+    print(f"wrote {len(data)} trajectories to {path}")
     return 0
 
 
@@ -424,8 +429,7 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
     _save_trained(out, cfg, enc, result, finetune="adversarial")
     if result.perturbed is not None:
         save_dataset(section.get("perturbed_path", os.path.join(out, "perturbed")),
-                     result.perturbed, env=envs.spec_to_dict(spec),
-                     seed=cfg["seed"], force=True)
+                     result.perturbed, env=envs.spec_to_dict(spec), seed=cfg["seed"])
     print(f"adversarial finetune -> {out} "
           f"(final loss {result.batch_losses[-1]:.6g})")
     return 0
@@ -443,11 +447,10 @@ def cmd_finetune_online(cfg: dict, args) -> int:
     out = section["out_path"]
     _save_trained(out, cfg, enc, result, finetune="online")
     corrected_path = section.get("corrected_path")
-    if corrected_path and result.corrected.trajectories:
+    if corrected_path and len(result.corrected):
         save_dataset(corrected_path, result.corrected,
-                     env=envs.spec_to_dict(spec), seed=cfg["seed"], force=True)
-    n_corr = len(result.corrected.trajectories)
-    print(f"online finetune -> {out} ({n_corr} corrected trajectories)")
+                     env=envs.spec_to_dict(spec), seed=cfg["seed"])
+    print(f"online finetune -> {out} ({len(result.corrected)} corrected trajectories)")
     return 0
 
 
@@ -580,7 +583,7 @@ def cmd_landscape(cfg: dict, args) -> int:
                "fraction": smoother / n_tasks, "rows": rows,
                "config_hash": config_hash(cfg)}
     os.makedirs(out_root, exist_ok=True)
-    with open(os.path.join(out_root, "summary.json"), "w") as fh:
+    with atomic_open(os.path.join(out_root, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     _write_run_manifest(out_root, cfg, enc)
@@ -627,15 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # fixed glibc mmap and trim thresholds: the dynamic ones, set by the largest
+    # block freed, can trim and re-fault a big batch's temporaries every step
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
         return args.func(cfg, args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except FileExistsError as err:
+    except (ConfigError, HorizonTooLong) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NumericFailure as err:

@@ -1,96 +1,105 @@
-"""Trajectory and dataset containers plus their on-disk format.
+"""Datasets as arrays of N trajectories of one length T, and their format.
 
-A dataset directory holds `manifest.json` and one `traj_<i>.bin` per
-trajectory; each binary file stores two WMT1 records, the state sequence
-(observations, or latents for synthetic datasets) followed by the actions.
-"""
+A dataset holds actions (N, T, d_a) with observations (N, T+1, d_o),
+latents (N, T+1, d_z) or both; T is `traj_len - 1` from `gen-data`, H for
+the corrected set, 1 for the perturbed set. Its directory holds
+`manifest.json` and `data.bin`: the states (observations, or latents for
+the perturbed set), then the actions, as two WMT1 records."""
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorio
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
-@dataclass
-class Trajectory:
-    """A sequence (x_1, a_1, x_2, ..., a_T, x_{T+1}) of states and actions.
+class HorizonTooLong(ValueError):
+    """A window of more steps than the dataset's trajectories have."""
 
-    `obs` holds raw observations when the trajectory came from a simulator;
-    `latents` holds encoded states. Either may be None, but whichever is
-    present must be one longer than `actions`.
-    """
 
-    actions: np.ndarray
-    obs: np.ndarray | None = None
-    latents: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = len(self.actions)
-        for name, arr in (("obs", self.obs), ("latents", self.latents)):
-            if arr is not None and len(arr) != n + 1:
-                raise ValueError(f"{name} has {len(arr)} rows, expected {n + 1}")
-
-    def __len__(self) -> int:
-        return len(self.actions)
+_Row = namedtuple("_Row", ["actions", "obs", "latents"])
 
 
 @dataclass
 class Dataset:
-    trajectories: list[Trajectory] = field(default_factory=list)
+    actions: np.ndarray  # (N, T, d_a)
+    obs: np.ndarray | None = None  # (N, T+1, d_o)
+    latents: np.ndarray | None = None  # (N, T+1, d_z)
     provenance: str = "expert"  # expert | corrected | adversarial
 
+    def __post_init__(self):
+        if self.actions.ndim != 3:
+            raise ValueError(f"actions have shape {self.actions.shape}, not (N, T, d_a)")
+        n, t = self.actions.shape[:2]
+        for name, arr in (("obs", self.obs), ("latents", self.latents)):
+            if arr is not None and (arr.ndim != 3 or arr.shape[:2] != (n, t + 1)):
+                raise ValueError(f"{name} have shape {arr.shape}, not ({n}, {t + 1}, d)")
+
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.actions)
+
+    @property
+    def trajectories(self) -> list[_Row]:
+        """Per-row (actions, obs, latents) views, read by the benchmark only."""
+        def rows(arr):
+            return [None] * len(self) if arr is None else list(arr)
+        return [_Row(*r) for r in zip(self.actions, rows(self.obs), rows(self.latents))]
 
 
-def flatten_transitions(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack every (z_t, a_t, z_{t+1}) triplet from the latent sequences."""
-    zs, acts, zn = [], [], []
-    for traj in data.trajectories:
-        if traj.latents is None:
-            raise ValueError("dataset has no latents; encode it first")
-        zs.append(traj.latents[:-1])
-        acts.append(traj.actions)
-        zn.append(traj.latents[1:])
-    return np.concatenate(zs), np.concatenate(acts), np.concatenate(zn)
+def sample_window(data: Dataset, H: int, rng: np.random.Generator,
+                  row: int | None = None) -> tuple[int, int]:
+    """A random window of H steps: a row i (drawn unless given), then an
+    offset off with off + H <= T. HorizonTooLong if T < H."""
+    N, T = data.actions.shape[:2]
+    if T < H:
+        raise HorizonTooLong(f"horizon {H} is longer than the dataset's "
+                             f"trajectories (T = {T} steps)")
+    i = int(rng.integers(N)) if row is None else row
+    return i, int(rng.integers(T - H + 1))
+
+
+def flatten_transitions(data: Dataset, rows=slice(None)
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (z_t, a_t, z_{t+1}) triplet of the trajectories `rows` (an
+    index array or a slice), row by row, with no copy of the rows first."""
+    if data.latents is None:
+        raise ValueError("dataset has no latents; encode it first")
+    return (data.latents[rows, :-1].reshape(-1, data.latents.shape[2]),
+            data.actions[rows].reshape(-1, data.actions.shape[2]),
+            data.latents[rows, 1:].reshape(-1, data.latents.shape[2]))
 
 
 def save_dataset(path, data: Dataset, *, env: dict | None = None,
-                 seed: int | None = None, force: bool = False) -> None:
-    """Write a dataset directory; refuses to overwrite unless `force`."""
+                 seed: int | None = None) -> None:
+    """Write a dataset directory, `data.bin` first, then `manifest.json`."""
     os.makedirs(path, exist_ok=True)
-    existing = [f for f in os.listdir(path) if not f.startswith(".")]
-    if existing and not force:
-        raise FileExistsError(f"output directory {path} is not empty")
-    content = "obs" if data.trajectories and data.trajectories[0].obs is not None else "latent"
+    content = "obs" if data.obs is not None else "latent"
+    states = data.obs if content == "obs" else data.latents
+    tensorio.save_tensors(os.path.join(path, "data.bin"), [states, data.actions])
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "provenance": data.provenance,
         "content": content,
-        "count": len(data.trajectories),
+        "count": len(data),
         "seed": seed,
         "env": env,
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
+    with tensorio.atomic_open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for i, traj in enumerate(data.trajectories):
-        states = traj.obs if content == "obs" else traj.latents
-        tensorio.save_tensors(os.path.join(path, f"traj_{i}.bin"),
-                              [states, traj.actions])
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    """The dataset in directory `path` and its manifest. A missing manifest
-    or trajectory file, or a manifest of another schema version, is a
-    ValueError, as is a damaged trajectory file (`tensorio`)."""
+    """The dataset in directory `path` and its manifest; a missing or damaged
+    file, another schema version, or records that disagree with each other
+    or with the manifest's count are a ValueError."""
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise ValueError("no manifest.json")
@@ -98,16 +107,15 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         manifest = json.load(fh)
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(f"manifest schema_version {version!r}, expected {SCHEMA_VERSION}")
-    trajs = []
-    for i in range(manifest["count"]):
-        traj_path = os.path.join(path, f"traj_{i}.bin")
-        if not os.path.isfile(traj_path):
-            raise ValueError(f"traj_{i}.bin is missing "
-                             f"(the manifest lists {manifest['count']})")
-        states, actions = tensorio.load_tensors(traj_path, count=2)
-        if manifest["content"] == "obs":
-            trajs.append(Trajectory(actions=actions, obs=states))
-        else:
-            trajs.append(Trajectory(actions=actions, latents=states))
-    return Dataset(trajs, provenance=manifest["provenance"]), manifest
+        raise ValueError(f"manifest schema_version {version!r}, expected "
+                         f"{SCHEMA_VERSION}; rerun gen-data to regenerate it")
+    data_path = os.path.join(path, "data.bin")
+    if not os.path.isfile(data_path):
+        raise ValueError("data.bin is missing")
+    states, actions = tensorio.load_tensors(data_path, count=2)
+    kind = "obs" if manifest["content"] == "obs" else "latents"
+    data = Dataset(actions, provenance=manifest["provenance"], **{kind: states})
+    if len(data) != manifest["count"]:
+        raise ValueError(f"data.bin holds {len(data)} trajectories, "
+                         f"the manifest lists {manifest['count']}")
+    return data, manifest

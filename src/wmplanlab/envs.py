@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Trajectory
+from .data import Dataset, sample_window
 from .rng import generator
 
 WALL2D = "wall2d"
@@ -259,12 +259,12 @@ def generate_dataset(spec: EnvSpec, n_traj: int, traj_len: int, policy: str,
         raise ValueError("need n_traj >= 1 and traj_len >= 2")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    trajs = []
+    obs = np.empty((n_traj, traj_len, spec.obs_dim))
+    actions = np.empty((n_traj, traj_len - 1, spec.action_dim))
     for i in range(n_traj):
         rng = generator(seed, "traj", i)
         s = _sample_start(spec, rng)
-        obs = [obs_of(spec, s)]
-        actions = []
+        obs[i, 0] = obs_of(spec, s)
         waypoint = rng.uniform(0.0, spec.size, size=2)
         for t in range(traj_len - 1):
             if policy == "random":
@@ -274,26 +274,19 @@ def generate_dataset(spec: EnvSpec, n_traj: int, traj_len: int, policy: str,
                               np.linalg.norm(s.position - waypoint) < 0.05 * spec.size):
                     waypoint = rng.uniform(0.0, spec.size, size=2)
                 a = _goal_seek_action(spec, s, waypoint, rng)
-            actions.append(a)
+            actions[i, t] = a
             s = step(spec, s, a)
-            obs.append(obs_of(spec, s))
-        trajs.append(Trajectory(actions=np.array(actions), obs=np.array(obs)))
-    return Dataset(trajs, provenance="expert")
+            obs[i, t + 1] = obs_of(spec, s)
+    return Dataset(actions, obs=obs)
 
 
 def sample_task(spec: EnvSpec, data: Dataset, horizon_gap: int, seed: int) -> TaskInstance:
     """Draw start and goal from one stored trajectory, horizon_gap steps apart."""
-    eligible = [i for i, t in enumerate(data.trajectories) if len(t) >= horizon_gap]
-    if not eligible:
-        raise ValueError(f"dataset has no trajectory covering a {horizon_gap}-step gap")
-    rng = generator(seed, "task")
-    ti = eligible[int(rng.integers(len(eligible)))]
-    traj = data.trajectories[ti]
-    if traj.obs is None:
+    if data.obs is None:
         raise ValueError("task sampling needs observation trajectories")
-    off = int(rng.integers(len(traj) - horizon_gap + 1))
-    start = state_of_obs(spec, traj.obs[off])
-    goal_obs = traj.obs[off + horizon_gap].copy()
+    i, off = sample_window(data, horizon_gap, generator(seed, "task"))
+    start = state_of_obs(spec, data.obs[i, off])
+    goal_obs = data.obs[i, off + horizon_gap].copy()
     return TaskInstance(start=start, goal_obs=goal_obs,
                         goal_state=state_of_obs(spec, goal_obs),
                         horizon_gap=horizon_gap)

@@ -21,11 +21,12 @@ from typing import Callable
 import numpy as np
 
 from . import envs
-from .data import Dataset
+from .data import Dataset, sample_window
 from .encoder import Encoder, encode
 from .planners import (MpcConfig, PlanConfig, PlannerSpec, final_cost, gbp,
                        mpc, run_planner)
 from .rng import derive_seed, generator
+from .tensorio import atomic_open
 # rollout_model is not called here any more; the binding stays because
 # perfbench's tracer test checks that it patches this module's copy
 from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
@@ -212,19 +213,14 @@ def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
                    data: Dataset, plan_cfg: PlanConfig, n: int = 50,
                    seed: int = 0) -> GapReport:
     H = plan_cfg.horizon
-    eligible = [t for t in data.trajectories if len(t) >= H]
-    if not eligible:
-        raise ValueError(f"no trajectory long enough for horizon {H}")
     expert_errors = []
     planned_errors = []
     for j in range(n):
-        rng = generator(seed, "gap", j)
-        traj = eligible[int(rng.integers(len(eligible)))]
-        off = int(rng.integers(len(traj) - H + 1))
-        s1 = envs.state_of_obs(spec, traj.obs[off])
-        z1 = encode(enc, traj.obs[off])
-        z_goal = encode(enc, traj.obs[off + H])
-        expert_actions = traj.actions[off:off + H]
+        i, off = sample_window(data, H, generator(seed, "gap", j))
+        s1 = envs.state_of_obs(spec, data.obs[i, off])
+        z1 = encode(enc, data.obs[i, off])
+        z_goal = encode(enc, data.obs[i, off + H])
+        expert_actions = data.actions[i, off:off + H]
         expert_errors.append(wm_error(f, enc, spec, s1, expert_actions).mean())
         pr = gbp(f, z1, z_goal, replace(plan_cfg, seed=derive_seed(seed, "gap-plan", j)))
         planned_errors.append(wm_error(f, enc, spec, s1, pr.actions).mean())
@@ -261,15 +257,10 @@ class LandscapeTask:
 
 
 def expert_window(data: Dataset, enc: Encoder, H: int, seed: int) -> LandscapeTask:
-    eligible = [t for t in data.trajectories if len(t) >= H]
-    if not eligible:
-        raise ValueError(f"no trajectory long enough for horizon {H}")
-    rng = generator(seed, "window")
-    traj = eligible[int(rng.integers(len(eligible)))]
-    off = int(rng.integers(len(traj) - H + 1))
-    return LandscapeTask(z1=encode(enc, traj.obs[off]),
-                         z_goal=encode(enc, traj.obs[off + H]),
-                         actions_gt=traj.actions[off:off + H].copy())
+    i, off = sample_window(data, H, generator(seed, "window"))
+    return LandscapeTask(z1=encode(enc, data.obs[i, off]),
+                         z_goal=encode(enc, data.obs[i, off + H]),
+                         actions_gt=data.actions[i, off:off + H].copy())
 
 
 def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
@@ -349,15 +340,15 @@ def emit_report(report, outdir) -> list[str]:
                 "plan_seconds": [row.pop("plan_seconds") for row in cell["rows"]],
             })
         p = os.path.join(outdir, "report.json")
-        with open(p, "w") as fh:
+        with atomic_open(p, "w") as fh:
             fh.write(_canonical_json(body))
         written.append(p)
         p = os.path.join(outdir, "timing.json")
-        with open(p, "w") as fh:
+        with atomic_open(p, "w") as fh:
             fh.write(_canonical_json(timing))
         written.append(p)
         p = os.path.join(outdir, "report.csv")
-        with open(p, "w", newline="") as fh:
+        with atomic_open(p, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "planner", "mode", "task_id", "success",
                              "final_loss"])
@@ -369,11 +360,11 @@ def emit_report(report, outdir) -> list[str]:
         written.append(p)
     elif isinstance(report, GapReport):
         p = os.path.join(outdir, "gap.json")
-        with open(p, "w") as fh:
+        with atomic_open(p, "w") as fh:
             fh.write(_canonical_json(asdict(report)))
         written.append(p)
         p = os.path.join(outdir, "gap.csv")
-        with open(p, "w", newline="") as fh:
+        with atomic_open(p, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rollout_id", "expert_error", "planned_error"])
             for j, (e, q) in enumerate(zip(report.expert_errors, report.planned_errors)):
@@ -381,13 +372,13 @@ def emit_report(report, outdir) -> list[str]:
         written.append(p)
     elif isinstance(report, LandscapePair):
         p = os.path.join(outdir, "landscape.json")
-        with open(p, "w") as fh:
+        with atomic_open(p, "w") as fh:
             fh.write(_canonical_json(asdict(report)))
         written.append(p)
         for grid in (report.baseline, report.adversarial):
             p = os.path.join(outdir, f"landscape_{grid.model}.csv")
             coeffs = np.linspace(grid.c_min, grid.c_max, grid.resolution)
-            with open(p, "w", newline="") as fh:
+            with atomic_open(p, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["u", "v", "loss"])
                 for i, u in enumerate(coeffs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import envs
-from .data import Dataset, Trajectory, flatten_transitions
+from .data import Dataset, flatten_transitions, sample_window
 from .encoder import Encoder, encode
 from .planners import PlanConfig, gbp
 from .rng import derive_seed, generator
@@ -58,22 +58,22 @@ class PerturbationConfig:
                           stacklevel=3)  # past the generated __init__
 
 
-def _traj_std(arr: np.ndarray, per_dimension: bool) -> float:
+def _traj_std(arr: np.ndarray, per_dimension: bool) -> np.ndarray:
+    """The standard deviation of each trajectory of a (B, T, d) batch."""
     if per_dimension:
-        return float(np.mean(np.std(arr, axis=0)))
-    return float(np.std(arr))
+        return np.std(arr, axis=1).mean(axis=1)
+    return np.std(arr, axis=(1, 2))
 
 
-def compute_radii(batch: list[Trajectory], lambda_a: float, lambda_z: float,
-                  per_dimension: bool = False) -> tuple[float, float]:
-    """Radii = scaling factor times the mean over trajectories of the
-    standard deviation of each trajectory's action / latent sequence."""
-    if not batch:
+def compute_radii(actions: np.ndarray, latents: np.ndarray, lambda_a: float,
+                  lambda_z: float, per_dimension: bool = False) -> tuple[float, float]:
+    """Radii = scaling factor times the mean over the batch's trajectories,
+    actions (B, T, d_a) and latents (B, T+1, d_z), of the standard
+    deviation of each trajectory's action / latent sequence."""
+    if not len(actions):
         raise ValueError("empty minibatch")
-    a_stds = [_traj_std(t.actions, per_dimension) for t in batch]
-    z_stds = [_traj_std(t.latents, per_dimension) for t in batch]
-    eps_a = lambda_a * float(np.mean(a_stds))
-    eps_z = lambda_z * float(np.mean(z_stds))
+    eps_a = lambda_a * float(np.mean(_traj_std(actions, per_dimension)))
+    eps_z = lambda_z * float(np.mean(_traj_std(latents, per_dimension)))
     if eps_a == 0.0 and lambda_a > 0:
         warnings.warn("zero-variance actions: eps_a = 0, attack is a no-op",
                       stacklevel=2)
@@ -122,58 +122,55 @@ def attack_perturb(f: WorldModel, z: np.ndarray, a: np.ndarray,
     return da[0], dz[0]
 
 
-def iter_trajectory_batches(n_traj: int, batch_size: int, epochs: int, seed: int):
-    """Yield (epoch, trajectory-index array) with a per-epoch seeded shuffle,
-    the batch schedule of adversarial finetuning."""
-    for epoch in range(epochs):
-        perm = generator(seed, "shuffle", epoch).permutation(n_traj)
-        for lo in range(0, n_traj, batch_size):
-            yield epoch, perm[lo:lo + batch_size]
-
-
 def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
                    epochs: int = 1, batch_size: int = 48, lr: float = 1e-4,
                    seed: int = 0, keep_perturbed: bool = False) -> TrainResult:
     """Finetune on perturbed-input / clean-target transition batches.
 
     Minibatches are whole trajectories (radii statistics are per
-    trajectory); attacks are regenerated fresh, against the current
-    weights, every time a batch is visited. With both scaling factors zero
+    trajectory), `batch_size` at a time from a shuffle seeded per epoch;
+    attacks are regenerated fresh, against the current weights, every time
+    a batch is visited. With both scaling factors zero
     the batches are the clean transitions of each trajectory batch.
-    keep_perturbed stores the final epoch's perturbed pairs as two-state
+    keep_perturbed stores the final epoch's perturbed pairs as one-step
     trajectories so they can be written in the dataset format.
     """
-    if not data.trajectories:
+    if not len(data):
         raise ValueError("empty dataset")
     model = f.clone()
-    perturbed = Dataset([], provenance="adversarial") if keep_perturbed else None
+    last_epoch = []  # the final epoch's (Z, A, ZN) batches, on request
 
     def batches():
         radii: tuple[float, float] | None = None
-        for step, (epoch, idx) in enumerate(iter_trajectory_batches(
-                len(data.trajectories), batch_size, epochs, seed)):
-            batch = [data.trajectories[i] for i in idx]
-            if pcfg.eps_a is not None and pcfg.eps_z is not None:
-                radii = pcfg.eps_a, pcfg.eps_z  # explicit radii win
-            elif radii is None or pcfg.radius_mode == "adaptive":
-                # "fixed" mode keeps the radii of the first batch
-                radii = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z,
-                                      pcfg.per_dimension_std)
-            eps_a, eps_z = radii
-            Z, A, ZN = flatten_transitions(Dataset(batch))
-            if eps_a != 0.0 or eps_z != 0.0:
-                work = replace(pcfg, eps_a=eps_a, eps_z=eps_z)
-                da, dz = _attack_deltas(model, Z, A, ZN, work,
-                                        generator(seed, "attack", step))
-                Z, A = Z + dz, A + da
-            if perturbed is not None and epoch == epochs - 1:
-                for zp, ap, zn in zip(Z, A, ZN):
-                    perturbed.trajectories.append(
-                        Trajectory(actions=ap[None, :], latents=np.stack([zp, zn])))
-            yield epoch, Z, A, ZN
+        step = 0  # batches so far, over all epochs
+        for epoch in range(epochs):
+            perm = generator(seed, "shuffle", epoch).permutation(len(data))
+            for lo in range(0, len(data), batch_size):
+                idx = perm[lo:lo + batch_size]
+                if pcfg.eps_a is not None and pcfg.eps_z is not None:
+                    radii = pcfg.eps_a, pcfg.eps_z  # explicit radii win
+                elif radii is None or pcfg.radius_mode == "adaptive":
+                    # "fixed" mode keeps the radii of the first batch
+                    radii = compute_radii(data.actions[idx], data.latents[idx],
+                                          pcfg.lambda_a, pcfg.lambda_z,
+                                          pcfg.per_dimension_std)
+                eps_a, eps_z = radii
+                Z, A, ZN = flatten_transitions(data, idx)
+                if eps_a != 0.0 or eps_z != 0.0:
+                    work = replace(pcfg, eps_a=eps_a, eps_z=eps_z)
+                    da, dz = _attack_deltas(model, Z, A, ZN, work,
+                                            generator(seed, "attack", step))
+                    Z, A = Z + dz, A + da
+                if keep_perturbed and epoch == epochs - 1:
+                    last_epoch.append((Z, A, ZN))
+                step += 1
+                yield epoch, Z, A, ZN
 
     result = fit(model, batches(), lr, "adversarial finetuning")
-    result.perturbed = perturbed
+    if keep_perturbed:
+        Z, A, ZN = (np.concatenate(arrs) for arrs in zip(*last_epoch))
+        result.perturbed = Dataset(A[:, None], latents=np.stack([Z, ZN], axis=1),
+                                   provenance="adversarial")
     return result
 
 
@@ -211,37 +208,32 @@ def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
     it, then takes `finetune_steps` batches of `batch_size` transitions, a
     `mix_ratio` share drawn from the expert data and the rest from every
     corrected trajectory so far."""
-    if not data.trajectories:
-        raise ValueError("empty dataset")
     model = f.clone()
-    corrected = Dataset([], provenance="corrected")
+    H, n_iter = cfg.horizon, cfg.iterations  # one corrected trajectory each
+    corrected = Dataset(np.empty((n_iter, H, spec.action_dim)),
+                        obs=np.empty((n_iter, H + 1, spec.obs_dim)),
+                        latents=np.empty((n_iter, H + 1, enc.d_z)),
+                        provenance="corrected")
     expert = flatten_transitions(data)
     n_expert = int(round(cfg.mix_ratio * cfg.batch_size))
-    H = cfg.horizon
 
     def batches():
-        for i in range(cfg.iterations):
-            rng = generator(seed, "online", i)
-            traj = data.trajectories[int(rng.integers(len(data.trajectories)))]
-            if len(traj) < H:
-                warnings.warn(f"trajectory shorter than horizon {H}; skipped",
-                              stacklevel=4)  # past fit, at online_wm's caller
-                continue
-            off = int(rng.integers(len(traj) - H + 1))
-            z1 = traj.latents[off]
-            z_goal = traj.latents[off + H]
+        for i in range(n_iter):
+            row, off = sample_window(data, H, generator(seed, "online", i))
             plan_cfg = PlanConfig(horizon=H, iterations=cfg.plan_iterations,
                                   optimizer=cfg.plan_optimizer, eta=cfg.plan_eta,
                                   a_max=spec.a_max,
                                   seed=derive_seed(seed, "online-plan", i))
-            pr = gbp(model, z1, z_goal, plan_cfg)
-            s1 = envs.state_of_obs(spec, traj.obs[off])
-            states = envs.rollout_env(spec, s1, pr.actions)
-            obs_seq = np.array([traj.obs[off]] + [envs.obs_of(spec, s) for s in states])
-            corrected.trajectories.append(
-                Trajectory(actions=pr.actions, obs=obs_seq, latents=encode(enc, obs_seq)))
-            pools = ((expert, n_expert),
-                     (flatten_transitions(corrected), cfg.batch_size - n_expert))
+            pr = gbp(model, data.latents[row, off], data.latents[row, off + H],
+                     plan_cfg)
+            o1 = data.obs[row, off]
+            states = envs.rollout_env(spec, envs.state_of_obs(spec, o1), pr.actions)
+            corrected.actions[i] = pr.actions
+            corrected.obs[i] = [o1] + [envs.obs_of(spec, s) for s in states]
+            corrected.latents[i] = encode(enc, corrected.obs[i])
+            pools = ((expert, n_expert),  # the corrected pool: its first i+1 rows
+                     (flatten_transitions(corrected, slice(i + 1)),
+                      cfg.batch_size - n_expert))
             for k in range(cfg.finetune_steps):
                 brng = generator(seed, "online-batch", i, k)
                 # n random rows of each pool with n > 0, the expert rows first

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import nets, tensorio
-from .data import Dataset
+from .data import Dataset, sample_window
 from .rng import generator
 
 
@@ -82,30 +82,23 @@ def train_initnet(data: Dataset, H: int, iterations: int | None = None,
     iterations defaults to one epoch over the trajectories. a_max defaults
     to the largest action magnitude in the data.
     """
-    long_enough = [t for t in data.trajectories if len(t) >= H]
-    if not long_enough:
-        raise ValueError(f"no trajectory long enough for horizon {H}")
-    first = long_enough[0]
-    if first.latents is None:
-        raise ValueError("dataset has no latents; encode it first")
-    d_z = first.latents.shape[1]
-    d_a = first.actions.shape[1]
+    if data.latents is None or not len(data):
+        raise ValueError("need an encoded dataset of one trajectory or more")
+    d_z, d_a = data.latents.shape[2], data.actions.shape[2]
     if a_max is None:
-        a_max = float(max(np.abs(t.actions).max() for t in long_enough))
+        a_max = float(np.abs(data.actions).max())
     net = make_initnet(d_z, d_a, H, a_max, seed=seed)
-    n = iterations if iterations is not None else len(long_enough)
+    n = iterations if iterations is not None else len(data)
     order = []
     epoch = 0
     while len(order) < n:
-        order.extend(generator(seed, "order", epoch).permutation(len(long_enough)))
+        order.extend(generator(seed, "order", epoch).permutation(len(data)))
         epoch += 1
     result = InitTrainResult(net)
     for i in range(n):
-        traj = long_enough[order[i]]
-        rng = generator(seed, "window", i)
-        off = int(rng.integers(len(traj) - H + 1))
-        x = np.concatenate([traj.latents[off], traj.latents[off + H]])
-        target = traj.actions[off:off + H].ravel()
+        row, off = sample_window(data, H, generator(seed, "window", i), order[i])
+        x = np.concatenate([data.latents[row, off], data.latents[row, off + H]])
+        target = data.actions[row, off:off + H].ravel()
         loss, grads = loss_grad(net, x, target)
         result.losses.append(loss)
         for j, g in enumerate(grads):
@@ -118,7 +111,7 @@ def save_initnet(path, net: InitNet, meta: dict | None = None) -> None:
     desc = {"kind": "initnet", "d_z": net.d_z, "d_a": net.d_a,
             "horizon": net.horizon, "a_max": net.a_max,
             "hidden": list(net.hidden), "meta": meta or {}}
-    with open(os.path.join(path, "model.json"), "w") as fh:
+    with tensorio.atomic_open(os.path.join(path, "model.json"), "w") as fh:
         json.dump(desc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     tensorio.save_tensors(os.path.join(path, "weights.bin"), net.weights)

@@ -1,4 +1,4 @@
-"""WMT1 tensor serialization.
+"""WMT1 tensor serialization, and the atomic writer of every output file.
 
 Record layout (little-endian): magic b"WMT1", rank as u64, dims as u64 each,
 then the float64 entries in row-major order. Files may hold several records
@@ -7,12 +7,29 @@ back to back.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from typing import BinaryIO
 
 import numpy as np
 
 MAGIC = b"WMT1"
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Write to a temp file in `path`'s directory and move it onto `path`
+    on a clean exit; on an exception, remove it and leave `path` as it was."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # not moved: the write failed
+            os.remove(tmp)
 
 
 def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -42,7 +59,7 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
 
 
 def save_tensors(path, arrays: list[np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         for arr in arrays:
             write_tensor(fh, arr)
 

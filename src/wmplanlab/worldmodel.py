@@ -182,7 +182,7 @@ def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,
     """Fit next-latent prediction on (z_t, a_t, z_{t+1}) triplets with Adam:
     every epoch shuffles all triplets of the dataset and walks them in
     batches of `batch_size`."""
-    if not data.trajectories:
+    if not len(data):
         raise ValueError("empty dataset")
     Z, A, ZN = flatten_transitions(data)
 
@@ -221,7 +221,7 @@ def save_model(path, model: WorldModel, meta: dict | None = None) -> None:
         "hidden": list(model.hidden), "residual": model.residual,
         "meta": meta or {},
     }
-    with open(os.path.join(path, "model.json"), "w") as fh:
+    with tensorio.atomic_open(os.path.join(path, "model.json"), "w") as fh:
         json.dump(desc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     tensorio.save_tensors(os.path.join(path, "weights.bin"), model.weights)

@@ -87,7 +87,7 @@ def test_gen_data_minimal(tmp_path):
     assert _run("gen-data", "--config", path) == 0
     data, manifest = load_dataset(cfg["dataset"]["path"])
     assert manifest["count"] == 1
-    assert len(data.trajectories[0]) == 1
+    assert data.actions.shape == (1, 1, 2) and data.obs.shape == (1, 2, 2)
 
 
 def test_gen_data_refuses_overwrite_without_force(tmp_path):
@@ -102,9 +102,21 @@ def test_gen_data_seed_repeat_identical(tmp_path):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
     _run("gen-data", "--config", path)
-    first = (tmp_path / "data" / "traj_0.bin").read_bytes()
+    first = (tmp_path / "data" / "data.bin").read_bytes()
     _run("gen-data", "--config", path, "--force")
-    assert (tmp_path / "data" / "traj_0.bin").read_bytes() == first
+    assert (tmp_path / "data" / "data.bin").read_bytes() == first
+
+
+def test_gen_data_force_with_fewer_trajectories_leaves_no_stale_file(tmp_path):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    assert _run("gen-data", "--config", path, "--force",
+                "--set", "dataset.n_traj=2") == 0
+    assert sorted(os.listdir(tmp_path / "data")) == ["data.bin", "manifest.json",
+                                                     "run.json"]
+    data, manifest = load_dataset(cfg["dataset"]["path"])
+    assert len(data) == manifest["count"] == 2
 
 
 def test_train_writes_checkpoint_and_manifest(pipeline):
@@ -155,7 +167,7 @@ def test_finetune_online_writes_corrected_dataset(pipeline):
     assert _run("finetune-online", "--config", path) == 0
     corr, manifest = load_dataset(cfg["finetune"]["online"]["corrected_path"])
     assert manifest["provenance"] == "corrected"
-    assert len(corr.trajectories) == 2
+    assert corr.actions.shape == (2, 4, 2)  # iterations, horizon, d_a
 
 
 def test_train_initnet_command(pipeline):
@@ -421,34 +433,82 @@ def test_eval_rejects_an_init_net_of_another_latent_space(pipeline, capsys, how)
     assert ("reads d_z 5" if how == "d_z" else "trained under another encoder") in err
 
 
-@pytest.mark.parametrize("how", ["missing-trajectory", "cut-trajectory",
-                                 "missing-manifest", "schema-version"])
+def _edit_manifest(data_dir: str, **changes) -> None:
+    manifest_path = os.path.join(data_dir, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    manifest.update(changes)
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("how", ["missing-data", "cut-data", "missing-manifest",
+                                 "schema-version", "count"])
 def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
     assert _run("gen-data", "--config", path) == 0
     data_dir = cfg["dataset"]["path"]
-    if how == "missing-trajectory":
-        os.remove(os.path.join(data_dir, "traj_3.bin"))
-        expect = "traj_3.bin is missing"
-    elif how == "cut-trajectory":
-        with open(os.path.join(data_dir, "traj_3.bin"), "r+b") as fh:
-            fh.truncate(40)
+    if how == "missing-data":
+        os.remove(os.path.join(data_dir, "data.bin"))
+        expect = "data.bin is missing"
+    elif how == "cut-data":
+        with open(os.path.join(data_dir, "data.bin"), "r+b") as fh:
+            fh.truncate(os.path.getsize(fh.name) - 8)
         expect = "truncated"
     elif how == "missing-manifest":
         os.remove(os.path.join(data_dir, "manifest.json"))
         expect = "no manifest.json"
+    elif how == "schema-version":
+        # a directory of the one-file-per-trajectory layout
+        _edit_manifest(data_dir, schema_version=1)
+        os.rename(os.path.join(data_dir, "data.bin"),
+                  os.path.join(data_dir, "traj_0.bin"))
+        expect = "manifest schema_version 1, expected 2; rerun gen-data"
     else:
-        manifest_path = os.path.join(data_dir, "manifest.json")
-        manifest = json.load(open(manifest_path))
-        manifest["schema_version"] = 7
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh)
-        expect = "manifest schema_version 7"
+        _edit_manifest(data_dir, count=5)
+        expect = "data.bin holds 6 trajectories, the manifest lists 5"
     with pytest.raises(ValueError, match=expect):
         load_dataset(data_dir)
     assert _run("train", "--config", path) == 2
     assert f"dataset {data_dir}: {expect}" in capsys.readouterr().err
+
+
+def test_a_latent_dataset_at_the_dataset_path_exits_with_code_2(pipeline, capsys,
+                                                                 tmp_path):
+    cfg, path = pipeline
+    perturbed = str(tmp_path / "perturbed")
+    assert _run("finetune-adv", "--config", path, "--set",
+                "finetune.adversarial.dump_perturbed=true", "--set",
+                f"finetune.adversarial.perturbed_path={perturbed}") == 0
+    assert _run("train", "--config", path, "--set", f"dataset.path={perturbed}",
+                "--set", f"model.path={tmp_path / 'model-2'}") == 2
+    assert (f"dataset {perturbed} holds latents, not observations"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "model-2").exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("eval", "eval"),
+    ("gap", "gap"),
+    ("landscape", "landscape"),
+    ("train-initnet", "initnet"),
+    ("finetune-online", "model-owm"),
+], ids=["eval", "gap", "landscape", "train-initnet", "finetune-online"])
+def test_a_horizon_longer_than_the_trajectories_exits_2_before_writing(
+        pipeline, capsys, tmp_path, command, out):
+    # the tiny dataset's trajectories have T = 9 steps
+    cfg, path = pipeline
+    assert _run("finetune-adv", "--config", path) == 0
+    cfg["eval"]["horizon_gap"] = 20
+    for section in (cfg["gap"], cfg["landscape"], cfg["initnet"],
+                    cfg["finetune"]["online"]):
+        section["horizon"] = 20
+    cfg["planners"]["gbp_gd"]["horizon"] = 20
+    argv = [command, "--config", _write(tmp_path, cfg)]
+    assert _run(*argv, *(["--workers", "1"] if command == "eval" else [])) == 2
+    assert ("horizon 20 is longer than the dataset's trajectories (T = 9 steps)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / out).exists()
 
 
 def test_train_exits_3_when_the_loss_diverges(tmp_path, nan_on_call, capsys):
@@ -483,23 +543,34 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("command, key, out", [
-    ("train", "model.train.epochs", "model"),
-    ("train", "model.train.batch_size", "model"),
-    ("finetune-adv", "finetune.adversarial.epochs", "model-adv"),
-    ("finetune-adv", "finetune.adversarial.batch_size", "model-adv"),
-    ("finetune-online", "finetune.online.batch_size", "model-owm"),
-    ("train-initnet", "initnet.iterations", "initnet"),
+    ("train", "model.train.epochs", "model/weights.bin"),
+    ("train", "model.train.batch_size", "model/weights.bin"),
+    ("finetune-adv", "finetune.adversarial.epochs", "model-adv/weights.bin"),
+    ("finetune-adv", "finetune.adversarial.batch_size", "model-adv/weights.bin"),
+    ("finetune-online", "finetune.online.batch_size", "model-owm/weights.bin"),
+    ("train-initnet", "initnet.iterations", "initnet/weights.bin"),
+    ("eval", "eval.n_tasks", "eval"),
+    ("eval", "planners.cem_small.n_pop", "eval"),
+    ("landscape", "landscape.n_tasks", "landscape"),
+    ("landscape", "landscape.resolution", "landscape"),
+    ("gen-data", "dataset.n_traj", "data-2"),
+    ("gap", "gap.n", "gap"),
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
-        "initnet-iterations"])
+        "initnet-iterations", "eval-tasks", "cem-population", "landscape-tasks",
+        "landscape-resolution", "gen-data-trajectories", "gap-windows"])
 def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key, out):
     cfg = tiny_config(tmp_path)
+    cfg["eval"]["planners"] = ["gbp_gd", "cem_small"]
     path = _write(tmp_path, cfg)
     assert _run("gen-data", "--config", path) == 0
-    if command.startswith("finetune"):
+    if command not in ("gen-data", "train", "train-initnet"):
         assert _run("train", "--config", path) == 0
-    assert _run(command, "--config", path, "--set", f"{key}=0") == 2
+    argv = [command, "--config", path, "--set", f"{key}=0"]
+    if command == "gen-data":  # into a fresh directory
+        argv += ["--set", f"dataset.path={tmp_path / 'data-2'}"]
+    assert _run(*argv) == 2
     assert f"{key}: expected an integer >= 1, got 0" in capsys.readouterr().err
-    assert not (tmp_path / out / "weights.bin").exists()
+    assert not (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("override, differ", [
@@ -695,7 +766,7 @@ def test_finetune_online_carries_every_section_key(pipeline, tmp_path,
         finetune_steps=1, batch_size=4, plan_optimizer="sgd", plan_eta=0.1)
     worldmodel.load_model(section["out_path"])
     corr, _ = load_dataset(section["corrected_path"])
-    assert len(corr.trajectories) == 1
+    assert len(corr) == 1
 
 
 def test_eval_carries_every_mpc_key(pipeline, tmp_path, monkeypatch):

@@ -70,8 +70,7 @@ def test_encode_dataset_fills_latents(wall_spec):
     data = envs.generate_dataset(wall_spec, 3, 6, "random", seed=0)
     enc = make_random_fourier(2, d_z=16, seed=0)
     out = encode_dataset(enc, data)
-    for traj in out.trajectories:
-        assert traj.latents.shape == (6, 16)
-        assert np.array_equal(traj.latents[0], encode(enc, traj.obs[0]))
-    # source dataset untouched
-    assert all(t.latents is None for t in data.trajectories)
+    assert out.latents.shape == (3, 6, 16)
+    assert np.array_equal(out.latents, encode(enc, data.obs))  # row by row
+    assert out.obs is data.obs and out.actions is data.actions
+    assert data.latents is None  # source dataset untouched

@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmplanlab import envs
-from wmplanlab.data import load_dataset, save_dataset
+from wmplanlab.data import Dataset, HorizonTooLong, load_dataset, save_dataset
 from wmplanlab.rng import generator
 
 
@@ -137,27 +139,25 @@ def test_no_wall_penetration_random_pairs(kind, frameskip):
 
 def test_generate_dataset_minimal(wall_spec):
     ds = envs.generate_dataset(wall_spec, 1, 2, "random", seed=0)
-    assert len(ds.trajectories) == 1
-    traj = ds.trajectories[0]
-    assert traj.obs.shape == (2, 2)
-    assert traj.actions.shape == (1, 2)
-    assert np.all(np.abs(traj.actions) <= wall_spec.a_max)
+    assert len(ds) == 1
+    assert ds.obs.shape == (1, 2, 2)
+    assert ds.actions.shape == (1, 1, 2)
+    assert np.all(np.abs(ds.actions) <= wall_spec.a_max)
 
 
 def test_generate_dataset_deterministic(wall_spec):
     a = envs.generate_dataset(wall_spec, 10, 20, "goal-seeking-noisy", seed=5)
     b = envs.generate_dataset(wall_spec, 10, 20, "goal-seeking-noisy", seed=5)
-    for ta, tb in zip(a.trajectories, b.trajectories):
-        assert np.array_equal(ta.obs, tb.obs)
-        assert np.array_equal(ta.actions, tb.actions)
+    assert np.array_equal(a.obs, b.obs)
+    assert np.array_equal(a.actions, b.actions)
 
 
 def test_goal_seeking_crosses_rooms(wall_spec):
     # threshold frozen after first generation: measured 99.8% over 500
     ds = envs.generate_dataset(wall_spec, 500, 50, "goal-seeking-noisy", seed=0)
     both = 0
-    for traj in ds.trajectories:
-        sides = np.sign(traj.obs[:, 0] - 0.5)
+    for obs in ds.obs:
+        sides = np.sign(obs[:, 0] - 0.5)
         both += bool((sides > 0).any() and (sides < 0).any())
     assert both / 500 >= 0.30
 
@@ -182,11 +182,11 @@ def test_sample_task_replay_reaches_goal(wall_spec):
     task = envs.sample_task(wall_spec, ds, 25, seed=4)
     # find the trajectory/offset that produced the task and replay it
     found = False
-    for traj in ds.trajectories:
-        for off in range(len(traj) - 25 + 1):
-            if np.array_equal(traj.obs[off], envs.obs_of(wall_spec, task.start)):
+    for obs, actions in zip(ds.obs, ds.actions):
+        for off in range(len(actions) - 25 + 1):
+            if np.array_equal(obs[off], envs.obs_of(wall_spec, task.start)):
                 states = envs.rollout_env(wall_spec, task.start,
-                                          traj.actions[off:off + 25])
+                                          actions[off:off + 25])
                 assert envs.success(wall_spec, states[-1], task)
                 found = True
     assert found
@@ -202,7 +202,7 @@ def test_sample_task_deterministic(wall_spec):
 
 def test_sample_task_dataset_too_short(wall_spec):
     ds = envs.generate_dataset(wall_spec, 2, 5, "random", seed=0)
-    with pytest.raises(ValueError, match="gap"):
+    with pytest.raises(HorizonTooLong, match=r"horizon 25 .* \(T = 4 steps\)"):
         envs.sample_task(wall_spec, ds, 25, seed=0)
 
 
@@ -238,11 +238,15 @@ def test_dataset_disk_roundtrip(tmp_path, wall_spec):
     assert manifest["count"] == 4
     assert manifest["provenance"] == "expert"
     assert manifest["content"] == "obs"
-    for ta, tb in zip(ds.trajectories, back.trajectories):
-        assert np.array_equal(ta.obs, tb.obs)
-        assert np.array_equal(ta.actions, tb.actions)
-    with pytest.raises(FileExistsError):
-        save_dataset(path, ds)
+    assert np.array_equal(ds.obs, back.obs)
+    assert np.array_equal(ds.actions, back.actions)
+    assert back.latents is None
+    assert sorted(os.listdir(path)) == ["data.bin", "manifest.json"]
+    latent = Dataset(ds.actions[:, :1], latents=ds.obs[:, :2], provenance="adversarial")
+    save_dataset(path, latent)
+    back, manifest = load_dataset(path)
+    assert (manifest["content"], back.obs) == ("latent", None)
+    assert np.array_equal(back.latents, latent.latents)
 
 
 def test_obs_state_roundtrip(wall_spec, pm_spec):

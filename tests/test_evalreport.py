@@ -123,9 +123,9 @@ def test_gap_zero_when_planner_reproduces_expert(wall_spec, monkeypatch):
     data = encode_dataset(enc, raw)
     f = init_world_model(2, 2, hidden=(8,), seed=0)
     windows = {}
-    for traj in data.trajectories:
-        for off in range(len(traj)):
-            windows[traj.obs[off].tobytes()] = traj.actions
+    for obs, actions in zip(data.obs, data.actions):
+        for off in range(len(actions)):
+            windows[obs[off].tobytes()] = actions
 
     def fake_gbp(model, z1, z_goal, cfg):
         actions = windows[np.asarray(z1).tobytes()]
@@ -133,10 +133,10 @@ def test_gap_zero_when_planner_reproduces_expert(wall_spec, monkeypatch):
         H = cfg.horizon
         # identity encoder: z1 equals the stored observation
         key_actions = None
-        for traj in data.trajectories:
-            for off in range(len(traj) - H + 1):
-                if np.array_equal(traj.obs[off], z1):
-                    key_actions = traj.actions[off:off + H]
+        for obs, actions in zip(data.obs, data.actions):
+            for off in range(len(actions) - H + 1):
+                if np.array_equal(obs[off], z1):
+                    key_actions = actions[off:off + H]
         return PlanResult(key_actions, [0.0], 0.0, 1, 0.0)
 
     monkeypatch.setattr(evalreport, "gbp", fake_gbp)

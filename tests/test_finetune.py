@@ -7,7 +7,7 @@ import pytest
 from reference_training import trajectory_teacher_forcing
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, finetune
-from wmplanlab.data import Dataset, Trajectory, flatten_transitions
+from wmplanlab.data import Dataset, flatten_transitions
 from wmplanlab.encoder import encode, encode_dataset, make_identity
 from wmplanlab.finetune import (OnlineConfig, PerturbationConfig, _attack_deltas,
                                 adversarial_wm, attack_perturb, compute_radii,
@@ -22,11 +22,11 @@ def _encoded_wall_dataset(wall_spec, n=12, length=10, seed=0):
     return encode_dataset(make_identity(2), raw)
 
 
-def _latent_traj(std_a, std_z, T=4):
+def _latent_batch(*stds, T=4):
     # alternating +/- std has population std exactly std
-    actions = np.tile([[std_a, -std_a], [-std_a, std_a]], (T // 2, 1))
-    latents = np.tile([[std_z, -std_z], [-std_z, std_z]], ((T + 2) // 2, 1))[:T + 1]
-    return Trajectory(actions=actions, latents=latents)
+    actions = [np.tile([[s, -s], [-s, s]], (T // 2, 1)) for s in stds]
+    latents = [np.tile([[s, -s], [-s, s]], ((T + 2) // 2, 1))[:T + 1] for s in stds]
+    return np.array(actions), np.array(latents)
 
 
 def test_perturbation_config_validation():
@@ -41,33 +41,45 @@ def test_perturbation_config_validation():
 
 def test_compute_radii_hand_example():
     # per-trajectory stds (0.2, 0.4), lambda=0.5 -> 0.5 * 0.3 = 0.15
-    batch = [_latent_traj(0.2, 0.2), _latent_traj(0.4, 0.4)]
-    eps_a, eps_z = compute_radii(batch, 0.5, 0.5)
+    eps_a, eps_z = compute_radii(*_latent_batch(0.2, 0.4), 0.5, 0.5)
     assert eps_a == pytest.approx(0.15)
     assert eps_z == pytest.approx(0.15)
 
 
 def test_compute_radii_zero_cases():
-    const = Trajectory(actions=np.ones((3, 2)), latents=np.ones((4, 2)))
     with pytest.warns(UserWarning, match="zero-variance"):
-        eps_a, _ = compute_radii([const], 0.5, 0.5)
+        eps_a, _ = compute_radii(np.ones((1, 3, 2)), np.ones((1, 4, 2)), 0.5, 0.5)
     assert eps_a == 0.0
-    batch = [_latent_traj(0.2, 0.2)]
-    assert compute_radii(batch, 0.0, 0.0) == (0.0, 0.0)
+    assert compute_radii(*_latent_batch(0.2), 0.0, 0.0) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        compute_radii([], 0.5, 0.5)
+        compute_radii(np.ones((0, 3, 2)), np.ones((0, 4, 2)), 0.5, 0.5)
 
 
 def test_compute_radii_per_dimension_flag():
-    traj = Trajectory(actions=np.array([[1.0, -1.0]]),
-                      latents=np.array([[0.0, 0.0], [2.0, 0.0]]))
-    scalar = compute_radii([traj], 1.0, 1.0, per_dimension=False)
+    batch = np.array([[[1.0, -1.0]]]), np.array([[[0.0, 0.0], [2.0, 0.0]]])
+    scalar = compute_radii(*batch, 1.0, 1.0, per_dimension=False)
     # over all entries: std([1,-1]) = 1; std([0,0,2,0]) = sqrt(0.75)
     assert scalar == pytest.approx((1.0, np.sqrt(0.75)))
     with pytest.warns(UserWarning, match="zero-variance"):
-        per_dim = compute_radii([traj], 1.0, 1.0, per_dimension=True)
+        per_dim = compute_radii(*batch, 1.0, 1.0, per_dimension=True)
     # per dimension then averaged: actions (0+0)/2, latents (1+0)/2
     assert per_dim == pytest.approx((0.0, 0.5))
+
+
+@pytest.mark.parametrize("per_dimension", [False, True])
+def test_compute_radii_equals_the_per_trajectory_loop(per_dimension):
+    # the batched standard deviations against one np.std per trajectory,
+    # bit for bit, over random batch shapes and scales
+    for i in range(200):
+        rng = generator(i, "radii")
+        B, T, d = (int(x) for x in rng.integers(2, 40, size=3))
+        actions = rng.standard_normal((B, T, d)) * 10.0 ** rng.uniform(-6, 3)
+        latents = rng.standard_normal((B, T + 1, 2 * d)) + rng.uniform(-5, 5)
+        loop = [np.mean([float(np.mean(np.std(x, axis=0))) if per_dimension
+                         else float(np.std(x)) for x in arr])
+                for arr in (actions, latents)]
+        got = compute_radii(actions, latents, 0.5, 0.2, per_dimension)
+        assert got == (0.5 * float(loop[0]), 0.2 * float(loop[1]))
 
 
 def test_attack_zero_radius_gives_zero():
@@ -196,7 +208,8 @@ def test_adversarial_attacks_each_batch_with_the_current_weights(wall_spec, atta
                               pgd_steps=2, radius_mode="adaptive")
 
     def perturb(model, step, batch, Z, A, ZN):
-        eps_a, eps_z = compute_radii(batch, pcfg.lambda_a, pcfg.lambda_z)
+        eps_a, eps_z = compute_radii(batch.actions, batch.latents,
+                                     pcfg.lambda_a, pcfg.lambda_z)
         da, dz = _attack_deltas(model, Z, A, ZN,
                                 replace(pcfg, eps_a=eps_a, eps_z=eps_z),
                                 generator(9, "attack", step))
@@ -212,9 +225,8 @@ def test_adversarial_attacks_each_batch_with_the_current_weights(wall_spec, atta
 
 def _batch_order_transitions(data, batch_size, seed):
     # transitions in the order adversarial_wm visits them (one epoch)
-    perm = generator(seed, "shuffle", 0).permutation(len(data.trajectories))
-    ordered = Dataset([data.trajectories[i] for i in perm])
-    return flatten_transitions(ordered)
+    perm = generator(seed, "shuffle", 0).permutation(len(data))
+    return flatten_transitions(Dataset(data.actions[perm], latents=data.latents[perm]))
 
 
 def test_adversarial_targets_stay_clean(wall_spec):
@@ -224,9 +236,8 @@ def test_adversarial_targets_stay_clean(wall_spec):
     res = adversarial_wm(f, data, pcfg, epochs=1, batch_size=6, lr=1e-3,
                          seed=2, keep_perturbed=True)
     Z, A, ZN = _batch_order_transitions(data, 6, seed=2)
-    assert len(res.perturbed.trajectories) == len(Z)
-    for pair, zn_clean in zip(res.perturbed.trajectories, ZN):
-        assert np.array_equal(pair.latents[1], zn_clean)  # clean target
+    assert res.perturbed.actions.shape == (len(Z), 1, 2)  # one-step trajectories
+    assert np.array_equal(res.perturbed.latents[:, 1], ZN)  # clean targets
     assert res.perturbed.provenance == "adversarial"
 
 
@@ -237,15 +248,12 @@ def test_adversarial_perturbs_inputs_within_radii(wall_spec):
     res = adversarial_wm(f, data, pcfg, epochs=1, batch_size=6, lr=1e-3,
                          seed=2, keep_perturbed=True)
     perm = generator(2, "shuffle", 0).permutation(6)
-    first_batch = [data.trajectories[i] for i in perm]
-    eps_a, eps_z = compute_radii(first_batch, 0.5, 0.2)
+    eps_a, eps_z = compute_radii(data.actions[perm], data.latents[perm], 0.5, 0.2)
     Z, A, ZN = _batch_order_transitions(data, 6, seed=2)
-    moved = 0
-    for pair, (z, a) in zip(res.perturbed.trajectories, zip(Z, A)):
-        assert np.abs(pair.latents[0] - z).max() <= eps_z + 1e-15
-        assert np.abs(pair.actions[0] - a).max() <= eps_a + 1e-15
-        moved += not np.array_equal(pair.latents[0], z)
-    assert moved > 0
+    Zp, Ap = res.perturbed.latents[:, 0], res.perturbed.actions[:, 0]
+    assert np.abs(Zp - Z).max() <= eps_z + 1e-15
+    assert np.abs(Ap - A).max() <= eps_a + 1e-15
+    assert not np.array_equal(Zp, Z)
 
 
 def test_adversarial_fixed_vs_adaptive_radius_modes(wall_spec):
@@ -264,14 +272,15 @@ def test_online_corrected_trajectories_resimulate(wall_spec):
     cfg = OnlineConfig(iterations=3, plan_iterations=5, horizon=6,
                        finetune_steps=2, batch_size=8)
     res = online_wm(f, wall_spec, enc, data, cfg, seed=4)
-    assert len(res.corrected.trajectories) == 3
-    for traj in res.corrected.trajectories:
-        s1 = envs.state_of_obs(wall_spec, traj.obs[0])
-        states = envs.rollout_env(wall_spec, s1, traj.actions)
+    corr = res.corrected
+    assert corr.actions.shape == (3, 6, 2)
+    for actions, obs, latents in zip(corr.actions, corr.obs, corr.latents):
+        s1 = envs.state_of_obs(wall_spec, obs[0])
+        states = envs.rollout_env(wall_spec, s1, actions)
         for t, s in enumerate(states):
             o = envs.obs_of(wall_spec, s)
-            assert np.array_equal(o, traj.obs[t + 1])
-            assert np.array_equal(encode(enc, o), traj.latents[t + 1])
+            assert np.array_equal(o, obs[t + 1])
+            assert np.array_equal(encode(enc, o), latents[t + 1])
     assert res.corrected.provenance == "corrected"
 
 
@@ -300,11 +309,11 @@ def test_online_plans_with_the_weights_of_every_earlier_step(wall_spec,
 def test_online_expert_actions_reproduce_expert_trajectory(wall_spec):
     # the correction of an expert action sequence is the expert trajectory
     data = _encoded_wall_dataset(wall_spec, n=2, length=8)
-    traj = data.trajectories[0]
-    s1 = envs.state_of_obs(wall_spec, traj.obs[0])
-    states = envs.rollout_env(wall_spec, s1, traj.actions)
+    obs = data.obs[0]
+    states = envs.rollout_env(wall_spec, envs.state_of_obs(wall_spec, obs[0]),
+                              data.actions[0])
     for t, s in enumerate(states):
-        assert np.array_equal(envs.obs_of(wall_spec, s), traj.obs[t + 1])
+        assert np.array_equal(envs.obs_of(wall_spec, s), obs[t + 1])
 
 
 def test_online_zero_iterations_is_identity(wall_spec):
@@ -316,19 +325,7 @@ def test_online_zero_iterations_is_identity(wall_spec):
     res = online_wm(f, wall_spec, enc=make_identity(2), data=data, cfg=cfg, seed=1)
     for w1, w2 in zip(res.model.weights, f.weights):
         assert np.array_equal(w1, w2)
-    assert not res.corrected.trajectories
-
-
-def test_online_skips_short_trajectories(wall_spec):
-    raw = envs.generate_dataset(wall_spec, 3, 4, "random", seed=1)
-    data = encode_dataset(make_identity(2), raw)
-    f = init_world_model(2, 2, hidden=(8,), seed=0)
-    cfg = OnlineConfig(iterations=2, plan_iterations=2, horizon=10,
-                       finetune_steps=1)
-    with pytest.warns(UserWarning, match="skipped") as record:
-        res = online_wm(f, wall_spec, make_identity(2), data, cfg, seed=0)
-    assert not res.corrected.trajectories
-    assert record[0].filename == __file__  # the warning names online_wm's caller
+    assert len(res.corrected) == 0
 
 
 def test_online_mix_ratio_zero_trains_on_corrected_only(wall_spec):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wmplanlab import envs
-from wmplanlab.data import Dataset
+from wmplanlab.data import Dataset, HorizonTooLong
 from wmplanlab.encoder import encode_dataset, make_identity
 from wmplanlab.initnet import (init_actions, load_initnet, make_initnet,
                                save_initnet, train_initnet)
@@ -45,24 +45,20 @@ def test_memorizes_single_window(wall_spec):
 def test_h1_reduces_to_inverse_dynamics(wall_spec):
     data = _encoded(wall_spec, 4, 6, "random", seed=2)
     res = train_initnet(data, H=1, iterations=10, lr=0.05, seed=0)
-    out = init_actions(res.net, data.trajectories[0].latents[0],
-                       data.trajectories[0].latents[1])
+    out = init_actions(res.net, data.latents[0, 0], data.latents[0, 1])
     assert out.shape == (1, 2)
 
 
 def test_beats_mean_prediction_on_held_out(wall_spec):
     # frozen measurement: MSE/var = 0.86 for this config and seed
     data = _encoded(wall_spec, 420, 30, "goal-seeking-noisy", seed=1)
-    train = Dataset(data.trajectories[:400])
-    held = data.trajectories[400:]
+    train = Dataset(data.actions[:400], latents=data.latents[:400])
     res = train_initnet(train, H=8, iterations=4000, lr=0.3, seed=0)
     errs, tgts = [], []
-    for traj in held:
-        for off in (0, 10, 20):
-            if off + 8 > len(traj):
-                continue
-            pred = init_actions(res.net, traj.latents[off], traj.latents[off + 8])
-            target = traj.actions[off:off + 8]
+    for latents, actions in zip(data.latents[400:], data.actions[400:]):
+        for off in (0, 10, 20):  # every window fits in T = 29 steps
+            pred = init_actions(res.net, latents[off], latents[off + 8])
+            target = actions[off:off + 8]
             errs.append(np.mean((pred - target) ** 2))
             tgts.append(target)
     variance = np.concatenate(tgts).ravel().var()
@@ -71,7 +67,7 @@ def test_beats_mean_prediction_on_held_out(wall_spec):
 
 def test_insufficient_trajectory_length_raises(wall_spec):
     data = _encoded(wall_spec, 2, 4, "random", seed=3)
-    with pytest.raises(ValueError, match="long enough"):
+    with pytest.raises(HorizonTooLong, match=r"horizon 10 .* \(T = 3 steps\)"):
         train_initnet(data, H=10, iterations=5, lr=0.1, seed=0)
 
 
@@ -81,8 +77,8 @@ def test_gbp_initnet_hook_initial_loss_matches(wall_spec):
     data = _encoded(wall_spec, 5, 8, "random", seed=4)
     res = train_initnet(data, H=4, iterations=20, lr=0.05, seed=1)
     f = init_world_model(2, 2, hidden=(8,), seed=2)
-    z1 = data.trajectories[0].latents[0]
-    zg = data.trajectories[0].latents[4]
+    z1 = data.latents[0, 0]
+    zg = data.latents[0, 4]
     proposal = init_actions(res.net, z1, zg)
     cfg = PlanConfig(horizon=4, iterations=3, optimizer="sgd", eta=0.1,
                      init="initnet",

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -90,6 +91,25 @@ def test_a_cut_wmt1_file_is_a_value_error(tmp_path_factory, arrays, data):
     else:
         with pytest.raises(ValueError):
             tensorio.load_tensors(path)
+
+
+def test_a_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
+    path = tmp_path / "t.bin"
+    tensorio.save_tensors(path, [np.ones(3)])
+    old = path.read_bytes()
+    with pytest.raises(TypeError):  # after the first record is written
+        tensorio.save_tensors(path, [np.zeros(3), object()])
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.bin"]  # no temp file left
+    with pytest.raises(RuntimeError):
+        with tensorio.atomic_open(tmp_path / "r.json", "w") as fh:
+            fh.write("{")
+            raise RuntimeError("midway")
+    assert os.listdir(tmp_path) == ["t.bin"]
+    with tensorio.atomic_open(tmp_path / "r.json", "w") as fh:
+        fh.write("{}\n")
+    assert (tmp_path / "r.json").read_text() == "{}\n"
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "t.bin"]
 
 
 def test_derive_seed_is_stable_and_label_sensitive():

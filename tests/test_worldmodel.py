@@ -3,7 +3,7 @@ import pytest
 
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, worldmodel
-from wmplanlab.data import Dataset, Trajectory
+from wmplanlab.data import Dataset
 from wmplanlab.encoder import encode, encode_dataset, encoder_hash, make_identity
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (WorldModel, init_world_model, load_model,
@@ -176,8 +176,7 @@ def test_train_memorizes_single_transition():
     z = np.array([0.2, -0.1])
     a = np.array([0.05, 0.0])
     zn = np.array([0.3, 0.1])
-    traj = Trajectory(actions=a[None], latents=np.stack([z, zn]))
-    data = Dataset([traj])
+    data = Dataset(a[None, None], latents=np.stack([z, zn])[None])
     f = init_world_model(2, 2, hidden=(16, 16), seed=0)
     res = train_teacher_forcing(f, data, epochs=500, batch_size=1, lr=1e-2, seed=0)
     assert res.batch_losses[-1] < 1e-6
@@ -230,7 +229,7 @@ def test_train_does_not_touch_encoder_or_source(wall_spec):
 def test_train_empty_dataset_rejected():
     f = init_world_model(2, 2, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        train_teacher_forcing(f, Dataset([]), epochs=1, batch_size=4, lr=1e-3, seed=0)
+        train_teacher_forcing(f, Dataset(np.zeros((0, 1, 2))), epochs=1, batch_size=4, lr=1e-3, seed=0)
 
 
 def test_wm_error_zero_for_perfect_model(wall_spec):
