@@ -26,7 +26,7 @@ from .diffcore import NumericFailure
 from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
                       make_random_fourier)
 from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig,
-                       MppiConfig, PlanConfig, PlannerSpec, RefineConfig,
+                       MppiConfig, PlanConfig, Planner, RefineConfig,
                        wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
 from .tensorio import atomic_open
@@ -45,19 +45,20 @@ _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
 _COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
-_CEM_KEYS = {"kind": str, "horizon": int, "iterations": int, "n_pop": _COUNT,
-             "k_elite": int, "sigma0": float, "cov_mode": frozenset(COV_MODES),
+_PLAN_KEYS = {"iterations": _COUNT, "optimizer": _OPTIMIZER, "eta": float}  # gbp's
+
+_CEM_KEYS = {"kind": str, "horizon": _COUNT, "iterations": _COUNT, "n_pop": _COUNT,
+             "k_elite": _COUNT, "sigma0": float, "cov_mode": frozenset(COV_MODES),
              "jitter": float}
 
 _PLANNER_KEYS = {
-    "gbp": {"kind": str, "horizon": int, "iterations": int,
-            "optimizer": _OPTIMIZER, "eta": float, "loss": str,
+    "gbp": {"kind": str, "horizon": _COUNT, **_PLAN_KEYS, "loss": str,
             "init": frozenset({"gaussian", "initnet"}), "clamp": bool,
             "return_best": bool, "initnet_path": str},
     "cem": _CEM_KEYS,
     "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": float},
-    "mppi": {"kind": str, "horizon": int, "iterations": int, "samples": int,
-             "sigma": float, "temperature": float},
+    "mppi": {"kind": str, "horizon": _COUNT, "iterations": _COUNT,
+             "samples": _COUNT, "sigma": float, "temperature": float},
 }
 
 _SCHEMA = {
@@ -73,34 +74,32 @@ _SCHEMA = {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
                         "eps_a": (float, None), "eps_z": (float, None),
                         "alpha_a": (float, None), "alpha_z": (float, None),
-                        "attack": frozenset(finetune.ATTACKS), "pgd_steps": int,
+                        "attack": frozenset(finetune.ATTACKS), "pgd_steps": _COUNT,
                         "radius_mode": frozenset(finetune.RADIUS_MODES),
                         "per_dimension_std": bool,
                         "epochs": _COUNT, "batch_size": _COUNT, "lr": float,
                         "dump_perturbed": bool, "perturbed_path": str},
         "online": {"out_path": str, "corrected_path": (str, None),
-                   "iterations": int, "plan_iterations": int, "horizon": int,
+                   "iterations": int, "plan_iterations": _COUNT, "horizon": _COUNT,
                    "mix_ratio": float, "lr": float, "finetune_steps": int,
                    "batch_size": _COUNT, "plan_optimizer": _OPTIMIZER,
                    "plan_eta": float},
     },
-    "initnet": {"path": str, "horizon": int, "lr": float,
+    "initnet": {"path": str, "horizon": _COUNT, "lr": float,
                 "iterations": (_COUNT, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
     "eval": {"out_path": str, "n_tasks": _COUNT,
              "mode": frozenset(evalreport.MODES), "horizon_gap": int,
              "models": {_ANY_KEY: str}, "planners": list,
-             "mpc": {"steps": int, "k_exec": (int, None),
-                     "plan_iters": (int, None), "eta": (float, None),
+             "mpc": {"steps": _COUNT, "k_exec": (_COUNT, None),
+                     "plan_iters": (_COUNT, None), "eta": (float, None),
                      "warm_start": bool},
              "require_cross_room": bool},
-    "gap": {"out_path": str, "n": _COUNT, "horizon": int,
-            "models": {_ANY_KEY: str},
-            "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
+    "gap": {"out_path": str, "n": _COUNT, "horizon": _COUNT,
+            "models": {_ANY_KEY: str}, "plan": _PLAN_KEYS},
     "landscape": {"out_path": str, "baseline": str, "adversarial": str,
                   "n_tasks": _COUNT, "resolution": _COUNT, "c_min": float,
-                  "c_max": float, "horizon": int,
-                  "plan": {"iterations": int, "optimizer": _OPTIMIZER, "eta": float}},
+                  "c_max": float, "horizon": _COUNT, "plan": _PLAN_KEYS},
 }
 
 
@@ -248,50 +247,50 @@ def _build_goal_loss(name: str, horizon: int) -> GoalLossSpec:
 
 
 def build_planner(name: str, section: dict, spec: envs.EnvSpec,
-                  enc: Encoder | None = None) -> PlannerSpec:
-    """The planner of config section `planners.<name>`. A `gbp` init net must
-    fit the planner's horizon and action space, and, given the encoder
-    `enc`, read its latents and have been trained under it."""
+                  enc: Encoder | None = None) -> Planner:
+    """The planner config of section `planners.<name>`; settings the config
+    rejects are a config error. A `gbp` init net must fit the planner's
+    horizon and action space, and, given the encoder `enc`, read its
+    latents and have been trained under it."""
     kind = section.get("kind")
-    if kind == "gbp":
+    if kind not in _PLANNER_KEYS:
+        raise ConfigError(f"planners.{name}.kind: unknown kind {kind!r}")
+    try:
+        if kind == "mppi":
+            return MppiConfig(**_settings(section, MppiConfig))
+        if kind != "gbp":  # cem, or gradcem with its refinement
+            refine = None
+            if kind == "gradcem":
+                refine = RefineConfig(**_settings(section, [], steps="refine_steps",
+                                                  eta="refine_eta"))
+            return CemConfig(**_settings(section, CemConfig), refine=refine)
         settings = _settings(section, PlanConfig, clamp_actions="clamp")
         loss = settings.pop("loss", None)  # a name; the plan holds its spec
         plan = PlanConfig(**settings, a_max=spec.a_max)
-        if "loss" in section:
-            plan.loss = _build_goal_loss(loss, plan.horizon)
-        if plan.init == "initnet":
-            path = section.get("initnet_path")
-            if not path:
-                raise ConfigError(f"planners.{name}.initnet_path missing")
-            net, meta = _load_checkpoint(initnet.load_initnet, path)
-            where = f"planners.{name}.initnet_path: init net {path}"
-            if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
-                raise ConfigError(
-                    f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
-                    f"the planner needs (horizon {plan.horizon}, "
-                    f"d_a {spec.action_dim})")
-            if enc is not None:
-                if net.d_z != enc.d_z:
-                    raise ConfigError(f"{where} reads d_z {net.d_z}, the "
-                                      f"encoder writes d_z {enc.d_z}")
-                mismatch = _encoder_mismatch(meta, enc)
-                if mismatch:
-                    raise ConfigError(f"{where}: {mismatch}")
-            plan.init_actions = initnet.as_planner_init(net)
-        return PlannerSpec("gbp", plan.horizon, plan=plan)
-    horizon = _settings(section, ["horizon"])
-    if kind in ("cem", "gradcem"):
-        refine = None
-        if kind == "gradcem":
-            refine = RefineConfig(**_settings(section, [], steps="refine_steps",
-                                              eta="refine_eta"))
-        return PlannerSpec(kind, **horizon,
-                           cem=CemConfig(**_settings(section, CemConfig)),
-                           refine=refine)
-    if kind == "mppi":
-        return PlannerSpec("mppi", **horizon,
-                           mppi=MppiConfig(**_settings(section, MppiConfig)))
-    raise ConfigError(f"planners.{name}.kind: unknown kind {kind!r}")
+    except ValueError as err:
+        raise ConfigError(f"planners.{name}: {err}") from err
+    if "loss" in section:
+        plan.loss = _build_goal_loss(loss, plan.horizon)
+    if plan.init == "initnet":
+        path = section.get("initnet_path")
+        if not path:
+            raise ConfigError(f"planners.{name}.initnet_path missing")
+        net, meta = _load_checkpoint(initnet.load_initnet, path)
+        where = f"planners.{name}.initnet_path: init net {path}"
+        if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
+            raise ConfigError(
+                f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
+                f"the planner needs (horizon {plan.horizon}, "
+                f"d_a {spec.action_dim})")
+        if enc is not None:
+            if net.d_z != enc.d_z:
+                raise ConfigError(f"{where} reads d_z {net.d_z}, the "
+                                  f"encoder writes d_z {enc.d_z}")
+            mismatch = _encoder_mismatch(meta, enc)
+            if mismatch:
+                raise ConfigError(f"{where}: {mismatch}")
+        plan.init_actions = initnet.as_planner_init(net)
+    return plan
 
 
 def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
@@ -508,6 +507,10 @@ def cmd_eval(cfg: dict, args) -> int:
         raise ConfigError("eval selected no planners")
     mode = args.mode or section.get("mode", "mpc")
     mpc_cfg = MpcConfig(**_settings(section.get("mpc", {}), MpcConfig))
+    short = [name for name, p in planners.items() if p.horizon < (mpc_cfg.k_exec or 0)]
+    if mode == "mpc" and short:
+        raise ConfigError(f"eval.mpc.k_exec {mpc_cfg.k_exec} is longer than the "
+                          f"horizon of planner(s) {', '.join(short)}")
     predicate = _cross_room_predicate(spec) if section.get("require_cross_room") else None
     report = evalreport.evaluate(
         spec, enc, models, planners, n_tasks=section.get("n_tasks", 100),

@@ -23,8 +23,8 @@ import numpy as np
 from . import envs
 from .data import Dataset, sample_window
 from .encoder import Encoder, encode
-from .planners import (MpcConfig, PlanConfig, PlannerSpec, final_cost, gbp,
-                       mpc, run_planner)
+from .planners import (MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc,
+                       run_planner)
 from .rng import derive_seed, generator
 from .tensorio import atomic_open
 # rollout_model is not called here any more; the binding stays because
@@ -100,11 +100,11 @@ def _draw_task(spec, data, horizon_gap, seed, task_index,
     raise ValueError("task predicate rejected 200 consecutive samples")
 
 
-def _eval_cell(spec, enc, model, pspec, mode, task, plan_seed, mpc_cfg):
+def _eval_cell(spec, enc, model, planner, mode, task, plan_seed, mpc_cfg):
     if mode == "open-loop":
         z1 = encode(enc, envs.obs_of(spec, task.start))
         z_goal = encode(enc, task.goal_obs)
-        pr = run_planner(model, z1, z_goal, pspec, plan_seed)
+        pr = run_planner(model, z1, z_goal, planner, plan_seed)
         s = task.start
         ok = envs.success(spec, s, task)
         for a in pr.actions:
@@ -113,7 +113,7 @@ def _eval_cell(spec, enc, model, pspec, mode, task, plan_seed, mpc_cfg):
                 ok = True
                 break
         return ok, pr.wall_clock, pr.final_loss, list(pr.loss_trace)
-    mr = mpc(spec, model, enc, task, pspec, mpc_cfg or MpcConfig(), seed=plan_seed)
+    mr = mpc(spec, model, enc, task, planner, mpc_cfg or MpcConfig(), seed=plan_seed)
     seconds = sum(p.wall_clock for p in mr.plan_results)
     final = mr.plan_results[-1].final_loss if mr.plan_results else float("nan")
     trace = [x for p in mr.plan_results for x in p.loss_trace]
@@ -134,10 +134,10 @@ def _eval_task(t: int):
     plan_seed = derive_seed(c["seed"], "plan", t)
     out = {}
     for mname, model in c["models"].items():
-        for pname, pspec in c["planners"].items():
+        for pname, planner in c["planners"].items():
             try:
                 ok, secs, final, trace = _eval_cell(
-                    c["spec"], c["enc"], model, pspec, c["mode"], task,
+                    c["spec"], c["enc"], model, planner, c["mode"], task,
                     plan_seed, c["mpc_cfg"])
             except Exception as err:  # a failed task never aborts the grid
                 warnings.warn(f"task {t} failed in cell ({mname}, {pname}): {err}")
@@ -147,7 +147,7 @@ def _eval_task(t: int):
 
 
 def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
-             planners: dict[str, PlannerSpec], n_tasks: int, mode: str,
+             planners: dict[str, Planner], n_tasks: int, mode: str,
              seed: int, data: Dataset, horizon_gap: int = 25,
              mpc_cfg: MpcConfig | None = None, workers: int = 1,
              task_predicate: Callable | None = None,
@@ -222,7 +222,7 @@ def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
         z_goal = encode(enc, data.obs[i, off + H])
         expert_actions = data.actions[i, off:off + H]
         expert_errors.append(wm_error(f, enc, spec, s1, expert_actions).mean())
-        pr = gbp(f, z1, z_goal, replace(plan_cfg, seed=derive_seed(seed, "gap-plan", j)))
+        pr = gbp(f, z1, z_goal, plan_cfg, derive_seed(seed, "gap-plan", j))
         planned_errors.append(wm_error(f, enc, spec, s1, pr.actions).mean())
     me = float(np.mean(expert_errors))
     mp = float(np.mean(planned_errors))
@@ -279,9 +279,9 @@ def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
         raise ValueError("ground-truth action window does not match horizon")
     if a_init is None:
         a_init = generator(seed, "landscape-init").standard_normal(task.actions_gt.shape)
-    cfg = replace(plan_cfg, init="fixed", init_actions=a_init, seed=seed)
-    a_base = gbp(f_baseline, task.z1, task.z_goal, cfg).actions
-    a_adv = gbp(f_adversarial, task.z1, task.z_goal, cfg).actions
+    cfg = replace(plan_cfg, init="fixed", init_actions=a_init)
+    a_base = gbp(f_baseline, task.z1, task.z_goal, cfg, seed).actions
+    a_adv = gbp(f_adversarial, task.z1, task.z_goal, cfg, seed).actions
     alpha = a_base - task.actions_gt
     beta = a_adv - task.actions_gt
     if np.linalg.norm(alpha) < 1e-8 or np.linalg.norm(beta) < 1e-8:

@@ -216,16 +216,15 @@ def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
                         provenance="corrected")
     expert = flatten_transitions(data)
     n_expert = int(round(cfg.mix_ratio * cfg.batch_size))
+    plan_cfg = PlanConfig(horizon=H, iterations=cfg.plan_iterations,
+                          optimizer=cfg.plan_optimizer, eta=cfg.plan_eta,
+                          a_max=spec.a_max)
 
     def batches():
         for i in range(n_iter):
             row, off = sample_window(data, H, generator(seed, "online", i))
-            plan_cfg = PlanConfig(horizon=H, iterations=cfg.plan_iterations,
-                                  optimizer=cfg.plan_optimizer, eta=cfg.plan_eta,
-                                  a_max=spec.a_max,
-                                  seed=derive_seed(seed, "online-plan", i))
             pr = gbp(model, data.latents[row, off], data.latents[row, off + H],
-                     plan_cfg)
+                     plan_cfg, derive_seed(seed, "online-plan", i))
             o1 = data.obs[row, off]
             states = envs.rollout_env(spec, envs.state_of_obs(spec, o1), pr.actions)
             corrected.actions[i] = pr.actions

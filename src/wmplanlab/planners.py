@@ -1,20 +1,24 @@
 """Test-time planners over a learned latent model.
 
+A planner is its config: `PlanConfig` plans with GBP, `CemConfig` with CEM,
+or with GradCEM (Bharadhwaj et al. 2020) when its `refine` is set, and
+`MppiConfig` with MPPI. Each config holds its own horizon, every planner
+function takes `(f, z1, z_goal, cfg, seed)`, and `run_planner` picks the
+function by the config's type.
+
 Gradient-based planning backpropagates the goal loss through a recursive
 model rollout on a tape (`rollout_nodes`: action leaves, a constant start
 latent, one "wm-step" node per model step and one "sq-dist" loss node) and
 updates one action sequence with SGD or Adam; it is the only code in the
-lab that builds a tape. The sampling planners (CEM, MPPI, GradCEM) score
-their whole population in one batched NumPy rollout per iteration
-(`final_cost` on an (N, H, d_a) array, one `predict` call per step for
-all N sequences). GradCEM (Bharadhwaj et al. 2020) is `cem(refine=...)`:
-GBP run from each CEM sample, so its refinement steps are `gbp` calls,
-still one sequence at a time on the tape. A model evaluation thus costs very
-different amounts on the two paths, so wall-clock between the two
-families says nothing by itself: read it next to
-`PlanResult.model_evals`, the (sequence x step) rows each plan rolled out.
-The MPC harness replans from re-encoded simulator states and executes the
-first K actions.
+lab that builds a tape. The sampling planners score their whole population
+in one batched NumPy rollout per iteration (`final_cost` on an (N, H, d_a)
+array, one `predict` call per step for all N sequences). GradCEM runs GBP
+from each CEM sample, so its refinement steps are `gbp` calls, still one
+sequence at a time on the tape. A model evaluation thus costs very
+different amounts on the two paths, so wall-clock between the two families
+says nothing by itself: read it next to `PlanResult.model_evals`, the
+(sequence x step) rows each plan rolled out. The MPC harness replans from
+re-encoded simulator states and executes the first K actions.
 """
 
 from __future__ import annotations
@@ -35,31 +39,29 @@ from .worldmodel import WorldModel, rollout_model, rollout_nodes
 
 @dataclass
 class GoalLossSpec:
-    """Final-state distance, or a weight-normalized mean over all predicted
-    states (weights stored unnormalized; they are divided by their sum)."""
+    """Final-state distance without `weights`, else a weight-normalized mean
+    over all predicted states (weights stored unnormalized; they are divided
+    by their sum)."""
 
-    mode: str = "final"  # "final" | "weighted"
     weights: np.ndarray | None = None
 
 
 def wgl_late_heavy(H: int) -> GoalLossSpec:
     """Exponentially upweight later states: w_i = 2^i for i = 2..H+1."""
-    return GoalLossSpec("weighted", np.exp2(np.arange(2, H + 2, dtype=np.float64)))
+    return GoalLossSpec(np.exp2(np.arange(2, H + 2, dtype=np.float64)))
 
 
 def wgl_early_heavy(H: int) -> GoalLossSpec:
     """Exponentially upweight earlier states: w_i = (1/2)^i."""
-    return GoalLossSpec("weighted", 0.5 ** np.arange(2, H + 2, dtype=np.float64))
+    return GoalLossSpec(0.5 ** np.arange(2, H + 2, dtype=np.float64))
 
 
 def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.Node:
     """Scalar loss node over predicted latents z_2 .. z_{H+1}."""
     if not zs:
         raise ValueError("need at least one predicted latent")
-    if spec.mode == "final":
+    if spec.weights is None:
         return dc.sq_dist(zs[-1:], [z_goal], [1.0])
-    if spec.mode != "weighted":
-        raise ValueError(f"unknown goal loss mode {spec.mode!r}")
     H = len(zs)
     w = np.asarray(spec.weights, dtype=np.float64)
     if w.shape != (H,):
@@ -86,7 +88,6 @@ class PlanConfig:
     clamp_actions: bool = True
     a_max: float | None = None
     return_best: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1 or self.iterations < 1:
@@ -110,9 +111,10 @@ class PlanResult:
     model_evals: int = 0  # (sequence x step) rows rolled out by the model
 
 
-def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal) -> np.ndarray:
+def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal,
+                     seed: int) -> np.ndarray:
     if cfg.init == "gaussian":
-        return generator(cfg.seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
+        return generator(seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
     if cfg.init == "initnet":
         arr = np.asarray(cfg.init_actions(z1, z_goal), dtype=np.float64)
     else:  # "fixed"
@@ -122,17 +124,18 @@ def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal) -> np.ndarray:
     return arr
 
 
-def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray,
-        cfg: PlanConfig) -> PlanResult:
+def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
+        seed: int) -> PlanResult:
     """Iterate rollout -> goal loss -> gradient step on the action sequence.
 
     Returns the best-loss iterate (switchable to the last via return_best).
     Actions are clamped to [-a_max, a_max] after every update when
-    clamp_actions is set and a_max is known.
+    clamp_actions is set and a_max is known. `seed` draws the "gaussian"
+    init; the other inits ignore it.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
-    actions = _initial_actions(cfg, f, z1, z_goal)
+    actions = _initial_actions(cfg, f, z1, z_goal, seed)
     clamp = cfg.clamp_actions and cfg.a_max is not None
     if clamp:
         actions = np.clip(actions, -cfg.a_max, cfg.a_max)
@@ -188,30 +191,38 @@ def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.nda
 
 
 @dataclass
-class CemConfig:
-    n_pop: int = 300
-    k_elite: int = 30
-    iterations: int = 30
-    sigma0: float = 1.0
-    cov_mode: str = "full"  # "full" (with jitter) | "diagonal"
-    jitter: float = 1e-6
-
-    def __post_init__(self):
-        if not (1 <= self.k_elite <= self.n_pop):
-            raise ValueError("need 1 <= k_elite <= n_pop")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.cov_mode not in COV_MODES:
-            raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
-
-
-@dataclass
 class RefineConfig:
     """Per-candidate refinement inside GradCEM: `steps` Adam iterations of
     `gbp` at step size `eta` from each sample, keeping the last iterate."""
 
     steps: int = 2
     eta: float = 0.3
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("refine steps must be >= 0")
+
+
+@dataclass
+class CemConfig:
+    """CEM, or GradCEM when `refine` is set."""
+
+    horizon: int = 25
+    n_pop: int = 300
+    k_elite: int = 30
+    iterations: int = 30
+    sigma0: float = 1.0
+    cov_mode: str = "full"  # "full" (with jitter) | "diagonal"
+    jitter: float = 1e-6
+    refine: RefineConfig | None = None
+
+    def __post_init__(self):
+        if not (1 <= self.k_elite <= self.n_pop):
+            raise ValueError("need 1 <= k_elite <= n_pop")
+        if self.horizon < 1 or self.iterations < 1:
+            raise ValueError("horizon and iterations must be >= 1")
+        if self.cov_mode not in COV_MODES:
+            raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
 
 
 def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
@@ -226,17 +237,17 @@ def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
     return None
 
 
-def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
-        refine: RefineConfig | None = None,
+def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
         trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
     """Sample, rank by final-state cost, refit the Gaussian to the elites;
     the final mean is the plan.
 
-    With `refine`, this is GradCEM: each sampled candidate first gets
+    With `cfg.refine`, this is GradCEM: each sampled candidate first gets
     `refine.steps` Adam steps of `gbp` on the final-state loss, before cost
     evaluation and elite selection. With refine.steps == 0 it is bit for
     bit plain CEM under the same seed."""
     t0 = time.perf_counter()
+    H, refine = cfg.horizon, cfg.refine
     d = H * f.d_a
     mu = np.zeros(d)
     sigma = (cfg.sigma0 ** 2) * np.eye(d)
@@ -258,7 +269,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
             refined = [gbp(f, z1, z_goal, PlanConfig(
                 horizon=H, iterations=refine.steps, optimizer="adam",
                 eta=refine.eta, init="fixed", init_actions=c.reshape(H, f.d_a),
-                clamp_actions=False, return_best=False)) for c in samples]
+                clamp_actions=False, return_best=False), seed) for c in samples]
             candidates = np.stack([r.actions.ravel() for r in refined])
             evals += sum(r.model_evals for r in refined)
         costs = final_cost(f, z1, candidates.reshape(-1, H, f.d_a), z_goal)
@@ -284,17 +295,18 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, H: int, seed: int,
 
 @dataclass
 class MppiConfig:
+    horizon: int = 25
     samples: int = 64
     sigma: float = 0.5
     temperature: float = 1.0
     iterations: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        if min(self.horizon, self.samples, self.iterations) < 1:
+            raise ValueError("horizon, samples and iterations must be >= 1")
 
 
-def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int) -> PlanResult:
+def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, seed: int) -> PlanResult:
     """Softmin-weighted perturbation averaging around a nominal sequence,
     starting from zero actions.
 
@@ -302,6 +314,7 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int) -> PlanR
     loop belongs to mpc().
     """
     t0 = time.perf_counter()
+    H = cfg.horizon
     rng = generator(seed, "mppi")
     nom = np.zeros((H, f.d_a))
     trace: list[float] = []
@@ -317,33 +330,21 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, H: int, seed: int) -> PlanR
                       model_evals=cfg.iterations * (cfg.samples + 1) * H)
 
 
-@dataclass
-class PlannerSpec:
-    """Planner selection plus the matching config, used by the MPC harness
-    and the evaluation grids."""
-
-    kind: str  # "gbp" | "cem" | "mppi" | "gradcem"
-    horizon: int = 25
-    plan: PlanConfig | None = None
-    cem: CemConfig | None = None
-    refine: RefineConfig | None = None
-    mppi: MppiConfig | None = None
+Planner = PlanConfig | CemConfig | MppiConfig
 
 
-def run_planner(f: WorldModel, z1, z_goal, pspec: PlannerSpec,
+def run_planner(f: WorldModel, z1, z_goal, planner: Planner,
                 seed: int) -> PlanResult:
-    H = pspec.horizon
-    if pspec.kind == "gbp":
-        cfg = replace(pspec.plan or PlanConfig(), horizon=H, seed=seed)
-        return gbp(f, z1, z_goal, cfg)
-    if pspec.kind == "cem":
-        return cem(f, z1, z_goal, pspec.cem or CemConfig(), H, seed)
-    if pspec.kind == "gradcem":
-        return cem(f, z1, z_goal, pspec.cem or CemConfig(), H, seed,
-                   refine=pspec.refine or RefineConfig())
-    if pspec.kind == "mppi":
-        return mppi(f, z1, z_goal, pspec.mppi or MppiConfig(), H, seed)
-    raise ValueError(f"unknown planner kind {pspec.kind!r}")
+    """Plan with the function of the config's type. The functions are read
+    as module globals at call time, so a wrapper patched over one of them
+    sees every plan."""
+    if isinstance(planner, PlanConfig):
+        return gbp(f, z1, z_goal, planner, seed)
+    if isinstance(planner, CemConfig):
+        return cem(f, z1, z_goal, planner, seed)
+    if isinstance(planner, MppiConfig):
+        return mppi(f, z1, z_goal, planner, seed)
+    raise TypeError(f"not a planner config: {type(planner).__name__}")
 
 
 @dataclass
@@ -364,28 +365,25 @@ class MpcResult:
 
 
 def mpc(spec: envs.EnvSpec, f: WorldModel, enc: Encoder,
-        task: envs.TaskInstance, pspec: PlannerSpec, cfg: MpcConfig,
+        task: envs.TaskInstance, planner: Planner, cfg: MpcConfig,
         seed: int = 0) -> MpcResult:
     """Plan, execute the first K actions in the simulator, re-encode, repeat.
 
-    Success is credited at any visited state. The first MPC step uses the
+    Success is credited at any visited state. `plan_iters`, `eta` and
+    `warm_start` apply to a GBP planner only. The first MPC step uses the
     caller's seed unchanged, so (steps=1, k_exec=H) reproduces the open-loop
-    planner exactly.
+    plan exactly when plan_iters and eta are None and the start is not
+    already a success (which ends the episode before any plan).
     """
-    H = pspec.horizon
+    H = planner.horizon
     k_exec = H if cfg.k_exec is None else cfg.k_exec
     if not (1 <= k_exec <= H):
         raise ValueError("need 1 <= k_exec <= horizon")
-    pspec_step = pspec
-    if pspec.kind == "gbp":
-        plan_cfg = pspec.plan or PlanConfig()
-        overrides = {}
-        if cfg.plan_iters is not None:
-            overrides["iterations"] = cfg.plan_iters
-        if cfg.eta is not None:
-            overrides["eta"] = cfg.eta
-        if overrides:
-            pspec_step = replace(pspec, plan=replace(plan_cfg, **overrides))
+    is_gbp = isinstance(planner, PlanConfig)
+    if is_gbp:
+        overrides = {"iterations": cfg.plan_iters, "eta": cfg.eta}
+        planner = replace(planner, **{key: value for key, value in overrides.items()
+                                      if value is not None})
     z_goal = encode(enc, task.goal_obs)
     s = task.start
     ok = envs.success(spec, s, task)
@@ -397,11 +395,9 @@ def mpc(spec: envs.EnvSpec, f: WorldModel, enc: Encoder,
             break
         z1 = encode(enc, envs.obs_of(spec, s))
         step_seed = seed if k == 0 else derive_seed(seed, "mpc-step", k)
-        ps = pspec_step
-        if cfg.warm_start and warm is not None and ps.kind == "gbp":
-            ps = replace(ps, plan=replace(ps.plan or PlanConfig(),
-                                          init="fixed", init_actions=warm))
-        pr = run_planner(f, z1, z_goal, ps, step_seed)
+        if warm is not None:
+            planner = replace(planner, init="fixed", init_actions=warm)
+        pr = run_planner(f, z1, z_goal, planner, step_seed)
         results.append(pr)
         for a in pr.actions[:k_exec]:
             s = envs.step(spec, s, a)
@@ -409,7 +405,7 @@ def mpc(spec: envs.EnvSpec, f: WorldModel, enc: Encoder,
             if envs.success(spec, s, task):
                 ok = True
                 break
-        if cfg.warm_start:
+        if cfg.warm_start and is_gbp:
             tail = pr.actions[k_exec:]
             warm = np.vstack([tail, np.zeros((H - len(tail), f.d_a))])
     return MpcResult(ok, np.array(executed).reshape(-1, f.d_a), results, s)

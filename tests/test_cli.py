@@ -10,7 +10,7 @@ from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.data import load_dataset
 from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
-                                PlannerSpec, RefineConfig, wgl_late_heavy)
+                                RefineConfig, wgl_late_heavy)
 from wmplanlab.presets import PRESETS, get_preset
 
 
@@ -555,12 +555,37 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
     ("landscape", "landscape.resolution", "landscape"),
     ("gen-data", "dataset.n_traj", "data-2"),
     ("gap", "gap.n", "gap"),
+    ("finetune-adv", "finetune.adversarial.pgd_steps", "model-adv/weights.bin"),
+    ("finetune-online", "finetune.online.horizon", "model-owm/weights.bin"),
+    ("finetune-online", "finetune.online.plan_iterations", "model-owm/weights.bin"),
+    ("train-initnet", "initnet.horizon", "initnet/weights.bin"),
+    ("eval", "planners.gbp_gd.horizon", "eval"),
+    ("eval", "planners.gbp_gd.iterations", "eval"),
+    ("eval", "planners.cem_small.horizon", "eval"),
+    ("eval", "planners.cem_small.iterations", "eval"),
+    ("eval", "planners.cem_small.k_elite", "eval"),
+    ("eval", "planners.mppi_small.horizon", "eval"),
+    ("eval", "planners.mppi_small.iterations", "eval"),
+    ("eval", "planners.mppi_small.samples", "eval"),
+    ("eval", "eval.mpc.steps", "eval"),
+    ("eval", "eval.mpc.k_exec", "eval"),
+    ("eval", "eval.mpc.plan_iters", "eval"),
+    ("gap", "gap.horizon", "gap"),
+    ("gap", "gap.plan.iterations", "gap"),
+    ("landscape", "landscape.horizon", "landscape"),
+    ("landscape", "landscape.plan.iterations", "landscape"),
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
         "initnet-iterations", "eval-tasks", "cem-population", "landscape-tasks",
-        "landscape-resolution", "gen-data-trajectories", "gap-windows"])
+        "landscape-resolution", "gen-data-trajectories", "gap-windows",
+        "adv-pgd-steps", "online-horizon", "online-plan-iterations",
+        "initnet-horizon", "gbp-horizon", "gbp-iterations", "cem-horizon",
+        "cem-iterations", "cem-elites", "mppi-horizon", "mppi-iterations",
+        "mppi-samples", "mpc-steps", "mpc-k-exec", "mpc-plan-iters", "gap-horizon",
+        "gap-plan-iterations", "landscape-horizon", "landscape-plan-iterations"])
 def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key, out):
     cfg = tiny_config(tmp_path)
-    cfg["eval"]["planners"] = ["gbp_gd", "cem_small"]
+    cfg["planners"]["mppi_small"] = {"kind": "mppi", "horizon": 4, "samples": 4}
+    cfg["eval"]["planners"] = ["gbp_gd", "cem_small", "mppi_small"]
     path = _write(tmp_path, cfg)
     assert _run("gen-data", "--config", path) == 0
     if command not in ("gen-data", "train", "train-initnet"):
@@ -571,6 +596,36 @@ def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key,
     assert _run(*argv) == 2
     assert f"{key}: expected an integer >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("planners.cem_small.k_elite=11",
+     "planners.cem_small: need 1 <= k_elite <= n_pop"),
+    ("planners.gradcem_small.refine_steps=-1",
+     "planners.gradcem_small: refine steps must be >= 0"),
+    ("eval.mpc.k_exec=9",
+     "eval.mpc.k_exec 9 is longer than the horizon of planner(s) gbp_gd, "
+     "gradcem_small"),
+], ids=["cem-elites-above-population", "negative-refine-steps",
+        "k-exec-above-horizon"])
+def test_a_planner_that_rejects_its_settings_exits_2_before_writing(
+        pipeline, capsys, tmp_path, override, message):
+    cfg, _ = pipeline
+    cfg["planners"]["gradcem_small"] = {"kind": "gradcem", "horizon": 3,
+                                        "n_pop": 6, "k_elite": 2, "iterations": 1}
+    cfg["planners"]["cem_small"]["horizon"] = 9
+    cfg["eval"]["planners"] = ["gbp_gd", "cem_small", "gradcem_small"]
+    path = _write(tmp_path, cfg)
+    assert _run("eval", "--config", path, "--mode", "mpc", "--workers", "1",
+                "--set", override) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_k_exec_is_not_checked_against_the_horizon_in_open_loop_mode(pipeline):
+    cfg, path = pipeline
+    assert _run("eval", "--config", path, "--mode", "open-loop", "--workers", "1",
+                "--set", "eval.mpc.k_exec=9") == 0
 
 
 @pytest.mark.parametrize("override, differ", [
@@ -680,35 +735,29 @@ def test_build_planner_carries_every_planner_key(tmp_path):
     built = {kind: cli.build_planner(kind, section, spec)
              for kind, section in sections.items()}
 
-    gbp = built["gbp"]
-    plan = gbp.plan
-    assert (gbp.kind, gbp.horizon, plan.horizon) == ("gbp", 7, 7)
-    assert (plan.iterations, plan.optimizer, plan.eta) == (11, "adam", 0.07)
-    assert plan.loss.mode == "weighted"
+    plan = built["gbp"]
+    assert type(plan) is PlanConfig
+    assert (plan.horizon, plan.iterations, plan.optimizer, plan.eta) == \
+        (7, 11, "adam", 0.07)
     assert np.array_equal(plan.loss.weights, wgl_late_heavy(7).weights)
     assert plan.init == "initnet"
     assert plan.init_actions(np.zeros(4), np.ones(4)).shape == (7, spec.action_dim)
     assert (plan.clamp_actions, plan.return_best, plan.a_max) == \
         (False, False, spec.a_max)
 
-    assert built["cem"] == PlannerSpec(
-        "cem", 9, cem=CemConfig(40, 4, 3, 0.7, "diagonal", 1e-4))
-    assert built["gradcem"] == PlannerSpec(
-        "gradcem", 8, cem=CemConfig(12, 2, 4, 0.6, "diagonal", 1e-5),
-        refine=RefineConfig(5, 0.05))
-    assert built["mppi"] == PlannerSpec("mppi", 6, mppi=MppiConfig(16, 0.2, 0.5, 3))
+    assert built["cem"] == CemConfig(9, 40, 4, 3, 0.7, "diagonal", 1e-4)
+    assert built["gradcem"] == CemConfig(8, 12, 2, 4, 0.6, "diagonal", 1e-5,
+                                         refine=RefineConfig(5, 0.05))
+    assert built["mppi"] == MppiConfig(6, 16, 0.2, 0.5, 3)
 
 
 def test_build_planner_leaves_omitted_keys_to_the_callee():
     spec = envs.wall2d_spec()
-    assert cli.build_planner("g", {"kind": "gbp"}, spec) == PlannerSpec(
-        "gbp", plan=PlanConfig(a_max=spec.a_max))
-    assert cli.build_planner("c", {"kind": "cem"}, spec) == PlannerSpec(
-        "cem", cem=CemConfig())
-    assert cli.build_planner("r", {"kind": "gradcem"}, spec) == PlannerSpec(
-        "gradcem", cem=CemConfig(), refine=RefineConfig())
-    assert cli.build_planner("m", {"kind": "mppi"}, spec) == PlannerSpec(
-        "mppi", mppi=MppiConfig())
+    assert cli.build_planner("g", {"kind": "gbp"}, spec) == PlanConfig(a_max=spec.a_max)
+    assert cli.build_planner("c", {"kind": "cem"}, spec) == CemConfig()
+    assert cli.build_planner("r", {"kind": "gradcem"}, spec) == CemConfig(
+        refine=RefineConfig())
+    assert cli.build_planner("m", {"kind": "mppi"}, spec) == MppiConfig()
 
 
 def _spy(monkeypatch, module, name) -> dict:

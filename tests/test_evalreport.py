@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from wmplanlab import envs, evalreport
-from wmplanlab.data import Dataset
 from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
 from wmplanlab.evalreport import (Cell, EvalReport, GapReport, TaskRow,
                                   emit_report, evaluate, expert_window,
                                   landscape, load_report, total_variation,
                                   train_test_gap, wilson_interval)
-from wmplanlab.planners import MpcConfig, PlanConfig, PlannerSpec, final_cost
+from wmplanlab.planners import MpcConfig, PlanConfig, final_cost
 from wmplanlab.worldmodel import init_world_model
 
 from conftest import linear_model, rel_err
@@ -26,10 +25,9 @@ def _perfect_setup():
     enc = make_identity(2)
     data = envs.generate_dataset(spec, 10, 10, "random", seed=0)
     model = linear_model(np.eye(2) * spec.frameskip)
-    pspec = PlannerSpec("gbp", horizon=1, plan=PlanConfig(
-        horizon=1, iterations=40, optimizer="sgd", eta=0.02,
-        a_max=spec.a_max, seed=0))
-    return spec, enc, data, model, pspec
+    plan = PlanConfig(horizon=1, iterations=40, optimizer="sgd", eta=0.02,
+                      a_max=spec.a_max)
+    return spec, enc, data, model, plan
 
 
 def test_wilson_interval_known_values():
@@ -42,8 +40,8 @@ def test_wilson_interval_known_values():
 
 
 def test_evaluate_perfect_model_full_success():
-    spec, enc, data, model, pspec = _perfect_setup()
-    report = evaluate(spec, enc, {"perfect": model}, {"gbp": pspec},
+    spec, enc, data, model, plan = _perfect_setup()
+    report = evaluate(spec, enc, {"perfect": model}, {"gbp": plan},
                       n_tasks=6, mode="open-loop", seed=3, data=data,
                       horizon_gap=1)
     (cell,) = report.cells
@@ -53,10 +51,10 @@ def test_evaluate_perfect_model_full_success():
 
 
 def test_evaluate_rerun_is_identical():
-    spec, enc, data, model, pspec = _perfect_setup()
+    spec, enc, data, model, plan = _perfect_setup()
     kwargs = dict(n_tasks=4, mode="open-loop", seed=5, data=data, horizon_gap=1)
-    r1 = evaluate(spec, enc, {"m": model}, {"p": pspec}, **kwargs)
-    r2 = evaluate(spec, enc, {"m": model}, {"p": pspec}, **kwargs)
+    r1 = evaluate(spec, enc, {"m": model}, {"p": plan}, **kwargs)
+    r2 = evaluate(spec, enc, {"m": model}, {"p": plan}, **kwargs)
     assert r1.task_hash == r2.task_hash
     for c1, c2 in zip(r1.cells, r2.cells):
         assert [r.success for r in c1.rows] == [r.success for r in c2.rows]
@@ -64,7 +62,7 @@ def test_evaluate_rerun_is_identical():
 
 
 def test_evaluate_draws_each_task_once(monkeypatch):
-    spec, enc, data, model, pspec = _perfect_setup()
+    spec, enc, data, model, plan = _perfect_setup()
     draw = evalreport._draw_task
     drawn = []
 
@@ -73,17 +71,17 @@ def test_evaluate_draws_each_task_once(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(evalreport, "_draw_task", counting_draw)
-    report = evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=3,
+    report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=3,
                       mode="open-loop", seed=5, data=data, horizon_gap=1)
     assert len(drawn) == 3
     assert report.task_hash == evalreport._task_fingerprint(drawn)
 
 
 def test_evaluate_parallel_matches_serial():
-    spec, enc, data, model, pspec = _perfect_setup()
+    spec, enc, data, model, plan = _perfect_setup()
     kwargs = dict(n_tasks=4, mode="open-loop", seed=7, data=data, horizon_gap=1)
-    serial = evaluate(spec, enc, {"m": model}, {"p": pspec}, workers=1, **kwargs)
-    parallel = evaluate(spec, enc, {"m": model}, {"p": pspec}, workers=2, **kwargs)
+    serial = evaluate(spec, enc, {"m": model}, {"p": plan}, workers=1, **kwargs)
+    parallel = evaluate(spec, enc, {"m": model}, {"p": plan}, workers=2, **kwargs)
     assert serial.task_hash == parallel.task_hash
     for c1, c2 in zip(serial.cells, parallel.cells):
         assert [r.success for r in c1.rows] == [r.success for r in c2.rows]
@@ -91,29 +89,29 @@ def test_evaluate_parallel_matches_serial():
 
 
 def test_evaluate_mpc_mode_runs():
-    spec, enc, data, model, pspec = _perfect_setup()
-    report = evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=2,
+    spec, enc, data, model, plan = _perfect_setup()
+    report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=2,
                       mode="mpc", seed=1, data=data, horizon_gap=1,
                       mpc_cfg=MpcConfig(steps=2, plan_iters=20, eta=None))
     assert report.cells[0].success_rate == 1.0
 
 
 def test_evaluate_task_predicate():
-    spec, enc, data, model, pspec = _perfect_setup()
+    spec, enc, data, model, plan = _perfect_setup()
     right_half = lambda task: task.goal_state.position[0] > 0.5
-    report = evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=3,
+    report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=3,
                       mode="open-loop", seed=2, data=data, horizon_gap=1,
                       task_predicate=right_half)
     assert report.n_tasks == 3
 
 
 def test_evaluate_validates_args():
-    spec, enc, data, model, pspec = _perfect_setup()
+    spec, enc, data, model, plan = _perfect_setup()
     with pytest.raises(ValueError):
-        evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=0,
+        evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=0,
                  mode="open-loop", seed=0, data=data)
     with pytest.raises(ValueError):
-        evaluate(spec, enc, {"m": model}, {"p": pspec}, n_tasks=1,
+        evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=1,
                  mode="closed", seed=0, data=data)
 
 
@@ -127,7 +125,7 @@ def test_gap_zero_when_planner_reproduces_expert(wall_spec, monkeypatch):
         for off in range(len(actions)):
             windows[obs[off].tobytes()] = actions
 
-    def fake_gbp(model, z1, z_goal, cfg):
+    def fake_gbp(model, z1, z_goal, cfg, seed):
         actions = windows[np.asarray(z1).tobytes()]
         from wmplanlab.planners import PlanResult
         H = cfg.horizon

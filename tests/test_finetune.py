@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np

@@ -6,7 +6,7 @@ from wmplanlab.data import Dataset, HorizonTooLong
 from wmplanlab.encoder import encode_dataset, make_identity
 from wmplanlab.initnet import (init_actions, load_initnet, make_initnet,
                                save_initnet, train_initnet)
-from wmplanlab.planners import PlanConfig, gbp, goal_loss
+from wmplanlab.planners import PlanConfig, gbp
 from wmplanlab.worldmodel import init_world_model, rollout_model
 
 
@@ -83,8 +83,8 @@ def test_gbp_initnet_hook_initial_loss_matches(wall_spec):
     cfg = PlanConfig(horizon=4, iterations=3, optimizer="sgd", eta=0.1,
                      init="initnet",
                      init_actions=lambda a, b: init_actions(res.net, a, b),
-                     a_max=wall_spec.a_max, seed=0)
-    pr = gbp(f, z1, zg, cfg)
+                     a_max=wall_spec.a_max)
+    pr = gbp(f, z1, zg, cfg, seed=0)
     zs = rollout_model(f, z1, proposal)
     expected = float(np.sum((zs[-1] - zg) ** 2))
     assert pr.loss_trace[0] == pytest.approx(expected, rel=1e-12)

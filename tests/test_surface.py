@@ -78,3 +78,34 @@ def test_every_test_seam_exists_and_is_otherwise_unreached():
     for module, name in TEST_SEAMS:
         assert (module, name) in defs, f"{module}.{name} is gone"
         assert name not in refs, f"{module}.{name} is reached; drop it from TEST_SEAMS"
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """`file:line name` of each name an import binds that the file never
+    reads, apart from `from __future__` and lines marked `# noqa: F401`."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__.py imports only to re-export
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, worldmodel
+from wmplanlab import envs
 from wmplanlab.data import Dataset
 from wmplanlab.encoder import encode, encode_dataset, encoder_hash, make_identity
 from wmplanlab.rng import generator
