@@ -5,6 +5,10 @@ eval, gap, landscape. Every command is a pure function of the config
 file (or preset) and its `--set` overrides, the seed included; nothing is
 read from the environment. Reports and checkpoints rerun byte-identically,
 and `timing.json` is the only output that depends on the machine.
+Besides `--config`, `--preset` and `--set`, the only flags are `eval
+--workers` (how many processes run the tasks) and `gen-data --force` (may
+overwrite a dataset directory); neither changes an output byte, so the
+config hash that each output carries covers everything that decides it.
 A key a section leaves out takes the default of the function or dataclass
 it configures; the few keys whose callee has no default get theirs here.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
@@ -21,7 +25,7 @@ import os
 import sys
 
 from . import envs, evalreport, finetune, initnet, presets, worldmodel
-from .data import HorizonTooLong, load_dataset, save_dataset
+from .data import Dataset, HorizonTooLong, load_dataset, save_dataset
 from .diffcore import NumericFailure
 from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
                       make_random_fourier)
@@ -29,7 +33,7 @@ from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig
                        MppiConfig, PlanConfig, Planner, RefineConfig,
                        wgl_early_heavy, wgl_late_heavy)
 from .rng import derive_seed
-from .tensorio import atomic_open
+from .tensorio import write_json
 
 
 class ConfigError(Exception):
@@ -43,9 +47,10 @@ class ConfigError(Exception):
 _ANY_KEY = "__any__"
 _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
 _COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
+_POSITIVE = "__positive__"  # a number > 0: a step size or a temperature
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
-_PLAN_KEYS = {"iterations": _COUNT, "optimizer": _OPTIMIZER, "eta": float}  # gbp's
+_PLAN_KEYS = {"iterations": _COUNT, "optimizer": _OPTIMIZER, "eta": _POSITIVE}  # gbp's
 
 _CEM_KEYS = {"kind": str, "horizon": _COUNT, "iterations": _COUNT, "n_pop": _COUNT,
              "k_elite": _COUNT, "sigma0": float, "cov_mode": frozenset(COV_MODES),
@@ -56,9 +61,9 @@ _PLANNER_KEYS = {
             "init": frozenset({"gaussian", "initnet"}), "clamp": bool,
             "return_best": bool, "initnet_path": str},
     "cem": _CEM_KEYS,
-    "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": float},
+    "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": _POSITIVE},
     "mppi": {"kind": str, "horizon": _COUNT, "iterations": _COUNT,
-             "samples": _COUNT, "sigma": float, "temperature": float},
+             "samples": _COUNT, "sigma": float, "temperature": _POSITIVE},
 }
 
 _SCHEMA = {
@@ -69,7 +74,7 @@ _SCHEMA = {
     "dataset": {"path": str, "n_traj": _COUNT, "traj_len": int,
                 "policy": frozenset(envs.POLICIES)},
     "model": {"path": str, "hidden": list, "residual": bool,
-              "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": float}},
+              "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
                         "eps_a": (float, None), "eps_z": (float, None),
@@ -77,22 +82,22 @@ _SCHEMA = {
                         "attack": frozenset(finetune.ATTACKS), "pgd_steps": _COUNT,
                         "radius_mode": frozenset(finetune.RADIUS_MODES),
                         "per_dimension_std": bool,
-                        "epochs": _COUNT, "batch_size": _COUNT, "lr": float,
+                        "epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE,
                         "dump_perturbed": bool, "perturbed_path": str},
         "online": {"out_path": str, "corrected_path": (str, None),
                    "iterations": int, "plan_iterations": _COUNT, "horizon": _COUNT,
-                   "mix_ratio": float, "lr": float, "finetune_steps": int,
+                   "mix_ratio": float, "lr": _POSITIVE, "finetune_steps": int,
                    "batch_size": _COUNT, "plan_optimizer": _OPTIMIZER,
-                   "plan_eta": float},
+                   "plan_eta": _POSITIVE},
     },
-    "initnet": {"path": str, "horizon": _COUNT, "lr": float,
+    "initnet": {"path": str, "horizon": _COUNT, "lr": _POSITIVE,
                 "iterations": (_COUNT, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
     "eval": {"out_path": str, "n_tasks": _COUNT,
              "mode": frozenset(evalreport.MODES), "horizon_gap": int,
              "models": {_ANY_KEY: str}, "planners": list,
              "mpc": {"steps": _COUNT, "k_exec": (_COUNT, None),
-                     "plan_iters": (_COUNT, None), "eta": (float, None),
+                     "plan_iters": (_COUNT, None), "eta": (_POSITIVE, None),
                      "warm_start": bool},
              "require_cross_room": bool},
     "gap": {"out_path": str, "n": _COUNT, "horizon": _COUNT,
@@ -112,9 +117,11 @@ def _check_type(value, expect, path: str) -> None:
         if not isinstance(value, str) or value not in expect:
             raise ConfigError(f"{path}: expected one of {sorted(expect)}, "
                               f"got {value!r}")
-    elif expect is float:
+    elif expect is float or expect == _POSITIVE:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number, got {value!r}")
+        if expect == _POSITIVE and not value > 0:
+            raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
     elif expect is int or expect == _COUNT:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected integer, got {value!r}")
@@ -214,6 +221,15 @@ def _settings(section: dict, keys, **renamed) -> dict:
     return out
 
 
+def _build(where: str, make, **settings):
+    """`make(**settings)`, a config object; settings it rejects (a
+    ValueError) are a config error naming the section `where`."""
+    try:
+        return make(**settings)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 def build_env(cfg: dict) -> envs.EnvSpec:
     section = _need(cfg, "env")
     kind = section.get("kind", "wall2d")
@@ -252,23 +268,21 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec,
     rejects are a config error. A `gbp` init net must fit the planner's
     horizon and action space, and, given the encoder `enc`, read its
     latents and have been trained under it."""
-    kind = section.get("kind")
+    kind, key = section.get("kind"), f"planners.{name}"
     if kind not in _PLANNER_KEYS:
-        raise ConfigError(f"planners.{name}.kind: unknown kind {kind!r}")
-    try:
-        if kind == "mppi":
-            return MppiConfig(**_settings(section, MppiConfig))
-        if kind != "gbp":  # cem, or gradcem with its refinement
-            refine = None
-            if kind == "gradcem":
-                refine = RefineConfig(**_settings(section, [], steps="refine_steps",
-                                                  eta="refine_eta"))
-            return CemConfig(**_settings(section, CemConfig), refine=refine)
-        settings = _settings(section, PlanConfig, clamp_actions="clamp")
-        loss = settings.pop("loss", None)  # a name; the plan holds its spec
-        plan = PlanConfig(**settings, a_max=spec.a_max)
-    except ValueError as err:
-        raise ConfigError(f"planners.{name}: {err}") from err
+        raise ConfigError(f"{key}.kind: unknown kind {kind!r}")
+    if kind == "mppi":
+        return _build(key, MppiConfig, **_settings(section, MppiConfig))
+    if kind != "gbp":  # cem, or gradcem with its refinement
+        refine = None
+        if kind == "gradcem":
+            refine = _build(key, RefineConfig, **_settings(
+                section, [], steps="refine_steps", eta="refine_eta"))
+        return _build(key, CemConfig, **_settings(section, CemConfig),
+                      refine=refine)
+    settings = _settings(section, PlanConfig, clamp_actions="clamp")
+    loss = settings.pop("loss", None)  # a name; the plan holds its spec
+    plan = _build(key, PlanConfig, **settings, a_max=spec.a_max)
     if "loss" in section:
         plan.loss = _build_goal_loss(loss, plan.horizon)
     if plan.init == "initnet":
@@ -293,7 +307,11 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec,
     return plan
 
 
-def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
+def _inputs(cfg: dict) -> tuple[envs.EnvSpec, Encoder, Dataset]:
+    """The env, the encoder and the encoded dataset at `dataset.path`, which
+    must hold the observations `gen-data` wrote under this env."""
+    spec = build_env(cfg)
+    enc = build_encoder(cfg, spec)
     path = _need(cfg, "dataset", "path")
     if not os.path.isdir(path):
         raise ConfigError(f"dataset directory not found: {path}")
@@ -311,7 +329,7 @@ def _load_encoded_dataset(cfg: dict, spec: envs.EnvSpec, enc: Encoder):
         if differ:
             raise ConfigError(f"dataset {path}: generated under another env "
                               f"({', '.join(differ)} differ from the config)")
-    return encode_dataset(enc, data)
+    return spec, enc, encode_dataset(enc, data)
 
 
 def _load_checkpoint(load, path: str):
@@ -354,9 +372,7 @@ def _save_trained(out: str, cfg: dict, enc: Encoder, result, **meta) -> None:
     trace = {"batch_losses": result.batch_losses}
     if getattr(result, "epoch_losses", None):
         trace["epoch_losses"] = result.epoch_losses
-    with atomic_open(os.path.join(out, "train_trace.json"), "w") as fh:
-        json.dump(trace, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "train_trace.json"), trace)
     _write_run_manifest(out, cfg, enc)
 
 
@@ -367,9 +383,7 @@ def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
     if enc is not None:
         manifest["encoder_hash"] = encoder_hash(enc)
     manifest.update(extra or {})
-    with atomic_open(os.path.join(outdir, "run.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "run.json"), manifest, indent=2)
 
 
 # --------------------------------------------------------------------------
@@ -394,9 +408,7 @@ def cmd_gen_data(cfg: dict, args) -> int:
 
 
 def cmd_train(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     section = _need(cfg, "model")
     train = section.get("train", {})
     model = worldmodel.init_world_model(
@@ -412,13 +424,11 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_finetune_adv(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "adversarial")
-    pcfg = finetune.PerturbationConfig(
-        **_settings(section, finetune.PerturbationConfig))
+    pcfg = _build("finetune.adversarial", finetune.PerturbationConfig,
+                  **_settings(section, finetune.PerturbationConfig))
     result = finetune.adversarial_wm(
         model, data, pcfg,
         **_settings(section, ["epochs", "batch_size", "lr"],
@@ -435,12 +445,11 @@ def cmd_finetune_adv(cfg: dict, args) -> int:
 
 
 def cmd_finetune_online(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     model = _load_model(_need(cfg, "model", "path"), enc)
     section = _need(cfg, "finetune", "online")
-    ocfg = finetune.OnlineConfig(**_settings(section, finetune.OnlineConfig))
+    ocfg = _build("finetune.online", finetune.OnlineConfig,
+                  **_settings(section, finetune.OnlineConfig))
     result = finetune.online_wm(model, spec, enc, data, ocfg,
                                 seed=derive_seed(cfg["seed"], "finetune-online"))
     out = section["out_path"]
@@ -454,9 +463,7 @@ def cmd_finetune_online(cfg: dict, args) -> int:
 
 
 def cmd_train_initnet(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     section = _need(cfg, "initnet")
     result = initnet.train_initnet(
         data, section.get("horizon", 25), **_settings(section, ["iterations", "lr"]),
@@ -480,32 +487,21 @@ def _cross_room_predicate(spec: envs.EnvSpec):
 
 
 def cmd_eval(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     section = _need(cfg, "eval")
-    model_paths = section.get("models", {})
-    if args.models:
-        keep = set(args.models.split(","))
-        model_paths = {k: v for k, v in model_paths.items() if k in keep}
-    models = {}
-    for name, path in model_paths.items():
-        models[name] = _load_model(path, enc)
+    models = {name: _load_model(path, enc)
+              for name, path in section.get("models", {}).items()}
     if not models:
-        raise ConfigError("eval.models selected no checkpoints")
-    planner_names = section.get("planners", list(cfg.get("planners", {})))
-    if args.planners:
-        keep = set(args.planners.split(","))
-        planner_names = [p for p in planner_names if p in keep]
+        raise ConfigError("eval.models names no checkpoints")
     planner_cfgs = cfg.get("planners", {})
     planners = {}
-    for name in planner_names:
+    for name in section.get("planners", list(planner_cfgs)):
         if name not in planner_cfgs:
             raise ConfigError(f"eval.planners references unknown planner {name!r}")
         planners[name] = build_planner(name, planner_cfgs[name], spec, enc)
     if not planners:
         raise ConfigError("eval selected no planners")
-    mode = args.mode or section.get("mode", "mpc")
+    mode = section.get("mode", "mpc")
     mpc_cfg = MpcConfig(**_settings(section.get("mpc", {}), MpcConfig))
     short = [name for name, p in planners.items() if p.horizon < (mpc_cfg.k_exec or 0)]
     if mode == "mpc" and short:
@@ -530,9 +526,7 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_gap(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     section = _need(cfg, "gap")
     plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
                           **_settings(section.get("plan", {}), PlanConfig),
@@ -553,9 +547,7 @@ def cmd_gap(cfg: dict, args) -> int:
 
 
 def cmd_landscape(cfg: dict, args) -> int:
-    spec = build_env(cfg)
-    enc = build_encoder(cfg, spec)
-    data = _load_encoded_dataset(cfg, spec, enc)
+    spec, enc, data = _inputs(cfg)
     section = _need(cfg, "landscape")
     f_base = _load_model(section.get("baseline"), enc)
     f_adv = _load_model(section.get("adversarial"), enc)
@@ -586,9 +578,8 @@ def cmd_landscape(cfg: dict, args) -> int:
                "fraction": smoother / n_tasks, "rows": rows,
                "config_hash": config_hash(cfg)}
     os.makedirs(out_root, exist_ok=True)
-    with atomic_open(os.path.join(out_root, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(os.path.join(out_root, "summary.json"), summary,
+               separators=(",", ":"))
     _write_run_manifest(out_root, cfg, enc)
     print(f"adversarial grid smoother on {smoother}/{n_tasks} tasks")
     return 0
@@ -623,10 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force", action="store_true",
                            help="overwrite an existing dataset directory")
         if name == "eval":
-            p.add_argument("--models", help="comma-separated model filter")
-            p.add_argument("--planners", help="comma-separated planner filter")
-            p.add_argument("--mode", choices=evalreport.MODES,
-                           help="override eval.mode")
             p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                            help="parallel task workers")
     return parser

@@ -91,9 +91,7 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
         "seed": seed,
         "env": env,
     }
-    with tensorio.atomic_open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(os.path.join(path, "manifest.json"), manifest, indent=2)
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:

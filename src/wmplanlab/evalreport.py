@@ -26,12 +26,13 @@ from .encoder import Encoder, encode
 from .planners import (MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc,
                        run_planner)
 from .rng import derive_seed, generator
-from .tensorio import atomic_open
+from .tensorio import atomic_open, write_json
 # rollout_model is not called here any more; the binding stays because
 # perfbench's tracer test checks that it patches this module's copy
 from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
 
 REPORT_SCHEMA = "wmplanlab-report/1"
+_COMPACT = (",", ":")  # the JSON separators of every report file
 MODES = ("open-loop", "mpc")
 
 
@@ -319,10 +320,6 @@ def total_variation(values) -> float:
 # report files
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def emit_report(report, outdir) -> list[str]:
     """Write JSON (+ separate timing), CSV rows, and grid files.
 
@@ -340,12 +337,10 @@ def emit_report(report, outdir) -> list[str]:
                 "plan_seconds": [row.pop("plan_seconds") for row in cell["rows"]],
             })
         p = os.path.join(outdir, "report.json")
-        with atomic_open(p, "w") as fh:
-            fh.write(_canonical_json(body))
+        write_json(p, body, separators=_COMPACT)
         written.append(p)
         p = os.path.join(outdir, "timing.json")
-        with atomic_open(p, "w") as fh:
-            fh.write(_canonical_json(timing))
+        write_json(p, timing, separators=_COMPACT)
         written.append(p)
         p = os.path.join(outdir, "report.csv")
         with atomic_open(p, "w", newline="") as fh:
@@ -360,8 +355,7 @@ def emit_report(report, outdir) -> list[str]:
         written.append(p)
     elif isinstance(report, GapReport):
         p = os.path.join(outdir, "gap.json")
-        with atomic_open(p, "w") as fh:
-            fh.write(_canonical_json(asdict(report)))
+        write_json(p, asdict(report), separators=_COMPACT)
         written.append(p)
         p = os.path.join(outdir, "gap.csv")
         with atomic_open(p, "w", newline="") as fh:
@@ -372,8 +366,7 @@ def emit_report(report, outdir) -> list[str]:
         written.append(p)
     elif isinstance(report, LandscapePair):
         p = os.path.join(outdir, "landscape.json")
-        with atomic_open(p, "w") as fh:
-            fh.write(_canonical_json(asdict(report)))
+        write_json(p, asdict(report), separators=_COMPACT)
         written.append(p)
         for grid in (report.baseline, report.adversarial):
             p = os.path.join(outdir, f"landscape_{grid.model}.csv")

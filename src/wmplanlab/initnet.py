@@ -111,9 +111,7 @@ def save_initnet(path, net: InitNet, meta: dict | None = None) -> None:
     desc = {"kind": "initnet", "d_z": net.d_z, "d_a": net.d_a,
             "horizon": net.horizon, "a_max": net.a_max,
             "hidden": list(net.hidden), "meta": meta or {}}
-    with tensorio.atomic_open(os.path.join(path, "model.json"), "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(os.path.join(path, "model.json"), desc, indent=2)
     tensorio.save_tensors(os.path.join(path, "weights.bin"), net.weights)
 
 

@@ -1,13 +1,16 @@
-"""WMT1 tensor serialization, and the atomic writer of every output file.
+"""The writers of every output file, and WMT1 tensor serialization.
 
-Record layout (little-endian): magic b"WMT1", rank as u64, dims as u64 each,
-then the float64 entries in row-major order. Files may hold several records
-back to back.
+`atomic_open` writes a file whole or not at all, and every writer goes
+through it; `write_json` is the one JSON writer, `save_tensors` the one
+tensor writer. WMT1 record layout (little-endian): magic b"WMT1", rank as
+u64, dims as u64 each, then the float64 entries in row-major order. Files
+may hold several records back to back.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import struct
 from typing import BinaryIO
@@ -30,6 +33,14 @@ def atomic_open(path, mode: str, **kwargs):
     finally:
         if os.path.exists(tmp):  # not moved: the write failed
             os.remove(tmp)
+
+
+def write_json(path, obj, **dump_options) -> None:
+    """Write `obj` to `path` atomically as JSON with sorted keys and a final
+    newline; `dump_options` (`indent`, `separators`) go to `json.dump`."""
+    with atomic_open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, **dump_options)
+        fh.write("\n")
 
 
 def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:

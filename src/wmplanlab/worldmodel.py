@@ -221,9 +221,7 @@ def save_model(path, model: WorldModel, meta: dict | None = None) -> None:
         "hidden": list(model.hidden), "residual": model.residual,
         "meta": meta or {},
     }
-    with tensorio.atomic_open(os.path.join(path, "model.json"), "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tensorio.write_json(os.path.join(path, "model.json"), desc, indent=2)
     tensorio.save_tensors(os.path.join(path, "weights.bin"), model.weights)
 
 

@@ -197,11 +197,30 @@ def test_eval_single_cell_and_deterministic_rerun(pipeline, tmp_path):
 
 def test_eval_mode_and_filters(pipeline):
     cfg, path = pipeline
-    assert _run("eval", "--config", path, "--mode", "mpc", "--planners",
-                "gbp_gd", "--workers", "1") == 0
-    body = json.load(open(os.path.join(cfg["eval"]["out_path"], "report.json")))
+    report = os.path.join(cfg["eval"]["out_path"], "report.json")
+    assert _run("eval", "--config", path, "--workers", "1") == 0
+    open_loop = json.load(open(report))
+    assert _run("eval", "--config", path, "--set", "eval.mode=mpc", "--set",
+                'eval.planners=["cem_small"]', "--workers", "1") == 0
+    body = json.load(open(report))
     assert body["mode"] == "mpc"
-    assert _run("eval", "--config", path, "--models", "nope") == 2
+    assert [cell["planner"] for cell in body["cells"]] == ["cem_small"]
+    assert body["config_hash"] != open_loop["config_hash"]
+    assert _run("eval", "--config", path, "--set", "eval.models={}") == 2
+
+
+@pytest.mark.parametrize("mode", ["open-loop", "mpc"])
+def test_the_number_of_workers_changes_no_report_byte(pipeline, mode):
+    cfg, path = pipeline
+    out = cfg["eval"]["out_path"]
+    reports = []
+    for workers in ("1", "2"):
+        assert _run("eval", "--config", path, "--workers", workers,
+                    "--set", f"eval.mode={mode}", "--set", "eval.n_tasks=5",
+                    "--set", 'eval.planners=["gbp_gd", "cem_small"]') == 0
+        reports.append([open(os.path.join(out, name), "rb").read()
+                        for name in ("report.json", "report.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_gap_command(pipeline):
@@ -339,12 +358,12 @@ def test_a_value_outside_its_allowed_set_exits_with_code_2(pipeline, capsys,
     assert f"config error: {key}: expected one of" in capsys.readouterr().err
 
 
-def test_eval_mode_flag_takes_the_modes_evaluate_accepts():
-    parser = cli.build_parser()
-    for mode in evalreport.MODES:
-        assert parser.parse_args(["eval", "--mode", mode]).mode == mode
+@pytest.mark.parametrize("flag", ["--mode", "--models", "--planners"])
+def test_eval_takes_no_flag_that_bypasses_the_config(flag):
+    # eval.mode, eval.models and eval.planners are set with --set, so the
+    # config hash of a report covers them
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["eval", "--mode", "closed"])
+        cli.build_parser().parse_args(["eval", flag, "mpc"])
     assert exc.value.code == 2
 
 
@@ -598,6 +617,45 @@ def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key,
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("command, key, value, message, out", [
+    ("train", "model.train.lr", 0, None, "model"),
+    ("finetune-adv", "finetune.adversarial.lr", -1, None, "model-adv"),
+    ("finetune-online", "finetune.online.lr", 0, None, "model-owm"),
+    ("train-initnet", "initnet.lr", 0, None, "initnet"),
+    ("gap", "gap.plan.eta", 0, None, "gap"),
+    ("landscape", "landscape.plan.eta", 0, None, "landscape"),
+    ("finetune-online", "finetune.online.plan_eta", 0, None, "model-owm"),
+    ("eval", "eval.mpc.eta", 0, None, "eval"),
+    ("eval", "planners.gradcem_small.refine_eta", 0, None, "eval"),
+    ("eval", "planners.mppi_small.temperature", 0, None, "eval"),
+    ("finetune-adv", "finetune.adversarial.lambda_a", -1,
+     "finetune.adversarial: scaling factors must be >= 0", "model-adv"),
+    ("finetune-online", "finetune.online.mix_ratio", 1.5,
+     "finetune.online: mix_ratio must lie in [0, 1]", "model-owm"),
+], ids=["train-lr", "adv-lr", "online-lr", "initnet-lr", "gap-eta",
+        "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
+        "mppi-temperature", "adv-lambda-a", "online-mix-ratio"])
+def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
+                                                        key, value, message, out):
+    cfg = tiny_config(tmp_path)
+    cfg["planners"]["gradcem_small"] = {"kind": "gradcem", "horizon": 4,
+                                        "n_pop": 6, "k_elite": 2}
+    cfg["planners"]["mppi_small"] = {"kind": "mppi", "horizon": 4, "samples": 4}
+    cfg["eval"].update(mode="mpc", planners=["gbp_gd", "gradcem_small",
+                                             "mppi_small"])
+    path = _write(tmp_path, cfg)
+    assert _run("gen-data", "--config", path) == 0
+    if command not in ("train", "train-initnet"):
+        assert _run("train", "--config", path) == 0
+    if command == "landscape":
+        assert _run("finetune-adv", "--config", path) == 0
+    assert _run(command, "--config", path, "--set", f"{key}={value}") == 2
+    # the schema names the key; a config object's own check names its section
+    expect = message or f"{key}: expected a number > 0, got {value}"
+    assert f"config error: {expect}" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("planners.cem_small.k_elite=11",
      "planners.cem_small: need 1 <= k_elite <= n_pop"),
@@ -616,16 +674,16 @@ def test_a_planner_that_rejects_its_settings_exits_2_before_writing(
     cfg["planners"]["cem_small"]["horizon"] = 9
     cfg["eval"]["planners"] = ["gbp_gd", "cem_small", "gradcem_small"]
     path = _write(tmp_path, cfg)
-    assert _run("eval", "--config", path, "--mode", "mpc", "--workers", "1",
-                "--set", override) == 2
+    assert _run("eval", "--config", path, "--set", "eval.mode=mpc",
+                "--workers", "1", "--set", override) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
 
 
 def test_k_exec_is_not_checked_against_the_horizon_in_open_loop_mode(pipeline):
     cfg, path = pipeline
-    assert _run("eval", "--config", path, "--mode", "open-loop", "--workers", "1",
-                "--set", "eval.mpc.k_exec=9") == 0
+    assert _run("eval", "--config", path, "--set", "eval.mode=open-loop",
+                "--workers", "1", "--set", "eval.mpc.k_exec=9") == 0
 
 
 @pytest.mark.parametrize("override, differ", [

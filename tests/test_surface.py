@@ -1,5 +1,6 @@
 """Every public module-level function and class of the package is reached
-by the package itself or by the benchmark, or is a named test seam.
+by the package itself or by the benchmark, or is a named test seam; no
+module imports a name it does not use; and only `tensorio` writes files.
 
 A name counts as reached when code in `src/wmplanlab` (other than the
 `__init__.py` re-exports, and other than its own definition) or in
@@ -109,3 +110,31 @@ def test_no_module_imports_a_name_it_does_not_use():
     paths += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _file_writes(path: pathlib.Path) -> list[str]:
+    """`file:line` of each `json.dump` call, and of each call of the builtin
+    `open` whose mode writes (has "w", "a" or "x") or is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "dump"
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} json.dump")
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax")):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} open")
+    return found
+
+
+def test_only_tensorio_writes_files():
+    # one writer, `tensorio.atomic_open`, so that every output file is
+    # written whole or not at all; `tensorio.write_json` is the one JSON writer
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "tensorio.py"]
+    writes = [entry for path in paths for entry in _file_writes(path)]
+    assert not writes, "write through tensorio instead: " + ", ".join(writes)
