@@ -69,7 +69,7 @@ _PLANNER_KEYS = {
 _SCHEMA = {
     "seed": int,
     "out_dir": str,
-    "env": {"kind": str, "frameskip": int},
+    "env": {"kind": str, "frameskip": _COUNT},
     "encoder": {"kind": str, "d_z": int, "sigma": float, "seed": int},
     "dataset": {"path": str, "n_traj": _COUNT, "traj_len": int,
                 "policy": frozenset(envs.POLICIES)},
@@ -94,7 +94,7 @@ _SCHEMA = {
                 "iterations": (_COUNT, None)},
     "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
     "eval": {"out_path": str, "n_tasks": _COUNT,
-             "mode": frozenset(evalreport.MODES), "horizon_gap": int,
+             "mode": frozenset(evalreport.MODES), "horizon_gap": _COUNT,
              "models": {_ANY_KEY: str}, "planners": list,
              "mpc": {"steps": _COUNT, "k_exec": (_COUNT, None),
                      "plan_iters": (_COUNT, None), "eta": (_POSITIVE, None),
@@ -397,9 +397,11 @@ def cmd_gen_data(cfg: dict, args) -> int:
     if os.path.isdir(path) and os.listdir(path) and not args.force:
         raise ConfigError(f"dataset directory {path} is not empty "
                           "(use --force to overwrite)")
+    traj_len = section.get("traj_len", 50)
+    if traj_len < 2:  # a trajectory needs a start and one step
+        raise ConfigError(f"dataset.traj_len: expected an integer >= 2, got {traj_len!r}")
     seed = derive_seed(cfg["seed"], "dataset")
-    data = envs.generate_dataset(spec, section.get("n_traj", 100),
-                                 section.get("traj_len", 50),
+    data = envs.generate_dataset(spec, section.get("n_traj", 100), traj_len,
                                  section.get("policy", "random"), seed)
     save_dataset(path, data, env=envs.spec_to_dict(spec), seed=seed)
     _write_run_manifest(path, cfg, None, {"n_traj": len(data)})

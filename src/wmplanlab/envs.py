@@ -5,6 +5,20 @@ wall with a door. PointMassMaze is a force-actuated, damped double
 integrator in a 2x2 room grid with three doors. Both resolve collisions by
 axis-separated clamp-and-slide against axis-aligned wall segments, so a
 blocked axis is clamped at the wall face while the other axis still moves.
+
+`step` takes one state or a batch of states and picks its implementation
+from the shape of the position. One state, `(2,)`, steps in Python floats
+(`_move`); that is the path of MPC, evaluation and every replay. A batch,
+`(N, 2)`, steps with elementwise NumPy, one wall at a time in the same wall
+order (`_move_rows`), so each row keeps the bits of the one-state path.
+Neither path serves both callers: on one state the batched step costs
+about 20x the one-state step (see `step`), while a dataset of N
+trajectories takes T-1 batched steps in place of N(T-1) one-state steps.
+
+`generate_dataset` steps all N trajectories in lockstep. Each trajectory
+still draws only from its own stream generator(seed, "traj", i), the same
+numbers in the same order as when trajectories were rolled one at a time,
+so a trajectory never depends on its batch-mates or on N.
 """
 
 from __future__ import annotations
@@ -75,8 +89,8 @@ class EnvSpec:
 
 @dataclass(eq=False)
 class EnvState:
-    position: np.ndarray
-    velocity: np.ndarray
+    position: np.ndarray  # (2,), or (N, 2) for a batch of N states
+    velocity: np.ndarray  # same shape as position
 
 
 @dataclass(eq=False)
@@ -155,8 +169,66 @@ def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     return np.array([nx, ny]), blocked
 
 
+def _slide_rows(spec: EnvSpec, axis: int, start, end, other):
+    """One leg of `_move_rows`: clamp each move from `start` to `end` along
+    `axis` at the walls of that axis, in order, whose span holds `other`,
+    then at the box; returns the new end and the blocked mask."""
+    blocked = np.zeros(len(end), dtype=bool)
+    for w in spec.walls:
+        if w.axis != axis:
+            continue
+        span = (w.lo <= other) & (other <= w.hi)
+        fwd = span & (start < w.coord) & (w.coord <= end)
+        back = span & (start > w.coord) & (w.coord >= end)
+        end = np.where(fwd, w.coord - CONTACT_EPS, np.where(back, w.coord + CONTACT_EPS, end))
+        blocked |= fwd | back
+    low, high = end < 0.0, end > spec.size
+    end = np.where(low, 0.0, np.where(high, spec.size, end))
+    return end, blocked | low | high
+
+
+def _move_rows(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
+    """`_move` of every row of `pos` (N, 2) by the same row of `delta`, with
+    `_move`'s comparisons and arithmetic in elementwise NumPy, so each row
+    equals `_move` of that row bit for bit."""
+    x, y = pos[:, 0], pos[:, 1]
+    nx, bx = _slide_rows(spec, 0, x, x + delta[:, 0], y)
+    ny, by = _slide_rows(spec, 1, y, y + delta[:, 1], nx)
+    return np.stack([nx, ny], axis=1), np.stack([bx, by], axis=1)
+
+
+def _step_rows(spec: EnvSpec, s: EnvState, a) -> EnvState:
+    """`step` of every row of a batch, with `_move_rows` for `_move`."""
+    a = np.clip(np.asarray(a, dtype=np.float64), -spec.a_max, spec.a_max)
+    pos = s.position
+    vel = s.velocity
+    for _ in range(spec.frameskip):
+        if spec.kind == WALL2D:
+            pos, _ = _move_rows(spec, pos, a)
+        else:
+            vel = (1.0 - spec.damping) * vel + POINTMASS_ACCEL * a
+            pos, blocked = _move_rows(spec, pos, vel)
+            vel = np.where(blocked, 0.0, vel)
+    if spec.kind == WALL2D:
+        vel = np.zeros_like(pos)
+    return EnvState(pos, vel)
+
+
 def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
-    """One logical env step: clamp the action, run frameskip substeps."""
+    """One logical env step: clamp the action, run frameskip substeps.
+
+    `s` is one state (position and velocity of shape (2,), `a` of shape
+    (2,)) or a batch of N states ((N, 2) each, `a` of shape (N, 2)); row i
+    of a batched step equals the one-state step of row i bit for bit. The
+    two shapes take separate paths because each is the fast one for its
+    caller. On one Wall2D state the batched path took 390 us against 18 us
+    for the one-state path (PointMass: 555 us against 30 us; 2 cores,
+    Python 3.11, NumPy 2.4.6), which would add about 90 ms to every
+    250-step MPC episode; over a batch of N rows it runs once where the
+    one-state path would run N times.
+    """
+    if s.position.ndim == 2:
+        return _step_rows(spec, s, a)
     a = np.clip(np.asarray(a, dtype=np.float64), -spec.a_max, spec.a_max)
     pos = s.position
     vel = s.velocity
@@ -191,7 +263,7 @@ def rollout_env(spec: EnvSpec, s1: EnvState, actions) -> list[EnvState]:
 def obs_of(spec: EnvSpec, s: EnvState) -> np.ndarray:
     if spec.kind == WALL2D:
         return s.position.copy()
-    return np.concatenate([s.position, s.velocity])
+    return np.concatenate([s.position, s.velocity], axis=-1)
 
 
 def state_of_obs(spec: EnvSpec, o: np.ndarray) -> EnvState:
@@ -224,27 +296,42 @@ def _sample_start(spec: EnvSpec, rng: np.random.Generator) -> EnvState:
             return EnvState(pos, np.zeros(2))
 
 
-def _same_side(door: Door, p: np.ndarray, q: np.ndarray) -> bool:
-    return (p[door.axis] - door.coord) * (q[door.axis] - door.coord) > 0
-
-
-def _goal_seek_action(spec: EnvSpec, s: EnvState, waypoint: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Steer toward the waypoint, routing via the door when a wall blocks
-    the straight line; uniform action noise on top."""
+def _goal_seek_rows(spec: EnvSpec, s: EnvState, waypoint: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Actions (N, 2) that steer each row of the batch `s` toward its
+    waypoint, routing via the door when a wall blocks the straight line
+    (Wall2D), plus uniform noise mapped from the draws `u` (N, 2) in [0, 1)."""
     pos = s.position
-    target = waypoint
     if spec.kind == WALL2D:
         door = spec.doors[0]
         gap_lo, gap_hi = door.lo + 0.02, door.hi - 0.02
-        if not _same_side(door, pos, waypoint) and not (gap_lo <= pos[1] <= gap_hi):
-            target = door.center
+        same_side = (pos[:, door.axis] - door.coord) * (waypoint[:, door.axis] - door.coord) > 0
+        in_gap = (gap_lo <= pos[:, 1]) & (pos[:, 1] <= gap_hi)
+        target = np.where((~same_side & ~in_gap)[:, None], door.center, waypoint)
         gain = 1.0 / spec.frameskip
         drive = gain * (target - pos)
     else:
-        drive = 4.0 * (target - pos) - 8.0 * s.velocity
-    noise = rng.uniform(-0.5 * spec.a_max, 0.5 * spec.a_max, size=2)
+        drive = 4.0 * (waypoint - pos) - 8.0 * s.velocity
+    noise = _uniform(u, -0.5 * spec.a_max, 0.5 * spec.a_max)
     return np.clip(drive + noise, -spec.a_max, spec.a_max)
+
+
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map draws in [0, 1) to [lo, hi) as `Generator.uniform` does."""
+    return lo + (hi - lo) * u
+
+
+def _near_waypoint(spec: EnvSpec, pos: np.ndarray, waypoint: np.ndarray) -> np.ndarray:
+    """Rows whose position is within 0.05 * size of the waypoint, decided
+    by the `np.linalg.norm` of each row. The elementwise norm can differ
+    from it in the last bit (BLAS computes the dot product), so rows within
+    a hair of the threshold are decided by `np.linalg.norm` itself."""
+    d = pos - waypoint
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    radius = 0.05 * spec.size
+    for i in np.flatnonzero(np.abs(dist - radius) <= 1e-12 * radius):
+        dist[i] = np.linalg.norm(d[i])
+    return dist < radius
 
 
 def generate_dataset(spec: EnvSpec, n_traj: int, traj_len: int, policy: str,
@@ -254,29 +341,52 @@ def generate_dataset(spec: EnvSpec, n_traj: int, traj_len: int, policy: str,
     policy "random" draws uniform actions; "goal-seeking-noisy" steers
     toward resampled waypoints with additive noise (and, in Wall2D, routes
     through the door), which yields wall-crossing demonstrations.
+
+    All trajectories step in lockstep, one batched `step` per time step.
+    Trajectory i takes its start, first waypoint and then all its further
+    draws from generator(seed, "traj", i): the random policy's actions as
+    one (traj_len - 1, 2) block; for the goal-seeking policy a block of
+    4 (traj_len - 1) draws, the most it can use (a waypoint and a noise
+    pair per step), read in order through a per-row cursor.
     """
     if n_traj < 1 or traj_len < 2:
         raise ValueError("need n_traj >= 1 and traj_len >= 2")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    T = traj_len - 1
     obs = np.empty((n_traj, traj_len, spec.obs_dim))
-    actions = np.empty((n_traj, traj_len - 1, spec.action_dim))
+    actions = np.empty((n_traj, T, spec.action_dim))
+    start = np.empty((n_traj, 2))
+    waypoint = np.empty((n_traj, 2))
+    seeking = policy == "goal-seeking-noisy"
+    draws = np.empty((n_traj, 4 * T))
     for i in range(n_traj):
         rng = generator(seed, "traj", i)
-        s = _sample_start(spec, rng)
-        obs[i, 0] = obs_of(spec, s)
-        waypoint = rng.uniform(0.0, spec.size, size=2)
-        for t in range(traj_len - 1):
-            if policy == "random":
-                a = rng.uniform(-spec.a_max, spec.a_max, size=2)
-            else:
-                if t > 0 and (t % 12 == 0 or
-                              np.linalg.norm(s.position - waypoint) < 0.05 * spec.size):
-                    waypoint = rng.uniform(0.0, spec.size, size=2)
-                a = _goal_seek_action(spec, s, waypoint, rng)
-            actions[i, t] = a
-            s = step(spec, s, a)
-            obs[i, t + 1] = obs_of(spec, s)
+        start[i] = _sample_start(spec, rng).position
+        waypoint[i] = rng.uniform(0.0, spec.size, size=2)
+        if seeking:
+            draws[i] = rng.random(4 * T)
+        else:
+            actions[i] = rng.uniform(-spec.a_max, spec.a_max, size=(T, 2))
+    s = EnvState(start, np.zeros_like(start))
+    obs[:, 0] = obs_of(spec, s)
+    rows = np.arange(n_traj)
+    cursor = np.zeros(n_traj, dtype=np.intp)
+
+    def take(which):  # the next two draws of each row in `which`
+        u = draws[which[:, None], cursor[which, None] + (0, 1)]
+        cursor[which] += 2
+        return u
+
+    for t in range(T):
+        if seeking:
+            if t > 0:
+                redraw = rows if t % 12 == 0 else np.flatnonzero(
+                    _near_waypoint(spec, s.position, waypoint))
+                waypoint[redraw] = _uniform(take(redraw), 0.0, spec.size)
+            actions[:, t] = _goal_seek_rows(spec, s, waypoint, take(rows))
+        s = step(spec, s, actions[:, t])
+        obs[:, t + 1] = obs_of(spec, s)
     return Dataset(actions, obs=obs)
 
 

@@ -593,6 +593,8 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
     ("gap", "gap.plan.iterations", "gap"),
     ("landscape", "landscape.horizon", "landscape"),
     ("landscape", "landscape.plan.iterations", "landscape"),
+    ("gen-data", "env.frameskip", "data-2"),
+    ("eval", "eval.horizon_gap", "eval"),
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
         "initnet-iterations", "eval-tasks", "cem-population", "landscape-tasks",
         "landscape-resolution", "gen-data-trajectories", "gap-windows",
@@ -600,7 +602,8 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
         "initnet-horizon", "gbp-horizon", "gbp-iterations", "cem-horizon",
         "cem-iterations", "cem-elites", "mppi-horizon", "mppi-iterations",
         "mppi-samples", "mpc-steps", "mpc-k-exec", "mpc-plan-iters", "gap-horizon",
-        "gap-plan-iterations", "landscape-horizon", "landscape-plan-iterations"])
+        "gap-plan-iterations", "landscape-horizon", "landscape-plan-iterations",
+        "gen-data-frameskip", "eval-horizon-gap"])
 def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key, out):
     cfg = tiny_config(tmp_path)
     cfg["planners"]["mppi_small"] = {"kind": "mppi", "horizon": 4, "samples": 4}
@@ -615,6 +618,15 @@ def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key,
     assert _run(*argv) == 2
     assert f"{key}: expected an integer >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("traj_len", [1, 0])
+def test_a_trajectory_shorter_than_2_exits_2_before_writing(tmp_path, capsys, traj_len):
+    path = _write(tmp_path, tiny_config(tmp_path))
+    assert _run("gen-data", "--config", path, "--set", f"dataset.traj_len={traj_len}") == 2
+    assert (f"dataset.traj_len: expected an integer >= 2, got {traj_len}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("command, key, value, message, out", [

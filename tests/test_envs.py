@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_generation
 from wmplanlab import envs
 from wmplanlab.data import Dataset, HorizonTooLong, load_dataset, save_dataset
 from wmplanlab.rng import generator
@@ -285,3 +286,63 @@ def test_no_move_crosses_a_wall_or_leaves_the_box(kind, start, deltas):
                 assert not _crosses(y, ny, w.coord), (pos, delta, w)
         assert np.all((new >= 0.0) & (new <= spec.size)), (pos, delta)
         pos = new
+
+
+# starts on wall faces, their contact points, door and gap edges, box edges
+_EDGES = [0.0, 1.0, 0.5, 0.5 - envs.CONTACT_EPS, 0.5 + envs.CONTACT_EPS, 0.4, 0.6,
+          0.42, 0.58, 0.15, 0.35, 0.65, 0.85]
+_coord = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["wall2d", "pointmass"]), frameskip=st.sampled_from([1, 5]),
+       rows=st.lists(st.tuples(_coord, _coord, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1),
+                               st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                     min_size=1, max_size=8))
+def test_a_batched_step_equals_the_one_state_step_of_each_row(kind, frameskip, rows):
+    # actions up to 1.5 a_max, so the clamp of the action is covered too
+    spec = (envs.wall2d_spec(frameskip) if kind == "wall2d"
+            else envs.pointmass_spec(frameskip))
+    rows = np.array(rows)
+    pos, vel, act = rows[:, :2], rows[:, 2:4], rows[:, 4:] * spec.a_max
+    batch = envs.step(spec, envs.EnvState(pos, vel), act)
+    assert batch.position.shape == batch.velocity.shape == (len(rows), 2)
+    for i in range(len(rows)):
+        one = envs.step(spec, envs.EnvState(pos[i], vel[i]), act[i])
+        assert np.array_equal(_bits(batch.position[i]), _bits(one.position)), rows[i]
+        assert np.array_equal(_bits(batch.velocity[i]), _bits(one.velocity)), rows[i]
+
+
+@pytest.mark.parametrize("seed", [1, 123, 99991])
+@pytest.mark.parametrize("policy", envs.POLICIES)
+@pytest.mark.parametrize("kind", ["wall2d", "pointmass"])
+def test_lockstep_generation_equals_the_one_trajectory_reference(kind, policy, seed):
+    spec = envs.wall2d_spec() if kind == "wall2d" else envs.pointmass_spec()
+    for traj_len in (2, 13, 50):
+        by_n = {}
+        for n in (1, 2, 7, 64):
+            got = envs.generate_dataset(spec, n, traj_len, policy, seed)
+            want = reference_generation.generate_dataset(spec, n, traj_len, policy, seed)
+            assert np.array_equal(_bits(got.obs), _bits(want.obs)), (n, traj_len)
+            assert np.array_equal(_bits(got.actions), _bits(want.actions)), (n, traj_len)
+            by_n[n] = got
+        # a trajectory never depends on its batch-mates
+        assert np.array_equal(by_n[7].obs, by_n[64].obs[:7])
+        assert np.array_equal(by_n[7].actions, by_n[64].actions[:7])
+
+
+def test_generate_dataset_takes_one_batched_step_per_time_step(wall_spec, monkeypatch):
+    shapes = []
+    real_step = envs.step
+
+    def spy(spec, s, a):
+        shapes.append(s.position.shape)
+        return real_step(spec, s, a)
+
+    monkeypatch.setattr(envs, "step", spy)
+    envs.generate_dataset(wall_spec, 5, 8, "goal-seeking-noisy", seed=0)
+    assert shapes == [(5, 2)] * 7
