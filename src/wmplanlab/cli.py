@@ -47,6 +47,8 @@ class ConfigError(Exception):
 _ANY_KEY = "__any__"
 _BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
 _COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
+_NONNEG = "__nonneg__"  # an integer >= 0: the size of a loop that may run no times
+_WIDTHS = "__widths__"  # a list of integers >= 1: hidden layer widths
 _POSITIVE = "__positive__"  # a number > 0: a step size or a temperature
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
@@ -70,10 +72,10 @@ _SCHEMA = {
     "seed": int,
     "out_dir": str,
     "env": {"kind": str, "frameskip": _COUNT},
-    "encoder": {"kind": str, "d_z": int, "sigma": float, "seed": int},
+    "encoder": {"kind": str, "d_z": _COUNT, "sigma": float, "seed": int},
     "dataset": {"path": str, "n_traj": _COUNT, "traj_len": int,
                 "policy": frozenset(envs.POLICIES)},
-    "model": {"path": str, "hidden": list, "residual": bool,
+    "model": {"path": str, "hidden": _WIDTHS, "residual": bool,
               "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
@@ -85,8 +87,8 @@ _SCHEMA = {
                         "epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE,
                         "dump_perturbed": bool, "perturbed_path": str},
         "online": {"out_path": str, "corrected_path": (str, None),
-                   "iterations": int, "plan_iterations": _COUNT, "horizon": _COUNT,
-                   "mix_ratio": float, "lr": _POSITIVE, "finetune_steps": int,
+                   "iterations": _NONNEG, "plan_iterations": _COUNT, "horizon": _COUNT,
+                   "mix_ratio": float, "lr": _POSITIVE, "finetune_steps": _NONNEG,
                    "batch_size": _COUNT, "plan_optimizer": _OPTIMIZER,
                    "plan_eta": _POSITIVE},
     },
@@ -122,11 +124,18 @@ def _check_type(value, expect, path: str) -> None:
             raise ConfigError(f"{path}: expected number, got {value!r}")
         if expect == _POSITIVE and not value > 0:
             raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
-    elif expect is int or expect == _COUNT:
+    elif expect is int or expect in (_COUNT, _NONNEG):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected integer, got {value!r}")
-        if expect == _COUNT and value < 1:
-            raise ConfigError(f"{path}: expected an integer >= 1, got {value!r}")
+        low = {_COUNT: 1, _NONNEG: 0}.get(expect)
+        if low is not None and value < low:
+            raise ConfigError(f"{path}: expected an integer >= {low}, got {value!r}")
+    elif expect == _WIDTHS:
+        if not (isinstance(value, list) and all(
+                isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                for v in value)):
+            raise ConfigError(f"{path}: expected a list of integers >= 1, "
+                              f"got {value!r}")
     elif not isinstance(value, expect):
         raise ConfigError(f"{path}: expected {expect.__name__}, got {value!r}")
 
@@ -247,8 +256,8 @@ def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
     if kind == "identity":
         return make_identity(spec.obs_dim)
     if kind == "random-fourier":
-        return make_random_fourier(spec.obs_dim,
-                                   **_settings(section, ["d_z", "sigma", "seed"]))
+        return _build("encoder", make_random_fourier, d_o=spec.obs_dim,
+                      **_settings(section, ["d_z", "sigma", "seed"]))
     raise ConfigError(f"encoder.kind: unknown encoder {kind!r}")
 
 

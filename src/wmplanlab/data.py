@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import tensorio
 
 SCHEMA_VERSION = 2
+_OLD_TRAJECTORY_FILE = re.compile(r"traj_[0-9]+\.bin")  # schema 1, one file each
 
 
 class HorizonTooLong(ValueError):
@@ -78,7 +80,9 @@ def flatten_transitions(data: Dataset, rows=slice(None)
 
 def save_dataset(path, data: Dataset, *, env: dict | None = None,
                  seed: int | None = None) -> None:
-    """Write a dataset directory, `data.bin` first, then `manifest.json`."""
+    """Write a dataset directory, `data.bin` first, then `manifest.json`,
+    then remove the `traj_<i>.bin` files of the one-file-per-trajectory
+    layout that an older version wrote there; no other file is touched."""
     os.makedirs(path, exist_ok=True)
     content = "obs" if data.obs is not None else "latent"
     states = data.obs if content == "obs" else data.latents
@@ -92,6 +96,10 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
         "env": env,
     }
     tensorio.write_json(os.path.join(path, "manifest.json"), manifest, indent=2)
+    for name in os.listdir(path):
+        stale = os.path.join(path, name)
+        if _OLD_TRAJECTORY_FILE.fullmatch(name) and os.path.isfile(stale):
+            os.remove(stale)
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:

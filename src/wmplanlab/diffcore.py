@@ -15,11 +15,11 @@ is never asked.
 Only gradient-based planning (`planners.gbp`) uses the tape: it is the one
 gradient taken through an H-step rollout. Every other gradient is one MLP
 forward and one `nets.mlp_backward` called directly
-(`worldmodel.step_loss_grad`, `initnet.loss_grad`). So the tape holds just
-the graph GBP builds: "leaf" actions, a "const" start latent, "wm-step"
-nodes, one world-model transition each with the weights as constants
-(`worldmodel.WorldModel.forward_nodes`), and one "sq-dist" goal loss, a
-weighted sum of squared distances (`sq_dist`).
+(`worldmodel.step_loss_grad`, `initnet.loss_grad`). GBP's tape holds three
+nodes per iteration: a "leaf" holding the whole (H, d_a) action array, a
+"const" start latent, and one "wm-rollout" node whose value is the goal
+loss and whose backward is a closed-form sweep back through time over all
+H model steps (`worldmodel.rollout_nodes`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """
@@ -80,29 +80,8 @@ class Tape:
     def leaf(self, value) -> Node:
         return Node(self, tensor(value), "leaf")
 
-    def leaves(self, value) -> list[Node]:
-        """One leaf per row of `value`, validated and copied once as a whole."""
-        return [Node(self, row, "leaf") for row in tensor(value)]
-
     def constant(self, value) -> Node:
         return Node(self, tensor(value), "const")
-
-
-def sq_dist(xs: Sequence[Node], targets, weights, scale: float = 1.0) -> Node:
-    """One node (op "sq-dist") with value scale * sum_i weights[i] * ||xs[i] -
-    targets[i]||^2, summed left to right, and closed-form gradients. Targets
-    are constants and pass through `tensor`, so a non-finite one is a ValueError."""
-    ds = [x.value - tensor(t) for x, t in zip(xs, targets, strict=True)]
-    total = 0.0
-    for d, w in zip(ds, weights, strict=True):
-        total = total + (d * d).sum() * w
-
-    def backward(g, needed):
-        return [g * scale * w * 2.0 * d if need else None
-                for d, w, need in zip(ds, weights, needed)]
-
-    return Node(xs[0].tape, np.asarray(total * scale), "sq-dist", tuple(xs),
-                backward)
 
 
 def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:

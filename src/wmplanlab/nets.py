@@ -1,9 +1,11 @@
 """Small tanh MLPs shared by the world model and the initialization network.
 
 `mlp_forward` is the one forward pass and `mlp_backward` the one backward
-pass. Every gradient in the lab calls the two directly, except GBP's,
-whose "wm-step" tape node (`worldmodel.WorldModel.forward_nodes`) wraps
-them."""
+pass. Every gradient in the lab calls the two directly: training and the
+attacks through `worldmodel.step_loss_grad`, the init net through
+`initnet.loss_grad`, and GBP through its "wm-rollout" tape node
+(`worldmodel.rollout_nodes`), which calls `mlp_backward` once per model
+step of its sweep back through time."""
 
 from __future__ import annotations
 

@@ -7,17 +7,19 @@ function takes `(f, z1, z_goal, cfg, seed)`, and `run_planner` picks the
 function by the config's type.
 
 Gradient-based planning backpropagates the goal loss through a recursive
-model rollout on a tape (`rollout_nodes`: action leaves, a constant start
-latent, one "wm-step" node per model step and one "sq-dist" loss node) and
-updates one action sequence with SGD or Adam; it is the only code in the
-lab that builds a tape. The sampling planners score their whole population
-in one batched NumPy rollout per iteration (`final_cost` on an (N, H, d_a)
-array, one `predict` call per step for all N sequences). GradCEM runs GBP
-from each CEM sample, so its refinement steps are `gbp` calls, still one
-sequence at a time on the tape. A model evaluation thus costs very
-different amounts on the two paths, so wall-clock between the two families
-says nothing by itself: read it next to `PlanResult.model_evals`, the
-(sequence x step) rows each plan rolled out. The MPC harness replans from
+model rollout and updates one action sequence with SGD or Adam; it is the
+only code in the lab that builds a tape. Each iteration's tape is three
+nodes: a leaf holding the (H, d_a) actions, a constant start latent and one
+"wm-rollout" node (`rollout_nodes`) that runs the H model steps, scores the
+goal loss and, in its backward, sweeps back through all H steps in closed
+form. The sampling planners score their whole population in one batched
+NumPy rollout per iteration (`final_cost` on an (N, H, d_a) array, one
+`predict` call per step for all N sequences). GradCEM runs GBP from each
+CEM sample, so its refinement steps are `gbp` calls, still one sequence at
+a time on the tape. A model evaluation thus costs very different amounts
+on the two paths, so wall-clock between the two families says nothing by
+itself: read it next to `PlanResult.model_evals`, the (sequence x step)
+rows each plan rolled out. The MPC harness replans from
 re-encoded simulator states and executes the first K actions.
 """
 
@@ -56,19 +58,20 @@ def wgl_early_heavy(H: int) -> GoalLossSpec:
     return GoalLossSpec(0.5 ** np.arange(2, H + 2, dtype=np.float64))
 
 
-def goal_loss(spec: GoalLossSpec, zs: list[dc.Node], z_goal: np.ndarray) -> dc.Node:
-    """Scalar loss node over predicted latents z_2 .. z_{H+1}."""
-    if not zs:
-        raise ValueError("need at least one predicted latent")
+def goal_loss(spec: GoalLossSpec, f: WorldModel, z1: dc.Node, a: dc.Node,
+              z_goal: np.ndarray) -> dc.Node:
+    """The goal loss over the latents z_2 .. z_{H+1} that `f` predicts from
+    `z1` under the actions `a` (H, d_a), as one "wm-rollout" tape node
+    (`rollout_nodes`), with the spec's weights checked and normalized."""
     if spec.weights is None:
-        return dc.sq_dist(zs[-1:], [z_goal], [1.0])
-    H = len(zs)
+        return rollout_nodes(f, z1, a, z_goal, None)
+    H = len(a.value)
     w = np.asarray(spec.weights, dtype=np.float64)
     if w.shape != (H,):
         raise ValueError(f"weight list length {w.shape} != horizon {H}")
     if np.any(w <= 0):
         raise ValueError("goal loss weights must be strictly positive")
-    return dc.sq_dist(zs, [z_goal] * H, w / w.sum(), 1.0 / H)
+    return rollout_nodes(f, z1, a, z_goal, w / w.sum())
 
 
 OPTIMIZERS = ("sgd", "adam")
@@ -150,10 +153,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             aborted = True
             break
         tape = dc.Tape()
-        a_nodes = tape.leaves(actions)
+        a_leaf = tape.leaf(actions)
         try:
-            zs = rollout_nodes(f, tape.constant(z1), a_nodes)
-            loss_node = goal_loss(cfg.loss, zs, z_goal)
+            loss_node = goal_loss(cfg.loss, f, tape.constant(z1), a_leaf, z_goal)
             loss = float(loss_node.value)
             trace.append(loss)
             if not np.isfinite(loss):
@@ -162,7 +164,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             if loss < best_loss:
                 best_loss = loss
                 best_actions = actions.copy()
-            grads = np.stack(dc.grad(loss_node, a_nodes))
+            (grads,) = dc.grad(loss_node, [a_leaf])
         except NumericFailure:
             aborted = True
             break

@@ -44,7 +44,12 @@ class WorldModel:
         With residual=True, z comes once more in front: the skip connection
         is its own edge, so z's gradient accumulates in the same order, hence
         to the same bits, as a concat -> MLP -> add chain. The weights are
-        constants of the node; only GBP differentiates through it."""
+        constants of the node.
+
+        Nothing in the package calls it: GBP differentiates its whole rollout
+        as one "wm-rollout" node (`rollout_nodes`). It stays because the
+        benchmark's layer tracer looks it up by name, and the tests build
+        the per-step rollout that `rollout_nodes` must match from it."""
         out, inputs = self.forward(z.value, a.value)
         parents = (z, z, a) if self.residual else (z, a)
 
@@ -96,17 +101,68 @@ def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndar
     return out.reshape(batch + (H, f.d_z))
 
 
-def rollout_nodes(f: WorldModel, z1: dc.Node,
-                  action_nodes: list[dc.Node]) -> list[dc.Node]:
-    """Differentiable rollout on one tape; gradients reach every action."""
-    zs = []
-    z = z1
-    for t, a in enumerate(action_nodes):
-        z = f.forward_nodes(z, a)
-        if not np.isfinite(z.value.sum()):
+def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
+                  weights: np.ndarray | None) -> dc.Node:
+    """The goal loss of the H-step rollout of the actions `a` (H, d_a) from
+    the start latent `z1`, as one tape node (op "wm-rollout", parents
+    (z1, a)); gradients reach the whole action array at once.
+
+    With `weights` None the loss is the final-state distance
+    ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
+    z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.goal_loss`
+    passes weights that sum to one). The forward runs the H steps through
+    `WorldModel.forward` and keeps each step's layer inputs; a non-finite
+    latent raises NumericFailure naming its step, and a non-finite goal
+    is a ValueError. The backward is one reverse sweep with one
+    `nets.mlp_backward` call per step, for the input gradient only. A
+    latent's gradient sums (loss term + skip edge) + MLP edge, the order in
+    which a tape of one "wm-step" node per step under a weighted squared
+    distance sums them, so the bits are that tape's; a non-finite one
+    raises NumericFailure. The weights of `f` are constants."""
+    actions = a.value
+    H = len(actions)
+    if H < 1:
+        raise ValueError("need at least one action")
+    zs, caches = [], []
+    z = z1.value
+    for t in range(H):
+        z, inputs = f.forward(z, actions[t])
+        if not np.isfinite(z.sum()):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
         zs.append(z)
-    return zs
+        caches.append(inputs)
+    goal = dc.tensor(z_goal)
+    if weights is None:
+        steps, scale = {H - 1: 1.0}, 1.0
+    else:
+        steps, scale = dict(enumerate(weights)), 1.0 / H
+        if len(steps) != H:
+            raise ValueError(f"{len(steps)} goal loss weights for horizon {H}")
+    terms = {t: (w, zs[t] - goal) for t, w in steps.items()}
+    total = 0.0
+    for w, d in terms.values():
+        total = total + (d * d).sum() * w
+
+    def backward(g, needed):
+        ga = np.empty_like(actions)
+        edges = ()  # what step t + 1 sends back to z_{t+1}: skip, then MLP
+        for t in range(H - 1, -1, -1):
+            G = None
+            if t in terms:
+                w, d = terms[t]
+                G = g * scale * w * 2.0 * d
+            for edge in edges:
+                G = edge if G is None else G + edge
+            if not np.isfinite(G.sum()):
+                raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
+                                     f"step {t + 1}")
+            gx, _ = nets.mlp_backward(f.weights, caches[t], G, True, False)
+            ga[t] = gx[f.d_z:]
+            edges = (G, gx[:f.d_z]) if f.residual else (gx[:f.d_z],)
+        return (edges[0] + edges[1] if f.residual else edges[0]), ga
+
+    return dc.Node(z1.tape, np.asarray(total * scale), "wm-rollout", (z1, a),
+                   backward)
 
 
 @dataclass
@@ -123,7 +179,7 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
     scale * ||f(Z, A) - target||^2, a float, with the input gradients only
     if `dx` asks and the weight gradients (else None each) only if `params`
     does. The expressions and their order are those of a "wm-step" node
-    under a "sq-dist" loss on the tape, so the bits are too. A non-finite
+    under a squared-distance loss node on the tape, so the bits are too. A non-finite
     input or target raises ValueError, a non-finite gradient NumericFailure."""
     Z, A = dc.tensor(Z), dc.tensor(A)
     pred, inputs = f.forward(Z, A)

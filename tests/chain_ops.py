@@ -1,7 +1,8 @@
 """Elementwise tape ops, for tests only: the reference chains that the
-lab's gradients must match bit for bit. Those are the fused "wm-step" and
-"sq-dist" nodes GBP puts on the tape, and the direct kernel calls of
-`worldmodel.step_loss_grad` and `initnet.loss_grad`.
+lab's gradients must match bit for bit. Those are the fused "wm-step" node
+and the "sq-dist" node of the per-step GBP rollout (`reference_rollout`),
+which GBP's "wm-rollout" node in turn must match, and the direct kernel
+calls of `worldmodel.step_loss_grad` and `initnet.loss_grad`.
 
 Each op is one `dc.Node` whose backward calls the closed-form vjp of each
 needed parent. Losses are built from them the long way, e.g.
@@ -139,8 +140,8 @@ def chain_step(f, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
 
 
 def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:
-    """`dc.sq_dist` as a sum over i of mul(sum_(square(sub(x_i, target_i))),
-    w_i), times the scale."""
+    """`reference_rollout.sq_dist` as a sum over i of
+    mul(sum_(square(sub(x_i, target_i))), w_i), times the scale."""
     tape = xs[0].tape
     total = None
     for x, t, w in zip(xs, targets, weights, strict=True):

@@ -119,6 +119,25 @@ def test_gen_data_force_with_fewer_trajectories_leaves_no_stale_file(tmp_path):
     assert len(data) == manifest["count"] == 2
 
 
+@pytest.mark.parametrize("command, out", [
+    ("gen-data", "data"), ("finetune-adv", "model-adv/perturbed"),
+    ("finetune-online", "data-corr")])
+def test_overwriting_an_old_layout_dataset_removes_its_trajectory_files(
+        pipeline, tmp_path, command, out):
+    cfg, path = pipeline
+    old = tmp_path / out
+    old.mkdir(parents=True, exist_ok=True)
+    for i in range(3):
+        (old / f"traj_{i}.bin").write_bytes(b"WMT1")
+    argv = [command, "--config", path]
+    argv += {"gen-data": ["--force"],
+             "finetune-adv": ["--set", "finetune.adversarial.dump_perturbed=true"],
+             "finetune-online": []}[command]
+    assert _run(*argv) == 0
+    assert not [name for name in os.listdir(old) if name.startswith("traj_")]
+    load_dataset(str(old))
+
+
 def test_train_writes_checkpoint_and_manifest(pipeline):
     cfg, path = pipeline
     model, meta = worldmodel.load_model(cfg["model"]["path"])
@@ -627,6 +646,31 @@ def test_a_trajectory_shorter_than_2_exits_2_before_writing(tmp_path, capsys, tr
     assert (f"dataset.traj_len: expected an integer >= 2, got {traj_len}"
             in capsys.readouterr().err)
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command, key, value, message, out", [
+    ("train", "model.hidden", "[0]",
+     "model.hidden: expected a list of integers >= 1, got [0]", "model"),
+    ("train", "model.hidden", '["a"]',
+     "model.hidden: expected a list of integers >= 1, got ['a']", "model"),
+    ("train", "encoder.d_z", 7,
+     "encoder: random-fourier d_z must be even (sin and cos banks)", "model"),
+    ("finetune-online", "finetune.online.iterations", -1,
+     "finetune.online.iterations: expected an integer >= 0, got -1", "model-owm"),
+    ("finetune-online", "finetune.online.finetune_steps", -1,
+     "finetune.online.finetune_steps: expected an integer >= 0, got -1",
+     "model-owm"),
+], ids=["hidden-zero", "hidden-string", "odd-d-z", "online-iterations",
+        "online-finetune-steps"])
+def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
+        tmp_path, capsys, command, key, value, message, out):
+    path = _write(tmp_path, tiny_config(tmp_path))
+    assert _run("gen-data", "--config", path) == 0
+    if command != "train":
+        assert _run("train", "--config", path) == 0
+    assert _run(command, "--config", path, "--set", f"{key}={value}") == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
 
 
 @pytest.mark.parametrize("command, key, value, message, out", [

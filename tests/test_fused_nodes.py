@@ -1,8 +1,10 @@
-"""The lab's gradients against the unfused tape chains of `chain_ops`: GBP's
-"wm-step" and "sq-dist" nodes, and the direct kernel calls of
-`worldmodel.step_loss_grad` (training, the attacks) and `initnet.loss_grad`,
-each equal to the chain bit for bit. Also the work each caller asks of
-`nets.mlp_backward`, which callers build a tape, and tape lifetime."""
+"""The lab's gradients against the unfused tape chains of `chain_ops`: the
+"wm-step" node, GBP's "wm-rollout" node through the per-step reference
+rollout of `reference_rollout`, its "sq-dist" loss, and the direct kernel
+calls of `worldmodel.step_loss_grad` (training, the attacks) and
+`initnet.loss_grad`, each equal to the chain bit for bit. Also the work
+each caller asks of `nets.mlp_backward`, which callers build a tape, and
+tape lifetime."""
 
 import gc
 import weakref
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 import chain_ops as co
+import reference_rollout as ref
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, finetune, initnet, nets, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
@@ -80,12 +83,12 @@ def test_wm_step_rollout_gradients_equal_the_chain(loss):
 
     def run():
         tape = dc.Tape()
-        a_nodes = tape.leaves(acts)
-        zs = rollout_nodes(f, tape.constant(z1), a_nodes)
-        return dc.grad(planners.goal_loss(spec, zs, z_goal), a_nodes)
+        a = tape.leaf(acts)
+        return dc.grad(planners.goal_loss(spec, f, tape.constant(z1), a, z_goal), [a])
 
     fused = run()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "rollout_nodes", ref.rollout_nodes)
         mp.setattr(WorldModel, "forward_nodes", chain_forward_nodes)
         chain = run()
     assert np.array_equal(np.stack(fused), np.stack(chain))
@@ -123,7 +126,7 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
         if wrt == "input":
             tape = dc.Tape()
             a_node = tape.leaf(a)
-            loss = dc.sq_dist([f.forward_nodes(tape.constant(z), a_node)], [zn], [1.0])
+            loss = rollout_nodes(f, tape.constant(z[0]), a_node, zn[0], None)
             with pytest.raises(dc.NumericFailure, match="op"):
                 dc.grad(loss, [a_node])
         else:
@@ -189,7 +192,7 @@ def test_sq_dist_equals_the_chain(form):
         loss = build(nodes, targets, weights, scale)
         return [loss.value] + dc.grad(loss, nodes)
 
-    fused, chain = run(dc.sq_dist), run(co.chain_sq_dist)
+    fused, chain = run(ref.sq_dist), run(co.chain_sq_dist)
     assert len(fused) == 1 + len(xs)
     for got, want in zip(fused, chain):
         assert got.shape == want.shape
@@ -209,7 +212,8 @@ def test_gbp_weighted_plans_equal_the_chain(loss, optimizer):
                               eta=0.1, loss=spec)
     fused = planners.gbp(f, z1, z_goal, cfg, seed=3)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dc, "sq_dist", co.chain_sq_dist)
+        mp.setattr(planners, "rollout_nodes", ref.rollout_nodes)
+        mp.setattr(ref, "sq_dist", co.chain_sq_dist)
         chain = planners.gbp(f, z1, z_goal, cfg, seed=3)
     assert fused.loss_trace == chain.loss_trace
     assert fused.final_loss == chain.final_loss

@@ -15,50 +15,48 @@ from wmplanlab.worldmodel import init_world_model, predict
 from conftest import linear_model, rel_err
 
 
-def _nodes_with_distances(dists, d=2):
-    """Latent nodes at prescribed squared distances from a zero goal."""
+def _rollout_with_distances(dists, d=2):
+    """A linear model, a zero start latent and an action leaf whose rollout
+    visits latents at prescribed squared distances from a zero goal."""
+    zs = np.zeros((len(dists) + 1, d))
+    zs[1:, 0] = np.sqrt(dists)
     tape = dc.Tape()
-    zs = []
-    for s in dists:
-        v = np.zeros(d)
-        v[0] = np.sqrt(s)
-        zs.append(tape.leaf(v))
-    return tape, zs
+    return linear_model(np.eye(d)), tape.constant(zs[0]), tape.leaf(np.diff(zs, axis=0))
 
 
 def test_goal_loss_final_mode():
-    tape, zs = _nodes_with_distances([4.0, 16.0])
-    loss = goal_loss(GoalLossSpec(), zs, np.zeros(2))
+    f, z1, a = _rollout_with_distances([4.0, 16.0])
+    loss = goal_loss(GoalLossSpec(), f, z1, a, np.zeros(2))
     assert float(loss.value) == pytest.approx(16.0)
 
 
 def test_goal_loss_weighted_hand_example():
     # H=2, w=(1,1), distances (4,16): (1/2) * (0.5*4 + 0.5*16) = 5
-    tape, zs = _nodes_with_distances([4.0, 16.0])
+    f, z1, a = _rollout_with_distances([4.0, 16.0])
     spec = GoalLossSpec(np.array([1.0, 1.0]))
-    assert float(goal_loss(spec, zs, np.zeros(2)).value) == pytest.approx(5.0)
+    assert float(goal_loss(spec, f, z1, a, np.zeros(2)).value) == pytest.approx(5.0)
 
 
 def test_goal_loss_weighted_degenerate_equals_final_over_h():
-    tape, zs = _nodes_with_distances([4.0, 16.0])
+    f, z1, a = _rollout_with_distances([4.0, 16.0])
     spec = GoalLossSpec(np.array([1e-15, 1.0]))
     final = 16.0
-    assert float(goal_loss(spec, zs, np.zeros(2)).value) == pytest.approx(final / 2)
+    assert float(goal_loss(spec, f, z1, a, np.zeros(2)).value) == pytest.approx(final / 2)
 
 
 def test_goal_loss_zero_at_goal():
-    tape, zs = _nodes_with_distances([0.0, 0.0, 0.0])
-    assert float(goal_loss(GoalLossSpec(), zs, np.zeros(2)).value) == 0.0
+    f, z1, a = _rollout_with_distances([0.0, 0.0, 0.0])
+    assert float(goal_loss(GoalLossSpec(), f, z1, a, np.zeros(2)).value) == 0.0
     w = GoalLossSpec(np.ones(3))
-    assert float(goal_loss(w, zs, np.zeros(2)).value) == 0.0
+    assert float(goal_loss(w, f, z1, a, np.zeros(2)).value) == 0.0
 
 
 def test_goal_loss_validates_weights():
-    tape, zs = _nodes_with_distances([1.0, 1.0])
+    f, z1, a = _rollout_with_distances([1.0, 1.0])
     with pytest.raises(ValueError, match="length"):
-        goal_loss(GoalLossSpec(np.ones(3)), zs, np.zeros(2))
+        goal_loss(GoalLossSpec(np.ones(3)), f, z1, a, np.zeros(2))
     with pytest.raises(ValueError, match="positive"):
-        goal_loss(GoalLossSpec(np.array([1.0, 0.0])), zs, np.zeros(2))
+        goal_loss(GoalLossSpec(np.array([1.0, 0.0])), f, z1, a, np.zeros(2))
 
 
 def test_wgl_presets_shapes():
