@@ -50,13 +50,14 @@ _COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
 _NONNEG = "__nonneg__"  # an integer >= 0: the size of a loop that may run no times
 _WIDTHS = "__widths__"  # a list of integers >= 1: hidden layer widths
 _POSITIVE = "__positive__"  # a number > 0: a step size or a temperature
+_NONNEG_NUMBER = "__nonneg_number__"  # a number >= 0: an attack radius or a jitter
 _OPTIMIZER = frozenset(OPTIMIZERS)
 
 _PLAN_KEYS = {"iterations": _COUNT, "optimizer": _OPTIMIZER, "eta": _POSITIVE}  # gbp's
 
 _CEM_KEYS = {"kind": str, "horizon": _COUNT, "iterations": _COUNT, "n_pop": _COUNT,
-             "k_elite": _COUNT, "sigma0": float, "cov_mode": frozenset(COV_MODES),
-             "jitter": float}
+             "k_elite": _COUNT, "sigma0": _POSITIVE, "cov_mode": frozenset(COV_MODES),
+             "jitter": _NONNEG_NUMBER}
 
 _PLANNER_KEYS = {
     "gbp": {"kind": str, "horizon": _COUNT, **_PLAN_KEYS, "loss": str,
@@ -79,8 +80,9 @@ _SCHEMA = {
               "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE}},
     "finetune": {
         "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
-                        "eps_a": (float, None), "eps_z": (float, None),
-                        "alpha_a": (float, None), "alpha_z": (float, None),
+                        "eps_a": (_NONNEG_NUMBER, None),
+                        "eps_z": (_NONNEG_NUMBER, None),
+                        "alpha_a": (_POSITIVE, None), "alpha_z": (_POSITIVE, None),
                         "attack": frozenset(finetune.ATTACKS), "pgd_steps": _COUNT,
                         "radius_mode": frozenset(finetune.RADIUS_MODES),
                         "per_dimension_std": bool,
@@ -119,11 +121,13 @@ def _check_type(value, expect, path: str) -> None:
         if not isinstance(value, str) or value not in expect:
             raise ConfigError(f"{path}: expected one of {sorted(expect)}, "
                               f"got {value!r}")
-    elif expect is float or expect == _POSITIVE:
+    elif expect is float or expect in (_POSITIVE, _NONNEG_NUMBER):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected number, got {value!r}")
         if expect == _POSITIVE and not value > 0:
             raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
+        if expect == _NONNEG_NUMBER and not value >= 0:
+            raise ConfigError(f"{path}: expected a number >= 0, got {value!r}")
     elif expect is int or expect in (_COUNT, _NONNEG):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{path}: expected integer, got {value!r}")
@@ -560,6 +564,10 @@ def cmd_gap(cfg: dict, args) -> int:
 def cmd_landscape(cfg: dict, args) -> int:
     spec, enc, data = _inputs(cfg)
     section = _need(cfg, "landscape")
+    c_min, c_max = section.get("c_min", -1.25), section.get("c_max", 1.25)
+    if not c_min < c_max:
+        raise ConfigError(f"landscape.c_min: expected a number below "
+                          f"landscape.c_max {c_max!r}, got {c_min!r}")
     f_base = _load_model(section.get("baseline"), enc)
     f_adv = _load_model(section.get("adversarial"), enc)
     # the landscape plans with Adam at 1e-3, not PlanConfig's SGD at 1.0
@@ -576,7 +584,7 @@ def cmd_landscape(cfg: dict, args) -> int:
             seed=derive_seed(cfg["seed"], "landscape", t))
         pair = evalreport.landscape(
             f_base, f_adv, window, plan_cfg, **_settings(section, ["resolution"]),
-            coeff_range=(section.get("c_min", -1.25), section.get("c_max", 1.25)),
+            coeff_range=(c_min, c_max),
             seed=derive_seed(cfg["seed"], "landscape-init", t))
         evalreport.emit_report(pair, os.path.join(out_root, f"task_{t}"))
         tv_base = evalreport.total_variation(pair.baseline.values)

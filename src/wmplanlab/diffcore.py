@@ -19,7 +19,8 @@ forward and one `nets.mlp_backward` called directly
 nodes per iteration: a "leaf" holding the whole (H, d_a) action array, a
 "const" start latent, and one "wm-rollout" node whose value is the goal
 loss and whose backward is a closed-form sweep back through time over all
-H model steps (`worldmodel.rollout_nodes`).
+H model steps, on buffers the node makes once and with the input-gradient
+half of `nets.mlp_backward` inlined (`worldmodel.rollout_nodes`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """

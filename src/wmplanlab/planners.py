@@ -10,10 +10,11 @@ Gradient-based planning backpropagates the goal loss through a recursive
 model rollout and updates one action sequence with SGD or Adam; it is the
 only code in the lab that builds a tape. Each iteration's tape is three
 nodes: a leaf holding the (H, d_a) actions, a constant start latent and one
-"wm-rollout" node (`rollout_nodes`) that runs the H model steps, scores the
-goal loss and, in its backward, sweeps back through all H steps in closed
-form. The sampling planners score their whole population in one batched
-NumPy rollout per iteration (`final_cost` on an (N, H, d_a) array, one
+"wm-rollout" node (`rollout_nodes`) that runs the H model steps on buffers
+it makes once per call, scores the goal loss and, in its backward, sweeps
+back through all H steps in closed form, for the input gradients only.
+The sampling planners score their whole population in one batched NumPy
+rollout per iteration (`final_cost` on an (N, H, d_a) array, one
 `predict` call per step for all N sequences). GradCEM runs GBP from each
 CEM sample, so its refinement steps are `gbp` calls, still one sequence at
 a time on the tape. A model evaluation thus costs very different amounts

@@ -5,6 +5,7 @@ against the simulator."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -110,11 +111,15 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     With `weights` None the loss is the final-state distance
     ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
     z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.goal_loss`
-    passes weights that sum to one). The forward runs the H steps through
-    `WorldModel.forward` and keeps each step's layer inputs; a non-finite
-    latent raises NumericFailure naming its step, and a non-finite goal
-    is a ValueError. The backward is one reverse sweep with one
-    `nets.mlp_backward` call per step, for the input gradient only. A
+    passes weights that sum to one). The forward is `WorldModel.forward`
+    unrolled on buffers made once per call: row t of one (H + 1, d_z + d_a)
+    array is the MLP input [z_{t+1}; a_t], and the residual add writes
+    z_{t+2} into row t + 1 in place; each hidden layer's tanh outputs fill
+    one (H, width) array, and its tanh derivative 1 - h*h is taken for all
+    H steps at once. A non-finite latent raises NumericFailure naming its
+    step, and a non-finite goal is a ValueError. The backward is one
+    reverse sweep that inlines the input-gradient half of
+    `nets.mlp_backward` per step, with its expressions and order. A
     latent's gradient sums (loss term + skip edge) + MLP edge, the order in
     which a tape of one "wm-step" node per step under a weighted squared
     distance sums them, so the bits are that tape's; a non-finite one
@@ -123,14 +128,28 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     H = len(actions)
     if H < 1:
         raise ValueError("need at least one action")
-    zs, caches = [], []
-    z = z1.value
+    d_z = f.d_z
+    Ws, bs = f.weights[0::2], f.weights[1::2]
+    X = np.empty((H + 1, d_z + f.d_a))
+    X[0, :d_z] = z1.value
+    X[:H, d_z:] = actions
+    zs = X[:, :d_z]  # zs[t + 1] is z_{t+2}
+    hidden = [np.empty((H, len(b))) for b in bs[:-1]]
     for t in range(H):
-        z, inputs = f.forward(z, actions[t])
-        if not np.isfinite(z.sum()):
+        x = X[t]
+        for W, b, h in zip(Ws, bs, hidden):
+            x = np.dot(x, W, out=h[t])
+            np.add(x, b, out=x)
+            np.tanh(x, out=x)
+        y = np.dot(x, Ws[-1])
+        z = zs[t + 1]
+        if f.residual:
+            np.add(y, bs[-1], out=y)
+            np.add(zs[t], y, out=z)
+        else:
+            np.add(y, bs[-1], out=z)
+        if not math.isfinite(np.add.reduce(z)):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-        zs.append(z)
-        caches.append(inputs)
     goal = dc.tensor(z_goal)
     if weights is None:
         steps, scale = {H - 1: 1.0}, 1.0
@@ -138,10 +157,12 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
         steps, scale = dict(enumerate(weights)), 1.0 / H
         if len(steps) != H:
             raise ValueError(f"{len(steps)} goal loss weights for horizon {H}")
-    terms = {t: (w, zs[t] - goal) for t, w in steps.items()}
+    terms = {t: (w, zs[t + 1] - goal) for t, w in steps.items()}
     total = 0.0
-    for w, d in terms.values():
-        total = total + (d * d).sum() * w
+    for w, diff in terms.values():
+        total = total + (diff * diff).sum() * w
+    # layer i's weights with the tanh derivative of its input, last layer first
+    back = list(zip(Ws[:0:-1], [1.0 - h * h for h in hidden[::-1]]))
 
     def backward(g, needed):
         ga = np.empty_like(actions)
@@ -149,16 +170,20 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
         for t in range(H - 1, -1, -1):
             G = None
             if t in terms:
-                w, d = terms[t]
-                G = g * scale * w * 2.0 * d
+                w, diff = terms[t]
+                G = g * scale * w * 2.0 * diff
             for edge in edges:
                 G = edge if G is None else G + edge
-            if not np.isfinite(G.sum()):
+            if not math.isfinite(np.add.reduce(G)):
                 raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
                                      f"step {t + 1}")
-            gx, _ = nets.mlp_backward(f.weights, caches[t], G, True, False)
-            ga[t] = gx[f.d_z:]
-            edges = (G, gx[:f.d_z]) if f.residual else (gx[:f.d_z],)
+            d = G
+            for W, dt in back:
+                d = np.dot(W, d)
+                d *= dt[t]
+            gx = np.dot(Ws[0], d)
+            ga[t] = gx[d_z:]
+            edges = (G, gx[:d_z]) if f.residual else (gx[:d_z],)
         return (edges[0] + edges[1] if f.residual else edges[0]), ga
 
     return dc.Node(z1.tape, np.asarray(total * scale), "wm-rollout", (z1, a),

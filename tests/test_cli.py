@@ -688,9 +688,24 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
      "finetune.adversarial: scaling factors must be >= 0", "model-adv"),
     ("finetune-online", "finetune.online.mix_ratio", 1.5,
      "finetune.online: mix_ratio must lie in [0, 1]", "model-owm"),
+    ("eval", "planners.cem_small.sigma0", 0, None, "eval"),
+    ("eval", "planners.gradcem_small.sigma0", -1, None, "eval"),
+    ("eval", "planners.cem_small.jitter", -1,
+     "planners.cem_small.jitter: expected a number >= 0, got -1", "eval"),
+    ("finetune-adv", "finetune.adversarial.eps_a", -1,
+     "finetune.adversarial.eps_a: expected a number >= 0, got -1", "model-adv"),
+    ("finetune-adv", "finetune.adversarial.eps_z", -0.5,
+     "finetune.adversarial.eps_z: expected a number >= 0, got -0.5", "model-adv"),
+    ("finetune-adv", "finetune.adversarial.alpha_a", -1, None, "model-adv"),
+    ("finetune-adv", "finetune.adversarial.alpha_z", 0, None, "model-adv"),
+    ("landscape", "landscape.c_min", 2,
+     "landscape.c_min: expected a number below landscape.c_max 1.25, got 2",
+     "landscape"),
 ], ids=["train-lr", "adv-lr", "online-lr", "initnet-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
-        "mppi-temperature", "adv-lambda-a", "online-mix-ratio"])
+        "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
+        "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z", "adv-alpha-a",
+        "adv-alpha-z", "landscape-c-range"])
 def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
                                                         key, value, message, out):
     cfg = tiny_config(tmp_path)

@@ -14,7 +14,9 @@ from wmplanlab.planners import CemConfig, PlanConfig, RefineConfig, cem, gbp
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model, rollout_nodes
 
-SHAPES = {"tiny": (8, (16, 16), 5), "preset": (64, (128, 128), 25)}  # d_z, hidden, H
+SHAPES = {"tiny": (8, (16, 16), 5), "preset": (64, (128, 128), 25),  # d_z, hidden, H
+          "no-hidden": (8, (), 4), "one-hidden": (8, (16,), 5),
+          "three-hidden": (8, (16, 16, 16), 5)}
 LOSSES = {"final": lambda H: planners.GoalLossSpec(),
           "late-heavy": planners.wgl_late_heavy,
           "early-heavy": planners.wgl_early_heavy}
