@@ -9,8 +9,10 @@ Besides `--config`, `--preset` and `--set`, the only flags are `eval
 --workers` (how many processes run the tasks) and `gen-data --force` (may
 overwrite a dataset directory); neither changes an output byte, so the
 config hash that each output carries covers everything that decides it.
-A key a section leaves out takes the default of the function or dataclass
-it configures; the few keys whose callee has no default get theirs here.
+The config's schema is `Config`: each section is a dataclass (the planner,
+finetune and MPC configs among them) whose fields declare each key's name,
+type, default and rules, and every key and rule is checked when the config
+loads, whatever the command.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
@@ -18,20 +20,24 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import envs, evalreport, finetune, initnet, presets, worldmodel
+from .config import (COUNT, FLAT, POSITIVE, WIDTHS, Checked, FieldError, at_least,
+                     check, config_key, one_of)
 from .data import Dataset, HorizonTooLong, load_dataset, save_dataset
 from .diffcore import NumericFailure
-from .encoder import (Encoder, encode_dataset, encoder_hash, make_identity,
-                      make_random_fourier)
-from .planners import (COV_MODES, OPTIMIZERS, CemConfig, GoalLossSpec, MpcConfig,
-                       MppiConfig, PlanConfig, Planner, RefineConfig,
-                       wgl_early_heavy, wgl_late_heavy)
+from .encoder import (IDENTITY, RANDOM_FOURIER, Encoder, encode_dataset,
+                      encoder_hash, make_identity, make_random_fourier)
+from .planners import (CemConfig, Descent, MpcConfig, MppiConfig, PlanConfig,
+                       Planner, RefineConfig)
 from .rng import derive_seed
 from .tensorio import write_json
 
@@ -41,128 +47,233 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------------------
-# config schema: every known key with a coarse type, or the frozenset of
-# the strings it may take; unknown keys rejected
+# config schema: one dataclass per section; a key left out keeps its default,
+# and a path that is None is unset (a command that needs it fails on it)
 
-_ANY_KEY = "__any__"
-_BY_KIND = "__by_kind__"  # the section's "kind" picks its schema
-_COUNT = "__count__"  # an integer >= 1: the size of a loop that must run
-_NONNEG = "__nonneg__"  # an integer >= 0: the size of a loop that may run no times
-_WIDTHS = "__widths__"  # a list of integers >= 1: hidden layer widths
-_POSITIVE = "__positive__"  # a number > 0: a step size or a temperature
-_NONNEG_NUMBER = "__nonneg_number__"  # a number >= 0: an attack radius or a jitter
-_OPTIMIZER = frozenset(OPTIMIZERS)
-
-_PLAN_KEYS = {"iterations": _COUNT, "optimizer": _OPTIMIZER, "eta": _POSITIVE}  # gbp's
-
-_CEM_KEYS = {"kind": str, "horizon": _COUNT, "iterations": _COUNT, "n_pop": _COUNT,
-             "k_elite": _COUNT, "sigma0": _POSITIVE, "cov_mode": frozenset(COV_MODES),
-             "jitter": _NONNEG_NUMBER}
-
-_PLANNER_KEYS = {
-    "gbp": {"kind": str, "horizon": _COUNT, **_PLAN_KEYS, "loss": str,
-            "init": frozenset({"gaussian", "initnet"}), "clamp": bool,
-            "return_best": bool, "initnet_path": str},
-    "cem": _CEM_KEYS,
-    "gradcem": {**_CEM_KEYS, "refine_steps": int, "refine_eta": _POSITIVE},
-    "mppi": {"kind": str, "horizon": _COUNT, "iterations": _COUNT,
-             "samples": _COUNT, "sigma": float, "temperature": _POSITIVE},
-}
-
-_SCHEMA = {
-    "seed": int,
-    "out_dir": str,
-    "env": {"kind": str, "frameskip": _COUNT},
-    "encoder": {"kind": str, "d_z": _COUNT, "sigma": float, "seed": int},
-    "dataset": {"path": str, "n_traj": _COUNT, "traj_len": int,
-                "policy": frozenset(envs.POLICIES)},
-    "model": {"path": str, "hidden": _WIDTHS, "residual": bool,
-              "train": {"epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE}},
-    "finetune": {
-        "adversarial": {"out_path": str, "lambda_a": float, "lambda_z": float,
-                        "eps_a": (_NONNEG_NUMBER, None),
-                        "eps_z": (_NONNEG_NUMBER, None),
-                        "alpha_a": (_POSITIVE, None), "alpha_z": (_POSITIVE, None),
-                        "attack": frozenset(finetune.ATTACKS), "pgd_steps": _COUNT,
-                        "radius_mode": frozenset(finetune.RADIUS_MODES),
-                        "per_dimension_std": bool,
-                        "epochs": _COUNT, "batch_size": _COUNT, "lr": _POSITIVE,
-                        "dump_perturbed": bool, "perturbed_path": str},
-        "online": {"out_path": str, "corrected_path": (str, None),
-                   "iterations": _NONNEG, "plan_iterations": _COUNT, "horizon": _COUNT,
-                   "mix_ratio": float, "lr": _POSITIVE, "finetune_steps": _NONNEG,
-                   "batch_size": _COUNT, "plan_optimizer": _OPTIMIZER,
-                   "plan_eta": _POSITIVE},
-    },
-    "initnet": {"path": str, "horizon": _COUNT, "lr": _POSITIVE,
-                "iterations": (_COUNT, None)},
-    "planners": {_ANY_KEY: {_BY_KIND: _PLANNER_KEYS}},
-    "eval": {"out_path": str, "n_tasks": _COUNT,
-             "mode": frozenset(evalreport.MODES), "horizon_gap": _COUNT,
-             "models": {_ANY_KEY: str}, "planners": list,
-             "mpc": {"steps": _COUNT, "k_exec": (_COUNT, None),
-                     "plan_iters": (_COUNT, None), "eta": (_POSITIVE, None),
-                     "warm_start": bool},
-             "require_cross_room": bool},
-    "gap": {"out_path": str, "n": _COUNT, "horizon": _COUNT,
-            "models": {_ANY_KEY: str}, "plan": _PLAN_KEYS},
-    "landscape": {"out_path": str, "baseline": str, "adversarial": str,
-                  "n_tasks": _COUNT, "resolution": _COUNT, "c_min": float,
-                  "c_max": float, "horizon": _COUNT, "plan": _PLAN_KEYS},
-}
+_ENVS = {envs.WALL2D: envs.wall2d_spec, envs.POINTMASS: envs.pointmass_spec}
+_PLANNERS = {"gbp": PlanConfig, "cem": CemConfig, "mppi": MppiConfig,
+             "gradcem": lambda: CemConfig(refine=RefineConfig())}  # kind -> its defaults
 
 
-def _check_type(value, expect, path: str) -> None:
-    if isinstance(expect, tuple):  # (kind, None): the callee also takes None
-        if value is None:
-            return
-        expect = expect[0]
-    if isinstance(expect, frozenset):
-        if not isinstance(value, str) or value not in expect:
-            raise ConfigError(f"{path}: expected one of {sorted(expect)}, "
-                              f"got {value!r}")
-    elif expect is float or expect in (_POSITIVE, _NONNEG_NUMBER):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected number, got {value!r}")
-        if expect == _POSITIVE and not value > 0:
-            raise ConfigError(f"{path}: expected a number > 0, got {value!r}")
-        if expect == _NONNEG_NUMBER and not value >= 0:
-            raise ConfigError(f"{path}: expected a number >= 0, got {value!r}")
-    elif expect is int or expect in (_COUNT, _NONNEG):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected integer, got {value!r}")
-        low = {_COUNT: 1, _NONNEG: 0}.get(expect)
-        if low is not None and value < low:
-            raise ConfigError(f"{path}: expected an integer >= {low}, got {value!r}")
-    elif expect == _WIDTHS:
-        if not (isinstance(value, list) and all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                for v in value)):
-            raise ConfigError(f"{path}: expected a list of integers >= 1, "
-                              f"got {value!r}")
-    elif not isinstance(value, expect):
-        raise ConfigError(f"{path}: expected {expect.__name__}, got {value!r}")
+@dataclass
+class EnvSection(Checked):
+    kind: str = field(default=envs.WALL2D, metadata=one_of(_ENVS))
+    frameskip: int = field(default=5, metadata=COUNT)
 
 
-def validate_config(cfg: dict, schema: dict | None = None, path: str = "") -> None:
-    """Reject unknown keys and badly typed values, naming the field path."""
-    schema = _SCHEMA if schema is None else schema
-    if not isinstance(cfg, dict):
+@dataclass
+class EncoderSection(Checked):
+    kind: str = field(default=RANDOM_FOURIER, metadata=one_of((IDENTITY, RANDOM_FOURIER)))
+    d_z: int = field(default=64, metadata=COUNT)  # the random-fourier kind's
+    sigma: float = 4.0
+    seed: int = 0
+
+
+@dataclass
+class DatasetSection(Checked):
+    path: str = None
+    n_traj: int = field(default=100, metadata=COUNT)
+    traj_len: int = field(default=50, metadata=at_least(2))  # a start and one step
+    policy: str = field(default="random", metadata=one_of(envs.POLICIES))
+
+
+@dataclass
+class TrainSection(Checked):
+    epochs: int = field(default=50, metadata=COUNT)
+    batch_size: int = field(default=64, metadata=COUNT)
+    lr: float = field(default=1e-3, metadata=POSITIVE)
+
+
+@dataclass
+class ModelSection(Checked):
+    path: str = None
+    hidden: list[int] = field(default_factory=lambda: [128, 128], metadata=WIDTHS)
+    residual: bool = True
+    train: TrainSection = field(default_factory=TrainSection)
+
+
+@dataclass
+class AdversarialSection:
+    out_path: str = None
+    perturbation: finetune.PerturbationConfig = field(
+        default_factory=finetune.PerturbationConfig, metadata=FLAT)
+    train: TrainSection = field(default_factory=lambda: TrainSection(1, 48, 1e-4),
+                                metadata=FLAT)
+    dump_perturbed: bool = False
+    perturbed_path: str = None  # None writes <out_path>/perturbed
+
+
+@dataclass
+class OnlineSection:
+    out_path: str = None
+    corrected_path: str | None = None  # None writes no corrected dataset
+    settings: finetune.OnlineConfig = field(default_factory=finetune.OnlineConfig,
+                                            metadata=FLAT)
+
+
+@dataclass
+class FinetuneSection:
+    adversarial: AdversarialSection = field(default_factory=AdversarialSection)
+    online: OnlineSection = field(default_factory=OnlineSection)
+
+
+@dataclass
+class InitnetSection(Checked):
+    path: str = None
+    horizon: int = field(default=25, metadata=COUNT)
+    lr: float = field(default=0.02, metadata=POSITIVE)
+    iterations: int | None = field(default=None, metadata=COUNT)  # None: one epoch
+
+
+@dataclass
+class EvalSection(Checked):
+    out_path: str = None
+    n_tasks: int = field(default=100, metadata=COUNT)
+    mode: str = field(default="mpc", metadata=one_of(evalreport.MODES))
+    horizon_gap: int = field(default=25, metadata=COUNT)
+    models: dict[str, str] = field(default_factory=dict)  # name -> checkpoint
+    planners: list[str] = None  # None selects every planner
+    mpc: MpcConfig = field(default_factory=MpcConfig)
+    require_cross_room: bool = False
+
+
+@dataclass
+class GapSection(Checked):
+    out_path: str = None
+    n: int = field(default=50, metadata=COUNT)
+    horizon: int = field(default=25, metadata=COUNT)
+    models: dict[str, str] = field(default_factory=dict)
+    plan: Descent = field(default_factory=Descent)
+
+
+@dataclass
+class LandscapeSection:
+    out_path: str = None
+    baseline: str = None
+    adversarial: str = None
+    n_tasks: int = field(default=10, metadata=COUNT)
+    resolution: int = field(default=50, metadata=COUNT)
+    c_min: float = -1.25
+    c_max: float = 1.25
+    horizon: int = field(default=25, metadata=COUNT)
+    # the landscape plans with Adam at 1e-3, not GBP's SGD at 1.0
+    plan: Descent = field(default_factory=lambda: Descent(optimizer="adam", eta=1e-3))
+
+    def __post_init__(self):
+        check(self)
+        if not self.c_min < self.c_max:
+            raise ValueError(f"c_min {self.c_min!r} is not below c_max {self.c_max!r}")
+
+
+@dataclass
+class Config:
+    seed: int = None  # load_config requires it
+    out_dir: str = None
+    env: EnvSection = field(default_factory=EnvSection)
+    encoder: EncoderSection = field(default_factory=EncoderSection)
+    dataset: DatasetSection = field(default_factory=DatasetSection)
+    model: ModelSection = field(default_factory=ModelSection)
+    finetune: FinetuneSection = field(default_factory=FinetuneSection)
+    initnet: InitnetSection = field(default_factory=InitnetSection)
+    planners: dict[str, Planner] = field(default_factory=dict)
+    eval: EvalSection = field(default_factory=EvalSection)
+    gap: GapSection = field(default_factory=GapSection)
+    landscape: LandscapeSection = field(default_factory=LandscapeSection)
+
+
+_NAMES = {int: "integer", float: "number"}  # in messages; other types go by name
+
+
+def _is_a(tp, value) -> bool:
+    """Whether `value`, read from JSON, has the type `tp`: a float takes an
+    integer too, and only `T | None` takes null."""
+    if isinstance(tp, UnionType):
+        return any(_is_a(t, value) for t in get_args(tp))
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_is_a(get_args(tp)[0], v) for v in value)
+    return type(value) in ((int, float) if tp is float else (tp,))
+
+
+def _value(tp, f, default, value, here: str):
+    """The setting `value` at `here` of a field `f` of type `tp`."""
+    if _is_a(tp, value):
+        return value
+    if isinstance(tp, type) and is_dataclass(tp):
+        return parse(default, value, here)
+    if tp == Planner:
+        return _planner(value, here)
+    if get_origin(tp) is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{here}: expected an object")
+        return {name: _value(get_args(tp)[1], None, None, v, f"{here}.{name}")
+                for name, v in value.items()}
+    tp = get_args(tp)[0] if isinstance(tp, UnionType) else tp
+    expect = (f and f.metadata.get("expect") or _NAMES.get(tp)
+              or (get_origin(tp) or tp).__name__)
+    raise ConfigError(f"{here}: expected {expect}, got {value!r}")
+
+
+@cache
+def _fields(cls) -> tuple[dict, list[str]]:
+    """The fields of the config class `cls` with their types, by config
+    key, and the names of its FLAT parts."""
+    hints = get_type_hints(cls)
+    keyed = {config_key(f): (f, hints[f.name]) for f in fields(cls)
+             if not f.metadata.get("flat")}
+    keyed.pop(None, None)  # the fields no key sets
+    return keyed, [f.name for f in fields(cls) if f.metadata.get("flat")]
+
+
+def parse(base, section, path: str):
+    """The config object `base` with the settings of `section`, the config
+    object at `path`. Each key names a field of `base`, or of a FLAT part
+    whose keys sit in the same section, and holds the type the field
+    declares; a key left out keeps `base`'s value. A rule the result breaks
+    is a ConfigError naming the key, or for a rule between fields, the
+    section."""
+    if not isinstance(section, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    if _BY_KIND in schema:
-        kind = cfg.get("kind")
-        if not isinstance(kind, str) or kind not in schema[_BY_KIND]:
-            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        schema = schema[_BY_KIND][kind]
-    for key, value in cfg.items():
-        sub = schema.get(key, schema.get(_ANY_KEY))
+    keyed, flat = _fields(type(base))
+    changes, claimed = {}, set()
+    for name in flat:
+        part = getattr(base, name)
+        if part is not None:  # a part that is None takes no keys
+            own = _fields(type(part))[0].keys()
+            changes[name] = parse(part, {k: section[k] for k in section if k in own},
+                                  path)
+            claimed |= own
+    for key, value in section.items():
+        if key in claimed:
+            continue
         here = f"{path}.{key}" if path else key
-        if sub is None:
+        if key not in keyed:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(sub, dict):
-            validate_config(value, sub, here)
-        else:
-            _check_type(value, sub, here)
+        f, tp = keyed[key]
+        changes[f.name] = _value(tp, f, getattr(base, f.name), value, here)
+    try:
+        return replace(base, **changes)
+    except FieldError as err:
+        raise ConfigError(f"{path}.{err}") from err
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
+def _planner(section, path: str) -> Planner:
+    """The planner config of the section at `path`: its kind's defaults
+    with the section's settings."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object")
+    kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in _PLANNERS:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+    return parse(_PLANNERS[kind](), {k: v for k, v in section.items() if k != "kind"},
+                 path)
+
+
+def validate_config(cfg: dict) -> Config:
+    """`cfg` as a Config; an unknown key, a value of another type or a
+    broken rule is a ConfigError naming the key's path."""
+    return parse(Config(), cfg, "")
 
 
 def config_hash(cfg: dict) -> str:
@@ -188,6 +299,13 @@ def _set_override(cfg: dict, spec: str) -> None:
 
 
 def load_config(args) -> dict:
+    """The config that `args` names, with its `--set` overrides, once it
+    checks out."""
+    return _load(args)[0]
+
+
+def _load(args) -> tuple[dict, Config]:
+    """The config that `args` names, as read and as a Config."""
     if args.preset:
         try:
             cfg = presets.get_preset(args.preset)
@@ -202,77 +320,30 @@ def load_config(args) -> dict:
         raise ConfigError("provide --config FILE or --preset NAME")
     for spec in args.set or []:
         _set_override(cfg, spec)
-    validate_config(cfg)
-    if "seed" not in cfg:
+    conf = validate_config(cfg)
+    if conf.seed is None:
         raise ConfigError("config must set an explicit seed")
-    return cfg
+    return cfg, conf
 
 
 # --------------------------------------------------------------------------
 # builders
 
 
-def _need(cfg: dict, *path: str):
-    node = cfg
-    for part in path:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"missing config section: {'.'.join(path)}")
-        node = node[part]
-    return node
-
-
-def _settings(section: dict, keys, **renamed) -> dict:
-    """The entries of `section` named in `keys` (key names, or a dataclass
-    whose fields name them), plus each `param=key` of `renamed` that the
-    section sets, as keyword arguments for the callee they configure.
-    Whatever the section leaves out keeps the callee's own default."""
-    if dataclasses.is_dataclass(keys):
-        keys = [f.name for f in dataclasses.fields(keys)]
-    out = {key: section[key] for key in keys if key in section}
-    out.update((param, section[key]) for param, key in renamed.items()
-               if key in section)
-    return out
-
-
-def _build(where: str, make, **settings):
-    """`make(**settings)`, a config object; settings it rejects (a
-    ValueError) are a config error naming the section `where`."""
-    try:
-        return make(**settings)
-    except ValueError as err:
-        raise ConfigError(f"{where}: {err}") from err
-
-
 def build_env(cfg: dict) -> envs.EnvSpec:
-    section = _need(cfg, "env")
-    kind = section.get("kind", "wall2d")
-    settings = _settings(section, ["frameskip"])
-    if kind == "wall2d":
-        return envs.wall2d_spec(**settings)
-    if kind == "pointmass":
-        return envs.pointmass_spec(**settings)
-    raise ConfigError(f"env.kind: unknown environment {kind!r}")
+    env = parse(EnvSection(), cfg.get("env", {}), "env")
+    return _ENVS[env.kind](env.frameskip)
 
 
 def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
-    section = _need(cfg, "encoder")
-    kind = section.get("kind", "random-fourier")
-    if kind == "identity":
+    section = parse(EncoderSection(), cfg.get("encoder", {}), "encoder")
+    if section.kind == IDENTITY:
         return make_identity(spec.obs_dim)
-    if kind == "random-fourier":
-        return _build("encoder", make_random_fourier, d_o=spec.obs_dim,
-                      **_settings(section, ["d_z", "sigma", "seed"]))
-    raise ConfigError(f"encoder.kind: unknown encoder {kind!r}")
-
-
-def _build_goal_loss(name: str, horizon: int) -> GoalLossSpec:
-    if name == "final":
-        return GoalLossSpec()
-    if name == "late-heavy":
-        return wgl_late_heavy(horizon)
-    if name == "early-heavy":
-        return wgl_early_heavy(horizon)
-    raise ConfigError(f"unknown goal loss {name!r}")
+    try:
+        return make_random_fourier(spec.obs_dim, section.d_z, section.sigma,
+                                   section.seed)
+    except ValueError as err:
+        raise ConfigError(f"encoder: {err}") from err
 
 
 def build_planner(name: str, section: dict, spec: envs.EnvSpec,
@@ -281,27 +352,12 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec,
     rejects are a config error. A `gbp` init net must fit the planner's
     horizon and action space, and, given the encoder `enc`, read its
     latents and have been trained under it."""
-    kind, key = section.get("kind"), f"planners.{name}"
-    if kind not in _PLANNER_KEYS:
-        raise ConfigError(f"{key}.kind: unknown kind {kind!r}")
-    if kind == "mppi":
-        return _build(key, MppiConfig, **_settings(section, MppiConfig))
-    if kind != "gbp":  # cem, or gradcem with its refinement
-        refine = None
-        if kind == "gradcem":
-            refine = _build(key, RefineConfig, **_settings(
-                section, [], steps="refine_steps", eta="refine_eta"))
-        return _build(key, CemConfig, **_settings(section, CemConfig),
-                      refine=refine)
-    settings = _settings(section, PlanConfig, clamp_actions="clamp")
-    loss = settings.pop("loss", None)  # a name; the plan holds its spec
-    plan = _build(key, PlanConfig, **settings, a_max=spec.a_max)
-    if "loss" in section:
-        plan.loss = _build_goal_loss(loss, plan.horizon)
+    plan = _planner(section, f"planners.{name}")
+    if not isinstance(plan, PlanConfig):
+        return plan
+    plan.a_max = spec.a_max
     if plan.init == "initnet":
-        path = section.get("initnet_path")
-        if not path:
-            raise ConfigError(f"planners.{name}.initnet_path missing")
+        path = plan.initnet_path
         net, meta = _load_checkpoint(initnet.load_initnet, path)
         where = f"planners.{name}.initnet_path: init net {path}"
         if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
@@ -320,13 +376,13 @@ def build_planner(name: str, section: dict, spec: envs.EnvSpec,
     return plan
 
 
-def _inputs(cfg: dict) -> tuple[envs.EnvSpec, Encoder, Dataset]:
+def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
     """The env, the encoder and the encoded dataset at `dataset.path`, which
     must hold the observations `gen-data` wrote under this env."""
     spec = build_env(cfg)
     enc = build_encoder(cfg, spec)
-    path = _need(cfg, "dataset", "path")
-    if not os.path.isdir(path):
+    path = conf.dataset.path
+    if not path or not os.path.isdir(path):
         raise ConfigError(f"dataset directory not found: {path}")
     try:
         data, manifest = load_dataset(path)
@@ -403,90 +459,82 @@ def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
 # commands
 
 
-def cmd_gen_data(cfg: dict, args) -> int:
+def cmd_gen_data(cfg: dict, conf: Config, args) -> int:
     spec = build_env(cfg)
-    section = _need(cfg, "dataset")
-    path = section["path"]
+    section = conf.dataset
+    path = section.path
     if os.path.isdir(path) and os.listdir(path) and not args.force:
         raise ConfigError(f"dataset directory {path} is not empty "
                           "(use --force to overwrite)")
-    traj_len = section.get("traj_len", 50)
-    if traj_len < 2:  # a trajectory needs a start and one step
-        raise ConfigError(f"dataset.traj_len: expected an integer >= 2, got {traj_len!r}")
-    seed = derive_seed(cfg["seed"], "dataset")
-    data = envs.generate_dataset(spec, section.get("n_traj", 100), traj_len,
-                                 section.get("policy", "random"), seed)
+    seed = derive_seed(conf.seed, "dataset")
+    data = envs.generate_dataset(spec, section.n_traj, section.traj_len,
+                                 section.policy, seed)
     save_dataset(path, data, env=envs.spec_to_dict(spec), seed=seed)
     _write_run_manifest(path, cfg, None, {"n_traj": len(data)})
     print(f"wrote {len(data)} trajectories to {path}")
     return 0
 
 
-def cmd_train(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    section = _need(cfg, "model")
-    train = section.get("train", {})
+def cmd_train(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    section = conf.model
     model = worldmodel.init_world_model(
-        enc.d_z, spec.action_dim, **_settings(section, ["hidden", "residual"]),
-        seed=derive_seed(cfg["seed"], "model-init"))
+        enc.d_z, spec.action_dim, section.hidden, section.residual,
+        seed=derive_seed(conf.seed, "model-init"))
+    train = section.train
     result = worldmodel.train_teacher_forcing(
-        model, data, **_settings(train, ["epochs", "batch_size", "lr"]),
-        seed=derive_seed(cfg["seed"], "train"))
-    _save_trained(section["path"], cfg, enc, result, train=train)
-    print(f"trained model -> {section['path']} "
+        model, data, train.epochs, train.batch_size, train.lr,
+        seed=derive_seed(conf.seed, "train"))
+    _save_trained(section.path, cfg, enc, result, train=asdict(train))
+    print(f"trained model -> {section.path} "
           f"(final epoch loss {result.epoch_losses[-1]:.6g})")
     return 0
 
 
-def cmd_finetune_adv(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    model = _load_model(_need(cfg, "model", "path"), enc)
-    section = _need(cfg, "finetune", "adversarial")
-    pcfg = _build("finetune.adversarial", finetune.PerturbationConfig,
-                  **_settings(section, finetune.PerturbationConfig))
+def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    model = _load_model(conf.model.path, enc)
+    section = conf.finetune.adversarial
+    train = section.train
     result = finetune.adversarial_wm(
-        model, data, pcfg,
-        **_settings(section, ["epochs", "batch_size", "lr"],
-                    keep_perturbed="dump_perturbed"),
-        seed=derive_seed(cfg["seed"], "finetune-adv"))
-    out = section["out_path"]
+        model, data, section.perturbation, epochs=train.epochs,
+        batch_size=train.batch_size, lr=train.lr, keep_perturbed=section.dump_perturbed,
+        seed=derive_seed(conf.seed, "finetune-adv"))
+    out = section.out_path
     _save_trained(out, cfg, enc, result, finetune="adversarial")
     if result.perturbed is not None:
-        save_dataset(section.get("perturbed_path", os.path.join(out, "perturbed")),
-                     result.perturbed, env=envs.spec_to_dict(spec), seed=cfg["seed"])
+        save_dataset(section.perturbed_path or os.path.join(out, "perturbed"),
+                     result.perturbed, env=envs.spec_to_dict(spec), seed=conf.seed)
     print(f"adversarial finetune -> {out} "
           f"(final loss {result.batch_losses[-1]:.6g})")
     return 0
 
 
-def cmd_finetune_online(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    model = _load_model(_need(cfg, "model", "path"), enc)
-    section = _need(cfg, "finetune", "online")
-    ocfg = _build("finetune.online", finetune.OnlineConfig,
-                  **_settings(section, finetune.OnlineConfig))
-    result = finetune.online_wm(model, spec, enc, data, ocfg,
-                                seed=derive_seed(cfg["seed"], "finetune-online"))
-    out = section["out_path"]
+def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    model = _load_model(conf.model.path, enc)
+    section = conf.finetune.online
+    result = finetune.online_wm(model, spec, enc, data, section.settings,
+                                seed=derive_seed(conf.seed, "finetune-online"))
+    out = section.out_path
     _save_trained(out, cfg, enc, result, finetune="online")
-    corrected_path = section.get("corrected_path")
-    if corrected_path and len(result.corrected):
-        save_dataset(corrected_path, result.corrected,
-                     env=envs.spec_to_dict(spec), seed=cfg["seed"])
+    if section.corrected_path and len(result.corrected):
+        save_dataset(section.corrected_path, result.corrected,
+                     env=envs.spec_to_dict(spec), seed=conf.seed)
     print(f"online finetune -> {out} ({len(result.corrected)} corrected trajectories)")
     return 0
 
 
-def cmd_train_initnet(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    section = _need(cfg, "initnet")
+def cmd_train_initnet(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    section = conf.initnet
     result = initnet.train_initnet(
-        data, section.get("horizon", 25), **_settings(section, ["iterations", "lr"]),
-        seed=derive_seed(cfg["seed"], "initnet"), a_max=spec.a_max)
+        data, section.horizon, section.iterations, section.lr,
+        seed=derive_seed(conf.seed, "initnet"), a_max=spec.a_max)
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg)}
-    initnet.save_initnet(section["path"], result.net, meta)
-    _write_run_manifest(section["path"], cfg, enc)
-    print(f"trained initnet -> {section['path']} "
+    initnet.save_initnet(section.path, result.net, meta)
+    _write_run_manifest(section.path, cfg, enc)
+    print(f"trained initnet -> {section.path} "
           f"(final loss {result.losses[-1]:.6g})")
     return 0
 
@@ -501,35 +549,32 @@ def _cross_room_predicate(spec: envs.EnvSpec):
     return predicate
 
 
-def cmd_eval(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    section = _need(cfg, "eval")
-    models = {name: _load_model(path, enc)
-              for name, path in section.get("models", {}).items()}
+def cmd_eval(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    section = conf.eval
+    models = {name: _load_model(path, enc) for name, path in section.models.items()}
     if not models:
         raise ConfigError("eval.models names no checkpoints")
     planner_cfgs = cfg.get("planners", {})
     planners = {}
-    for name in section.get("planners", list(planner_cfgs)):
+    for name in planner_cfgs if section.planners is None else section.planners:
         if name not in planner_cfgs:
             raise ConfigError(f"eval.planners references unknown planner {name!r}")
         planners[name] = build_planner(name, planner_cfgs[name], spec, enc)
     if not planners:
         raise ConfigError("eval selected no planners")
-    mode = section.get("mode", "mpc")
-    mpc_cfg = MpcConfig(**_settings(section.get("mpc", {}), MpcConfig))
+    mpc_cfg = section.mpc
     short = [name for name, p in planners.items() if p.horizon < (mpc_cfg.k_exec or 0)]
-    if mode == "mpc" and short:
+    if section.mode == "mpc" and short:
         raise ConfigError(f"eval.mpc.k_exec {mpc_cfg.k_exec} is longer than the "
                           f"horizon of planner(s) {', '.join(short)}")
-    predicate = _cross_room_predicate(spec) if section.get("require_cross_room") else None
+    predicate = _cross_room_predicate(spec) if section.require_cross_room else None
     report = evalreport.evaluate(
-        spec, enc, models, planners, n_tasks=section.get("n_tasks", 100),
-        mode=mode, seed=cfg["seed"], data=data,
-        **_settings(section, ["horizon_gap"]), mpc_cfg=mpc_cfg,
+        spec, enc, models, planners, n_tasks=section.n_tasks, mode=section.mode,
+        seed=conf.seed, data=data, horizon_gap=section.horizon_gap, mpc_cfg=mpc_cfg,
         workers=args.workers, task_predicate=predicate,
         config_hash=config_hash(cfg))
-    out = section["out_path"]
+    out = section.out_path
     evalreport.emit_report(report, out)
     _write_run_manifest(out, cfg, enc)
     for cell in report.cells:
@@ -540,19 +585,17 @@ def cmd_eval(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_gap(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    section = _need(cfg, "gap")
-    plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
-                          **_settings(section.get("plan", {}), PlanConfig),
+def cmd_gap(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    section = conf.gap
+    plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
                           a_max=spec.a_max)
-    out_root = section["out_path"]
-    for name, path in section.get("models", {}).items():
+    for name, path in section.models.items():
         model = _load_model(path, enc)
         report = evalreport.train_test_gap(
-            model, spec, enc, data, plan_cfg, **_settings(section, ["n"]),
-            seed=derive_seed(cfg["seed"], "gap", name))
-        outdir = os.path.join(out_root, name)
+            model, spec, enc, data, plan_cfg, section.n,
+            seed=derive_seed(conf.seed, "gap", name))
+        outdir = os.path.join(section.out_path, name)
         evalreport.emit_report(report, outdir)
         _write_run_manifest(outdir, cfg, enc)
         print(f"{name:>14s} gap: expert {report.mean_expert:.6g} "
@@ -561,31 +604,25 @@ def cmd_gap(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_landscape(cfg: dict, args) -> int:
-    spec, enc, data = _inputs(cfg)
-    section = _need(cfg, "landscape")
-    c_min, c_max = section.get("c_min", -1.25), section.get("c_max", 1.25)
-    if not c_min < c_max:
-        raise ConfigError(f"landscape.c_min: expected a number below "
-                          f"landscape.c_max {c_max!r}, got {c_min!r}")
-    f_base = _load_model(section.get("baseline"), enc)
-    f_adv = _load_model(section.get("adversarial"), enc)
-    # the landscape plans with Adam at 1e-3, not PlanConfig's SGD at 1.0
-    plan = {"optimizer": "adam", "eta": 1e-3, **section.get("plan", {})}
-    plan_cfg = PlanConfig(**_settings(section, ["horizon"]),
-                          **_settings(plan, PlanConfig), a_max=spec.a_max)
-    out_root = section["out_path"]
-    n_tasks = section.get("n_tasks", 10)
+def cmd_landscape(cfg: dict, conf: Config, args) -> int:
+    spec, enc, data = _inputs(cfg, conf)
+    section = conf.landscape
+    f_base = _load_model(section.baseline, enc)
+    f_adv = _load_model(section.adversarial, enc)
+    plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
+                          a_max=spec.a_max)
+    out_root = section.out_path
+    n_tasks = section.n_tasks
     smoother = 0
     rows = []
     for t in range(n_tasks):
         window = evalreport.expert_window(
             data, enc, plan_cfg.horizon,
-            seed=derive_seed(cfg["seed"], "landscape", t))
+            seed=derive_seed(conf.seed, "landscape", t))
         pair = evalreport.landscape(
-            f_base, f_adv, window, plan_cfg, **_settings(section, ["resolution"]),
-            coeff_range=(c_min, c_max),
-            seed=derive_seed(cfg["seed"], "landscape-init", t))
+            f_base, f_adv, window, plan_cfg, section.resolution,
+            coeff_range=(section.c_min, section.c_max),
+            seed=derive_seed(conf.seed, "landscape-init", t))
         evalreport.emit_report(pair, os.path.join(out_root, f"task_{t}"))
         tv_base = evalreport.total_variation(pair.baseline.values)
         tv_adv = evalreport.total_variation(pair.adversarial.values)
@@ -648,8 +685,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args)
-        return args.func(cfg, args)
+        return args.func(*_load(args), args)
     except (ConfigError, HorizonTooLong) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

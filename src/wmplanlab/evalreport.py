@@ -211,7 +211,7 @@ class GapReport:
 
 
 def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
-                   data: Dataset, plan_cfg: PlanConfig, n: int = 50,
+                   data: Dataset, plan_cfg: PlanConfig, n: int,
                    seed: int = 0) -> GapReport:
     H = plan_cfg.horizon
     expert_errors = []
@@ -265,7 +265,7 @@ def expert_window(data: Dataset, enc: Encoder, H: int, seed: int) -> LandscapeTa
 
 
 def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
-              task: LandscapeTask, plan_cfg: PlanConfig, resolution: int = 50,
+              task: LandscapeTask, plan_cfg: PlanConfig, resolution: int,
               coeff_range: tuple[float, float] = (-1.25, 1.25),
               seed: int = 0, a_init: np.ndarray | None = None) -> LandscapePair:
     """Goal-loss grids over the plane spanned by the two planners' offsets.

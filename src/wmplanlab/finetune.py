@@ -18,9 +18,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import envs
+from .config import COUNT, NONNEG, NONNEG_NUMBER, POSITIVE, check, one_of
 from .data import Dataset, flatten_transitions, sample_window
 from .encoder import Encoder, encode
-from .planners import PlanConfig, gbp
+from .planners import OPTIMIZERS, PlanConfig, gbp
 from .rng import derive_seed, generator
 from .worldmodel import TrainResult, WorldModel, fit, step_loss_grad
 
@@ -32,26 +33,24 @@ RADIUS_MODES = ("fixed", "adaptive")
 @dataclass
 class PerturbationConfig:
     """Attack geometry: scaling factors turn batch statistics into radii,
-    step sizes default to 1.25x the radius."""
+    unless both radii are given; step sizes default to 1.25x the radius."""
 
-    lambda_a: float = 0.5
-    lambda_z: float = 0.2
-    eps_a: float | None = None
-    eps_z: float | None = None
-    alpha_a: float | None = None
-    alpha_z: float | None = None
-    attack: str = "fgsm"  # "fgsm" | "pgd"
-    pgd_steps: int = 1
-    radius_mode: str = "fixed"  # "fixed" | "adaptive"
+    lambda_a: float = field(default=0.5, metadata=NONNEG_NUMBER)
+    lambda_z: float = field(default=0.2, metadata=NONNEG_NUMBER)
+    eps_a: float | None = field(default=None, metadata=NONNEG_NUMBER)
+    eps_z: float | None = field(default=None, metadata=NONNEG_NUMBER)
+    alpha_a: float | None = field(default=None, metadata=POSITIVE)
+    alpha_z: float | None = field(default=None, metadata=POSITIVE)
+    attack: str = field(default="fgsm", metadata=one_of(ATTACKS))
+    pgd_steps: int = field(default=1, metadata=COUNT)
+    radius_mode: str = field(default="fixed", metadata=one_of(RADIUS_MODES))
     per_dimension_std: bool = False
 
     def __post_init__(self):
-        if self.lambda_a < 0 or self.lambda_z < 0:
-            raise ValueError("scaling factors must be >= 0")
-        if self.attack not in ATTACKS:
-            raise ValueError(f"unknown attack {self.attack!r}")
-        if self.radius_mode not in RADIUS_MODES:
-            raise ValueError(f"unknown radius mode {self.radius_mode!r}")
+        check(self)
+        if (self.eps_a is None) != (self.eps_z is None):
+            raise ValueError("eps_a and eps_z are set together or not at all, got "
+                             f"eps_a {self.eps_a!r} and eps_z {self.eps_z!r}")
         if self.lambda_a > 1.0 or self.lambda_z > 0.5:
             warnings.warn("scaling factors outside the stable ranges "
                           "(lambda_a <= 1, lambda_z <= 0.5)",
@@ -123,8 +122,8 @@ def attack_perturb(f: WorldModel, z: np.ndarray, a: np.ndarray,
 
 
 def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
-                   epochs: int = 1, batch_size: int = 48, lr: float = 1e-4,
-                   seed: int = 0, keep_perturbed: bool = False) -> TrainResult:
+                   epochs: int, batch_size: int, lr: float, seed: int = 0,
+                   keep_perturbed: bool = False) -> TrainResult:
     """Finetune on perturbed-input / clean-target transition batches.
 
     Minibatches are whole trajectories (radii statistics are per
@@ -147,7 +146,7 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
             perm = generator(seed, "shuffle", epoch).permutation(len(data))
             for lo in range(0, len(data), batch_size):
                 idx = perm[lo:lo + batch_size]
-                if pcfg.eps_a is not None and pcfg.eps_z is not None:
+                if pcfg.eps_a is not None:
                     radii = pcfg.eps_a, pcfg.eps_z  # explicit radii win
                 elif radii is None or pcfg.radius_mode == "adaptive":
                     # "fixed" mode keeps the radii of the first batch
@@ -176,18 +175,19 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
 
 @dataclass
 class OnlineConfig:
-    iterations: int = 40  # planner rollouts to correct
-    plan_iterations: int = 100
-    horizon: int = 25
+    iterations: int = field(default=40, metadata=NONNEG)  # planner rollouts to correct
+    plan_iterations: int = field(default=100, metadata=COUNT)
+    horizon: int = field(default=25, metadata=COUNT)
     mix_ratio: float = 0.5  # fraction of each batch from the original data;
     # 0 trains on corrected trajectories only
-    lr: float = 1e-4
-    finetune_steps: int = 50
-    batch_size: int = 64
-    plan_optimizer: str = "adam"
-    plan_eta: float = 0.3
+    lr: float = field(default=1e-4, metadata=POSITIVE)
+    finetune_steps: int = field(default=50, metadata=NONNEG)
+    batch_size: int = field(default=64, metadata=COUNT)
+    plan_optimizer: str = field(default="adam", metadata=one_of(OPTIMIZERS))
+    plan_eta: float = field(default=0.3, metadata=POSITIVE)
 
     def __post_init__(self):
+        check(self)
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError("mix_ratio must lie in [0, 1]")
 

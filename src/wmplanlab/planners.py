@@ -34,6 +34,8 @@ import numpy as np
 
 from . import diffcore as dc
 from . import envs
+from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
+                     check, one_of, rule)
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
@@ -78,30 +80,44 @@ def goal_loss(spec: GoalLossSpec, f: WorldModel, z1: dc.Node, a: dc.Node,
 OPTIMIZERS = ("sgd", "adam")
 INITS = ("gaussian", "initnet", "fixed")
 COV_MODES = ("full", "diagonal")
+GOAL_LOSSES = {"final": lambda H: GoalLossSpec(), "late-heavy": wgl_late_heavy,
+               "early-heavy": wgl_early_heavy}  # a name -> its spec at horizon H
 
 
 @dataclass
-class PlanConfig:
-    horizon: int = 25
-    iterations: int = 300
-    optimizer: str = "sgd"  # "sgd" | "adam"
-    eta: float = 1.0
-    loss: GoalLossSpec = field(default_factory=GoalLossSpec)
-    init: str = "gaussian"  # "gaussian" | "initnet" | "fixed"
-    init_actions: object = None  # ndarray for "fixed", callable(z1, z_goal) for "initnet"
-    clamp_actions: bool = True
-    a_max: float | None = None
+class Descent(Checked):
+    """The gradient descent of a GBP plan on its action sequence."""
+
+    iterations: int = field(default=300, metadata=COUNT)
+    optimizer: str = field(default="sgd", metadata=one_of(OPTIMIZERS))
+    eta: float = field(default=1.0, metadata=POSITIVE)
+
+
+@dataclass
+class PlanConfig(Descent):
+    """GBP. A goal `loss` given by name becomes its spec at the horizon.
+    The "fixed" init starts from the (H, d_a) `init_actions`, the "initnet"
+    init from the actions that the callable `init_actions(z1, z_goal)`
+    proposes, which `cli.build_planner` loads from `initnet_path`."""
+
+    horizon: int = field(default=25, metadata=COUNT)
+    loss: GoalLossSpec | str = field(default="final", metadata=rule(
+        f"one of {sorted(GOAL_LOSSES)}",
+        lambda v: isinstance(v, GoalLossSpec) or v in GOAL_LOSSES))
+    init: str = field(default="gaussian", metadata=one_of(INITS))
+    init_actions: object = field(default=None, metadata={"key": None})
+    clamp_actions: bool = field(default=True, metadata={"key": "clamp"})
+    a_max: float | None = field(default=None, metadata={"key": None})
     return_best: bool = True
+    initnet_path: str = None
 
     def __post_init__(self):
-        if self.horizon < 1 or self.iterations < 1:
-            raise ValueError("horizon and iterations must be >= 1")
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
+        check(self)
+        if isinstance(self.loss, str):
+            self.loss = GOAL_LOSSES[self.loss](self.horizon)
+        needs = {"fixed": "init_actions", "initnet": "initnet_path"}.get(self.init)
+        if needs and self.init_actions is None and getattr(self, needs) is None:
+            raise ValueError(f"init {self.init!r} needs {needs}")
 
 
 @dataclass
@@ -194,38 +210,31 @@ def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.nda
 
 
 @dataclass
-class RefineConfig:
+class RefineConfig(Checked):
     """Per-candidate refinement inside GradCEM: `steps` Adam iterations of
     `gbp` at step size `eta` from each sample, keeping the last iterate."""
 
-    steps: int = 2
-    eta: float = 0.3
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("refine steps must be >= 0")
+    steps: int = field(default=2, metadata=NONNEG | {"key": "refine_steps"})
+    eta: float = field(default=0.3, metadata=POSITIVE | {"key": "refine_eta"})
 
 
 @dataclass
 class CemConfig:
     """CEM, or GradCEM when `refine` is set."""
 
-    horizon: int = 25
-    n_pop: int = 300
-    k_elite: int = 30
-    iterations: int = 30
-    sigma0: float = 1.0
-    cov_mode: str = "full"  # "full" (with jitter) | "diagonal"
-    jitter: float = 1e-6
-    refine: RefineConfig | None = None
+    horizon: int = field(default=25, metadata=COUNT)
+    n_pop: int = field(default=300, metadata=COUNT)
+    k_elite: int = field(default=30, metadata=COUNT)
+    iterations: int = field(default=30, metadata=COUNT)
+    sigma0: float = field(default=1.0, metadata=POSITIVE)
+    cov_mode: str = field(default="full", metadata=one_of(COV_MODES))
+    jitter: float = field(default=1e-6, metadata=NONNEG_NUMBER)
+    refine: RefineConfig | None = field(default=None, metadata=FLAT)
 
     def __post_init__(self):
-        if not (1 <= self.k_elite <= self.n_pop):
+        check(self)
+        if self.k_elite > self.n_pop:
             raise ValueError("need 1 <= k_elite <= n_pop")
-        if self.horizon < 1 or self.iterations < 1:
-            raise ValueError("horizon and iterations must be >= 1")
-        if self.cov_mode not in COV_MODES:
-            raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
 
 
 def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
@@ -297,16 +306,12 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
 
 
 @dataclass
-class MppiConfig:
-    horizon: int = 25
-    samples: int = 64
+class MppiConfig(Checked):
+    horizon: int = field(default=25, metadata=COUNT)
+    samples: int = field(default=64, metadata=COUNT)
     sigma: float = 0.5
-    temperature: float = 1.0
-    iterations: int = 1
-
-    def __post_init__(self):
-        if min(self.horizon, self.samples, self.iterations) < 1:
-            raise ValueError("horizon, samples and iterations must be >= 1")
+    temperature: float = field(default=1.0, metadata=POSITIVE)
+    iterations: int = field(default=1, metadata=COUNT)
 
 
 def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, seed: int) -> PlanResult:
@@ -351,11 +356,11 @@ def run_planner(f: WorldModel, z1, z_goal, planner: Planner,
 
 
 @dataclass
-class MpcConfig:
-    steps: int = 10
-    k_exec: int | None = None  # None executes the full horizon
-    plan_iters: int | None = 100  # per-step gbp iterations override
-    eta: float | None = None  # per-step gbp step size override
+class MpcConfig(Checked):
+    steps: int = field(default=10, metadata=COUNT)
+    k_exec: int | None = field(default=None, metadata=COUNT)  # None executes the full horizon
+    plan_iters: int | None = field(default=100, metadata=COUNT)  # per-step gbp iterations override
+    eta: float | None = field(default=None, metadata=POSITIVE)  # per-step gbp step size override
     warm_start: bool = False
 
 

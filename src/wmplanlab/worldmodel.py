@@ -257,9 +257,8 @@ def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
     return result
 
 
-def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int = 50,
-                          batch_size: int = 64, lr: float = 1e-3,
-                          seed: int = 0) -> TrainResult:
+def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int,
+                          batch_size: int, lr: float, seed: int = 0) -> TrainResult:
     """Fit next-latent prediction on (z_t, a_t, z_{t+1}) triplets with Adam:
     every epoch shuffles all triplets of the dataset and walks them in
     batches of `batch_size`."""

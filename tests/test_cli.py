@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from reference_training import trajectory_teacher_forcing
 from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
                        worldmodel)
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
+from wmplanlab.config import config_key
 from wmplanlab.data import load_dataset
 from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
                                 RefineConfig, wgl_late_heavy)
@@ -685,7 +687,7 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("eval", "planners.gradcem_small.refine_eta", 0, None, "eval"),
     ("eval", "planners.mppi_small.temperature", 0, None, "eval"),
     ("finetune-adv", "finetune.adversarial.lambda_a", -1,
-     "finetune.adversarial: scaling factors must be >= 0", "model-adv"),
+     "finetune.adversarial.lambda_a: expected a number >= 0, got -1", "model-adv"),
     ("finetune-online", "finetune.online.mix_ratio", 1.5,
      "finetune.online: mix_ratio must lie in [0, 1]", "model-owm"),
     ("eval", "planners.cem_small.sigma0", 0, None, "eval"),
@@ -699,8 +701,7 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("finetune-adv", "finetune.adversarial.alpha_a", -1, None, "model-adv"),
     ("finetune-adv", "finetune.adversarial.alpha_z", 0, None, "model-adv"),
     ("landscape", "landscape.c_min", 2,
-     "landscape.c_min: expected a number below landscape.c_max 1.25, got 2",
-     "landscape"),
+     "landscape: c_min 2 is not below c_max 1.25", "landscape"),
 ], ids=["train-lr", "adv-lr", "online-lr", "initnet-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
         "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
@@ -721,7 +722,7 @@ def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, comman
     if command == "landscape":
         assert _run("finetune-adv", "--config", path) == 0
     assert _run(command, "--config", path, "--set", f"{key}={value}") == 2
-    # the schema names the key; a config object's own check names its section
+    # a field's rule names its key; a rule between fields names the section
     expect = message or f"{key}: expected a number > 0, got {value}"
     assert f"config error: {expect}" in capsys.readouterr().err
     assert not (tmp_path / out).exists()
@@ -731,7 +732,7 @@ def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, comman
     ("planners.cem_small.k_elite=11",
      "planners.cem_small: need 1 <= k_elite <= n_pop"),
     ("planners.gradcem_small.refine_steps=-1",
-     "planners.gradcem_small: refine steps must be >= 0"),
+     "planners.gradcem_small.refine_steps: expected an integer >= 0, got -1"),
     ("eval.mpc.k_exec=9",
      "eval.mpc.k_exec 9 is longer than the horizon of planner(s) gbp_gd, "
      "gradcem_small"),
@@ -749,6 +750,44 @@ def test_a_planner_that_rejects_its_settings_exits_2_before_writing(
                 "--workers", "1", "--set", override) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "eval").exists()
+
+
+_ELITES = "planners.cem_small: need 1 <= k_elite <= n_pop"
+_LOSS = ("planners.gbp_gd.loss: expected one of ['early-heavy', 'final', "
+         "'late-heavy'], got 'foo'")
+_RADII = ("finetune.adversarial: eps_a and eps_z are set together or not at all, "
+          "got eps_a {} and eps_z {}")
+
+
+@pytest.mark.parametrize("command, override, message, out", [
+    ("train", "planners.cem_small.k_elite=50", _ELITES, "model"),
+    ("train", "finetune.online.mix_ratio=2",
+     "finetune.online: mix_ratio must lie in [0, 1]", "model"),
+    ("eval", "planners.cem_small.k_elite=50", _ELITES, "eval"),
+    ("gen-data", "landscape.c_min=2", "landscape: c_min 2 is not below c_max 1.25",
+     "data"),
+    ("train", "planners.gbp_gd.loss=foo", _LOSS, "model"),
+    ("eval", "planners.gbp_gd.loss=foo", _LOSS, "eval"),
+    ("finetune-adv", "finetune.adversarial.eps_a=0.1", _RADII.format(0.1, None),
+     "model-adv"),
+    ("finetune-adv", "finetune.adversarial.eps_z=0.1", _RADII.format(None, 0.1),
+     "model-adv"),
+    ("gen-data", "finetune.adversarial.eps_a=0.1", _RADII.format(0.1, None), "data"),
+], ids=["train-cem-elites", "train-mix-ratio", "eval-unselected-cem-elites",
+        "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "adv-eps-a-alone",
+        "adv-eps-z-alone", "gen-data-eps-a-alone"])
+def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, command,
+                                                            override, message, out):
+    # the tiny config's eval.planners selects gbp_gd only
+    path = _write(tmp_path, tiny_config(tmp_path))
+    if command != "gen-data":
+        assert _run("gen-data", "--config", path) == 0
+    if command in ("eval", "finetune-adv"):
+        assert _run("train", "--config", path) == 0
+    workers = ["--workers", "1"] if command == "eval" else []
+    assert _run(command, "--config", path, "--set", override, *workers) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / out).exists()
 
 
 def test_k_exec_is_not_checked_against_the_horizon_in_open_loop_mode(pipeline):
@@ -839,6 +878,19 @@ def test_preset_config_hashes_are_pinned():
 # --- builders: every key a section sets reaches the object it configures ----
 
 
+def _keys(*classes) -> set[str]:
+    """The config keys of the fields of `classes`; a FLAT part's keys are
+    those of its own class. Only the two fields `build_planner` sets from
+    the env and the init net take no key."""
+    keys = set()
+    for cls in classes:
+        for f in fields(cls):
+            if not f.metadata.get("flat"):
+                assert config_key(f) or f.name in ("init_actions", "a_max"), f.name
+                keys.add(config_key(f))
+    return keys - {None}
+
+
 def test_build_planner_carries_every_planner_key(tmp_path):
     spec = envs.wall2d_spec()
     net = initnet.make_initnet(4, spec.action_dim, 7, spec.a_max, hidden=(4,))
@@ -858,8 +910,10 @@ def test_build_planner_carries_every_planner_key(tmp_path):
         "mppi": {"kind": "mppi", "horizon": 6, "samples": 16, "sigma": 0.2,
                  "temperature": 0.5, "iterations": 3},
     }
+    expected = {"gbp": _keys(PlanConfig), "cem": _keys(CemConfig),
+                "gradcem": _keys(CemConfig, RefineConfig), "mppi": _keys(MppiConfig)}
     for kind, section in sections.items():
-        assert set(section) == set(cli._PLANNER_KEYS[kind]), kind
+        assert set(section) == expected[kind] | {"kind"}, kind
         validate_config({"planners": {"p": section}})
     built = {kind: cli.build_planner(kind, section, spec)
              for kind, section in sections.items()}
@@ -910,7 +964,8 @@ def test_finetune_adv_carries_every_section_key(pipeline, tmp_path, monkeypatch)
                "radius_mode": "adaptive", "per_dimension_std": True,
                "epochs": 2, "batch_size": 2, "lr": 5e-4, "dump_perturbed": True,
                "perturbed_path": str(tmp_path / "perturbed-x")}
-    assert set(section) == set(cli._SCHEMA["finetune"]["adversarial"])
+    assert set(section) == _keys(cli.AdversarialSection, finetune.PerturbationConfig,
+                                 cli.TrainSection)
     cfg["finetune"]["adversarial"] = section
     seen = _spy(monkeypatch, finetune, "adversarial_wm")
     assert _run("finetune-adv", "--config", _write(tmp_path, cfg)) == 0
@@ -935,7 +990,7 @@ def test_finetune_online_carries_every_section_key(pipeline, tmp_path,
                "iterations": 1, "plan_iterations": 2, "horizon": 3,
                "mix_ratio": 0.25, "lr": 2e-3, "finetune_steps": 1,
                "batch_size": 4, "plan_optimizer": "sgd", "plan_eta": 0.1}
-    assert set(section) == set(cli._SCHEMA["finetune"]["online"])
+    assert set(section) == _keys(cli.OnlineSection, finetune.OnlineConfig)
     cfg["finetune"]["online"] = section
     seen = _spy(monkeypatch, finetune, "online_wm")
     assert _run("finetune-online", "--config", _write(tmp_path, cfg)) == 0
@@ -951,7 +1006,7 @@ def test_eval_carries_every_mpc_key(pipeline, tmp_path, monkeypatch):
     cfg, _ = pipeline
     mpc = {"steps": 3, "k_exec": 2, "plan_iters": 4, "eta": 0.05,
            "warm_start": True}
-    assert set(mpc) == set(cli._SCHEMA["eval"]["mpc"])
+    assert set(mpc) == _keys(MpcConfig)
     cfg["eval"].update(mode="mpc", mpc=mpc)
     seen = _spy(monkeypatch, evalreport, "evaluate")
     assert _run("eval", "--config", _write(tmp_path, cfg), "--workers", "1") == 0

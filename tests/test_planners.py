@@ -216,7 +216,7 @@ def test_cem_config_validation():
         CemConfig(iterations=0)
     with pytest.raises(ValueError):
         CemConfig(horizon=0)
-    with pytest.raises(ValueError, match="refine steps"):
+    with pytest.raises(ValueError, match="refine_steps"):
         RefineConfig(steps=-1)
 
 
@@ -302,9 +302,9 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
 
 
 def test_plan_config_rejects_an_unknown_optimizer_or_init():
-    with pytest.raises(ValueError, match="unknown optimizer 'adamw'"):
+    with pytest.raises(ValueError, match="optimizer: expected one of .* got 'adamw'"):
         PlanConfig(optimizer="adamw")
-    with pytest.raises(ValueError, match="unknown init 'zeros'"):
+    with pytest.raises(ValueError, match="init: expected one of .* got 'zeros'"):
         PlanConfig(init="zeros")
 
 
