@@ -48,7 +48,7 @@ class ConfigError(Exception):
 
 # --------------------------------------------------------------------------
 # config schema: one dataclass per section; a key left out keeps its default,
-# and a path that is None is unset (a command that needs it fails on it)
+# and a path that is None is unset (a command that needs it exits 2 naming it)
 
 _ENVS = {envs.WALL2D: envs.wall2d_spec, envs.POINTMASS: envs.pointmass_spec}
 _PLANNERS = {"gbp": PlanConfig, "cem": CemConfig, "mppi": MppiConfig,
@@ -349,31 +349,32 @@ def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
 def build_planner(name: str, section: dict, spec: envs.EnvSpec,
                   enc: Encoder | None = None) -> Planner:
     """The planner config of section `planners.<name>`; settings the config
-    rejects are a config error. A `gbp` init net must fit the planner's
-    horizon and action space, and, given the encoder `enc`, read its
-    latents and have been trained under it."""
+    rejects are a config error. A `gbp` planner takes the env's action bound,
+    and one with the "initnet" init holds the net loaded from its
+    `initnet_path`, which must fit the planner's horizon and action space,
+    and, given the encoder `enc`, read its latents and have been trained
+    under it."""
     plan = _planner(section, f"planners.{name}")
     if not isinstance(plan, PlanConfig):
         return plan
-    plan.a_max = spec.a_max
-    if plan.init == "initnet":
-        path = plan.initnet_path
-        net, meta = _load_checkpoint(initnet.load_initnet, path)
-        where = f"planners.{name}.initnet_path: init net {path}"
-        if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
-            raise ConfigError(
-                f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
-                f"the planner needs (horizon {plan.horizon}, "
-                f"d_a {spec.action_dim})")
-        if enc is not None:
-            if net.d_z != enc.d_z:
-                raise ConfigError(f"{where} reads d_z {net.d_z}, the "
-                                  f"encoder writes d_z {enc.d_z}")
-            mismatch = _encoder_mismatch(meta, enc)
-            if mismatch:
-                raise ConfigError(f"{where}: {mismatch}")
-        plan.init_actions = initnet.as_planner_init(net)
-    return plan
+    plan = replace(plan, a_max=spec.a_max)
+    if plan.init != "initnet":
+        return plan
+    path = plan.initnet_path
+    net, meta = _load_checkpoint(initnet.load_initnet, path)
+    where = f"planners.{name}.initnet_path: init net {path}"
+    if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
+        raise ConfigError(
+            f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
+            f"the planner needs (horizon {plan.horizon}, d_a {spec.action_dim})")
+    if enc is not None:
+        if net.d_z != enc.d_z:
+            raise ConfigError(f"{where} reads d_z {net.d_z}, the "
+                              f"encoder writes d_z {enc.d_z}")
+        mismatch = _encoder_mismatch(meta, enc)
+        if mismatch:
+            raise ConfigError(f"{where}: {mismatch}")
+    return replace(plan, init_actions=net)
 
 
 def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
@@ -399,6 +400,13 @@ def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
             raise ConfigError(f"dataset {path}: generated under another env "
                               f"({', '.join(differ)} differ from the config)")
     return spec, enc, encode_dataset(enc, data)
+
+
+def _out(path: str | None, key: str) -> str:
+    """The output path that config key `key` sets; unset is a config error."""
+    if not path:
+        raise ConfigError(f"{key}: not set; the command writes there")
+    return path
 
 
 def _load_checkpoint(load, path: str):
@@ -462,7 +470,7 @@ def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
 def cmd_gen_data(cfg: dict, conf: Config, args) -> int:
     spec = build_env(cfg)
     section = conf.dataset
-    path = section.path
+    path = _out(section.path, "dataset.path")
     if os.path.isdir(path) and os.listdir(path) and not args.force:
         raise ConfigError(f"dataset directory {path} is not empty "
                           "(use --force to overwrite)")
@@ -476,8 +484,9 @@ def cmd_gen_data(cfg: dict, conf: Config, args) -> int:
 
 
 def cmd_train(cfg: dict, conf: Config, args) -> int:
-    spec, enc, data = _inputs(cfg, conf)
     section = conf.model
+    out = _out(section.path, "model.path")
+    spec, enc, data = _inputs(cfg, conf)
     model = worldmodel.init_world_model(
         enc.d_z, spec.action_dim, section.hidden, section.residual,
         seed=derive_seed(conf.seed, "model-init"))
@@ -485,22 +494,22 @@ def cmd_train(cfg: dict, conf: Config, args) -> int:
     result = worldmodel.train_teacher_forcing(
         model, data, train.epochs, train.batch_size, train.lr,
         seed=derive_seed(conf.seed, "train"))
-    _save_trained(section.path, cfg, enc, result, train=asdict(train))
-    print(f"trained model -> {section.path} "
+    _save_trained(out, cfg, enc, result, train=asdict(train))
+    print(f"trained model -> {out} "
           f"(final epoch loss {result.epoch_losses[-1]:.6g})")
     return 0
 
 
 def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
+    section = conf.finetune.adversarial
+    out = _out(section.out_path, "finetune.adversarial.out_path")
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
-    section = conf.finetune.adversarial
     train = section.train
     result = finetune.adversarial_wm(
         model, data, section.perturbation, epochs=train.epochs,
         batch_size=train.batch_size, lr=train.lr, keep_perturbed=section.dump_perturbed,
         seed=derive_seed(conf.seed, "finetune-adv"))
-    out = section.out_path
     _save_trained(out, cfg, enc, result, finetune="adversarial")
     if result.perturbed is not None:
         save_dataset(section.perturbed_path or os.path.join(out, "perturbed"),
@@ -511,12 +520,12 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
 
 
 def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
+    section = conf.finetune.online
+    out = _out(section.out_path, "finetune.online.out_path")
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
-    section = conf.finetune.online
     result = finetune.online_wm(model, spec, enc, data, section.settings,
                                 seed=derive_seed(conf.seed, "finetune-online"))
-    out = section.out_path
     _save_trained(out, cfg, enc, result, finetune="online")
     if section.corrected_path and len(result.corrected):
         save_dataset(section.corrected_path, result.corrected,
@@ -526,32 +535,24 @@ def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
 
 
 def cmd_train_initnet(cfg: dict, conf: Config, args) -> int:
-    spec, enc, data = _inputs(cfg, conf)
     section = conf.initnet
+    out = _out(section.path, "initnet.path")
+    spec, enc, data = _inputs(cfg, conf)
     result = initnet.train_initnet(
         data, section.horizon, section.iterations, section.lr,
         seed=derive_seed(conf.seed, "initnet"), a_max=spec.a_max)
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg)}
-    initnet.save_initnet(section.path, result.net, meta)
-    _write_run_manifest(section.path, cfg, enc)
-    print(f"trained initnet -> {section.path} "
+    initnet.save_initnet(out, result.net, meta)
+    _write_run_manifest(out, cfg, enc)
+    print(f"trained initnet -> {out} "
           f"(final loss {result.losses[-1]:.6g})")
     return 0
 
 
-def _cross_room_predicate(spec: envs.EnvSpec):
-    door = spec.doors[0]
-
-    def predicate(task: envs.TaskInstance) -> bool:
-        return (task.start.position[door.axis] - door.coord) * \
-            (task.goal_state.position[door.axis] - door.coord) < 0
-
-    return predicate
-
-
 def cmd_eval(cfg: dict, conf: Config, args) -> int:
-    spec, enc, data = _inputs(cfg, conf)
     section = conf.eval
+    out = _out(section.out_path, "eval.out_path")
+    spec, enc, data = _inputs(cfg, conf)
     models = {name: _load_model(path, enc) for name, path in section.models.items()}
     if not models:
         raise ConfigError("eval.models names no checkpoints")
@@ -568,13 +569,11 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
     if section.mode == "mpc" and short:
         raise ConfigError(f"eval.mpc.k_exec {mpc_cfg.k_exec} is longer than the "
                           f"horizon of planner(s) {', '.join(short)}")
-    predicate = _cross_room_predicate(spec) if section.require_cross_room else None
     report = evalreport.evaluate(
         spec, enc, models, planners, n_tasks=section.n_tasks, mode=section.mode,
         seed=conf.seed, data=data, horizon_gap=section.horizon_gap, mpc_cfg=mpc_cfg,
-        workers=args.workers, task_predicate=predicate,
+        workers=args.workers, require_cross_room=section.require_cross_room,
         config_hash=config_hash(cfg))
-    out = section.out_path
     evalreport.emit_report(report, out)
     _write_run_manifest(out, cfg, enc)
     for cell in report.cells:
@@ -586,8 +585,9 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
 
 
 def cmd_gap(cfg: dict, conf: Config, args) -> int:
-    spec, enc, data = _inputs(cfg, conf)
     section = conf.gap
+    out = _out(section.out_path, "gap.out_path")
+    spec, enc, data = _inputs(cfg, conf)
     plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
                           a_max=spec.a_max)
     for name, path in section.models.items():
@@ -595,7 +595,7 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
         report = evalreport.train_test_gap(
             model, spec, enc, data, plan_cfg, section.n,
             seed=derive_seed(conf.seed, "gap", name))
-        outdir = os.path.join(section.out_path, name)
+        outdir = os.path.join(out, name)
         evalreport.emit_report(report, outdir)
         _write_run_manifest(outdir, cfg, enc)
         print(f"{name:>14s} gap: expert {report.mean_expert:.6g} "
@@ -605,13 +605,13 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
 
 
 def cmd_landscape(cfg: dict, conf: Config, args) -> int:
-    spec, enc, data = _inputs(cfg, conf)
     section = conf.landscape
+    out_root = _out(section.out_path, "landscape.out_path")
+    spec, enc, data = _inputs(cfg, conf)
     f_base = _load_model(section.baseline, enc)
     f_adv = _load_model(section.adversarial, enc)
     plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
                           a_max=spec.a_max)
-    out_root = section.out_path
     n_tasks = section.n_tasks
     smoother = 0
     rows = []

@@ -8,7 +8,6 @@ the perturbed set), then the actions, as two WMT1 records."""
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from collections import namedtuple
@@ -106,19 +105,13 @@ def load_dataset(path) -> tuple[Dataset, dict]:
     """The dataset in directory `path` and its manifest; a missing or damaged
     file, another schema version, or records that disagree with each other
     or with the manifest's count are a ValueError."""
-    manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ValueError("no manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    version = manifest.get("schema_version")
+    manifest = tensorio.read_json(os.path.join(path, "manifest.json"),
+                                  ("schema_version", "content", "provenance", "count"))
+    version = manifest["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"manifest schema_version {version!r}, expected "
                          f"{SCHEMA_VERSION}; rerun gen-data to regenerate it")
-    data_path = os.path.join(path, "data.bin")
-    if not os.path.isfile(data_path):
-        raise ValueError("data.bin is missing")
-    states, actions = tensorio.load_tensors(data_path, count=2)
+    states, actions = tensorio.load_tensors(os.path.join(path, "data.bin"), count=2)
     kind = "obs" if manifest["content"] == "obs" else "latents"
     data = Dataset(actions, provenance=manifest["provenance"], **{kind: states})
     if len(data) != manifest["count"]:

@@ -400,3 +400,11 @@ def sample_task(spec: EnvSpec, data: Dataset, horizon_gap: int, seed: int) -> Ta
     return TaskInstance(start=start, goal_obs=goal_obs,
                         goal_state=state_of_obs(spec, goal_obs),
                         horizon_gap=horizon_gap)
+
+
+def cross_room(spec: EnvSpec, task: TaskInstance) -> bool:
+    """Whether the task's start and goal lie on either side of the wall of
+    the env's first door."""
+    door = spec.doors[0]
+    return (task.start.position[door.axis] - door.coord) * \
+        (task.goal_state.position[door.axis] - door.coord) < 0

@@ -16,7 +16,6 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -92,13 +91,13 @@ def _task_fingerprint(tasks: list[envs.TaskInstance]) -> str:
 
 
 def _draw_task(spec, data, horizon_gap, seed, task_index,
-               predicate: Callable | None) -> envs.TaskInstance:
+               require_cross_room: bool) -> envs.TaskInstance:
     for attempt in range(200):
         task_seed = derive_seed(seed, "task", task_index, attempt)
         task = envs.sample_task(spec, data, horizon_gap, task_seed)
-        if predicate is None or predicate(task):
+        if not require_cross_room or envs.cross_room(spec, task):
             return task
-    raise ValueError("task predicate rejected 200 consecutive samples")
+    raise ValueError("no cross-room task in 200 draws")
 
 
 def _eval_cell(spec, enc, model, planner, mode, task, plan_seed, mpc_cfg):
@@ -131,7 +130,7 @@ def _init_worker(ctx):
 def _eval_task(t: int):
     c = _CTX
     task = _draw_task(c["spec"], c["data"], c["horizon_gap"], c["seed"], t,
-                      c["predicate"])
+                      c["require_cross_room"])
     plan_seed = derive_seed(c["seed"], "plan", t)
     out = {}
     for mname, model in c["models"].items():
@@ -151,16 +150,19 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
              planners: dict[str, Planner], n_tasks: int, mode: str,
              seed: int, data: Dataset, horizon_gap: int = 25,
              mpc_cfg: MpcConfig | None = None, workers: int = 1,
-             task_predicate: Callable | None = None,
+             require_cross_room: bool = False,
              config_hash: str = "") -> EvalReport:
-    """Paired success-rate grid over (model, planner) cells."""
+    """Paired success-rate grid over (model, planner) cells, on tasks whose
+    start and goal lie in different rooms if `require_cross_room` is set.
+    Every input is plain data, so the process pool of `workers` > 1 gets it
+    under any start method."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     ctx = {"spec": spec, "enc": enc, "models": models, "planners": planners,
            "mode": mode, "seed": seed, "data": data, "horizon_gap": horizon_gap,
-           "mpc_cfg": mpc_cfg, "predicate": task_predicate}
+           "mpc_cfg": mpc_cfg, "require_cross_room": require_cross_room}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:

@@ -2,12 +2,12 @@
 
 Trained by supervised regression onto expert action sequences; a final
 tanh scaled by a_max keeps proposals inside the action bounds. Used as an
-alternative to Gaussian initialization for gradient-based planning.
+alternative to Gaussian initialization for gradient-based planning: a
+`planners.PlanConfig` with the "initnet" init holds the loaded net.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -45,11 +45,6 @@ def init_actions(g: InitNet, z1: np.ndarray, z_goal: np.ndarray) -> np.ndarray:
     x = np.concatenate([z1, z_goal])
     out = g.a_max * np.tanh(nets.mlp_forward(g.weights, x)[0])
     return out.reshape(g.horizon, g.d_a)
-
-
-def as_planner_init(g: InitNet):
-    """Adapter for PlanConfig(init="initnet", init_actions=...)."""
-    return lambda z1, z_goal: init_actions(g, z1, z_goal)
 
 
 @dataclass
@@ -116,8 +111,8 @@ def save_initnet(path, net: InitNet, meta: dict | None = None) -> None:
 
 
 def load_initnet(path) -> tuple[InitNet, dict]:
-    with open(os.path.join(path, "model.json")) as fh:
-        desc = json.load(fh)
+    desc = tensorio.read_json(os.path.join(path, "model.json"),
+                              ("d_z", "d_a", "horizon", "a_max", "hidden"))
     d_z, d_a, horizon = desc["d_z"], desc["d_a"], desc["horizon"]
     hidden = tuple(desc["hidden"])
     weights = nets.load_weights(path, (2 * d_z,) + hidden + (horizon * d_a,))

@@ -8,11 +8,13 @@ function by the config's type.
 
 Gradient-based planning backpropagates the goal loss through a recursive
 model rollout and updates one action sequence with SGD or Adam; it is the
-only code in the lab that builds a tape. Each iteration's tape is three
-nodes: a leaf holding the (H, d_a) actions, a constant start latent and one
-"wm-rollout" node (`rollout_nodes`) that runs the H model steps on buffers
-it makes once per call, scores the goal loss and, in its backward, sweeps
-back through all H steps in closed form, for the input gradients only.
+only code in the lab that builds a tape. One tape holds a plan: the
+constant start latent, made once, then per iteration a leaf holding the
+(H, d_a) actions and one "wm-rollout" node (`rollout_nodes`) that runs the
+H model steps on buffers it makes once per call, scores the goal loss and,
+in its backward, sweeps back through all H steps in closed form, for the
+input gradients only. A goal loss is a name (`GOAL_LOSSES`) that a plan
+turns into its weights once.
 The sampling planners score their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
 `predict` call per step for all N sequences). GradCEM runs GBP from each
@@ -33,55 +35,32 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from . import envs
+from . import envs, initnet
 from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
-                     check, one_of, rule)
+                     check, one_of)
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
 from .worldmodel import WorldModel, rollout_model, rollout_nodes
 
 
-@dataclass
-class GoalLossSpec:
-    """Final-state distance without `weights`, else a weight-normalized mean
-    over all predicted states (weights stored unnormalized; they are divided
-    by their sum)."""
-
-    weights: np.ndarray | None = None
-
-
-def wgl_late_heavy(H: int) -> GoalLossSpec:
-    """Exponentially upweight later states: w_i = 2^i for i = 2..H+1."""
-    return GoalLossSpec(np.exp2(np.arange(2, H + 2, dtype=np.float64)))
-
-
-def wgl_early_heavy(H: int) -> GoalLossSpec:
-    """Exponentially upweight earlier states: w_i = (1/2)^i."""
-    return GoalLossSpec(0.5 ** np.arange(2, H + 2, dtype=np.float64))
-
-
-def goal_loss(spec: GoalLossSpec, f: WorldModel, z1: dc.Node, a: dc.Node,
-              z_goal: np.ndarray) -> dc.Node:
-    """The goal loss over the latents z_2 .. z_{H+1} that `f` predicts from
-    `z1` under the actions `a` (H, d_a), as one "wm-rollout" tape node
-    (`rollout_nodes`), with the spec's weights checked and normalized."""
-    if spec.weights is None:
-        return rollout_nodes(f, z1, a, z_goal, None)
-    H = len(a.value)
-    w = np.asarray(spec.weights, dtype=np.float64)
-    if w.shape != (H,):
-        raise ValueError(f"weight list length {w.shape} != horizon {H}")
-    if np.any(w <= 0):
-        raise ValueError("goal loss weights must be strictly positive")
-    return rollout_nodes(f, z1, a, z_goal, w / w.sum())
-
-
 OPTIMIZERS = ("sgd", "adam")
 INITS = ("gaussian", "initnet", "fixed")
 COV_MODES = ("full", "diagonal")
-GOAL_LOSSES = {"final": lambda H: GoalLossSpec(), "late-heavy": wgl_late_heavy,
-               "early-heavy": wgl_early_heavy}  # a name -> its spec at horizon H
+
+
+def _exponential(base: float):
+    def weights(H: int) -> np.ndarray:
+        w = base ** np.arange(2, H + 2, dtype=np.float64)
+        return w / w.sum()
+    return weights
+
+
+# a goal loss name -> its weights on z_2 .. z_{H+1} at horizon H, which sum to
+# one (w_i = base^i for i = 2..H+1, normalised), or None for the final-state
+# distance
+GOAL_LOSSES = {"final": lambda H: None, "late-heavy": _exponential(2.0),
+               "early-heavy": _exponential(0.5)}
 
 
 @dataclass
@@ -95,15 +74,13 @@ class Descent(Checked):
 
 @dataclass
 class PlanConfig(Descent):
-    """GBP. A goal `loss` given by name becomes its spec at the horizon.
-    The "fixed" init starts from the (H, d_a) `init_actions`, the "initnet"
-    init from the actions that the callable `init_actions(z1, z_goal)`
-    proposes, which `cli.build_planner` loads from `initnet_path`."""
+    """GBP. `loss` names a goal loss of GOAL_LOSSES. The "fixed" init
+    starts from the (H, d_a) array `init_actions`, the "initnet" init from
+    the actions that the `initnet.InitNet` in `init_actions` proposes, which
+    `cli.build_planner` loads from `initnet_path`."""
 
     horizon: int = field(default=25, metadata=COUNT)
-    loss: GoalLossSpec | str = field(default="final", metadata=rule(
-        f"one of {sorted(GOAL_LOSSES)}",
-        lambda v: isinstance(v, GoalLossSpec) or v in GOAL_LOSSES))
+    loss: str = field(default="final", metadata=one_of(GOAL_LOSSES))
     init: str = field(default="gaussian", metadata=one_of(INITS))
     init_actions: object = field(default=None, metadata={"key": None})
     clamp_actions: bool = field(default=True, metadata={"key": "clamp"})
@@ -113,8 +90,6 @@ class PlanConfig(Descent):
 
     def __post_init__(self):
         check(self)
-        if isinstance(self.loss, str):
-            self.loss = GOAL_LOSSES[self.loss](self.horizon)
         needs = {"fixed": "init_actions", "initnet": "initnet_path"}.get(self.init)
         if needs and self.init_actions is None and getattr(self, needs) is None:
             raise ValueError(f"init {self.init!r} needs {needs}")
@@ -136,7 +111,7 @@ def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal,
     if cfg.init == "gaussian":
         return generator(seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
     if cfg.init == "initnet":
-        arr = np.asarray(cfg.init_actions(z1, z_goal), dtype=np.float64)
+        arr = initnet.init_actions(cfg.init_actions, z1, z_goal)
     else:  # "fixed"
         arr = np.array(cfg.init_actions, dtype=np.float64)
     if arr.shape != (cfg.horizon, f.d_a):
@@ -151,10 +126,18 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     Returns the best-loss iterate (switchable to the last via return_best).
     Actions are clamped to [-a_max, a_max] after every update when
     clamp_actions is set and a_max is known. `seed` draws the "gaussian"
-    init; the other inits ignore it.
+    init; the other inits ignore it. The goal loss's weights, the start
+    latent's tape node and the goal are made and checked once per plan: one
+    tape holds the plan, and each iteration adds an action leaf and one
+    "wm-rollout" node to it. A non-finite start latent or goal is a
+    ValueError.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
+    weights = GOAL_LOSSES[cfg.loss](H)
+    tape = dc.Tape()
+    z1_node = tape.constant(z1)
+    z_goal = dc.tensor(z_goal)
     actions = _initial_actions(cfg, f, z1, z_goal, seed)
     clamp = cfg.clamp_actions and cfg.a_max is not None
     if clamp:
@@ -162,17 +145,17 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     opt = AdamState.zeros((H, f.d_a)) if cfg.optimizer == "adam" else None
     trace: list[float] = []
     best_loss = np.inf
-    best_actions = actions.copy()
-    last_actions = actions.copy()
+    # the optimizer steps and the clip return new arrays, so no iterate is
+    # changed after it is kept
+    best_actions = last_actions = actions
     aborted = False
     for _ in range(cfg.iterations):
         if not np.all(np.isfinite(actions)):
             aborted = True
             break
-        tape = dc.Tape()
         a_leaf = tape.leaf(actions)
         try:
-            loss_node = goal_loss(cfg.loss, f, tape.constant(z1), a_leaf, z_goal)
+            loss_node = rollout_nodes(f, z1_node, a_leaf, z_goal, weights)
             loss = float(loss_node.value)
             trace.append(loss)
             if not np.isfinite(loss):
@@ -180,7 +163,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
                 break
             if loss < best_loss:
                 best_loss = loss
-                best_actions = actions.copy()
+                best_actions = actions
             (grads,) = dc.grad(loss_node, [a_leaf])
         except NumericFailure:
             aborted = True
@@ -191,7 +174,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             actions, opt = dc.adam_step(actions, grads, opt, cfg.eta)
         if clamp:
             actions = np.clip(actions, -cfg.a_max, cfg.a_max)
-        last_actions = actions.copy()
+        last_actions = actions
     chosen = best_actions if cfg.return_best else last_actions
     final = best_loss if cfg.return_best else (trace[-1] if trace else np.inf)
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),

@@ -43,6 +43,23 @@ def write_json(path, obj, **dump_options) -> None:
         fh.write("\n")
 
 
+def read_json(path, keys=()) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`; a missing
+    file or key, or a file that is not JSON, is a ValueError naming it."""
+    name = os.path.basename(path)
+    if not os.path.isfile(path):
+        raise ValueError(f"{name} is missing")
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{name} is not JSON: {err}") from err
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(missing)}")
+    return obj
+
+
 def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=np.float64)  # note: tobytes() is row-major
     fh.write(MAGIC)
@@ -76,7 +93,10 @@ def save_tensors(path, arrays: list[np.ndarray]) -> None:
 
 
 def load_tensors(path, count: int | None = None) -> list[np.ndarray]:
-    """Read `count` records, or all records until EOF when count is None."""
+    """Read `count` records, or all records until EOF when count is None; a
+    missing file is a ValueError naming it."""
+    if not os.path.isfile(path):
+        raise ValueError(f"{os.path.basename(path)} is missing")
     out = []
     with open(path, "rb") as fh:
         while count is None or len(out) < count:

@@ -4,7 +4,6 @@ against the simulator."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -110,14 +109,16 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
 
     With `weights` None the loss is the final-state distance
     ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
-    z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.goal_loss`
-    passes weights that sum to one). The forward is `WorldModel.forward`
+    z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.gbp`
+    passes the H weights of a `planners.GOAL_LOSSES` entry, which sum to
+    one). The goal is taken as given: `gbp` checks it once per plan. The
+    forward is `WorldModel.forward`
     unrolled on buffers made once per call: row t of one (H + 1, d_z + d_a)
     array is the MLP input [z_{t+1}; a_t], and the residual add writes
     z_{t+2} into row t + 1 in place; each hidden layer's tanh outputs fill
     one (H, width) array, and its tanh derivative 1 - h*h is taken for all
     H steps at once. A non-finite latent raises NumericFailure naming its
-    step, and a non-finite goal is a ValueError. The backward is one
+    step. The backward is one
     reverse sweep that inlines the input-gradient half of
     `nets.mlp_backward` per step, with its expressions and order. A
     latent's gradient sums (loss term + skip edge) + MLP edge, the order in
@@ -150,14 +151,11 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
             np.add(y, bs[-1], out=z)
         if not math.isfinite(np.add.reduce(z)):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-    goal = dc.tensor(z_goal)
     if weights is None:
         steps, scale = {H - 1: 1.0}, 1.0
     else:
         steps, scale = dict(enumerate(weights)), 1.0 / H
-        if len(steps) != H:
-            raise ValueError(f"{len(steps)} goal loss weights for horizon {H}")
-    terms = {t: (w, zs[t + 1] - goal) for t, w in steps.items()}
+    terms = {t: (w, zs[t + 1] - z_goal) for t, w in steps.items()}
     total = 0.0
     for w, diff in terms.values():
         total = total + (diff * diff).sum() * w
@@ -306,8 +304,8 @@ def save_model(path, model: WorldModel, meta: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[WorldModel, dict]:
-    with open(os.path.join(path, "model.json")) as fh:
-        desc = json.load(fh)
+    desc = tensorio.read_json(os.path.join(path, "model.json"),
+                              ("d_z", "d_a", "hidden", "residual"))
     d_z, d_a, hidden = desc["d_z"], desc["d_a"], tuple(desc["hidden"])
     weights = nets.load_weights(path, (d_z + d_a,) + hidden + (d_z,))
     model = WorldModel(weights, d_z, d_a, hidden, desc["residual"])

@@ -1,10 +1,15 @@
+import functools
 import json
+import multiprocessing
 import os
+import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import preset_digest
 from reference_training import trajectory_teacher_forcing
 from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
                        worldmodel)
@@ -12,7 +17,7 @@ from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.config import config_key
 from wmplanlab.data import load_dataset
 from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
-                                RefineConfig, wgl_late_heavy)
+                                RefineConfig)
 from wmplanlab.presets import PRESETS, get_preset
 
 
@@ -244,6 +249,27 @@ def test_the_number_of_workers_changes_no_report_byte(pipeline, mode):
     assert reports[0] == reports[1]
 
 
+def test_eval_on_a_forkserver_pool_writes_the_report_of_one_worker(pipeline,
+                                                                   monkeypatch):
+    # under the spawn and forkserver start methods every input of the grid is
+    # pickled: the cross-room rule and an init-net planner among them
+    cfg, path = pipeline
+    assert _run("train-initnet", "--config", path) == 0
+    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
+               "initnet_path": cfg["initnet"]["path"]}
+    monkeypatch.setattr(evalreport, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
+    reports = []
+    for workers in ("1", "2"):
+        assert _run("eval", "--config", path, "--workers", workers,
+                    "--set", "eval.require_cross_room=true", "--set", "eval.n_tasks=3",
+                    "--set", "planners.g_init=" + json.dumps(planner),
+                    "--set", 'eval.planners=["gbp_gd", "g_init"]') == 0
+        reports.append(open(os.path.join(cfg["eval"]["out_path"], "report.json"),
+                            "rb").read())
+    assert reports[0] == reports[1]
+
+
 def test_gap_command(pipeline):
     cfg, path = pipeline
     assert _run("gap", "--config", path) == 0
@@ -388,9 +414,24 @@ def test_eval_takes_no_flag_that_bypasses_the_config(flag):
     assert exc.value.code == 2
 
 
+DAMAGES = ["last-layer", "cut-data", "cut-header", "no-model-json", "no-weights",
+           "model-json-key"]
+
+
 def _damage(ckpt: str, how: str) -> None:
-    """Drop the last layer of a checkpoint's weights.bin, or cut the file
-    inside the last tensor's data or inside its header."""
+    """Drop the last layer of a checkpoint's weights.bin, cut the file inside
+    the last tensor's data or inside its header, remove model.json or
+    weights.bin, or drop the key d_a from model.json."""
+    if how in ("no-model-json", "no-weights"):
+        os.remove(os.path.join(ckpt, "weights.bin" if how == "no-weights"
+                               else "model.json"))
+        return
+    if how == "model-json-key":
+        desc = json.load(open(os.path.join(ckpt, "model.json")))
+        del desc["d_a"]
+        with open(os.path.join(ckpt, "model.json"), "w") as fh:
+            json.dump(desc, fh)
+        return
     path = os.path.join(ckpt, "weights.bin")
     weights = tensorio.load_tensors(path)
     if how == "last-layer":
@@ -401,7 +442,7 @@ def _damage(ckpt: str, how: str) -> None:
         fh.truncate(head + 6 if how == "cut-header" else os.path.getsize(path) - 8)
 
 
-@pytest.mark.parametrize("how", ["last-layer", "cut-data", "cut-header"])
+@pytest.mark.parametrize("how", DAMAGES)
 def test_eval_rejects_a_damaged_world_model(pipeline, capsys, how):
     cfg, path = pipeline
     _damage(cfg["model"]["path"], how)
@@ -409,7 +450,7 @@ def test_eval_rejects_a_damaged_world_model(pipeline, capsys, how):
     assert f"checkpoint {cfg['model']['path']}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("how", ["last-layer", "cut-data", "cut-header"])
+@pytest.mark.parametrize("how", DAMAGES)
 def test_eval_rejects_a_damaged_init_net(pipeline, capsys, how):
     cfg, path = pipeline
     ckpt = cfg["initnet"]["path"]
@@ -473,16 +514,18 @@ def test_eval_rejects_an_init_net_of_another_latent_space(pipeline, capsys, how)
     assert ("reads d_z 5" if how == "d_z" else "trained under another encoder") in err
 
 
-def _edit_manifest(data_dir: str, **changes) -> None:
+def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
     manifest_path = os.path.join(data_dir, "manifest.json")
     manifest = json.load(open(manifest_path))
     manifest.update(changes)
+    for key in drop:
+        del manifest[key]
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
 
 
 @pytest.mark.parametrize("how", ["missing-data", "cut-data", "missing-manifest",
-                                 "schema-version", "count"])
+                                 "schema-version", "count", "manifest-key"])
 def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
@@ -497,16 +540,19 @@ def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
         expect = "truncated"
     elif how == "missing-manifest":
         os.remove(os.path.join(data_dir, "manifest.json"))
-        expect = "no manifest.json"
+        expect = "manifest.json is missing"
     elif how == "schema-version":
         # a directory of the one-file-per-trajectory layout
         _edit_manifest(data_dir, schema_version=1)
         os.rename(os.path.join(data_dir, "data.bin"),
                   os.path.join(data_dir, "traj_0.bin"))
         expect = "manifest schema_version 1, expected 2; rerun gen-data"
-    else:
+    elif how == "count":
         _edit_manifest(data_dir, count=5)
         expect = "data.bin holds 6 trajectories, the manifest lists 5"
+    else:
+        _edit_manifest(data_dir, "content", "provenance")
+        expect = "manifest.json lacks content, provenance"
     with pytest.raises(ValueError, match=expect):
         load_dataset(data_dir)
     assert _run("train", "--config", path) == 2
@@ -564,6 +610,34 @@ def test_missing_dataset_is_config_error(tmp_path):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
     assert _run("train", "--config", path) == 2  # dataset never generated
+
+
+@pytest.mark.parametrize("command, key", [
+    ("gen-data", "dataset.path"), ("train", "model.path"),
+    ("train-initnet", "initnet.path"),
+    ("finetune-adv", "finetune.adversarial.out_path"),
+    ("finetune-online", "finetune.online.out_path"), ("eval", "eval.out_path"),
+    ("gap", "gap.out_path"), ("landscape", "landscape.out_path"),
+])
+def test_a_missing_output_path_exits_2_naming_its_key_before_writing(
+        tmp_path, capsys, command, key):
+    cfg = tiny_config(tmp_path)
+    path = _write(tmp_path, cfg)
+    if command != "gen-data":
+        assert _run("gen-data", "--config", path) == 0
+        assert _run("train", "--config", path) == 0
+        assert _run("finetune-adv", "--config", path) == 0
+    *parents, last = key.split(".")
+    section = cfg
+    for part in parents:
+        section = section[part]
+    del section[last]
+    path = _write(tmp_path, cfg)
+    before = sorted(tmp_path.rglob("*"))
+    workers = ["--workers", "1"] if command == "eval" else []
+    assert _run(command, "--config", path, *workers) == 2
+    assert f"config error: {key}: not set" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypatch):
@@ -875,6 +949,29 @@ def test_preset_config_hashes_are_pinned():
     }
 
 
+def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys):
+    name = "wall-awm"
+    digests = []
+    for out in ("a", "b"):
+        assert preset_digest.main([str(tmp_path / out), name]) == 0
+        digests.append(capsys.readouterr().out.splitlines())
+    assert digests[0] == digests[1]
+    files = dict(reversed(line.split("  ", 1)) for line in digests[0])
+    assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha in files.values())
+    assert not [path for path in files if path.endswith("timing.json")]
+    root = f"runs/{name}"
+    assert {f"{root}/{path}" for path in (
+        "data/data.bin", "model/weights.bin", "model-adv/weights.bin",
+        "model-owm/weights.bin", "data-corrected/data.bin", "initnet/weights.bin",
+        "eval-open-loop/report.json", "eval-mpc/report.json",
+        "gap/adversarial/gap.json", "landscape/summary.json")} <= files.keys()
+    report = json.load(open(tmp_path / "a" / root / "eval-mpc" / "report.json"))
+    assert {(cell["model"], cell["planner"]) for cell in report["cells"]} == {
+        (model, planner) for model in ("baseline", "adversarial")
+        for planner in (*get_preset(name)["planners"], "gbp_late", "gbp_early",
+                        "gbp_initnet")}
+
+
 # --- builders: every key a section sets reaches the object it configures ----
 
 
@@ -922,9 +1019,10 @@ def test_build_planner_carries_every_planner_key(tmp_path):
     assert type(plan) is PlanConfig
     assert (plan.horizon, plan.iterations, plan.optimizer, plan.eta) == \
         (7, 11, "adam", 0.07)
-    assert np.array_equal(plan.loss.weights, wgl_late_heavy(7).weights)
-    assert plan.init == "initnet"
-    assert plan.init_actions(np.zeros(4), np.ones(4)).shape == (7, spec.action_dim)
+    assert (plan.loss, plan.init) == ("late-heavy", "initnet")
+    assert type(plan.init_actions) is initnet.InitNet
+    assert all(np.array_equal(got, want)
+               for got, want in zip(plan.init_actions.weights, net.weights, strict=True))
     assert (plan.clamp_actions, plan.return_best, plan.a_max) == \
         (False, False, spec.a_max)
 

@@ -96,13 +96,17 @@ def test_evaluate_mpc_mode_runs():
     assert report.cells[0].success_rate == 1.0
 
 
-def test_evaluate_task_predicate():
-    spec, enc, data, model, plan = _perfect_setup()
-    right_half = lambda task: task.goal_state.position[0] > 0.5
-    report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=3,
-                      mode="open-loop", seed=2, data=data, horizon_gap=1,
-                      task_predicate=right_half)
-    assert report.n_tasks == 3
+def test_evaluate_require_cross_room(wall_spec):
+    data = envs.generate_dataset(wall_spec, 10, 30, "goal-seeking-noisy", seed=0)
+    drawn = {flag: [evalreport._draw_task(wall_spec, data, 10, 2, t, flag)
+                    for t in range(6)] for flag in (False, True)}
+    assert all(envs.cross_room(wall_spec, task) for task in drawn[True])
+    assert not all(envs.cross_room(wall_spec, task) for task in drawn[False])
+    plan = PlanConfig(horizon=1, iterations=2, a_max=wall_spec.a_max)
+    report = evaluate(wall_spec, make_identity(2), {"m": linear_model(np.eye(2))},
+                      {"p": plan}, n_tasks=6, mode="open-loop", seed=2, data=data,
+                      horizon_gap=10, require_cross_room=True)
+    assert report.task_hash == evalreport._task_fingerprint(drawn[True])
 
 
 def test_evaluate_validates_args():

@@ -79,18 +79,17 @@ def test_wm_step_rollout_gradients_equal_the_chain(loss):
     rng = generator(5, "fused-rollout")
     z1, z_goal = rng.standard_normal(8), rng.standard_normal(8)
     acts = rng.standard_normal((H, 2))
-    spec = planners.GoalLossSpec() if loss == "final" else planners.wgl_late_heavy(H)
+    weights = planners.GOAL_LOSSES[loss](H)
 
-    def run():
+    def run(build):
         tape = dc.Tape()
         a = tape.leaf(acts)
-        return dc.grad(planners.goal_loss(spec, f, tape.constant(z1), a, z_goal), [a])
+        return dc.grad(build(f, tape.constant(z1), a, z_goal, weights), [a])
 
-    fused = run()
+    fused = run(rollout_nodes)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planners, "rollout_nodes", ref.rollout_nodes)
         mp.setattr(WorldModel, "forward_nodes", chain_forward_nodes)
-        chain = run()
+        chain = run(ref.rollout_nodes)
     assert np.array_equal(np.stack(fused), np.stack(chain))
 
 
@@ -206,10 +205,8 @@ def test_gbp_weighted_plans_equal_the_chain(loss, optimizer):
     f = init_world_model(8, 2, hidden=(16, 16), seed=6)
     rng = generator(6, "gbp-chain")
     z1, z_goal = rng.standard_normal(8), rng.standard_normal(8)
-    spec = (planners.wgl_late_heavy if loss == "late-heavy"
-            else planners.wgl_early_heavy)(H)
     cfg = planners.PlanConfig(horizon=H, iterations=12, optimizer=optimizer,
-                              eta=0.1, loss=spec)
+                              eta=0.1, loss=loss)
     fused = planners.gbp(f, z1, z_goal, cfg, seed=3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planners, "rollout_nodes", ref.rollout_nodes)
@@ -342,7 +339,7 @@ def test_only_gbp_builds_a_tape(tape_refs, wall_spec):
     assert tape_refs == []
     cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
     planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg, seed=0)
-    assert len(tape_refs) == 3
+    assert len(tape_refs) == 1  # one per plan
 
 
 def test_gbp_frees_its_tapes(tape_refs):
@@ -350,5 +347,5 @@ def test_gbp_frees_its_tapes(tape_refs):
     rng = generator(2, "free")
     cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
     planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg, seed=0)
-    assert len(tape_refs) == 3
+    assert len(tape_refs) == 1
     assert all(ref() is None for ref in tape_refs)

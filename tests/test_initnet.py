@@ -81,9 +81,7 @@ def test_gbp_initnet_hook_initial_loss_matches(wall_spec):
     zg = data.latents[0, 4]
     proposal = init_actions(res.net, z1, zg)
     cfg = PlanConfig(horizon=4, iterations=3, optimizer="sgd", eta=0.1,
-                     init="initnet",
-                     init_actions=lambda a, b: init_actions(res.net, a, b),
-                     a_max=wall_spec.a_max)
+                     init="initnet", init_actions=res.net, a_max=wall_spec.a_max)
     pr = gbp(f, z1, zg, cfg, seed=0)
     zs = rollout_model(f, z1, proposal)
     expected = float(np.sum((zs[-1] - zg) ** 2))

@@ -6,11 +6,12 @@ import pytest
 from wmplanlab import cli, envs, planners, presets
 from wmplanlab import diffcore as dc
 from wmplanlab.encoder import encode, make_identity
-from wmplanlab.planners import (CemConfig, GoalLossSpec, MpcConfig, MppiConfig,
+from wmplanlab.initnet import make_initnet
+from wmplanlab.planners import (GOAL_LOSSES, CemConfig, MpcConfig, MppiConfig,
                                 PlanConfig, RefineConfig, cem, final_cost, gbp,
-                                goal_loss, mpc, mppi, run_planner, wgl_late_heavy)
+                                mpc, mppi, run_planner)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import init_world_model, predict
+from wmplanlab.worldmodel import init_world_model, predict, rollout_nodes
 
 from conftest import linear_model, rel_err
 
@@ -24,45 +25,39 @@ def _rollout_with_distances(dists, d=2):
     return linear_model(np.eye(d)), tape.constant(zs[0]), tape.leaf(np.diff(zs, axis=0))
 
 
+def _goal_loss(dists, weights) -> float:
+    """The goal loss of a rollout whose latents lie at squared distances
+    `dists` from a zero goal, with the goal loss weights `weights`."""
+    f, z1, a = _rollout_with_distances(dists)
+    return float(rollout_nodes(f, z1, a, np.zeros(2), weights).value)
+
+
 def test_goal_loss_final_mode():
-    f, z1, a = _rollout_with_distances([4.0, 16.0])
-    loss = goal_loss(GoalLossSpec(), f, z1, a, np.zeros(2))
-    assert float(loss.value) == pytest.approx(16.0)
+    assert _goal_loss([4.0, 16.0], None) == pytest.approx(16.0)
 
 
 def test_goal_loss_weighted_hand_example():
-    # H=2, w=(1,1), distances (4,16): (1/2) * (0.5*4 + 0.5*16) = 5
-    f, z1, a = _rollout_with_distances([4.0, 16.0])
-    spec = GoalLossSpec(np.array([1.0, 1.0]))
-    assert float(goal_loss(spec, f, z1, a, np.zeros(2)).value) == pytest.approx(5.0)
+    # H=2, w=(0.5,0.5), distances (4,16): (1/2) * (0.5*4 + 0.5*16) = 5
+    assert _goal_loss([4.0, 16.0], np.array([0.5, 0.5])) == pytest.approx(5.0)
 
 
 def test_goal_loss_weighted_degenerate_equals_final_over_h():
-    f, z1, a = _rollout_with_distances([4.0, 16.0])
-    spec = GoalLossSpec(np.array([1e-15, 1.0]))
-    final = 16.0
-    assert float(goal_loss(spec, f, z1, a, np.zeros(2)).value) == pytest.approx(final / 2)
+    w = np.array([1e-15, 1.0])
+    assert _goal_loss([4.0, 16.0], w / w.sum()) == pytest.approx(16.0 / 2)
 
 
 def test_goal_loss_zero_at_goal():
-    f, z1, a = _rollout_with_distances([0.0, 0.0, 0.0])
-    assert float(goal_loss(GoalLossSpec(), f, z1, a, np.zeros(2)).value) == 0.0
-    w = GoalLossSpec(np.ones(3))
-    assert float(goal_loss(w, f, z1, a, np.zeros(2)).value) == 0.0
-
-
-def test_goal_loss_validates_weights():
-    f, z1, a = _rollout_with_distances([1.0, 1.0])
-    with pytest.raises(ValueError, match="length"):
-        goal_loss(GoalLossSpec(np.ones(3)), f, z1, a, np.zeros(2))
-    with pytest.raises(ValueError, match="positive"):
-        goal_loss(GoalLossSpec(np.array([1.0, 0.0])), f, z1, a, np.zeros(2))
+    assert _goal_loss([0.0, 0.0, 0.0], None) == 0.0
+    assert _goal_loss([0.0, 0.0, 0.0], np.full(3, 1 / 3)) == 0.0
 
 
 def test_wgl_presets_shapes():
-    spec = wgl_late_heavy(4)
-    assert spec.weights.shape == (4,)
-    assert spec.weights[-1] > spec.weights[0]
+    assert GOAL_LOSSES["final"](4) is None
+    for name, heavier in (("late-heavy", -1), ("early-heavy", 0)):
+        w = GOAL_LOSSES[name](4)
+        assert w.shape == (4,) and np.all(w > 0)
+        assert w.sum() == pytest.approx(1.0)
+        assert w[heavier] == w.max()
 
 
 def test_gbp_linear_model_reaches_least_squares_optimum():
@@ -106,7 +101,7 @@ def test_gbp_single_iteration_returns_init():
 def test_gbp_rejects_init_of_the_wrong_horizon():
     f = init_world_model(4, 2, seed=1)
     for init, arg in (("fixed", np.zeros((4, 2))),
-                      ("initnet", lambda z1, z_goal: np.zeros((2, 2)))):
+                      ("initnet", make_initnet(4, 2, horizon=2, a_max=1.0, hidden=(3,)))):
         cfg = PlanConfig(horizon=3, iterations=2, init=init, init_actions=arg)
         with pytest.raises(ValueError, match=f"{init} init shape"):
             gbp(f, np.zeros(4), np.ones(4), cfg, seed=0)

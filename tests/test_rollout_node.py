@@ -10,21 +10,19 @@ import reference_rollout as ref
 from conftest import linear_model
 from wmplanlab import diffcore as dc
 from wmplanlab import planners
-from wmplanlab.planners import CemConfig, PlanConfig, RefineConfig, cem, gbp
+from wmplanlab.planners import (GOAL_LOSSES, CemConfig, PlanConfig, RefineConfig,
+                                cem, gbp)
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model, rollout_nodes
 
 SHAPES = {"tiny": (8, (16, 16), 5), "preset": (64, (128, 128), 25),  # d_z, hidden, H
           "no-hidden": (8, (), 4), "one-hidden": (8, (16,), 5),
           "three-hidden": (8, (16, 16, 16), 5)}
-LOSSES = {"final": lambda H: planners.GoalLossSpec(),
-          "late-heavy": planners.wgl_late_heavy,
-          "early-heavy": planners.wgl_early_heavy}
 
 
 @pytest.fixture
 def reference(monkeypatch):
-    """Call to make `planners.goal_loss` build the per-step reference graph."""
+    """Call to make `planners.gbp` build the per-step reference graph."""
     return lambda: monkeypatch.setattr(planners, "rollout_nodes", ref.rollout_nodes)
 
 
@@ -45,12 +43,11 @@ def _value_and_grad(build, f, z1, acts, z_goal, weights):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("loss", GOAL_LOSSES)
 def test_node_value_and_action_gradient_equal_the_reference(shape, residual, loss):
     f, H, z1, z_goal, rng = _problem(shape, residual)
     acts = rng.standard_normal((H, 2))
-    w = LOSSES[loss](H).weights
-    weights = None if w is None else w / w.sum()
+    weights = GOAL_LOSSES[loss](H)
     got = _value_and_grad(rollout_nodes, f, z1, acts, z_goal, weights)
     want = _value_and_grad(ref.rollout_nodes, f, z1, acts, z_goal, weights)
     for g, w in zip(got, want):
@@ -69,11 +66,11 @@ def _same_plan(got, want):
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("optimizer, eta", [("sgd", 0.05), ("adam", 0.2)])
 @pytest.mark.parametrize("clamp", [True, False])
-@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("loss", GOAL_LOSSES)
 def test_gbp_plans_equal_the_reference(reference, shape, optimizer, eta, clamp, loss):
     f, H, z1, z_goal, _ = _problem(shape, True, seed=1)
     cfg = PlanConfig(horizon=H, iterations=8, optimizer=optimizer, eta=eta,
-                     loss=LOSSES[loss](H), clamp_actions=clamp, a_max=0.5,
+                     loss=loss, clamp_actions=clamp, a_max=0.5,
                      return_best=False)
     got = gbp(f, z1, z_goal, cfg, seed=2)
     assert got.model_evals == H * cfg.iterations
@@ -90,7 +87,9 @@ def test_gradcem_plans_equal_the_reference(reference):
     _same_plan(got, cem(f, z1, z_goal, cfg, seed=4))
 
 
-def test_one_gbp_iteration_records_three_nodes(monkeypatch):
+def test_a_gbp_plan_records_one_start_node_and_two_nodes_per_iteration(monkeypatch):
+    # one tape per plan: the start latent is made once, and each iteration
+    # adds its action leaf and its "wm-rollout" node
     tapes = []
 
     class RecordedTape(dc.Tape):
@@ -100,8 +99,9 @@ def test_one_gbp_iteration_records_three_nodes(monkeypatch):
 
     monkeypatch.setattr(dc, "Tape", RecordedTape)
     f, H, z1, z_goal, _ = _problem("tiny", True)
-    gbp(f, z1, z_goal, PlanConfig(horizon=H, iterations=1), seed=0)
-    assert [tape.count for tape in tapes] == [3]
+    for iterations in (1, 3):
+        gbp(f, z1, z_goal, PlanConfig(horizon=H, iterations=iterations), seed=0)
+    assert [tape.count for tape in tapes] == [1 + 2 * 1, 1 + 2 * 3]
 
 
 def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
@@ -151,12 +151,14 @@ def test_a_nonfinite_backward_sweep_aborts_the_plan_like_the_reference(reference
     _same_plan(got, want)
 
 
-def test_a_nonfinite_goal_is_a_value_error():
-    f, H, z1, _, rng = _problem("tiny", True)
-    z_goal = np.full(len(z1), np.nan)
-    tape = dc.Tape()
-    with pytest.raises(ValueError, match="finite"):
-        rollout_nodes(f, tape.constant(z1), tape.leaf(rng.standard_normal((H, 2))),
-                      z_goal, None)
-    with pytest.raises(ValueError, match="finite"):
-        gbp(f, z1, z_goal, PlanConfig(horizon=H, iterations=2), seed=0)
+def test_a_nonfinite_goal_is_a_value_error(monkeypatch):
+    # gbp checks the goal (and the start latent) once, before any rollout;
+    # `rollout_nodes` takes the goal as given
+    f, H, z1, _, _ = _problem("tiny", True)
+    rollouts = []
+    monkeypatch.setattr(planners, "rollout_nodes",
+                        lambda *args: rollouts.append(args) or rollout_nodes(*args))
+    for start, goal in ((z1, np.full(len(z1), np.nan)), (np.full(len(z1), np.inf), z1)):
+        with pytest.raises(ValueError, match="finite"):
+            gbp(f, start, goal, PlanConfig(horizon=H, iterations=2), seed=0)
+    assert rollouts == []
