@@ -551,6 +551,8 @@ def cmd_train_initnet(cfg: dict, conf: Config, args) -> int:
 
 def cmd_eval(cfg: dict, conf: Config, args) -> int:
     section = conf.eval
+    if args.workers < 1:
+        raise ConfigError(f"--workers: expected an integer >= 1, got {args.workers}")
     out = _out(section.out_path, "eval.out_path")
     spec, enc, data = _inputs(cfg, conf)
     models = {name: _load_model(path, enc) for name, path in section.models.items()}
@@ -617,8 +619,7 @@ def cmd_landscape(cfg: dict, conf: Config, args) -> int:
     rows = []
     for t in range(n_tasks):
         window = evalreport.expert_window(
-            data, enc, plan_cfg.horizon,
-            seed=derive_seed(conf.seed, "landscape", t))
+            data, plan_cfg.horizon, seed=derive_seed(conf.seed, "landscape", t))
         pair = evalreport.landscape(
             f_base, f_adv, window, plan_cfg, section.resolution,
             coeff_range=(section.c_min, section.c_max),

@@ -2,9 +2,13 @@
 landscapes.
 
 Every grid is evaluated paired: all (model, planner) cells see the same
-task instances and the same per-task planning seeds. Wall-clock timers
-bracket planner calls only, and timing is emitted in a separate file so
-the canonical report JSON is byte-reproducible from (config, seed).
+task instances and the same per-task planning seeds. Each cell of a task
+is one `planners.mpc` episode, in open-loop mode too (one plan, executed
+whole), so the grid plans, steps the simulator and encodes only inside
+that loop. The gap and the landscapes read the expert windows' latents
+from the dataset. Wall-clock timers bracket planner calls only, and
+timing is emitted in a separate file so the canonical report JSON is
+byte-reproducible from (config, seed).
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import numpy as np
 from . import envs
 from .data import Dataset, sample_window
 from .encoder import Encoder, encode
-from .planners import (MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc,
-                       run_planner)
+from .planners import MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc
 from .rng import derive_seed, generator
 from .tensorio import atomic_open, write_json
 # rollout_model is not called here any more; the binding stays because
@@ -100,26 +103,6 @@ def _draw_task(spec, data, horizon_gap, seed, task_index,
     raise ValueError("no cross-room task in 200 draws")
 
 
-def _eval_cell(spec, enc, model, planner, mode, task, plan_seed, mpc_cfg):
-    if mode == "open-loop":
-        z1 = encode(enc, envs.obs_of(spec, task.start))
-        z_goal = encode(enc, task.goal_obs)
-        pr = run_planner(model, z1, z_goal, planner, plan_seed)
-        s = task.start
-        ok = envs.success(spec, s, task)
-        for a in pr.actions:
-            s = envs.step(spec, s, a)
-            if envs.success(spec, s, task):
-                ok = True
-                break
-        return ok, pr.wall_clock, pr.final_loss, list(pr.loss_trace)
-    mr = mpc(spec, model, enc, task, planner, mpc_cfg or MpcConfig(), seed=plan_seed)
-    seconds = sum(p.wall_clock for p in mr.plan_results)
-    final = mr.plan_results[-1].final_loss if mr.plan_results else float("nan")
-    trace = [x for p in mr.plan_results for x in p.loss_trace]
-    return mr.success, seconds, final, trace
-
-
 _CTX: dict = {}
 
 
@@ -128,6 +111,8 @@ def _init_worker(ctx):
 
 
 def _eval_task(t: int):
+    """Task `t` and, per (model, planner) cell, its row and the loss traces
+    of its plans, one `mpc` episode each."""
     c = _CTX
     task = _draw_task(c["spec"], c["data"], c["horizon_gap"], c["seed"], t,
                       c["require_cross_room"])
@@ -136,13 +121,17 @@ def _eval_task(t: int):
     for mname, model in c["models"].items():
         for pname, planner in c["planners"].items():
             try:
-                ok, secs, final, trace = _eval_cell(
-                    c["spec"], c["enc"], model, planner, c["mode"], task,
-                    plan_seed, c["mpc_cfg"])
+                mr = mpc(c["spec"], model, c["enc"], task, planner, c["episode"],
+                         seed=plan_seed)
             except Exception as err:  # a failed task never aborts the grid
                 warnings.warn(f"task {t} failed in cell ({mname}, {pname}): {err}")
-                ok, secs, final, trace = False, float("nan"), float("nan"), []
-            out[(mname, pname)] = (ok, secs, final, trace)
+                out[(mname, pname)] = TaskRow(t, False, float("nan"), float("nan")), []
+                continue
+            plans = mr.plan_results
+            final = plans[-1].final_loss if plans else float("nan")
+            row = TaskRow(t, mr.success, float(sum(p.wall_clock for p in plans)),
+                          float(final))
+            out[(mname, pname)] = row, [x for p in plans for x in p.loss_trace]
     return task, out
 
 
@@ -154,15 +143,24 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
              config_hash: str = "") -> EvalReport:
     """Paired success-rate grid over (model, planner) cells, on tasks whose
     start and goal lie in different rooms if `require_cross_room` is set.
+
+    Every cell of every task is one `planners.mpc` episode. MPC mode runs
+    `mpc_cfg`; open-loop mode is the episode of one plan over the full
+    horizon with the planner's own settings, `MpcConfig(steps=1,
+    plan_iters=None)`, whose actions are all executed unless a visited
+    state succeeds first. In either mode a task that starts inside its goal
+    is a success with no plan: NaN final loss, no trace, 0 plan seconds.
     Every input is plain data, so the process pool of `workers` > 1 gets it
     under any start method."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
+    episode = (MpcConfig(steps=1, plan_iters=None) if mode == "open-loop"
+               else mpc_cfg or MpcConfig())
     ctx = {"spec": spec, "enc": enc, "models": models, "planners": planners,
-           "mode": mode, "seed": seed, "data": data, "horizon_gap": horizon_gap,
-           "mpc_cfg": mpc_cfg, "require_cross_room": require_cross_room}
+           "episode": episode, "seed": seed, "data": data,
+           "horizon_gap": horizon_gap, "require_cross_room": require_cross_room}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
@@ -173,12 +171,7 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
     cells = []
     for mname in models:
         for pname in planners:
-            rows = []
-            traces = []
-            for t in range(n_tasks):
-                ok, secs, final, trace = results[t][(mname, pname)]
-                rows.append(TaskRow(t, bool(ok), float(secs), float(final)))
-                traces.append(trace)
+            rows, traces = zip(*(results[t][(mname, pname)] for t in range(n_tasks)))
             k = sum(r.success for r in rows)
             lo, hi = wilson_interval(k, n_tasks)
             min_len = min((len(tr) for tr in traces if tr), default=0)
@@ -193,7 +186,7 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
                 successes=int(k), success_rate=k / n_tasks,
                 wilson_lo=float(lo), wilson_hi=float(hi),
                 mean_plan_seconds=float(np.mean(secs)) if secs else float("nan"),
-                mean_trace=mean_trace, rows=rows))
+                mean_trace=mean_trace, rows=list(rows)))
     return EvalReport(schema=REPORT_SCHEMA, mode=mode, n_tasks=n_tasks,
                       master_seed=seed, task_hash=_task_fingerprint(tasks),
                       config_hash=config_hash, cells=cells)
@@ -215,18 +208,22 @@ class GapReport:
 def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
                    data: Dataset, plan_cfg: PlanConfig, n: int,
                    seed: int = 0) -> GapReport:
+    """The paper's train-test gap over `n` expert windows of H steps:
+    `wm_error` along the dataset's latents of each window against
+    `wm_error` along the states that a `gbp` plan between the window's end
+    latents visits in the simulator, whose observations are encoded once."""
     H = plan_cfg.horizon
     expert_errors = []
     planned_errors = []
     for j in range(n):
         i, off = sample_window(data, H, generator(seed, "gap", j))
-        s1 = envs.state_of_obs(spec, data.obs[i, off])
-        z1 = encode(enc, data.obs[i, off])
-        z_goal = encode(enc, data.obs[i, off + H])
-        expert_actions = data.actions[i, off:off + H]
-        expert_errors.append(wm_error(f, enc, spec, s1, expert_actions).mean())
-        pr = gbp(f, z1, z_goal, plan_cfg, derive_seed(seed, "gap-plan", j))
-        planned_errors.append(wm_error(f, enc, spec, s1, pr.actions).mean())
+        zs = data.latents[i, off:off + H + 1]
+        expert_errors.append(wm_error(f, zs, data.actions[i, off:off + H]).mean())
+        pr = gbp(f, zs[0], zs[H], plan_cfg, derive_seed(seed, "gap-plan", j))
+        o1 = data.obs[i, off]
+        states = envs.rollout_env(spec, envs.state_of_obs(spec, o1), pr.actions)
+        visited = encode(enc, np.array([o1] + [envs.obs_of(spec, s) for s in states]))
+        planned_errors.append(wm_error(f, visited, pr.actions).mean())
     me = float(np.mean(expert_errors))
     mp = float(np.mean(planned_errors))
     return GapReport(n=n, mean_expert=me, mean_planned=mp, difference=me - mp,
@@ -259,10 +256,12 @@ class LandscapeTask:
     actions_gt: np.ndarray
 
 
-def expert_window(data: Dataset, enc: Encoder, H: int, seed: int) -> LandscapeTask:
+def expert_window(data: Dataset, H: int, seed: int) -> LandscapeTask:
+    """A random window of H expert steps: its end latents, read from the
+    dataset's latents, and its actions."""
     i, off = sample_window(data, H, generator(seed, "window"))
-    return LandscapeTask(z1=encode(enc, data.obs[i, off]),
-                         z_goal=encode(enc, data.obs[i, off + H]),
+    return LandscapeTask(z1=data.latents[i, off].copy(),
+                         z_goal=data.latents[i, off + H].copy(),
                          actions_gt=data.actions[i, off:off + H].copy())
 
 

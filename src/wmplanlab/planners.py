@@ -362,9 +362,11 @@ def mpc(spec: envs.EnvSpec, f: WorldModel, enc: Encoder,
 
     Success is credited at any visited state. `plan_iters`, `eta` and
     `warm_start` apply to a GBP planner only. The first MPC step uses the
-    caller's seed unchanged, so (steps=1, k_exec=H) reproduces the open-loop
-    plan exactly when plan_iters and eta are None and the start is not
-    already a success (which ends the episode before any plan).
+    caller's seed unchanged, so (steps=1, k_exec=H) with plan_iters and eta
+    None is the open-loop episode: one plan with the planner's own settings,
+    executed whole. `evalreport.evaluate` runs open-loop mode as exactly
+    this loop. A start that is already a success ends the episode before
+    any plan, in either mode.
     """
     H = planner.horizon
     k_exec = H if cfg.k_exec is None else cfg.k_exec

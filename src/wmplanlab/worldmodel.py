@@ -1,6 +1,7 @@
 """The latent transition model, the one training loop (`fit`) with teacher
-forcing on it, multi-step rollout, and the per-step model error measured
-against the simulator."""
+forcing on it, multi-step rollout, and the per-step model error along a
+sequence of latents. The module works on latents only: it reaches neither
+the simulator nor the encoder."""
 
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from . import envs, nets, tensorio
+from . import nets, tensorio
 from .data import Dataset, flatten_transitions
 from .diffcore import AdamState, NumericFailure
-from .encoder import Encoder, encode
 from .rng import generator
 
 
@@ -274,20 +274,16 @@ def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int,
     return fit(f.clone(), batches(), lr, "training")
 
 
-def wm_error(f: WorldModel, enc: Encoder, spec: envs.EnvSpec,
-             s1: envs.EnvState, actions) -> np.ndarray:
-    """Teacher-forced model error, one squared distance per step: at each
-    step the model is fed the latent of the *true* state, so errors never
-    compound in this metric."""
+def wm_error(f: WorldModel, zs: np.ndarray, actions) -> np.ndarray:
+    """Teacher-forced model error, one squared distance per step: step t
+    scores `predict(f, zs[t], a_t)` against `zs[t + 1]`, so the model is fed
+    the latent of the *true* state at every step and errors never compound
+    in this metric. `zs` holds the H + 1 latents of the states that the H
+    `actions` visit, the start first."""
     actions = np.asarray(actions, dtype=np.float64)
     values = np.empty(len(actions))
-    s = s1
     for t, a in enumerate(actions):
-        z_t = encode(enc, envs.obs_of(spec, s))
-        pred = predict(f, z_t, a)
-        s = envs.step(spec, s, a)
-        z_next = encode(enc, envs.obs_of(spec, s))
-        d = pred - z_next
+        d = predict(f, zs[t], a) - zs[t + 1]
         values[t] = float(d @ d)
     return values
 

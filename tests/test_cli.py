@@ -656,6 +656,12 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
     assert load_config(Args())["seed"] == 123
 
 
+def _setting(key: str, value) -> list[str]:
+    """The arguments that set config key `key`, or command flag `key` when
+    it starts with "--", to `value`."""
+    return [key, str(value)] if key.startswith("--") else ["--set", f"{key}={value}"]
+
+
 @pytest.mark.parametrize("command, key, out", [
     ("train", "model.train.epochs", "model/weights.bin"),
     ("train", "model.train.batch_size", "model/weights.bin"),
@@ -690,6 +696,7 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
     ("landscape", "landscape.plan.iterations", "landscape"),
     ("gen-data", "env.frameskip", "data-2"),
     ("eval", "eval.horizon_gap", "eval"),
+    ("eval", "--workers", "eval"),
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
         "initnet-iterations", "eval-tasks", "cem-population", "landscape-tasks",
         "landscape-resolution", "gen-data-trajectories", "gap-windows",
@@ -698,7 +705,7 @@ def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypat
         "cem-iterations", "cem-elites", "mppi-horizon", "mppi-iterations",
         "mppi-samples", "mpc-steps", "mpc-k-exec", "mpc-plan-iters", "gap-horizon",
         "gap-plan-iterations", "landscape-horizon", "landscape-plan-iterations",
-        "gen-data-frameskip", "eval-horizon-gap"])
+        "gen-data-frameskip", "eval-horizon-gap", "eval-workers"])
 def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key, out):
     cfg = tiny_config(tmp_path)
     cfg["planners"]["mppi_small"] = {"kind": "mppi", "horizon": 4, "samples": 4}
@@ -707,7 +714,7 @@ def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key,
     assert _run("gen-data", "--config", path) == 0
     if command not in ("gen-data", "train", "train-initnet"):
         assert _run("train", "--config", path) == 0
-    argv = [command, "--config", path, "--set", f"{key}=0"]
+    argv = [command, "--config", path, *_setting(key, 0)]
     if command == "gen-data":  # into a fresh directory
         argv += ["--set", f"dataset.path={tmp_path / 'data-2'}"]
     assert _run(*argv) == 2
@@ -776,11 +783,12 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("finetune-adv", "finetune.adversarial.alpha_z", 0, None, "model-adv"),
     ("landscape", "landscape.c_min", 2,
      "landscape: c_min 2 is not below c_max 1.25", "landscape"),
+    ("eval", "--workers", -3, "--workers: expected an integer >= 1, got -3", "eval"),
 ], ids=["train-lr", "adv-lr", "online-lr", "initnet-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
         "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
         "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z", "adv-alpha-a",
-        "adv-alpha-z", "landscape-c-range"])
+        "adv-alpha-z", "landscape-c-range", "eval-workers"])
 def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
                                                         key, value, message, out):
     cfg = tiny_config(tmp_path)
@@ -795,7 +803,7 @@ def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, comman
         assert _run("train", "--config", path) == 0
     if command == "landscape":
         assert _run("finetune-adv", "--config", path) == 0
-    assert _run(command, "--config", path, "--set", f"{key}={value}") == 2
+    assert _run(command, "--config", path, *_setting(key, value)) == 2
     # a field's rule names its key; a rule between fields names the section
     expect = message or f"{key}: expected a number > 0, got {value}"
     assert f"config error: {expect}" in capsys.readouterr().err
@@ -949,8 +957,9 @@ def test_preset_config_hashes_are_pinned():
     }
 
 
-def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys):
-    name = "wall-awm"
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys, name):
+    cfg = get_preset(name)
     digests = []
     for out in ("a", "b"):
         assert preset_digest.main([str(tmp_path / out), name]) == 0
@@ -959,17 +968,19 @@ def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys):
     files = dict(reversed(line.split("  ", 1)) for line in digests[0])
     assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha in files.values())
     assert not [path for path in files if path.endswith("timing.json")]
-    root = f"runs/{name}"
+    root = cfg["out_dir"]
     assert {f"{root}/{path}" for path in (
         "data/data.bin", "model/weights.bin", "model-adv/weights.bin",
         "model-owm/weights.bin", "data-corrected/data.bin", "initnet/weights.bin",
         "eval-open-loop/report.json", "eval-mpc/report.json",
-        "gap/adversarial/gap.json", "landscape/summary.json")} <= files.keys()
-    report = json.load(open(tmp_path / "a" / root / "eval-mpc" / "report.json"))
-    assert {(cell["model"], cell["planner"]) for cell in report["cells"]} == {
-        (model, planner) for model in ("baseline", "adversarial")
-        for planner in (*get_preset(name)["planners"], "gbp_late", "gbp_early",
-                        "gbp_initnet")}
+        "landscape/summary.json", *(f"gap/{model}/gap.json"
+                                    for model in cfg["gap"]["models"]))} <= files.keys()
+    cells = {(model, planner) for model in cfg["eval"]["models"]
+             for planner in (*cfg["planners"], "gbp_late", "gbp_early", "gbp_initnet")}
+    for mode in ("open-loop", "mpc"):
+        with open(tmp_path / "a" / root / f"eval-{mode}" / "report.json") as fh:
+            report = json.load(fh)
+        assert {(cell["model"], cell["planner"]) for cell in report["cells"]} == cells
 
 
 # --- builders: every key a section sets reaches the object it configures ----

@@ -4,16 +4,20 @@ import os
 import numpy as np
 import pytest
 
-from wmplanlab import envs, evalreport
-from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
-from wmplanlab.evalreport import (Cell, EvalReport, GapReport, TaskRow,
+from wmplanlab import envs, evalreport, planners
+from wmplanlab.data import sample_window
+from wmplanlab.encoder import (encode, encode_dataset, make_identity,
+                               make_random_fourier)
+from wmplanlab.evalreport import (MODES, Cell, EvalReport, GapReport, TaskRow,
                                   emit_report, evaluate, expert_window,
                                   landscape, load_report, total_variation,
                                   train_test_gap, wilson_interval)
 from wmplanlab.planners import MpcConfig, PlanConfig, final_cost
+from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model
 
 from conftest import linear_model, rel_err
+from reference_gap import simulated_wm_error
 
 
 def _no_wall_spec():
@@ -96,6 +100,26 @@ def test_evaluate_mpc_mode_runs():
     assert report.cells[0].success_rate == 1.0
 
 
+def test_a_task_that_starts_at_its_goal_gets_the_same_row_in_both_modes(monkeypatch):
+    # open-loop evaluation is the one-plan MPC episode, which plans nothing
+    # for a start that is already a success
+    spec, enc, data, model, plan = _perfect_setup()
+    start = envs.EnvState(np.array([0.3, 0.4]), np.zeros(2))
+    goal_obs = envs.obs_of(spec, start)
+    task = envs.TaskInstance(start, goal_obs, envs.state_of_obs(spec, goal_obs), 1)
+    monkeypatch.setattr(evalreport, "_draw_task", lambda *args: task)
+    monkeypatch.setattr(planners, "gbp",
+                        lambda *args: pytest.fail("planned a task that starts at its goal"))
+    rows = {}
+    for mode in MODES:
+        (cell,) = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=1,
+                           mode=mode, seed=0, data=data, horizon_gap=1).cells
+        assert cell.successes == 1 and cell.mean_trace == []
+        rows[mode] = cell.rows
+    assert repr(rows["open-loop"]) == repr(rows["mpc"]) == repr(
+        [TaskRow(0, True, 0.0, float("nan"))])
+
+
 def test_evaluate_require_cross_room(wall_spec):
     data = envs.generate_dataset(wall_spec, 10, 30, "goal-seeking-noisy", seed=0)
     drawn = {flag: [evalreport._draw_task(wall_spec, data, 10, 2, t, flag)
@@ -148,6 +172,39 @@ def test_gap_zero_when_planner_reproduces_expert(wall_spec, monkeypatch):
     assert report.expert_errors == report.planned_errors
 
 
+@pytest.mark.parametrize("kind, policy", [(envs.WALL2D, "goal-seeking-noisy"),
+                                          (envs.POINTMASS, "random")])
+def test_gap_errors_match_the_simulated_reference(monkeypatch, kind, policy):
+    # preset shapes: d_z 64 random-fourier, hidden 128 x 128, H 25
+    spec = envs.wall2d_spec() if kind == envs.WALL2D else envs.pointmass_spec()
+    enc = make_random_fourier(spec.obs_dim, d_z=64, sigma=4.0, seed=0)
+    data = encode_dataset(enc, envs.generate_dataset(spec, 6, 50, policy, seed=1))
+    f = init_world_model(64, spec.action_dim, hidden=(128, 128), seed=2)
+    H, n, seed = 25, 8, 3
+    cfg = PlanConfig(horizon=H, iterations=3, optimizer="sgd", eta=1.0,
+                     a_max=spec.a_max)
+    gbp, plans = evalreport.gbp, []
+
+    def recording_gbp(model, z1, z_goal, plan_cfg, plan_seed):
+        plans.append((z1, z_goal, gbp(model, z1, z_goal, plan_cfg, plan_seed)))
+        return plans[-1][2]
+
+    monkeypatch.setattr(evalreport, "gbp", recording_gbp)
+    report = train_test_gap(f, spec, enc, data, cfg, n, seed=seed)
+    expert, planned = [], []
+    for j, (z1, z_goal, pr) in enumerate(plans):
+        i, off = sample_window(data, H, generator(seed, "gap", j))
+        assert np.array_equal(z1, encode(enc, data.obs[i, off]))
+        assert np.array_equal(z_goal, encode(enc, data.obs[i, off + H]))
+        s1 = envs.state_of_obs(spec, data.obs[i, off])
+        expert.append(simulated_wm_error(f, enc, spec, s1,
+                                         data.actions[i, off:off + H]).mean())
+        planned.append(simulated_wm_error(f, enc, spec, s1, pr.actions).mean())
+    assert len(plans) == n
+    assert np.array_equal(report.expert_errors, expert)
+    assert np.array_equal(report.planned_errors, planned)
+
+
 def test_gap_report_fields(wall_spec):
     raw = envs.generate_dataset(wall_spec, 5, 10, "goal-seeking-noisy", seed=3)
     enc = make_identity(2)
@@ -167,7 +224,7 @@ def test_landscape_grid_anchors(wall_spec):
     data = encode_dataset(enc, raw)
     f1 = init_world_model(16, 2, hidden=(8,), seed=1)
     f2 = init_world_model(16, 2, hidden=(8,), seed=2)
-    window = expert_window(data, enc, H=4, seed=0)
+    window = expert_window(data, H=4, seed=0)
     cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.05,
                      a_max=wall_spec.a_max)
     # R=11 over [-1.25, 1.25] includes u,v in {0, 1} exactly
@@ -193,7 +250,7 @@ def test_landscape_grid_matches_per_point_scoring(wall_spec):
     data = encode_dataset(enc, raw)
     models = {"baseline": init_world_model(16, 2, hidden=(8,), seed=1),
               "adversarial": init_world_model(16, 2, hidden=(8,), seed=2)}
-    window = expert_window(data, enc, H=4, seed=0)
+    window = expert_window(data, H=4, seed=0)
     cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.05,
                      a_max=wall_spec.a_max)
     pair = landscape(models["baseline"], models["adversarial"], window, cfg,
@@ -218,7 +275,7 @@ def test_landscape_warns_on_degenerate_axis(wall_spec):
     enc = make_identity(2)
     data = encode_dataset(enc, raw)
     f = init_world_model(2, 2, hidden=(8,), seed=3)
-    window = expert_window(data, enc, H=3, seed=1)
+    window = expert_window(data, H=3, seed=1)
     cfg = PlanConfig(horizon=3, iterations=1, a_max=wall_spec.a_max)
     # planting the init at the ground truth makes both axes zero
     with pytest.warns(UserWarning, match="degenerate"):
@@ -286,7 +343,7 @@ def test_emit_landscape_csv_has_r_squared_rows(tmp_path, wall_spec):
     data = encode_dataset(enc, raw)
     f1 = init_world_model(2, 2, hidden=(8,), seed=1)
     f2 = init_world_model(2, 2, hidden=(8,), seed=2)
-    window = expert_window(data, enc, H=3, seed=2)
+    window = expert_window(data, H=3, seed=2)
     cfg = PlanConfig(horizon=3, iterations=2, a_max=wall_spec.a_max)
     pair = landscape(f1, f2, window, cfg, resolution=6, seed=3)
     emit_report(pair, tmp_path / "ls")

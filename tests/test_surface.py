@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package is reached
 by the package itself or by the benchmark, or is a named test seam; no
-module imports a name it does not use; and only `tensorio` writes files.
+module imports a name it does not use; the model modules work on latents
+without the simulator or the encoder; and only `tensorio` writes files.
 
 A name counts as reached when code in `src/wmplanlab` (other than the
 `__init__.py` re-exports, and other than its own definition) or in
@@ -10,6 +11,8 @@ it, as the layer tracer's "module.attr" paths do."""
 import ast
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wmplanlab"
@@ -110,6 +113,25 @@ def test_no_module_imports_a_name_it_does_not_use():
     paths += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _imported_names(path: pathlib.Path) -> set[str]:
+    """Every module name and imported name that an import of the file
+    spells, each dotted part on its own."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+@pytest.mark.parametrize("module", ["worldmodel", "nets"])
+def test_the_model_modules_import_neither_the_simulator_nor_the_encoder(module):
+    # the model and its error metric read latents; stepping and encoding
+    # happen in the callers that hold the env and the encoder
+    assert not _imported_names(PACKAGE / f"{module}.py") & {"envs", "encoder"}
 
 
 def _file_writes(path: pathlib.Path) -> list[str]:

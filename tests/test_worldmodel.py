@@ -4,7 +4,7 @@ import pytest
 from wmplanlab import diffcore as dc
 from wmplanlab import envs
 from wmplanlab.data import Dataset
-from wmplanlab.encoder import encode, encode_dataset, encoder_hash, make_identity
+from wmplanlab.encoder import encode_dataset, encoder_hash, make_identity
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (WorldModel, init_world_model, load_model,
                                   predict, rollout_model, rollout_nodes,
@@ -231,46 +231,36 @@ def test_train_empty_dataset_rejected():
         train_teacher_forcing(f, Dataset(np.zeros((0, 1, 2))), epochs=1, batch_size=4, lr=1e-3, seed=0)
 
 
-def test_wm_error_zero_for_perfect_model(wall_spec):
+def test_wm_error_zero_for_perfect_model():
     # residual model with zero output head predicts z_{t+1} = z_t, which is
-    # exact for a zero action in the position-controlled env
+    # exact along latents that never move
     f = init_world_model(2, 2, seed=0)
     f.weights[-2] = np.zeros_like(f.weights[-2])
     f.weights[-1] = np.zeros_like(f.weights[-1])
-    enc = make_identity(2)
-    s1 = envs.EnvState(np.array([0.2, 0.2]), np.zeros(2))
-    errors = wm_error(f, enc, wall_spec, s1, np.zeros((5, 2)))
+    zs = np.tile([0.2, 0.2], (6, 1))
+    errors = wm_error(f, zs, np.zeros((5, 2)))
     assert errors.shape == (5,)
     assert np.all(errors == 0.0)
 
 
-def test_wm_error_zero_model_algebraic(wall_spec):
+def test_wm_error_zero_model_algebraic():
     # non-residual zero model predicts 0: error is ||z_{t+1}||^2
     f = init_world_model(2, 2, residual=False, seed=0)
     f.weights = [np.zeros_like(w) for w in f.weights]
-    enc = make_identity(2)
-    s1 = envs.EnvState(np.array([0.4, 0.6]), np.zeros(2))
+    zs = np.array([[0.4, 0.6], [0.45, 0.6], [0.45, 0.65]])
     actions = np.array([[0.01, 0.0], [0.0, 0.01]])
-    errors = wm_error(f, enc, wall_spec, s1, actions)
-    s = s1
-    expected = []
-    for a in actions:
-        s = envs.step(wall_spec, s, a)
-        z = encode(enc, envs.obs_of(wall_spec, s))
-        expected.append(float(z @ z))
-    assert np.allclose(errors, expected)
+    errors = wm_error(f, zs, actions)
+    assert np.allclose(errors, [float(z @ z) for z in zs[1:]])
 
 
-def test_wm_error_chunking_invariance(wall_spec):
+def test_wm_error_chunking_invariance():
     f = init_world_model(2, 2, seed=4)
-    enc = make_identity(2)
-    s1 = envs.EnvState(np.array([0.3, 0.7]), np.zeros(2))
     rng = generator(4, "chunk")
+    zs = rng.uniform(0.0, 1.0, (11, 2))
     actions = rng.uniform(-0.05, 0.05, (10, 2))
-    full = wm_error(f, enc, wall_spec, s1, actions)
-    first = wm_error(f, enc, wall_spec, s1, actions[:4])
-    mid_state = envs.rollout_env(wall_spec, s1, actions[:4])[-1]
-    rest = wm_error(f, enc, wall_spec, mid_state, actions[4:])
+    full = wm_error(f, zs, actions)
+    first = wm_error(f, zs[:5], actions[:4])
+    rest = wm_error(f, zs[4:], actions[4:])
     assert np.array_equal(full, np.concatenate([first, rest]))
 
 
