@@ -1,9 +1,9 @@
 """Command-line entry point for reproducible experiment pipelines.
 
-Commands: gen-data, train, finetune-online, finetune-adv, train-initnet,
-eval, gap, landscape. Every command is a pure function of the config
-file (or preset) and its `--set` overrides, the seed included; nothing is
-read from the environment. Reports and checkpoints rerun byte-identically,
+Commands: gen-data, train, finetune-online, finetune-adv, eval, gap,
+landscape. Every command is a pure function of the config file (or
+preset) and its `--set` overrides, the seed included; nothing is read
+from the environment. Reports and checkpoints rerun byte-identically,
 and `timing.json` is the only output that depends on the machine.
 Besides `--config`, `--preset` and `--set`, the only flags are `eval
 --workers` (how many processes run the tasks) and `gen-data --force` (may
@@ -29,7 +29,7 @@ from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from . import envs, evalreport, finetune, initnet, presets, worldmodel
+from . import envs, evalreport, finetune, presets, worldmodel
 from .config import (COUNT, FLAT, POSITIVE, WIDTHS, Checked, FieldError, at_least,
                      check, config_key, one_of)
 from .data import Dataset, HorizonTooLong, load_dataset, save_dataset
@@ -118,14 +118,6 @@ class FinetuneSection:
 
 
 @dataclass
-class InitnetSection(Checked):
-    path: str = None
-    horizon: int = field(default=25, metadata=COUNT)
-    lr: float = field(default=0.02, metadata=POSITIVE)
-    iterations: int | None = field(default=None, metadata=COUNT)  # None: one epoch
-
-
-@dataclass
 class EvalSection(Checked):
     out_path: str = None
     n_tasks: int = field(default=100, metadata=COUNT)
@@ -174,7 +166,6 @@ class Config:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     model: ModelSection = field(default_factory=ModelSection)
     finetune: FinetuneSection = field(default_factory=FinetuneSection)
-    initnet: InitnetSection = field(default_factory=InitnetSection)
     planners: dict[str, Planner] = field(default_factory=dict)
     eval: EvalSection = field(default_factory=EvalSection)
     gap: GapSection = field(default_factory=GapSection)
@@ -346,35 +337,14 @@ def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
         raise ConfigError(f"encoder: {err}") from err
 
 
-def build_planner(name: str, section: dict, spec: envs.EnvSpec,
-                  enc: Encoder | None = None) -> Planner:
+def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> Planner:
     """The planner config of section `planners.<name>`; settings the config
-    rejects are a config error. A `gbp` planner takes the env's action bound,
-    and one with the "initnet" init holds the net loaded from its
-    `initnet_path`, which must fit the planner's horizon and action space,
-    and, given the encoder `enc`, read its latents and have been trained
-    under it."""
+    rejects are a config error. A `gbp` planner takes the env's action
+    bound."""
     plan = _planner(section, f"planners.{name}")
     if not isinstance(plan, PlanConfig):
         return plan
-    plan = replace(plan, a_max=spec.a_max)
-    if plan.init != "initnet":
-        return plan
-    path = plan.initnet_path
-    net, meta = _load_checkpoint(initnet.load_initnet, path)
-    where = f"planners.{name}.initnet_path: init net {path}"
-    if (net.horizon, net.d_a) != (plan.horizon, spec.action_dim):
-        raise ConfigError(
-            f"{where} proposes (horizon {net.horizon}, d_a {net.d_a}), "
-            f"the planner needs (horizon {plan.horizon}, d_a {spec.action_dim})")
-    if enc is not None:
-        if net.d_z != enc.d_z:
-            raise ConfigError(f"{where} reads d_z {net.d_z}, the "
-                              f"encoder writes d_z {enc.d_z}")
-        mismatch = _encoder_mismatch(meta, enc)
-        if mismatch:
-            raise ConfigError(f"{where}: {mismatch}")
-    return replace(plan, init_actions=net)
+    return replace(plan, a_max=spec.a_max)
 
 
 def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
@@ -409,33 +379,20 @@ def _out(path: str | None, key: str) -> str:
     return path
 
 
-def _load_checkpoint(load, path: str):
-    """`load(path)`, with a missing or damaged checkpoint as a config error."""
+def _load_model(path: str, enc: Encoder):
+    """A world model checkpoint; a missing or damaged one, or one that
+    records training under another encoder than `enc`, is a config error."""
     if not path or not os.path.isdir(path):
         raise ConfigError(f"model checkpoint not found: {path}")
     try:
-        return load(path)
+        model, meta = worldmodel.load_model(path)
     except ValueError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
-
-
-def _encoder_mismatch(meta: dict, enc: Encoder) -> str | None:
-    """Why a checkpoint with this `meta` does not fit `enc`: it records
-    training under another encoder. None if it fits or records none."""
     trained_under = meta.get("encoder_hash")
-    if trained_under is None or trained_under == encoder_hash(enc):
-        return None
-    return (f"trained under another encoder (encoder_hash {trained_under[:12]}, "
-            f"configured {encoder_hash(enc)[:12]})")
-
-
-def _load_model(path: str, enc: Encoder):
-    """A world model checkpoint, rejected if it records training under
-    another encoder than `enc`."""
-    model, meta = _load_checkpoint(worldmodel.load_model, path)
-    mismatch = _encoder_mismatch(meta, enc)
-    if mismatch:
-        raise ConfigError(f"checkpoint {path}: {mismatch}")
+    if trained_under is not None and trained_under != encoder_hash(enc):
+        raise ConfigError(f"checkpoint {path}: trained under another encoder "
+                          f"(encoder_hash {trained_under[:12]}, "
+                          f"configured {encoder_hash(enc)[:12]})")
     return model
 
 
@@ -534,21 +491,6 @@ def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
     return 0
 
 
-def cmd_train_initnet(cfg: dict, conf: Config, args) -> int:
-    section = conf.initnet
-    out = _out(section.path, "initnet.path")
-    spec, enc, data = _inputs(cfg, conf)
-    result = initnet.train_initnet(
-        data, section.horizon, section.iterations, section.lr,
-        seed=derive_seed(conf.seed, "initnet"), a_max=spec.a_max)
-    meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg)}
-    initnet.save_initnet(out, result.net, meta)
-    _write_run_manifest(out, cfg, enc)
-    print(f"trained initnet -> {out} "
-          f"(final loss {result.losses[-1]:.6g})")
-    return 0
-
-
 def cmd_eval(cfg: dict, conf: Config, args) -> int:
     section = conf.eval
     if args.workers < 1:
@@ -563,7 +505,7 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
     for name in planner_cfgs if section.planners is None else section.planners:
         if name not in planner_cfgs:
             raise ConfigError(f"eval.planners references unknown planner {name!r}")
-        planners[name] = build_planner(name, planner_cfgs[name], spec, enc)
+        planners[name] = build_planner(name, planner_cfgs[name], spec)
     if not planners:
         raise ConfigError("eval selected no planners")
     mpc_cfg = section.mpc
@@ -655,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         "train": cmd_train,
         "finetune-online": cmd_finetune_online,
         "finetune-adv": cmd_finetune_adv,
-        "train-initnet": cmd_train_initnet,
         "eval": cmd_eval,
         "gap": cmd_gap,
         "landscape": cmd_landscape,

@@ -54,16 +54,15 @@ class Dataset:
         return [_Row(*r) for r in zip(self.actions, rows(self.obs), rows(self.latents))]
 
 
-def sample_window(data: Dataset, H: int, rng: np.random.Generator,
-                  row: int | None = None) -> tuple[int, int]:
-    """A random window of H steps: a row i (drawn unless given), then an
-    offset off with off + H <= T. HorizonTooLong if T < H."""
+def sample_window(data: Dataset, H: int,
+                  rng: np.random.Generator) -> tuple[int, int]:
+    """A random window of H steps: a row i, then an offset off with
+    off + H <= T. HorizonTooLong if T < H."""
     N, T = data.actions.shape[:2]
     if T < H:
         raise HorizonTooLong(f"horizon {H} is longer than the dataset's "
                              f"trajectories (T = {T} steps)")
-    i = int(rng.integers(N)) if row is None else row
-    return i, int(rng.integers(T - H + 1))
+    return int(rng.integers(N)), int(rng.integers(T - H + 1))
 
 
 def flatten_transitions(data: Dataset, rows=slice(None)

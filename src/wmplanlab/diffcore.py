@@ -15,13 +15,12 @@ is never asked.
 Only gradient-based planning (`planners.gbp`) uses the tape: it is the one
 gradient taken through an H-step rollout. Every other gradient is one MLP
 forward and one `nets.mlp_backward` called directly
-(`worldmodel.step_loss_grad`, `initnet.loss_grad`). GBP makes one tape
-per plan: a "const" start latent, made once, then per iteration a "leaf"
-holding the whole (H, d_a) action array and one "wm-rollout" node whose
-value is the goal loss and whose backward is a closed-form sweep back
-through time over all H model steps, on buffers the node makes once and
-with the input-gradient half of `nets.mlp_backward` inlined
-(`worldmodel.rollout_nodes`).
+(`worldmodel.step_loss_grad`). GBP makes one tape per plan: a "const"
+start latent, made once, then per iteration a "leaf" holding the whole
+(H, d_a) action array and one "wm-rollout" node whose value is the goal
+loss and whose backward is a closed-form sweep back through time over all
+H model steps, on buffers the node makes once and with the input-gradient
+half of `nets.mlp_backward` inlined (`worldmodel.rollout_nodes`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 """

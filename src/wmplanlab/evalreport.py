@@ -281,7 +281,7 @@ def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
         raise ValueError("ground-truth action window does not match horizon")
     if a_init is None:
         a_init = generator(seed, "landscape-init").standard_normal(task.actions_gt.shape)
-    cfg = replace(plan_cfg, init="fixed", init_actions=a_init)
+    cfg = replace(plan_cfg, init_actions=a_init)
     a_base = gbp(f_baseline, task.z1, task.z_goal, cfg, seed).actions
     a_adv = gbp(f_adversarial, task.z1, task.z_goal, cfg, seed).actions
     alpha = a_base - task.actions_gt

@@ -1,13 +1,13 @@
-"""Small tanh MLPs shared by the world model and the initialization network.
+"""Small tanh MLPs: the world model's network.
 
 `mlp_forward` is the one forward pass and `mlp_backward` the one backward
-pass of training and the attacks (`worldmodel.step_loss_grad`) and of the
-init net (`initnet.loss_grad`), which call the two directly. GBP's
-"wm-rollout" tape node (`worldmodel.rollout_nodes`) calls neither: it
-unrolls the same forward over its H model steps on buffers made once per
-rollout, and its sweep back through time inlines the input-gradient half
-of `mlp_backward`, with that function's expressions and order, so its
-bits are those of one `mlp_backward(..., True, False)` call per step."""
+pass of training and the attacks (`worldmodel.step_loss_grad`), which
+call the two directly. GBP's "wm-rollout" tape node
+(`worldmodel.rollout_nodes`) calls neither: it unrolls the same forward
+over its H model steps on buffers made once per rollout, and its sweep
+back through time inlines the input-gradient half of `mlp_backward`, with
+that function's expressions and order, so its bits are those of one
+`mlp_backward(..., True, False)` call per step."""
 
 from __future__ import annotations
 

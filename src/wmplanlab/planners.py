@@ -7,8 +7,10 @@ function takes `(f, z1, z_goal, cfg, seed)`, and `run_planner` picks the
 function by the config's type.
 
 Gradient-based planning backpropagates the goal loss through a recursive
-model rollout and updates one action sequence with SGD or Adam; it is the
-only code in the lab that builds a tape. One tape holds a plan: the
+model rollout and updates one action sequence with SGD or Adam, starting
+from a Gaussian draw of its seed or from the actions it is given
+(GradCEM's samples, the MPC warm start, `landscape`'s shared start); it
+is the only code in the lab that builds a tape. One tape holds a plan: the
 constant start latent, made once, then per iteration a leaf holding the
 (H, d_a) actions and one "wm-rollout" node (`rollout_nodes`) that runs the
 H model steps on buffers it makes once per call, scores the goal loss and,
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from . import envs, initnet
+from . import envs
 from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
                      check, one_of)
 from .diffcore import AdamState, NumericFailure
@@ -45,7 +47,6 @@ from .worldmodel import WorldModel, rollout_model, rollout_nodes
 
 
 OPTIMIZERS = ("sgd", "adam")
-INITS = ("gaussian", "initnet", "fixed")
 COV_MODES = ("full", "diagonal")
 
 
@@ -74,25 +75,16 @@ class Descent(Checked):
 
 @dataclass
 class PlanConfig(Descent):
-    """GBP. `loss` names a goal loss of GOAL_LOSSES. The "fixed" init
-    starts from the (H, d_a) array `init_actions`, the "initnet" init from
-    the actions that the `initnet.InitNet` in `init_actions` proposes, which
-    `cli.build_planner` loads from `initnet_path`."""
+    """GBP. `loss` names a goal loss of GOAL_LOSSES. A plan starts from the
+    (H, d_a) array `init_actions` when one is given, and otherwise from a
+    Gaussian draw of its seed; no config key sets `init_actions`."""
 
     horizon: int = field(default=25, metadata=COUNT)
     loss: str = field(default="final", metadata=one_of(GOAL_LOSSES))
-    init: str = field(default="gaussian", metadata=one_of(INITS))
     init_actions: object = field(default=None, metadata={"key": None})
     clamp_actions: bool = field(default=True, metadata={"key": "clamp"})
     a_max: float | None = field(default=None, metadata={"key": None})
     return_best: bool = True
-    initnet_path: str = None
-
-    def __post_init__(self):
-        check(self)
-        needs = {"fixed": "init_actions", "initnet": "initnet_path"}.get(self.init)
-        if needs and self.init_actions is None and getattr(self, needs) is None:
-            raise ValueError(f"init {self.init!r} needs {needs}")
 
 
 @dataclass
@@ -106,16 +98,12 @@ class PlanResult:
     model_evals: int = 0  # (sequence x step) rows rolled out by the model
 
 
-def _initial_actions(cfg: PlanConfig, f: WorldModel, z1, z_goal,
-                     seed: int) -> np.ndarray:
-    if cfg.init == "gaussian":
+def _initial_actions(cfg: PlanConfig, f: WorldModel, seed: int) -> np.ndarray:
+    if cfg.init_actions is None:
         return generator(seed, "gbp-init").standard_normal((cfg.horizon, f.d_a))
-    if cfg.init == "initnet":
-        arr = initnet.init_actions(cfg.init_actions, z1, z_goal)
-    else:  # "fixed"
-        arr = np.array(cfg.init_actions, dtype=np.float64)
+    arr = np.array(cfg.init_actions, dtype=np.float64)
     if arr.shape != (cfg.horizon, f.d_a):
-        raise ValueError(f"{cfg.init} init shape {arr.shape} != ({cfg.horizon}, {f.d_a})")
+        raise ValueError(f"init shape {arr.shape} != ({cfg.horizon}, {f.d_a})")
     return arr
 
 
@@ -125,11 +113,11 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
 
     Returns the best-loss iterate (switchable to the last via return_best).
     Actions are clamped to [-a_max, a_max] after every update when
-    clamp_actions is set and a_max is known. `seed` draws the "gaussian"
-    init; the other inits ignore it. The goal loss's weights, the start
-    latent's tape node and the goal are made and checked once per plan: one
-    tape holds the plan, and each iteration adds an action leaf and one
-    "wm-rollout" node to it. A non-finite start latent or goal is a
+    clamp_actions is set and a_max is known. `seed` draws the initial
+    actions unless `cfg.init_actions` gives them. The goal loss's weights,
+    the start latent's tape node and the goal are made and checked once per
+    plan: one tape holds the plan, and each iteration adds an action leaf
+    and one "wm-rollout" node to it. A non-finite start latent or goal is a
     ValueError.
     """
     t0 = time.perf_counter()
@@ -138,7 +126,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     tape = dc.Tape()
     z1_node = tape.constant(z1)
     z_goal = dc.tensor(z_goal)
-    actions = _initial_actions(cfg, f, z1, z_goal, seed)
+    actions = _initial_actions(cfg, f, seed)
     clamp = cfg.clamp_actions and cfg.a_max is not None
     if clamp:
         actions = np.clip(actions, -cfg.a_max, cfg.a_max)
@@ -263,7 +251,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
         if refine is not None and refine.steps > 0:
             refined = [gbp(f, z1, z_goal, PlanConfig(
                 horizon=H, iterations=refine.steps, optimizer="adam",
-                eta=refine.eta, init="fixed", init_actions=c.reshape(H, f.d_a),
+                eta=refine.eta, init_actions=c.reshape(H, f.d_a),
                 clamp_actions=False, return_best=False), seed) for c in samples]
             candidates = np.stack([r.actions.ravel() for r in refined])
             evals += sum(r.model_evals for r in refined)
@@ -389,7 +377,7 @@ def mpc(spec: envs.EnvSpec, f: WorldModel, enc: Encoder,
         z1 = encode(enc, envs.obs_of(spec, s))
         step_seed = seed if k == 0 else derive_seed(seed, "mpc-step", k)
         if warm is not None:
-            planner = replace(planner, init="fixed", init_actions=warm)
+            planner = replace(planner, init_actions=warm)
         pr = run_planner(f, z1, z_goal, planner, step_seed)
         results.append(pr)
         for a in pr.actions[:k_exec]:

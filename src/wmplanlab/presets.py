@@ -29,15 +29,13 @@ def _wall_base(out_dir: str) -> dict:
                        "finetune_steps": 50, "batch_size": 64,
                        "plan_optimizer": "adam", "plan_eta": 0.3},
         },
-        "initnet": {"path": f"{out_dir}/initnet", "horizon": 25,
-                    "lr": 0.02, "iterations": None},
         "planners": {
             "gbp_gd": {"kind": "gbp", "horizon": 25, "iterations": 300,
                        "optimizer": "sgd", "eta": 1.0, "loss": "final",
-                       "init": "gaussian", "clamp": True},
+                       "clamp": True},
             "gbp_adam": {"kind": "gbp", "horizon": 25, "iterations": 300,
                          "optimizer": "adam", "eta": 0.3, "loss": "final",
-                         "init": "gaussian", "clamp": True},
+                         "clamp": True},
             "cem": {"kind": "cem", "horizon": 25, "n_pop": 300, "k_elite": 30,
                     "iterations": 30, "sigma0": 1.0, "cov_mode": "full",
                     "jitter": 1e-6},
@@ -110,7 +108,6 @@ def _preset_longhorizon() -> dict:
     cfg["eval"]["mpc"] = {"steps": 20, "k_exec": 1, "plan_iters": 100,
                           "eta": 0.2, "warm_start": False}
     cfg["finetune"]["online"]["horizon"] = 50
-    cfg["initnet"]["horizon"] = 50
     cfg["gap"]["horizon"] = 50
     cfg["landscape"]["horizon"] = 50
     return cfg

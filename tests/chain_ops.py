@@ -2,7 +2,7 @@
 lab's gradients must match bit for bit. Those are the fused "wm-step" node
 and the "sq-dist" node of the per-step GBP rollout (`reference_rollout`),
 which GBP's "wm-rollout" node in turn must match, and the direct kernel
-calls of `worldmodel.step_loss_grad` and `initnet.loss_grad`.
+calls of `worldmodel.step_loss_grad`.
 
 Each op is one `dc.Node` whose backward calls the closed-form vjp of each
 needed parent. Losses are built from them the long way, e.g.
@@ -150,13 +150,6 @@ def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:
     return mul(total, tape.constant(scale))
 
 
-def chain_bounded_sq_dist(out: dc.Node, target, a_max: float) -> dc.Node:
-    """The init net's loss, ||a_max * tanh(out) - target||^2."""
-    tape = out.tape
-    pred = mul(tanh(out), tape.constant(a_max))
-    return sum_(square(sub(pred, tape.constant(target))))
-
-
 def chain_step_loss_grad(f, Z, A, target, scale, dx, params):
     """`worldmodel.step_loss_grad` on the tape: the one-step loss through
     `chain_step` and `chain_sq_dist`, differentiated by `dc.grad`."""
@@ -168,13 +161,3 @@ def chain_step_loss_grad(f, Z, A, target, scale, dx, params):
     gz, ga = grads[:2] if dx else (None, None)
     gweights = grads[-len(weights):] if params else [None] * len(weights)
     return float(loss.value), gz, ga, gweights
-
-
-def chain_initnet_loss_grad(net, x, target):
-    """`initnet.loss_grad` on the tape: `chain_mlp` under
-    `chain_bounded_sq_dist`, differentiated by `dc.grad`."""
-    tape = dc.Tape()
-    weights = lift_params(tape, net.weights)
-    loss = chain_bounded_sq_dist(chain_mlp(weights, tape.leaf(x)), target,
-                                 net.a_max)
-    return float(loss.value), dc.grad(loss, weights)

@@ -8,8 +8,8 @@ directory, so each preset writes under `OUT/runs/<preset>/`. A refactor that
 claims to change no output byte prints the same lines on the parent commit
 (point PYTHONPATH at the parent's `src`) and on the change; compare them with
 `diff`. Each `eval` runs in both modes over every planner of the preset plus
-a late-heavy, an early-heavy and an init-net `gbp` planner. The commands'
-own messages go to stderr.
+a late-heavy and an early-heavy `gbp` planner. The commands' own messages
+go to stderr.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ _TINY = {
     "finetune.adversarial.batch_size": 16,
     "finetune.online.iterations": 2, "finetune.online.plan_iterations": 3,
     "finetune.online.finetune_steps": 2, "finetune.online.batch_size": 8,
-    "finetune.online.horizon": H, "initnet.horizon": H, "initnet.iterations": 5,
-    "eval.n_tasks": 2, "eval.horizon_gap": H, "eval.mpc.steps": 2,
-    "eval.mpc.plan_iters": 3, "gap.n": 2, "gap.horizon": H,
+    "finetune.online.horizon": H, "eval.n_tasks": 2, "eval.horizon_gap": H,
+    "eval.mpc.steps": 2, "eval.mpc.plan_iters": 3, "gap.n": 2, "gap.horizon": H,
     "gap.plan.iterations": 3, "landscape.n_tasks": 1, "landscape.resolution": 3,
     "landscape.horizon": H, "landscape.plan.iterations": 3,
 }
@@ -54,9 +53,7 @@ def _sets(name: str) -> list[str]:
     gbp = {"kind": "gbp", "horizon": H, "iterations": 3, "optimizer": "adam",
            "eta": 0.3}
     extra = {"gbp_late": dict(gbp, loss="late-heavy"),
-             "gbp_early": dict(gbp, loss="early-heavy", optimizer="sgd", eta=0.5),
-             "gbp_initnet": dict(gbp, init="initnet",
-                                 initnet_path=cfg["initnet"]["path"])}
+             "gbp_early": dict(gbp, loss="early-heavy", optimizer="sgd", eta=0.5)}
     sets.update({f"planners.{pname}": planner for pname, planner in extra.items()})
     sets["eval.planners"] = [*cfg["planners"], *extra]
     return [f"{key}={json.dumps(value)}" for key, value in sets.items()]
@@ -67,7 +64,7 @@ def run_preset(name: str) -> None:
     out = presets.get_preset(name)["out_dir"]
     base = ["--preset", name, *(arg for s in _sets(name) for arg in ("--set", s))]
     runs = [[command] for command in ("gen-data", "train", "finetune-adv",
-                                      "finetune-online", "train-initnet")]
+                                      "finetune-online")]
     runs += [["eval", "--workers", "1", "--set", f"eval.mode={mode}",
               "--set", f"eval.out_path={out}/eval-{mode}"]
              for mode in ("open-loop", "mpc")]

@@ -11,8 +11,7 @@ import pytest
 
 import preset_digest
 from reference_training import trajectory_teacher_forcing
-from wmplanlab import (cli, envs, evalreport, finetune, initnet, tensorio,
-                       worldmodel)
+from wmplanlab import cli, envs, evalreport, finetune, tensorio, worldmodel
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.config import config_key
 from wmplanlab.data import load_dataset
@@ -41,8 +40,6 @@ def tiny_config(root) -> dict:
                        "plan_iterations": 3, "horizon": 4, "mix_ratio": 0.5,
                        "lr": 1e-3, "finetune_steps": 2, "batch_size": 8},
         },
-        "initnet": {"path": f"{root}/initnet", "horizon": 3, "lr": 0.05,
-                    "iterations": 10},
         "planners": {
             "gbp_gd": {"kind": "gbp", "horizon": 4, "iterations": 5,
                        "optimizer": "sgd", "eta": 0.5, "loss": "final",
@@ -196,16 +193,6 @@ def test_finetune_online_writes_corrected_dataset(pipeline):
     assert corr.actions.shape == (2, 4, 2)  # iterations, horizon, d_a
 
 
-def test_train_initnet_command(pipeline):
-    cfg, path = pipeline
-    assert _run("train-initnet", "--config", path) == 0
-    from wmplanlab.initnet import load_initnet
-
-    net, meta = load_initnet(cfg["initnet"]["path"])
-    assert net.horizon == 3
-    assert "config_hash" in meta
-
-
 def test_eval_single_cell_and_deterministic_rerun(pipeline, tmp_path):
     cfg, path = pipeline
     assert _run("eval", "--config", path, "--workers", "1") == 0
@@ -252,19 +239,15 @@ def test_the_number_of_workers_changes_no_report_byte(pipeline, mode):
 def test_eval_on_a_forkserver_pool_writes_the_report_of_one_worker(pipeline,
                                                                    monkeypatch):
     # under the spawn and forkserver start methods every input of the grid is
-    # pickled: the cross-room rule and an init-net planner among them
+    # pickled: the cross-room rule and the planner configs among them
     cfg, path = pipeline
-    assert _run("train-initnet", "--config", path) == 0
-    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
-               "initnet_path": cfg["initnet"]["path"]}
     monkeypatch.setattr(evalreport, "ProcessPoolExecutor", functools.partial(
         ProcessPoolExecutor, mp_context=multiprocessing.get_context("forkserver")))
     reports = []
     for workers in ("1", "2"):
         assert _run("eval", "--config", path, "--workers", workers,
                     "--set", "eval.require_cross_room=true", "--set", "eval.n_tasks=3",
-                    "--set", "planners.g_init=" + json.dumps(planner),
-                    "--set", 'eval.planners=["gbp_gd", "g_init"]') == 0
+                    "--set", 'eval.planners=["gbp_gd", "cem_small"]') == 0
         reports.append(open(os.path.join(cfg["eval"]["out_path"], "report.json"),
                             "rb").read())
     assert reports[0] == reports[1]
@@ -309,7 +292,6 @@ def test_validate_config_names_field_path():
 
 def test_null_is_accepted_only_where_the_callee_takes_none():
     validate_config({
-        "initnet": {"iterations": None},
         "eval": {"mpc": {"k_exec": None, "plan_iters": None, "eta": None}},
         "finetune": {"adversarial": {"eps_a": None, "eps_z": None,
                                      "alpha_a": None, "alpha_z": None},
@@ -332,7 +314,8 @@ def test_null_is_accepted_only_where_the_callee_takes_none():
 def test_train_with_a_null_key_is_a_config_error(pipeline):
     cfg, path = pipeline
     assert _run("train", "--config", path, "--set", "model.train.epochs=null") == 2
-    assert _run("train", "--config", path, "--set", "initnet.iterations=null") == 0
+    assert _run("train", "--config", path, "--set",
+                "finetune.online.corrected_path=null") == 0
 
 
 def test_planner_keys_depend_on_the_kind():
@@ -375,8 +358,6 @@ def test_unknown_optimizer_is_a_config_error_naming_its_key():
             validate_config(cfg)
         node[last] = "adam"
         validate_config(cfg)
-    with pytest.raises(ConfigError, match=r"planners\.p\.init"):
-        validate_config({"planners": {"p": {"kind": "gbp", "init": "zeros"}}})
 
 
 def test_eval_with_an_unknown_optimizer_exits_with_code_2(pipeline):
@@ -450,40 +431,6 @@ def test_eval_rejects_a_damaged_world_model(pipeline, capsys, how):
     assert f"checkpoint {cfg['model']['path']}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("how", DAMAGES)
-def test_eval_rejects_a_damaged_init_net(pipeline, capsys, how):
-    cfg, path = pipeline
-    ckpt = cfg["initnet"]["path"]
-    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
-               "initnet_path": ckpt}
-    args = ["--workers", "1", "--set", "planners.g_init=" + json.dumps(planner),
-            "--set", 'eval.planners=["g_init"]']
-    assert _run("train-initnet", "--config", path) == 0
-    assert _run("eval", "--config", path, *args) == 0
-    _damage(ckpt, how)
-    assert _run("eval", "--config", path, *args) == 2
-    assert f"checkpoint {ckpt}: " in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("horizon, d_a", [(4, 2), (3, 3)])
-def test_eval_rejects_an_init_net_that_does_not_fit_the_planner(pipeline, capsys,
-                                                                 horizon, d_a):
-    # an init net of the tiny config's horizon 3 under a horizon-4 planner,
-    # or one proposing 3-d actions in a 2-d action space
-    cfg, path = pipeline
-    ckpt = cfg["initnet"]["path"]
-    if d_a == 2:
-        assert _run("train-initnet", "--config", path) == 0
-    else:
-        initnet.save_initnet(ckpt, initnet.make_initnet(8, d_a, 3, 1.0, hidden=(4,)))
-    planner = {"kind": "gbp", "horizon": horizon, "iterations": 2,
-               "init": "initnet", "initnet_path": ckpt}
-    assert _run("eval", "--config", path, "--workers", "1",
-                "--set", "planners.g_init=" + json.dumps(planner),
-                "--set", 'eval.planners=["g_init"]') == 2
-    assert "planners.g_init.initnet_path" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["eval", "gap", "landscape", "finetune-adv",
                                      "finetune-online"])
 def test_a_model_trained_under_another_encoder_exits_with_code_2(pipeline, capsys,
@@ -492,26 +439,6 @@ def test_a_model_trained_under_another_encoder_exits_with_code_2(pipeline, capsy
     assert _run(command, "--config", path, "--set", "encoder.seed=1") == 2
     err = capsys.readouterr().err
     assert f"checkpoint {cfg['model']['path']}: trained under another encoder" in err
-
-
-@pytest.mark.parametrize("how", ["d_z", "encoder"])
-def test_eval_rejects_an_init_net_of_another_latent_space(pipeline, capsys, how):
-    # an init net reading 5-d latents under the tiny config's 8-d encoder, or
-    # one trained under another encoder of the same size
-    cfg, path = pipeline
-    ckpt = cfg["initnet"]["path"]
-    if how == "d_z":
-        initnet.save_initnet(ckpt, initnet.make_initnet(5, 2, 3, 1.0, hidden=(4,)))
-    else:
-        assert _run("train-initnet", "--config", path, "--set", "encoder.seed=1") == 0
-    planner = {"kind": "gbp", "horizon": 3, "iterations": 2, "init": "initnet",
-               "initnet_path": ckpt}
-    assert _run("eval", "--config", path, "--workers", "1",
-                "--set", "planners.g_init=" + json.dumps(planner),
-                "--set", 'eval.planners=["g_init"]') == 2
-    err = capsys.readouterr().err
-    assert "planners.g_init.initnet_path" in err
-    assert ("reads d_z 5" if how == "d_z" else "trained under another encoder") in err
 
 
 def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
@@ -577,17 +504,15 @@ def test_a_latent_dataset_at_the_dataset_path_exits_with_code_2(pipeline, capsys
     ("eval", "eval"),
     ("gap", "gap"),
     ("landscape", "landscape"),
-    ("train-initnet", "initnet"),
     ("finetune-online", "model-owm"),
-], ids=["eval", "gap", "landscape", "train-initnet", "finetune-online"])
+], ids=["eval", "gap", "landscape", "finetune-online"])
 def test_a_horizon_longer_than_the_trajectories_exits_2_before_writing(
         pipeline, capsys, tmp_path, command, out):
     # the tiny dataset's trajectories have T = 9 steps
     cfg, path = pipeline
     assert _run("finetune-adv", "--config", path) == 0
     cfg["eval"]["horizon_gap"] = 20
-    for section in (cfg["gap"], cfg["landscape"], cfg["initnet"],
-                    cfg["finetune"]["online"]):
+    for section in (cfg["gap"], cfg["landscape"], cfg["finetune"]["online"]):
         section["horizon"] = 20
     cfg["planners"]["gbp_gd"]["horizon"] = 20
     argv = [command, "--config", _write(tmp_path, cfg)]
@@ -614,7 +539,6 @@ def test_missing_dataset_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("command, key", [
     ("gen-data", "dataset.path"), ("train", "model.path"),
-    ("train-initnet", "initnet.path"),
     ("finetune-adv", "finetune.adversarial.out_path"),
     ("finetune-online", "finetune.online.out_path"), ("eval", "eval.out_path"),
     ("gap", "gap.out_path"), ("landscape", "landscape.out_path"),
@@ -668,7 +592,6 @@ def _setting(key: str, value) -> list[str]:
     ("finetune-adv", "finetune.adversarial.epochs", "model-adv/weights.bin"),
     ("finetune-adv", "finetune.adversarial.batch_size", "model-adv/weights.bin"),
     ("finetune-online", "finetune.online.batch_size", "model-owm/weights.bin"),
-    ("train-initnet", "initnet.iterations", "initnet/weights.bin"),
     ("eval", "eval.n_tasks", "eval"),
     ("eval", "planners.cem_small.n_pop", "eval"),
     ("landscape", "landscape.n_tasks", "landscape"),
@@ -678,7 +601,6 @@ def _setting(key: str, value) -> list[str]:
     ("finetune-adv", "finetune.adversarial.pgd_steps", "model-adv/weights.bin"),
     ("finetune-online", "finetune.online.horizon", "model-owm/weights.bin"),
     ("finetune-online", "finetune.online.plan_iterations", "model-owm/weights.bin"),
-    ("train-initnet", "initnet.horizon", "initnet/weights.bin"),
     ("eval", "planners.gbp_gd.horizon", "eval"),
     ("eval", "planners.gbp_gd.iterations", "eval"),
     ("eval", "planners.cem_small.horizon", "eval"),
@@ -698,10 +620,10 @@ def _setting(key: str, value) -> list[str]:
     ("eval", "eval.horizon_gap", "eval"),
     ("eval", "--workers", "eval"),
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
-        "initnet-iterations", "eval-tasks", "cem-population", "landscape-tasks",
+        "eval-tasks", "cem-population", "landscape-tasks",
         "landscape-resolution", "gen-data-trajectories", "gap-windows",
         "adv-pgd-steps", "online-horizon", "online-plan-iterations",
-        "initnet-horizon", "gbp-horizon", "gbp-iterations", "cem-horizon",
+        "gbp-horizon", "gbp-iterations", "cem-horizon",
         "cem-iterations", "cem-elites", "mppi-horizon", "mppi-iterations",
         "mppi-samples", "mpc-steps", "mpc-k-exec", "mpc-plan-iters", "gap-horizon",
         "gap-plan-iterations", "landscape-horizon", "landscape-plan-iterations",
@@ -712,7 +634,7 @@ def test_a_loop_size_of_0_exits_2_before_writing(tmp_path, capsys, command, key,
     cfg["eval"]["planners"] = ["gbp_gd", "cem_small", "mppi_small"]
     path = _write(tmp_path, cfg)
     assert _run("gen-data", "--config", path) == 0
-    if command not in ("gen-data", "train", "train-initnet"):
+    if command not in ("gen-data", "train"):
         assert _run("train", "--config", path) == 0
     argv = [command, "--config", path, *_setting(key, 0)]
     if command == "gen-data":  # into a fresh directory
@@ -760,7 +682,6 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("train", "model.train.lr", 0, None, "model"),
     ("finetune-adv", "finetune.adversarial.lr", -1, None, "model-adv"),
     ("finetune-online", "finetune.online.lr", 0, None, "model-owm"),
-    ("train-initnet", "initnet.lr", 0, None, "initnet"),
     ("gap", "gap.plan.eta", 0, None, "gap"),
     ("landscape", "landscape.plan.eta", 0, None, "landscape"),
     ("finetune-online", "finetune.online.plan_eta", 0, None, "model-owm"),
@@ -784,7 +705,7 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("landscape", "landscape.c_min", 2,
      "landscape: c_min 2 is not below c_max 1.25", "landscape"),
     ("eval", "--workers", -3, "--workers: expected an integer >= 1, got -3", "eval"),
-], ids=["train-lr", "adv-lr", "online-lr", "initnet-lr", "gap-eta",
+], ids=["train-lr", "adv-lr", "online-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
         "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
         "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z", "adv-alpha-a",
@@ -799,7 +720,7 @@ def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, comman
                                              "mppi_small"])
     path = _write(tmp_path, cfg)
     assert _run("gen-data", "--config", path) == 0
-    if command not in ("train", "train-initnet"):
+    if command != "train":
         assert _run("train", "--config", path) == 0
     if command == "landscape":
         assert _run("finetune-adv", "--config", path) == 0
@@ -818,8 +739,12 @@ def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, comman
     ("eval.mpc.k_exec=9",
      "eval.mpc.k_exec 9 is longer than the horizon of planner(s) gbp_gd, "
      "gradcem_small"),
+    ("planners.gbp_gd.init=gaussian",
+     "config error: unknown config key: planners.gbp_gd.init\n"),
+    ("planners.gbp_gd.initnet_path=initnet",
+     "config error: unknown config key: planners.gbp_gd.initnet_path\n"),
 ], ids=["cem-elites-above-population", "negative-refine-steps",
-        "k-exec-above-horizon"])
+        "k-exec-above-horizon", "gbp-init", "gbp-initnet-path"])
 def test_a_planner_that_rejects_its_settings_exits_2_before_writing(
         pipeline, capsys, tmp_path, override, message):
     cfg, _ = pipeline
@@ -855,9 +780,10 @@ _RADII = ("finetune.adversarial: eps_a and eps_z are set together or not at all,
     ("finetune-adv", "finetune.adversarial.eps_z=0.1", _RADII.format(None, 0.1),
      "model-adv"),
     ("gen-data", "finetune.adversarial.eps_a=0.1", _RADII.format(0.1, None), "data"),
+    ("train", 'initnet={"horizon": 25}', "unknown config key: initnet\n", "model"),
 ], ids=["train-cem-elites", "train-mix-ratio", "eval-unselected-cem-elites",
         "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "adv-eps-a-alone",
-        "adv-eps-z-alone", "gen-data-eps-a-alone"])
+        "adv-eps-z-alone", "gen-data-eps-a-alone", "train-initnet-section"])
 def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, command,
                                                             override, message, out):
     # the tiny config's eval.planners selects gbp_gd only
@@ -870,6 +796,16 @@ def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, co
     assert _run(command, "--config", path, "--set", override, *workers) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / out).exists()
+
+
+def test_train_initnet_is_no_command_and_writes_nothing(tmp_path, capsys):
+    path = _write(tmp_path, tiny_config(tmp_path))
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        _run("train-initnet", "--config", path)
+    assert exc.value.code == 2
+    assert "invalid choice: 'train-initnet'" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_k_exec_is_not_checked_against_the_horizon_in_open_loop_mode(pipeline):
@@ -945,15 +881,15 @@ def test_preset_flag_requires_known_name(tmp_path):
 def test_preset_config_hashes_are_pinned():
     assert {name: config_hash(get_preset(name)) for name in PRESETS} == {
         "wall-baseline":
-            "0b2e67ba76bce10213675380d132af1be45d51a575599cbd30ddf39d7ce04829",
+            "580f9819b07842139b1985aebbb1f35f7558fc677d6ec87a349d0e340c534061",
         "wall-awm":
-            "f63632b237a4218658a6d125dcdbca8329da6706dfd0250904f5dd57ec3cefe0",
+            "d08bf091cea7e6e4b023e799ad7f83a26a6bcbdf7063c17cdf51c0882f2d6019",
         "wall-owm":
-            "e962ff652041ae4ad9312510d1a5a8c0c780efb252b7c5880c7e1d0c5fd05dfd",
+            "cd4704cef2a3dc6121f4655fcbe5ba84cd11d3473e40f05cf997fe4ab37574fa",
         "pointmass-baseline":
-            "3fc51e26b6d08edb08087ab836e65d7cd013faa4c5110a2305aecfc4591a462e",
+            "17f6b67c294d6b3a438b7fa373b8040f9646a6830e5e3e08fe980a6b60c217f3",
         "longhorizon":
-            "e2432e81b644e629acb00701634023ce4711b9c942f81dbaff93ec568f735f68",
+            "5b3c9763683528610d6823e77c6d6e0165f95701e0fbb2a3baecbb0889a5b9bc",
     }
 
 
@@ -971,12 +907,12 @@ def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys, name
     root = cfg["out_dir"]
     assert {f"{root}/{path}" for path in (
         "data/data.bin", "model/weights.bin", "model-adv/weights.bin",
-        "model-owm/weights.bin", "data-corrected/data.bin", "initnet/weights.bin",
+        "model-owm/weights.bin", "data-corrected/data.bin",
         "eval-open-loop/report.json", "eval-mpc/report.json",
         "landscape/summary.json", *(f"gap/{model}/gap.json"
                                     for model in cfg["gap"]["models"]))} <= files.keys()
     cells = {(model, planner) for model in cfg["eval"]["models"]
-             for planner in (*cfg["planners"], "gbp_late", "gbp_early", "gbp_initnet")}
+             for planner in (*cfg["planners"], "gbp_late", "gbp_early")}
     for mode in ("open-loop", "mpc"):
         with open(tmp_path / "a" / root / f"eval-{mode}" / "report.json") as fh:
             report = json.load(fh)
@@ -988,8 +924,9 @@ def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys, name
 
 def _keys(*classes) -> set[str]:
     """The config keys of the fields of `classes`; a FLAT part's keys are
-    those of its own class. Only the two fields `build_planner` sets from
-    the env and the init net take no key."""
+    those of its own class. Only `init_actions`, which a caller passes in
+    code, and `a_max`, which `build_planner` sets from the env, take no
+    key."""
     keys = set()
     for cls in classes:
         for f in fields(cls):
@@ -999,15 +936,12 @@ def _keys(*classes) -> set[str]:
     return keys - {None}
 
 
-def test_build_planner_carries_every_planner_key(tmp_path):
+def test_build_planner_carries_every_planner_key():
     spec = envs.wall2d_spec()
-    net = initnet.make_initnet(4, spec.action_dim, 7, spec.a_max, hidden=(4,))
-    initnet.save_initnet(str(tmp_path / "initnet"), net)
     sections = {
         "gbp": {"kind": "gbp", "horizon": 7, "iterations": 11,
                 "optimizer": "adam", "eta": 0.07, "loss": "late-heavy",
-                "init": "initnet", "clamp": False, "return_best": False,
-                "initnet_path": str(tmp_path / "initnet")},
+                "clamp": False, "return_best": False},
         "cem": {"kind": "cem", "horizon": 9, "n_pop": 40, "k_elite": 4,
                 "iterations": 3, "sigma0": 0.7, "cov_mode": "diagonal",
                 "jitter": 1e-4},
@@ -1030,10 +964,7 @@ def test_build_planner_carries_every_planner_key(tmp_path):
     assert type(plan) is PlanConfig
     assert (plan.horizon, plan.iterations, plan.optimizer, plan.eta) == \
         (7, 11, "adam", 0.07)
-    assert (plan.loss, plan.init) == ("late-heavy", "initnet")
-    assert type(plan.init_actions) is initnet.InitNet
-    assert all(np.array_equal(got, want)
-               for got, want in zip(plan.init_actions.weights, net.weights, strict=True))
+    assert (plan.loss, plan.init_actions) == ("late-heavy", None)
     assert (plan.clamp_actions, plan.return_best, plan.a_max) == \
         (False, False, spec.a_max)
 

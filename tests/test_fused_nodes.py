@@ -1,10 +1,9 @@
 """The lab's gradients against the unfused tape chains of `chain_ops`: the
 "wm-step" node, GBP's "wm-rollout" node through the per-step reference
 rollout of `reference_rollout`, its "sq-dist" loss, and the direct kernel
-calls of `worldmodel.step_loss_grad` (training, the attacks) and
-`initnet.loss_grad`, each equal to the chain bit for bit. Also the work
-each caller asks of `nets.mlp_backward`, which callers build a tape, and
-tape lifetime."""
+calls of `worldmodel.step_loss_grad` (training, the attacks), each equal
+to the chain bit for bit. Also the work each caller asks of
+`nets.mlp_backward`, which callers build a tape, and tape lifetime."""
 
 import gc
 import weakref
@@ -15,8 +14,8 @@ import pytest
 import chain_ops as co
 import reference_rollout as ref
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, finetune, initnet, nets, planners, worldmodel
-from wmplanlab.encoder import encode_dataset, make_identity, make_random_fourier
+from wmplanlab import envs, finetune, nets, planners, worldmodel
+from wmplanlab.encoder import encode_dataset, make_random_fourier
 from wmplanlab.finetune import PerturbationConfig, adversarial_wm, attack_perturb
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (WorldModel, init_world_model, rollout_nodes,
@@ -93,23 +92,6 @@ def test_wm_step_rollout_gradients_equal_the_chain(loss):
     assert np.array_equal(np.stack(fused), np.stack(chain))
 
 
-def test_train_initnet_losses_equal_the_chain(wall_spec):
-    raw = envs.generate_dataset(wall_spec, 6, 8, "random", 0)
-    data = encode_dataset(make_identity(2), raw)
-
-    def run():
-        res = initnet.train_initnet(data, H=3, iterations=30, lr=0.2, seed=0)
-        return res.losses, res.net.weights
-
-    fused_losses, fused_weights = run()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(initnet, "loss_grad", co.chain_initnet_loss_grad)
-        chain_losses, chain_weights = run()
-    assert fused_losses == chain_losses
-    for got, want in zip(fused_weights, chain_weights):
-        assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("wrt", ["input", "params"])
 def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
     # a finite forward whose backward overflows: the saturated tanh of the
@@ -136,14 +118,6 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
                 worldmodel.supervised_step(f, opt, z, a, zn, 1e-3)
 
 
-def test_nonfinite_init_net_backward_raises_numeric_failure():
-    # a_max * tanh(out) overflows the loss gradient
-    net = initnet.make_initnet(2, 2, 3, 1e200, hidden=(4,))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(dc.NumericFailure, match="backward pass"):
-            initnet.loss_grad(net, np.full(4, 0.1), np.zeros(6))
-
-
 @pytest.mark.parametrize("where", ["input", "target"])
 def test_a_nonfinite_input_or_target_is_a_value_error(where):
     f = init_world_model(2, 2, hidden=(4,), seed=0)
@@ -158,14 +132,6 @@ def test_a_nonfinite_input_or_target_is_a_value_error(where):
             step_loss_grad(f, z, a, zn, 1.0, dx, params)
     with pytest.raises(ValueError, match="finite"):
         worldmodel.supervised_step(f, opt, z, a, zn, 1e-3)
-    net = initnet.make_initnet(2, 2, 3, 1.0, hidden=(4,))
-    x, target = np.zeros(4), np.zeros(6)
-    if where == "input":
-        x[1] = np.nan
-    else:
-        target[2] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        initnet.loss_grad(net, x, target)
 
 
 def _sq_dist_cases(rng):
@@ -325,7 +291,7 @@ def tape_refs(monkeypatch):
             gc.enable()
 
 
-def test_only_gbp_builds_a_tape(tape_refs, wall_spec):
+def test_only_gbp_builds_a_tape(tape_refs):
     f = init_world_model(6, 2, hidden=(8,), seed=1)
     rng = generator(1, "no-tape")
     Z, A, ZN = (rng.standard_normal((5, d)) for d in (6, 2, 6))
@@ -334,8 +300,6 @@ def test_only_gbp_builds_a_tape(tape_refs, wall_spec):
     for attack in finetune.ATTACKS:
         pcfg = PerturbationConfig(eps_a=0.1, eps_z=0.1, attack=attack, pgd_steps=2)
         finetune._attack_deltas(f, Z, A, ZN, pcfg, generator(1, "attack"))
-    raw = envs.generate_dataset(wall_spec, 4, 6, "random", 0)
-    initnet.train_initnet(encode_dataset(make_identity(2), raw), H=3, iterations=4)
     assert tape_refs == []
     cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
     planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg, seed=0)

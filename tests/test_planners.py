@@ -6,7 +6,6 @@ import pytest
 from wmplanlab import cli, envs, planners, presets
 from wmplanlab import diffcore as dc
 from wmplanlab.encoder import encode, make_identity
-from wmplanlab.initnet import make_initnet
 from wmplanlab.planners import (GOAL_LOSSES, CemConfig, MpcConfig, MppiConfig,
                                 PlanConfig, RefineConfig, cem, final_cost, gbp,
                                 mpc, mppi, run_planner)
@@ -80,7 +79,7 @@ def test_gbp_zero_actions_fixed_point():
     f.weights[-1] = np.zeros_like(f.weights[-1])
     z = np.array([0.1, 0.2, 0.3, 0.4])
     cfg = PlanConfig(horizon=3, iterations=5, optimizer="sgd", eta=0.1,
-                     init="fixed", init_actions=np.zeros((3, 2)),
+                     init_actions=np.zeros((3, 2)),
                      clamp_actions=False)
     pr = gbp(f, z, z, cfg, seed=0)
     assert pr.loss_trace[0] == 0.0
@@ -100,11 +99,9 @@ def test_gbp_single_iteration_returns_init():
 
 def test_gbp_rejects_init_of_the_wrong_horizon():
     f = init_world_model(4, 2, seed=1)
-    for init, arg in (("fixed", np.zeros((4, 2))),
-                      ("initnet", make_initnet(4, 2, horizon=2, a_max=1.0, hidden=(3,)))):
-        cfg = PlanConfig(horizon=3, iterations=2, init=init, init_actions=arg)
-        with pytest.raises(ValueError, match=f"{init} init shape"):
-            gbp(f, np.zeros(4), np.ones(4), cfg, seed=0)
+    cfg = PlanConfig(horizon=3, iterations=2, init_actions=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=r"init shape \(4, 2\) != \(3, 2\)"):
+        gbp(f, np.zeros(4), np.ones(4), cfg, seed=0)
 
 
 def test_gbp_adam_vanishing_eta_keeps_init():
@@ -290,7 +287,7 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
     chol = np.linalg.cholesky(np.eye(4))
     sample = (eps @ chol.T)[0].reshape(2, 2)
     plan = PlanConfig(horizon=2, iterations=steps, optimizer="adam", eta=0.3,
-                      init="fixed", init_actions=sample, clamp_actions=False,
+                      init_actions=sample, clamp_actions=False,
                       return_best=False)
     ref = gbp(f, z1, z_goal, plan, seed=0)
     assert np.array_equal(pr.actions, ref.actions)
@@ -299,7 +296,7 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
 def test_plan_config_rejects_an_unknown_optimizer_or_init():
     with pytest.raises(ValueError, match="optimizer: expected one of .* got 'adamw'"):
         PlanConfig(optimizer="adamw")
-    with pytest.raises(ValueError, match="init: expected one of .* got 'zeros'"):
+    with pytest.raises(TypeError, match="'init'"):  # init_actions is the only init
         PlanConfig(init="zeros")
 
 

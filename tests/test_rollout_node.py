@@ -109,8 +109,7 @@ def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
     # its second step, before any loss is recorded
     f = linear_model(1e308 * np.eye(2))
     acts = np.array([[1.0, 0.0], [1.0, 0.0]])
-    cfg = PlanConfig(horizon=2, iterations=5, init="fixed", init_actions=acts,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=2, iterations=5, init_actions=acts, clamp_actions=False)
     with np.errstate(over="ignore", invalid="ignore"):
         tape = dc.Tape()
         with pytest.raises(dc.NumericFailure, match="non-finite latent at rollout step 2"):
