@@ -33,7 +33,7 @@ def one_of(choices) -> dict:
 COUNT = at_least(1)  # the size of a loop that must run
 NONNEG = at_least(0)  # the size of a loop that may run no times
 POSITIVE = rule("a number > 0", lambda v: v > 0)  # a step size or a temperature
-NONNEG_NUMBER = rule("a number >= 0", lambda v: v >= 0)  # a radius or a jitter
+NONNEG_NUMBER = rule("a number >= 0", lambda v: v >= 0)  # a scaling factor or a jitter
 WIDTHS = rule("a list of integers >= 1", lambda v: all(w >= 1 for w in v))
 FLAT = {"flat": True}
 

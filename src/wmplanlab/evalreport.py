@@ -268,19 +268,18 @@ def expert_window(data: Dataset, H: int, seed: int) -> LandscapeTask:
 def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
               task: LandscapeTask, plan_cfg: PlanConfig, resolution: int,
               coeff_range: tuple[float, float] = (-1.25, 1.25),
-              seed: int = 0, a_init: np.ndarray | None = None) -> LandscapePair:
+              seed: int = 0) -> LandscapePair:
     """Goal-loss grids over the plane spanned by the two planners' offsets.
 
     Axis directions: alpha = gbp(baseline) - a_gt and beta =
     gbp(adversarial) - a_gt, with both planner runs started from the same
-    fixed initialization (drawn from `seed` unless given). Both grids are
+    fixed initialization drawn from `seed`. Both grids are
     evaluated at literally identical action points a_gt + u*alpha + v*beta.
     """
     H = plan_cfg.horizon
     if task.actions_gt.shape[0] != H:
         raise ValueError("ground-truth action window does not match horizon")
-    if a_init is None:
-        a_init = generator(seed, "landscape-init").standard_normal(task.actions_gt.shape)
+    a_init = generator(seed, "landscape-init").standard_normal(task.actions_gt.shape)
     cfg = replace(plan_cfg, init_actions=a_init)
     a_base = gbp(f_baseline, task.z1, task.z_goal, cfg, seed).actions
     a_adv = gbp(f_adversarial, task.z1, task.z_goal, cfg, seed).actions

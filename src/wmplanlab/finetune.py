@@ -4,8 +4,8 @@ Online world modeling replans over expert start/goal pairs, executes the
 planned actions in the simulator, and finetunes on the corrected
 trajectories, expanding coverage to the states planning actually visits.
 Adversarial world modeling perturbs latent states and actions inside an
-l-infinity ball in the direction that maximizes one-step prediction error
-(signed-gradient attacks), keeping the prediction targets clean.
+l-infinity ball in the direction that maximizes one-step prediction error,
+by FGSM with first-batch radii, keeping the prediction targets clean.
 Both keep teacher forcing's next-latent objective and change only the
 inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`.
 """
@@ -13,7 +13,7 @@ inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,53 +26,31 @@ from .rng import derive_seed, generator
 from .worldmodel import TrainResult, WorldModel, fit, step_loss_grad
 
 
-ATTACKS = ("fgsm", "pgd")
-RADIUS_MODES = ("fixed", "adaptive")
-
-
 @dataclass
 class PerturbationConfig:
-    """Attack geometry: scaling factors turn batch statistics into radii,
-    unless both radii are given; step sizes default to 1.25x the radius."""
+    """FGSM with first-batch radii: each radius is its scaling factor times
+    the mean per-trajectory standard deviation of the first batch."""
 
     lambda_a: float = field(default=0.5, metadata=NONNEG_NUMBER)
     lambda_z: float = field(default=0.2, metadata=NONNEG_NUMBER)
-    eps_a: float | None = field(default=None, metadata=NONNEG_NUMBER)
-    eps_z: float | None = field(default=None, metadata=NONNEG_NUMBER)
-    alpha_a: float | None = field(default=None, metadata=POSITIVE)
-    alpha_z: float | None = field(default=None, metadata=POSITIVE)
-    attack: str = field(default="fgsm", metadata=one_of(ATTACKS))
-    pgd_steps: int = field(default=1, metadata=COUNT)
-    radius_mode: str = field(default="fixed", metadata=one_of(RADIUS_MODES))
-    per_dimension_std: bool = False
 
     def __post_init__(self):
         check(self)
-        if (self.eps_a is None) != (self.eps_z is None):
-            raise ValueError("eps_a and eps_z are set together or not at all, got "
-                             f"eps_a {self.eps_a!r} and eps_z {self.eps_z!r}")
         if self.lambda_a > 1.0 or self.lambda_z > 0.5:
             warnings.warn("scaling factors outside the stable ranges "
                           "(lambda_a <= 1, lambda_z <= 0.5)",
                           stacklevel=3)  # past the generated __init__
 
 
-def _traj_std(arr: np.ndarray, per_dimension: bool) -> np.ndarray:
-    """The standard deviation of each trajectory of a (B, T, d) batch."""
-    if per_dimension:
-        return np.std(arr, axis=1).mean(axis=1)
-    return np.std(arr, axis=(1, 2))
-
-
 def compute_radii(actions: np.ndarray, latents: np.ndarray, lambda_a: float,
-                  lambda_z: float, per_dimension: bool = False) -> tuple[float, float]:
+                  lambda_z: float) -> tuple[float, float]:
     """Radii = scaling factor times the mean over the batch's trajectories,
     actions (B, T, d_a) and latents (B, T+1, d_z), of the standard
     deviation of each trajectory's action / latent sequence."""
     if not len(actions):
         raise ValueError("empty minibatch")
-    eps_a = lambda_a * float(np.mean(_traj_std(actions, per_dimension)))
-    eps_z = lambda_z * float(np.mean(_traj_std(latents, per_dimension)))
+    eps_a = lambda_a * float(np.mean(np.std(actions, axis=(1, 2))))
+    eps_z = lambda_z * float(np.mean(np.std(latents, axis=(1, 2))))
     if eps_a == 0.0 and lambda_a > 0:
         warnings.warn("zero-variance actions: eps_a = 0, attack is a no-op",
                       stacklevel=2)
@@ -83,42 +61,21 @@ def compute_radii(actions: np.ndarray, latents: np.ndarray, lambda_a: float,
 
 
 def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
-                   pcfg: PerturbationConfig,
+                   eps_a: float, eps_z: float,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-gradient ascent on the one-step prediction loss; rows are
-    independent transitions, so the batched attack equals the per-transition
-    attack. Clipping keeps every entry inside its radius exactly."""
-    eps_a, eps_z = pcfg.eps_a, pcfg.eps_z
-    if eps_a is None or eps_z is None:
-        raise ValueError("perturbation radii unset; compute_radii first")
-    alpha_a = 1.25 * eps_a if pcfg.alpha_a is None else pcfg.alpha_a
-    alpha_z = 1.25 * eps_z if pcfg.alpha_z is None else pcfg.alpha_z
-    if pcfg.attack == "fgsm":
-        steps = 1
-        da = rng.uniform(-eps_a, eps_a, size=A.shape)
-        dz = rng.uniform(-eps_z, eps_z, size=Z.shape)
-    else:
-        steps = pcfg.pgd_steps
-        da = np.zeros_like(A)
-        dz = np.zeros_like(Z)
-    for _ in range(steps):
-        # the gradient at a perturbed input is the gradient at its perturbation
-        _, gz, ga, _ = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, False)
-        da = np.clip(da + alpha_a * np.sign(ga), -eps_a, eps_a)
-        dz = np.clip(dz + alpha_z * np.sign(gz), -eps_z, eps_z)
+    """FGSM from a uniform random start (Wong et al., "Fast is better than
+    free", 2020): one signed step of 1.25 * eps up the one-step prediction
+    loss, taken at the start, then a clip back into the l-infinity ball of
+    radius eps, which keeps every entry inside its radius exactly. Rows are
+    independent transitions, so the batched attack equals the
+    per-transition attack."""
+    da = rng.uniform(-eps_a, eps_a, size=A.shape)
+    dz = rng.uniform(-eps_z, eps_z, size=Z.shape)
+    # the gradient at a perturbed input is the gradient at its perturbation
+    _, gz, ga, _ = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, False)
+    da = np.clip(da + 1.25 * eps_a * np.sign(ga), -eps_a, eps_a)
+    dz = np.clip(dz + 1.25 * eps_z * np.sign(gz), -eps_z, eps_z)
     return da, dz
-
-
-def attack_perturb(f: WorldModel, z: np.ndarray, a: np.ndarray,
-                   z_next: np.ndarray, pcfg: PerturbationConfig,
-                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Adversarial perturbations (delta_a, delta_z) for a single transition."""
-    rng = generator(seed, "attack-init")
-    da, dz = _attack_deltas(
-        f, np.asarray(z, dtype=np.float64)[None, :],
-        np.asarray(a, dtype=np.float64)[None, :],
-        np.asarray(z_next, dtype=np.float64)[None, :], pcfg, rng)
-    return da[0], dz[0]
 
 
 def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
@@ -128,6 +85,7 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
 
     Minibatches are whole trajectories (radii statistics are per
     trajectory), `batch_size` at a time from a shuffle seeded per epoch;
+    the radii come from the first batch and hold for every batch, and
     attacks are regenerated fresh, against the current weights, every time
     a batch is visited. With both scaling factors zero
     the batches are the clean transitions of each trajectory batch.
@@ -138,26 +96,19 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
         raise ValueError("empty dataset")
     model = f.clone()
     last_epoch = []  # the final epoch's (Z, A, ZN) batches, on request
+    first = generator(seed, "shuffle", 0).permutation(len(data))[:batch_size]
+    eps_a, eps_z = compute_radii(data.actions[first], data.latents[first],
+                                 pcfg.lambda_a, pcfg.lambda_z)
 
     def batches():
-        radii: tuple[float, float] | None = None
         step = 0  # batches so far, over all epochs
         for epoch in range(epochs):
             perm = generator(seed, "shuffle", epoch).permutation(len(data))
             for lo in range(0, len(data), batch_size):
                 idx = perm[lo:lo + batch_size]
-                if pcfg.eps_a is not None:
-                    radii = pcfg.eps_a, pcfg.eps_z  # explicit radii win
-                elif radii is None or pcfg.radius_mode == "adaptive":
-                    # "fixed" mode keeps the radii of the first batch
-                    radii = compute_radii(data.actions[idx], data.latents[idx],
-                                          pcfg.lambda_a, pcfg.lambda_z,
-                                          pcfg.per_dimension_std)
-                eps_a, eps_z = radii
                 Z, A, ZN = flatten_transitions(data, idx)
                 if eps_a != 0.0 or eps_z != 0.0:
-                    work = replace(pcfg, eps_a=eps_a, eps_z=eps_z)
-                    da, dz = _attack_deltas(model, Z, A, ZN, work,
+                    da, dz = _attack_deltas(model, Z, A, ZN, eps_a, eps_z,
                                             generator(seed, "attack", step))
                     Z, A = Z + dz, A + da
                 if keep_perturbed and epoch == epochs - 1:

@@ -1,7 +1,7 @@
 """Small tanh MLPs: the world model's network.
 
 `mlp_forward` is the one forward pass and `mlp_backward` the one backward
-pass of training and the attacks (`worldmodel.step_loss_grad`), which
+pass of training and the attack (`worldmodel.step_loss_grad`), which
 call the two directly. GBP's "wm-rollout" tape node
 (`worldmodel.rollout_nodes`) calls neither: it unrolls the same forward
 over its H model steps on buffers made once per rollout, and its sweep
@@ -60,9 +60,11 @@ def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
                  g: np.ndarray, dx: bool, params: bool):
     """(input gradient or None, [weight and bias gradients or None]) of one
     cached forward (`mlp_forward`) for the output gradient g, computed
-    only where `dx` and `params` ask. One delta sweep, with the expressions
-    and order of the affine and tanh reference ops in `tests/chain_ops.py`,
-    so gradients are bit-identical to that unfused chain."""
+    only where `dx` and `params` ask; the weight gradients need a batch
+    (B, d), the input gradient also takes one input (d,). One delta sweep,
+    with the expressions and order of the affine and tanh reference ops in
+    `tests/chain_ops.py`, so gradients are bit-identical to that unfused
+    chain."""
     deltas = [g] * len(inputs)  # gradient at each layer's affine output
     for i in range(len(inputs) - 1, 0, -1):
         W, x, d = weights[2 * i], inputs[i], deltas[i]
@@ -73,6 +75,6 @@ def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
     gparams = [None] * len(weights)
     if params:
         for i, (x, d) in enumerate(zip(inputs, deltas)):
-            gparams[2 * i] = x[:, None] * d[None, :] if x.ndim == 1 else x.T @ d
-            gparams[2 * i + 1] = d if d.ndim == 1 else d.sum(axis=0)
+            gparams[2 * i] = x.T @ d
+            gparams[2 * i + 1] = d.sum(axis=0)
     return gx, gparams

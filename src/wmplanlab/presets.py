@@ -16,9 +16,7 @@ def _wall_base(out_dir: str) -> dict:
                   "train": {"epochs": 50, "batch_size": 64, "lr": 1e-3}},
         "finetune": {
             "adversarial": {"out_path": f"{out_dir}/model-adv",
-                            "lambda_a": 0.5, "lambda_z": 0.2,
-                            "attack": "fgsm", "pgd_steps": 1,
-                            "radius_mode": "fixed", "epochs": 2,
+                            "lambda_a": 0.5, "lambda_z": 0.2, "epochs": 2,
                             "batch_size": 48, "lr": 1e-4,
                             "dump_perturbed": False,
                             "perturbed_path": f"{out_dir}/data-adversarial"},

@@ -33,7 +33,7 @@ def tiny_config(root) -> dict:
                   "train": {"epochs": 2, "batch_size": 16, "lr": 1e-3}},
         "finetune": {
             "adversarial": {"out_path": f"{root}/model-adv", "lambda_a": 0.3,
-                            "lambda_z": 0.1, "attack": "fgsm", "epochs": 1,
+                            "lambda_z": 0.1, "epochs": 1,
                             "batch_size": 3, "lr": 1e-3},
             "online": {"out_path": f"{root}/model-owm",
                        "corrected_path": f"{root}/data-corr", "iterations": 2,
@@ -293,9 +293,7 @@ def test_validate_config_names_field_path():
 def test_null_is_accepted_only_where_the_callee_takes_none():
     validate_config({
         "eval": {"mpc": {"k_exec": None, "plan_iters": None, "eta": None}},
-        "finetune": {"adversarial": {"eps_a": None, "eps_z": None,
-                                     "alpha_a": None, "alpha_z": None},
-                     "online": {"corrected_path": None}}})
+        "finetune": {"online": {"corrected_path": None}}})
     for path in ("seed", "model.train.epochs", "model.path", "eval.mpc.steps",
                  "finetune.adversarial.lambda_a", "landscape.plan.eta",
                  "eval.models.baseline", "planners.p.horizon"):
@@ -376,8 +374,6 @@ def test_finetune_online_with_an_unknown_optimizer_exits_with_code_2(pipeline):
     (["gen-data", "--force"], "dataset.policy", "expert"),
     (["eval", "--workers", "1"], "eval.mode", "closed"),
     (["eval", "--workers", "1"], "planners.cem_small.cov_mode", "diag"),
-    (["finetune-adv"], "finetune.adversarial.attack", "pgdx"),
-    (["finetune-adv"], "finetune.adversarial.radius_mode", "adapt"),
 ])
 def test_a_value_outside_its_allowed_set_exits_with_code_2(pipeline, capsys,
                                                            argv, key, value):
@@ -598,7 +594,6 @@ def _setting(key: str, value) -> list[str]:
     ("landscape", "landscape.resolution", "landscape"),
     ("gen-data", "dataset.n_traj", "data-2"),
     ("gap", "gap.n", "gap"),
-    ("finetune-adv", "finetune.adversarial.pgd_steps", "model-adv/weights.bin"),
     ("finetune-online", "finetune.online.horizon", "model-owm/weights.bin"),
     ("finetune-online", "finetune.online.plan_iterations", "model-owm/weights.bin"),
     ("eval", "planners.gbp_gd.horizon", "eval"),
@@ -622,7 +617,7 @@ def _setting(key: str, value) -> list[str]:
 ], ids=["train-epochs", "train-batch", "adv-epochs", "adv-batch", "online-batch",
         "eval-tasks", "cem-population", "landscape-tasks",
         "landscape-resolution", "gen-data-trajectories", "gap-windows",
-        "adv-pgd-steps", "online-horizon", "online-plan-iterations",
+        "online-horizon", "online-plan-iterations",
         "gbp-horizon", "gbp-iterations", "cem-horizon",
         "cem-iterations", "cem-elites", "mppi-horizon", "mppi-iterations",
         "mppi-samples", "mpc-steps", "mpc-k-exec", "mpc-plan-iters", "gap-horizon",
@@ -696,20 +691,13 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("eval", "planners.gradcem_small.sigma0", -1, None, "eval"),
     ("eval", "planners.cem_small.jitter", -1,
      "planners.cem_small.jitter: expected a number >= 0, got -1", "eval"),
-    ("finetune-adv", "finetune.adversarial.eps_a", -1,
-     "finetune.adversarial.eps_a: expected a number >= 0, got -1", "model-adv"),
-    ("finetune-adv", "finetune.adversarial.eps_z", -0.5,
-     "finetune.adversarial.eps_z: expected a number >= 0, got -0.5", "model-adv"),
-    ("finetune-adv", "finetune.adversarial.alpha_a", -1, None, "model-adv"),
-    ("finetune-adv", "finetune.adversarial.alpha_z", 0, None, "model-adv"),
     ("landscape", "landscape.c_min", 2,
      "landscape: c_min 2 is not below c_max 1.25", "landscape"),
     ("eval", "--workers", -3, "--workers: expected an integer >= 1, got -3", "eval"),
 ], ids=["train-lr", "adv-lr", "online-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
         "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
-        "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z", "adv-alpha-a",
-        "adv-alpha-z", "landscape-c-range", "eval-workers"])
+        "gradcem-sigma0", "cem-jitter", "landscape-c-range", "eval-workers"])
 def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
                                                         key, value, message, out):
     cfg = tiny_config(tmp_path)
@@ -762,8 +750,11 @@ def test_a_planner_that_rejects_its_settings_exits_2_before_writing(
 _ELITES = "planners.cem_small: need 1 <= k_elite <= n_pop"
 _LOSS = ("planners.gbp_gd.loss: expected one of ['early-heavy', 'final', "
          "'late-heavy'], got 'foo'")
-_RADII = ("finetune.adversarial: eps_a and eps_z are set together or not at all, "
-          "got eps_a {} and eps_z {}")
+# the attack is FGSM with first-batch radii; these settings of other
+# attacks are unknown keys
+_REMOVED = {"attack": "pgd", "pgd_steps": 3, "radius_mode": "adaptive",
+            "per_dimension_std": "true", "eps_a": 0.1, "eps_z": 0.1,
+            "alpha_a": 0.1, "alpha_z": 0.1}
 
 
 @pytest.mark.parametrize("command, override, message, out", [
@@ -775,15 +766,15 @@ _RADII = ("finetune.adversarial: eps_a and eps_z are set together or not at all,
      "data"),
     ("train", "planners.gbp_gd.loss=foo", _LOSS, "model"),
     ("eval", "planners.gbp_gd.loss=foo", _LOSS, "eval"),
-    ("finetune-adv", "finetune.adversarial.eps_a=0.1", _RADII.format(0.1, None),
-     "model-adv"),
-    ("finetune-adv", "finetune.adversarial.eps_z=0.1", _RADII.format(None, 0.1),
-     "model-adv"),
-    ("gen-data", "finetune.adversarial.eps_a=0.1", _RADII.format(0.1, None), "data"),
+    ("gen-data", "finetune.adversarial.eps_a=0.1",
+     "unknown config key: finetune.adversarial.eps_a\n", "data"),
     ("train", 'initnet={"horizon": 25}', "unknown config key: initnet\n", "model"),
+    *(("finetune-adv", f"finetune.adversarial.{key}={value}",
+       f"unknown config key: finetune.adversarial.{key}\n", "model-adv")
+      for key, value in _REMOVED.items()),
 ], ids=["train-cem-elites", "train-mix-ratio", "eval-unselected-cem-elites",
-        "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "adv-eps-a-alone",
-        "adv-eps-z-alone", "gen-data-eps-a-alone", "train-initnet-section"])
+        "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "gen-data-eps-a",
+        "train-initnet-section", *(f"adv-{key}" for key in _REMOVED)])
 def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, command,
                                                             override, message, out):
     # the tiny config's eval.planners selects gbp_gd only
@@ -845,10 +836,11 @@ def test_set_override_parses_json_scalars(tmp_path):
 
 def test_numeric_failure_exit_code(pipeline):
     cfg, path = pipeline
-    with np.errstate(over="ignore", invalid="ignore"):
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.warns(UserWarning, match="stable ranges")):
         code = _run("finetune-adv", "--config", path, "--set",
-                    "finetune.adversarial.eps_a=1e200", "--set",
-                    "finetune.adversarial.eps_z=1e200")
+                    "finetune.adversarial.lambda_a=1e200", "--set",
+                    "finetune.adversarial.lambda_z=1e200")
     assert code == 3
 
 
@@ -881,15 +873,15 @@ def test_preset_flag_requires_known_name(tmp_path):
 def test_preset_config_hashes_are_pinned():
     assert {name: config_hash(get_preset(name)) for name in PRESETS} == {
         "wall-baseline":
-            "580f9819b07842139b1985aebbb1f35f7558fc677d6ec87a349d0e340c534061",
+            "b119d380db95d07497112f924f10cde2185a70bd6d1239086a4ab2253c08dd4a",
         "wall-awm":
-            "d08bf091cea7e6e4b023e799ad7f83a26a6bcbdf7063c17cdf51c0882f2d6019",
+            "d88817b4d58acb3f7022812c1d20cccc62d24573efe91ea04317aca6303babb0",
         "wall-owm":
-            "cd4704cef2a3dc6121f4655fcbe5ba84cd11d3473e40f05cf997fe4ab37574fa",
+            "a94f64122c49efbbe328070dd158ea7c26e03567fbe58223c5d9525be126c5ef",
         "pointmass-baseline":
-            "17f6b67c294d6b3a438b7fa373b8040f9646a6830e5e3e08fe980a6b60c217f3",
+            "82de644b098bd1bc95f3b607b06cfb703edd21755a99e4d5f03dde75b7e76966",
         "longhorizon":
-            "5b3c9763683528610d6823e77c6d6e0165f95701e0fbb2a3baecbb0889a5b9bc",
+            "70555ee5736cac224ea6fdfb1a776f753551bc099026464238859af7e572bea8",
     }
 
 
@@ -999,20 +991,15 @@ def _spy(monkeypatch, module, name) -> dict:
 def test_finetune_adv_carries_every_section_key(pipeline, tmp_path, monkeypatch):
     cfg, _ = pipeline
     section = {"out_path": str(tmp_path / "adv-x"), "lambda_a": 0.4,
-               "lambda_z": 0.3, "eps_a": 0.01, "eps_z": 0.02, "alpha_a": 0.005,
-               "alpha_z": 0.006, "attack": "pgd", "pgd_steps": 2,
-               "radius_mode": "adaptive", "per_dimension_std": True,
-               "epochs": 2, "batch_size": 2, "lr": 5e-4, "dump_perturbed": True,
+               "lambda_z": 0.3, "epochs": 2, "batch_size": 2, "lr": 5e-4,
+               "dump_perturbed": True,
                "perturbed_path": str(tmp_path / "perturbed-x")}
     assert set(section) == _keys(cli.AdversarialSection, finetune.PerturbationConfig,
                                  cli.TrainSection)
     cfg["finetune"]["adversarial"] = section
     seen = _spy(monkeypatch, finetune, "adversarial_wm")
     assert _run("finetune-adv", "--config", _write(tmp_path, cfg)) == 0
-    assert seen["args"][2] == finetune.PerturbationConfig(
-        lambda_a=0.4, lambda_z=0.3, eps_a=0.01, eps_z=0.02, alpha_a=0.005,
-        alpha_z=0.006, attack="pgd", pgd_steps=2, radius_mode="adaptive",
-        per_dimension_std=True)
+    assert seen["args"][2] == finetune.PerturbationConfig(lambda_a=0.4, lambda_z=0.3)
     kwargs = dict(seen["kwargs"])
     kwargs.pop("seed")
     assert kwargs == {"epochs": 2, "batch_size": 2, "lr": 5e-4,

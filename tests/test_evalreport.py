@@ -276,11 +276,13 @@ def test_landscape_warns_on_degenerate_axis(wall_spec):
     data = encode_dataset(enc, raw)
     f = init_world_model(2, 2, hidden=(8,), seed=3)
     window = expert_window(data, H=3, seed=1)
-    cfg = PlanConfig(horizon=3, iterations=1, a_max=wall_spec.a_max)
-    # planting the init at the ground truth makes both axes zero
+    # a vanishing step keeps both plans at the seed's start; planting the
+    # ground truth there makes both axes zero
+    window.actions_gt = generator(2, "landscape-init").standard_normal((3, 2))
+    cfg = PlanConfig(horizon=3, iterations=1, optimizer="adam", eta=1e-12,
+                     clamp_actions=False)
     with pytest.warns(UserWarning, match="degenerate"):
-        pair = landscape(f, f, window, cfg, resolution=5, seed=2,
-                         a_init=window.actions_gt)
+        pair = landscape(f, f, window, cfg, resolution=5, seed=2)
     assert len(pair.baseline.values) == 5
 
 

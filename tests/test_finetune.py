@@ -10,8 +10,7 @@ from wmplanlab import envs, finetune
 from wmplanlab.data import Dataset, flatten_transitions
 from wmplanlab.encoder import encode, encode_dataset, make_identity
 from wmplanlab.finetune import (OnlineConfig, PerturbationConfig, _attack_deltas,
-                                adversarial_wm, attack_perturb, compute_radii,
-                                online_wm)
+                                adversarial_wm, compute_radii, online_wm)
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (init_world_model, predict,
                                   train_teacher_forcing)
@@ -32,8 +31,6 @@ def _latent_batch(*stds, T=4):
 def test_perturbation_config_validation():
     with pytest.raises(ValueError):
         PerturbationConfig(lambda_a=-0.1)
-    with pytest.raises(ValueError):
-        PerturbationConfig(attack="bim")
     with pytest.warns(UserWarning, match="stable") as record:
         PerturbationConfig(lambda_z=0.9)
     assert record[0].filename == __file__  # the warning names the caller
@@ -55,19 +52,7 @@ def test_compute_radii_zero_cases():
         compute_radii(np.ones((0, 3, 2)), np.ones((0, 4, 2)), 0.5, 0.5)
 
 
-def test_compute_radii_per_dimension_flag():
-    batch = np.array([[[1.0, -1.0]]]), np.array([[[0.0, 0.0], [2.0, 0.0]]])
-    scalar = compute_radii(*batch, 1.0, 1.0, per_dimension=False)
-    # over all entries: std([1,-1]) = 1; std([0,0,2,0]) = sqrt(0.75)
-    assert scalar == pytest.approx((1.0, np.sqrt(0.75)))
-    with pytest.warns(UserWarning, match="zero-variance"):
-        per_dim = compute_radii(*batch, 1.0, 1.0, per_dimension=True)
-    # per dimension then averaged: actions (0+0)/2, latents (1+0)/2
-    assert per_dim == pytest.approx((0.0, 0.5))
-
-
-@pytest.mark.parametrize("per_dimension", [False, True])
-def test_compute_radii_equals_the_per_trajectory_loop(per_dimension):
+def test_compute_radii_equals_the_per_trajectory_loop():
     # the batched standard deviations against one np.std per trajectory,
     # bit for bit, over random batch shapes and scales
     for i in range(200):
@@ -75,36 +60,16 @@ def test_compute_radii_equals_the_per_trajectory_loop(per_dimension):
         B, T, d = (int(x) for x in rng.integers(2, 40, size=3))
         actions = rng.standard_normal((B, T, d)) * 10.0 ** rng.uniform(-6, 3)
         latents = rng.standard_normal((B, T + 1, 2 * d)) + rng.uniform(-5, 5)
-        loop = [np.mean([float(np.mean(np.std(x, axis=0))) if per_dimension
-                         else float(np.std(x)) for x in arr])
-                for arr in (actions, latents)]
-        got = compute_radii(actions, latents, 0.5, 0.2, per_dimension)
+        loop = [np.mean([float(np.std(x)) for x in arr]) for arr in (actions, latents)]
+        got = compute_radii(actions, latents, 0.5, 0.2)
         assert got == (0.5 * float(loop[0]), 0.2 * float(loop[1]))
 
 
 def test_attack_zero_radius_gives_zero():
     f = init_world_model(4, 2, seed=0)
-    pcfg = PerturbationConfig(eps_a=0.0, eps_z=0.0)
-    da, dz = attack_perturb(f, np.zeros(4), np.zeros(2), np.ones(4), pcfg, seed=1)
+    da, dz = _attack_deltas(f, np.zeros((1, 4)), np.zeros((1, 2)), np.ones((1, 4)),
+                            0.0, 0.0, generator(1, "attack-init"))
     assert np.all(da == 0.0) and np.all(dz == 0.0)
-
-
-def test_attack_requires_radii():
-    f = init_world_model(4, 2, seed=0)
-    with pytest.raises(ValueError, match="radii"):
-        attack_perturb(f, np.zeros(4), np.zeros(2), np.ones(4),
-                       PerturbationConfig(), seed=0)
-
-
-def test_attack_pgd_zero_init_saturates_boundary():
-    # default step 1.25*eps from zero init clips to the boundary exactly
-    f = init_world_model(4, 2, seed=1)
-    rng = generator(1, "sat")
-    pcfg = PerturbationConfig(eps_a=0.02, eps_z=0.05, attack="pgd", pgd_steps=1)
-    da, dz = attack_perturb(f, rng.standard_normal(4), rng.standard_normal(2),
-                            rng.standard_normal(4), pcfg, seed=2)
-    assert np.all(np.isin(np.abs(da), [0.0, 0.02]))
-    assert np.all(np.isin(np.abs(dz), [0.0, 0.05]))
 
 
 def test_attack_ball_invariant_random_calls():
@@ -113,31 +78,11 @@ def test_attack_ball_invariant_random_calls():
         f = init_world_model(6, 2, hidden=(8,), seed=i)
         eps_a = float(rng.uniform(0, 0.1))
         eps_z = float(rng.uniform(0, 0.2))
-        attack = "fgsm" if i % 2 == 0 else "pgd"
-        pcfg = PerturbationConfig(eps_a=eps_a, eps_z=eps_z, attack=attack,
-                                  pgd_steps=1 + i % 3)
-        da, dz = attack_perturb(f, rng.standard_normal(6), rng.standard_normal(2),
-                                rng.standard_normal(6), pcfg, seed=i)
+        z, a, zn = rng.standard_normal(6), rng.standard_normal(2), rng.standard_normal(6)
+        da, dz = _attack_deltas(f, z[None], a[None], zn[None], eps_a, eps_z,
+                                generator(i, "attack-init"))
         assert np.abs(da).max() <= eps_a  # exact, clip guarantees
         assert np.abs(dz).max() <= eps_z
-
-
-def test_pgd_one_step_alpha_eps_is_fgsm_sign():
-    # classical FGSM: delta = eps * sign(grad at the clean input)
-    f = init_world_model(5, 2, hidden=(8,), seed=3)
-    rng = generator(3, "fgsm")
-    z, a, zn = rng.standard_normal(5), rng.standard_normal(2), rng.standard_normal(5)
-    eps_a, eps_z = 0.03, 0.07
-    pcfg = PerturbationConfig(eps_a=eps_a, eps_z=eps_z, alpha_a=eps_a,
-                              alpha_z=eps_z, attack="pgd", pgd_steps=1)
-    da, dz = attack_perturb(f, z, a, zn, pcfg, seed=4)
-    tape = dc.Tape()
-    a_node, z_node = tape.leaf(a), tape.leaf(z)
-    pred = f.forward_nodes(z_node, a_node)
-    loss = ref.sq_dist([pred], [zn], [1.0])
-    ga, gz = dc.grad(loss, [a_node, z_node])
-    assert np.array_equal(da, eps_a * np.sign(ga))
-    assert np.array_equal(dz, eps_z * np.sign(gz))
 
 
 def test_fgsm_takes_the_gradient_at_its_random_start():
@@ -146,8 +91,8 @@ def test_fgsm_takes_the_gradient_at_its_random_start():
     f = init_world_model(5, 2, hidden=(8,), seed=5)
     rng = generator(5, "fgsm-start")
     z, a, zn = rng.standard_normal(5), rng.standard_normal(2), rng.standard_normal(5)
-    pcfg = PerturbationConfig(eps_a=2.0, eps_z=2.0, attack="fgsm")
-    da, dz = attack_perturb(f, z, a, zn, pcfg, seed=11)
+    da, dz = _attack_deltas(f, z[None], a[None], zn[None], 2.0, 2.0,
+                            generator(11, "attack-init"))
     start = generator(11, "attack-init")
     da0 = start.uniform(-2.0, 2.0, size=(1, 2))[0]
     dz0 = start.uniform(-2.0, 2.0, size=(1, 5))[0]
@@ -163,8 +108,8 @@ def test_fgsm_takes_the_gradient_at_its_random_start():
     for z_in, a_in in ((z, a), (z + dz0, a), (z, a + da0)):
         assert not np.array_equal(np.concatenate([sa, sz]),
                                   np.concatenate(signs(z_in, a_in)))
-    assert np.array_equal(da, np.clip(da0 + 2.5 * sa, -2.0, 2.0))
-    assert np.array_equal(dz, np.clip(dz0 + 2.5 * sz, -2.0, 2.0))
+    assert np.array_equal(da[0], np.clip(da0 + 2.5 * sa, -2.0, 2.0))
+    assert np.array_equal(dz[0], np.clip(dz0 + 2.5 * sz, -2.0, 2.0))
 
 
 def test_attack_ascends_loss():
@@ -176,10 +121,10 @@ def test_attack_ascends_loss():
         z = rng.standard_normal(8) * 0.5
         a = rng.standard_normal(2) * 0.1
         zn = rng.standard_normal(8) * 0.5
-        pcfg = PerturbationConfig(eps_a=0.02, eps_z=0.05)
-        da, dz = attack_perturb(f, z, a, zn, pcfg, seed=i)
+        da, dz = _attack_deltas(f, z[None], a[None], zn[None], 0.02, 0.05,
+                                generator(i, "attack-init"))
         clean = np.sum((predict(f, z, a) - zn) ** 2)
-        pert = np.sum((predict(f, z + dz, a + da) - zn) ** 2)
+        pert = np.sum((predict(f, z + dz[0], a + da[0]) - zn) ** 2)
         wins += pert >= clean
     assert wins / 200 >= 0.90
 
@@ -198,21 +143,19 @@ def test_adversarial_zero_lambda_reduces_to_teacher_forcing(wall_spec):
     assert np.array_equal(adv.epoch_losses, [np.mean(losses[:3]), np.mean(losses[3:])])
 
 
-@pytest.mark.parametrize("attack", ["fgsm", "pgd"])
-def test_adversarial_attacks_each_batch_with_the_current_weights(wall_spec, attack):
+def test_adversarial_attacks_each_batch_with_the_current_weights(wall_spec):
     # the hand loop attacks every batch with the weights of the steps before
-    # it, under adaptive radii from that batch
+    # it, inside the radii of the first batch
     data = _encoded_wall_dataset(wall_spec)
     f = init_world_model(2, 2, hidden=(8,), seed=5)
-    pcfg = PerturbationConfig(lambda_a=0.5, lambda_z=0.2, attack=attack,
-                              pgd_steps=2, radius_mode="adaptive")
+    pcfg = PerturbationConfig(lambda_a=0.5, lambda_z=0.2)
+    radii = []
 
     def perturb(model, step, batch, Z, A, ZN):
-        eps_a, eps_z = compute_radii(batch.actions, batch.latents,
-                                     pcfg.lambda_a, pcfg.lambda_z)
-        da, dz = _attack_deltas(model, Z, A, ZN,
-                                replace(pcfg, eps_a=eps_a, eps_z=eps_z),
-                                generator(9, "attack", step))
+        if not radii:
+            radii.extend(compute_radii(batch.actions, batch.latents,
+                                       pcfg.lambda_a, pcfg.lambda_z))
+        da, dz = _attack_deltas(model, Z, A, ZN, *radii, generator(9, "attack", step))
         return Z + dz, A + da
 
     adv = adversarial_wm(f, data, pcfg, epochs=2, batch_size=4, lr=1e-3, seed=9)
@@ -254,15 +197,6 @@ def test_adversarial_perturbs_inputs_within_radii(wall_spec):
     assert np.abs(Zp - Z).max() <= eps_z + 1e-15
     assert np.abs(Ap - A).max() <= eps_a + 1e-15
     assert not np.array_equal(Zp, Z)
-
-
-def test_adversarial_fixed_vs_adaptive_radius_modes(wall_spec):
-    data = _encoded_wall_dataset(wall_spec)
-    f = init_world_model(2, 2, hidden=(8,), seed=7)
-    for mode in ("fixed", "adaptive"):
-        pcfg = PerturbationConfig(lambda_a=0.3, lambda_z=0.1, radius_mode=mode)
-        res = adversarial_wm(f, data, pcfg, epochs=1, batch_size=4, lr=1e-3, seed=3)
-        assert len(res.batch_losses) == 3
 
 
 def test_online_corrected_trajectories_resimulate(wall_spec):

@@ -1,7 +1,7 @@
 """The lab's gradients against the unfused tape chains of `chain_ops`: the
 "wm-step" node, GBP's "wm-rollout" node through the per-step reference
 rollout of `reference_rollout`, its "sq-dist" loss, and the direct kernel
-calls of `worldmodel.step_loss_grad` (training, the attacks), each equal
+calls of `worldmodel.step_loss_grad` (training, the attack), each equal
 to the chain bit for bit. Also the work each caller asks of
 `nets.mlp_backward`, which callers build a tape, and tape lifetime."""
 
@@ -16,7 +16,7 @@ import reference_rollout as ref
 from wmplanlab import diffcore as dc
 from wmplanlab import envs, finetune, nets, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_random_fourier
-from wmplanlab.finetune import PerturbationConfig, adversarial_wm, attack_perturb
+from wmplanlab.finetune import PerturbationConfig, adversarial_wm
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (WorldModel, init_world_model, rollout_nodes,
                                   step_loss_grad)
@@ -51,9 +51,10 @@ def test_wm_step_gradients_equal_the_chain(residual, batch):
 
 
 @pytest.mark.parametrize("residual", [True, False])
-@pytest.mark.parametrize("batch", [None, 7])
-@pytest.mark.parametrize("dx, params", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("dx, params, batch", [
+    (True, False, None), (True, False, 7), (False, True, 7), (True, True, 7)])
 def test_step_loss_grad_equals_the_chain(residual, batch, dx, params):
+    # weight gradients are taken on batches only
     f = init_world_model(6, 2, hidden=(16, 12), residual=residual, seed=4)
     rng = generator(4, "step-loss", residual, batch or 0)
     lead = () if batch is None else (batch,)
@@ -183,12 +184,11 @@ def test_gbp_weighted_plans_equal_the_chain(loss, optimizer):
     assert np.array_equal(fused.actions, chain.actions)
 
 
-@pytest.mark.parametrize("attack", ["fgsm", "pgd"])
-def test_adversarial_wm_weights_equal_the_chain(wall_spec, attack):
+def test_adversarial_wm_weights_equal_the_chain(wall_spec):
     raw = envs.generate_dataset(wall_spec, 6, 8, "goal-seeking-noisy", 1)
     data = encode_dataset(make_random_fourier(2, d_z=8, seed=1), raw)
     f = init_world_model(8, 2, hidden=(16,), seed=7)
-    pcfg = PerturbationConfig(attack=attack, pgd_steps=3)
+    pcfg = PerturbationConfig()
 
     def run():
         res = adversarial_wm(f, data, pcfg, epochs=2, batch_size=4, lr=1e-3,
@@ -264,10 +264,10 @@ def test_supervised_step_never_asks_for_the_input_gradient(backward_asks):
 def test_attack_never_asks_for_parameter_gradients(backward_asks):
     f = init_world_model(6, 2, hidden=(8,), seed=3)
     rng = generator(3, "asks")
-    pcfg = PerturbationConfig(eps_a=0.1, eps_z=0.1, attack="pgd", pgd_steps=3)
-    attack_perturb(f, rng.standard_normal(6), rng.standard_normal(2),
-                   rng.standard_normal(6), pcfg)
-    assert backward_asks == [(True, False)] * 3
+    z, a, zn = rng.standard_normal(6), rng.standard_normal(2), rng.standard_normal(6)
+    finetune._attack_deltas(f, z[None], a[None], zn[None], 0.1, 0.1,
+                            generator(0, "attack-init"))
+    assert backward_asks == [(True, False)]
 
 
 @pytest.fixture
@@ -297,9 +297,7 @@ def test_only_gbp_builds_a_tape(tape_refs):
     Z, A, ZN = (rng.standard_normal((5, d)) for d in (6, 2, 6))
     opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
     worldmodel.supervised_step(f, opt, Z, A, ZN, 1e-3)
-    for attack in finetune.ATTACKS:
-        pcfg = PerturbationConfig(eps_a=0.1, eps_z=0.1, attack=attack, pgd_steps=2)
-        finetune._attack_deltas(f, Z, A, ZN, pcfg, generator(1, "attack"))
+    finetune._attack_deltas(f, Z, A, ZN, 0.1, 0.1, generator(1, "attack"))
     assert tape_refs == []
     cfg = planners.PlanConfig(horizon=4, iterations=3, optimizer="adam", eta=0.1)
     planners.gbp(f, rng.standard_normal(6), rng.standard_normal(6), cfg, seed=0)

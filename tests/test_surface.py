@@ -19,9 +19,6 @@ PACKAGE = ROOT / "src" / "wmplanlab"
 
 # (module, name) -> why the name stays although only tests call it
 TEST_SEAMS = {
-    ("finetune", "attack_perturb"):
-        "the one-transition attack that tests compare the batched "
-        "`_attack_deltas` against",
     ("evalreport", "load_report"):
         "reads back what `emit_report` writes, so tests can check the report "
         "format; the reports of ROADMAP item 4 extend it",
