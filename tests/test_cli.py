@@ -691,13 +691,19 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("eval", "planners.gradcem_small.sigma0", -1, None, "eval"),
     ("eval", "planners.cem_small.jitter", -1,
      "planners.cem_small.jitter: expected a number >= 0, got -1", "eval"),
+    # the radii come from the first batch, so a given radius is an unknown key
+    ("finetune-adv", "finetune.adversarial.eps_a", -1,
+     "unknown config key: finetune.adversarial.eps_a\n", "model-adv"),
+    ("finetune-adv", "finetune.adversarial.eps_z", -0.5,
+     "unknown config key: finetune.adversarial.eps_z\n", "model-adv"),
     ("landscape", "landscape.c_min", 2,
      "landscape: c_min 2 is not below c_max 1.25", "landscape"),
     ("eval", "--workers", -3, "--workers: expected an integer >= 1, got -3", "eval"),
 ], ids=["train-lr", "adv-lr", "online-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
         "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
-        "gradcem-sigma0", "cem-jitter", "landscape-c-range", "eval-workers"])
+        "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z",
+        "landscape-c-range", "eval-workers"])
 def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
                                                         key, value, message, out):
     cfg = tiny_config(tmp_path)
@@ -753,8 +759,7 @@ _LOSS = ("planners.gbp_gd.loss: expected one of ['early-heavy', 'final', "
 # the attack is FGSM with first-batch radii; these settings of other
 # attacks are unknown keys
 _REMOVED = {"attack": "pgd", "pgd_steps": 3, "radius_mode": "adaptive",
-            "per_dimension_std": "true", "eps_a": 0.1, "eps_z": 0.1,
-            "alpha_a": 0.1, "alpha_z": 0.1}
+            "per_dimension_std": "true", "alpha_a": 0.1, "alpha_z": 0.1}
 
 
 @pytest.mark.parametrize("command, override, message, out", [
@@ -769,12 +774,17 @@ _REMOVED = {"attack": "pgd", "pgd_steps": 3, "radius_mode": "adaptive",
     ("gen-data", "finetune.adversarial.eps_a=0.1",
      "unknown config key: finetune.adversarial.eps_a\n", "data"),
     ("train", 'initnet={"horizon": 25}', "unknown config key: initnet\n", "model"),
+    ("finetune-adv", "finetune.adversarial.eps_a=0.1",
+     "unknown config key: finetune.adversarial.eps_a\n", "model-adv"),
+    ("finetune-adv", "finetune.adversarial.eps_z=0.1",
+     "unknown config key: finetune.adversarial.eps_z\n", "model-adv"),
     *(("finetune-adv", f"finetune.adversarial.{key}={value}",
        f"unknown config key: finetune.adversarial.{key}\n", "model-adv")
       for key, value in _REMOVED.items()),
 ], ids=["train-cem-elites", "train-mix-ratio", "eval-unselected-cem-elites",
         "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "gen-data-eps-a",
-        "train-initnet-section", *(f"adv-{key}" for key in _REMOVED)])
+        "train-initnet-section", "adv-eps-a-alone", "adv-eps-z-alone",
+        *(f"adv-{key}" for key in _REMOVED)])
 def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, command,
                                                             override, message, out):
     # the tiny config's eval.planners selects gbp_gd only
