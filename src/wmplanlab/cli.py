@@ -12,7 +12,9 @@ config hash that each output carries covers everything that decides it.
 The config's schema is `Config`: each section is a dataclass (the planner,
 finetune and MPC configs among them) whose fields declare each key's name,
 type, default and rules, and every key and rule is checked when the config
-loads, whatever the command.
+loads, whatever the command; a key that no field declares is an error.
+The model's skip connection, CEM's full covariance and GBP's clamp to the
+env's action bound are fixed, not set.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
@@ -88,7 +90,6 @@ class TrainSection(Checked):
 class ModelSection(Checked):
     path: str = None
     hidden: list[int] = field(default_factory=lambda: [128, 128], metadata=WIDTHS)
-    residual: bool = True
     train: TrainSection = field(default_factory=TrainSection)
 
 
@@ -340,7 +341,7 @@ def build_encoder(cfg: dict, spec: envs.EnvSpec) -> Encoder:
 def build_planner(name: str, section: dict, spec: envs.EnvSpec) -> Planner:
     """The planner config of section `planners.<name>`; settings the config
     rejects are a config error. A `gbp` planner takes the env's action
-    bound."""
+    bound, and clamps to it."""
     plan = _planner(section, f"planners.{name}")
     if not isinstance(plan, PlanConfig):
         return plan
@@ -445,7 +446,7 @@ def cmd_train(cfg: dict, conf: Config, args) -> int:
     out = _out(section.path, "model.path")
     spec, enc, data = _inputs(cfg, conf)
     model = worldmodel.init_world_model(
-        enc.d_z, spec.action_dim, section.hidden, section.residual,
+        enc.d_z, spec.action_dim, section.hidden,
         seed=derive_seed(conf.seed, "model-init"))
     train = section.train
     result = worldmodel.train_teacher_forcing(

@@ -9,7 +9,8 @@ function by the config's type.
 Gradient-based planning backpropagates the goal loss through a recursive
 model rollout and updates one action sequence with SGD or Adam, starting
 from a Gaussian draw of its seed or from the actions it is given
-(GradCEM's samples, the MPC warm start, `landscape`'s shared start); it
+(GradCEM's samples, the MPC warm start, `landscape`'s shared start), and
+clamping them to `a_max` when a caller sets it (every command does); it
 is the only code in the lab that builds a tape. One tape holds a plan: the
 constant start latent, made once, then per iteration a leaf holding the
 (H, d_a) actions and one "wm-rollout" node (`rollout_nodes`) that runs the
@@ -17,7 +18,8 @@ H model steps on buffers it makes once per call, scores the goal loss and,
 in its backward, sweeps back through all H steps in closed form, for the
 input gradients only. A goal loss is a name (`GOAL_LOSSES`) that a plan
 turns into its weights once.
-The sampling planners score their whole population in one batched NumPy
+CEM samples from a full-covariance Gaussian. The sampling planners score
+their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
 `predict` call per step for all N sequences). GradCEM runs GBP from each
 CEM sample, so its refinement steps are `gbp` calls, still one sequence at
@@ -47,7 +49,6 @@ from .worldmodel import WorldModel, rollout_model, rollout_nodes
 
 
 OPTIMIZERS = ("sgd", "adam")
-COV_MODES = ("full", "diagonal")
 
 
 def _exponential(base: float):
@@ -77,14 +78,14 @@ class Descent(Checked):
 class PlanConfig(Descent):
     """GBP. `loss` names a goal loss of GOAL_LOSSES. A plan starts from the
     (H, d_a) array `init_actions` when one is given, and otherwise from a
-    Gaussian draw of its seed; no config key sets `init_actions`."""
+    Gaussian draw of its seed; it clamps to [-a_max, a_max] when `a_max` is
+    set. No config key sets `init_actions`, `a_max` or `return_best`."""
 
     horizon: int = field(default=25, metadata=COUNT)
     loss: str = field(default="final", metadata=one_of(GOAL_LOSSES))
     init_actions: object = field(default=None, metadata={"key": None})
-    clamp_actions: bool = field(default=True, metadata={"key": "clamp"})
     a_max: float | None = field(default=None, metadata={"key": None})
-    return_best: bool = True
+    return_best: bool = field(default=True, metadata={"key": None})
 
 
 @dataclass
@@ -112,9 +113,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     """Iterate rollout -> goal loss -> gradient step on the action sequence.
 
     Returns the best-loss iterate (switchable to the last via return_best).
-    Actions are clamped to [-a_max, a_max] after every update when
-    clamp_actions is set and a_max is known. `seed` draws the initial
-    actions unless `cfg.init_actions` gives them. The goal loss's weights,
+    Actions are clamped to [-a_max, a_max] after every update when a_max is
+    set. `seed` draws the initial actions unless `cfg.init_actions` gives
+    them. The goal loss's weights,
     the start latent's tape node and the goal are made and checked once per
     plan: one tape holds the plan, and each iteration adds an action leaf
     and one "wm-rollout" node to it. A non-finite start latent or goal is a
@@ -127,7 +128,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     z1_node = tape.constant(z1)
     z_goal = dc.tensor(z_goal)
     actions = _initial_actions(cfg, f, seed)
-    clamp = cfg.clamp_actions and cfg.a_max is not None
+    clamp = cfg.a_max is not None
     if clamp:
         actions = np.clip(actions, -cfg.a_max, cfg.a_max)
     opt = AdamState.zeros((H, f.d_a)) if cfg.optimizer == "adam" else None
@@ -198,7 +199,6 @@ class CemConfig:
     k_elite: int = field(default=30, metadata=COUNT)
     iterations: int = field(default=30, metadata=COUNT)
     sigma0: float = field(default=1.0, metadata=POSITIVE)
-    cov_mode: str = field(default="full", metadata=one_of(COV_MODES))
     jitter: float = field(default=1e-6, metadata=NONNEG_NUMBER)
     refine: RefineConfig | None = field(default=None, metadata=FLAT)
 
@@ -222,8 +222,9 @@ def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
 
 def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
         trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
-    """Sample, rank by final-state cost, refit the Gaussian to the elites;
-    the final mean is the plan.
+    """Sample from a full-covariance Gaussian (its diagonal when every
+    Cholesky repair fails), rank by final-state cost, refit the Gaussian to
+    the elites; the final mean is the plan.
 
     With `cfg.refine`, this is GradCEM: each sampled candidate first gets
     `refine.steps` Adam steps of `gbp` on the final-state loss, before cost
@@ -239,20 +240,17 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
     evals = H  # the final plan's cost
     for i in range(cfg.iterations):
         eps = rng.standard_normal((cfg.n_pop, d))
-        if cfg.cov_mode == "diagonal":
+        chol = _safe_cholesky(sigma, cfg.jitter)
+        if chol is None:  # sample from the diagonal
             samples = mu + eps * np.sqrt(np.clip(np.diag(sigma), 0.0, None))
         else:
-            chol = _safe_cholesky(sigma, cfg.jitter)
-            if chol is None:
-                samples = mu + eps * np.sqrt(np.clip(np.diag(sigma), 0.0, None))
-            else:
-                samples = mu + eps @ chol.T
+            samples = mu + eps @ chol.T
         candidates = samples
         if refine is not None and refine.steps > 0:
             refined = [gbp(f, z1, z_goal, PlanConfig(
                 horizon=H, iterations=refine.steps, optimizer="adam",
                 eta=refine.eta, init_actions=c.reshape(H, f.d_a),
-                clamp_actions=False, return_best=False), seed) for c in samples]
+                return_best=False), seed) for c in samples]
             candidates = np.stack([r.actions.ravel() for r in refined])
             evals += sum(r.model_evals for r in refined)
         costs = final_cost(f, z1, candidates.reshape(-1, H, f.d_a), z_goal)
@@ -261,10 +259,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
         elites = candidates[elite_idx]
         mu = elites.mean(axis=0)
         diffs = elites - mu
-        if cfg.cov_mode == "full":
-            sigma = diffs.T @ diffs / cfg.k_elite + cfg.jitter * np.eye(d)
-        else:
-            sigma = np.diag((diffs ** 2).mean(axis=0) + cfg.jitter)
+        sigma = diffs.T @ diffs / cfg.k_elite + cfg.jitter * np.eye(d)
         trace.append(float(costs[elite_idx[0]]))
         if trace_hook is not None:
             trace_hook({"iteration": i, "candidates": candidates, "costs": costs,

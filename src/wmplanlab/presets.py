@@ -12,7 +12,6 @@ def _wall_base(out_dir: str) -> dict:
         "dataset": {"path": f"{out_dir}/data", "n_traj": 1920, "traj_len": 50,
                     "policy": "goal-seeking-noisy"},
         "model": {"path": f"{out_dir}/model", "hidden": [128, 128],
-                  "residual": True,
                   "train": {"epochs": 50, "batch_size": 64, "lr": 1e-3}},
         "finetune": {
             "adversarial": {"out_path": f"{out_dir}/model-adv",
@@ -29,20 +28,16 @@ def _wall_base(out_dir: str) -> dict:
         },
         "planners": {
             "gbp_gd": {"kind": "gbp", "horizon": 25, "iterations": 300,
-                       "optimizer": "sgd", "eta": 1.0, "loss": "final",
-                       "clamp": True},
+                       "optimizer": "sgd", "eta": 1.0, "loss": "final"},
             "gbp_adam": {"kind": "gbp", "horizon": 25, "iterations": 300,
-                         "optimizer": "adam", "eta": 0.3, "loss": "final",
-                         "clamp": True},
+                         "optimizer": "adam", "eta": 0.3, "loss": "final"},
             "cem": {"kind": "cem", "horizon": 25, "n_pop": 300, "k_elite": 30,
-                    "iterations": 30, "sigma0": 1.0, "cov_mode": "full",
-                    "jitter": 1e-6},
+                    "iterations": 30, "sigma0": 1.0, "jitter": 1e-6},
             "mppi": {"kind": "mppi", "horizon": 25, "samples": 64,
                      "sigma": 0.5, "temperature": 1.0, "iterations": 1},
             "gradcem": {"kind": "gradcem", "horizon": 25, "n_pop": 50,
                         "k_elite": 10, "iterations": 30, "sigma0": 1.0,
-                        "cov_mode": "full", "jitter": 1e-6,
-                        "refine_steps": 2, "refine_eta": 0.3},
+                        "jitter": 1e-6, "refine_steps": 2, "refine_eta": 0.3},
         },
         "eval": {"out_path": f"{out_dir}/eval", "n_tasks": 100, "mode": "mpc",
                  "horizon_gap": 25,

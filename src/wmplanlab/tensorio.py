@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from typing import BinaryIO
@@ -78,10 +79,12 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
         shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
     except struct.error as err:
         raise ValueError("truncated tensor record") from err
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
+    # checked before reading: a damaged dim must not size the read
+    size, here = 8 * math.prod(shape), fh.tell()
+    if size > fh.seek(0, os.SEEK_END) - here:
         raise ValueError("truncated tensor record")
+    fh.seek(here)
+    raw = fh.read(size)
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     return data.reshape(shape)
 

@@ -1,7 +1,7 @@
-"""The latent transition model, the one training loop (`fit`) with teacher
-forcing on it, multi-step rollout, and the per-step model error along a
-sequence of latents. The module works on latents only: it reaches neither
-the simulator nor the encoder."""
+"""The latent transition model z_{t+1} = z_t + mlp([z_t; a_t]), the one
+training loop (`fit`) with teacher forcing on it, multi-step rollout, and
+the per-step model error along a sequence of latents. The module works on
+latents only: it reaches neither the simulator nor the encoder."""
 
 from __future__ import annotations
 
@@ -20,50 +20,46 @@ from .rng import generator
 
 @dataclass
 class WorldModel:
-    """Residual tanh MLP transition map: z_{t+1} = z_t + mlp([z_t; a_t])
-    (or the raw MLP output when residual=False)."""
+    """z_{t+1} = z_t + mlp([z_t; a_t]), a tanh MLP with a skip connection."""
 
     weights: list[np.ndarray]
     d_z: int
     d_a: int
     hidden: tuple[int, ...] = (128, 128)
-    residual: bool = True
 
     def clone(self) -> "WorldModel":
         return WorldModel([w.copy() for w in self.weights], self.d_z, self.d_a,
-                          tuple(self.hidden), self.residual)
+                          tuple(self.hidden))
 
     def forward(self, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list]:
         """z_{t+1} for one transition or a batch, and the MLP's layer inputs
         (`nets.mlp_forward`) that `nets.mlp_backward` takes."""
         out, inputs = nets.mlp_forward(self.weights, np.concatenate([z, a], axis=-1))
-        return (z + out if self.residual else out), inputs
+        return z + out, inputs
 
     def forward_nodes(self, z: dc.Node, a: dc.Node) -> dc.Node:
-        """One transition as a single tape node (op "wm-step"), parents (z, a).
-        With residual=True, z comes once more in front: the skip connection
-        is its own edge, so z's gradient accumulates in the same order, hence
-        to the same bits, as a concat -> MLP -> add chain. The weights are
-        constants of the node.
+        """One transition as a single tape node (op "wm-step"), parents
+        (z, z, a): the skip connection is its own edge in front, so z's
+        gradient accumulates in the same order, hence to the same bits, as a
+        concat -> MLP -> add chain. The weights are constants of the node.
 
         Nothing in the package calls it: GBP differentiates its whole rollout
         as one "wm-rollout" node (`rollout_nodes`). It stays because the
         benchmark's layer tracer looks it up by name, and the tests build
         the per-step rollout that `rollout_nodes` must match from it."""
         out, inputs = self.forward(z.value, a.value)
-        parents = (z, z, a) if self.residual else (z, a)
 
         def backward(g, needed):
             gx, _ = nets.mlp_backward(self.weights, inputs, g, True, False)
-            return (g,) * (len(parents) - 2) + (gx[..., :self.d_z], gx[..., self.d_z:])
+            return g, gx[..., :self.d_z], gx[..., self.d_z:]
 
-        return dc.Node(z.tape, out, "wm-step", parents, backward)
+        return dc.Node(z.tape, out, "wm-step", (z, z, a), backward)
 
 
 def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
-                     residual: bool = True, seed: int = 0) -> WorldModel:
+                     seed: int = 0) -> WorldModel:
     sizes = (d_z + d_a,) + tuple(hidden) + (d_z,)
-    return WorldModel(nets.init_mlp(sizes, seed), d_z, d_a, tuple(hidden), residual)
+    return WorldModel(nets.init_mlp(sizes, seed), d_z, d_a, tuple(hidden))
 
 
 def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -114,7 +110,7 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     one). The goal is taken as given: `gbp` checks it once per plan. The
     forward is `WorldModel.forward`
     unrolled on buffers made once per call: row t of one (H + 1, d_z + d_a)
-    array is the MLP input [z_{t+1}; a_t], and the residual add writes
+    array is the MLP input [z_{t+1}; a_t], and the skip add writes
     z_{t+2} into row t + 1 in place; each hidden layer's tanh outputs fill
     one (H, width) array, and its tanh derivative 1 - h*h is taken for all
     H steps at once. A non-finite latent raises NumericFailure naming its
@@ -144,11 +140,8 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
             np.tanh(x, out=x)
         y = np.dot(x, Ws[-1])
         z = zs[t + 1]
-        if f.residual:
-            np.add(y, bs[-1], out=y)
-            np.add(zs[t], y, out=z)
-        else:
-            np.add(y, bs[-1], out=z)
+        np.add(y, bs[-1], out=y)
+        np.add(zs[t], y, out=z)
         if not math.isfinite(np.add.reduce(z)):
             raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
     if weights is None:
@@ -181,8 +174,8 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
                 d *= dt[t]
             gx = np.dot(Ws[0], d)
             ga[t] = gx[d_z:]
-            edges = (G, gx[:d_z]) if f.residual else (gx[:d_z],)
-        return (edges[0] + edges[1] if f.residual else edges[0]), ga
+            edges = (G, gx[:d_z])
+        return edges[0] + edges[1], ga
 
     return dc.Node(z1.tape, np.asarray(total * scale), "wm-rollout", (z1, a),
                    backward)
@@ -211,9 +204,7 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
     gx, gweights = nets.mlp_backward(f.weights, inputs, g, dx, params)
     gZ = gA = None
     if dx:
-        gZ, gA = gx[..., :f.d_z], gx[..., f.d_z:]
-        if f.residual:
-            gZ = g + gZ  # the skip edge's contribution comes first
+        gZ, gA = g + gx[..., :f.d_z], gx[..., f.d_z:]  # the skip edge comes first
     for grad in (gZ, gA, *gweights):
         if grad is not None and not np.isfinite(grad.sum()):
             raise NumericFailure("NaN in the backward pass of a one-step loss")
@@ -292,17 +283,31 @@ def save_model(path, model: WorldModel, meta: dict | None = None) -> None:
     os.makedirs(path, exist_ok=True)
     desc = {
         "d_z": model.d_z, "d_a": model.d_a,
-        "hidden": list(model.hidden), "residual": model.residual,
+        "hidden": list(model.hidden), "residual": True,  # load_model takes only true
         "meta": meta or {},
     }
     tensorio.write_json(os.path.join(path, "model.json"), desc, indent=2)
     tensorio.save_tensors(os.path.join(path, "weights.bin"), model.weights)
 
 
+def _widths(v) -> bool:
+    return type(v) is list and all(type(w) is int and w >= 1 for w in v)
+
+
+# each model.json key: whether a value is one that `save_model` writes, which are
+_DESCRIPTION = {"d_z": (lambda v: _widths([v]), "an integer >= 1"),
+                "d_a": (lambda v: _widths([v]), "an integer >= 1"),
+                "hidden": (_widths, "a list of integers >= 1"),
+                "residual": (lambda v: v is True, "true")}
+
+
 def load_model(path) -> tuple[WorldModel, dict]:
-    desc = tensorio.read_json(os.path.join(path, "model.json"),
-                              ("d_z", "d_a", "hidden", "residual"))
+    """The model `save_model` wrote to `path`, and its meta; any other
+    description is a ValueError naming the key."""
+    desc = tensorio.read_json(os.path.join(path, "model.json"), _DESCRIPTION)
+    for key, (ok, expect) in _DESCRIPTION.items():
+        if not ok(desc[key]):
+            raise ValueError(f"model.json: {key}: expected {expect}, got {desc[key]!r}")
     d_z, d_a, hidden = desc["d_z"], desc["d_a"], tuple(desc["hidden"])
     weights = nets.load_weights(path, (d_z + d_a,) + hidden + (d_z,))
-    model = WorldModel(weights, d_z, d_a, hidden, desc["residual"])
-    return model, desc.get("meta", {})
+    return WorldModel(weights, d_z, d_a, hidden), desc.get("meta", {})

@@ -136,7 +136,7 @@ def chain_mlp(params: list[dc.Node], x: dc.Node) -> dc.Node:
 def chain_step(f, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
     """One world-model transition as concat -> MLP chain -> add."""
     out = chain_mlp(params, concat([z, a], axis=z.value.ndim - 1))
-    return add(z, out) if f.residual else out
+    return add(z, out)
 
 
 def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:

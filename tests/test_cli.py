@@ -29,7 +29,7 @@ def tiny_config(root) -> dict:
         "encoder": {"kind": "random-fourier", "d_z": 8, "sigma": 4.0, "seed": 0},
         "dataset": {"path": f"{root}/data", "n_traj": 6, "traj_len": 10,
                     "policy": "goal-seeking-noisy"},
-        "model": {"path": f"{root}/model", "hidden": [8], "residual": True,
+        "model": {"path": f"{root}/model", "hidden": [8],
                   "train": {"epochs": 2, "batch_size": 16, "lr": 1e-3}},
         "finetune": {
             "adversarial": {"out_path": f"{root}/model-adv", "lambda_a": 0.3,
@@ -42,8 +42,7 @@ def tiny_config(root) -> dict:
         },
         "planners": {
             "gbp_gd": {"kind": "gbp", "horizon": 4, "iterations": 5,
-                       "optimizer": "sgd", "eta": 0.5, "loss": "final",
-                       "clamp": True},
+                       "optimizer": "sgd", "eta": 0.5, "loss": "final"},
             "cem_small": {"kind": "cem", "horizon": 4, "n_pop": 10,
                           "k_elite": 3, "iterations": 2},
         },
@@ -370,16 +369,20 @@ def test_finetune_online_with_an_unknown_optimizer_exits_with_code_2(pipeline):
                 "finetune.online.plan_optimizer=adamw") == 2
 
 
-@pytest.mark.parametrize("argv, key, value", [
-    (["gen-data", "--force"], "dataset.policy", "expert"),
-    (["eval", "--workers", "1"], "eval.mode", "closed"),
-    (["eval", "--workers", "1"], "planners.cem_small.cov_mode", "diag"),
-])
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["gen-data", "--force"], "dataset.policy", "expert",
+     "dataset.policy: expected one of"),
+    (["eval", "--workers", "1"], "eval.mode", "closed", "eval.mode: expected one of"),
+    # CEM samples from a full covariance, so a covariance mode is an unknown key
+    (["eval", "--workers", "1"], "planners.cem_small.cov_mode", "diag",
+     "unknown config key: planners.cem_small.cov_mode\n"),
+], ids=["argv0-dataset.policy-expert", "argv1-eval.mode-closed",
+        "argv2-planners.cem_small.cov_mode-diag"])
 def test_a_value_outside_its_allowed_set_exits_with_code_2(pipeline, capsys,
-                                                           argv, key, value):
+                                                           argv, key, value, message):
     _, path = pipeline
     assert _run(*argv, "--config", path, "--set", f"{key}={value}") == 2
-    assert f"config error: {key}: expected one of" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--mode", "--models", "--planners"])
@@ -391,21 +394,39 @@ def test_eval_takes_no_flag_that_bypasses_the_config(flag):
     assert exc.value.code == 2
 
 
-DAMAGES = ["last-layer", "cut-data", "cut-header", "no-model-json", "no-weights",
-           "model-json-key"]
+# how a checkpoint is damaged -> what the config error says of it
+DAMAGES = {
+    "last-layer": "weights.bin holds shapes", "cut-data": "truncated tensor record",
+    "cut-header": "truncated tensor record", "huge-dim": "truncated tensor record",
+    "no-model-json": "model.json is missing", "no-weights": "weights.bin is missing",
+    "model-json-key": "model.json lacks d_a",
+    "d_z-string": "model.json: d_z: expected an integer >= 1, got '4'",
+    "d_a-float": "model.json: d_a: expected an integer >= 1, got 2.0",
+    "hidden-integer": "model.json: hidden: expected a list of integers >= 1, got 8",
+    "residual-string": "model.json: residual: expected true, got 'yes'",
+}
+# model.json edits: a key to drop (None) or to set
+_DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
+                 "d_a-float": ("d_a", 2.0), "hidden-integer": ("hidden", 8),
+                 "residual-string": ("residual", "yes")}
 
 
 def _damage(ckpt: str, how: str) -> None:
     """Drop the last layer of a checkpoint's weights.bin, cut the file inside
-    the last tensor's data or inside its header, remove model.json or
-    weights.bin, or drop the key d_a from model.json."""
+    the last tensor's data or inside its header, make the last tensor's
+    first dim 2**40, remove model.json or weights.bin, or drop or mistype a
+    key of model.json."""
     if how in ("no-model-json", "no-weights"):
         os.remove(os.path.join(ckpt, "weights.bin" if how == "no-weights"
                                else "model.json"))
         return
-    if how == "model-json-key":
+    if how in _DESCRIPTIONS:
+        key, value = _DESCRIPTIONS[how]
         desc = json.load(open(os.path.join(ckpt, "model.json")))
-        del desc["d_a"]
+        if value is None:
+            del desc[key]
+        else:
+            desc[key] = value
         with open(os.path.join(ckpt, "model.json"), "w") as fh:
             json.dump(desc, fh)
         return
@@ -416,6 +437,10 @@ def _damage(ckpt: str, how: str) -> None:
         return
     head = sum(len(tensorio.tensor_bytes(w)) for w in weights[:-1])
     with open(path, "r+b") as fh:
+        if how == "huge-dim":  # after the magic and the rank
+            fh.seek(head + 12)
+            fh.write((2 ** 40).to_bytes(8, "little"))
+            return
         fh.truncate(head + 6 if how == "cut-header" else os.path.getsize(path) - 8)
 
 
@@ -424,7 +449,9 @@ def test_eval_rejects_a_damaged_world_model(pipeline, capsys, how):
     cfg, path = pipeline
     _damage(cfg["model"]["path"], how)
     assert _run("eval", "--config", path, "--workers", "1") == 2
-    assert f"checkpoint {cfg['model']['path']}: " in capsys.readouterr().err
+    assert (f"checkpoint {cfg['model']['path']}: {DAMAGES[how]}"
+            in capsys.readouterr().err)
+    assert not os.path.exists(cfg["eval"]["out_path"])
 
 
 @pytest.mark.parametrize("command", ["eval", "gap", "landscape", "finetune-adv",
@@ -781,10 +808,18 @@ _REMOVED = {"attack": "pgd", "pgd_steps": 3, "radius_mode": "adaptive",
     *(("finetune-adv", f"finetune.adversarial.{key}={value}",
        f"unknown config key: finetune.adversarial.{key}\n", "model-adv")
       for key, value in _REMOVED.items()),
+    # the model always has its skip connection, and GBP clamps to the env's
+    # bound and returns its best iterate: these are no settings
+    ("train", "model.residual=true", "unknown config key: model.residual\n", "model"),
+    ("eval", "planners.gbp_gd.clamp=false",
+     "unknown config key: planners.gbp_gd.clamp\n", "eval"),
+    ("eval", "planners.gbp_gd.return_best=false",
+     "unknown config key: planners.gbp_gd.return_best\n", "eval"),
 ], ids=["train-cem-elites", "train-mix-ratio", "eval-unselected-cem-elites",
         "gen-data-c-range", "train-goal-loss", "eval-goal-loss", "gen-data-eps-a",
         "train-initnet-section", "adv-eps-a-alone", "adv-eps-z-alone",
-        *(f"adv-{key}" for key in _REMOVED)])
+        *(f"adv-{key}" for key in _REMOVED), "train-model-residual", "eval-gbp-clamp",
+        "eval-gbp-return-best"])
 def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, command,
                                                             override, message, out):
     # the tiny config's eval.planners selects gbp_gd only
@@ -883,15 +918,15 @@ def test_preset_flag_requires_known_name(tmp_path):
 def test_preset_config_hashes_are_pinned():
     assert {name: config_hash(get_preset(name)) for name in PRESETS} == {
         "wall-baseline":
-            "b119d380db95d07497112f924f10cde2185a70bd6d1239086a4ab2253c08dd4a",
+            "022881566fbd4ee0fa7a8fc20b18bef79315b292a8c72b7f8a86f32ca947dfe6",
         "wall-awm":
-            "d88817b4d58acb3f7022812c1d20cccc62d24573efe91ea04317aca6303babb0",
+            "d929bc34b80a80f183215e4fda1d4173323f44d85e352a4384691edf834d8c59",
         "wall-owm":
-            "a94f64122c49efbbe328070dd158ea7c26e03567fbe58223c5d9525be126c5ef",
+            "6b68930b9c28b7a1506c8dfca078efb42cad612a9b69a8ac8ec0187601e785c6",
         "pointmass-baseline":
-            "82de644b098bd1bc95f3b607b06cfb703edd21755a99e4d5f03dde75b7e76966",
+            "ca234ce5598f1df4ce8d28ce8e538f376ce7b2b8c61c2dbab7ced9c350bf0992",
         "longhorizon":
-            "70555ee5736cac224ea6fdfb1a776f753551bc099026464238859af7e572bea8",
+            "983f73032a9009746dba28230556f7dce71689e2d1abd00fb2ca8f589770553e",
     }
 
 
@@ -926,14 +961,15 @@ def test_the_preset_digest_covers_every_output_but_timing(tmp_path, capsys, name
 
 def _keys(*classes) -> set[str]:
     """The config keys of the fields of `classes`; a FLAT part's keys are
-    those of its own class. Only `init_actions`, which a caller passes in
-    code, and `a_max`, which `build_planner` sets from the env, take no
-    key."""
+    those of its own class. Only `init_actions` and `return_best`, which
+    callers pass in code, and `a_max`, which `build_planner` sets from the
+    env, take no key."""
     keys = set()
     for cls in classes:
         for f in fields(cls):
             if not f.metadata.get("flat"):
-                assert config_key(f) or f.name in ("init_actions", "a_max"), f.name
+                assert (config_key(f)
+                        or f.name in ("init_actions", "return_best", "a_max")), f.name
                 keys.add(config_key(f))
     return keys - {None}
 
@@ -942,15 +978,12 @@ def test_build_planner_carries_every_planner_key():
     spec = envs.wall2d_spec()
     sections = {
         "gbp": {"kind": "gbp", "horizon": 7, "iterations": 11,
-                "optimizer": "adam", "eta": 0.07, "loss": "late-heavy",
-                "clamp": False, "return_best": False},
+                "optimizer": "adam", "eta": 0.07, "loss": "late-heavy"},
         "cem": {"kind": "cem", "horizon": 9, "n_pop": 40, "k_elite": 4,
-                "iterations": 3, "sigma0": 0.7, "cov_mode": "diagonal",
-                "jitter": 1e-4},
+                "iterations": 3, "sigma0": 0.7, "jitter": 1e-4},
         "gradcem": {"kind": "gradcem", "horizon": 8, "n_pop": 12,
                     "k_elite": 2, "iterations": 4, "sigma0": 0.6,
-                    "cov_mode": "diagonal", "jitter": 1e-5,
-                    "refine_steps": 5, "refine_eta": 0.05},
+                    "jitter": 1e-5, "refine_steps": 5, "refine_eta": 0.05},
         "mppi": {"kind": "mppi", "horizon": 6, "samples": 16, "sigma": 0.2,
                  "temperature": 0.5, "iterations": 3},
     }
@@ -967,11 +1000,10 @@ def test_build_planner_carries_every_planner_key():
     assert (plan.horizon, plan.iterations, plan.optimizer, plan.eta) == \
         (7, 11, "adam", 0.07)
     assert (plan.loss, plan.init_actions) == ("late-heavy", None)
-    assert (plan.clamp_actions, plan.return_best, plan.a_max) == \
-        (False, False, spec.a_max)
+    assert (plan.return_best, plan.a_max) == (True, spec.a_max)
 
-    assert built["cem"] == CemConfig(9, 40, 4, 3, 0.7, "diagonal", 1e-4)
-    assert built["gradcem"] == CemConfig(8, 12, 2, 4, 0.6, "diagonal", 1e-5,
+    assert built["cem"] == CemConfig(9, 40, 4, 3, 0.7, 1e-4)
+    assert built["gradcem"] == CemConfig(8, 12, 2, 4, 0.6, 1e-5,
                                          refine=RefineConfig(5, 0.05))
     assert built["mppi"] == MppiConfig(6, 16, 0.2, 0.5, 3)
 

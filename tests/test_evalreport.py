@@ -279,8 +279,7 @@ def test_landscape_warns_on_degenerate_axis(wall_spec):
     # a vanishing step keeps both plans at the seed's start; planting the
     # ground truth there makes both axes zero
     window.actions_gt = generator(2, "landscape-init").standard_normal((3, 2))
-    cfg = PlanConfig(horizon=3, iterations=1, optimizer="adam", eta=1e-12,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=3, iterations=1, optimizer="adam", eta=1e-12)
     with pytest.warns(UserWarning, match="degenerate"):
         pair = landscape(f, f, window, cfg, resolution=5, seed=2)
     assert len(pair.baseline.values) == 5

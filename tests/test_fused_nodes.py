@@ -35,10 +35,10 @@ def _step_grads(f, forward, z0, a0, zn):
     return [pred.value, loss.value] + dc.grad(loss, [z, a])
 
 
-@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("residual", [True])  # the one model; the cases keep their ids
 @pytest.mark.parametrize("batch", [None, 7])
 def test_wm_step_gradients_equal_the_chain(residual, batch):
-    f = init_world_model(6, 2, hidden=(16, 12), residual=residual, seed=4)
+    f = init_world_model(6, 2, hidden=(16, 12), seed=4)
     rng = generator(4, "fused", residual, batch or 0)
     lead = () if batch is None else (batch,)
     z0, a0, zn = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
@@ -50,12 +50,12 @@ def test_wm_step_gradients_equal_the_chain(residual, batch):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("residual", [True])  # the one model; the cases keep their ids
 @pytest.mark.parametrize("dx, params, batch", [
     (True, False, None), (True, False, 7), (False, True, 7), (True, True, 7)])
 def test_step_loss_grad_equals_the_chain(residual, batch, dx, params):
     # weight gradients are taken on batches only
-    f = init_world_model(6, 2, hidden=(16, 12), residual=residual, seed=4)
+    f = init_world_model(6, 2, hidden=(16, 12), seed=4)
     rng = generator(4, "step-loss", residual, batch or 0)
     lead = () if batch is None else (batch,)
     Z, A, ZN = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))

@@ -64,8 +64,7 @@ def test_gbp_linear_model_reaches_least_squares_optimum():
     f = linear_model(B)
     z1 = np.array([0.2, -0.3])
     z_goal = np.array([0.5, 0.4])
-    cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=1.0,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=1.0)
     pr = gbp(f, z1, z_goal, cfg, seed=0)
     a_star = np.linalg.solve(B.T, z_goal - z1)
     assert pr.final_loss < 1e-8
@@ -79,8 +78,7 @@ def test_gbp_zero_actions_fixed_point():
     f.weights[-1] = np.zeros_like(f.weights[-1])
     z = np.array([0.1, 0.2, 0.3, 0.4])
     cfg = PlanConfig(horizon=3, iterations=5, optimizer="sgd", eta=0.1,
-                     init_actions=np.zeros((3, 2)),
-                     clamp_actions=False)
+                     init_actions=np.zeros((3, 2)))
     pr = gbp(f, z, z, cfg, seed=0)
     assert pr.loss_trace[0] == 0.0
     assert pr.final_loss == 0.0
@@ -89,8 +87,7 @@ def test_gbp_zero_actions_fixed_point():
 def test_gbp_single_iteration_returns_init():
     f = init_world_model(4, 2, seed=1)
     rng_init = generator(9, "gbp-init").standard_normal((3, 2))
-    cfg = PlanConfig(horizon=3, iterations=1, optimizer="sgd", eta=0.5,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=3, iterations=1, optimizer="sgd", eta=0.5)
     pr = gbp(f, np.zeros(4), np.ones(4), cfg, seed=9)
     assert np.array_equal(pr.actions, rng_init)
     with pytest.raises(ValueError):
@@ -106,8 +103,7 @@ def test_gbp_rejects_init_of_the_wrong_horizon():
 
 def test_gbp_adam_vanishing_eta_keeps_init():
     f = init_world_model(4, 2, seed=2)
-    cfg = PlanConfig(horizon=3, iterations=20, optimizer="adam", eta=1e-12,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=3, iterations=20, optimizer="adam", eta=1e-12)
     init = generator(4, "gbp-init").standard_normal((3, 2))
     pr = gbp(f, np.zeros(4), np.ones(4), cfg, seed=4)
     assert np.allclose(pr.actions, init, atol=1e-9)
@@ -126,7 +122,7 @@ def test_gbp_best_iterate_no_worse_than_init():
 def test_gbp_clamps_actions():
     f = linear_model(np.eye(2) * 0.5)
     cfg = PlanConfig(horizon=2, iterations=30, optimizer="sgd", eta=1.0,
-                     clamp_actions=True, a_max=0.05)
+                     a_max=0.05)
     pr = gbp(f, np.zeros(2), np.array([5.0, 5.0]), cfg, seed=0)
     assert np.all(np.abs(pr.actions) <= 0.05 + 1e-15)
 
@@ -134,8 +130,7 @@ def test_gbp_clamps_actions():
 def test_gbp_aborts_on_divergence():
     # grossly unstable step size: loss explodes to inf, gbp truncates
     f = linear_model(np.eye(2))
-    cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=10.0,
-                     clamp_actions=False)
+    cfg = PlanConfig(horizon=1, iterations=300, optimizer="sgd", eta=10.0)
     with np.errstate(over="ignore", invalid="ignore"):
         pr = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
     assert pr.aborted
@@ -179,17 +174,18 @@ def test_cem_vanishing_sigma_keeps_mean():
     assert np.all(np.abs(pr.actions) < 1e-7)
 
 
-def test_cem_rejects_an_unknown_cov_mode():
-    with pytest.raises(ValueError, match="cov_mode"):
-        CemConfig(cov_mode="diag")
-
-
-def test_cem_diagonal_mode_runs():
-    f = linear_model(np.eye(2))
-    cfg = CemConfig(horizon=1, n_pop=50, k_elite=10, iterations=10,
-                    cov_mode="diagonal")
-    pr = cem(f, np.zeros(2), np.array([0.5, -0.5]), cfg, seed=3)
-    assert np.linalg.norm(pr.actions[0] - np.array([0.5, -0.5])) < 5e-2
+def test_cem_samples_from_the_diagonal_when_every_cholesky_repair_fails(monkeypatch):
+    assert planners._safe_cholesky(-np.eye(2), 1e-6) is None
+    monkeypatch.setattr(planners, "_safe_cholesky", lambda sigma, jitter: None)
+    records = []
+    cfg = CemConfig(horizon=2, n_pop=20, k_elite=5, iterations=2)
+    cem(linear_model(np.eye(2)), np.zeros(2), np.ones(2), cfg, seed=5,
+        trace_hook=records.append)
+    rng = generator(5, "cem")
+    assert np.array_equal(records[0]["candidates"], rng.standard_normal((20, 4)))
+    sd = np.sqrt(np.diag(records[0]["sigma"]))
+    assert np.array_equal(records[1]["candidates"],
+                          records[0]["mu"] + rng.standard_normal((20, 4)) * sd)
 
 
 def test_cem_deterministic():
@@ -287,8 +283,7 @@ def test_gradcem_single_candidate_equals_gbp_from_sample():
     chol = np.linalg.cholesky(np.eye(4))
     sample = (eps @ chol.T)[0].reshape(2, 2)
     plan = PlanConfig(horizon=2, iterations=steps, optimizer="adam", eta=0.3,
-                      init_actions=sample, clamp_actions=False,
-                      return_best=False)
+                      init_actions=sample, return_best=False)
     ref = gbp(f, z1, z_goal, plan, seed=0)
     assert np.array_equal(pr.actions, ref.actions)
 
@@ -390,8 +385,7 @@ def test_gbp_model_evals_count_completed_rollouts():
     assert pr.model_evals == 3 * 7
     with np.errstate(over="ignore", invalid="ignore"):
         blown = gbp(f, np.zeros(2), np.ones(2), PlanConfig(
-            horizon=1, iterations=300, optimizer="sgd", eta=10.0,
-            clamp_actions=False), seed=0)
+            horizon=1, iterations=300, optimizer="sgd", eta=10.0), seed=0)
     assert blown.aborted
     assert blown.model_evals == len(blown.loss_trace)
 
@@ -461,7 +455,7 @@ def test_mpc_warm_start_shifts_actions():
 
 def test_run_planner_dispatch():
     f = linear_model(np.eye(2))
-    for planner in (PlanConfig(horizon=2, iterations=3, clamp_actions=False),
+    for planner in (PlanConfig(horizon=2, iterations=3),
                     CemConfig(horizon=2, n_pop=8, k_elite=2, iterations=2),
                     CemConfig(horizon=2, n_pop=8, k_elite=2, iterations=2,
                               refine=RefineConfig(steps=1)),

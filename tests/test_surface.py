@@ -21,7 +21,7 @@ PACKAGE = ROOT / "src" / "wmplanlab"
 TEST_SEAMS = {
     ("evalreport", "load_report"):
         "reads back what `emit_report` writes, so tests can check the report "
-        "format; the reports of ROADMAP item 4 extend it",
+        "format; the reports of ROADMAP item 6 extend it",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")

@@ -93,6 +93,19 @@ def test_a_cut_wmt1_file_is_a_value_error(tmp_path_factory, arrays, data):
             tensorio.load_tensors(path)
 
 
+@pytest.mark.parametrize("dim", [2 ** 62, 2 ** 40, 2 ** 33])
+def test_a_header_that_claims_more_than_the_file_holds_is_a_cut_record(tmp_path, dim):
+    # rejected before any read is sized by the header: such a read overflows
+    # or runs out of memory
+    path = tmp_path / "t.bin"
+    tensorio.save_tensors(path, [np.ones((2, 3))])
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = dim.to_bytes(8, "little")  # dim 0, after the magic and the rank
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="truncated tensor record"):
+        tensorio.load_tensors(path)
+
+
 def test_a_write_that_raises_midway_keeps_the_old_bytes(tmp_path):
     path = tmp_path / "t.bin"
     tensorio.save_tensors(path, [np.ones(3)])
