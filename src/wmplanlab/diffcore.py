@@ -23,11 +23,15 @@ H model steps, on buffers the node makes once and with the input-gradient
 half of `nets.mlp_backward` inlined (`worldmodel.rollout_nodes`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
+Both update their parameters in place and return nothing. Adam also
+advances its `AdamState` in place and writes its intermediates into two
+scratch buffers that the state makes once per tensor, so an Adam step
+allocates no array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,36 +146,62 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moment estimates for one parameter tensor."""
+    """Adam's moment estimates and step count for one parameter tensor, and
+    the two scratch buffers of its shape that `adam_step` writes its
+    intermediates into, made once here."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                    compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
         return cls(np.zeros(shape), np.zeros(shape))
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> np.ndarray:
+def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> None:
+    """params <- params - eta * grads, in place. A shape mismatch or a step
+    size <= 0 is a ValueError that changes nothing."""
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch {params.shape} vs {grads.shape}")
     if eta <= 0:
         raise ValueError("step size must be positive")
-    return params - eta * grads
+    np.subtract(params, eta * grads, out=params)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              eta: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    if params.shape != grads.shape or state.m.shape != params.shape:
+              eta: float) -> None:
+    """One bias-corrected Adam update of `params`, in place.
+
+    `state.m`, `state.v` and `state.t` advance in place too, and every
+    intermediate goes into the state's scratch buffers, so a step makes no
+    array of the tensor's size. The expressions and their order are those
+    of the textbook update, hence so are the bits:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
+    params - (eta m_hat) / (sqrt(v_hat) + eps). A shape mismatch or a step
+    size <= 0 is a ValueError that changes nothing."""
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError("parameter/gradient/state shape mismatch")
     if eta <= 0:
         raise ValueError("step size must be positive")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - eta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(m, v, t)
+    state.t += 1
+    m, v, (s, r) = state.m, state.v, state.scratch
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=s)
+    np.multiply(s, grads, out=s)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.add(v, s, out=v)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=s)  # m_hat
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=r)  # v_hat
+    np.multiply(s, eta, out=s)
+    np.sqrt(r, out=r)
+    np.add(r, ADAM_EPS, out=r)
+    np.divide(s, r, out=s)
+    np.subtract(params, s, out=params)

@@ -7,8 +7,8 @@ function takes `(f, z1, z_goal, cfg, seed)`, and `run_planner` picks the
 function by the config's type.
 
 Gradient-based planning backpropagates the goal loss through a recursive
-model rollout and updates one action sequence with SGD or Adam, starting
-from a Gaussian draw of its seed or from the actions it is given
+model rollout and updates one action sequence in place with SGD or Adam,
+starting from a Gaussian draw of its seed or from the actions it is given
 (GradCEM's samples, the MPC warm start, `landscape`'s shared start), and
 clamping them to `a_max` when a caller sets it (every command does); it
 is the only code in the lab that builds a tape. One tape holds a plan: the
@@ -115,7 +115,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     Returns the best-loss iterate (switchable to the last via return_best).
     Actions are clamped to [-a_max, a_max] after every update when a_max is
     set. `seed` draws the initial actions unless `cfg.init_actions` gives
-    them. The goal loss's weights,
+    them, which are copied and never changed. The plan owns one action
+    array that the optimizer step and the clamp update in place, and one
+    buffer the best iterate is copied into. The goal loss's weights,
     the start latent's tape node and the goal are made and checked once per
     plan: one tape holds the plan, and each iteration adds an action leaf
     and one "wm-rollout" node to it. A non-finite start latent or goal is a
@@ -130,13 +132,13 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     actions = _initial_actions(cfg, f, seed)
     clamp = cfg.a_max is not None
     if clamp:
-        actions = np.clip(actions, -cfg.a_max, cfg.a_max)
+        np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
     opt = AdamState.zeros((H, f.d_a)) if cfg.optimizer == "adam" else None
     trace: list[float] = []
     best_loss = np.inf
-    # the optimizer steps and the clip return new arrays, so no iterate is
-    # changed after it is kept
-    best_actions = last_actions = actions
+    # the optimizer steps and the clip write into `actions` in place, so the
+    # iterate kept as best is copied into a buffer of its own
+    best_actions = actions.copy()
     aborted = False
     for _ in range(cfg.iterations):
         if not np.all(np.isfinite(actions)):
@@ -152,19 +154,18 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
                 break
             if loss < best_loss:
                 best_loss = loss
-                best_actions = actions
+                np.copyto(best_actions, actions)
             (grads,) = dc.grad(loss_node, [a_leaf])
         except NumericFailure:
             aborted = True
             break
         if cfg.optimizer == "sgd":
-            actions = dc.sgd_step(actions, grads, cfg.eta)
+            dc.sgd_step(actions, grads, cfg.eta)
         else:
-            actions, opt = dc.adam_step(actions, grads, opt, cfg.eta)
+            dc.adam_step(actions, grads, opt, cfg.eta)
         if clamp:
-            actions = np.clip(actions, -cfg.a_max, cfg.a_max)
-        last_actions = actions
-    chosen = best_actions if cfg.return_best else last_actions
+            np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
+    chosen = best_actions if cfg.return_best else actions
     final = best_loss if cfg.return_best else (trace[-1] if trace else np.inf)
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),
                       float(final), aborted, H * len(trace))

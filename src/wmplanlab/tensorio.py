@@ -46,7 +46,8 @@ def write_json(path, obj, **dump_options) -> None:
 
 def read_json(path, keys=()) -> dict:
     """The JSON object in `path`, which must hold each of `keys`; a missing
-    file or key, or a file that is not JSON, is a ValueError naming it."""
+    file or key, or a file that is not JSON or holds another JSON value than
+    an object, is a ValueError naming it."""
     name = os.path.basename(path)
     if not os.path.isfile(path):
         raise ValueError(f"{name} is missing")
@@ -55,6 +56,8 @@ def read_json(path, keys=()) -> dict:
             obj = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{name} is not JSON: {err}") from err
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {type(obj).__name__}")
     missing = [key for key in keys if key not in obj]
     if missing:
         raise ValueError(f"{name} lacks {', '.join(missing)}")

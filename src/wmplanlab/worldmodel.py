@@ -215,10 +215,12 @@ def supervised_step(model: WorldModel, opt: list[AdamState], Z: np.ndarray,
                     A: np.ndarray, ZN: np.ndarray, lr: float) -> float:
     """One Adam step on the mean squared next-latent error of a batch.
 
-    Mutates `model.weights` and `opt` in place; returns the batch loss."""
+    Steps each array of `model.weights` and each state of `opt` in place, so
+    the caller owns both (every trainer hands `fit` a clone); returns the
+    batch loss."""
     loss, _, _, grads = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False, True)
-    for i, g in enumerate(grads):
-        model.weights[i], opt[i] = dc.adam_step(model.weights[i], g, opt[i], lr)
+    for w, g, state in zip(model.weights, grads, opt):
+        dc.adam_step(w, g, state, lr)
     return loss
 
 
@@ -303,11 +305,18 @@ _DESCRIPTION = {"d_z": (lambda v: _widths([v]), "an integer >= 1"),
 
 def load_model(path) -> tuple[WorldModel, dict]:
     """The model `save_model` wrote to `path`, and its meta; any other
-    description is a ValueError naming the key."""
+    description, or a meta that is not an object whose `encoder_hash`, when
+    present, is a string, is a ValueError naming the key."""
     desc = tensorio.read_json(os.path.join(path, "model.json"), _DESCRIPTION)
     for key, (ok, expect) in _DESCRIPTION.items():
         if not ok(desc[key]):
             raise ValueError(f"model.json: {key}: expected {expect}, got {desc[key]!r}")
+    meta = desc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"model.json: meta: expected an object, got {meta!r}")
+    if not isinstance(meta.get("encoder_hash", ""), str):
+        raise ValueError("model.json: meta.encoder_hash: expected a string, "
+                         f"got {meta['encoder_hash']!r}")
     d_z, d_a, hidden = desc["d_z"], desc["d_a"], tuple(desc["hidden"])
     weights = nets.load_weights(path, (d_z + d_a,) + hidden + (d_z,))
-    return WorldModel(weights, d_z, d_a, hidden), desc.get("meta", {})
+    return WorldModel(weights, d_z, d_a, hidden), meta

@@ -1,0 +1,71 @@
+"""Compare every preset output of this tree with those of another revision.
+
+    python tests/digest_diff.py BASE_REV [PRESET ...]
+
+BASE_REV is checked out with plain `git worktree add --detach` into a
+temporary directory. This tree's `tests/preset_digest.py` then runs the
+presets (all of them by default) at its tiny size twice, once with each
+tree's `src/` first on PYTHONPATH, each time into an output directory of its
+own. Every output path whose bytes differ, or that only one tree writes, is
+printed. The exit status is 1 if a path is printed, 0 if none is and 2 if
+BASE_REV cannot be checked out; the worktree is removed either way. Run it
+with OPENBLAS_NUM_THREADS=1: some outputs depend on the number of BLAS
+threads (ROADMAP item 9).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGEST = os.path.join(ROOT, "tests", "preset_digest.py")
+
+
+def digest(src: str, out: str, presets: list[str]) -> dict[str, str]:
+    """The sha256 of every output file, by path, that `preset_digest.py`
+    finds after running `presets` (all if empty) with `src` first on
+    PYTHONPATH and `out` as its output directory."""
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, DIGEST, out, *presets], env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"preset_digest.py on {src} exited {proc.returncode}")
+    return {path: sha for sha, path in
+            (line.split("  ", 1) for line in proc.stdout.splitlines())}
+
+
+def changed_paths(base: dict[str, str], new: dict[str, str]) -> list[str]:
+    """The paths whose digests differ, or that only one side has, sorted."""
+    return sorted(p for p in base.keys() | new.keys() if base.get(p) != new.get(p))
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__, file=sys.stderr)
+        return 2
+    rev, presets = argv[0], argv[1:]
+    with tempfile.TemporaryDirectory() as work:
+        tree = os.path.join(work, "tree")
+        if subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                           "--quiet", tree, rev]).returncode != 0:
+            return 2
+        try:
+            base = digest(os.path.join(tree, "src"), os.path.join(work, "base"),
+                          presets)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                            tree], check=True)
+        new = digest(os.path.join(ROOT, "src"), os.path.join(work, "new"), presets)
+    paths = changed_paths(base, new)
+    for path in paths:
+        print(path)
+    return 1 if paths else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

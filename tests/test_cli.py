@@ -404,18 +404,26 @@ DAMAGES = {
     "d_a-float": "model.json: d_a: expected an integer >= 1, got 2.0",
     "hidden-integer": "model.json: hidden: expected a list of integers >= 1, got 8",
     "residual-string": "model.json: residual: expected true, got 'yes'",
+    "json-number": "model.json: expected a JSON object, got int",
+    "meta-string": "model.json: meta: expected an object, got 'x'",
+    "encoder-hash-number": "model.json: meta.encoder_hash: expected a string, got 5",
 }
 # model.json edits: a key to drop (None) or to set
 _DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
                  "d_a-float": ("d_a", 2.0), "hidden-integer": ("hidden", 8),
-                 "residual-string": ("residual", "yes")}
+                 "residual-string": ("residual", "yes"), "meta-string": ("meta", "x"),
+                 "encoder-hash-number": ("meta", {"encoder_hash": 5})}
 
 
 def _damage(ckpt: str, how: str) -> None:
     """Drop the last layer of a checkpoint's weights.bin, cut the file inside
     the last tensor's data or inside its header, make the last tensor's
-    first dim 2**40, remove model.json or weights.bin, or drop or mistype a
-    key of model.json."""
+    first dim 2**40, remove model.json or weights.bin, replace model.json by
+    a JSON number, or drop or mistype a key of model.json."""
+    if how == "json-number":
+        with open(os.path.join(ckpt, "model.json"), "w") as fh:
+            fh.write("3")
+        return
     if how in ("no-model-json", "no-weights"):
         os.remove(os.path.join(ckpt, "weights.bin" if how == "no-weights"
                                else "model.json"))
@@ -475,7 +483,8 @@ def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
 
 
 @pytest.mark.parametrize("how", ["missing-data", "cut-data", "missing-manifest",
-                                 "schema-version", "count", "manifest-key"])
+                                 "schema-version", "count", "manifest-key",
+                                 "manifest-array"])
 def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
@@ -500,6 +509,10 @@ def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     elif how == "count":
         _edit_manifest(data_dir, count=5)
         expect = "data.bin holds 6 trajectories, the manifest lists 5"
+    elif how == "manifest-array":
+        with open(os.path.join(data_dir, "manifest.json"), "w") as fh:
+            fh.write("[]")
+        expect = "manifest.json: expected a JSON object, got list"
     else:
         _edit_manifest(data_dir, "content", "provenance")
         expect = "manifest.json lacks content, provenance"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wmplanlab import diffcore as dc
+from wmplanlab.worldmodel import init_world_model
 from wmplanlab.rng import generator
 
 import chain_ops as co
@@ -267,23 +268,34 @@ def test_tape_evaluation_deterministic():
 
 
 def test_sgd_step_examples():
-    out = dc.sgd_step(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 0.5)
-    assert np.allclose(out, [0.5, 2.5])
+    p = np.array([1.0, 2.0])
+    assert dc.sgd_step(p, np.array([1.0, -1.0]), 0.5) is None
+    assert np.allclose(p, [0.5, 2.5])
     p = np.array([3.0, -4.0])
-    assert np.array_equal(dc.sgd_step(p, np.zeros(2), 0.1), p)
-    with pytest.raises(ValueError):
-        dc.sgd_step(p, np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        dc.sgd_step(p, np.zeros(2), 0.0)
+    dc.sgd_step(p, np.zeros(2), 0.1)
+    assert np.array_equal(p, [3.0, -4.0])
+    for grads, eta in ((np.ones(3), 0.1), (np.ones(2), 0.0), (np.ones(2), -0.1)):
+        with pytest.raises(ValueError):
+            dc.sgd_step(p, grads, eta)
+        assert np.array_equal(p, [3.0, -4.0])
 
 
 def test_sgd_quadratic_decay():
     # x <- x - eta * 2x contracts by (1 - 2*eta) per step
     x = np.array(1.0)
     for _ in range(50):
-        x = dc.sgd_step(x, 2.0 * x, 0.1)
+        dc.sgd_step(x, 2.0 * x, 0.1)
     assert abs(float(x)) < 1e-4
     assert float(x) == pytest.approx((1 - 0.2) ** 50)
+
+
+def test_sgd_step_has_the_bits_of_the_returning_expression():
+    rng = generator(6, "sgd")
+    params = rng.standard_normal((5, 3))
+    grads = rng.standard_normal((5, 3))
+    x = params.copy()
+    dc.sgd_step(x, grads, 0.37)
+    assert np.array_equal(x, params - 0.37 * grads)
 
 
 def _reference_adam(params, grad_seq, eta, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -300,22 +312,60 @@ def _reference_adam(params, grad_seq, eta, beta1=0.9, beta2=0.999, eps=1e-8):
     return x
 
 
+def _run_adam(params, grad_seq, eta):
+    """A copy of `params` stepped in place by `adam_step` with each gradient
+    of `grad_seq` in turn from a zero state, and that state."""
+    x = params.copy()
+    state = dc.AdamState.zeros(x.shape)
+    for g in grad_seq:
+        assert dc.adam_step(x, g, state, eta) is None
+    return x, state
+
+
 def test_adam_matches_reference_on_random_sequences():
     rng = generator(5, "adam")
     params = rng.standard_normal(7)
     grad_seq = [rng.standard_normal(7) for _ in range(25)]
     expected = _reference_adam(params, grad_seq, eta=0.05)
-    state = dc.AdamState.zeros(7)
-    x = params.copy()
-    for g in grad_seq:
-        x, state = dc.adam_step(x, g, state, 0.05)
-    assert np.allclose(x, expected, rtol=0, atol=1e-15)
+    x, state = _run_adam(params, grad_seq, 0.05)
+    assert np.array_equal(x, expected)
     assert state.t == 25
+
+
+def test_adam_matches_reference_bit_for_bit_at_preset_shapes():
+    # the six weight tensors of a preset-size model (d_z 64, d_a 2, hidden
+    # 128x128) over more steps than a preset's training run takes, with
+    # gradients whose scale moves over four decades
+    weights = init_world_model(64, 2, hidden=(128, 128), seed=0).weights
+    assert len(weights) == 6
+
+    def grad_seq(i, shape):
+        rng = generator(7, "adam-preset", i)
+        for _ in range(700):
+            yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 1.0)
+
+    for i, w in enumerate(weights):
+        expected = _reference_adam(w, grad_seq(i, w.shape), eta=1e-3)
+        x, state = _run_adam(w, grad_seq(i, w.shape), 1e-3)
+        assert np.array_equal(x, expected), w.shape
+        assert state.t == 700
+
+
+def test_adam_steps_params_and_state_in_place():
+    x = np.array([1.0, -2.0])
+    state = dc.AdamState.zeros(2)
+    arrays = (x, state.m, state.v, *state.scratch)
+    for g in ([0.5, 0.25], [-1.0, 2.0]):
+        dc.adam_step(x, np.array(g), state, 0.1)
+    assert all(a is b for a, b in zip((x, state.m, state.v, *state.scratch), arrays))
+    assert state.t == 2
+    assert not np.array_equal(x, [1.0, -2.0])
 
 
 def test_adam_first_step_magnitude():
     g = np.array([0.3, -2.0])
-    x, state = dc.adam_step(np.zeros(2), g, dc.AdamState.zeros(2), eta=0.1)
+    x = np.zeros(2)
+    dc.adam_step(x, g, dc.AdamState.zeros(2), eta=0.1)
     # bias correction at t=1 gives mhat=g, vhat=g^2: step = -eta*g/(|g|+eps)
     assert np.allclose(x, -0.1 * g / (np.abs(g) + 1e-8))
     assert np.allclose(np.abs(x), 0.1, atol=1e-6)
@@ -323,8 +373,9 @@ def test_adam_first_step_magnitude():
 
 def test_adam_zero_grad_zero_state_is_identity():
     p = np.array([1.0, -2.0, 3.0])
-    x, state = dc.adam_step(p, np.zeros(3), dc.AdamState.zeros(3), eta=0.5)
-    assert np.array_equal(x, p)
+    state = dc.AdamState.zeros(3)
+    dc.adam_step(p, np.zeros(3), state, eta=0.5)
+    assert np.array_equal(p, [1.0, -2.0, 3.0])
     assert state.t == 1
 
 
@@ -332,12 +383,23 @@ def test_adam_quadratic_convergence():
     x = np.array(5.0)
     state = dc.AdamState.zeros(())
     for _ in range(300):
-        x, state = dc.adam_step(x, 2.0 * x, state, eta=0.3)
+        dc.adam_step(x, 2.0 * x, state, eta=0.3)
     assert abs(float(x)) < 1e-2
 
 
 def test_adam_validates_inputs():
-    with pytest.raises(ValueError):
-        dc.adam_step(np.zeros(2), np.zeros(3), dc.AdamState.zeros(2), 0.1)
-    with pytest.raises(ValueError):
-        dc.adam_step(np.zeros(2), np.zeros(2), dc.AdamState.zeros(2), -0.1)
+    # a rejected call changes neither the params nor any part of the state
+    x = np.array([1.0, -2.0])
+    state = dc.AdamState.zeros(2)
+    dc.adam_step(x, np.array([0.5, 0.25]), state, 0.1)
+    before = (x.copy(), state.m.copy(), state.v.copy(), state.t)
+    bad = [(np.ones(3), state, 0.1), (np.ones(2), dc.AdamState.zeros(3), 0.1),
+           (np.ones(2), dc.AdamState(np.zeros(2), np.zeros(3)), 0.1),
+           (np.ones(2), state, 0.0), (np.ones(2), state, -0.1)]
+    for grads, st, eta in bad:
+        with pytest.raises(ValueError):
+            dc.adam_step(x, grads, st, eta)
+        assert np.array_equal(x, before[0])
+        assert np.array_equal(state.m, before[1])
+        assert np.array_equal(state.v, before[2])
+        assert state.t == before[3]

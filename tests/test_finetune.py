@@ -287,6 +287,20 @@ TRAINERS = {
 
 
 @pytest.mark.parametrize("what", TRAINERS)
+def test_a_trainer_leaves_the_callers_weights_byte_identical(wall_spec, what):
+    # Adam steps the weights in place, so each trainer must step a clone
+    data = _encoded_wall_dataset(wall_spec)
+    f = init_world_model(2, 2, hidden=(8,), seed=4)
+    arrays = list(f.weights)
+    before = [w.tobytes() for w in f.weights]
+    trained = TRAINERS[what](f, data, wall_spec).model
+    assert all(w is a for w, a in zip(f.weights, arrays))
+    assert [w.tobytes() for w in f.weights] == before
+    assert not any(np.shares_memory(w, a) for w in trained.weights for a in arrays)
+    assert any(not np.array_equal(w, a) for w, a in zip(trained.weights, arrays))
+
+
+@pytest.mark.parametrize("what", TRAINERS)
 def test_a_diverged_loss_raises_with_the_earlier_losses(wall_spec, nan_on_call,
                                                          what):
     # the 4th step starts the second epoch of adversarial finetuning and the

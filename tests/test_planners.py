@@ -127,6 +127,36 @@ def test_gbp_clamps_actions():
     assert np.all(np.abs(pr.actions) <= 0.05 + 1e-15)
 
 
+@pytest.mark.parametrize("a_max", [None, 2.0], ids=["free", "clamped"])
+@pytest.mark.parametrize("optimizer, eta", [("sgd", 0.5), ("adam", 0.3)])
+def test_gbp_returns_the_iterate_its_final_loss_scores(optimizer, eta, a_max):
+    # the optimizer and the clamp step the action array in place after the
+    # best iterate is kept, so the plan must return a copy of that iterate
+    f = init_world_model(6, 2, hidden=(16,), seed=3)
+    rng = generator(3, "best-iterate")
+    z1, z_goal = rng.standard_normal(6), rng.standard_normal(6)
+    cfg = PlanConfig(horizon=4, iterations=30, optimizer=optimizer, eta=eta,
+                     a_max=a_max)
+    pr = gbp(f, z1, z_goal, cfg, seed=3)
+    assert pr.iterations == 30 and pr.final_loss == min(pr.loss_trace)
+    again = gbp(f, z1, z_goal, replace(cfg, iterations=1, init_actions=pr.actions),
+                seed=0)
+    assert again.loss_trace == [pr.final_loss]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_gbp_leaves_the_callers_init_actions_unchanged(optimizer):
+    f = init_world_model(6, 2, hidden=(16,), seed=4)
+    init = 2.0 * generator(4, "init").standard_normal((4, 2))  # past a_max
+    kept = init.copy()
+    for return_best in (True, False):
+        cfg = PlanConfig(horizon=4, iterations=10, optimizer=optimizer, eta=0.3,
+                         init_actions=init, a_max=0.5, return_best=return_best)
+        pr = gbp(f, np.zeros(6), np.ones(6), cfg, seed=0)
+        assert np.array_equal(init, kept)
+        assert not np.shares_memory(pr.actions, init)
+
+
 def test_gbp_aborts_on_divergence():
     # grossly unstable step size: loss explodes to inf, gbp truncates
     f = linear_model(np.eye(2))
