@@ -72,7 +72,7 @@ def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
     da = rng.uniform(-eps_a, eps_a, size=A.shape)
     dz = rng.uniform(-eps_z, eps_z, size=Z.shape)
     # the gradient at a perturbed input is the gradient at its perturbation
-    _, gz, ga, _ = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, False)
+    _, gz, ga = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, None)
     da = np.clip(da + 1.25 * eps_a * np.sign(ga), -eps_a, eps_a)
     dz = np.clip(dz + 1.25 * eps_z * np.sign(gz), -eps_z, eps_z)
     return da, dz

@@ -2,12 +2,15 @@
 
 `mlp_forward` is the one forward pass and `mlp_backward` the one backward
 pass of training and the attack (`worldmodel.step_loss_grad`), which
-call the two directly. GBP's "wm-rollout" tape node
+call the two directly. A training step hands `mlp_backward` views of one
+flat gradient vector (`worldmodel.FlatAdam`), and the weight and bias
+gradients are written into them with `out=`, so one Adam call and one
+finite check cover every weight. GBP's "wm-rollout" tape node
 (`worldmodel.rollout_nodes`) calls neither: it unrolls the same forward
 over its H model steps on buffers made once per rollout, and its sweep
 back through time inlines the input-gradient half of `mlp_backward`, with
 that function's expressions and order, so its bits are those of one
-`mlp_backward(..., True, False)` call per step."""
+`mlp_backward(..., True, None)` call per step."""
 
 from __future__ import annotations
 
@@ -57,12 +60,14 @@ def mlp_forward(weights: list[np.ndarray],
 
 
 def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
-                 g: np.ndarray, dx: bool, params: bool):
-    """(input gradient or None, [weight and bias gradients or None]) of one
-    cached forward (`mlp_forward`) for the output gradient g, computed
-    only where `dx` and `params` ask; the weight gradients need a batch
-    (B, d), the input gradient also takes one input (d,). One delta sweep,
-    with the expressions and order of the affine and tanh reference ops in
+                 g: np.ndarray, dx: bool,
+                 params: list[np.ndarray] | None) -> np.ndarray | None:
+    """The input gradient (None unless `dx` asks) of one cached forward
+    (`mlp_forward`) for the output gradient g. Given `params`, one array
+    per weight and bias of `weights` with its shape, the weight and bias
+    gradients are also written into them; they need a batch (B, d), the
+    input gradient also takes one input (d,). One delta sweep, with the
+    expressions and order of the affine and tanh reference ops in
     `tests/chain_ops.py`, so gradients are bit-identical to that unfused
     chain."""
     deltas = [g] * len(inputs)  # gradient at each layer's affine output
@@ -72,9 +77,8 @@ def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
         deltas[i - 1] = d * (1.0 - x * x)  # x: tanh output of layer i - 1
     W, d = weights[0], deltas[0]
     gx = (W @ d if d.ndim == 1 else d @ W.T) if dx else None
-    gparams = [None] * len(weights)
-    if params:
+    if params is not None:
         for i, (x, d) in enumerate(zip(inputs, deltas)):
-            gparams[2 * i] = x.T @ d
-            gparams[2 * i + 1] = d.sum(axis=0)
-    return gx, gparams
+            np.matmul(x.T, d, out=params[2 * i])
+            np.sum(d, axis=0, out=params[2 * i + 1])
+    return gx

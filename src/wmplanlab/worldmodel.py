@@ -1,7 +1,11 @@
 """The latent transition model z_{t+1} = z_t + mlp([z_t; a_t]), the one
 training loop (`fit`) with teacher forcing on it, multi-step rollout, and
 the per-step model error along a sequence of latents. The module works on
-latents only: it reaches neither the simulator nor the encoder."""
+latents only: it reaches neither the simulator nor the encoder.
+
+For the length of a `fit` run the model's weights live in one contiguous
+vector (`FlatAdam`), so each training step takes one finite check and one
+Adam call over all of them instead of one per weight array."""
 
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ class WorldModel:
         out, inputs = self.forward(z.value, a.value)
 
         def backward(g, needed):
-            gx, _ = nets.mlp_backward(self.weights, inputs, g, True, False)
+            gx = nets.mlp_backward(self.weights, inputs, g, True, None)
             return g, gx[..., :self.d_z], gx[..., self.d_z:]
 
         return dc.Node(z.tape, out, "wm-step", (z, z, a), backward)
@@ -190,37 +194,71 @@ class TrainResult:
 
 
 def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarray,
-                   scale: float, dx: bool, params: bool):
-    """(loss, gZ, gA, weight gradients) of the one-step loss
-    scale * ||f(Z, A) - target||^2, a float, with the input gradients only
-    if `dx` asks and the weight gradients (else None each) only if `params`
-    does. The expressions and their order are those of a "wm-step" node
-    under a squared-distance loss node on the tape, so the bits are too. A non-finite
-    input or target raises ValueError, a non-finite gradient NumericFailure."""
+                   scale: float, dx: bool, params: list[np.ndarray] | None):
+    """(loss, gZ, gA) of the one-step loss scale * ||f(Z, A) - target||^2,
+    a float, with the input gradients only if `dx` asks (else None each).
+    Given `params`, one array per weight array of `f` with its shape, the
+    weight gradients are written into them, unchecked: `supervised_step`
+    checks them all in one pass. The expressions and their order are those
+    of a "wm-step" node under a squared-distance loss node on the tape, so
+    the bits are too. A non-finite input or target raises ValueError, a
+    non-finite input gradient NumericFailure."""
     Z, A = dc.tensor(Z), dc.tensor(A)
     pred, inputs = f.forward(Z, A)
     d = pred - dc.tensor(target)
     g = 2.0 * scale * d
-    gx, gweights = nets.mlp_backward(f.weights, inputs, g, dx, params)
+    gx = nets.mlp_backward(f.weights, inputs, g, dx, params)
     gZ = gA = None
     if dx:
         gZ, gA = g + gx[..., :f.d_z], gx[..., f.d_z:]  # the skip edge comes first
-    for grad in (gZ, gA, *gweights):
-        if grad is not None and not np.isfinite(grad.sum()):
+        if not (np.isfinite(gZ.sum()) and np.isfinite(gA.sum())):
             raise NumericFailure("NaN in the backward pass of a one-step loss")
-    return float((d * d).sum() * scale), gZ, gA, gweights
+    return float((d * d).sum() * scale), gZ, gA
 
 
-def supervised_step(model: WorldModel, opt: list[AdamState], Z: np.ndarray,
+class FlatAdam:
+    """Adam over every weight of one model at once, as one vector: the
+    multi-tensor update of fused optimizers, which pays the per-call cost
+    once per step instead of once per weight array.
+
+    Making one copies `model.weights` into one contiguous vector, `params`,
+    and re-seats them as views of it, so the model trains in place and the
+    arrays it held before are left as they were. `grads` is a vector of the
+    same layout that the backward pass fills through `grad_views`, one view
+    per weight array, and `state` holds Adam's moments of the vector."""
+
+    def __init__(self, model: WorldModel):
+        shapes = [w.shape for w in model.weights]
+        self.params = np.concatenate([w.ravel() for w in model.weights])
+        self.grads = np.empty_like(self.params)
+        self.state = AdamState.zeros(self.params.shape)
+        model.weights = _views(self.params, shapes)
+        self.grad_views = _views(self.grads, shapes)
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """`flat` cut, in order, into views of the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def supervised_step(model: WorldModel, opt: FlatAdam, Z: np.ndarray,
                     A: np.ndarray, ZN: np.ndarray, lr: float) -> float:
     """One Adam step on the mean squared next-latent error of a batch.
 
-    Steps each array of `model.weights` and each state of `opt` in place, so
-    the caller owns both (every trainer hands `fit` a clone); returns the
-    batch loss."""
-    loss, _, _, grads = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False, True)
-    for w, g, state in zip(model.weights, grads, opt):
-        dc.adam_step(w, g, state, lr)
+    `model.weights` must be the views of `opt.params` that making `opt`
+    re-seated. The gradients go into `opt.grads`, which is checked in one
+    pass before anything is stepped: a non-finite entry raises
+    NumericFailure and leaves the weights and `opt.state` as they were.
+    Then one `adam_step` steps the weights and the state in place, so the
+    caller owns both (every trainer hands `fit` a clone). Returns the batch
+    loss."""
+    loss, _, _ = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False,
+                                opt.grad_views)
+    if not np.isfinite(opt.grads.sum()):
+        raise NumericFailure("NaN in the backward pass of a one-step loss")
+    dc.adam_step(opt.params, opt.grads, opt.state, lr)
     return loss
 
 
@@ -230,11 +268,14 @@ def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
     and the mean batch loss of each epoch, in the order the epochs come.
 
     The one training loop: teacher forcing, adversarial and online
-    finetuning differ only in the batches they feed it. `batches` is read
-    lazily, so a batch built from `model` sees the weights of every step
-    before it. A non-finite loss raises NumericFailure("<what> loss
-    diverged") with the earlier batch losses as its trace."""
-    opt = [AdamState.zeros(w.shape) for w in model.weights]
+    finetuning differ only in the batches they feed it. The run first packs
+    the weights into one vector (`FlatAdam`), which re-seats
+    `model.weights` as its views; the arrays `model` held before are not
+    changed. `batches` is read lazily, so a batch built from `model` sees
+    the weights of every step before it. A non-finite loss raises
+    NumericFailure("<what> loss diverged") with the earlier batch losses as
+    its trace."""
+    opt = FlatAdam(model)
     result = TrainResult(model)
     by_epoch: dict = {}
     for epoch, Z, A, ZN in batches:

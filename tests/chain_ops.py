@@ -152,12 +152,16 @@ def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:
 
 def chain_step_loss_grad(f, Z, A, target, scale, dx, params):
     """`worldmodel.step_loss_grad` on the tape: the one-step loss through
-    `chain_step` and `chain_sq_dist`, differentiated by `dc.grad`."""
+    `chain_step` and `chain_sq_dist`, differentiated by `dc.grad`; the
+    weight gradients are copied into `params` when it is given."""
     tape = dc.Tape()
     weights = lift_params(tape, f.weights)
     z, a = tape.leaf(Z), tape.leaf(A)
     loss = chain_sq_dist([chain_step(f, weights, z, a)], [target], [1.0], scale)
-    grads = dc.grad(loss, ([z, a] if dx else []) + (weights if params else []))
+    wrt = ([z, a] if dx else []) + (weights if params is not None else [])
+    grads = dc.grad(loss, wrt)
     gz, ga = grads[:2] if dx else (None, None)
-    gweights = grads[-len(weights):] if params else [None] * len(weights)
-    return float(loss.value), gz, ga, gweights
+    if params is not None:
+        for out, g in zip(params, grads[-len(weights):], strict=True):
+            out[...] = g
+    return float(loss.value), gz, ga

@@ -1,13 +1,14 @@
 """Compare every preset output of this tree with those of another revision.
 
-    python tests/digest_diff.py BASE_REV [PRESET ...]
+    python tests/digest_diff.py [--size SIZE] BASE_REV [PRESET ...]
 
 BASE_REV is checked out with plain `git worktree add --detach` into a
 temporary directory. This tree's `tests/preset_digest.py` then runs the
-presets (all of them by default) at its tiny size twice, once with each
-tree's `src/` first on PYTHONPATH, each time into an output directory of its
-own. Every output path whose bytes differ, or that only one tree writes, is
-printed. The exit status is 1 if a path is printed, 0 if none is and 2 if
+presets (all of them by default) at SIZE (`tiny`, the default, or `shapes`,
+the presets' own model widths and batch sizes; see that script) twice, once
+with each tree's `src/` first on PYTHONPATH, each time into an output
+directory of its own. Every output path whose bytes differ, or that only one
+tree writes, is printed. The exit status is 1 if a path is printed, 0 if none is and 2 if
 BASE_REV cannot be checked out; the worktree is removed either way. Run it
 with OPENBLAS_NUM_THREADS=1: some outputs depend on the number of BLAS
 threads (ROADMAP item 9).
@@ -15,6 +16,7 @@ threads (ROADMAP item 9).
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -24,14 +26,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST = os.path.join(ROOT, "tests", "preset_digest.py")
 
 
-def digest(src: str, out: str, presets: list[str]) -> dict[str, str]:
+def digest(src: str, out: str, presets: list[str],
+           size: str = "tiny") -> dict[str, str]:
     """The sha256 of every output file, by path, that `preset_digest.py`
-    finds after running `presets` (all if empty) with `src` first on
-    PYTHONPATH and `out` as its output directory."""
+    finds after running `presets` (all if empty) at `size` with `src` first
+    on PYTHONPATH and `out` as its output directory."""
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, DIGEST, out, *presets], env=env,
-                          capture_output=True, text=True, check=False)
+    proc = subprocess.run([sys.executable, DIGEST, "--size", size, out, *presets],
+                          env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"preset_digest.py on {src} exited {proc.returncode}")
@@ -48,19 +51,24 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    rev, presets = argv[0], argv[1:]
+    parser = argparse.ArgumentParser(description="diff preset outputs")
+    parser.add_argument("--size", choices=["tiny", "shapes"], default="tiny")
+    parser.add_argument("rev")
+    parser.add_argument("presets", nargs="*")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         tree = os.path.join(work, "tree")
         if subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                           "--quiet", tree, rev]).returncode != 0:
+                           "--quiet", tree, args.rev]).returncode != 0:
             return 2
         try:
             base = digest(os.path.join(tree, "src"), os.path.join(work, "base"),
-                          presets)
+                          args.presets, args.size)
         finally:
             subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                             tree], check=True)
-        new = digest(os.path.join(ROOT, "src"), os.path.join(work, "new"), presets)
+        new = digest(os.path.join(ROOT, "src"), os.path.join(work, "new"),
+                     args.presets, args.size)
     paths = changed_paths(base, new)
     for path in paths:
         print(path)

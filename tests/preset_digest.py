@@ -1,7 +1,14 @@
-"""Run every command of every preset at a tiny size and print one
+"""Run every command of every preset at a small size and print one
 `sha256  path` line per output file, `timing.json` aside.
 
-    PYTHONPATH=src python tests/preset_digest.py OUT [PRESET ...]
+    PYTHONPATH=src python tests/preset_digest.py [--size SIZE] OUT [PRESET ...]
+
+SIZE is `tiny` (the default: 8-wide latents, one hidden layer of 8, every
+horizon 4) or `shapes`: the preset's own model widths, batch sizes,
+trajectory lengths and horizons (a 64-wide latent, hidden 128x128,
+adversarial batches of 48 trajectories, so 2352 rows on the wall presets,
+and H 25), with few trajectories, epochs, tasks and iterations. Only at
+`shapes` do the matrix products see the shapes that the preset runs.
 
 OUT must be empty or absent; the commands run with OUT as the working
 directory, so each preset writes under `OUT/runs/<preset>/`. A refactor that
@@ -14,6 +21,7 @@ go to stderr.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -22,17 +30,24 @@ import sys
 
 from wmplanlab import cli, presets
 
-H = 4  # every horizon; the tiny trajectories have 9 steps
-_TINY = {
-    "encoder.d_z": 8, "dataset.n_traj": 8, "dataset.traj_len": 10,
-    "model.hidden": [8], "model.train.epochs": 1, "model.train.batch_size": 16,
-    "finetune.adversarial.batch_size": 16,
-    "finetune.online.iterations": 2, "finetune.online.plan_iterations": 3,
-    "finetune.online.finetune_steps": 2, "finetune.online.batch_size": 8,
-    "finetune.online.horizon": H, "eval.n_tasks": 2, "eval.horizon_gap": H,
-    "eval.mpc.steps": 2, "eval.mpc.plan_iters": 3, "gap.n": 2, "gap.horizon": H,
+H = 4  # every horizon at the tiny size; its trajectories have 9 steps
+# the counts both sizes cut down
+_FEW = {
+    "model.train.epochs": 1, "finetune.online.iterations": 2, "finetune.online.plan_iterations": 3,
+    "finetune.online.finetune_steps": 2, "eval.n_tasks": 2,
+    "eval.mpc.steps": 2, "eval.mpc.plan_iters": 3, "gap.n": 2,
     "gap.plan.iterations": 3, "landscape.n_tasks": 1, "landscape.resolution": 3,
-    "landscape.horizon": H, "landscape.plan.iterations": 3,
+    "landscape.plan.iterations": 3,
+}
+SIZES = {
+    "tiny": dict(_FEW, **{
+        "encoder.d_z": 8, "dataset.n_traj": 8, "dataset.traj_len": 10,
+        "model.hidden": [8], "model.train.batch_size": 16,
+        "finetune.adversarial.batch_size": 16, "finetune.online.batch_size": 8,
+        "finetune.online.horizon": H, "eval.horizon_gap": H, "gap.horizon": H,
+        "landscape.horizon": H}),
+    # one full adversarial batch of 48 trajectories and a short one of 2
+    "shapes": dict(_FEW, **{"dataset.n_traj": 50}),
 }
 _PLANNERS = {  # the preset planners' sizes, by kind
     "gbp": {"iterations": 3}, "cem": {"n_pop": 8, "k_elite": 2, "iterations": 2},
@@ -41,16 +56,18 @@ _PLANNERS = {  # the preset planners' sizes, by kind
 }
 
 
-def _sets(name: str) -> list[str]:
-    """The `--set` arguments that shrink preset `name` and add the extra
-    planners."""
+def _sets(name: str, size: str) -> list[str]:
+    """The `--set` arguments that shrink preset `name` to `size` and add the
+    extra planners."""
     cfg = presets.get_preset(name)
-    sets = dict(_TINY)
+    sets = dict(SIZES[size])
+    horizon = sets.get("eval.horizon_gap", cfg["eval"]["horizon_gap"])
     for pname, planner in cfg["planners"].items():
-        sets[f"planners.{pname}.horizon"] = H
+        if size == "tiny":
+            sets[f"planners.{pname}.horizon"] = H
         for key, value in _PLANNERS[planner["kind"]].items():
             sets[f"planners.{pname}.{key}"] = value
-    gbp = {"kind": "gbp", "horizon": H, "iterations": 3, "optimizer": "adam",
+    gbp = {"kind": "gbp", "horizon": horizon, "iterations": 3, "optimizer": "adam",
            "eta": 0.3}
     extra = {"gbp_late": dict(gbp, loss="late-heavy"),
              "gbp_early": dict(gbp, loss="early-heavy", optimizer="sgd", eta=0.5)}
@@ -59,10 +76,11 @@ def _sets(name: str) -> list[str]:
     return [f"{key}={json.dumps(value)}" for key, value in sets.items()]
 
 
-def run_preset(name: str) -> None:
-    """Every command of preset `name`, in the working directory."""
+def run_preset(name: str, size: str) -> None:
+    """Every command of preset `name` at `size`, in the working directory."""
     out = presets.get_preset(name)["out_dir"]
-    base = ["--preset", name, *(arg for s in _sets(name) for arg in ("--set", s))]
+    base = ["--preset", name,
+            *(arg for s in _sets(name, size) for arg in ("--set", s))]
     runs = [[command] for command in ("gen-data", "train", "finetune-adv",
                                       "finetune-online")]
     runs += [["eval", "--workers", "1", "--set", f"eval.mode={mode}",
@@ -94,7 +112,12 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
-    out, names = argv[0], argv[1:] or list(presets.PRESETS)
+    parser = argparse.ArgumentParser(description="digest every preset output")
+    parser.add_argument("--size", choices=list(SIZES), default="tiny")
+    parser.add_argument("out")
+    parser.add_argument("presets", nargs="*")
+    args = parser.parse_args(argv)
+    out, names = args.out, args.presets or list(presets.PRESETS)
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):
         print(f"{out} is not empty", file=sys.stderr)
@@ -103,7 +126,7 @@ def main(argv: list[str]) -> int:
     os.chdir(out)
     try:
         for name in names:
-            run_preset(name)
+            run_preset(name, args.size)
     finally:
         os.chdir(cwd)
     print("\n".join(digest(out)))

@@ -1,6 +1,8 @@
 import os
 
 import digest_diff
+import preset_digest
+from wmplanlab import presets
 
 
 def test_a_tree_diffed_against_itself_prints_no_path(tmp_path):
@@ -16,3 +18,16 @@ def test_changed_paths_names_every_path_whose_bytes_differ():
     new = {"a/model.json": "1", "a/weights.bin": "9", "c/report.json": "4"}
     assert digest_diff.changed_paths(base, new) == [
         "a/weights.bin", "b/report.json", "c/report.json"]
+
+
+def test_the_shapes_size_keeps_the_presets_widths_batches_and_horizons():
+    # only the counts shrink, so the matrix products see the preset's shapes
+    kept = ("d_z", "hidden", "batch_size", "traj_len", "horizon", "horizon_gap")
+
+    def shape_keys(name, size):
+        keys = [s.partition("=")[0] for s in preset_digest._sets(name, size)]
+        return [k for k in keys if k.rpartition(".")[2] in kept]
+
+    for name in presets.PRESETS:
+        assert shape_keys(name, "shapes") == []
+        assert "model.hidden" in shape_keys(name, "tiny")

@@ -1,0 +1,111 @@
+"""The one training loop, `worldmodel.fit`, on one flat weight vector
+(`worldmodel.FlatAdam`): at the preset model widths and batch sizes it
+matches the per-tensor reference of `reference_training` bit for bit, and
+a non-finite gradient stops a step before anything moves."""
+
+import numpy as np
+import pytest
+
+from reference_training import (trajectory_teacher_forcing,
+                                 transition_teacher_forcing)
+from wmplanlab import diffcore as dc
+from wmplanlab.data import Dataset
+from wmplanlab.finetune import (PerturbationConfig, _attack_deltas,
+                                adversarial_wm, compute_radii)
+from wmplanlab.rng import generator
+from wmplanlab.worldmodel import (FlatAdam, fit, init_world_model,
+                                  supervised_step, train_teacher_forcing)
+
+
+def _preset_sized():
+    """A model of the preset widths (d_z 64, hidden 128x128, d_a 2), and 97
+    random trajectories of 49 transitions: the preset's trajectory length,
+    with a short last batch at both batch sizes below."""
+    rng = generator(25, "flat-fit")
+    data = Dataset(rng.uniform(-1.0, 1.0, (97, 49, 2)),
+                   latents=rng.standard_normal((97, 50, 64)))
+    return init_world_model(64, 2, hidden=(128, 128), seed=25), data
+
+
+def _teacher_forcing(f, data):
+    # batch 64, as the preset trains
+    got = train_teacher_forcing(f, data, epochs=1, batch_size=64, lr=1e-3, seed=3)
+    return got, transition_teacher_forcing(f, data, epochs=1, batch_size=64,
+                                           lr=1e-3, seed=3)
+
+
+def _adversarial(f, data):
+    # batches of 48 trajectories, 2352 rows, as the preset finetunes
+    pcfg = PerturbationConfig()
+    radii = []
+
+    def perturb(model, step, batch, Z, A, ZN):
+        if not radii:
+            radii.extend(compute_radii(batch.actions, batch.latents,
+                                       pcfg.lambda_a, pcfg.lambda_z))
+        da, dz = _attack_deltas(model, Z, A, ZN, *radii, generator(4, "attack", step))
+        return Z + dz, A + da
+
+    got = adversarial_wm(f, data, pcfg, epochs=2, batch_size=48, lr=1e-4, seed=4)
+    return got, trajectory_teacher_forcing(f, data, epochs=2, batch_size=48,
+                                           lr=1e-4, seed=4, perturb=perturb)
+
+
+# 4753 transitions in batches of 64; 97 trajectories in batches of 48, twice
+@pytest.mark.parametrize("trainer, steps", [(_teacher_forcing, 75), (_adversarial, 6)],
+                         ids=["teacher-forcing", "adversarial"])
+def test_fit_equals_the_per_tensor_reference_at_preset_widths(trainer, steps):
+    f, data = _preset_sized()
+    arrays = list(f.weights)
+    before = [w.tobytes() for w in f.weights]
+    got, (want, losses) = trainer(f, data)
+    assert got.batch_losses == losses
+    assert len(losses) == steps
+    for w, r in zip(got.model.weights, want.weights, strict=True):
+        assert w.shape == r.shape
+        assert np.array_equal(w, r)
+    # the caller's model keeps its arrays and their bytes, shared with nothing
+    assert all(w is a for w, a in zip(f.weights, arrays))
+    assert [w.tobytes() for w in f.weights] == before
+    assert not any(np.shares_memory(w, a) for w in got.model.weights for a in arrays)
+
+
+def _tiny_batch(seed):
+    rng = generator(seed, "flat-guard")
+    return tuple(rng.standard_normal((6, d)) for d in (4, 2, 4))
+
+
+def test_a_nonfinite_gradient_raises_before_the_step_moves_anything():
+    f = init_world_model(4, 2, hidden=(8,), seed=1)
+    Z, A, ZN = _tiny_batch(1)
+    opt = FlatAdam(f)
+    for _ in range(2):
+        supervised_step(f, opt, Z, A, ZN, 1e-3)
+    f.weights[2][3, 1] = np.nan  # a poisoned weight, written through its view
+    assert np.isnan(opt.params).sum() == 1
+    before = [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)]
+    with pytest.raises(dc.NumericFailure,
+                       match="^NaN in the backward pass of a one-step loss$"):
+        supervised_step(f, opt, Z, A, ZN, 1e-3)
+    assert [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)] == before
+    assert opt.state.t == 2
+    assert all(np.shares_memory(w, opt.params) for w in f.weights)
+
+
+def test_fit_packs_a_model_and_stops_at_a_diverged_loss(nan_on_call):
+    f = init_world_model(4, 2, hidden=(8,), seed=2)
+    batches = [(k // 2, *_tiny_batch(k)) for k in range(4)]
+    model = f.clone()
+    arrays = list(model.weights)
+    clean = fit(model, iter(batches), 1e-3, "probe")
+    # fit re-seats the weights as views of one vector and leaves the old ones
+    assert clean.model is model
+    flat = model.weights[0].base
+    assert all(w.base is flat for w in model.weights)
+    assert flat.size == sum(w.size for w in model.weights)
+    assert all(np.array_equal(a, w) for a, w in zip(arrays, f.weights))
+    assert len(clean.batch_losses) == 4 and len(clean.epoch_losses) == 2
+    nan_on_call(3)
+    with pytest.raises(dc.NumericFailure, match="^probe loss diverged$") as err:
+        fit(f.clone(), iter(batches), 1e-3, "probe")
+    assert err.value.trace == clean.batch_losses[:2]

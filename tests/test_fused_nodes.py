@@ -54,20 +54,26 @@ def test_wm_step_gradients_equal_the_chain(residual, batch):
 @pytest.mark.parametrize("dx, params, batch", [
     (True, False, None), (True, False, 7), (False, True, 7), (True, True, 7)])
 def test_step_loss_grad_equals_the_chain(residual, batch, dx, params):
-    # weight gradients are taken on batches only
+    # weight gradients are taken on batches only, into arrays the caller
+    # gives; NaN-filled ones show that every entry is written
     f = init_world_model(6, 2, hidden=(16, 12), seed=4)
     rng = generator(4, "step-loss", residual, batch or 0)
     lead = () if batch is None else (batch,)
     Z, A, ZN = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
     scale = 1.0 / (batch or 1)
-    got = step_loss_grad(f, Z, A, ZN, scale, dx, params)
-    want = co.chain_step_loss_grad(f, Z, A, ZN, scale, dx, params)
+    outs = [[np.full_like(w, np.nan) for w in f.weights] if params else None
+            for _ in range(2)]
+    got = step_loss_grad(f, Z, A, ZN, scale, dx, outs[0])
+    want = co.chain_step_loss_grad(f, Z, A, ZN, scale, dx, outs[1])
+    assert len(got) == len(want) == 3
     assert got[0] == want[0]
-    for g, w in zip([*got[1:3], *got[3]], [*want[1:3], *want[3]]):
-        assert (g is None) == (w is None)
-        if g is not None:
-            assert g.shape == w.shape
-            assert np.array_equal(g, w)
+    if not dx:
+        assert got[1:] == want[1:] == (None, None)
+    pairs = (list(zip(got[1:], want[1:])) if dx else []) + (
+        list(zip(*outs)) if params else [])
+    for g, w in pairs:
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("loss", ["final", "late-heavy"])
@@ -112,9 +118,11 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
             with pytest.raises(dc.NumericFailure, match="op"):
                 dc.grad(loss, [a_node])
         else:
-            with pytest.raises(dc.NumericFailure, match="backward pass"):
-                step_loss_grad(f, z, a, zn, 1.0, False, True)
-            opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+            # the weight gradients are written unchecked; the step checks them
+            grads = [np.empty_like(w) for w in f.weights]
+            step_loss_grad(f, z, a, zn, 1.0, False, grads)
+            assert not all(np.isfinite(g).all() for g in grads)
+            opt = worldmodel.FlatAdam(f)
             with pytest.raises(dc.NumericFailure, match="backward pass"):
                 worldmodel.supervised_step(f, opt, z, a, zn, 1e-3)
 
@@ -127,8 +135,9 @@ def test_a_nonfinite_input_or_target_is_a_value_error(where):
         a = np.array([[np.nan, 0.0]])
     else:
         zn = np.array([[0.0, np.inf]])
-    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
-    for dx, params in ((True, False), (False, True)):
+    grads = [np.empty_like(w) for w in f.weights]
+    opt = worldmodel.FlatAdam(f)
+    for dx, params in ((True, None), (False, grads)):
         with pytest.raises(ValueError, match="finite"):
             step_loss_grad(f, z, a, zn, 1.0, dx, params)
     with pytest.raises(ValueError, match="finite"):
@@ -213,7 +222,7 @@ def test_supervised_step_losses_and_weights_equal_the_chain():
 
     def run():
         model = f.clone()
-        opt = [dc.AdamState.zeros(w.shape) for w in model.weights]
+        opt = worldmodel.FlatAdam(model)
         losses = [worldmodel.supervised_step(model, opt, Z, A, ZN, 1e-2)
                   for Z, A, ZN in batches]
         return losses, model.weights
@@ -229,12 +238,13 @@ def test_supervised_step_losses_and_weights_equal_the_chain():
 
 @pytest.fixture
 def backward_asks(monkeypatch):
-    """The (dx, params) flags of every `nets.mlp_backward` call."""
+    """Whether each `nets.mlp_backward` call asks for the input gradient
+    and for the weight gradients, as (dx, params given)."""
     asks = []
     real = nets.mlp_backward
 
     def spy(weights, inputs, g, dx, params):
-        asks.append((dx, params))
+        asks.append((dx, params is not None))
         return real(weights, inputs, g, dx, params)
 
     monkeypatch.setattr(nets, "mlp_backward", spy)
@@ -254,7 +264,7 @@ def test_gbp_never_asks_for_parameter_gradients(backward_asks):
 def test_supervised_step_never_asks_for_the_input_gradient(backward_asks):
     f = init_world_model(6, 2, hidden=(8,), seed=1)
     rng = generator(1, "asks")
-    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+    opt = worldmodel.FlatAdam(f)
     worldmodel.supervised_step(f, opt, rng.standard_normal((5, 6)),
                                rng.standard_normal((5, 2)),
                                rng.standard_normal((5, 6)), 1e-3)
@@ -295,7 +305,7 @@ def test_only_gbp_builds_a_tape(tape_refs):
     f = init_world_model(6, 2, hidden=(8,), seed=1)
     rng = generator(1, "no-tape")
     Z, A, ZN = (rng.standard_normal((5, d)) for d in (6, 2, 6))
-    opt = [dc.AdamState.zeros(w.shape) for w in f.weights]
+    opt = worldmodel.FlatAdam(f)
     worldmodel.supervised_step(f, opt, Z, A, ZN, 1e-3)
     finetune._attack_deltas(f, Z, A, ZN, 0.1, 0.1, generator(1, "attack"))
     assert tape_refs == []
