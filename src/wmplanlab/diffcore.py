@@ -19,8 +19,10 @@ forward and one `nets.mlp_backward` called directly
 start latent, made once, then per iteration a "leaf" holding the whole
 (H, d_a) action array and one "wm-rollout" node whose value is the goal
 loss and whose backward is a closed-form sweep back through time over all
-H model steps, on buffers the node makes once and with the input-gradient
-half of `nets.mlp_backward` inlined (`worldmodel.rollout_nodes`).
+H model steps, written into rows of buffers the node makes once per call
+and with the input-gradient half of `nets.mlp_backward` inlined
+(`worldmodel.rollout_nodes`). The node checks its forward and its sweep
+once each, over all H steps.
 
 Also houses the SGD and Adam update rules shared by training and planning.
 Both update their parameters in place and return nothing. Adam also

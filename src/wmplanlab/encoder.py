@@ -55,11 +55,21 @@ def encode(enc: Encoder, o: np.ndarray) -> np.ndarray:
         raise ValueError(f"observation dim {o.shape[-1]} != encoder d_o {enc.d_o}")
     if enc.kind == IDENTITY:
         return o.copy()
-    # broadcast-sum instead of BLAS matmul: encoding a row is then bitwise
-    # identical whether it arrives alone or inside a batch
-    phase = (o[..., None, :] * enc.W).sum(axis=-1) + enc.b
-    scale = np.sqrt(2.0 / (enc.d_z // 2))
-    return scale * np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+    # the phase Wo + b summed elementwise, one column of W at a time and left
+    # to right, instead of by a BLAS matmul: encoding a row is then bitwise
+    # identical whether it arrives alone or inside a batch. Below d_o = 8 this
+    # is the order of the broadcast sum (o[..., None, :] * W).sum(-1) + b, so
+    # the bits are that expression's too
+    W, d_f = enc.W, enc.d_z // 2
+    phase = o[..., :1] * W[:, 0]
+    for j in range(1, enc.d_o):
+        phase += o[..., j:j + 1] * W[:, j]
+    phase += enc.b
+    z = np.empty(o.shape[:-1] + (enc.d_z,))
+    np.sin(phase, out=z[..., :d_f])
+    np.cos(phase, out=z[..., d_f:])
+    z *= np.sqrt(2.0 / d_f)
+    return z
 
 
 def encode_dataset(enc: Encoder, data: Dataset) -> Dataset:

@@ -14,10 +14,10 @@ clamping them to `a_max` when a caller sets it (every command does); it
 is the only code in the lab that builds a tape. One tape holds a plan: the
 constant start latent, made once, then per iteration a leaf holding the
 (H, d_a) actions and one "wm-rollout" node (`rollout_nodes`) that runs the
-H model steps on buffers it makes once per call, scores the goal loss and,
-in its backward, sweeps back through all H steps in closed form, for the
-input gradients only. A goal loss is a name (`GOAL_LOSSES`) that a plan
-turns into its weights once.
+H model steps into rows of buffers it makes once per call, scores the goal
+loss and, in its backward, sweeps back through all H steps in closed form,
+for the input gradients only; each pass takes one finite check. A goal
+loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
 CEM samples from a full-covariance Gaussian. The sampling planners score
 their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one

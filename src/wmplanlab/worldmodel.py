@@ -5,7 +5,12 @@ latents only: it reaches neither the simulator nor the encoder.
 
 For the length of a `fit` run the model's weights live in one contiguous
 vector (`FlatAdam`), so each training step takes one finite check and one
-Adam call over all of them instead of one per weight array."""
+Adam call over all of them instead of one per weight array.
+
+GBP differentiates its rollout through one tape node, `rollout_nodes`. Its
+forward and its backward sweep write each model step's results into rows
+of buffers made once per call, so a step makes only the NumPy calls its
+arithmetic needs, and each pass takes one finite check over all H steps."""
 
 from __future__ import annotations
 
@@ -111,78 +116,96 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
     z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.gbp`
     passes the H weights of a `planners.GOAL_LOSSES` entry, which sum to
-    one). The goal is taken as given: `gbp` checks it once per plan. The
-    forward is `WorldModel.forward`
-    unrolled on buffers made once per call: row t of one (H + 1, d_z + d_a)
-    array is the MLP input [z_{t+1}; a_t], and the skip add writes
-    z_{t+2} into row t + 1 in place; each hidden layer's tanh outputs fill
-    one (H, width) array, and its tanh derivative 1 - h*h is taken for all
-    H steps at once. A non-finite latent raises NumericFailure naming its
-    step. The backward is one
-    reverse sweep that inlines the input-gradient half of
-    `nets.mlp_backward` per step, with its expressions and order. A
+    one). The goal is taken as given: `gbp` checks it once per plan.
+
+    Each model step makes only the NumPy calls its arithmetic needs: rows
+    of buffers made once per call are walked with `zip` and written with
+    `out=`, and each pass takes one finite check. The forward is
+    `WorldModel.forward` unrolled: row t of one (H + 1, d_z + d_a) array
+    is the MLP input [z_{t+1}; a_t], each hidden layer's tanh outputs fill
+    a row of one (H, width) array, and the output layer and the skip add
+    write z_{t+2} into row t + 1 in place. One row-sum check over
+    z_2 .. z_{H+1} follows the loop; the first non-finite row raises
+    NumericFailure naming its step. The backward is one reverse sweep that
+    inlines the input-gradient half of `nets.mlp_backward` per step, with
+    its expressions and order, into a row of an (H + 1, d_z) buffer of the
+    gradients of z_1 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
+    the MLP input gradients, whose action columns are copied out once. A
     latent's gradient sums (loss term + skip edge) + MLP edge, the order in
     which a tape of one "wm-step" node per step under a weighted squared
-    distance sums them, so the bits are that tape's; a non-finite one
-    raises NumericFailure. The weights of `f` are constants."""
+    distance sums them, so the bits are that tape's. One check follows the
+    sweep: it names the highest non-finite step, the first the sweep met,
+    as the skip edge carries a non-finite gradient to every earlier step.
+    The weights of `f` are constants."""
     actions = a.value
     H = len(actions)
     if H < 1:
         raise ValueError("need at least one action")
     d_z = f.d_z
     Ws, bs = f.weights[0::2], f.weights[1::2]
+    layers = list(zip(Ws[:-1], bs[:-1]))
     X = np.empty((H + 1, d_z + f.d_a))
     X[0, :d_z] = z1.value
     X[:H, d_z:] = actions
     zs = X[:, :d_z]  # zs[t + 1] is z_{t+2}
-    hidden = [np.empty((H, len(b))) for b in bs[:-1]]
-    for t in range(H):
-        x = X[t]
-        for W, b, h in zip(Ws, bs, hidden):
-            x = np.dot(x, W, out=h[t])
-            np.add(x, b, out=x)
-            np.tanh(x, out=x)
-        y = np.dot(x, Ws[-1])
-        z = zs[t + 1]
-        np.add(y, bs[-1], out=y)
-        np.add(zs[t], y, out=z)
-        if not math.isfinite(np.add.reduce(z)):
-            raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-    if weights is None:
-        steps, scale = {H - 1: 1.0}, 1.0
-    else:
-        steps, scale = dict(enumerate(weights)), 1.0 / H
-    terms = {t: (w, zs[t + 1] - z_goal) for t, w in steps.items()}
+    hidden = [np.empty((H, len(b))) for _, b in layers]
+    for x, z, z_next, *hs in zip(X, zs, zs[1:], *hidden):
+        for (W, b), h in zip(layers, hs):
+            x = np.dot(x, W, h)
+            np.add(x, b, x)
+            np.tanh(x, x)
+        np.dot(x, Ws[-1], z_next)
+        np.add(z_next, bs[-1], z_next)
+        np.add(z, z_next, z_next)
+    t = _first_nonfinite_row(zs[1:])
+    if t is not None:
+        raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
+    # the scored latents (the last len(ws) of z_2 .. z_{H+1}) and their weights
+    ws, scale = (np.ones(1), 1.0) if weights is None else (weights, 1.0 / H)
+    diffs = zs[H + 1 - len(ws):] - z_goal
     total = 0.0
-    for w, diff in terms.values():
-        total = total + (diff * diff).sum() * w
-    # layer i's weights with the tanh derivative of its input, last layer first
-    back = list(zip(Ws[:0:-1], [1.0 - h * h for h in hidden[::-1]]))
+    for sq, w in zip((diffs * diffs).sum(1).tolist(), ws):
+        total = total + sq * w
 
     def backward(g, needed):
-        ga = np.empty_like(actions)
-        edges = ()  # what step t + 1 sends back to z_{t+1}: skip, then MLP
-        for t in range(H - 1, -1, -1):
-            G = None
-            if t in terms:
-                w, diff = terms[t]
-                G = g * scale * w * 2.0 * diff
-            for edge in edges:
-                G = edge if G is None else G + edge
-            if not math.isfinite(np.add.reduce(G)):
-                raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
-                                     f"step {t + 1}")
-            d = G
-            for W, dt in back:
-                d = np.dot(W, d)
-                d *= dt[t]
-            gx = np.dot(Ws[0], d)
-            ga[t] = gx[d_z:]
-            edges = (G, gx[:d_z])
-        return edges[0] + edges[1], ga
+        G = np.empty((H + 1, d_z))  # G[t] is the gradient of z_{t+1}
+        GX = np.empty((H, d_z + f.d_a))  # GX[t] that of X[t], step t + 1's input
+        np.multiply((g * scale * ws * 2.0)[:, None], diffs, G[H + 1 - len(ws):])
+        if weights is not None:
+            G[0] = -0.0  # z_1 has no loss term, and -0.0 + x is x
+        # each layer's weights with the tanh derivative of its input, last
+        # layer first, and one delta buffer per layer
+        back = [(W, 1.0 - h * h, np.empty(len(W)))
+                for W, h in zip(Ws[:0:-1], hidden[::-1])]
+        for g_out, g_in, gx, gx_z, *dts in zip(
+                G[:0:-1], G[-2::-1], GX[::-1], GX[::-1, :d_z],
+                *(dt[::-1] for _, dt, _ in back)):
+            d = g_out
+            for (W, _, delta), dt in zip(back, dts):
+                d = np.dot(W, d, delta)
+                np.multiply(d, dt, d)
+            np.dot(Ws[0], d, gx)
+            # z_{t+1}'s gradient: loss term, then skip edge, then MLP edge
+            if weights is None:
+                np.add(g_out, gx_z, g_in)
+            else:
+                np.add(g_in, g_out, g_in)
+                np.add(g_in, gx_z, g_in)
+        t = _first_nonfinite_row(G[:0:-1])
+        if t is not None:
+            raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
+                                 f"step {H - t}")
+        return G[0], GX[:, d_z:].copy()
 
     return dc.Node(z1.tape, np.asarray(total * scale), "wm-rollout", (z1, a),
                    backward)
+
+
+def _first_nonfinite_row(rows: np.ndarray) -> int | None:
+    """The index of the first row of `rows` whose sum is not finite, which
+    is the first row to hold a NaN or an Inf, or None: one check for all."""
+    finite = np.isfinite(np.add.reduce(rows, 1))
+    return None if finite.all() else int(finite.argmin())
 
 
 @dataclass

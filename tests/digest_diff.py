@@ -8,10 +8,12 @@ presets (all of them by default) at SIZE (`tiny`, the default, or `shapes`,
 the presets' own model widths and batch sizes; see that script) twice, once
 with each tree's `src/` first on PYTHONPATH, each time into an output
 directory of its own. Every output path whose bytes differ, or that only one
-tree writes, is printed. The exit status is 1 if a path is printed, 0 if none is and 2 if
-BASE_REV cannot be checked out; the worktree is removed either way. Run it
-with OPENBLAS_NUM_THREADS=1: some outputs depend on the number of BLAS
-threads (ROADMAP item 9).
+tree writes, is printed, and the number of paths compared goes to stderr.
+The exit status is 1 if a path is printed, 0 if none is, and 2 if BASE_REV
+cannot be checked out or either tree's digest lists no path (then nothing
+was compared); the worktree is removed either way. Run it with
+OPENBLAS_NUM_THREADS=1: some outputs depend on the number of BLAS threads
+(ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -47,6 +49,22 @@ def changed_paths(base: dict[str, str], new: dict[str, str]) -> list[str]:
     return sorted(p for p in base.keys() | new.keys() if base.get(p) != new.get(p))
 
 
+def verdict(base: dict[str, str], new: dict[str, str], size: str,
+            rev: str) -> int:
+    """Print the changed paths, say on stderr how many paths were compared,
+    and return the exit status: 2 if either digest is empty, else 1 if a
+    path changed and 0 if none did."""
+    print(f"compared {len(base.keys() | new.keys())} paths at size {size} "
+          f"against {rev}", file=sys.stderr)
+    if not base or not new:
+        print("a digest lists no path, so nothing was compared", file=sys.stderr)
+        return 2
+    paths = changed_paths(base, new)
+    for path in paths:
+        print(path)
+    return 1 if paths else 0
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__, file=sys.stderr)
@@ -69,10 +87,7 @@ def main(argv: list[str]) -> int:
                             tree], check=True)
         new = digest(os.path.join(ROOT, "src"), os.path.join(work, "new"),
                      args.presets, args.size)
-    paths = changed_paths(base, new)
-    for path in paths:
-        print(path)
-    return 1 if paths else 0
+    return verdict(base, new, args.size, args.rev)
 
 
 if __name__ == "__main__":

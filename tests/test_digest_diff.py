@@ -31,3 +31,18 @@ def test_the_shapes_size_keeps_the_presets_widths_batches_and_horizons():
     for name in presets.PRESETS:
         assert shape_keys(name, "shapes") == []
         assert "model.hidden" in shape_keys(name, "tiny")
+
+
+def test_an_empty_digest_is_exit_2_and_the_count_goes_to_stderr(capsys):
+    full = {"a/model.json": "1", "b/report.json": "3"}
+    for base, new in (({}, {}), (full, {}), ({}, full)):
+        assert digest_diff.verdict(base, new, "tiny", "HEAD~1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        n = len(base.keys() | new.keys())
+        assert f"compared {n} paths at size tiny against HEAD~1" in err
+    assert digest_diff.verdict(full, dict(full), "shapes", "HEAD") == 0
+    out, err = capsys.readouterr()
+    assert out == "" and "compared 2 paths at size shapes against HEAD" in err
+    assert digest_diff.verdict(full, {"a/model.json": "1"}, "tiny", "HEAD") == 1
+    assert capsys.readouterr().out == "b/report.json\n"

@@ -74,3 +74,30 @@ def test_encode_dataset_fills_latents(wall_spec):
     assert np.array_equal(out.latents, encode(enc, data.obs))  # row by row
     assert out.obs is data.obs and out.actions is data.actions
     assert data.latents is None  # source dataset untouched
+
+
+def _broadcast_sum_encode(enc, o):
+    """The random-fourier embedding as one broadcast-sum expression."""
+    phase = (np.asarray(o)[..., None, :] * enc.W).sum(axis=-1) + enc.b
+    scale = np.sqrt(2.0 / (enc.d_z // 2))
+    return scale * np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
+
+
+@pytest.mark.parametrize("env", ["wall2d", "pointmass"])
+def test_encode_has_the_bits_of_the_broadcast_sum(env, wall_spec, pm_spec):
+    # the lab's two encoders (d_o 2 and 4, at the presets' d_z and sigma),
+    # on visited states, on observations of every scale and on signed zeros
+    spec = wall_spec if env == "wall2d" else pm_spec
+    enc = make_random_fourier(spec.obs_dim, d_z=64, sigma=4.0, seed=0)
+    rng = np.random.default_rng(5)
+    visited = envs.generate_dataset(spec, 4, 12, "random", seed=1).obs
+    scaled = (rng.standard_normal((60, spec.obs_dim))
+              * 10.0 ** rng.uniform(-8, 3, size=(60, spec.obs_dim)))
+    scaled[::4, 0], scaled[::3, -1] = 0.0, -0.0
+    for batch in (visited, visited[0], scaled):
+        assert np.array_equal(encode(enc, batch), _broadcast_sum_encode(enc, batch))
+        for o in batch.reshape(-1, spec.obs_dim)[::7]:
+            got, want = encode(enc, o), _broadcast_sum_encode(enc, o)
+            assert got.shape == (64,) and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+    assert encode(make_identity(spec.obs_dim), scaled).tobytes() == scaled.tobytes()

@@ -120,6 +120,26 @@ def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
     _same_plan(got, want)
 
 
+def test_a_nonfinite_latent_before_the_last_step_is_named_by_its_step(reference):
+    # at H = 5 the latents z_3 .. z_6 are all non-finite: the node's one
+    # check after the loop must name the first of them, step 2, not the last
+    f = linear_model(1e308 * np.eye(2))
+    acts = np.tile([1.0, 0.0], (5, 1))
+    cfg = PlanConfig(horizon=5, iterations=5, init_actions=acts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for build in (rollout_nodes, ref.rollout_nodes):
+            tape = dc.Tape()
+            with pytest.raises(dc.NumericFailure,
+                               match="non-finite latent at rollout step 2$"):
+                build(f, tape.constant(np.zeros(2)), tape.leaf(acts), np.ones(2),
+                      None)
+        got = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
+        reference()
+        want = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
+    assert got.aborted and got.iterations == 0 and got.loss_trace == []
+    _same_plan(got, want)
+
+
 def _saturated_model():
     """A finite forward whose backward overflows: the saturated tanh of the
     second layer has derivative 0 and meets an infinite incoming gradient.
