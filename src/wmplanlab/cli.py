@@ -34,13 +34,13 @@ from typing import get_args, get_origin, get_type_hints
 from . import envs, evalreport, finetune, presets, worldmodel
 from .config import (COUNT, FLAT, POSITIVE, WIDTHS, Checked, FieldError, at_least,
                      check, config_key, one_of)
-from .data import Dataset, HorizonTooLong, load_dataset, save_dataset
+from .data import Dataset, HorizonTooLong, load_dataset, sample_window, save_dataset
 from .diffcore import NumericFailure
 from .encoder import (IDENTITY, RANDOM_FOURIER, Encoder, encode_dataset,
                       encoder_hash, make_identity, make_random_fourier)
 from .planners import (CemConfig, Descent, MpcConfig, MppiConfig, PlanConfig,
                        Planner, RefineConfig)
-from .rng import derive_seed
+from .rng import derive_seed, generator
 from .tensorio import write_json
 
 
@@ -514,18 +514,22 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
     if section.mode == "mpc" and short:
         raise ConfigError(f"eval.mpc.k_exec {mpc_cfg.k_exec} is longer than the "
                           f"horizon of planner(s) {', '.join(short)}")
-    report = evalreport.evaluate(
-        spec, enc, models, planners, n_tasks=section.n_tasks, mode=section.mode,
-        seed=conf.seed, data=data, horizon_gap=section.horizon_gap, mpc_cfg=mpc_cfg,
-        workers=args.workers, require_cross_room=section.require_cross_room,
-        config_hash=config_hash(cfg))
+    try:
+        report = evalreport.evaluate(
+            spec, enc, models, planners, n_tasks=section.n_tasks, mode=section.mode,
+            seed=conf.seed, data=data, horizon_gap=section.horizon_gap,
+            mpc_cfg=mpc_cfg, workers=args.workers,
+            require_cross_room=section.require_cross_room, config_hash=config_hash(cfg))
+    except evalreport.NoCrossRoomTask as err:
+        raise ConfigError(f"eval.require_cross_room: {err} at eval.horizon_gap "
+                          f"{section.horizon_gap}") from err
     evalreport.emit_report(report, out)
     _write_run_manifest(out, cfg, enc)
-    for cell in report.cells:
+    for cell, timing in zip(report.cells, report.timing):
         print(f"{cell.model:>14s} x {cell.planner:<10s} [{cell.mode}] "
               f"success {cell.success_rate:6.1%} "
               f"({cell.wilson_lo:.2f}-{cell.wilson_hi:.2f}) "
-              f"plan {cell.mean_plan_seconds:.3f}s")
+              f"plan {timing['mean_plan_seconds']:.3f}s")
     return 0
 
 
@@ -533,10 +537,12 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
     section = conf.gap
     out = _out(section.out_path, "gap.out_path")
     spec, enc, data = _inputs(cfg, conf)
+    models = {name: _load_model(path, enc) for name, path in section.models.items()}
+    if not models:
+        raise ConfigError("gap.models names no checkpoints")
     plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
                           a_max=spec.a_max)
-    for name, path in section.models.items():
-        model = _load_model(path, enc)
+    for name, model in models.items():
         report = evalreport.train_test_gap(
             model, spec, enc, data, plan_cfg, section.n,
             seed=derive_seed(conf.seed, "gap", name))
@@ -561,8 +567,8 @@ def cmd_landscape(cfg: dict, conf: Config, args) -> int:
     smoother = 0
     rows = []
     for t in range(n_tasks):
-        window = evalreport.expert_window(
-            data, plan_cfg.horizon, seed=derive_seed(conf.seed, "landscape", t))
+        rng = generator(derive_seed(conf.seed, "landscape", t), "window")
+        window = sample_window(data, plan_cfg.horizon, rng)
         pair = evalreport.landscape(
             f_base, f_adv, window, plan_cfg, section.resolution,
             coeff_range=(section.c_min, section.c_max),

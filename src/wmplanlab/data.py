@@ -2,9 +2,10 @@
 
 A dataset holds actions (N, T, d_a) with observations (N, T+1, d_o),
 latents (N, T+1, d_z) or both; T is `traj_len - 1` from `gen-data`, H for
-the corrected set, 1 for the perturbed set. Its directory holds
-`manifest.json` and `data.bin`: the states (observations, or latents for
-the perturbed set), then the actions, as two WMT1 records."""
+the corrected set, 1 for the perturbed set. `sample_window` draws an
+H-step `Window` of one trajectory, as views of those arrays. A dataset's
+directory holds `manifest.json` and `data.bin`: the states (observations,
+or latents for the perturbed set), then the actions, as two WMT1 records."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import os
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +56,26 @@ class Dataset:
         return [_Row(*r) for r in zip(self.actions, rows(self.obs), rows(self.latents))]
 
 
-def sample_window(data: Dataset, H: int,
-                  rng: np.random.Generator) -> tuple[int, int]:
-    """A random window of H steps: a row i, then an offset off with
-    off + H <= T. HorizonTooLong if T < H."""
+class Window(NamedTuple):
+    """H steps of one trajectory, as views of its dataset's arrays."""
+
+    latents: np.ndarray | None  # (H+1, d_z)
+    actions: np.ndarray  # (H, d_a)
+    obs: np.ndarray | None  # (H+1, d_o)
+
+
+def sample_window(data: Dataset, H: int, rng: np.random.Generator) -> Window:
+    """A random window of H steps: `rng` draws a row i, then an offset off
+    with off + H <= T. HorizonTooLong if T < H."""
     N, T = data.actions.shape[:2]
     if T < H:
         raise HorizonTooLong(f"horizon {H} is longer than the dataset's "
                              f"trajectories (T = {T} steps)")
-    return int(rng.integers(N)), int(rng.integers(T - H + 1))
+    i, off = int(rng.integers(N)), int(rng.integers(T - H + 1))
+
+    def states(arr):
+        return None if arr is None else arr[i, off:off + H + 1]
+    return Window(states(data.latents), data.actions[i, off:off + H], states(data.obs))
 
 
 def flatten_transitions(data: Dataset, rows=slice(None)

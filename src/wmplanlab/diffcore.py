@@ -12,17 +12,11 @@ parent. `needed` flags the parents a gradient must reach (PyTorch's
 `needs_input_grad`); the others may get None, and a node with no flag set
 is never asked.
 
-Only gradient-based planning (`planners.gbp`) uses the tape: it is the one
-gradient taken through an H-step rollout. Every other gradient is one MLP
-forward and one `nets.mlp_backward` called directly
-(`worldmodel.step_loss_grad`). GBP makes one tape per plan: a "const"
-start latent, made once, then per iteration a "leaf" holding the whole
-(H, d_a) action array and one "wm-rollout" node whose value is the goal
-loss and whose backward is a closed-form sweep back through time over all
-H model steps, written into rows of buffers the node makes once per call
-and with the input-gradient half of `nets.mlp_backward` inlined
-(`worldmodel.rollout_nodes`). The node checks its forward and its sweep
-once each, over all H steps.
+Only gradient-based planning (`planners.gbp`) uses the tape, for the one
+gradient taken through an H-step rollout, and puts one "wm-rollout" node
+per iteration on it (`worldmodel.rollout_nodes`, whose docstring describes
+the node). Every other gradient is one MLP forward and one
+`nets.mlp_backward` called directly (`worldmodel.step_loss_grad`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 Both update their parameters in place and return nothing. Adam also

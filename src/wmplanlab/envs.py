@@ -8,9 +8,10 @@ blocked axis is clamped at the wall face while the other axis still moves.
 
 `step` takes one state or a batch of states and picks its implementation
 from the shape of the position. One state, `(2,)`, steps in Python floats
-(`_move`); that is the path of MPC, evaluation and every replay. A batch,
-`(N, 2)`, steps with elementwise NumPy, one wall at a time in the same wall
-order (`_move_rows`), so each row keeps the bits of the one-state path.
+(`_move`); that is the path of MPC, evaluation and every replay, such as
+`visit`, which returns the observations a plan visits. A batch, `(N, 2)`,
+steps with elementwise NumPy, one wall at a time in the same wall order
+(`_move_rows`), so each row keeps the bits of the one-state path.
 Neither path serves both callers: on one state the batched step costs
 about 20x the one-state step (see `step`), while a dataset of N
 trajectories takes T-1 batched steps in place of N(T-1) one-state steps.
@@ -247,16 +248,15 @@ def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
     return EnvState(pos, vel)
 
 
-def rollout_env(spec: EnvSpec, s1: EnvState, actions) -> list[EnvState]:
-    """States s_2 .. s_{H+1} from folding `step` over the action sequence."""
-    actions = np.asarray(actions, dtype=np.float64)
-    if len(actions) < 1:
-        raise ValueError("need at least one action")
-    out = []
-    s = s1
-    for a in actions:
+def visit(spec: EnvSpec, o1: np.ndarray, actions) -> np.ndarray:
+    """The observations (H+1, d_o) that the H actions visit from `o1`: `o1`,
+    then the observation after each `step` from `state_of_obs(spec, o1)`."""
+    out = np.empty((len(actions) + 1, spec.obs_dim))
+    out[0] = o1
+    s = state_of_obs(spec, o1)
+    for t, a in enumerate(actions, 1):
         s = step(spec, s, a)
-        out.append(s)
+        out[t] = obs_of(spec, s)
     return out
 
 
@@ -394,10 +394,9 @@ def sample_task(spec: EnvSpec, data: Dataset, horizon_gap: int, seed: int) -> Ta
     """Draw start and goal from one stored trajectory, horizon_gap steps apart."""
     if data.obs is None:
         raise ValueError("task sampling needs observation trajectories")
-    i, off = sample_window(data, horizon_gap, generator(seed, "task"))
-    start = state_of_obs(spec, data.obs[i, off])
-    goal_obs = data.obs[i, off + horizon_gap].copy()
-    return TaskInstance(start=start, goal_obs=goal_obs,
+    obs = sample_window(data, horizon_gap, generator(seed, "task")).obs
+    goal_obs = obs[-1].copy()
+    return TaskInstance(start=state_of_obs(spec, obs[0]), goal_obs=goal_obs,
                         goal_state=state_of_obs(spec, goal_obs),
                         horizon_gap=horizon_gap)
 

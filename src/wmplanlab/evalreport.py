@@ -5,9 +5,11 @@ Every grid is evaluated paired: all (model, planner) cells see the same
 task instances and the same per-task planning seeds. Each cell of a task
 is one `planners.mpc` episode, in open-loop mode too (one plan, executed
 whole), so the grid plans, steps the simulator and encodes only inside
-that loop. The gap and the landscapes read the expert windows' latents
-from the dataset. Wall-clock timers bracket planner calls only, and
-timing is emitted in a separate file so the canonical report JSON is
+that loop. The gap and the landscapes score plans on expert windows
+(`data.Window`) drawn from the dataset; the gap encodes the observations
+a plan visits (`envs.visit`). Rows and cells hold deterministic values
+only: wall-clock, which brackets planner calls only, is the report's
+`timing`, written to its own file, so the canonical report JSON is
 byte-reproducible from (config, seed).
 """
 
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import envs
-from .data import Dataset, sample_window
+from .data import Dataset, Window, sample_window
 from .encoder import Encoder, encode
 from .planners import MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc
 from .rng import derive_seed, generator
@@ -49,11 +51,14 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
+class NoCrossRoomTask(ValueError):
+    """Every draw of a task that must cross rooms stayed in one room."""
+
+
 @dataclass
 class TaskRow:
     task_id: int
     success: bool
-    plan_seconds: float
     final_loss: float
 
 
@@ -67,7 +72,6 @@ class Cell:
     success_rate: float
     wilson_lo: float
     wilson_hi: float
-    mean_plan_seconds: float
     mean_trace: list[float]
     rows: list[TaskRow]
 
@@ -81,6 +85,9 @@ class EvalReport:
     task_hash: str
     config_hash: str
     cells: list[Cell]
+    # per cell: model, planner, the mean of its finite plan_seconds, and the
+    # seconds each task's plans took (0.0 with no plan, NaN for a failed task)
+    timing: list[dict]
 
 
 def _task_fingerprint(tasks: list[envs.TaskInstance]) -> str:
@@ -100,7 +107,7 @@ def _draw_task(spec, data, horizon_gap, seed, task_index,
         task = envs.sample_task(spec, data, horizon_gap, task_seed)
         if not require_cross_room or envs.cross_room(spec, task):
             return task
-    raise ValueError("no cross-room task in 200 draws")
+    raise NoCrossRoomTask("no cross-room task in 200 draws")
 
 
 _CTX: dict = {}
@@ -111,8 +118,8 @@ def _init_worker(ctx):
 
 
 def _eval_task(t: int):
-    """Task `t` and, per (model, planner) cell, its row and the loss traces
-    of its plans, one `mpc` episode each."""
+    """Task `t` and, per (model, planner) cell, its row, its plans' seconds
+    and their loss traces, one `mpc` episode each."""
     c = _CTX
     task = _draw_task(c["spec"], c["data"], c["horizon_gap"], c["seed"], t,
                       c["require_cross_room"])
@@ -125,13 +132,13 @@ def _eval_task(t: int):
                          seed=plan_seed)
             except Exception as err:  # a failed task never aborts the grid
                 warnings.warn(f"task {t} failed in cell ({mname}, {pname}): {err}")
-                out[(mname, pname)] = TaskRow(t, False, float("nan"), float("nan")), []
+                out[(mname, pname)] = TaskRow(t, False, float("nan")), float("nan"), []
                 continue
             plans = mr.plan_results
             final = plans[-1].final_loss if plans else float("nan")
-            row = TaskRow(t, mr.success, float(sum(p.wall_clock for p in plans)),
-                          float(final))
-            out[(mname, pname)] = row, [x for p in plans for x in p.loss_trace]
+            out[(mname, pname)] = (TaskRow(t, mr.success, float(final)),
+                                   float(sum(p.wall_clock for p in plans)),
+                                   [x for p in plans for x in p.loss_trace])
     return task, out
 
 
@@ -150,6 +157,7 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
     plan_iters=None)`, whose actions are all executed unless a visited
     state succeeds first. In either mode a task that starts inside its goal
     is a success with no plan: NaN final loss, no trace, 0 plan seconds.
+    NoCrossRoomTask if 200 draws find no task that crosses rooms.
     Every input is plain data, so the process pool of `workers` > 1 gets it
     under any start method."""
     if mode not in MODES:
@@ -168,10 +176,11 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
     else:
         _init_worker(ctx)
         tasks, results = zip(*map(_eval_task, range(n_tasks)))
-    cells = []
+    cells, timing = [], []
     for mname in models:
         for pname in planners:
-            rows, traces = zip(*(results[t][(mname, pname)] for t in range(n_tasks)))
+            rows, secs, traces = zip(*(results[t][(mname, pname)]
+                                       for t in range(n_tasks)))
             k = sum(r.success for r in rows)
             lo, hi = wilson_interval(k, n_tasks)
             min_len = min((len(tr) for tr in traces if tr), default=0)
@@ -180,16 +189,18 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
                 mean_trace = [float(x) for x in stacked.mean(axis=0)]
             else:
                 mean_trace = []
-            secs = [r.plan_seconds for r in rows if np.isfinite(r.plan_seconds)]
             cells.append(Cell(
                 model=mname, planner=pname, mode=mode, n_tasks=n_tasks,
                 successes=int(k), success_rate=k / n_tasks,
                 wilson_lo=float(lo), wilson_hi=float(hi),
-                mean_plan_seconds=float(np.mean(secs)) if secs else float("nan"),
                 mean_trace=mean_trace, rows=list(rows)))
+            finite = [x for x in secs if np.isfinite(x)]
+            mean = float(np.mean(finite)) if finite else float("nan")
+            timing.append({"model": mname, "planner": pname,
+                           "mean_plan_seconds": mean, "plan_seconds": list(secs)})
     return EvalReport(schema=REPORT_SCHEMA, mode=mode, n_tasks=n_tasks,
                       master_seed=seed, task_hash=_task_fingerprint(tasks),
-                      config_hash=config_hash, cells=cells)
+                      config_hash=config_hash, cells=cells, timing=timing)
 
 
 @dataclass
@@ -210,19 +221,17 @@ def train_test_gap(f: WorldModel, spec: envs.EnvSpec, enc: Encoder,
                    seed: int = 0) -> GapReport:
     """The paper's train-test gap over `n` expert windows of H steps:
     `wm_error` along the dataset's latents of each window against
-    `wm_error` along the states that a `gbp` plan between the window's end
-    latents visits in the simulator, whose observations are encoded once."""
+    `wm_error` along the observations that a `gbp` plan between the
+    window's end latents visits in the simulator, encoded once."""
     H = plan_cfg.horizon
     expert_errors = []
     planned_errors = []
     for j in range(n):
-        i, off = sample_window(data, H, generator(seed, "gap", j))
-        zs = data.latents[i, off:off + H + 1]
-        expert_errors.append(wm_error(f, zs, data.actions[i, off:off + H]).mean())
+        window = sample_window(data, H, generator(seed, "gap", j))
+        zs = window.latents
+        expert_errors.append(wm_error(f, zs, window.actions).mean())
         pr = gbp(f, zs[0], zs[H], plan_cfg, derive_seed(seed, "gap-plan", j))
-        o1 = data.obs[i, off]
-        states = envs.rollout_env(spec, envs.state_of_obs(spec, o1), pr.actions)
-        visited = encode(enc, np.array([o1] + [envs.obs_of(spec, s) for s in states]))
+        visited = encode(enc, envs.visit(spec, window.obs[0], pr.actions))
         planned_errors.append(wm_error(f, visited, pr.actions).mean())
     me = float(np.mean(expert_errors))
     mp = float(np.mean(planned_errors))
@@ -249,62 +258,48 @@ class LandscapePair:
     anchors: dict
 
 
-@dataclass
-class LandscapeTask:
-    z1: np.ndarray
-    z_goal: np.ndarray
-    actions_gt: np.ndarray
-
-
-def expert_window(data: Dataset, H: int, seed: int) -> LandscapeTask:
-    """A random window of H expert steps: its end latents, read from the
-    dataset's latents, and its actions."""
-    i, off = sample_window(data, H, generator(seed, "window"))
-    return LandscapeTask(z1=data.latents[i, off].copy(),
-                         z_goal=data.latents[i, off + H].copy(),
-                         actions_gt=data.actions[i, off:off + H].copy())
-
-
 def landscape(f_baseline: WorldModel, f_adversarial: WorldModel,
-              task: LandscapeTask, plan_cfg: PlanConfig, resolution: int,
+              window: Window, plan_cfg: PlanConfig, resolution: int,
               coeff_range: tuple[float, float] = (-1.25, 1.25),
               seed: int = 0) -> LandscapePair:
-    """Goal-loss grids over the plane spanned by the two planners' offsets.
+    """Goal-loss grids over the plane spanned by the two planners' offsets,
+    planned between the expert window's end latents.
 
     Axis directions: alpha = gbp(baseline) - a_gt and beta =
-    gbp(adversarial) - a_gt, with both planner runs started from the same
-    fixed initialization drawn from `seed`. Both grids are
-    evaluated at literally identical action points a_gt + u*alpha + v*beta.
+    gbp(adversarial) - a_gt, where a_gt are the window's actions, with both
+    planner runs started from the same fixed initialization drawn from
+    `seed`. Both grids are evaluated at literally identical action points
+    a_gt + u*alpha + v*beta.
     """
-    H = plan_cfg.horizon
-    if task.actions_gt.shape[0] != H:
+    z1, z_goal, a_gt = window.latents[0], window.latents[-1], window.actions
+    if len(a_gt) != plan_cfg.horizon:
         raise ValueError("ground-truth action window does not match horizon")
-    a_init = generator(seed, "landscape-init").standard_normal(task.actions_gt.shape)
+    a_init = generator(seed, "landscape-init").standard_normal(a_gt.shape)
     cfg = replace(plan_cfg, init_actions=a_init)
-    a_base = gbp(f_baseline, task.z1, task.z_goal, cfg, seed).actions
-    a_adv = gbp(f_adversarial, task.z1, task.z_goal, cfg, seed).actions
-    alpha = a_base - task.actions_gt
-    beta = a_adv - task.actions_gt
+    a_base = gbp(f_baseline, z1, z_goal, cfg, seed).actions
+    a_adv = gbp(f_adversarial, z1, z_goal, cfg, seed).actions
+    alpha = a_base - a_gt
+    beta = a_adv - a_gt
     if np.linalg.norm(alpha) < 1e-8 or np.linalg.norm(beta) < 1e-8:
         warnings.warn("degenerate landscape axis (planner stayed at the "
                       "ground-truth actions)")
     coeffs = np.linspace(coeff_range[0], coeff_range[1], resolution)
     u = coeffs[:, None, None, None]
     v = coeffs[None, :, None, None]
-    points = task.actions_gt + u * alpha + v * beta  # (R, R, H, d_a)
+    points = a_gt + u * alpha + v * beta  # (R, R, H, d_a)
     grids = {}
     for name, model in (("baseline", f_baseline), ("adversarial", f_adversarial)):
-        values = final_cost(model, task.z1, points, task.z_goal)
+        values = final_cost(model, z1, points, z_goal)
         grids[name] = LandscapeGrid(
             model=name, resolution=resolution, c_min=float(coeff_range[0]),
             c_max=float(coeff_range[1]), alpha=[float(x) for x in alpha.ravel()],
             beta=[float(x) for x in beta.ravel()],
             values=[[float(x) for x in row] for row in values])
     anchors = {
-        "loss_gt_baseline": final_cost(f_baseline, task.z1, task.actions_gt, task.z_goal),
-        "loss_gt_adversarial": final_cost(f_adversarial, task.z1, task.actions_gt, task.z_goal),
-        "loss_gbp_baseline": final_cost(f_baseline, task.z1, a_base, task.z_goal),
-        "loss_gbp_adversarial": final_cost(f_adversarial, task.z1, a_adv, task.z_goal),
+        "loss_gt_baseline": final_cost(f_baseline, z1, a_gt, z_goal),
+        "loss_gt_adversarial": final_cost(f_adversarial, z1, a_gt, z_goal),
+        "loss_gbp_baseline": final_cost(f_baseline, z1, a_base, z_goal),
+        "loss_gbp_adversarial": final_cost(f_adversarial, z1, a_adv, z_goal),
     }
     return LandscapePair(grids["baseline"], grids["adversarial"], anchors)
 
@@ -329,13 +324,7 @@ def emit_report(report, outdir) -> list[str]:
     written = []
     if isinstance(report, EvalReport):
         body = asdict(report)
-        timing = {"cells": []}
-        for cell in body["cells"]:
-            timing["cells"].append({
-                "model": cell["model"], "planner": cell["planner"],
-                "mean_plan_seconds": cell.pop("mean_plan_seconds"),
-                "plan_seconds": [row.pop("plan_seconds") for row in cell["rows"]],
-            })
+        timing = {"cells": body.pop("timing")}
         p = os.path.join(outdir, "report.json")
         write_json(p, body, separators=_COMPACT)
         written.append(p)
@@ -389,18 +378,6 @@ def load_report(outdir) -> EvalReport:
         body = json.load(fh)
     with open(os.path.join(outdir, "timing.json")) as fh:
         timing = json.load(fh)
-    cells = []
-    for cell, tcell in zip(body["cells"], timing["cells"]):
-        rows = [TaskRow(r["task_id"], bool(r["success"]), secs, r["final_loss"])
-                for r, secs in zip(cell["rows"], tcell["plan_seconds"])]
-        cells.append(Cell(
-            model=cell["model"], planner=cell["planner"], mode=cell["mode"],
-            n_tasks=cell["n_tasks"], successes=cell["successes"],
-            success_rate=cell["success_rate"], wilson_lo=cell["wilson_lo"],
-            wilson_hi=cell["wilson_hi"],
-            mean_plan_seconds=tcell["mean_plan_seconds"],
-            mean_trace=cell["mean_trace"], rows=rows))
-    return EvalReport(schema=body["schema"], mode=body["mode"],
-                      n_tasks=body["n_tasks"], master_seed=body["master_seed"],
-                      task_hash=body["task_hash"],
-                      config_hash=body["config_hash"], cells=cells)
+    cells = [Cell(**{**cell, "rows": [TaskRow(**row) for row in cell["rows"]]})
+             for cell in body.pop("cells")]
+    return EvalReport(**body, cells=cells, timing=timing["cells"])

@@ -173,13 +173,11 @@ def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
 
     def batches():
         for i in range(n_iter):
-            row, off = sample_window(data, H, generator(seed, "online", i))
-            pr = gbp(model, data.latents[row, off], data.latents[row, off + H],
-                     plan_cfg, derive_seed(seed, "online-plan", i))
-            o1 = data.obs[row, off]
-            states = envs.rollout_env(spec, envs.state_of_obs(spec, o1), pr.actions)
+            window = sample_window(data, H, generator(seed, "online", i))
+            pr = gbp(model, window.latents[0], window.latents[H], plan_cfg,
+                     derive_seed(seed, "online-plan", i))
             corrected.actions[i] = pr.actions
-            corrected.obs[i] = [o1] + [envs.obs_of(spec, s) for s in states]
+            corrected.obs[i] = envs.visit(spec, window.obs[0], pr.actions)
             corrected.latents[i] = encode(enc, corrected.obs[i])
             pools = ((expert, n_expert),  # the corrected pool: its first i+1 rows
                      (flatten_transitions(corrected, slice(i + 1)),

@@ -5,14 +5,9 @@ pass of training and the attack (`worldmodel.step_loss_grad`), which
 call the two directly. A training step hands `mlp_backward` views of one
 flat gradient vector (`worldmodel.FlatAdam`), and the weight and bias
 gradients are written into them with `out=`, so one Adam call and one
-finite check cover every weight. GBP's "wm-rollout" tape node
-(`worldmodel.rollout_nodes`) calls neither: it unrolls the same forward
-over its H model steps, writing each layer's output into a row of a buffer
-made once per rollout, and its sweep back through time inlines the
-input-gradient half of `mlp_backward`, with that function's expressions
-and order, into rows of buffers of its own, so its bits are those of one
-`mlp_backward(..., True, None)` call per step. Each of its two passes takes
-one finite check over all H steps."""
+finite check cover every weight. GBP's rollout node,
+`worldmodel.rollout_nodes`, calls neither but unrolls both, with their
+expressions and order, over its H model steps."""
 
 from __future__ import annotations
 

@@ -11,13 +11,9 @@ model rollout and updates one action sequence in place with SGD or Adam,
 starting from a Gaussian draw of its seed or from the actions it is given
 (GradCEM's samples, the MPC warm start, `landscape`'s shared start), and
 clamping them to `a_max` when a caller sets it (every command does); it
-is the only code in the lab that builds a tape. One tape holds a plan: the
-constant start latent, made once, then per iteration a leaf holding the
-(H, d_a) actions and one "wm-rollout" node (`rollout_nodes`) that runs the
-H model steps into rows of buffers it makes once per call, scores the goal
-loss and, in its backward, sweeps back through all H steps in closed form,
-for the input gradients only; each pass takes one finite check. A goal
-loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
+is the only code in the lab that builds a tape, one per plan, and takes
+each iteration's goal loss and gradient from one `rollout_nodes` node. A
+goal loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
 CEM samples from a full-covariance Gaussian. The sampling planners score
 their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
@@ -119,9 +115,10 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     array that the optimizer step and the clamp update in place, and one
     buffer the best iterate is copied into. The goal loss's weights,
     the start latent's tape node and the goal are made and checked once per
-    plan: one tape holds the plan, and each iteration adds an action leaf
-    and one "wm-rollout" node to it. A non-finite start latent or goal is a
-    ValueError.
+    plan: one tape holds the plan, and each iteration adds a leaf holding
+    the action array itself, checked once, and one `rollout_nodes` node to
+    it. A non-finite start latent or goal is a ValueError; non-finite
+    actions, latents or gradients abort the plan.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
@@ -141,10 +138,14 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     best_actions = actions.copy()
     aborted = False
     for _ in range(cfg.iterations):
+        # checked before the rollout: a saturated tanh layer can turn an
+        # infinite action into finite latents
         if not np.all(np.isfinite(actions)):
             aborted = True
             break
-        a_leaf = tape.leaf(actions)
+        # the leaf holds `actions` itself, checked just above, and is done
+        # with before the optimizer writes into the array
+        a_leaf = dc.Node(tape, actions, "leaf")
         try:
             loss_node = rollout_nodes(f, z1_node, a_leaf, z_goal, weights)
             loss = float(loss_node.value)

@@ -7,10 +7,8 @@ For the length of a `fit` run the model's weights live in one contiguous
 vector (`FlatAdam`), so each training step takes one finite check and one
 Adam call over all of them instead of one per weight array.
 
-GBP differentiates its rollout through one tape node, `rollout_nodes`. Its
-forward and its backward sweep write each model step's results into rows
-of buffers made once per call, so a step makes only the NumPy calls its
-arithmetic needs, and each pass takes one finite check over all H steps."""
+GBP differentiates its rollout through one tape node, `rollout_nodes`,
+whose docstring is the account of that node's design."""
 
 from __future__ import annotations
 
@@ -136,7 +134,10 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     distance sums them, so the bits are that tape's. One check follows the
     sweep: it names the highest non-finite step, the first the sweep met,
     as the skip edge carries a non-finite gradient to every earlier step.
-    The weights of `f` are constants."""
+    The weights of `f` are constants. The forward copies the actions into
+    its input buffer and the backward reads only the node's own buffers, so
+    `a` may hold an array its caller writes into once the gradient is taken,
+    as GBP's leaf holds the plan's action array."""
     actions = a.value
     H = len(actions)
     if H < 1:

@@ -252,12 +252,38 @@ def test_eval_on_a_forkserver_pool_writes_the_report_of_one_worker(pipeline,
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_eval_exits_2_when_no_task_crosses_rooms(tmp_path, capsys, workers):
+    # one random trajectory of two steps, which stays in its room
+    path = _write(tmp_path, tiny_config(tmp_path))
+    small = ["--set", "dataset.n_traj=1", "--set", "dataset.traj_len=3",
+             "--set", "dataset.policy=random"]
+    assert _run("gen-data", "--config", path, *small) == 0
+    assert _run("train", "--config", path, *small) == 0
+    assert _run("eval", "--config", path, *small, "--workers", workers,
+                "--set", "eval.horizon_gap=1",
+                "--set", "eval.require_cross_room=true") == 2
+    err = capsys.readouterr().err
+    assert ("config error: eval.require_cross_room: no cross-room task in 200 draws "
+            "at eval.horizon_gap 1") in err
+    assert not (tmp_path / "eval").exists()
+
+
 def test_gap_command(pipeline):
     cfg, path = pipeline
     assert _run("gap", "--config", path) == 0
     body = json.load(open(os.path.join(cfg["gap"]["out_path"], "baseline",
                                        "gap.json")))
     assert body["n"] == 2
+
+
+def test_gap_loads_every_checkpoint_before_writing(pipeline, capsys):
+    cfg, path = pipeline
+    missing = os.path.join(os.path.dirname(path), "missing-model")
+    models = json.dumps({"baseline": cfg["model"]["path"], "other": missing})
+    assert _run("gap", "--config", path, "--set", f"gap.models={models}") == 2
+    assert f"model checkpoint not found: {missing}" in capsys.readouterr().err
+    assert not os.path.exists(cfg["gap"]["out_path"])
 
 
 def test_landscape_command(pipeline):
@@ -700,8 +726,9 @@ def test_a_trajectory_shorter_than_2_exits_2_before_writing(tmp_path, capsys, tr
     ("finetune-online", "finetune.online.finetune_steps", -1,
      "finetune.online.finetune_steps: expected an integer >= 0, got -1",
      "model-owm"),
+    ("gap", "gap.models", "{}", "gap.models names no checkpoints", "gap"),
 ], ids=["hidden-zero", "hidden-string", "odd-d-z", "online-iterations",
-        "online-finetune-steps"])
+        "online-finetune-steps", "gap-no-models"])
 def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
         tmp_path, capsys, command, key, value, message, out):
     path = _write(tmp_path, tiny_config(tmp_path))

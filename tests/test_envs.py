@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import reference_generation
 from wmplanlab import envs
-from wmplanlab.data import Dataset, HorizonTooLong, load_dataset, save_dataset
+from wmplanlab.data import (Dataset, HorizonTooLong, load_dataset, sample_window,
+                            save_dataset)
 from wmplanlab.rng import generator
 
 
@@ -81,35 +82,35 @@ def test_pointmass_velocity_zeroed_on_hit(pm_spec):
     assert got.velocity[0] == 0.0
 
 
-def test_rollout_env_matches_fold(wall_spec):
+def test_visit_matches_fold(wall_spec):
     rng = generator(3, "fold")
-    s = envs.EnvState(np.array([0.3, 0.3]), np.zeros(2))
+    o1 = np.array([0.3, 0.3])
     actions = rng.uniform(-0.05, 0.05, size=(25, 2))
-    states = envs.rollout_env(wall_spec, s, actions)
-    cur = s
-    for a in actions:
+    visited = envs.visit(wall_spec, o1, actions)
+    assert visited.shape == (26, 2)
+    assert np.array_equal(visited[0], o1)
+    cur = envs.state_of_obs(wall_spec, o1)
+    for a, o in zip(actions, visited[1:]):
         cur = envs.step(wall_spec, cur, a)
-    assert np.array_equal(states[-1].position, cur.position)
-    assert len(states) == 25
+        assert np.array_equal(o, envs.obs_of(wall_spec, cur))
 
 
-def test_rollout_env_chunking_invariance(pm_spec):
+def test_visit_chunking_invariance(pm_spec):
     rng = generator(4, "chunk")
-    s = envs.EnvState(np.array([0.2, 0.8]), np.zeros(2))
+    o1 = np.array([0.2, 0.8, 0.0, 0.0])
     actions = rng.uniform(-1, 1, size=(12, 2))
-    full = envs.rollout_env(pm_spec, s, actions)
-    first = envs.rollout_env(pm_spec, s, actions[:5])
-    rest = envs.rollout_env(pm_spec, first[-1], actions[5:])
-    assert np.array_equal(full[-1].position, rest[-1].position)
-    assert np.array_equal(full[-1].velocity, rest[-1].velocity)
+    full = envs.visit(pm_spec, o1, actions)
+    first = envs.visit(pm_spec, o1, actions[:5])
+    rest = envs.visit(pm_spec, first[-1], actions[5:])
+    assert np.array_equal(full, np.concatenate([first, rest[1:]]))
 
 
-def test_rollout_env_single_step_reduces_to_step(wall_spec):
+def test_visit_single_step_reduces_to_step(wall_spec):
     s = envs.EnvState(np.array([0.7, 0.4]), np.zeros(2))
     a = np.array([[0.02, -0.01]])
-    (got,) = envs.rollout_env(wall_spec, s, a)
-    direct = envs.step(wall_spec, s, a[0])
-    assert np.array_equal(got.position, direct.position)
+    o1, o2 = envs.visit(wall_spec, envs.obs_of(wall_spec, s), a)
+    assert np.array_equal(o1, s.position)
+    assert np.array_equal(o2, envs.step(wall_spec, s, a[0]).position)
 
 
 @pytest.mark.parametrize("kind,frameskip", [("wall2d", 1), ("wall2d", 5),
@@ -186,9 +187,9 @@ def test_sample_task_replay_reaches_goal(wall_spec):
     for obs, actions in zip(ds.obs, ds.actions):
         for off in range(len(actions) - 25 + 1):
             if np.array_equal(obs[off], envs.obs_of(wall_spec, task.start)):
-                states = envs.rollout_env(wall_spec, task.start,
-                                          actions[off:off + 25])
-                assert envs.success(wall_spec, states[-1], task)
+                visited = envs.visit(wall_spec, obs[off], actions[off:off + 25])
+                assert envs.success(wall_spec, envs.state_of_obs(wall_spec, visited[-1]),
+                                    task)
                 found = True
     assert found
 
@@ -199,6 +200,19 @@ def test_sample_task_deterministic(wall_spec):
     t2 = envs.sample_task(wall_spec, ds, 10, seed=7)
     assert np.array_equal(t1.start.position, t2.start.position)
     assert np.array_equal(t1.goal_obs, t2.goal_obs)
+
+
+def test_sample_window_is_views_of_the_window_it_draws(wall_spec):
+    raw = envs.generate_dataset(wall_spec, 5, 12, "random", seed=1)
+    rng = generator(3, "window")
+    i, off = int(rng.integers(5)), int(rng.integers(11 - 4 + 1))
+    assert sample_window(raw, 4, generator(3, "window")).latents is None
+    data = Dataset(raw.actions, obs=raw.obs, latents=raw.obs * 2.0)
+    window = sample_window(data, 4, generator(3, "window"))
+    for got, whole, steps in zip(window, (data.latents, data.actions, data.obs),
+                                 (5, 4, 5)):
+        assert np.shares_memory(got, whole)
+        assert np.array_equal(got, whole[i, off:off + steps])
 
 
 def test_sample_task_dataset_too_short(wall_spec):

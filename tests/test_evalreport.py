@@ -9,9 +9,9 @@ from wmplanlab.data import sample_window
 from wmplanlab.encoder import (encode, encode_dataset, make_identity,
                                make_random_fourier)
 from wmplanlab.evalreport import (MODES, Cell, EvalReport, GapReport, TaskRow,
-                                  emit_report, evaluate, expert_window,
-                                  landscape, load_report, total_variation,
-                                  train_test_gap, wilson_interval)
+                                  emit_report, evaluate, landscape, load_report,
+                                  total_variation, train_test_gap,
+                                  wilson_interval)
 from wmplanlab.planners import MpcConfig, PlanConfig, final_cost
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import init_world_model
@@ -112,12 +112,32 @@ def test_a_task_that_starts_at_its_goal_gets_the_same_row_in_both_modes(monkeypa
                         lambda *args: pytest.fail("planned a task that starts at its goal"))
     rows = {}
     for mode in MODES:
-        (cell,) = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=1,
-                           mode=mode, seed=0, data=data, horizon_gap=1).cells
+        report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=1,
+                          mode=mode, seed=0, data=data, horizon_gap=1)
+        (cell,) = report.cells
         assert cell.successes == 1 and cell.mean_trace == []
+        # no plan, so no plan seconds
+        assert report.timing == [{"model": "m", "planner": "p",
+                                  "mean_plan_seconds": 0.0, "plan_seconds": [0.0]}]
         rows[mode] = cell.rows
     assert repr(rows["open-loop"]) == repr(rows["mpc"]) == repr(
-        [TaskRow(0, True, 0.0, float("nan"))])
+        [TaskRow(0, True, float("nan"))])
+
+
+def test_a_task_that_fails_in_a_cell_gets_a_failed_row_and_nan_seconds(monkeypatch):
+    spec, enc, data, model, plan = _perfect_setup()
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(evalreport, "mpc", crash)
+    with pytest.warns(UserWarning, match=r"task 0 failed in cell \(m, p\): boom"):
+        report = evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=1,
+                          mode="mpc", seed=0, data=data, horizon_gap=1)
+    assert repr(report.cells[0].rows) == repr([TaskRow(0, False, float("nan"))])
+    (timing,) = report.timing
+    assert np.isnan(timing["mean_plan_seconds"])
+    assert np.isnan(timing["plan_seconds"]).all() and len(timing["plan_seconds"]) == 1
 
 
 def test_evaluate_require_cross_room(wall_spec):
@@ -193,12 +213,11 @@ def test_gap_errors_match_the_simulated_reference(monkeypatch, kind, policy):
     report = train_test_gap(f, spec, enc, data, cfg, n, seed=seed)
     expert, planned = [], []
     for j, (z1, z_goal, pr) in enumerate(plans):
-        i, off = sample_window(data, H, generator(seed, "gap", j))
-        assert np.array_equal(z1, encode(enc, data.obs[i, off]))
-        assert np.array_equal(z_goal, encode(enc, data.obs[i, off + H]))
-        s1 = envs.state_of_obs(spec, data.obs[i, off])
-        expert.append(simulated_wm_error(f, enc, spec, s1,
-                                         data.actions[i, off:off + H]).mean())
+        window = sample_window(data, H, generator(seed, "gap", j))
+        assert np.array_equal(z1, encode(enc, window.obs[0]))
+        assert np.array_equal(z_goal, encode(enc, window.obs[H]))
+        s1 = envs.state_of_obs(spec, window.obs[0])
+        expert.append(simulated_wm_error(f, enc, spec, s1, window.actions).mean())
         planned.append(simulated_wm_error(f, enc, spec, s1, pr.actions).mean())
     assert len(plans) == n
     assert np.array_equal(report.expert_errors, expert)
@@ -224,7 +243,7 @@ def test_landscape_grid_anchors(wall_spec):
     data = encode_dataset(enc, raw)
     f1 = init_world_model(16, 2, hidden=(8,), seed=1)
     f2 = init_world_model(16, 2, hidden=(8,), seed=2)
-    window = expert_window(data, H=4, seed=0)
+    window = sample_window(data, 4, generator(0, "window"))
     cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.05,
                      a_max=wall_spec.a_max)
     # R=11 over [-1.25, 1.25] includes u,v in {0, 1} exactly
@@ -250,7 +269,7 @@ def test_landscape_grid_matches_per_point_scoring(wall_spec):
     data = encode_dataset(enc, raw)
     models = {"baseline": init_world_model(16, 2, hidden=(8,), seed=1),
               "adversarial": init_world_model(16, 2, hidden=(8,), seed=2)}
-    window = expert_window(data, H=4, seed=0)
+    window = sample_window(data, 4, generator(0, "window"))
     cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.05,
                      a_max=wall_spec.a_max)
     pair = landscape(models["baseline"], models["adversarial"], window, cfg,
@@ -262,12 +281,12 @@ def test_landscape_grid_matches_per_point_scoring(wall_spec):
         beta = np.reshape(grid.beta, (4, 2))
         for i, u in enumerate(coeffs):
             for j, v in enumerate(coeffs):
-                a = window.actions_gt + u * alpha + v * beta
-                alone = final_cost(model, window.z1, a, window.z_goal)
+                a = window.actions + u * alpha + v * beta
+                alone = final_cost(model, window.latents[0], a, window.latents[4])
                 assert rel_err(grid.values[i][j], alone) <= 1e-12
         # the anchors stay single-sequence costs, to the bit
         assert pair.anchors[f"loss_gt_{name}"] == final_cost(
-            model, window.z1, window.actions_gt, window.z_goal)
+            model, window.latents[0], window.actions, window.latents[4])
 
 
 def test_landscape_warns_on_degenerate_axis(wall_spec):
@@ -275,10 +294,11 @@ def test_landscape_warns_on_degenerate_axis(wall_spec):
     enc = make_identity(2)
     data = encode_dataset(enc, raw)
     f = init_world_model(2, 2, hidden=(8,), seed=3)
-    window = expert_window(data, H=3, seed=1)
+    window = sample_window(data, 3, generator(1, "window"))
     # a vanishing step keeps both plans at the seed's start; planting the
     # ground truth there makes both axes zero
-    window.actions_gt = generator(2, "landscape-init").standard_normal((3, 2))
+    window = window._replace(
+        actions=generator(2, "landscape-init").standard_normal((3, 2)))
     cfg = PlanConfig(horizon=3, iterations=1, optimizer="adam", eta=1e-12)
     with pytest.warns(UserWarning, match="degenerate"):
         pair = landscape(f, f, window, cfg, resolution=5, seed=2)
@@ -291,13 +311,15 @@ def test_total_variation_hand_example():
 
 
 def _tiny_report():
-    rows = [TaskRow(0, True, 0.5, 1.25), TaskRow(1, False, 0.75, float(2.5))]
+    rows = [TaskRow(0, True, 1.25), TaskRow(1, False, float(2.5))]
     cell = Cell(model="m", planner="p", mode="open-loop", n_tasks=2,
                 successes=1, success_rate=0.5, wilson_lo=0.1, wilson_hi=0.9,
-                mean_plan_seconds=0.625, mean_trace=[2.0, 1.0], rows=rows)
+                mean_trace=[2.0, 1.0], rows=rows)
+    timing = [{"model": "m", "planner": "p", "mean_plan_seconds": 0.625,
+               "plan_seconds": [0.5, 0.75]}]
     return EvalReport(schema=evalreport.REPORT_SCHEMA, mode="open-loop",
                       n_tasks=2, master_seed=7, task_hash="abc",
-                      config_hash="def", cells=[cell])
+                      config_hash="def", cells=[cell], timing=timing)
 
 
 def test_emit_report_roundtrip(tmp_path):
@@ -311,6 +333,8 @@ def test_emit_report_roundtrip(tmp_path):
     with open(os.path.join(tmp_path, "out", "report.json")) as fh:
         body = json.load(fh)
     assert "plan_seconds" not in json.dumps(body)
+    with open(os.path.join(tmp_path, "out", "timing.json")) as fh:
+        assert json.load(fh) == {"cells": report.timing}
     csv_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
     # wall-clock seconds go to timing.json only, so report.csv reruns byte-identically
     assert csv_lines[0] == "model,planner,mode,task_id,success,final_loss"
@@ -319,7 +343,8 @@ def test_emit_report_roundtrip(tmp_path):
 
 def test_emit_empty_report(tmp_path):
     report = EvalReport(schema=evalreport.REPORT_SCHEMA, mode="mpc", n_tasks=0,
-                        master_seed=0, task_hash="", config_hash="", cells=[])
+                        master_seed=0, task_hash="", config_hash="", cells=[],
+                        timing=[])
     emit_report(report, tmp_path / "empty")
     back = load_report(tmp_path / "empty")
     assert back == report
@@ -344,7 +369,7 @@ def test_emit_landscape_csv_has_r_squared_rows(tmp_path, wall_spec):
     data = encode_dataset(enc, raw)
     f1 = init_world_model(2, 2, hidden=(8,), seed=1)
     f2 = init_world_model(2, 2, hidden=(8,), seed=2)
-    window = expert_window(data, H=3, seed=2)
+    window = sample_window(data, 3, generator(2, "window"))
     cfg = PlanConfig(horizon=3, iterations=2, a_max=wall_spec.a_max)
     pair = landscape(f1, f2, window, cfg, resolution=6, seed=3)
     emit_report(pair, tmp_path / "ls")

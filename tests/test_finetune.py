@@ -209,12 +209,11 @@ def test_online_corrected_trajectories_resimulate(wall_spec):
     corr = res.corrected
     assert corr.actions.shape == (3, 6, 2)
     for actions, obs, latents in zip(corr.actions, corr.obs, corr.latents):
-        s1 = envs.state_of_obs(wall_spec, obs[0])
-        states = envs.rollout_env(wall_spec, s1, actions)
-        for t, s in enumerate(states):
-            o = envs.obs_of(wall_spec, s)
-            assert np.array_equal(o, obs[t + 1])
-            assert np.array_equal(encode(enc, o), latents[t + 1])
+        s = envs.state_of_obs(wall_spec, obs[0])
+        for a, o, z in zip(actions, obs[1:], latents[1:]):
+            s = envs.step(wall_spec, s, a)
+            assert np.array_equal(o, envs.obs_of(wall_spec, s))
+            assert np.array_equal(encode(enc, o), z)
     assert res.corrected.provenance == "corrected"
 
 
@@ -244,10 +243,7 @@ def test_online_expert_actions_reproduce_expert_trajectory(wall_spec):
     # the correction of an expert action sequence is the expert trajectory
     data = _encoded_wall_dataset(wall_spec, n=2, length=8)
     obs = data.obs[0]
-    states = envs.rollout_env(wall_spec, envs.state_of_obs(wall_spec, obs[0]),
-                              data.actions[0])
-    for t, s in enumerate(states):
-        assert np.array_equal(envs.obs_of(wall_spec, s), obs[t + 1])
+    assert np.array_equal(envs.visit(wall_spec, obs[0], data.actions[0]), obs)
 
 
 def test_online_zero_iterations_is_identity(wall_spec):

@@ -168,6 +168,36 @@ def test_gbp_aborts_on_divergence():
     assert all(np.isfinite(x) for x in pr.loss_trace[:-1])
 
 
+def test_gbp_checks_its_start_and_goal_once_not_its_actions_each_iteration(
+        monkeypatch):
+    calls = []
+    tensor = dc.tensor
+
+    def counting_tensor(value):
+        calls.append(np.array(value).shape)
+        return tensor(value)
+
+    monkeypatch.setattr(dc, "tensor", counting_tensor)
+    f = init_world_model(6, 2, hidden=(16,), seed=4)
+    cfg = PlanConfig(horizon=4, iterations=10, optimizer="adam", eta=0.3)
+    pr = gbp(f, np.zeros(6), np.ones(6), cfg, seed=0)
+    assert pr.iterations == 10
+    assert calls == [(6,), (6,)]
+
+
+def test_gbp_aborts_on_an_infinite_action_that_a_tanh_layer_saturates():
+    # tanh maps the infinite pre-activations to +-1, so the rollout stays
+    # finite: only the check on the actions themselves stops the plan
+    f = init_world_model(6, 2, hidden=(16,), seed=4)
+    init = np.zeros((4, 2))
+    init[2, 1] = np.inf
+    assert np.isfinite(final_cost(f, np.zeros(6), init, np.ones(6)))
+    cfg = PlanConfig(horizon=4, iterations=5, init_actions=init)
+    pr = gbp(f, np.zeros(6), np.ones(6), cfg, seed=0)
+    assert pr.aborted
+    assert pr.loss_trace == [] and pr.iterations == 0 and pr.model_evals == 0
+
+
 def test_cem_identity_model_quadratic():
     f = linear_model(np.eye(2))
     z1 = np.array([0.3, -0.2])
