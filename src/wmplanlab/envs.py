@@ -6,15 +6,15 @@ integrator in a 2x2 room grid with three doors. Both resolve collisions by
 axis-separated clamp-and-slide against axis-aligned wall segments, so a
 blocked axis is clamped at the wall face while the other axis still moves.
 
-`step` takes one state or a batch of states and picks its implementation
-from the shape of the position. One state, `(2,)`, steps in Python floats
-(`_move`); that is the path of MPC, evaluation and every replay, such as
-`visit`, which returns the observations a plan visits. A batch, `(N, 2)`,
-steps with elementwise NumPy, one wall at a time in the same wall order
-(`_move_rows`), so each row keeps the bits of the one-state path.
-Neither path serves both callers: on one state the batched step costs
-about 20x the one-state step (see `step`), while a dataset of N
-trajectories takes T-1 batched steps in place of N(T-1) one-state steps.
+`step` runs one loop over the `frameskip` substeps for one state or a
+batch; the shape of the position picks only the move kernel. One state,
+`(2,)`, moves in Python floats (`_move`): the path of MPC, evaluation and
+every replay, such as `visit`. A batch, `(N, 2)`, moves in elementwise
+NumPy, one wall at a time in `_move`'s wall order (`_move_rows`), so each
+row keeps the bits of the one-state path. Each kernel is the fast one for
+its caller: on one state the NumPy kernel costs about 20x (see `step`),
+while a dataset of N trajectories takes T-1 batched steps in place of
+N(T-1) one-state steps.
 
 `generate_dataset` steps all N trajectories in lockstep. Each trajectory
 still draws only from its own stream generator(seed, "traj", i), the same
@@ -42,18 +42,10 @@ POINTMASS_ACCEL = 0.01  # force-to-velocity gain per substep
 
 
 @dataclass(frozen=True)
-class Wall:
-    """Axis-aligned wall segment: the line axis==0 is vertical (x = coord,
-    blocking x motion for y in [lo, hi]); axis==1 is horizontal."""
+class Segment:
+    """Axis-aligned wall or door: the line axis==0 is vertical (x = coord
+    for y in [lo, hi]; a wall there blocks x motion); axis==1 horizontal."""
 
-    axis: int
-    coord: float
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class Door:
     axis: int
     coord: float
     lo: float
@@ -69,8 +61,8 @@ class Door:
 class EnvSpec:
     kind: str
     size: float
-    walls: tuple[Wall, ...]
-    doors: tuple[Door, ...]
+    walls: tuple[Segment, ...]
+    doors: tuple[Segment, ...]
     a_max: float
     damping: float = 0.0
     frameskip: int = 5
@@ -104,19 +96,19 @@ class TaskInstance:
 
 def wall2d_spec(frameskip: int = 5) -> EnvSpec:
     """Unit box, vertical wall at x=0.5 with a door over y in [0.4, 0.6]."""
-    walls = (Wall(0, 0.5, 0.0, 0.4), Wall(0, 0.5, 0.6, 1.0))
-    doors = (Door(0, 0.5, 0.4, 0.6),)
+    walls = (Segment(0, 0.5, 0.0, 0.4), Segment(0, 0.5, 0.6, 1.0))
+    doors = (Segment(0, 0.5, 0.4, 0.6),)
     return EnvSpec(WALL2D, 1.0, walls, doors, a_max=0.05, frameskip=frameskip)
 
 
 def pointmass_spec(frameskip: int = 5) -> EnvSpec:
     """2x2 room grid with three doors; force-actuated with damping 0.1."""
     walls = (
-        Wall(0, 0.5, 0.0, 0.15), Wall(0, 0.5, 0.35, 1.0),
-        Wall(1, 0.5, 0.0, 0.15), Wall(1, 0.5, 0.35, 0.65), Wall(1, 0.5, 0.85, 1.0),
+        Segment(0, 0.5, 0.0, 0.15), Segment(0, 0.5, 0.35, 1.0),
+        Segment(1, 0.5, 0.0, 0.15), Segment(1, 0.5, 0.35, 0.65), Segment(1, 0.5, 0.85, 1.0),
     )
-    doors = (Door(0, 0.5, 0.15, 0.35), Door(1, 0.5, 0.15, 0.35),
-             Door(1, 0.5, 0.65, 0.85))
+    doors = (Segment(0, 0.5, 0.15, 0.35), Segment(1, 0.5, 0.15, 0.35),
+             Segment(1, 0.5, 0.65, 0.85))
     return EnvSpec(POINTMASS, 1.0, walls, doors, a_max=1.0, damping=0.1,
                    frameskip=frameskip)
 
@@ -136,38 +128,41 @@ def spec_to_dict(spec: EnvSpec) -> dict:
 def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     """Axis-separated slide: apply the x move, then the y move at the new x.
 
-    Returns the new position and a per-axis blocked mask. A move that would
-    cross a solid wall span is clamped at the face minus a contact epsilon;
-    box faces clamp exactly.
+    Returns the new position and `delta` with each blocked axis zeroed. A
+    move that would cross a solid wall span is clamped at the face minus a
+    contact epsilon; box faces clamp exactly.
     """
     x, y = float(pos[0]), float(pos[1])
-    blocked = [False, False]
+    dx, dy = float(delta[0]), float(delta[1])
+    bx = by = False
 
-    nx = x + float(delta[0])
+    nx = x + dx
     for w in spec.walls:
         if w.axis == 0 and w.lo <= y <= w.hi:
             if x < w.coord <= nx:
-                nx, blocked[0] = w.coord - CONTACT_EPS, True
+                nx, bx = w.coord - CONTACT_EPS, True
             elif x > w.coord >= nx:
-                nx, blocked[0] = w.coord + CONTACT_EPS, True
+                nx, bx = w.coord + CONTACT_EPS, True
     if nx < 0.0:
-        nx, blocked[0] = 0.0, True
+        nx, bx = 0.0, True
     elif nx > spec.size:
-        nx, blocked[0] = spec.size, True
+        nx, bx = spec.size, True
 
-    ny = y + float(delta[1])
+    ny = y + dy
     for w in spec.walls:
         if w.axis == 1 and w.lo <= nx <= w.hi:
             if y < w.coord <= ny:
-                ny, blocked[1] = w.coord - CONTACT_EPS, True
+                ny, by = w.coord - CONTACT_EPS, True
             elif y > w.coord >= ny:
-                ny, blocked[1] = w.coord + CONTACT_EPS, True
+                ny, by = w.coord + CONTACT_EPS, True
     if ny < 0.0:
-        ny, blocked[1] = 0.0, True
+        ny, by = 0.0, True
     elif ny > spec.size:
-        ny, blocked[1] = spec.size, True
+        ny, by = spec.size, True
 
-    return np.array([nx, ny]), blocked
+    if bx or by:
+        return np.array([nx, ny]), np.array([0.0 if bx else dx, 0.0 if by else dy])
+    return np.array([nx, ny]), delta
 
 
 def _slide_rows(spec: EnvSpec, axis: int, start, end, other):
@@ -195,24 +190,8 @@ def _move_rows(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     x, y = pos[:, 0], pos[:, 1]
     nx, bx = _slide_rows(spec, 0, x, x + delta[:, 0], y)
     ny, by = _slide_rows(spec, 1, y, y + delta[:, 1], nx)
-    return np.stack([nx, ny], axis=1), np.stack([bx, by], axis=1)
-
-
-def _step_rows(spec: EnvSpec, s: EnvState, a) -> EnvState:
-    """`step` of every row of a batch, with `_move_rows` for `_move`."""
-    a = np.clip(np.asarray(a, dtype=np.float64), -spec.a_max, spec.a_max)
-    pos = s.position
-    vel = s.velocity
-    for _ in range(spec.frameskip):
-        if spec.kind == WALL2D:
-            pos, _ = _move_rows(spec, pos, a)
-        else:
-            vel = (1.0 - spec.damping) * vel + POINTMASS_ACCEL * a
-            pos, blocked = _move_rows(spec, pos, vel)
-            vel = np.where(blocked, 0.0, vel)
-    if spec.kind == WALL2D:
-        vel = np.zeros_like(pos)
-    return EnvState(pos, vel)
+    blocked = np.stack([bx, by], axis=1)
+    return np.stack([nx, ny], axis=1), np.where(blocked, 0.0, delta)
 
 
 def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
@@ -221,30 +200,23 @@ def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
     `s` is one state (position and velocity of shape (2,), `a` of shape
     (2,)) or a batch of N states ((N, 2) each, `a` of shape (N, 2)); row i
     of a batched step equals the one-state step of row i bit for bit. The
-    two shapes take separate paths because each is the fast one for its
-    caller. On one Wall2D state the batched path took 390 us against 18 us
-    for the one-state path (PointMass: 555 us against 30 us; 2 cores,
-    Python 3.11, NumPy 2.4.6), which would add about 90 ms to every
-    250-step MPC episode; over a batch of N rows it runs once where the
-    one-state path would run N times.
+    shape picks the move kernel, the fast one for each caller: on one
+    Wall2D state a step took 390 us on `_move_rows` against 18 us on
+    `_move` (PointMass: 555 us against 30 us; 2 cores, Python 3.11, NumPy
+    2.4.6), about 90 ms more per 250-step MPC episode, while on a batch of
+    N rows `_move_rows` runs once where `_move` would run N times.
     """
-    if s.position.ndim == 2:
-        return _step_rows(spec, s, a)
+    move = _move_rows if s.position.ndim == 2 else _move
     a = np.clip(np.asarray(a, dtype=np.float64), -spec.a_max, spec.a_max)
     pos = s.position
+    if spec.kind == WALL2D:
+        for _ in range(spec.frameskip):
+            pos, _ = move(spec, pos, a)
+        return EnvState(pos, np.zeros(pos.shape))
     vel = s.velocity
     for _ in range(spec.frameskip):
-        if spec.kind == WALL2D:
-            pos, _ = _move(spec, pos, a)
-        else:
-            vel = (1.0 - spec.damping) * vel + POINTMASS_ACCEL * a
-            pos, blocked = _move(spec, pos, vel)
-            if blocked[0]:
-                vel = np.array([0.0, vel[1]])
-            if blocked[1]:
-                vel = np.array([vel[0], 0.0])
-    if spec.kind == WALL2D:
-        vel = np.zeros(2)
+        vel = (1.0 - spec.damping) * vel + POINTMASS_ACCEL * a
+        pos, vel = move(spec, pos, vel)
     return EnvState(pos, vel)
 
 

@@ -175,7 +175,10 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
             tasks, results = zip(*pool.map(_eval_task, range(n_tasks)))
     else:
         _init_worker(ctx)
-        tasks, results = zip(*map(_eval_task, range(n_tasks)))
+        try:
+            tasks, results = zip(*map(_eval_task, range(n_tasks)))
+        finally:
+            _CTX.clear()  # drop the models and the dataset with the call
     cells, timing = [], []
     for mname in models:
         for pname in planners:
@@ -373,11 +376,21 @@ def emit_report(report, outdir) -> list[str]:
     return written
 
 
+def _nan(x):
+    """A float field as JSON holds it: `write_json` writes NaN as null."""
+    return float("nan") if x is None else x
+
+
 def load_report(outdir) -> EvalReport:
     with open(os.path.join(outdir, "report.json")) as fh:
         body = json.load(fh)
     with open(os.path.join(outdir, "timing.json")) as fh:
         timing = json.load(fh)
-    cells = [Cell(**{**cell, "rows": [TaskRow(**row) for row in cell["rows"]]})
+    cells = [Cell(**{**cell, "mean_trace": [_nan(x) for x in cell["mean_trace"]],
+                     "rows": [TaskRow(**{**row, "final_loss": _nan(row["final_loss"])})
+                              for row in cell["rows"]]})
              for cell in body.pop("cells")]
-    return EvalReport(**body, cells=cells, timing=timing["cells"])
+    timing = [{**t, "mean_plan_seconds": _nan(t["mean_plan_seconds"]),
+               "plan_seconds": [_nan(x) for x in t["plan_seconds"]]}
+              for t in timing["cells"]]
+    return EvalReport(**body, cells=cells, timing=timing)

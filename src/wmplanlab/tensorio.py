@@ -38,10 +38,24 @@ def atomic_open(path, mode: str, **kwargs):
 
 def write_json(path, obj, **dump_options) -> None:
     """Write `obj` to `path` atomically as JSON with sorted keys and a final
-    newline; `dump_options` (`indent`, `separators`) go to `json.dump`."""
+    newline; `dump_options` (`indent`, `separators`) go to `json.dump`.
+    Every non-finite float is written as `null`, since JSON has no NaN or
+    Infinity token."""
     with atomic_open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, **dump_options)
+        json.dump(_finite_or_null(obj), fh, sort_keys=True, allow_nan=False,
+                  **dump_options)
         fh.write("\n")
+
+
+def _finite_or_null(obj):
+    """`obj` with each non-finite float in its dicts and lists made None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def read_json(path, keys=()) -> dict:

@@ -366,6 +366,26 @@ def test_lockstep_generation_equals_the_one_trajectory_reference(kind, policy, s
         assert np.array_equal(by_n[7].actions, by_n[64].actions[:7])
 
 
+@pytest.mark.parametrize("kind", ["wall2d", "pointmass"])
+def test_the_state_shape_picks_the_move_kernel(kind, monkeypatch):
+    # one state moves in Python floats only: the NumPy kernel would cost
+    # MPC and every replay about 20x per step
+    spec = envs.wall2d_spec(3) if kind == "wall2d" else envs.pointmass_spec(3)
+    calls = []
+    for name in ("_move", "_move_rows"):
+        def spy(*args, name=name, real=getattr(envs, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(envs, name, spy)
+    envs.step(spec, envs.EnvState(np.array([0.3, 0.4]), np.zeros(2)), np.full(2, 0.01))
+    assert calls == ["_move"] * 3
+    calls.clear()
+    envs.step(spec, envs.EnvState(np.full((4, 2), 0.3), np.zeros((4, 2))),
+              np.full((4, 2), 0.01))
+    assert calls == ["_move_rows"] * 3
+
+
 def test_generate_dataset_takes_one_batched_step_per_time_step(wall_spec, monkeypatch):
     shapes = []
     real_step = envs.step

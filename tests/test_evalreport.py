@@ -1,5 +1,8 @@
+import gc
 import json
 import os
+import weakref
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -138,6 +141,60 @@ def test_a_task_that_fails_in_a_cell_gets_a_failed_row_and_nan_seconds(monkeypat
     (timing,) = report.timing
     assert np.isnan(timing["mean_plan_seconds"])
     assert np.isnan(timing["plan_seconds"]).all() and len(timing["plan_seconds"]) == 1
+
+
+def test_evaluate_keeps_no_input_alive_after_a_serial_run():
+    spec, enc, data, model, plan = _perfect_setup()
+    refs = weakref.ref(data), weakref.ref(model)
+    evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=2, mode="open-loop",
+             seed=0, data=data, horizon_gap=1, workers=1)
+    del data, model
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def _no_nan_token(token):
+    raise AssertionError(f"{token} token in JSON")
+
+
+def test_a_report_with_nan_values_writes_null_and_reads_back_nan(
+        monkeypatch, tmp_path):
+    # task 0 starts inside its goal, so cell (m, p) plans nothing for it and
+    # its final loss is NaN; every task of cell (m, boom) fails, so its
+    # seconds and their mean are NaN
+    spec, enc, data, model, plan = _perfect_setup()
+    boom = replace(plan)  # the same settings, told apart by identity
+    start = envs.EnvState(np.array([0.3, 0.4]), np.zeros(2))
+    goal_obs = envs.obs_of(spec, start)
+    at_goal = envs.TaskInstance(start, goal_obs, envs.state_of_obs(spec, goal_obs), 1)
+    real_draw, real_mpc = evalreport._draw_task, evalreport.mpc
+
+    def draw(spec, data, horizon_gap, seed, t, require_cross_room):
+        return at_goal if t == 0 else real_draw(spec, data, horizon_gap, seed, t,
+                                                 require_cross_room)
+
+    def mpc(spec, model, enc, task, planner, *args, **kwargs):
+        if planner is boom:
+            raise RuntimeError("boom")
+        return real_mpc(spec, model, enc, task, planner, *args, **kwargs)
+
+    monkeypatch.setattr(evalreport, "_draw_task", draw)
+    monkeypatch.setattr(evalreport, "mpc", mpc)
+    with pytest.warns(UserWarning, match="boom"):
+        report = evaluate(spec, enc, {"m": model}, {"p": plan, "boom": boom},
+                          n_tasks=2, mode="open-loop", seed=0, data=data,
+                          horizon_gap=1)
+    assert np.isnan(report.cells[0].rows[0].final_loss)
+    assert np.isnan(report.timing[1]["mean_plan_seconds"])
+    emit_report(report, tmp_path)
+    for name in ("report.json", "timing.json"):
+        text = (tmp_path / name).read_text()
+        json.loads(text, parse_constant=_no_nan_token)
+        assert "null" in text, name
+    # NaN != NaN, so compare the two as JSON text, where NaN is a token
+    back = load_report(tmp_path)
+    assert (json.dumps(asdict(back), sort_keys=True)
+            == json.dumps(asdict(report), sort_keys=True))
 
 
 def test_evaluate_require_cross_room(wall_spec):

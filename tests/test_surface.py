@@ -1,5 +1,5 @@
-"""Every public module-level function and class of the package is reached
-by the package itself or by the benchmark, or is a named test seam; no
+"""Every module-level function and class of the package is reached by the
+package itself or by the benchmark, or (if public) is a named test seam; no
 module imports a name it does not use; the model modules work on latents
 without the simulator or the encoder; and only `tensorio` writes files.
 
@@ -27,12 +27,14 @@ TEST_SEAMS = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
-def _public_defs() -> dict[tuple[str, str], int]:
+def _defs(private: bool = False) -> dict[tuple[str, str], int]:
+    """The line of each module-level function and class, by (module, name),
+    whose name is public, or private (starts with "_") if `private`."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+                    and node.name.startswith("_") == private):
                 defs[(path.stem, node.name)] = node.lineno
     return defs
 
@@ -68,14 +70,24 @@ def _references() -> set[str]:
 def test_every_public_definition_is_reached_or_a_named_test_seam():
     refs = _references()
     unreached = [f"src/wmplanlab/{module}.py:{line} {name}"
-                 for (module, name), line in sorted(_public_defs().items())
+                 for (module, name), line in sorted(_defs().items())
                  if name not in refs and (module, name) not in TEST_SEAMS]
     assert not unreached, ("reached by no command, preset or benchmark; delete "
                            "it or name it in TEST_SEAMS: " + ", ".join(unreached))
 
 
+def test_every_private_definition_is_reached():
+    # no test seam excuses a private helper: only the package or the benchmark
+    # may reach it
+    refs = _references()
+    unreached = [f"src/wmplanlab/{module}.py:{line} {name}"
+                 for (module, name), line in sorted(_defs(private=True).items())
+                 if name not in refs]
+    assert not unreached, "reached by nothing; delete it: " + ", ".join(unreached)
+
+
 def test_every_test_seam_exists_and_is_otherwise_unreached():
-    defs, refs = _public_defs(), _references()
+    defs, refs = _defs(), _references()
     for module, name in TEST_SEAMS:
         assert (module, name) in defs, f"{module}.{name} is gone"
         assert name not in refs, f"{module}.{name} is reached; drop it from TEST_SEAMS"
