@@ -398,14 +398,14 @@ def _load_model(path: str, enc: Encoder):
 
 
 def _save_trained(out: str, cfg: dict, enc: Encoder, result, **meta) -> None:
-    """The checkpoint of a trained world model with its `meta`, its
+    """The checkpoint of a trainer's `TrainResult` with its `meta`, its
     `train_trace.json` (the batch losses, and the epoch losses where the
     result keeps some) and its run manifest."""
     meta = {"encoder_hash": encoder_hash(enc), "config_hash": config_hash(cfg),
             **meta}
     worldmodel.save_model(out, result.model, meta)
     trace = {"batch_losses": result.batch_losses}
-    if getattr(result, "epoch_losses", None):
+    if result.epoch_losses:
         trace["epoch_losses"] = result.epoch_losses
     write_json(os.path.join(out, "train_trace.json"), trace)
     _write_run_manifest(out, cfg, enc)
@@ -469,9 +469,9 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
         batch_size=train.batch_size, lr=train.lr, keep_perturbed=section.dump_perturbed,
         seed=derive_seed(conf.seed, "finetune-adv"))
     _save_trained(out, cfg, enc, result, finetune="adversarial")
-    if result.perturbed is not None:
+    if result.synthesized is not None:
         save_dataset(section.perturbed_path or os.path.join(out, "perturbed"),
-                     result.perturbed, env=envs.spec_to_dict(spec), seed=conf.seed)
+                     result.synthesized, env=envs.spec_to_dict(spec), seed=conf.seed)
     print(f"adversarial finetune -> {out} "
           f"(final loss {result.batch_losses[-1]:.6g})")
     return 0
@@ -485,10 +485,10 @@ def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
     result = finetune.online_wm(model, spec, enc, data, section.settings,
                                 seed=derive_seed(conf.seed, "finetune-online"))
     _save_trained(out, cfg, enc, result, finetune="online")
-    if section.corrected_path and len(result.corrected):
-        save_dataset(section.corrected_path, result.corrected,
+    if section.corrected_path and len(result.synthesized):
+        save_dataset(section.corrected_path, result.synthesized,
                      env=envs.spec_to_dict(spec), seed=conf.seed)
-    print(f"online finetune -> {out} ({len(result.corrected)} corrected trajectories)")
+    print(f"online finetune -> {out} ({len(result.synthesized)} corrected trajectories)")
     return 0
 
 
@@ -545,7 +545,7 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
     for name, model in models.items():
         report = evalreport.train_test_gap(
             model, spec, enc, data, plan_cfg, section.n,
-            seed=derive_seed(conf.seed, "gap", name))
+            seed=derive_seed(conf.seed, "gap"))
         outdir = os.path.join(out, name)
         evalreport.emit_report(report, outdir)
         _write_run_manifest(outdir, cfg, enc)

@@ -10,12 +10,12 @@ that loop. The gap and the landscapes score plans on expert windows
 a plan visits (`envs.visit`). Rows and cells hold deterministic values
 only: wall-clock, which brackets planner calls only, is the report's
 `timing`, written to its own file, so the canonical report JSON is
-byte-reproducible from (config, seed).
+byte-reproducible from (config, seed). `emit_report` hands each report's
+JSON to `tensorio.write_json` and its rows to `tensorio.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -30,7 +30,7 @@ from .data import Dataset, Window, sample_window
 from .encoder import Encoder, encode
 from .planners import MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc
 from .rng import derive_seed, generator
-from .tensorio import atomic_open, write_json
+from .tensorio import write_csv, write_json
 # rollout_model is not called here any more; the binding stays because
 # perfbench's tracer test checks that it patches this module's copy
 from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
@@ -318,62 +318,39 @@ def total_variation(values) -> float:
 # report files
 
 
-def emit_report(report, outdir) -> list[str]:
-    """Write JSON (+ separate timing), CSV rows, and grid files.
-
-    Returns the list of file paths written. parse via load_report.
-    """
+def emit_report(report, outdir) -> None:
+    """Write an `EvalReport` as report.json, timing.json and report.csv, a
+    `GapReport` as gap.json and gap.csv, or a `LandscapePair` as
+    landscape.json and one landscape_<model>.csv per grid, into `outdir`.
+    Table cells keep their types: success as an int, floats by `repr`.
+    `load_report` reads an `EvalReport` back."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
     if isinstance(report, EvalReport):
         body = asdict(report)
         timing = {"cells": body.pop("timing")}
-        p = os.path.join(outdir, "report.json")
-        write_json(p, body, separators=_COMPACT)
-        written.append(p)
-        p = os.path.join(outdir, "timing.json")
-        write_json(p, timing, separators=_COMPACT)
-        written.append(p)
-        p = os.path.join(outdir, "report.csv")
-        with atomic_open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "planner", "mode", "task_id", "success",
-                             "final_loss"])
-            for cell in report.cells:
-                for row in cell.rows:
-                    writer.writerow([cell.model, cell.planner, cell.mode,
-                                     row.task_id, int(row.success),
-                                     repr(row.final_loss)])
-        written.append(p)
+        write_json(os.path.join(outdir, "report.json"), body, separators=_COMPACT)
+        write_json(os.path.join(outdir, "timing.json"), timing, separators=_COMPACT)
+        write_csv(os.path.join(outdir, "report.csv"),
+                  ["model", "planner", "mode", "task_id", "success", "final_loss"],
+                  ([cell.model, cell.planner, cell.mode, row.task_id,
+                    int(row.success), repr(row.final_loss)]
+                   for cell in report.cells for row in cell.rows))
     elif isinstance(report, GapReport):
-        p = os.path.join(outdir, "gap.json")
-        write_json(p, asdict(report), separators=_COMPACT)
-        written.append(p)
-        p = os.path.join(outdir, "gap.csv")
-        with atomic_open(p, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rollout_id", "expert_error", "planned_error"])
-            for j, (e, q) in enumerate(zip(report.expert_errors, report.planned_errors)):
-                writer.writerow([j, repr(e), repr(q)])
-        written.append(p)
+        write_json(os.path.join(outdir, "gap.json"), asdict(report), separators=_COMPACT)
+        write_csv(os.path.join(outdir, "gap.csv"),
+                  ["rollout_id", "expert_error", "planned_error"],
+                  ([j, repr(e), repr(q)] for j, (e, q) in
+                   enumerate(zip(report.expert_errors, report.planned_errors))))
     elif isinstance(report, LandscapePair):
-        p = os.path.join(outdir, "landscape.json")
-        write_json(p, asdict(report), separators=_COMPACT)
-        written.append(p)
+        write_json(os.path.join(outdir, "landscape.json"), asdict(report), separators=_COMPACT)
         for grid in (report.baseline, report.adversarial):
-            p = os.path.join(outdir, f"landscape_{grid.model}.csv")
-            coeffs = np.linspace(grid.c_min, grid.c_max, grid.resolution)
-            with atomic_open(p, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["u", "v", "loss"])
-                for i, u in enumerate(coeffs):
-                    for j, v in enumerate(coeffs):
-                        writer.writerow([repr(float(u)), repr(float(v)),
-                                         repr(grid.values[i][j])])
-            written.append(p)
+            coeffs = np.linspace(grid.c_min, grid.c_max, grid.resolution).tolist()
+            write_csv(os.path.join(outdir, f"landscape_{grid.model}.csv"),
+                      ["u", "v", "loss"],
+                      ([repr(u), repr(v), repr(grid.values[i][j])]
+                       for i, u in enumerate(coeffs) for j, v in enumerate(coeffs)))
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
-    return written
 
 
 def _nan(x):

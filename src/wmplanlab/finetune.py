@@ -7,7 +7,8 @@ Adversarial world modeling perturbs latent states and actions inside an
 l-infinity ball in the direction that maximizes one-step prediction error,
 by FGSM with first-batch radii, keeping the prediction targets clean.
 Both keep teacher forcing's next-latent objective and change only the
-inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`.
+inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`,
+and returns `fit`'s `TrainResult` with the set it synthesized.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .data import Dataset, flatten_transitions, sample_window
 from .encoder import Encoder, encode
 from .planners import OPTIMIZERS, PlanConfig, gbp
 from .rng import derive_seed, generator
-from .worldmodel import TrainResult, WorldModel, fit, step_loss_grad
+from .worldmodel import TrainResult, WorldModel, fit, shuffled_batches, step_loss_grad
 
 
 @dataclass
@@ -89,38 +90,34 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
     attacks are regenerated fresh, against the current weights, every time
     a batch is visited. With both scaling factors zero
     the batches are the clean transitions of each trajectory batch.
-    keep_perturbed stores the final epoch's perturbed pairs as one-step
-    trajectories so they can be written in the dataset format.
+    keep_perturbed stores the final epoch's perturbed pairs as the result's
+    `synthesized` set, one-step trajectories in the dataset format.
     """
     if not len(data):
         raise ValueError("empty dataset")
     model = f.clone()
     last_epoch = []  # the final epoch's (Z, A, ZN) batches, on request
-    first = generator(seed, "shuffle", 0).permutation(len(data))[:batch_size]
+    first = next(shuffled_batches(len(data), batch_size, 1, seed))[1]
     eps_a, eps_z = compute_radii(data.actions[first], data.latents[first],
                                  pcfg.lambda_a, pcfg.lambda_z)
 
     def batches():
-        step = 0  # batches so far, over all epochs
-        for epoch in range(epochs):
-            perm = generator(seed, "shuffle", epoch).permutation(len(data))
-            for lo in range(0, len(data), batch_size):
-                idx = perm[lo:lo + batch_size]
-                Z, A, ZN = flatten_transitions(data, idx)
-                if eps_a != 0.0 or eps_z != 0.0:
-                    da, dz = _attack_deltas(model, Z, A, ZN, eps_a, eps_z,
-                                            generator(seed, "attack", step))
-                    Z, A = Z + dz, A + da
-                if keep_perturbed and epoch == epochs - 1:
-                    last_epoch.append((Z, A, ZN))
-                step += 1
-                yield epoch, Z, A, ZN
+        for step, (epoch, idx) in enumerate(
+                shuffled_batches(len(data), batch_size, epochs, seed)):
+            Z, A, ZN = flatten_transitions(data, idx)
+            if eps_a != 0.0 or eps_z != 0.0:
+                da, dz = _attack_deltas(model, Z, A, ZN, eps_a, eps_z,
+                                        generator(seed, "attack", step))
+                Z, A = Z + dz, A + da
+            if keep_perturbed and epoch == epochs - 1:
+                last_epoch.append((Z, A, ZN))
+            yield epoch, Z, A, ZN
 
     result = fit(model, batches(), lr, "adversarial finetuning")
     if keep_perturbed:
         Z, A, ZN = (np.concatenate(arrs) for arrs in zip(*last_epoch))
-        result.perturbed = Dataset(A[:, None], latents=np.stack([Z, ZN], axis=1),
-                                   provenance="adversarial")
+        result.synthesized = Dataset(A[:, None], latents=np.stack([Z, ZN], axis=1),
+                                     provenance="adversarial")
     return result
 
 
@@ -143,22 +140,17 @@ class OnlineConfig:
             raise ValueError("mix_ratio must lie in [0, 1]")
 
 
-@dataclass
-class OnlineResult:
-    model: WorldModel
-    corrected: Dataset
-    batch_losses: list[float] = field(default_factory=list)
-
-
 def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
-              cfg: OnlineConfig, seed: int = 0) -> OnlineResult:
+              cfg: OnlineConfig, seed: int = 0) -> TrainResult:
     """Plan over expert start/goal pairs, execute in the simulator, and
     finetune on the corrected trajectories (mixed with expert replay).
 
     Each iteration plans with the weights of every finetuning step before
     it, then takes `finetune_steps` batches of `batch_size` transitions, a
     `mix_ratio` share drawn from the expert data and the rest from every
-    corrected trajectory so far."""
+    corrected trajectory so far. The result's `synthesized` set holds the
+    corrected trajectories; it keeps the batch losses only, as the
+    iterations are not epochs."""
     model = f.clone()
     H, n_iter = cfg.horizon, cfg.iterations  # one corrected trajectory each
     corrected = Dataset(np.empty((n_iter, H, spec.action_dim)),
@@ -192,4 +184,4 @@ def online_wm(f: WorldModel, spec: envs.EnvSpec, enc: Encoder, data: Dataset,
                 yield i, Z, A, ZN
 
     result = fit(model, batches(), cfg.lr, "online finetuning")
-    return OnlineResult(model, corrected, result.batch_losses)
+    return TrainResult(model, result.batch_losses, synthesized=corrected)

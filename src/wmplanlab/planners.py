@@ -75,7 +75,8 @@ class PlanConfig(Descent):
     """GBP. `loss` names a goal loss of GOAL_LOSSES. A plan starts from the
     (H, d_a) array `init_actions` when one is given, and otherwise from a
     Gaussian draw of its seed; it clamps to [-a_max, a_max] when `a_max` is
-    set. No config key sets `init_actions`, `a_max` or `return_best`."""
+    set. No config key sets `init_actions`, `a_max` or `return_best`; with
+    `return_best` False, `gbp`'s `final_loss` is stale (see `gbp`)."""
 
     horizon: int = field(default=25, metadata=COUNT)
     loss: str = field(default="final", metadata=one_of(GOAL_LOSSES))
@@ -108,7 +109,11 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
         seed: int) -> PlanResult:
     """Iterate rollout -> goal loss -> gradient step on the action sequence.
 
-    Returns the best-loss iterate (switchable to the last via return_best).
+    Returns the best-loss iterate and its loss, or with `return_best` False
+    the actions after the last step with the loss of the iterate before
+    that step, the last one scored. GradCEM's refinement, the one caller
+    that sets the flag, rescores its candidates with `final_cost`, so
+    nothing reads that stale loss.
     Actions are clamped to [-a_max, a_max] after every update when a_max is
     set. `seed` draws the initial actions unless `cfg.init_actions` gives
     them, which are copied and never changed. The plan owns one action

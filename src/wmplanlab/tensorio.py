@@ -1,15 +1,17 @@
 """The writers of every output file, and WMT1 tensor serialization.
 
 `atomic_open` writes a file whole or not at all, and every writer goes
-through it; `write_json` is the one JSON writer, `save_tensors` the one
-tensor writer. WMT1 record layout (little-endian): magic b"WMT1", rank as
-u64, dims as u64 each, then the float64 entries in row-major order. Files
-may hold several records back to back.
+through it; `write_json` is the one JSON writer, `write_csv` the one table
+writer, `save_tensors` the one tensor writer. WMT1 record layout
+(little-endian): magic b"WMT1", rank as u64, dims as u64 each, then the
+float64 entries in row-major order. Files may hold several records back to
+back.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import math
 import os
@@ -45,6 +47,15 @@ def write_json(path, obj, **dump_options) -> None:
         json.dump(_finite_or_null(obj), fh, sort_keys=True, allow_nan=False,
                   **dump_options)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the `header` row and then each of `rows` to `path` atomically
+    as CSV; each cell is written as `str` makes it."""
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _finite_or_null(obj):

@@ -214,7 +214,7 @@ class TrainResult:
     model: WorldModel
     batch_losses: list[float] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
-    perturbed: Dataset | None = None  # filled by adversarial finetuning on request
+    synthesized: Dataset | None = None  # a finetune's perturbed or corrected set
 
 
 def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarray,
@@ -313,6 +313,16 @@ def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
     return result
 
 
+def shuffled_batches(n: int, batch_size: int, epochs: int, seed: int):
+    """(epoch, indices) for each batch of `epochs` passes over `n` items:
+    epoch e walks a permutation drawn from `generator(seed, "shuffle", e)`
+    in slices of `batch_size`, the last slice short."""
+    for epoch in range(epochs):
+        perm = generator(seed, "shuffle", epoch).permutation(n)
+        for lo in range(0, n, batch_size):
+            yield epoch, perm[lo:lo + batch_size]
+
+
 def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int,
                           batch_size: int, lr: float, seed: int = 0) -> TrainResult:
     """Fit next-latent prediction on (z_t, a_t, z_{t+1}) triplets with Adam:
@@ -321,15 +331,9 @@ def train_teacher_forcing(f: WorldModel, data: Dataset, epochs: int,
     if not len(data):
         raise ValueError("empty dataset")
     Z, A, ZN = flatten_transitions(data)
-
-    def batches():
-        for epoch in range(epochs):
-            perm = generator(seed, "shuffle", epoch).permutation(len(Z))
-            for lo in range(0, len(Z), batch_size):
-                idx = perm[lo:lo + batch_size]
-                yield epoch, Z[idx], A[idx], ZN[idx]
-
-    return fit(f.clone(), batches(), lr, "training")
+    batches = ((epoch, Z[idx], A[idx], ZN[idx])
+               for epoch, idx in shuffled_batches(len(Z), batch_size, epochs, seed))
+    return fit(f.clone(), batches, lr, "training")
 
 
 def wm_error(f: WorldModel, zs: np.ndarray, actions) -> np.ndarray:

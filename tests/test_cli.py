@@ -152,6 +152,20 @@ def test_train_writes_checkpoint_and_manifest(pipeline):
     assert len(trace["epoch_losses"]) == 2
 
 
+@pytest.mark.parametrize("command, out, keys", [
+    ("train", "model.path", ["batch_losses", "epoch_losses"]),
+    ("finetune-adv", "finetune.adversarial.out_path", ["batch_losses", "epoch_losses"]),
+    # the online iterations are not epochs, so it keeps no epoch losses
+    ("finetune-online", "finetune.online.out_path", ["batch_losses"])])
+def test_train_trace_holds_the_losses_each_trainer_keeps(pipeline, command, out, keys):
+    cfg, path = pipeline
+    assert _run(command, "--config", path) == 0
+    outdir = functools.reduce(dict.get, out.split("."), cfg)
+    trace = json.load(open(os.path.join(outdir, "train_trace.json")))
+    assert sorted(trace) == keys
+    assert trace["batch_losses"] and all(np.isfinite(trace["batch_losses"]))
+
+
 def test_finetune_adv_zero_lambda_continues_teacher_forcing(pipeline):
     cfg, path = pipeline
     assert _run("finetune-adv", "--config", path, "--set",
@@ -275,6 +289,17 @@ def test_gap_command(pipeline):
     body = json.load(open(os.path.join(cfg["gap"]["out_path"], "baseline",
                                        "gap.json")))
     assert body["n"] == 2
+
+
+def test_gap_scores_every_model_on_the_same_windows(pipeline):
+    # the same checkpoint under two names: same windows, same plan starts
+    cfg, path = pipeline
+    models = json.dumps({"a": cfg["model"]["path"], "b": cfg["model"]["path"]})
+    assert _run("gap", "--config", path, "--set", f"gap.models={models}") == 0
+    out = cfg["gap"]["out_path"]
+    for name in ("gap.json", "gap.csv"):
+        a, b = (open(os.path.join(out, model, name), "rb").read() for model in "ab")
+        assert a == b, name
 
 
 def test_gap_loads_every_checkpoint_before_writing(pipeline, capsys):

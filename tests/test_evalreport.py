@@ -381,9 +381,9 @@ def _tiny_report():
 
 def test_emit_report_roundtrip(tmp_path):
     report = _tiny_report()
-    written = emit_report(report, tmp_path / "out")
-    assert any(p.endswith("report.json") for p in written)
-    assert any(p.endswith("timing.json") for p in written)
+    assert emit_report(report, tmp_path / "out") is None
+    assert sorted(os.listdir(tmp_path / "out")) == ["report.csv", "report.json",
+                                                   "timing.json"]
     back = load_report(tmp_path / "out")
     assert back == report
     # timing lives outside the canonical report json

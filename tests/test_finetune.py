@@ -179,9 +179,9 @@ def test_adversarial_targets_stay_clean(wall_spec):
     res = adversarial_wm(f, data, pcfg, epochs=1, batch_size=6, lr=1e-3,
                          seed=2, keep_perturbed=True)
     Z, A, ZN = _batch_order_transitions(data, 6, seed=2)
-    assert res.perturbed.actions.shape == (len(Z), 1, 2)  # one-step trajectories
-    assert np.array_equal(res.perturbed.latents[:, 1], ZN)  # clean targets
-    assert res.perturbed.provenance == "adversarial"
+    assert res.synthesized.actions.shape == (len(Z), 1, 2)  # one-step trajectories
+    assert np.array_equal(res.synthesized.latents[:, 1], ZN)  # clean targets
+    assert res.synthesized.provenance == "adversarial"
 
 
 def test_adversarial_perturbs_inputs_within_radii(wall_spec):
@@ -193,7 +193,7 @@ def test_adversarial_perturbs_inputs_within_radii(wall_spec):
     perm = generator(2, "shuffle", 0).permutation(6)
     eps_a, eps_z = compute_radii(data.actions[perm], data.latents[perm], 0.5, 0.2)
     Z, A, ZN = _batch_order_transitions(data, 6, seed=2)
-    Zp, Ap = res.perturbed.latents[:, 0], res.perturbed.actions[:, 0]
+    Zp, Ap = res.synthesized.latents[:, 0], res.synthesized.actions[:, 0]
     assert np.abs(Zp - Z).max() <= eps_z + 1e-15
     assert np.abs(Ap - A).max() <= eps_a + 1e-15
     assert not np.array_equal(Zp, Z)
@@ -206,7 +206,7 @@ def test_online_corrected_trajectories_resimulate(wall_spec):
     cfg = OnlineConfig(iterations=3, plan_iterations=5, horizon=6,
                        finetune_steps=2, batch_size=8)
     res = online_wm(f, wall_spec, enc, data, cfg, seed=4)
-    corr = res.corrected
+    corr = res.synthesized
     assert corr.actions.shape == (3, 6, 2)
     for actions, obs, latents in zip(corr.actions, corr.obs, corr.latents):
         s = envs.state_of_obs(wall_spec, obs[0])
@@ -214,7 +214,7 @@ def test_online_corrected_trajectories_resimulate(wall_spec):
             s = envs.step(wall_spec, s, a)
             assert np.array_equal(o, envs.obs_of(wall_spec, s))
             assert np.array_equal(encode(enc, o), z)
-    assert res.corrected.provenance == "corrected"
+    assert res.synthesized.provenance == "corrected"
 
 
 def test_online_plans_with_the_weights_of_every_earlier_step(wall_spec,
@@ -255,7 +255,7 @@ def test_online_zero_iterations_is_identity(wall_spec):
     res = online_wm(f, wall_spec, enc=make_identity(2), data=data, cfg=cfg, seed=1)
     for w1, w2 in zip(res.model.weights, f.weights):
         assert np.array_equal(w1, w2)
-    assert len(res.corrected) == 0
+    assert len(res.synthesized) == 0
 
 
 def test_online_mix_ratio_zero_trains_on_corrected_only(wall_spec):

@@ -144,17 +144,17 @@ def test_the_model_modules_import_neither_the_simulator_nor_the_encoder(module):
 
 
 def _file_writes(path: pathlib.Path) -> list[str]:
-    """`file:line` of each `json.dump` call, and of each call of the builtin
-    `open` whose mode writes (has "w", "a" or "x") or is not a literal."""
+    """`file:line` of each `json.dump`, `csv.writer` and `atomic_open` call,
+    and of each call of the builtin `open` whose mode writes (has "w", "a"
+    or "x") or is not a literal."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if (isinstance(func, ast.Attribute) and func.attr == "dump"
-                and isinstance(func.value, ast.Name) and func.value.id == "json"):
-            found.append(f"{path.relative_to(ROOT)}:{node.lineno} json.dump")
-        elif isinstance(func, ast.Name) and func.id == "open":
+        call = ast.unparse(node.func)  # "json.dump", "tensorio.atomic_open", ...
+        if call in ("json.dump", "csv.writer") or call.endswith("atomic_open"):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {call}")
+        elif call == "open":
             modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
             mode = modes[0] if modes else ast.Constant("r")
             if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
@@ -165,7 +165,8 @@ def _file_writes(path: pathlib.Path) -> list[str]:
 
 def test_only_tensorio_writes_files():
     # one writer, `tensorio.atomic_open`, so that every output file is
-    # written whole or not at all; `tensorio.write_json` is the one JSON writer
+    # written whole or not at all; `tensorio.write_json` is the one JSON
+    # writer and `tensorio.write_csv` the one table writer
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "tensorio.py"]
     writes = [entry for path in paths for entry in _file_writes(path)]
     assert not writes, "write through tensorio instead: " + ", ".join(writes)
