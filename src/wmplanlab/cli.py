@@ -41,7 +41,7 @@ from .encoder import (IDENTITY, RANDOM_FOURIER, Encoder, encode_dataset,
 from .planners import (CemConfig, Descent, MpcConfig, MppiConfig, PlanConfig,
                        Planner, RefineConfig)
 from .rng import derive_seed, generator
-from .tensorio import write_json
+from .tensorio import read_json, write_json
 
 
 class ConfigError(Exception):
@@ -304,10 +304,10 @@ def _load(args) -> tuple[dict, Config]:
         except KeyError as err:
             raise ConfigError(str(err)) from err
     elif args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            cfg = read_json(args.config)
+        except ValueError as err:
+            raise ConfigError(f"config file {args.config}: {err}") from err
     else:
         raise ConfigError("provide --config FILE or --preset NAME")
     for spec in args.set or []:
@@ -374,9 +374,12 @@ def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
 
 
 def _out(path: str | None, key: str) -> str:
-    """The output path that config key `key` sets; unset is a config error."""
+    """The output directory that config key `key` sets; unset, or a path
+    that exists but is no directory, is a config error."""
     if not path:
         raise ConfigError(f"{key}: not set; the command writes there")
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"{key}: {path} exists and is not a directory")
     return path
 
 
@@ -461,6 +464,9 @@ def cmd_train(cfg: dict, conf: Config, args) -> int:
 def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
     section = conf.finetune.adversarial
     out = _out(section.out_path, "finetune.adversarial.out_path")
+    perturbed = section.perturbed_path or os.path.join(out, "perturbed")
+    if section.dump_perturbed:
+        _out(perturbed, "finetune.adversarial.perturbed_path")
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
     train = section.train
@@ -470,8 +476,8 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
         seed=derive_seed(conf.seed, "finetune-adv"))
     _save_trained(out, cfg, enc, result, finetune="adversarial")
     if result.synthesized is not None:
-        save_dataset(section.perturbed_path or os.path.join(out, "perturbed"),
-                     result.synthesized, env=envs.spec_to_dict(spec), seed=conf.seed)
+        save_dataset(perturbed, result.synthesized, env=envs.spec_to_dict(spec),
+                     seed=conf.seed)
     print(f"adversarial finetune -> {out} "
           f"(final loss {result.batch_losses[-1]:.6g})")
     return 0
@@ -480,6 +486,8 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
 def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
     section = conf.finetune.online
     out = _out(section.out_path, "finetune.online.out_path")
+    if section.corrected_path:
+        _out(section.corrected_path, "finetune.online.corrected_path")
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
     result = finetune.online_wm(model, spec, enc, data, section.settings,

@@ -2,26 +2,28 @@
 landscapes.
 
 Every grid is evaluated paired: all (model, planner) cells see the same
-task instances and the same per-task planning seeds. Each cell of a task
-is one `planners.mpc` episode, in open-loop mode too (one plan, executed
-whole), so the grid plans, steps the simulator and encodes only inside
-that loop. The gap and the landscapes score plans on expert windows
-(`data.Window`) drawn from the dataset; the gap encodes the observations
-a plan visits (`envs.visit`). Rows and cells hold deterministic values
-only: wall-clock, which brackets planner calls only, is the report's
-`timing`, written to its own file, so the canonical report JSON is
-byte-reproducible from (config, seed). `emit_report` hands each report's
+task instances and the same per-task planning seeds. The grid draws every
+task before it plans any, then runs each task's episodes in one function
+of its arguments, serially or on a process pool; the module keeps no
+state between calls. Each cell of a task is one `planners.mpc` episode,
+in open-loop mode too (one plan, executed whole), so the grid plans,
+steps the simulator and encodes only inside that loop. The gap and the
+landscapes score plans on expert windows (`data.Window`) drawn from the
+dataset; the gap encodes the observations a plan visits (`envs.visit`).
+Rows and cells hold deterministic values only: wall-clock, which brackets
+planner calls only, is the report's `timing`, written to its own file, so
+the canonical report JSON is byte-reproducible from (config, seed). `emit_report` hands each report's
 JSON to `tensorio.write_json` and its rows to `tensorio.write_csv`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .data import Dataset, Window, sample_window
 from .encoder import Encoder, encode
 from .planners import MpcConfig, PlanConfig, Planner, final_cost, gbp, mpc
 from .rng import derive_seed, generator
-from .tensorio import write_csv, write_json
+from .tensorio import read_json, write_csv, write_json
 # rollout_model is not called here any more; the binding stays because
 # perfbench's tracer test checks that it patches this module's copy
 from .worldmodel import WorldModel, rollout_model, wm_error  # noqa: F401
@@ -110,26 +112,16 @@ def _draw_task(spec, data, horizon_gap, seed, task_index,
     raise NoCrossRoomTask("no cross-room task in 200 draws")
 
 
-_CTX: dict = {}
-
-
-def _init_worker(ctx):
-    _CTX.update(ctx)
-
-
-def _eval_task(t: int):
-    """Task `t` and, per (model, planner) cell, its row, its plans' seconds
-    and their loss traces, one `mpc` episode each."""
-    c = _CTX
-    task = _draw_task(c["spec"], c["data"], c["horizon_gap"], c["seed"], t,
-                      c["require_cross_room"])
-    plan_seed = derive_seed(c["seed"], "plan", t)
+def _eval_task(spec, enc, models, planners, episode, seed, t: int,
+               task: envs.TaskInstance) -> dict:
+    """Per (model, planner) cell of task `t`: its row, its plans' seconds and
+    their loss traces, one `mpc` episode each."""
+    plan_seed = derive_seed(seed, "plan", t)
     out = {}
-    for mname, model in c["models"].items():
-        for pname, planner in c["planners"].items():
+    for mname, model in models.items():
+        for pname, planner in planners.items():
             try:
-                mr = mpc(c["spec"], model, c["enc"], task, planner, c["episode"],
-                         seed=plan_seed)
+                mr = mpc(spec, model, enc, task, planner, episode, seed=plan_seed)
             except Exception as err:  # a failed task never aborts the grid
                 warnings.warn(f"task {t} failed in cell ({mname}, {pname}): {err}")
                 out[(mname, pname)] = TaskRow(t, False, float("nan")), float("nan"), []
@@ -139,7 +131,7 @@ def _eval_task(t: int):
             out[(mname, pname)] = (TaskRow(t, mr.success, float(final)),
                                    float(sum(p.wall_clock for p in plans)),
                                    [x for p in plans for x in p.loss_trace])
-    return task, out
+    return out
 
 
 def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
@@ -157,28 +149,26 @@ def evaluate(spec: envs.EnvSpec, enc: Encoder, models: dict[str, WorldModel],
     plan_iters=None)`, whose actions are all executed unless a visited
     state succeeds first. In either mode a task that starts inside its goal
     is a success with no plan: NaN final loss, no trace, 0 plan seconds.
-    NoCrossRoomTask if 200 draws find no task that crosses rooms.
-    Every input is plain data, so the process pool of `workers` > 1 gets it
-    under any start method."""
+    All `n_tasks` tasks are drawn before the first plan, so NoCrossRoomTask,
+    raised if 200 draws find no task that crosses rooms, comes before any
+    planning. With `workers` > 1 a process pool runs the tasks: each worker
+    gets its task, its index and the env, encoder, models, planners and
+    episode config, all plain data that pickles under any start method;
+    the dataset stays in this process."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     episode = (MpcConfig(steps=1, plan_iters=None) if mode == "open-loop"
                else mpc_cfg or MpcConfig())
-    ctx = {"spec": spec, "enc": enc, "models": models, "planners": planners,
-           "episode": episode, "seed": seed, "data": data,
-           "horizon_gap": horizon_gap, "require_cross_room": require_cross_room}
+    tasks = [_draw_task(spec, data, horizon_gap, seed, t, require_cross_room)
+             for t in range(n_tasks)]
+    episodes = partial(_eval_task, spec, enc, models, planners, episode, seed)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            tasks, results = zip(*pool.map(_eval_task, range(n_tasks)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(episodes, range(n_tasks), tasks))
     else:
-        _init_worker(ctx)
-        try:
-            tasks, results = zip(*map(_eval_task, range(n_tasks)))
-        finally:
-            _CTX.clear()  # drop the models and the dataset with the call
+        results = list(map(episodes, range(n_tasks), tasks))
     cells, timing = [], []
     for mname in models:
         for pname in planners:
@@ -359,10 +349,8 @@ def _nan(x):
 
 
 def load_report(outdir) -> EvalReport:
-    with open(os.path.join(outdir, "report.json")) as fh:
-        body = json.load(fh)
-    with open(os.path.join(outdir, "timing.json")) as fh:
-        timing = json.load(fh)
+    body = read_json(os.path.join(outdir, "report.json"))
+    timing = read_json(os.path.join(outdir, "timing.json"))
     cells = [Cell(**{**cell, "mean_trace": [_nan(x) for x in cell["mean_trace"]],
                      "rows": [TaskRow(**{**row, "final_loss": _nan(row["final_loss"])})
                               for row in cell["rows"]]})

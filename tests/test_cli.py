@@ -624,15 +624,27 @@ def test_missing_dataset_is_config_error(tmp_path):
     assert _run("train", "--config", path) == 2  # dataset never generated
 
 
-@pytest.mark.parametrize("command, key", [
+_OUTPUT_KEYS = [
     ("gen-data", "dataset.path"), ("train", "model.path"),
     ("finetune-adv", "finetune.adversarial.out_path"),
     ("finetune-online", "finetune.online.out_path"), ("eval", "eval.out_path"),
     ("gap", "gap.out_path"), ("landscape", "landscape.out_path"),
+]
+# the output paths that, when set, a command writes besides its main one
+_SIDE_OUTPUT_KEYS = [("finetune-adv", "finetune.adversarial.perturbed_path"),
+                     ("finetune-online", "finetune.online.corrected_path")]
+
+
+@pytest.mark.parametrize("command, key, names_a_file", [
+    *(pytest.param(command, key, False, id=f"{command}-{key}")
+      for command, key in _OUTPUT_KEYS),
+    *(pytest.param(command, key, True, id=f"{command}-{key}-names-a-file")
+      for command, key in _OUTPUT_KEYS + _SIDE_OUTPUT_KEYS),
 ])
 def test_a_missing_output_path_exits_2_naming_its_key_before_writing(
-        tmp_path, capsys, command, key):
+        tmp_path, capsys, command, key, names_a_file):
     cfg = tiny_config(tmp_path)
+    cfg["finetune"]["adversarial"]["dump_perturbed"] = True  # writes perturbed_path
     path = _write(tmp_path, cfg)
     if command != "gen-data":
         assert _run("gen-data", "--config", path) == 0
@@ -642,13 +654,30 @@ def test_a_missing_output_path_exits_2_naming_its_key_before_writing(
     section = cfg
     for part in parents:
         section = section[part]
-    del section[last]
+    if names_a_file:
+        section[last] = str(tmp_path / "a-file")
+        (tmp_path / "a-file").write_text("")
+    else:
+        del section[last]
     path = _write(tmp_path, cfg)
     before = sorted(tmp_path.rglob("*"))
     workers = ["--workers", "1"] if command == "eval" else []
     assert _run(command, "--config", path, *workers) == 2
-    assert f"config error: {key}: not set" in capsys.readouterr().err
+    expect = (f"{tmp_path / 'a-file'} exists and is not a directory" if names_a_file
+              else "not set")
+    assert f"config error: {key}: {expect}" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("content", ["malformed", "directory", "list"])
+def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"seed": 11,' if content == "malformed" else "[11]")
+    assert _run("gen-data", "--config", str(path)) == 2
+    assert f"config error: config file {path}: " in capsys.readouterr().err
 
 
 def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypatch):

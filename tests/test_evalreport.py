@@ -84,6 +84,25 @@ def test_evaluate_draws_each_task_once(monkeypatch):
     assert report.task_hash == evalreport._task_fingerprint(drawn)
 
 
+def test_evaluate_draws_every_task_before_it_plans_one(monkeypatch):
+    # a grid that cannot draw its last task fails before its first plan
+    spec, enc, data, model, plan = _perfect_setup()
+    draw = evalreport._draw_task
+    planned = []
+
+    def draw_but_task_2(spec, data, horizon_gap, seed, t, require_cross_room):
+        if t == 2:
+            raise evalreport.NoCrossRoomTask("no cross-room task in 200 draws")
+        return draw(spec, data, horizon_gap, seed, t, require_cross_room)
+
+    monkeypatch.setattr(evalreport, "_draw_task", draw_but_task_2)
+    monkeypatch.setattr(evalreport, "mpc", lambda *args, **kwargs: planned.append(args))
+    with pytest.raises(evalreport.NoCrossRoomTask):
+        evaluate(spec, enc, {"m": model}, {"p": plan}, n_tasks=3, mode="mpc",
+                 seed=5, data=data, horizon_gap=1)
+    assert planned == []
+
+
 def test_evaluate_parallel_matches_serial():
     spec, enc, data, model, plan = _perfect_setup()
     kwargs = dict(n_tasks=4, mode="open-loop", seed=7, data=data, horizon_gap=1)

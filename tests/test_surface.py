@@ -1,7 +1,8 @@
 """Every module-level function and class of the package is reached by the
 package itself or by the benchmark, or (if public) is a named test seam; no
 module imports a name it does not use; the model modules work on latents
-without the simulator or the encoder; and only `tensorio` writes files.
+without the simulator or the encoder; only `tensorio` writes files and
+reads JSON; and no function keeps state in the module.
 
 A name counts as reached when code in `src/wmplanlab` (other than the
 `__init__.py` re-exports, and other than its own definition) or in
@@ -170,3 +171,65 @@ def test_only_tensorio_writes_files():
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "tensorio.py"]
     writes = [entry for path in paths for entry in _file_writes(path)]
     assert not writes, "write through tensorio instead: " + ", ".join(writes)
+
+
+def test_only_tensorio_reads_json():
+    # `tensorio.read_json` is the one JSON reader, so that every JSON file
+    # that is missing, malformed or no object is a ValueError naming it
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "tensorio.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.load"]
+    assert not found, "read through tensorio.read_json instead: " + ", ".join(found)
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTATORS = {"update", "clear", "append", "extend", "insert", "pop", "popitem",
+             "remove", "discard", "add", "setdefault", "sort", "reverse"}
+
+
+def _module_state(path: pathlib.Path) -> list[str]:
+    """`file:line` of each `global` statement in a function, and of each
+    mutation, in a function, of a dict, list or set that the module binds at
+    its top level: a mutating method call, or an item assigned or deleted."""
+    tree = ast.parse(path.read_text())
+    containers = set()
+    for stmt in tree.body:
+        value = stmt.value if isinstance(stmt, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, _CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and ast.unparse(value.func) in ("dict", "list", "set")):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(func)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = containers - local
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} global")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in shared):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                             f"{ast.unparse(node.func)}")
+            elif (isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and isinstance(node.value, ast.Name) and node.value.id in shared):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                             f"{node.value.id}[...]")
+    return sorted(set(found))
+
+
+def test_no_function_keeps_state_in_its_module():
+    # a module-level dict, list or set is a constant registry; state that a
+    # call leaves there outlives the call and must be cleared by hand, and a
+    # worker process sees it only if something fills it there too
+    state = [entry for path in sorted(PACKAGE.glob("*.py"))
+             for entry in _module_state(path)]
+    assert not state, "pass it as an argument instead: " + ", ".join(state)
