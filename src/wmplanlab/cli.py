@@ -374,8 +374,9 @@ def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
 
 
 def _out(path: str | None, key: str) -> str:
-    """The output directory that config key `key` sets; unset, or a path
-    that exists but is no directory, is a config error."""
+    """The output directory that config key `key` sets, or one a command
+    writes inside it; unset, or a path that exists but is no directory, is
+    a config error naming `key`."""
     if not path:
         raise ConfigError(f"{key}: not set; the command writes there")
     if os.path.exists(path) and not os.path.isdir(path):
@@ -544,6 +545,8 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
 def cmd_gap(cfg: dict, conf: Config, args) -> int:
     section = conf.gap
     out = _out(section.out_path, "gap.out_path")
+    outdirs = {name: _out(os.path.join(out, name), "gap.out_path")
+               for name in section.models}
     spec, enc, data = _inputs(cfg, conf)
     models = {name: _load_model(path, enc) for name, path in section.models.items()}
     if not models:
@@ -554,9 +557,8 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
         report = evalreport.train_test_gap(
             model, spec, enc, data, plan_cfg, section.n,
             seed=derive_seed(conf.seed, "gap"))
-        outdir = os.path.join(out, name)
-        evalreport.emit_report(report, outdir)
-        _write_run_manifest(outdir, cfg, enc)
+        evalreport.emit_report(report, outdirs[name])
+        _write_run_manifest(outdirs[name], cfg, enc)
         print(f"{name:>14s} gap: expert {report.mean_expert:.6g} "
               f"planned {report.mean_planned:.6g} "
               f"difference {report.difference:.6g}")
@@ -566,6 +568,8 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
 def cmd_landscape(cfg: dict, conf: Config, args) -> int:
     section = conf.landscape
     out_root = _out(section.out_path, "landscape.out_path")
+    task_dirs = [_out(os.path.join(out_root, f"task_{t}"), "landscape.out_path")
+                 for t in range(section.n_tasks)]
     spec, enc, data = _inputs(cfg, conf)
     f_base = _load_model(section.baseline, enc)
     f_adv = _load_model(section.adversarial, enc)
@@ -574,14 +578,14 @@ def cmd_landscape(cfg: dict, conf: Config, args) -> int:
     n_tasks = section.n_tasks
     smoother = 0
     rows = []
-    for t in range(n_tasks):
+    for t, task_dir in enumerate(task_dirs):
         rng = generator(derive_seed(conf.seed, "landscape", t), "window")
         window = sample_window(data, plan_cfg.horizon, rng)
         pair = evalreport.landscape(
             f_base, f_adv, window, plan_cfg, section.resolution,
             coeff_range=(section.c_min, section.c_max),
             seed=derive_seed(conf.seed, "landscape-init", t))
-        evalreport.emit_report(pair, os.path.join(out_root, f"task_{t}"))
+        evalreport.emit_report(pair, task_dir)
         tv_base = evalreport.total_variation(pair.baseline.values)
         tv_adv = evalreport.total_variation(pair.adversarial.values)
         smoother += tv_adv <= tv_base

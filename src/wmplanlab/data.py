@@ -115,8 +115,8 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
 
 def load_dataset(path) -> tuple[Dataset, dict]:
     """The dataset in directory `path` and its manifest; a missing or damaged
-    file, another schema version, or records that disagree with each other
-    or with the manifest's count are a ValueError."""
+    file, another schema version, a non-finite entry, or records that
+    disagree with each other or with the manifest's count are a ValueError."""
     manifest = tensorio.read_json(os.path.join(path, "manifest.json"),
                                   ("schema_version", "content", "provenance", "count"))
     version = manifest["schema_version"]
@@ -124,6 +124,8 @@ def load_dataset(path) -> tuple[Dataset, dict]:
         raise ValueError(f"manifest schema_version {version!r}, expected "
                          f"{SCHEMA_VERSION}; rerun gen-data to regenerate it")
     states, actions = tensorio.load_tensors(os.path.join(path, "data.bin"), count=2)
+    if not (np.isfinite(states).all() and np.isfinite(actions).all()):
+        raise ValueError("data.bin holds a non-finite entry")
     kind = "obs" if manifest["content"] == "obs" else "latents"
     data = Dataset(actions, provenance=manifest["provenance"], **{kind: states})
     if len(data) != manifest["count"]:

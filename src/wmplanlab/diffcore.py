@@ -14,9 +14,9 @@ is never asked.
 
 Only gradient-based planning (`planners.gbp`) uses the tape, for the one
 gradient taken through an H-step rollout, and puts one "wm-rollout" node
-per iteration on it (`worldmodel.rollout_nodes`, whose docstring describes
-the node). Every other gradient is one MLP forward and one
-`nets.mlp_backward` called directly (`worldmodel.step_loss_grad`).
+per iteration on it (`worldmodel.rollout_nodes`). Every other gradient is
+one `worldmodel.mlp_forward` and one `worldmodel.mlp_backward` called
+directly (`worldmodel.step_loss_grad`).
 
 Also houses the SGD and Adam update rules shared by training and planning.
 Both update their parameters in place and return nothing. Adam also

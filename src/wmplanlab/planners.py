@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -227,8 +226,7 @@ def _safe_cholesky(sigma: np.ndarray, jitter: float) -> np.ndarray | None:
     return None
 
 
-def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
-        trace_hook: Callable[[dict], None] | None = None) -> PlanResult:
+def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
     """Sample from a full-covariance Gaussian (its diagonal when every
     Cholesky repair fails), rank by final-state cost, refit the Gaussian to
     the elites; the final mean is the plan.
@@ -245,7 +243,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
     rng = generator(seed, "cem")
     trace: list[float] = []
     evals = H  # the final plan's cost
-    for i in range(cfg.iterations):
+    for _ in range(cfg.iterations):
         eps = rng.standard_normal((cfg.n_pop, d))
         chol = _safe_cholesky(sigma, cfg.jitter)
         if chol is None:  # sample from the diagonal
@@ -268,10 +266,6 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int,
         diffs = elites - mu
         sigma = diffs.T @ diffs / cfg.k_elite + cfg.jitter * np.eye(d)
         trace.append(float(costs[elite_idx[0]]))
-        if trace_hook is not None:
-            trace_hook({"iteration": i, "candidates": candidates, "costs": costs,
-                        "elite_idx": elite_idx, "mu": mu.copy(),
-                        "sigma": sigma.copy()})
     actions = mu.reshape(H, f.d_a)
     final = final_cost(f, z1, actions, z_goal)
     return PlanResult(actions, trace, time.perf_counter() - t0, len(trace), final,

@@ -71,11 +71,9 @@ def _finite_or_null(obj):
 
 def read_json(path, keys=()) -> dict:
     """The JSON object in `path`, which must hold each of `keys`; a missing
-    file or key, or a file that is not JSON or holds another JSON value than
-    an object, is a ValueError naming it."""
-    name = os.path.basename(path)
-    if not os.path.isfile(path):
-        raise ValueError(f"{name} is missing")
+    file or key, a directory, or a file that is not JSON or holds another
+    JSON value than an object, is a ValueError naming it."""
+    name = _readable(path)
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -87,6 +85,17 @@ def read_json(path, keys=()) -> dict:
     if missing:
         raise ValueError(f"{name} lacks {', '.join(missing)}")
     return obj
+
+
+def _readable(path) -> str:
+    """The name of `path`, which must be a file: a directory or a missing
+    path is a ValueError naming it."""
+    name = os.path.basename(path)
+    if os.path.isdir(path):
+        raise ValueError(f"{name} is a directory")
+    if not os.path.isfile(path):
+        raise ValueError(f"{name} is missing")
+    return name
 
 
 def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -125,9 +134,8 @@ def save_tensors(path, arrays: list[np.ndarray]) -> None:
 
 def load_tensors(path, count: int | None = None) -> list[np.ndarray]:
     """Read `count` records, or all records until EOF when count is None; a
-    missing file is a ValueError naming it."""
-    if not os.path.isfile(path):
-        raise ValueError(f"{os.path.basename(path)} is missing")
+    missing file or a directory is a ValueError naming it."""
+    _readable(path)
     out = []
     with open(path, "rb") as fh:
         while count is None or len(out) < count:

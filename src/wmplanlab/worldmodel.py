@@ -1,14 +1,19 @@
-"""The latent transition model z_{t+1} = z_t + mlp([z_t; a_t]), the one
-training loop (`fit`) with teacher forcing on it, multi-step rollout, and
-the per-step model error along a sequence of latents. The module works on
-latents only: it reaches neither the simulator nor the encoder.
+"""The latent transition model z_{t+1} = z_t + mlp([z_t; a_t]) and its
+checkpoint, the one training loop (`fit`) with teacher forcing on it,
+multi-step rollout, and the per-step model error along a sequence of
+latents. The module works on latents only: it reaches neither the
+simulator nor the encoder.
 
-For the length of a `fit` run the model's weights live in one contiguous
-vector (`FlatAdam`), so each training step takes one finite check and one
-Adam call over all of them instead of one per weight array.
+The MLP is its weight and bias arrays in layer order: tanh hidden layers,
+then a linear output. Training and the attack (`step_loss_grad`) call its
+one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
+which writes the weight gradients into views of the one vector that holds
+every weight for the length of a `fit` run (`FlatAdam`), so a step takes
+one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
+unrolls both, with their expressions and order, over its H model steps.
 
-GBP differentiates its rollout through one tape node, `rollout_nodes`,
-whose docstring is the account of that node's design."""
+`save_model` writes a checkpoint directory, `model.json` and `weights.bin`,
+and `load_model` alone reads and checks it."""
 
 from __future__ import annotations
 
@@ -19,10 +24,61 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from . import nets, tensorio
+from . import tensorio
 from .data import Dataset, flatten_transitions
 from .diffcore import AdamState, NumericFailure
 from .rng import generator
+
+
+def init_mlp(sizes: tuple[int, ...], seed: int) -> list[np.ndarray]:
+    """Weights/biases drawn uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+    rng = generator(seed, "init-mlp")
+    weights = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        weights.append(rng.uniform(-bound, bound, size=fan_out))
+    return weights
+
+
+def mlp_forward(weights: list[np.ndarray],
+                x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """tanh hidden layers, linear output; x is (d,) or a batch (B, d).
+    Also returns each layer's input: x, then every tanh output, which is
+    all `mlp_backward` needs."""
+    n_layers = len(weights) // 2
+    inputs = []
+    for i in range(n_layers):
+        inputs.append(x)
+        x = x @ weights[2 * i] + weights[2 * i + 1]
+        if i < n_layers - 1:
+            x = np.tanh(x)
+    return x, inputs
+
+
+def mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray],
+                 g: np.ndarray, dx: bool,
+                 params: list[np.ndarray] | None) -> np.ndarray | None:
+    """The input gradient (None unless `dx` asks) of one cached forward
+    (`mlp_forward`) for the output gradient g. Given `params`, one array
+    per weight and bias of `weights` with its shape, the weight and bias
+    gradients are also written into them; they need a batch (B, d), the
+    input gradient also takes one input (d,). One delta sweep, with the
+    expressions and order of the affine and tanh reference ops in
+    `tests/chain_ops.py`, so gradients are bit-identical to that unfused
+    chain."""
+    deltas = [g] * len(inputs)  # gradient at each layer's affine output
+    for i in range(len(inputs) - 1, 0, -1):
+        W, x, d = weights[2 * i], inputs[i], deltas[i]
+        d = W @ d if x.ndim == 1 else d @ W.T
+        deltas[i - 1] = d * (1.0 - x * x)  # x: tanh output of layer i - 1
+    W, d = weights[0], deltas[0]
+    gx = (W @ d if d.ndim == 1 else d @ W.T) if dx else None
+    if params is not None:
+        for i, (x, d) in enumerate(zip(inputs, deltas)):
+            np.matmul(x.T, d, out=params[2 * i])
+            np.sum(d, axis=0, out=params[2 * i + 1])
+    return gx
 
 
 @dataclass
@@ -40,8 +96,8 @@ class WorldModel:
 
     def forward(self, z: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, list]:
         """z_{t+1} for one transition or a batch, and the MLP's layer inputs
-        (`nets.mlp_forward`) that `nets.mlp_backward` takes."""
-        out, inputs = nets.mlp_forward(self.weights, np.concatenate([z, a], axis=-1))
+        (`mlp_forward`) that `mlp_backward` takes."""
+        out, inputs = mlp_forward(self.weights, np.concatenate([z, a], axis=-1))
         return z + out, inputs
 
     def forward_nodes(self, z: dc.Node, a: dc.Node) -> dc.Node:
@@ -57,7 +113,7 @@ class WorldModel:
         out, inputs = self.forward(z.value, a.value)
 
         def backward(g, needed):
-            gx = nets.mlp_backward(self.weights, inputs, g, True, None)
+            gx = mlp_backward(self.weights, inputs, g, True, None)
             return g, gx[..., :self.d_z], gx[..., self.d_z:]
 
         return dc.Node(z.tape, out, "wm-step", (z, z, a), backward)
@@ -66,7 +122,7 @@ class WorldModel:
 def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
                      seed: int = 0) -> WorldModel:
     sizes = (d_z + d_a,) + tuple(hidden) + (d_z,)
-    return WorldModel(nets.init_mlp(sizes, seed), d_z, d_a, tuple(hidden))
+    return WorldModel(init_mlp(sizes, seed), d_z, d_a, tuple(hidden))
 
 
 def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -125,7 +181,7 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     write z_{t+2} into row t + 1 in place. One row-sum check over
     z_2 .. z_{H+1} follows the loop; the first non-finite row raises
     NumericFailure naming its step. The backward is one reverse sweep that
-    inlines the input-gradient half of `nets.mlp_backward` per step, with
+    inlines the input-gradient half of `mlp_backward` per step, with
     its expressions and order, into a row of an (H + 1, d_z) buffer of the
     gradients of z_1 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
     the MLP input gradients, whose action columns are copied out once. A
@@ -231,7 +287,7 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
     pred, inputs = f.forward(Z, A)
     d = pred - dc.tensor(target)
     g = 2.0 * scale * d
-    gx = nets.mlp_backward(f.weights, inputs, g, dx, params)
+    gx = mlp_backward(f.weights, inputs, g, dx, params)
     gZ = gA = None
     if dx:
         gZ, gA = g + gx[..., :f.d_z], gx[..., f.d_z:]  # the skip edge comes first
@@ -375,7 +431,9 @@ _DESCRIPTION = {"d_z": (lambda v: _widths([v]), "an integer >= 1"),
 def load_model(path) -> tuple[WorldModel, dict]:
     """The model `save_model` wrote to `path`, and its meta; any other
     description, or a meta that is not an object whose `encoder_hash`, when
-    present, is a string, is a ValueError naming the key."""
+    present, is a string, is a ValueError naming the key. `weights.bin`
+    must hold just the arrays `init_mlp` draws for the description, all
+    finite; a mismatched, truncated or non-finite file is a ValueError."""
     desc = tensorio.read_json(os.path.join(path, "model.json"), _DESCRIPTION)
     for key, (ok, expect) in _DESCRIPTION.items():
         if not ok(desc[key]):
@@ -387,5 +445,12 @@ def load_model(path) -> tuple[WorldModel, dict]:
         raise ValueError("model.json: meta.encoder_hash: expected a string, "
                          f"got {meta['encoder_hash']!r}")
     d_z, d_a, hidden = desc["d_z"], desc["d_a"], tuple(desc["hidden"])
-    weights = nets.load_weights(path, (d_z + d_a,) + hidden + (d_z,))
+    sizes = (d_z + d_a,) + hidden + (d_z,)
+    weights = tensorio.load_tensors(os.path.join(path, "weights.bin"))
+    got = [w.shape for w in weights]
+    want = [s for i, o in zip(sizes[:-1], sizes[1:]) for s in ((i, o), (o,))]
+    if got != want:
+        raise ValueError(f"weights.bin holds shapes {got}, model.json describes {want}")
+    if not all(np.isfinite(w).all() for w in weights):
+        raise ValueError("weights.bin holds a non-finite entry")
     return WorldModel(weights, d_z, d_a, hidden), meta

@@ -458,6 +458,8 @@ DAMAGES = {
     "json-number": "model.json: expected a JSON object, got int",
     "meta-string": "model.json: meta: expected an object, got 'x'",
     "encoder-hash-number": "model.json: meta.encoder_hash: expected a string, got 5",
+    "nan-weight": "weights.bin holds a non-finite entry",
+    "weights-directory": "weights.bin is a directory",
 }
 # model.json edits: a key to drop (None) or to set
 _DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
@@ -469,15 +471,18 @@ _DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
 def _damage(ckpt: str, how: str) -> None:
     """Drop the last layer of a checkpoint's weights.bin, cut the file inside
     the last tensor's data or inside its header, make the last tensor's
-    first dim 2**40, remove model.json or weights.bin, replace model.json by
-    a JSON number, or drop or mistype a key of model.json."""
+    first dim 2**40, make one weight NaN, remove model.json or weights.bin,
+    put a directory in weights.bin's place, replace model.json by a JSON
+    number, or drop or mistype a key of model.json."""
     if how == "json-number":
         with open(os.path.join(ckpt, "model.json"), "w") as fh:
             fh.write("3")
         return
-    if how in ("no-model-json", "no-weights"):
-        os.remove(os.path.join(ckpt, "weights.bin" if how == "no-weights"
-                               else "model.json"))
+    if how in ("no-model-json", "no-weights", "weights-directory"):
+        os.remove(os.path.join(ckpt, "model.json" if how == "no-model-json"
+                               else "weights.bin"))
+        if how == "weights-directory":
+            os.mkdir(os.path.join(ckpt, "weights.bin"))
         return
     if how in _DESCRIPTIONS:
         key, value = _DESCRIPTIONS[how]
@@ -493,6 +498,10 @@ def _damage(ckpt: str, how: str) -> None:
     weights = tensorio.load_tensors(path)
     if how == "last-layer":
         tensorio.save_tensors(path, weights[:-2])
+        return
+    if how == "nan-weight":
+        weights[0][0, 0] = np.nan
+        tensorio.save_tensors(path, weights)
         return
     head = sum(len(tensorio.tensor_bytes(w)) for w in weights[:-1])
     with open(path, "r+b") as fh:
@@ -535,7 +544,7 @@ def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
 
 @pytest.mark.parametrize("how", ["missing-data", "cut-data", "missing-manifest",
                                  "schema-version", "count", "manifest-key",
-                                 "manifest-array"])
+                                 "manifest-array", "nan-data"])
 def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
@@ -560,6 +569,12 @@ def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     elif how == "count":
         _edit_manifest(data_dir, count=5)
         expect = "data.bin holds 6 trajectories, the manifest lists 5"
+    elif how == "nan-data":
+        data_bin = os.path.join(data_dir, "data.bin")
+        obs, actions = tensorio.load_tensors(data_bin)
+        obs[0, 1, 0] = np.nan
+        tensorio.save_tensors(data_bin, [obs, actions])
+        expect = "data.bin holds a non-finite entry"
     elif how == "manifest-array":
         with open(os.path.join(data_dir, "manifest.json"), "w") as fh:
             fh.write("[]")
@@ -669,6 +684,27 @@ def test_a_missing_output_path_exits_2_naming_its_key_before_writing(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command, key, subdir", [
+    ("gap", "gap.out_path", "baseline"),
+    ("landscape", "landscape.out_path", "task_0"),
+])
+def test_an_output_subdirectory_that_names_a_file_exits_2_before_planning(
+        pipeline, capsys, command, key, subdir):
+    # gap writes each model's report to <out_path>/<model>, landscape each
+    # task's to <out_path>/task_<t>
+    cfg, path = pipeline
+    assert _run("finetune-adv", "--config", path) == 0
+    out = cfg[command]["out_path"]
+    os.makedirs(out)
+    a_file = os.path.join(out, subdir)
+    open(a_file, "w").close()
+    before = sorted(os.listdir(out))
+    assert _run(command, "--config", path) == 2
+    assert (f"config error: {key}: {a_file} exists and is not a directory"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(out)) == before
+
+
 @pytest.mark.parametrize("content", ["malformed", "directory", "list"])
 def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, content):
     path = tmp_path / "config.json"
@@ -677,7 +713,10 @@ def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, content):
     else:
         path.write_text('{"seed": 11,' if content == "malformed" else "[11]")
     assert _run("gen-data", "--config", str(path)) == 2
-    assert f"config error: config file {path}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: config file {path}: " in err
+    if content == "directory":
+        assert f"config file {path}: config.json is a directory" in err
 
 
 def test_an_exported_seed_env_var_does_not_change_the_config(tmp_path, monkeypatch):

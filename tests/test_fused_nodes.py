@@ -3,7 +3,7 @@
 rollout of `reference_rollout`, its "sq-dist" loss, and the direct kernel
 calls of `worldmodel.step_loss_grad` (training, the attack), each equal
 to the chain bit for bit. Also the work each caller asks of
-`nets.mlp_backward`, which callers build a tape, and tape lifetime."""
+`worldmodel.mlp_backward`, which callers build a tape, and tape lifetime."""
 
 import gc
 import weakref
@@ -14,7 +14,7 @@ import pytest
 import chain_ops as co
 import reference_rollout as ref
 from wmplanlab import diffcore as dc
-from wmplanlab import envs, finetune, nets, planners, worldmodel
+from wmplanlab import envs, finetune, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_random_fourier
 from wmplanlab.finetune import PerturbationConfig, adversarial_wm
 from wmplanlab.rng import generator
@@ -238,16 +238,16 @@ def test_supervised_step_losses_and_weights_equal_the_chain():
 
 @pytest.fixture
 def backward_asks(monkeypatch):
-    """Whether each `nets.mlp_backward` call asks for the input gradient
+    """Whether each `worldmodel.mlp_backward` call asks for the input gradient
     and for the weight gradients, as (dx, params given)."""
     asks = []
-    real = nets.mlp_backward
+    real = worldmodel.mlp_backward
 
     def spy(weights, inputs, g, dx, params):
         asks.append((dx, params is not None))
         return real(weights, inputs, g, dx, params)
 
-    monkeypatch.setattr(nets, "mlp_backward", spy)
+    monkeypatch.setattr(worldmodel, "mlp_backward", spy)
     return asks
 
 

@@ -208,22 +208,60 @@ def test_cem_identity_model_quadratic():
     assert len(pr.loss_trace) == 30
 
 
-def test_cem_elites_and_full_selection():
+@pytest.fixture
+def cem_scores(monkeypatch):
+    """The (actions, costs) of each `planners.final_cost` call, which `cem`
+    makes once per population, (n_pop, H, d_a), then once for its plan."""
+    calls = []
+    real = planners.final_cost
+
+    def spy(f, z1, actions, z_goal):
+        costs = real(f, z1, actions, z_goal)
+        calls.append((np.array(actions), costs))
+        return costs
+
+    monkeypatch.setattr(planners, "final_cost", spy)
+    return calls
+
+
+def _populations(cem_scores, n_pop):
+    """Each population a CEM plan scored, (n_pop, H * d_a), with its costs."""
+    return [(c.reshape(n_pop, -1), costs) for c, costs in cem_scores[:-1]]
+
+
+def _refit(candidates, costs, k_elite, jitter=1e-6):
+    """The Gaussian refit to the `k_elite` cheapest candidates, with `cem`'s
+    expressions: (mu, sigma)."""
+    elites = candidates[np.argsort(costs, kind="stable")[:k_elite]]
+    mu = elites.mean(axis=0)
+    diffs = elites - mu
+    return mu, diffs.T @ diffs / k_elite + jitter * np.eye(len(mu))
+
+
+def test_cem_elites_and_full_selection(cem_scores):
+    # each population is drawn from the Gaussian refit to the k cheapest of
+    # the one before, and the plan is the last refit's mean
     f = init_world_model(4, 2, seed=3)
-    records = []
     cfg = CemConfig(horizon=3, n_pop=40, k_elite=8, iterations=4)
-    cem(f, np.zeros(4), np.ones(4), cfg, seed=1, trace_hook=records.append)
-    for rec in records:
-        elite = set(rec["elite_idx"].tolist())
-        others = [c for i, c in enumerate(rec["costs"]) if i not in elite]
-        if others:
-            assert rec["costs"][rec["elite_idx"]].max() <= min(others)
-    # K = N_pop: refit mean equals the population mean
-    records.clear()
+    plan = cem(f, np.zeros(4), np.ones(4), cfg, seed=1).actions
+    populations = _populations(cem_scores, 40)
+    assert len(populations) == 4
+    rng = generator(1, "cem")
+    mu, sigma = np.zeros(6), np.eye(6)
+    for candidates, costs in populations:
+        eps = rng.standard_normal((40, 6))
+        assert np.allclose(candidates, mu + eps @ np.linalg.cholesky(sigma).T)
+        elite = np.argsort(costs, kind="stable")[:8]
+        assert costs[elite].max() <= np.delete(costs, elite).min()
+        mu, sigma = _refit(candidates, costs, 8)
+    assert np.array_equal(cem_scores[-1][0], plan)
+    assert np.allclose(plan.ravel(), mu)
+    # K = N_pop: the plan is the population mean
+    cem_scores.clear()
     cfg_all = CemConfig(horizon=2, n_pop=16, k_elite=16, iterations=1)
-    cem(f, np.zeros(4), np.ones(4), cfg_all, seed=2, trace_hook=records.append)
-    rec = records[0]
-    assert np.allclose(rec["mu"], rec["candidates"].mean(axis=0))
+    plan = cem(f, np.zeros(4), np.ones(4), cfg_all, seed=2).actions
+    (candidates, _), = _populations(cem_scores, 16)
+    assert np.allclose(plan.ravel(), candidates.mean(axis=0))
 
 
 def test_cem_vanishing_sigma_keeps_mean():
@@ -234,18 +272,18 @@ def test_cem_vanishing_sigma_keeps_mean():
     assert np.all(np.abs(pr.actions) < 1e-7)
 
 
-def test_cem_samples_from_the_diagonal_when_every_cholesky_repair_fails(monkeypatch):
+def test_cem_samples_from_the_diagonal_when_every_cholesky_repair_fails(
+        monkeypatch, cem_scores):
     assert planners._safe_cholesky(-np.eye(2), 1e-6) is None
     monkeypatch.setattr(planners, "_safe_cholesky", lambda sigma, jitter: None)
-    records = []
     cfg = CemConfig(horizon=2, n_pop=20, k_elite=5, iterations=2)
-    cem(linear_model(np.eye(2)), np.zeros(2), np.ones(2), cfg, seed=5,
-        trace_hook=records.append)
+    cem(linear_model(np.eye(2)), np.zeros(2), np.ones(2), cfg, seed=5)
+    (first, costs), (second, _) = _populations(cem_scores, 20)
     rng = generator(5, "cem")
-    assert np.array_equal(records[0]["candidates"], rng.standard_normal((20, 4)))
-    sd = np.sqrt(np.diag(records[0]["sigma"]))
-    assert np.array_equal(records[1]["candidates"],
-                          records[0]["mu"] + rng.standard_normal((20, 4)) * sd)
+    assert np.array_equal(first, rng.standard_normal((20, 4)))
+    mu, sigma = _refit(first, costs, 5)
+    assert np.array_equal(second,
+                          mu + rng.standard_normal((20, 4)) * np.sqrt(np.diag(sigma)))
 
 
 def test_cem_deterministic():
@@ -305,7 +343,7 @@ def test_gradcem_zero_refine_steps_reduces_to_cem():
     assert base.loss_trace == red.loss_trace
 
 
-def test_gradcem_reaches_threshold_in_fewer_iterations():
+def test_gradcem_reaches_threshold_in_fewer_iterations(cem_scores):
     # measured over seeds 0-5: gradcem's mean hits the 1e-2 loss threshold
     # at iteration 1, plain cem needs 2-3 under the matched population
     f = linear_model(np.eye(2))
@@ -313,8 +351,9 @@ def test_gradcem_reaches_threshold_in_fewer_iterations():
     cfg = CemConfig(horizon=1, n_pop=50, k_elite=10, iterations=8)
 
     def mu_costs(run):
-        mus = []
-        run(lambda rec: mus.append(rec["mu"]))
+        cem_scores.clear()
+        run()
+        mus = [_refit(c, costs, 10)[0] for c, costs in _populations(cem_scores, 50)]
         return [float(np.sum((z1 + m.reshape(1, 2)[0] - z_goal) ** 2))
                 for m in mus]
 
@@ -323,10 +362,10 @@ def test_gradcem_reaches_threshold_in_fewer_iterations():
                     len(costs) + 1)
 
     for seed in (0, 3, 5):
-        plain = mu_costs(lambda h: cem(f, z1, z_goal, cfg, seed, trace_hook=h))
-        refined = mu_costs(lambda h: cem(
+        plain = mu_costs(lambda: cem(f, z1, z_goal, cfg, seed))
+        refined = mu_costs(lambda: cem(
             f, z1, z_goal, replace(cfg, refine=RefineConfig(steps=2, eta=0.3)),
-            seed, trace_hook=h))
+            seed))
         assert first_below(refined) < first_below(plain)
 
 
@@ -382,16 +421,17 @@ def test_final_cost_scores_each_sequence_of_a_batch():
         assert rel_err(cost, final_cost(f, z1, a, z_goal)) <= 1e-12
 
 
-def test_cem_costs_and_elites_match_one_at_a_time_scoring():
+def test_cem_costs_and_elites_match_one_at_a_time_scoring(cem_scores):
     f, z1, z_goal = _scoring_case()
     H, cfg = 4, CemConfig(horizon=4, n_pop=60, k_elite=6, iterations=3)
-    records = []
-    cem(f, z1, z_goal, cfg, seed=2, trace_hook=records.append)
-    for rec in records:
+    cem(f, z1, z_goal, cfg, seed=2)
+    populations = _populations(cem_scores, 60)
+    assert len(populations) == 3
+    for candidates, costs in populations:
         alone = np.array([final_cost(f, z1, c.reshape(H, 2), z_goal)
-                          for c in rec["candidates"]])
-        assert rel_err(rec["costs"], alone) <= 1e-12
-        assert np.array_equal(rec["elite_idx"],
+                          for c in candidates])
+        assert rel_err(costs, alone) <= 1e-12
+        assert np.array_equal(np.argsort(costs, kind="stable")[:cfg.k_elite],
                               np.argsort(alone, kind="stable")[:cfg.k_elite])
 
 

@@ -137,7 +137,7 @@ def _imported_names(path: pathlib.Path) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["worldmodel", "nets"])
+@pytest.mark.parametrize("module", ["worldmodel"])
 def test_the_model_modules_import_neither_the_simulator_nor_the_encoder(module):
     # the model and its error metric read latents; stepping and encoding
     # happen in the callers that hold the env and the encoder
