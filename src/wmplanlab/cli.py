@@ -373,14 +373,24 @@ def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
     return spec, enc, encode_dataset(enc, data)
 
 
-def _out(path: str | None, key: str) -> str:
+# the files each kind of output directory gets
+_DATASET_FILES = ("data.bin", "manifest.json")
+_CHECKPOINT_FILES = ("model.json", "weights.bin", "train_trace.json", "run.json")
+
+
+def _out(path: str | None, key: str, files=()) -> str:
     """The output directory that config key `key` sets, or one a command
-    writes inside it; unset, or a path that exists but is no directory, is
-    a config error naming `key`."""
+    writes inside it, where it writes `files`; unset, a path that exists
+    but is no directory, or one of `files` that is a directory, is a config
+    error naming `key`."""
     if not path:
         raise ConfigError(f"{key}: not set; the command writes there")
     if os.path.exists(path) and not os.path.isdir(path):
         raise ConfigError(f"{key}: {path} exists and is not a directory")
+    for name in files:
+        if os.path.isdir(os.path.join(path, name)):
+            raise ConfigError(f"{key}: {os.path.join(path, name)} is a directory; "
+                              "the command writes a file there")
     return path
 
 
@@ -432,7 +442,7 @@ def _write_run_manifest(outdir: str, cfg: dict, enc: Encoder | None,
 def cmd_gen_data(cfg: dict, conf: Config, args) -> int:
     spec = build_env(cfg)
     section = conf.dataset
-    path = _out(section.path, "dataset.path")
+    path = _out(section.path, "dataset.path", _DATASET_FILES + ("run.json",))
     if os.path.isdir(path) and os.listdir(path) and not args.force:
         raise ConfigError(f"dataset directory {path} is not empty "
                           "(use --force to overwrite)")
@@ -447,7 +457,7 @@ def cmd_gen_data(cfg: dict, conf: Config, args) -> int:
 
 def cmd_train(cfg: dict, conf: Config, args) -> int:
     section = conf.model
-    out = _out(section.path, "model.path")
+    out = _out(section.path, "model.path", _CHECKPOINT_FILES)
     spec, enc, data = _inputs(cfg, conf)
     model = worldmodel.init_world_model(
         enc.d_z, spec.action_dim, section.hidden,
@@ -464,10 +474,10 @@ def cmd_train(cfg: dict, conf: Config, args) -> int:
 
 def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
     section = conf.finetune.adversarial
-    out = _out(section.out_path, "finetune.adversarial.out_path")
+    out = _out(section.out_path, "finetune.adversarial.out_path", _CHECKPOINT_FILES)
     perturbed = section.perturbed_path or os.path.join(out, "perturbed")
     if section.dump_perturbed:
-        _out(perturbed, "finetune.adversarial.perturbed_path")
+        _out(perturbed, "finetune.adversarial.perturbed_path", _DATASET_FILES)
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
     train = section.train
@@ -486,9 +496,9 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
 
 def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
     section = conf.finetune.online
-    out = _out(section.out_path, "finetune.online.out_path")
+    out = _out(section.out_path, "finetune.online.out_path", _CHECKPOINT_FILES)
     if section.corrected_path:
-        _out(section.corrected_path, "finetune.online.corrected_path")
+        _out(section.corrected_path, "finetune.online.corrected_path", _DATASET_FILES)
     spec, enc, data = _inputs(cfg, conf)
     model = _load_model(conf.model.path, enc)
     result = finetune.online_wm(model, spec, enc, data, section.settings,
@@ -505,7 +515,8 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
     section = conf.eval
     if args.workers < 1:
         raise ConfigError(f"--workers: expected an integer >= 1, got {args.workers}")
-    out = _out(section.out_path, "eval.out_path")
+    out = _out(section.out_path, "eval.out_path",
+               ("report.json", "timing.json", "report.csv", "run.json"))
     spec, enc, data = _inputs(cfg, conf)
     models = {name: _load_model(path, enc) for name, path in section.models.items()}
     if not models:
@@ -545,7 +556,8 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
 def cmd_gap(cfg: dict, conf: Config, args) -> int:
     section = conf.gap
     out = _out(section.out_path, "gap.out_path")
-    outdirs = {name: _out(os.path.join(out, name), "gap.out_path")
+    outdirs = {name: _out(os.path.join(out, name), "gap.out_path",
+                          ("gap.json", "gap.csv", "run.json"))
                for name in section.models}
     spec, enc, data = _inputs(cfg, conf)
     models = {name: _load_model(path, enc) for name, path in section.models.items()}
@@ -567,8 +579,10 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
 
 def cmd_landscape(cfg: dict, conf: Config, args) -> int:
     section = conf.landscape
-    out_root = _out(section.out_path, "landscape.out_path")
-    task_dirs = [_out(os.path.join(out_root, f"task_{t}"), "landscape.out_path")
+    out_root = _out(section.out_path, "landscape.out_path", ("summary.json", "run.json"))
+    task_dirs = [_out(os.path.join(out_root, f"task_{t}"), "landscape.out_path",
+                      ("landscape.json", "landscape_baseline.csv",
+                       "landscape_adversarial.csv"))
                  for t in range(section.n_tasks)]
     spec, enc, data = _inputs(cfg, conf)
     f_base = _load_model(section.baseline, enc)

@@ -128,8 +128,8 @@ def spec_to_dict(spec: EnvSpec) -> dict:
 def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     """Axis-separated slide: apply the x move, then the y move at the new x.
 
-    Returns the new position and `delta` with each blocked axis zeroed. A
-    move that would cross a solid wall span is clamped at the face minus a
+    Returns the new position and whether each axis was blocked, (bx, by).
+    A move that would cross a solid wall span is clamped at the face minus a
     contact epsilon; box faces clamp exactly.
     """
     x, y = float(pos[0]), float(pos[1])
@@ -160,9 +160,7 @@ def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     elif ny > spec.size:
         ny, by = spec.size, True
 
-    if bx or by:
-        return np.array([nx, ny]), np.array([0.0 if bx else dx, 0.0 if by else dy])
-    return np.array([nx, ny]), delta
+    return np.array([nx, ny]), (bx, by)
 
 
 def _slide_rows(spec: EnvSpec, axis: int, start, end, other):
@@ -186,12 +184,12 @@ def _slide_rows(spec: EnvSpec, axis: int, start, end, other):
 def _move_rows(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
     """`_move` of every row of `pos` (N, 2) by the same row of `delta`, with
     `_move`'s comparisons and arithmetic in elementwise NumPy, so each row
-    equals `_move` of that row bit for bit."""
+    equals `_move` of that row bit for bit; the blocked flags are two (N,)
+    masks."""
     x, y = pos[:, 0], pos[:, 1]
     nx, bx = _slide_rows(spec, 0, x, x + delta[:, 0], y)
     ny, by = _slide_rows(spec, 1, y, y + delta[:, 1], nx)
-    blocked = np.stack([bx, by], axis=1)
-    return np.stack([nx, ny], axis=1), np.where(blocked, 0.0, delta)
+    return np.stack([nx, ny], axis=1), (bx, by)
 
 
 def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
@@ -206,7 +204,8 @@ def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
     2.4.6), about 90 ms more per 250-step MPC episode, while on a batch of
     N rows `_move_rows` runs once where `_move` would run N times.
     """
-    move = _move_rows if s.position.ndim == 2 else _move
+    rows = s.position.ndim == 2
+    move = _move_rows if rows else _move
     a = np.clip(np.asarray(a, dtype=np.float64), -spec.a_max, spec.a_max)
     pos = s.position
     if spec.kind == WALL2D:
@@ -216,7 +215,13 @@ def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
     vel = s.velocity
     for _ in range(spec.frameskip):
         vel = (1.0 - spec.damping) * vel + POINTMASS_ACCEL * a
-        pos, vel = move(spec, pos, vel)
+        pos, (bx, by) = move(spec, pos, vel)
+        # a blocked axis stops
+        if rows:
+            vel = np.where(np.stack([bx, by], axis=1), 0.0, vel)
+        elif bx or by:
+            vel = np.array([0.0 if bx else float(vel[0]),
+                            0.0 if by else float(vel[1])])
     return EnvState(pos, vel)
 
 

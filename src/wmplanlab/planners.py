@@ -17,9 +17,16 @@ goal loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
 CEM samples from a full-covariance Gaussian. The sampling planners score
 their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
-`predict` call per step for all N sequences). GradCEM runs GBP from each
-CEM sample, so its refinement steps are `gbp` calls, still one sequence at
-a time on the tape. A model evaluation thus costs very different amounts
+`predict` call per step for all N sequences). That rollout runs in
+float32, through a copy of the model's weights made once per plan
+(`_float32`), because only the ranking and weighting of candidates read
+the population's costs (mixed precision as in Micikevicius et al. 2018).
+Everything else is float64: the sampling, CEM's elite mean and Cholesky
+refit, MPPI's weighted update, GBP, and the cost of the plan each planner
+returns, so every cost a report holds is a float64 cost. GradCEM runs GBP
+from each CEM sample, so its refinement steps are `gbp` calls, in float64
+and still one sequence at a time on the tape; its refined candidates are
+scored like CEM's. A model evaluation thus costs very different amounts
 on the two paths, so wall-clock between the two families says nothing by
 itself: read it next to `PlanResult.model_evals`, the (sequence x step)
 rows each plan rolled out. The MPC harness replans from
@@ -86,6 +93,11 @@ class PlanConfig(Descent):
 
 @dataclass
 class PlanResult:
+    """A plan and how it was found. `loss_trace` holds the cost each
+    iteration scored: GBP's goal loss, the best population cost of a CEM
+    iteration (scored in float32) or the cost of MPPI's updated plan.
+    `final_loss` is the float64 cost of `actions`."""
+
     actions: np.ndarray
     loss_trace: list[float]
     wall_clock: float
@@ -180,11 +192,20 @@ def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.nda
     """Squared distance of the last rolled-out latent to the goal (NumPy path).
 
     A float for one sequence (H, d_a); for a batch (..., H, d_a), an array
-    of one cost per sequence, from one batched rollout."""
+    of one cost per sequence, from one batched rollout. The rollout runs in
+    the dtype of `f`'s weights (`rollout_model`); against a float64 goal,
+    the distance is float64."""
     d = rollout_model(f, z1, actions)[..., -1, :] - z_goal
     if d.ndim == 1:
         return float(d @ d)
     return (d * d).sum(axis=-1)
+
+
+def _float32(f: WorldModel) -> WorldModel:
+    """The float32 copy of `f` that a sampling planner scores its
+    populations with, made once per plan."""
+    return WorldModel([w.astype(np.float32) for w in f.weights], f.d_z, f.d_a,
+                      f.hidden)
 
 
 @dataclass
@@ -234,9 +255,13 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
     With `cfg.refine`, this is GradCEM: each sampled candidate first gets
     `refine.steps` Adam steps of `gbp` on the final-state loss, before cost
     evaluation and elite selection. With refine.steps == 0 it is bit for
-    bit plain CEM under the same seed."""
+    bit plain CEM under the same seed.
+
+    Each population is ranked by its float32 costs (`_float32`); the refit
+    and the plan's `final_loss` are float64."""
     t0 = time.perf_counter()
     H, refine = cfg.horizon, cfg.refine
+    scorer = _float32(f)
     d = H * f.d_a
     mu = np.zeros(d)
     sigma = (cfg.sigma0 ** 2) * np.eye(d)
@@ -258,7 +283,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
                 return_best=False), seed) for c in samples]
             candidates = np.stack([r.actions.ravel() for r in refined])
             evals += sum(r.model_evals for r in refined)
-        costs = final_cost(f, z1, candidates.reshape(-1, H, f.d_a), z_goal)
+        costs = final_cost(scorer, z1, candidates.reshape(-1, H, f.d_a), z_goal)
         evals += cfg.n_pop * H
         elite_idx = np.argsort(costs, kind="stable")[: cfg.k_elite]
         elites = candidates[elite_idx]
@@ -286,16 +311,18 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, seed: int) -> PlanResult:
     starting from zero actions.
 
     Single-shot update by default (iterations=1); the execute-and-replan
-    loop belongs to mpc().
+    loop belongs to mpc(). The samples are weighted by their float32 costs
+    (`_float32`); the update and each traced cost of the plan are float64.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
+    scorer = _float32(f)
     rng = generator(seed, "mppi")
     nom = np.zeros((H, f.d_a))
     trace: list[float] = []
     for _ in range(cfg.iterations):
         eps = cfg.sigma * rng.standard_normal((cfg.samples, H, f.d_a))
-        costs = final_cost(f, z1, nom + eps, z_goal)
+        costs = final_cost(scorer, z1, nom + eps, z_goal)
         shifted = costs - costs.min()
         w = np.exp(-shifted / cfg.temperature)
         w = w / w.sum()

@@ -126,9 +126,13 @@ def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
 
 
 def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One transition; accepts single vectors or batches."""
-    z = np.asarray(z, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
+    """One transition; accepts single vectors or batches. It computes in the
+    dtype of the model's weights: `z` and `a` are cast to it, so a float64
+    model (every one `init_world_model` and `load_model` make) computes in
+    float64 and a float32 copy in float32."""
+    dtype = f.weights[0].dtype
+    z = np.asarray(z, dtype=dtype)
+    a = np.asarray(a, dtype=dtype)
     if z.shape[-1] != f.d_z or a.shape[-1] != f.d_a:
         raise ValueError(f"dims ({z.shape[-1]}, {a.shape[-1]}) do not match "
                          f"model ({f.d_z}, {f.d_a})")
@@ -141,17 +145,19 @@ def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndar
     `actions` is one sequence (H, d_a) or a batch of them (..., H, d_a), and
     `z1` one start latent (d_z,) or one per sequence (..., d_z). A batch is
     rolled out as (B, H, d_a) with one `predict` call per step, and the
-    latents come back as (..., H, d_z)."""
-    actions = np.asarray(actions, dtype=np.float64)
+    latents come back as (..., H, d_z), in the dtype of the model's weights
+    (`predict`). A non-finite latent in that dtype raises NumericFailure."""
+    dtype = f.weights[0].dtype
+    actions = np.asarray(actions, dtype=dtype)
     if actions.ndim < 2 or actions.shape[-2] < 1:
         raise ValueError(f"need (..., H, d_a) actions with H >= 1, "
                          f"got {actions.shape}")
     batch, H = actions.shape[:-2], actions.shape[-2]
-    z = np.asarray(z1, dtype=np.float64)
+    z = np.asarray(z1, dtype=dtype)
     if batch:
         z = np.broadcast_to(z, batch + z.shape[-1:]).reshape(-1, z.shape[-1])
         actions = actions.reshape(-1, H, actions.shape[-1])
-    out = np.empty(actions.shape[:-1] + (f.d_z,))
+    out = np.empty(actions.shape[:-1] + (f.d_z,), dtype=dtype)
     for t in range(H):
         z = predict(f, z, actions[..., t, :])
         if not np.all(np.isfinite(z)):

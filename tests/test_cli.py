@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
@@ -703,6 +704,45 @@ def test_an_output_subdirectory_that_names_a_file_exits_2_before_planning(
     assert (f"config error: {key}: {a_file} exists and is not a directory"
             in capsys.readouterr().err)
     assert sorted(os.listdir(out)) == before
+
+
+@pytest.mark.parametrize("command, key, subdir", [
+    ("gen-data", "dataset.path", ""),
+    ("train", "model.path", ""),
+    ("finetune-adv", "finetune.adversarial.out_path", ""),
+    ("finetune-adv", "finetune.adversarial.perturbed_path", ""),
+    ("finetune-online", "finetune.online.out_path", ""),
+    ("finetune-online", "finetune.online.corrected_path", ""),
+    ("eval", "eval.out_path", ""),
+    ("gap", "gap.out_path", "baseline"),
+    ("landscape", "landscape.out_path", ""),
+    ("landscape", "landscape.out_path", "task_0"),
+])
+def test_a_directory_where_a_command_writes_a_file_exits_2_before_any_work(
+        tmp_path, capsys, command, key, subdir):
+    # every file the command writes into <key>/<subdir>, made a directory in
+    # turn: the command names the key and the path, and writes nothing
+    cfg = tiny_config(tmp_path)
+    adv = cfg["finetune"]["adversarial"]
+    adv["dump_perturbed"], adv["perturbed_path"] = True, f"{tmp_path}/perturbed"
+    path = _write(tmp_path, cfg)
+    for setup in ("gen-data", "train", "finetune-adv"):
+        assert _run(setup, "--config", path) == 0
+    root = functools.reduce(dict.get, key.split("."), cfg)
+    out = os.path.join(root, subdir)
+    flags = {"gen-data": ["--force"], "eval": ["--workers", "1"]}.get(command, [])
+    assert _run(command, "--config", path, *flags) == 0
+    names = sorted(name for name in os.listdir(out)
+                   if os.path.isfile(os.path.join(out, name)))
+    assert names
+    for name in names:
+        shutil.rmtree(root)
+        os.makedirs(os.path.join(out, name))
+        before = sorted(tmp_path.rglob("*"))
+        assert _run(command, "--config", path, *flags) == 2
+        assert (f"config error: {key}: {os.path.join(out, name)} is a directory"
+                in capsys.readouterr().err)
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("content", ["malformed", "directory", "list"])

@@ -1,0 +1,138 @@
+"""The sampling planners score their populations through a float32 copy of
+the world model (`planners._float32`), while the rest of the lab computes
+in float64. These checks bound what the narrower scoring changes, at the
+preset shapes, and pin that a float64 model still computes in float64."""
+
+import numpy as np
+import pytest
+
+from wmplanlab import planners
+from wmplanlab.diffcore import NumericFailure
+from wmplanlab.encoder import encode, make_random_fourier
+from wmplanlab.planners import CemConfig, cem, final_cost
+from wmplanlab.rng import generator
+from wmplanlab.worldmodel import (init_world_model, mlp_forward, predict,
+                                  rollout_model)
+
+from conftest import linear_model
+
+# float32 rounds to 24 bits (unit roundoff 6e-8). Over a 25-step rollout
+# through 128-wide layers, the float32 costs of the populations below moved
+# by at most 4.9e-7 relative to their float64 costs, so this bound leaves
+# 20x room, and a float16 path (about 1e-3) still fails it. The bound is
+# this model's, not float32's: a trained model can amplify the rounding
+# along its rollout (5.0e-5 on the wall-awm preset's baseline checkpoint)
+RTOL = 1e-5
+K_ELITE = 30
+
+
+@pytest.fixture(scope="module")
+def scored():
+    """(float64 model, z1, z_goal, population (300, 25, 2), its float32
+    costs, its float64 costs) for each population that two preset-size CEM
+    plans (300/30/30) scored, on a preset-width model (d_z 64, hidden
+    128 x 128) between encoded Wall2D positions."""
+    f = init_world_model(64, 2, (128, 128), seed=0)
+    enc = make_random_fourier(2, 64, 4.0, 0)
+    calls = []
+    real = planners.final_cost
+
+    def spy(g, z1, actions, z_goal):
+        costs = real(g, z1, actions, z_goal)
+        if np.ndim(costs):  # a population, not the plan
+            calls.append((z1, z_goal, np.array(actions), costs))
+        return costs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "final_cost", spy)
+        for seed in (0, 1):
+            rng = generator(seed, "float32-scoring")
+            z1, z_goal = (encode(enc, rng.uniform(0.0, 1.0, 2)) for _ in range(2))
+            cem(f, z1, z_goal, CemConfig(k_elite=K_ELITE), seed)
+    assert len(calls) == 60
+    return [(f, z1, z_goal, population, costs, final_cost(f, z1, population, z_goal))
+            for z1, z_goal, population, costs in calls]
+
+
+def test_float32_costs_stay_within_the_bound_of_float64(scored):
+    for _, _, _, population, costs, exact in scored:
+        assert population.shape == (300, 25, 2)
+        assert costs.dtype == exact.dtype == np.float64
+        assert np.all(np.abs(costs - exact) <= RTOL * exact)
+
+
+def test_an_elite_only_one_precision_picks_sits_at_the_boundary(scored):
+    for *_, costs, exact in scored:
+        elites = np.argsort(costs, kind="stable")[:K_ELITE]
+        exact_elites = np.argsort(exact, kind="stable")[:K_ELITE]
+        kth = exact[exact_elites[-1]]  # the k-th elite's float64 cost
+        for i in np.setxor1d(elites, exact_elites):
+            assert abs(exact[i] - kth) <= RTOL * kth
+
+
+def test_ranking_a_population_twice_gives_the_same_elites(scored):
+    f, z1, z_goal, population, costs, _ = scored[-1]
+    again = final_cost(planners._float32(f), z1, population, z_goal)
+    assert np.array_equal(again, costs)
+    assert np.array_equal(np.argsort(again, kind="stable")[:K_ELITE],
+                          np.argsort(costs, kind="stable")[:K_ELITE])
+
+
+def _float64_rollout(f, z1, actions):
+    """The latents of `actions` (B, H, d_a) from `z1`, one float64 forward
+    (`mlp_forward`) per step: the arithmetic `rollout_model` always ran."""
+    actions = np.asarray(actions, dtype=np.float64)
+    z = np.broadcast_to(np.asarray(z1, dtype=np.float64),
+                        actions.shape[:1] + (f.d_z,))
+    out = []
+    for t in range(actions.shape[1]):
+        z = z + mlp_forward(f.weights, np.concatenate([z, actions[:, t]], -1))[0]
+        out.append(z)
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("d_z, hidden", [(64, (128, 128)), (6, (16, 16))])
+def test_a_float64_model_still_computes_in_float64(dtype, d_z, hidden):
+    f = init_world_model(d_z, 2, hidden, seed=3)
+    rng = generator(3, "float64-model")
+    z1 = rng.standard_normal(d_z).astype(dtype)
+    actions = rng.standard_normal((17, 5, 2)).astype(dtype)
+    reference = _float64_rollout(f, z1, actions)
+    latents = rollout_model(f, z1, actions)
+    assert latents.dtype == np.float64
+    assert np.array_equal(latents, reference)
+    step = predict(f, np.broadcast_to(z1, (17, d_z)), actions[:, 0])
+    assert step.dtype == np.float64
+    assert np.array_equal(step, reference[:, 0])
+
+
+def test_a_float32_copy_computes_in_float32():
+    f = init_world_model(6, 2, (16, 16), seed=4)
+    g = planners._float32(f)
+    assert all(w.dtype == np.float32 for w in g.weights)
+    assert all(w.dtype == np.float64 for w in f.weights)  # the model is not touched
+    rng = generator(4, "float32-model")
+    z1, actions = rng.standard_normal(6), rng.standard_normal((3, 4, 2))
+    assert rollout_model(g, z1, actions).dtype == np.float32
+    assert predict(g, z1, actions[0, 0]).dtype == np.float32
+
+
+def test_a_non_finite_float32_latent_raises():
+    f = planners._float32(init_world_model(6, 2, (16, 16), seed=5))
+    z1 = np.zeros(6)
+    z1[2] = np.nan
+    with pytest.raises(NumericFailure, match="rollout step 1"):
+        final_cost(f, z1, np.zeros((4, 3, 2)), np.zeros(6))
+
+
+def test_a_latent_beyond_float32s_range_raises_where_float64_scores_it():
+    # z' = z + a @ (1e37 I): each action of 10 adds 1e38 per axis, so the
+    # fourth step passes float32's largest value, 3.4e38, and float64's
+    # costs stay finite (about 5e77)
+    f = linear_model(1e37 * np.eye(2))
+    actions = np.full((2, 5, 2), 10.0)
+    exact = final_cost(f, np.zeros(2), actions, np.zeros(2))
+    assert np.all(np.isfinite(exact))
+    with np.errstate(over="ignore"), pytest.raises(NumericFailure):
+        final_cost(planners._float32(f), np.zeros(2), actions, np.zeros(2))
