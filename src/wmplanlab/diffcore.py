@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense arrays.
 
 Operations are recorded define-by-run: each `Node` keeps its value, its
 parents and one `backward` function, and takes the next index from its
@@ -14,7 +14,9 @@ is never asked.
 
 Only gradient-based planning (`planners.gbp`) uses the tape, for the one
 gradient taken through an H-step rollout, and puts one "wm-rollout" node
-per iteration on it (`worldmodel.rollout_nodes`). Every other gradient is
+per iteration on it (`worldmodel.rollout_nodes`). Inputs are float64
+(`tensor`); the node computes in float32 on GBP's float32 copy of the
+model, and `grad` returns every gradient as float64. Every other gradient is
 one `worldmodel.mlp_forward` and one `worldmodel.mlp_backward` called
 directly (`worldmodel.step_loss_grad`).
 

@@ -21,11 +21,14 @@ rollout per iteration (`final_cost` on an (N, H, d_a) array, one
 float32, through a copy of the model's weights made once per plan
 (`_float32`), because only the ranking and weighting of candidates read
 the population's costs (mixed precision as in Micikevicius et al. 2018).
-Everything else is float64: the sampling, CEM's elite mean and Cholesky
-refit, MPPI's weighted update, GBP, and the cost of the plan each planner
-returns, so every cost a report holds is a float64 cost. GradCEM runs GBP
-from each CEM sample, so its refinement steps are `gbp` calls, in float64
-and still one sequence at a time on the tape; its refined candidates are
+GBP takes each iteration's loss and action gradient from such a copy too,
+because only its choice of iterate and its Adam step read them. Everything
+else is float64: the sampling, CEM's elite mean and Cholesky refit, MPPI's
+weighted update, GBP's actions, Adam state and clamp, and the cost of the
+plan each planner returns (GBP rescores the iterate it returns), so every
+cost a report holds is a float64 cost. GradCEM runs GBP from each CEM
+sample, so its refinement steps are `gbp` calls on CEM's float32 copy,
+still one sequence at a time on the tape; its refined candidates are
 scored like CEM's. A model evaluation thus costs very different amounts
 on the two paths, so wall-clock between the two families says nothing by
 itself: read it next to `PlanResult.model_evals`, the (sequence x step)
@@ -47,7 +50,7 @@ from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
-from .worldmodel import WorldModel, rollout_model, rollout_nodes
+from .worldmodel import WorldModel, _rollout_loss, rollout_model, rollout_nodes
 
 
 OPTIMIZERS = ("sgd", "adam")
@@ -94,8 +97,8 @@ class PlanConfig(Descent):
 @dataclass
 class PlanResult:
     """A plan and how it was found. `loss_trace` holds the cost each
-    iteration scored: GBP's goal loss, the best population cost of a CEM
-    iteration (scored in float32) or the cost of MPPI's updated plan.
+    iteration scored: GBP's goal loss or the best population cost of a CEM
+    iteration, both scored in float32, or the cost of MPPI's updated plan.
     `final_loss` is the float64 cost of `actions`."""
 
     actions: np.ndarray
@@ -120,11 +123,16 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
         seed: int) -> PlanResult:
     """Iterate rollout -> goal loss -> gradient step on the action sequence.
 
-    Returns the best-loss iterate and its loss, or with `return_best` False
-    the actions after the last step with the loss of the iterate before
-    that step, the last one scored. GradCEM's refinement, the one caller
-    that sets the flag, rescores its candidates with `final_cost`, so
-    nothing reads that stale loss.
+    Each iteration's goal loss and action gradient come from a float32 copy
+    of `f` (`_float32`, made once per plan, with the goal cast once); the
+    actions, the Adam state, the clamp and the best iterate stay float64.
+    Returns the iterate of least float32 loss with its float64 goal loss,
+    computed once more on `f` by the node's forward
+    (`worldmodel._rollout_loss`) and counted in `model_evals`. With
+    `return_best` False it returns the actions after the last step with the
+    float32 loss of the iterate before that step, the last one scored.
+    GradCEM's refinement, the one caller that sets the flag, rescores its
+    candidates with `final_cost`, so nothing reads that stale loss.
     Actions are clamped to [-a_max, a_max] after every update when a_max is
     set. `seed` draws the initial actions unless `cfg.init_actions` gives
     them, which are copied and never changed. The plan owns one action
@@ -139,9 +147,11 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     t0 = time.perf_counter()
     H = cfg.horizon
     weights = GOAL_LOSSES[cfg.loss](H)
+    scorer = _float32(f)
     tape = dc.Tape()
     z1_node = tape.constant(z1)
     z_goal = dc.tensor(z_goal)
+    scored_goal = z_goal.astype(np.float32)
     actions = _initial_actions(cfg, f, seed)
     clamp = cfg.a_max is not None
     if clamp:
@@ -163,7 +173,8 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
         # with before the optimizer writes into the array
         a_leaf = dc.Node(tape, actions, "leaf")
         try:
-            loss_node = rollout_nodes(f, z1_node, a_leaf, z_goal, weights)
+            loss_node = rollout_nodes(scorer, z1_node, a_leaf, scored_goal,
+                                      weights)
             loss = float(loss_node.value)
             trace.append(loss)
             if not np.isfinite(loss):
@@ -184,8 +195,14 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
     chosen = best_actions if cfg.return_best else actions
     final = best_loss if cfg.return_best else (trace[-1] if trace else np.inf)
+    evals = H * len(trace)
+    if cfg.return_best and np.isfinite(best_loss):
+        # the float32 loss ranked the iterates; the plan reports the float64
+        # loss of the one it returns, from the forward the node runs
+        final = _rollout_loss(f, z1_node.value, chosen, z_goal, weights)[0]
+        evals += H
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),
-                      float(final), aborted, H * len(trace))
+                      float(final), aborted, evals)
 
 
 def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.ndarray:
@@ -202,8 +219,11 @@ def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.nda
 
 
 def _float32(f: WorldModel) -> WorldModel:
-    """The float32 copy of `f` that a sampling planner scores its
-    populations with, made once per plan."""
+    """The float32 copy of `f` that a plan scores with, made once per plan;
+    `f` itself when its weights are float32 already, as the copy that
+    `cem` hands GradCEM's refinement is."""
+    if all(w.dtype == np.float32 for w in f.weights):
+        return f
     return WorldModel([w.astype(np.float32) for w in f.weights], f.d_z, f.d_a,
                       f.hidden)
 
@@ -277,7 +297,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
             samples = mu + eps @ chol.T
         candidates = samples
         if refine is not None and refine.steps > 0:
-            refined = [gbp(f, z1, z_goal, PlanConfig(
+            refined = [gbp(scorer, z1, z_goal, PlanConfig(
                 horizon=H, iterations=refine.steps, optimizer="adam",
                 eta=refine.eta, init_actions=c.reshape(H, f.d_a),
                 return_best=False), seed) for c in samples]

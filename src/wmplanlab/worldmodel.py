@@ -10,7 +10,8 @@ one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
 which writes the weight gradients into views of the one vector that holds
 every weight for the length of a `fit` run (`FlatAdam`), so a step takes
 one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
-unrolls both, with their expressions and order, over its H model steps.
+unrolls both, with their expressions and order, over its H model steps,
+in the dtype of the model's weights.
 
 `save_model` writes a checkpoint directory, `model.json` and `weights.bin`,
 and `load_model` alone reads and checks it."""
@@ -176,17 +177,16 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
     z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.gbp`
     passes the H weights of a `planners.GOAL_LOSSES` entry, which sum to
-    one). The goal is taken as given: `gbp` checks it once per plan.
+    one). The goal is taken as given: `gbp` checks it and casts it to the
+    dtype of the weights once per plan.
 
-    Each model step makes only the NumPy calls its arithmetic needs: rows
-    of buffers made once per call are walked with `zip` and written with
-    `out=`, and each pass takes one finite check. The forward is
-    `WorldModel.forward` unrolled: row t of one (H + 1, d_z + d_a) array
-    is the MLP input [z_{t+1}; a_t], each hidden layer's tanh outputs fill
-    a row of one (H, width) array, and the output layer and the skip add
-    write z_{t+2} into row t + 1 in place. One row-sum check over
-    z_2 .. z_{H+1} follows the loop; the first non-finite row raises
-    NumericFailure naming its step. The backward is one reverse sweep that
+    The node computes in the dtype of `f`'s weights, like `predict`: every
+    buffer below has that dtype, so a float64 model computes in float64 and
+    GBP's float32 copy (`planners._float32`) in float32. The loss is summed
+    into a float64 value either way, and `dc.grad` returns the action
+    gradient as float64.
+
+    The forward is `_rollout_loss`. The backward is one reverse sweep that
     inlines the input-gradient half of `mlp_backward` per step, with
     its expressions and order, into a row of an (H + 1, d_z) buffer of the
     gradients of z_1 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
@@ -200,45 +200,19 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     its input buffer and the backward reads only the node's own buffers, so
     `a` may hold an array its caller writes into once the gradient is taken,
     as GBP's leaf holds the plan's action array."""
-    actions = a.value
-    H = len(actions)
-    if H < 1:
-        raise ValueError("need at least one action")
-    d_z = f.d_z
-    Ws, bs = f.weights[0::2], f.weights[1::2]
-    layers = list(zip(Ws[:-1], bs[:-1]))
-    X = np.empty((H + 1, d_z + f.d_a))
-    X[0, :d_z] = z1.value
-    X[:H, d_z:] = actions
-    zs = X[:, :d_z]  # zs[t + 1] is z_{t+2}
-    hidden = [np.empty((H, len(b))) for _, b in layers]
-    for x, z, z_next, *hs in zip(X, zs, zs[1:], *hidden):
-        for (W, b), h in zip(layers, hs):
-            x = np.dot(x, W, h)
-            np.add(x, b, x)
-            np.tanh(x, x)
-        np.dot(x, Ws[-1], z_next)
-        np.add(z_next, bs[-1], z_next)
-        np.add(z, z_next, z_next)
-    t = _first_nonfinite_row(zs[1:])
-    if t is not None:
-        raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-    # the scored latents (the last len(ws) of z_2 .. z_{H+1}) and their weights
-    ws, scale = (np.ones(1), 1.0) if weights is None else (weights, 1.0 / H)
-    diffs = zs[H + 1 - len(ws):] - z_goal
-    total = 0.0
-    for sq, w in zip((diffs * diffs).sum(1).tolist(), ws):
-        total = total + sq * w
+    H, d_z, Ws, dtype = len(a.value), f.d_z, f.weights[0::2], f.weights[0].dtype
+    loss, hidden, diffs, ws, scale = _rollout_loss(f, z1.value, a.value, z_goal,
+                                                   weights)
 
     def backward(g, needed):
-        G = np.empty((H + 1, d_z))  # G[t] is the gradient of z_{t+1}
-        GX = np.empty((H, d_z + f.d_a))  # GX[t] that of X[t], step t + 1's input
+        G = np.empty((H + 1, d_z), dtype)  # G[t] is the gradient of z_{t+1}
+        GX = np.empty((H, d_z + f.d_a), dtype)  # GX[t] that of step t + 1's input
         np.multiply((g * scale * ws * 2.0)[:, None], diffs, G[H + 1 - len(ws):])
         if weights is not None:
             G[0] = -0.0  # z_1 has no loss term, and -0.0 + x is x
         # each layer's weights with the tanh derivative of its input, last
         # layer first, and one delta buffer per layer
-        back = [(W, 1.0 - h * h, np.empty(len(W)))
+        back = [(W, 1.0 - h * h, np.empty(len(W), dtype))
                 for W, h in zip(Ws[:0:-1], hidden[::-1])]
         for g_out, g_in, gx, gx_z, *dts in zip(
                 G[:0:-1], G[-2::-1], GX[::-1], GX[::-1, :d_z],
@@ -260,8 +234,57 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
                                  f"step {H - t}")
         return G[0], GX[:, d_z:].copy()
 
-    return dc.Node(z1.tape, np.asarray(total * scale), "wm-rollout", (z1, a),
-                   backward)
+    return dc.Node(z1.tape, np.asarray(loss), "wm-rollout", (z1, a), backward)
+
+
+def _rollout_loss(f: WorldModel, z1: np.ndarray, actions: np.ndarray, z_goal,
+                  weights: np.ndarray | None):
+    """The forward of `rollout_nodes` on plain arrays, in the dtype of
+    `f`'s weights: the goal loss of the rollout of `actions` (H, d_a) from
+    `z1` as a float, then what the backward reads: the (H, width) tanh
+    outputs of each hidden layer, the scored latents minus the goal, their
+    weights and the loss's scale. `planners.gbp` also calls it to rescore
+    the iterate it returns with the float64 model.
+
+    Each model step makes only the NumPy calls its arithmetic needs: rows
+    of buffers made once per call are walked with `zip` and written with
+    `out=`. The forward is `WorldModel.forward` unrolled: row t of one
+    (H + 1, d_z + d_a) array is the MLP input [z_{t+1}; a_t], each hidden
+    layer's tanh outputs fill a row of one (H, width) array, and the output
+    layer and the skip add write z_{t+2} into row t + 1 in place. One
+    row-sum check over z_2 .. z_{H+1} follows the loop; the first non-finite
+    row raises NumericFailure naming its step. Each scored latent's squared
+    distance is summed in its dtype, and the weighted sum over the latents
+    in float64."""
+    H = len(actions)
+    if H < 1:
+        raise ValueError("need at least one action")
+    d_z, dtype = f.d_z, f.weights[0].dtype
+    Ws, bs = f.weights[0::2], f.weights[1::2]
+    layers = list(zip(Ws[:-1], bs[:-1]))
+    X = np.empty((H + 1, d_z + f.d_a), dtype)
+    X[0, :d_z] = z1
+    X[:H, d_z:] = actions
+    zs = X[:, :d_z]  # zs[t + 1] is z_{t+2}
+    hidden = [np.empty((H, len(b)), dtype) for _, b in layers]
+    for x, z, z_next, *hs in zip(X, zs, zs[1:], *hidden):
+        for (W, b), h in zip(layers, hs):
+            x = np.dot(x, W, h)
+            np.add(x, b, x)
+            np.tanh(x, x)
+        np.dot(x, Ws[-1], z_next)
+        np.add(z_next, bs[-1], z_next)
+        np.add(z, z_next, z_next)
+    t = _first_nonfinite_row(zs[1:])
+    if t is not None:
+        raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
+    # the scored latents (the last len(ws) of z_2 .. z_{H+1}) and their weights
+    ws, scale = (np.ones(1), 1.0) if weights is None else (weights, 1.0 / H)
+    diffs = zs[H + 1 - len(ws):] - z_goal
+    total = 0.0
+    for sq, w in zip((diffs * diffs).sum(1).tolist(), ws):
+        total = total + sq * w
+    return total * scale, hidden, diffs, ws, scale
 
 
 def _first_nonfinite_row(rows: np.ndarray) -> int | None:

@@ -141,11 +141,14 @@ def chain_step(f, params: list[dc.Node], z: dc.Node, a: dc.Node) -> dc.Node:
 
 def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:
     """`reference_rollout.sq_dist` as a sum over i of
-    mul(sum_(square(sub(x_i, target_i))), w_i), times the scale."""
+    mul(sum_(square(sub(x_i, target_i))), w_i), times the scale; each
+    target in the dtype of its x."""
     tape = xs[0].tape
     total = None
     for x, t, w in zip(xs, targets, weights, strict=True):
-        term = mul(sum_(square(sub(x, tape.constant(t)))), tape.constant(w))
+        target = dc.Node(tape, dc.tensor(t).astype(x.value.dtype, copy=False),
+                         "const")
+        term = mul(sum_(square(sub(x, target))), tape.constant(w))
         total = term if total is None else add(total, term)
     return mul(total, tape.constant(scale))
 

@@ -1,7 +1,11 @@
 """GBP's differentiable rollout built one tape node per model step, the
 reference the fused "wm-rollout" node (`worldmodel.rollout_nodes`) must
 match bit for bit: one leaf per action row, one "wm-step" node per
-transition (`WorldModel.forward_nodes`) and one "sq-dist" goal loss."""
+transition (`WorldModel.forward_nodes`) and one "sq-dist" goal loss. It
+computes in the dtype of the model's weights, as the node does: the start
+latent, the actions and the goal are cast to it, and each scored latent
+meets the loss through a "cast" node that rounds the loss's gradient to
+that dtype, where the node stores it."""
 
 from __future__ import annotations
 
@@ -12,17 +16,20 @@ import numpy as np
 from wmplanlab import diffcore as dc
 
 
-def leaves(tape: dc.Tape, value) -> list[dc.Node]:
-    """One leaf per row of `value`, validated and copied once as a whole."""
-    return [dc.Node(tape, row, "leaf") for row in dc.tensor(value)]
+def leaves(tape: dc.Tape, value, dtype=np.float64) -> list[dc.Node]:
+    """One leaf per row of `value` in `dtype`, validated and copied once as
+    a whole."""
+    return [dc.Node(tape, row, "leaf")
+            for row in dc.tensor(value).astype(dtype, copy=False)]
 
 
 def sq_dist(xs: Sequence[dc.Node], targets, weights, scale: float = 1.0) -> dc.Node:
     """One node (op "sq-dist") with value scale * sum_i weights[i] * ||xs[i] -
     targets[i]||^2, summed left to right, and closed-form gradients. Targets
     are constants and pass through `dc.tensor`, so a non-finite one is a
-    ValueError."""
-    ds = [x.value - dc.tensor(t) for x, t in zip(xs, targets, strict=True)]
+    ValueError; each is cast to the dtype of its x."""
+    ds = [x.value - dc.tensor(t).astype(x.value.dtype, copy=False)
+          for x, t in zip(xs, targets, strict=True)]
     total = 0.0
     for d, w in zip(ds, weights, strict=True):
         total = total + (d * d).sum() * w
@@ -47,12 +54,19 @@ def step_nodes(f, z1: dc.Node, action_nodes: list[dc.Node]) -> list[dc.Node]:
     return zs
 
 
+def cast(x: dc.Node) -> dc.Node:
+    """`x` as it is, with a backward that rounds the gradient to x's dtype."""
+    return dc.Node(x.tape, x.value, "cast", (x,),
+                   lambda g, needed: [g.astype(x.value.dtype, copy=False)])
+
+
 def goal_loss(zs: list[dc.Node], z_goal, weights) -> dc.Node:
     """The final-state distance (weights None) or the weighted mean over all
     latents, with weights that sum to one."""
     if weights is None:
-        return sq_dist(zs[-1:], [z_goal], [1.0])
-    return sq_dist(zs, [z_goal] * len(zs), weights, 1.0 / len(zs))
+        return sq_dist([cast(zs[-1])], [z_goal], [1.0])
+    return sq_dist([cast(z) for z in zs], [z_goal] * len(zs), weights,
+                   1.0 / len(zs))
 
 
 def rollout_nodes(f, z1: dc.Node, a: dc.Node, z_goal, weights) -> dc.Node:
@@ -60,8 +74,10 @@ def rollout_nodes(f, z1: dc.Node, a: dc.Node, z_goal, weights) -> dc.Node:
     graph on the same tape, from one leaf per row of `a`. Its value is that
     graph's loss, and its backward is `dc.grad` over it, the action rows'
     gradients stacked. `z1` is a constant and gets no gradient."""
-    rows = leaves(a.tape, a.value)
-    loss = goal_loss(step_nodes(f, z1, rows), z_goal, weights)
+    dtype = f.weights[0].dtype
+    rows = leaves(a.tape, a.value, dtype)
+    start = dc.Node(a.tape, z1.value.astype(dtype, copy=False), "const")
+    loss = goal_loss(step_nodes(f, start, rows), z_goal, weights)
 
     def backward(g, needed):
         return None, g * np.stack(dc.grad(loss, rows))

@@ -1,18 +1,23 @@
-"""The sampling planners score their populations through a float32 copy of
-the world model (`planners._float32`), while the rest of the lab computes
-in float64. These checks bound what the narrower scoring changes, at the
-preset shapes, and pin that a float64 model still computes in float64."""
+"""The sampling planners score their populations, and GBP takes each
+iteration's loss and action gradient, through a float32 copy of the world
+model (`planners._float32`, made once per plan), while the rest of the lab
+computes in float64: the sampling, the refit, GBP's Adam state and every
+cost a plan reports. These checks bound what the narrower arithmetic
+changes, at the preset shapes, and pin that a float64 model still computes
+in float64 and that a plan's reported cost is a float64 cost."""
 
 import numpy as np
 import pytest
 
+from wmplanlab import diffcore as dc
 from wmplanlab import planners
 from wmplanlab.diffcore import NumericFailure
 from wmplanlab.encoder import encode, make_random_fourier
-from wmplanlab.planners import CemConfig, cem, final_cost
+from wmplanlab.planners import (GOAL_LOSSES, CemConfig, PlanConfig, RefineConfig,
+                                cem, final_cost, gbp)
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (init_world_model, mlp_forward, predict,
-                                  rollout_model)
+                                  rollout_model, rollout_nodes)
 
 from conftest import linear_model
 
@@ -136,3 +141,83 @@ def test_a_latent_beyond_float32s_range_raises_where_float64_scores_it():
     assert np.all(np.isfinite(exact))
     with np.errstate(over="ignore"), pytest.raises(NumericFailure):
         final_cost(planners._float32(f), np.zeros(2), actions, np.zeros(2))
+
+
+def _node_loss_and_grad(f, z1, actions, z_goal, weights):
+    """The "wm-rollout" node's loss and action gradient on model `f`."""
+    tape = dc.Tape()
+    a = tape.leaf(actions)
+    loss = rollout_nodes(f, tape.constant(z1), a, z_goal, weights)
+    (g,) = dc.grad(loss, [a])
+    return float(loss.value), g
+
+
+@pytest.mark.parametrize("loss", GOAL_LOSSES)
+def test_gbps_float32_loss_and_gradient_stay_within_the_bound_of_float64(loss):
+    # preset shapes: d_z 64, hidden 128 x 128, H 25, on encoded Wall2D
+    # positions; 5 draws of start, goal and actions per goal loss
+    f = init_world_model(64, 2, (128, 128), seed=0)
+    g = planners._float32(f)
+    enc = make_random_fourier(2, 64, 4.0, 0)
+    weights = GOAL_LOSSES[loss](25)
+    for draw in range(5):
+        rng = generator(draw, "float32-gbp", loss)
+        z1, z_goal = (encode(enc, rng.uniform(0.0, 1.0, 2)) for _ in range(2))
+        actions = rng.standard_normal((25, 2))
+        exact, exact_grad = _node_loss_and_grad(f, z1, actions, z_goal, weights)
+        got, grad = _node_loss_and_grad(g, z1, actions, z_goal.astype(np.float32),
+                                        weights)
+        assert grad.dtype == np.float64
+        assert abs(got - exact) <= RTOL * exact
+        assert np.linalg.norm(grad - exact_grad) <= RTOL * np.linalg.norm(exact_grad)
+
+
+@pytest.mark.parametrize("loss", GOAL_LOSSES)
+def test_gbps_final_loss_is_the_float64_goal_loss_of_its_plan(loss):
+    f = init_world_model(64, 2, (128, 128), seed=1)
+    rng = generator(1, "float32-gbp-final", loss)
+    z1, z_goal = rng.standard_normal(64), rng.standard_normal(64)
+    cfg = PlanConfig(horizon=25, iterations=20, optimizer="adam", eta=0.2,
+                     loss=loss, a_max=1.0)
+    pr = gbp(f, z1, z_goal, cfg, seed=1)
+    exact, _ = _node_loss_and_grad(f, z1, pr.actions, z_goal, GOAL_LOSSES[loss](25))
+    assert pr.actions.dtype == np.float64
+    assert pr.final_loss == exact
+    assert abs(min(pr.loss_trace) - exact) <= RTOL * exact
+
+
+def test_a_plan_casts_the_model_once(monkeypatch):
+    # GradCEM's refinement runs gbp per sample on the copy cem made, which
+    # `_float32` hands back as it is
+    casts = []
+    real = planners._float32
+
+    def spy(f):
+        g = real(f)
+        casts.append(g is not f)
+        return g
+
+    monkeypatch.setattr(planners, "_float32", spy)
+    f = init_world_model(6, 2, (16, 16), seed=6)
+    z1, z_goal = np.zeros(6), np.ones(6)
+    gbp(f, z1, z_goal, PlanConfig(horizon=4, iterations=5), seed=0)
+    assert casts == [True]
+    casts.clear()
+    cfg = CemConfig(horizon=4, n_pop=6, k_elite=2, iterations=3,
+                    refine=RefineConfig(steps=2))
+    cem(f, z1, z_goal, cfg, seed=0)
+    assert sum(casts) == 1 and len(casts) == 1 + 6 * 3
+
+
+def test_a_latent_beyond_float32s_range_aborts_a_gbp_plan_where_float64_scores_it():
+    # the GBP twin of the test above: the fourth step of the float32 rollout
+    # passes 3.4e38, while the float64 goal loss is finite (about 5e77)
+    f = linear_model(1e37 * np.eye(2))
+    actions = np.full((5, 2), 10.0)
+    exact, _ = _node_loss_and_grad(f, np.zeros(2), actions, np.zeros(2), None)
+    assert np.isfinite(exact)
+    cfg = PlanConfig(horizon=5, iterations=3, init_actions=actions)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pr = gbp(f, np.zeros(2), np.zeros(2), cfg, seed=0)
+    assert pr.aborted and pr.iterations == 0 and pr.loss_trace == []
+    assert pr.final_loss == np.inf

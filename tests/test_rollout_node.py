@@ -72,7 +72,7 @@ def test_gbp_plans_equal_the_reference(reference, shape, optimizer, eta, clamp, 
     cfg = PlanConfig(horizon=H, iterations=8, optimizer=optimizer, eta=eta,
                      loss=loss, a_max=0.5 if clamp else None, return_best=False)
     got = gbp(f, z1, z_goal, cfg, seed=2)
-    assert got.model_evals == H * cfg.iterations
+    assert got.model_evals == H * cfg.iterations  # no best iterate to rescore
     reference()
     _same_plan(got, gbp(f, z1, z_goal, cfg, seed=2))
 
@@ -140,14 +140,16 @@ def test_a_nonfinite_latent_before_the_last_step_is_named_by_its_step(reference)
     _same_plan(got, want)
 
 
-def _saturated_model():
+def _saturated_model(big=1e200, huge=1.7e308):
     """A finite forward whose backward overflows: the saturated tanh of the
     second layer has derivative 0 and meets an infinite incoming gradient.
     The output weights cancel on the saturated units, so the latents and
-    the loss stay finite and the plan reaches its backward sweep."""
+    the loss stay finite and the plan reaches its backward sweep. The
+    defaults overflow float64; GBP differentiates a float32 copy, which
+    `big` 1e30 and `huge` 3e38 overflow in its backward alone."""
     f = init_world_model(2, 2, hidden=(2, 2), seed=0)
-    f.weights[2] = np.full((2, 2), 1e200)
-    f.weights[4] = np.array([[1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+    f.weights[2] = np.full((2, 2), big)
+    f.weights[4] = np.array([[huge, huge], [-huge, -huge]])
     return f
 
 
@@ -162,6 +164,7 @@ def test_a_nonfinite_backward_sweep_aborts_the_plan_like_the_reference(reference
         assert np.isfinite(loss.value)
         with pytest.raises(dc.NumericFailure, match="op 'wm-rollout', step 2"):
             dc.grad(loss, [a])
+        f = _saturated_model(1e30, 3e38)
         got = gbp(f, z1, z_goal, cfg, seed=0)
         reference()
         want = gbp(f, z1, z_goal, cfg, seed=0)
