@@ -4,13 +4,13 @@ A dataset holds actions (N, T, d_a) with observations (N, T+1, d_o),
 latents (N, T+1, d_z) or both; T is `traj_len - 1` from `gen-data`, H for
 the corrected set, 1 for the perturbed set. `sample_window` draws an
 H-step `Window` of one trajectory, as views of those arrays. A dataset's
-directory holds `manifest.json` and `data.bin`: the states (observations,
-or latents for the perturbed set), then the actions, as two WMT1 records."""
+directory holds `manifest.json` and `data.bin`, exactly two WMT1 records:
+the states, which the manifest's `content` names (`obs`, or `latent` for
+the perturbed set), then the actions."""
 
 from __future__ import annotations
 
 import os
-import re
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,7 +20,6 @@ import numpy as np
 from . import tensorio
 
 SCHEMA_VERSION = 2
-_OLD_TRAJECTORY_FILE = re.compile(r"traj_[0-9]+\.bin")  # schema 1, one file each
 
 
 class HorizonTooLong(ValueError):
@@ -91,9 +90,9 @@ def flatten_transitions(data: Dataset, rows=slice(None)
 
 def save_dataset(path, data: Dataset, *, env: dict | None = None,
                  seed: int | None = None) -> None:
-    """Write a dataset directory, `data.bin` first, then `manifest.json`,
-    then remove the `traj_<i>.bin` files of the one-file-per-trajectory
-    layout that an older version wrote there; no other file is touched."""
+    """Write a dataset directory, `data.bin` first, then `manifest.json`;
+    no other file in it is touched. `content` is `obs` when the dataset has
+    observations, which are then the states written, and `latent` if not."""
     os.makedirs(path, exist_ok=True)
     content = "obs" if data.obs is not None else "latent"
     states = data.obs if content == "obs" else data.latents
@@ -107,26 +106,29 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
         "env": env,
     }
     tensorio.write_json(os.path.join(path, "manifest.json"), manifest, indent=2)
-    for name in os.listdir(path):
-        stale = os.path.join(path, name)
-        if _OLD_TRAJECTORY_FILE.fullmatch(name) and os.path.isfile(stale):
-            os.remove(stale)
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
     """The dataset in directory `path` and its manifest; a missing or damaged
-    file, another schema version, a non-finite entry, or records that
-    disagree with each other or with the manifest's count are a ValueError."""
+    file, another schema version or `content`, a `data.bin` of other than
+    two records, a non-finite entry, or records that disagree with each
+    other or with the manifest's count are a ValueError."""
     manifest = tensorio.read_json(os.path.join(path, "manifest.json"),
                                   ("schema_version", "content", "provenance", "count"))
     version = manifest["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"manifest schema_version {version!r}, expected "
                          f"{SCHEMA_VERSION}; rerun gen-data to regenerate it")
-    states, actions = tensorio.load_tensors(os.path.join(path, "data.bin"), count=2)
+    content = manifest["content"]
+    if content not in ("obs", "latent"):
+        raise ValueError(f"manifest content {content!r}, expected 'obs' or 'latent'")
+    records = tensorio.load_tensors(os.path.join(path, "data.bin"))
+    if len(records) != 2:
+        raise ValueError(f"data.bin: expected 2 tensor records, found {len(records)}")
+    states, actions = records
     if not (np.isfinite(states).all() and np.isfinite(actions).all()):
         raise ValueError("data.bin holds a non-finite entry")
-    kind = "obs" if manifest["content"] == "obs" else "latents"
+    kind = "obs" if content == "obs" else "latents"
     data = Dataset(actions, provenance=manifest["provenance"], **{kind: states})
     if len(data) != manifest["count"]:
         raise ValueError(f"data.bin holds {len(data)} trajectories, "

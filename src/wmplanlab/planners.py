@@ -10,8 +10,8 @@ Gradient-based planning backpropagates the goal loss through a recursive
 model rollout and updates one action sequence in place with SGD or Adam,
 starting from a Gaussian draw of its seed or from the actions it is given
 (GradCEM's samples, the MPC warm start, `landscape`'s shared start), and
-clamping them to `a_max` when a caller sets it (every command does); it
-is the only code in the lab that builds a tape, one per plan, and takes
+clamping them to [-a_max, a_max] after each update (`math.inf` in GradCEM);
+it is the only code in the lab that builds a tape, one per plan, and takes
 each iteration's goal loss and gradient from one `rollout_nodes` node. A
 goal loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
 CEM samples from a full-covariance Gaussian. The sampling planners score
@@ -38,6 +38,7 @@ re-encoded simulator states and executes the first K actions.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -83,14 +84,14 @@ class Descent(Checked):
 class PlanConfig(Descent):
     """GBP. `loss` names a goal loss of GOAL_LOSSES. A plan starts from the
     (H, d_a) array `init_actions` when one is given, and otherwise from a
-    Gaussian draw of its seed; it clamps to [-a_max, a_max] when `a_max` is
-    set. No config key sets `init_actions`, `a_max` or `return_best`; with
-    `return_best` False, `gbp`'s `final_loss` is stale (see `gbp`)."""
+    Gaussian draw of its seed; it clamps to [-a_max, a_max], unbounded at
+    `math.inf`. No config key sets `init_actions`, `a_max` or `return_best`;
+    with `return_best` False, `gbp`'s `final_loss` is stale (see `gbp`)."""
 
     horizon: int = field(default=25, metadata=COUNT)
     loss: str = field(default="final", metadata=one_of(GOAL_LOSSES))
     init_actions: object = field(default=None, metadata={"key": None})
-    a_max: float | None = field(default=None, metadata={"key": None})
+    a_max: float = field(default=math.inf, metadata={"key": None})
     return_best: bool = field(default=True, metadata={"key": None})
 
 
@@ -133,8 +134,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     float32 loss of the iterate before that step, the last one scored.
     GradCEM's refinement, the one caller that sets the flag, rescores its
     candidates with `final_cost`, so nothing reads that stale loss.
-    Actions are clamped to [-a_max, a_max] after every update when a_max is
-    set. `seed` draws the initial actions unless `cfg.init_actions` gives
+    Actions are clamped to [-a_max, a_max] after every update; at
+    `a_max = math.inf` the clamp keeps every bit, -0.0 and NaN included.
+    `seed` draws the initial actions unless `cfg.init_actions` gives
     them, which are copied and never changed. The plan owns one action
     array that the optimizer step and the clamp update in place, and one
     buffer the best iterate is copied into. The goal loss's weights,
@@ -153,9 +155,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     z_goal = dc.tensor(z_goal)
     scored_goal = z_goal.astype(np.float32)
     actions = _initial_actions(cfg, f, seed)
-    clamp = cfg.a_max is not None
-    if clamp:
-        np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
+    np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
     opt = AdamState.zeros((H, f.d_a)) if cfg.optimizer == "adam" else None
     trace: list[float] = []
     best_loss = np.inf
@@ -163,35 +163,36 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     # iterate kept as best is copied into a buffer of its own
     best_actions = actions.copy()
     aborted = False
-    for _ in range(cfg.iterations):
-        # checked before the rollout: a saturated tanh layer can turn an
-        # infinite action into finite latents
-        if not np.all(np.isfinite(actions)):
-            aborted = True
-            break
-        # the leaf holds `actions` itself, checked just above, and is done
-        # with before the optimizer writes into the array
-        a_leaf = dc.Node(tape, actions, "leaf")
-        try:
-            loss_node = rollout_nodes(scorer, z1_node, a_leaf, scored_goal,
-                                      weights)
-            loss = float(loss_node.value)
-            trace.append(loss)
-            if not np.isfinite(loss):
+    # a diverging plan overflows float32 before it aborts; `aborted` says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            # checked before the rollout: a saturated tanh layer can turn an
+            # infinite action into finite latents
+            if not np.all(np.isfinite(actions)):
                 aborted = True
                 break
-            if loss < best_loss:
-                best_loss = loss
-                np.copyto(best_actions, actions)
-            (grads,) = dc.grad(loss_node, [a_leaf])
-        except NumericFailure:
-            aborted = True
-            break
-        if cfg.optimizer == "sgd":
-            dc.sgd_step(actions, grads, cfg.eta)
-        else:
-            dc.adam_step(actions, grads, opt, cfg.eta)
-        if clamp:
+            # the leaf holds `actions` itself, checked just above, and is done
+            # with before the optimizer writes into the array
+            a_leaf = dc.Node(tape, actions, "leaf")
+            try:
+                loss_node = rollout_nodes(scorer, z1_node, a_leaf, scored_goal,
+                                          weights)
+                loss = float(loss_node.value)
+                trace.append(loss)
+                if not np.isfinite(loss):
+                    aborted = True
+                    break
+                if loss < best_loss:
+                    best_loss = loss
+                    np.copyto(best_actions, actions)
+                (grads,) = dc.grad(loss_node, [a_leaf])
+            except NumericFailure:
+                aborted = True
+                break
+            if cfg.optimizer == "sgd":
+                dc.sgd_step(actions, grads, cfg.eta)
+            else:
+                dc.adam_step(actions, grads, opt, cfg.eta)
             np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
     chosen = best_actions if cfg.return_best else actions
     final = best_loss if cfg.return_best else (trace[-1] if trace else np.inf)

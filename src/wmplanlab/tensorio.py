@@ -4,8 +4,8 @@
 through it; `write_json` is the one JSON writer, `write_csv` the one table
 writer, `save_tensors` the one tensor writer. WMT1 record layout
 (little-endian): magic b"WMT1", rank as u64, dims as u64 each, then the
-float64 entries in row-major order. Files may hold several records back to
-back.
+float64 entries in row-major order. A file is its records back to back, to
+its end; `load_tensors` reads them all, and the caller checks how many.
 """
 
 from __future__ import annotations
@@ -132,20 +132,16 @@ def save_tensors(path, arrays: list[np.ndarray]) -> None:
             write_tensor(fh, arr)
 
 
-def load_tensors(path, count: int | None = None) -> list[np.ndarray]:
-    """Read `count` records, or all records until EOF when count is None; a
-    missing file or a directory is a ValueError naming it."""
+def load_tensors(path) -> list[np.ndarray]:
+    """Every record of `path`, to the end of the file, for the caller to
+    count; a missing file or a directory is a ValueError naming it, and
+    bytes that make no whole record (a cut record, trailing junk) are one."""
     _readable(path)
     out = []
     with open(path, "rb") as fh:
-        while count is None or len(out) < count:
-            head = fh.read(4)
-            if not head:
-                break
+        while head := fh.read(4):
             fh.seek(-len(head), 1)  # a cut magic is read again, and rejected
             out.append(read_tensor(fh))
-    if count is not None and len(out) != count:
-        raise ValueError(f"expected {count} tensor records, found {len(out)}")
     return out
 
 

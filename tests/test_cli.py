@@ -123,25 +123,6 @@ def test_gen_data_force_with_fewer_trajectories_leaves_no_stale_file(tmp_path):
     assert len(data) == manifest["count"] == 2
 
 
-@pytest.mark.parametrize("command, out", [
-    ("gen-data", "data"), ("finetune-adv", "model-adv/perturbed"),
-    ("finetune-online", "data-corr")])
-def test_overwriting_an_old_layout_dataset_removes_its_trajectory_files(
-        pipeline, tmp_path, command, out):
-    cfg, path = pipeline
-    old = tmp_path / out
-    old.mkdir(parents=True, exist_ok=True)
-    for i in range(3):
-        (old / f"traj_{i}.bin").write_bytes(b"WMT1")
-    argv = [command, "--config", path]
-    argv += {"gen-data": ["--force"],
-             "finetune-adv": ["--set", "finetune.adversarial.dump_perturbed=true"],
-             "finetune-online": []}[command]
-    assert _run(*argv) == 0
-    assert not [name for name in os.listdir(old) if name.startswith("traj_")]
-    load_dataset(str(old))
-
-
 def test_train_writes_checkpoint_and_manifest(pipeline):
     cfg, path = pipeline
     model, meta = worldmodel.load_model(cfg["model"]["path"])
@@ -461,6 +442,7 @@ DAMAGES = {
     "encoder-hash-number": "model.json: meta.encoder_hash: expected a string, got 5",
     "nan-weight": "weights.bin holds a non-finite entry",
     "weights-directory": "weights.bin is a directory",
+    "trailing-bytes": "bad tensor magic b'junk'",
 }
 # model.json edits: a key to drop (None) or to set
 _DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
@@ -472,9 +454,10 @@ _DESCRIPTIONS = {"model-json-key": ("d_a", None), "d_z-string": ("d_z", "4"),
 def _damage(ckpt: str, how: str) -> None:
     """Drop the last layer of a checkpoint's weights.bin, cut the file inside
     the last tensor's data or inside its header, make the last tensor's
-    first dim 2**40, make one weight NaN, remove model.json or weights.bin,
-    put a directory in weights.bin's place, replace model.json by a JSON
-    number, or drop or mistype a key of model.json."""
+    first dim 2**40, make one weight NaN, append bytes that start no record,
+    remove model.json or weights.bin, put a directory in weights.bin's
+    place, replace model.json by a JSON number, or drop or mistype a key of
+    model.json."""
     if how == "json-number":
         with open(os.path.join(ckpt, "model.json"), "w") as fh:
             fh.write("3")
@@ -496,6 +479,10 @@ def _damage(ckpt: str, how: str) -> None:
             json.dump(desc, fh)
         return
     path = os.path.join(ckpt, "weights.bin")
+    if how == "trailing-bytes":
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        return
     weights = tensorio.load_tensors(path)
     if how == "last-layer":
         tensorio.save_tensors(path, weights[:-2])
@@ -545,7 +532,8 @@ def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
 
 @pytest.mark.parametrize("how", ["missing-data", "cut-data", "missing-manifest",
                                  "schema-version", "count", "manifest-key",
-                                 "manifest-array", "nan-data"])
+                                 "manifest-array", "nan-data", "extra-record",
+                                 "trailing-bytes", "content"])
 def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     cfg = tiny_config(tmp_path)
     path = _write(tmp_path, cfg)
@@ -576,6 +564,17 @@ def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
         obs[0, 1, 0] = np.nan
         tensorio.save_tensors(data_bin, [obs, actions])
         expect = "data.bin holds a non-finite entry"
+    elif how == "extra-record":
+        data_bin = os.path.join(data_dir, "data.bin")
+        tensorio.save_tensors(data_bin, tensorio.load_tensors(data_bin) + [np.ones(3)])
+        expect = "data.bin: expected 2 tensor records, found 3"
+    elif how == "trailing-bytes":
+        with open(os.path.join(data_dir, "data.bin"), "ab") as fh:
+            fh.write(b"junk")
+        expect = "bad tensor magic b'junk'"
+    elif how == "content":
+        _edit_manifest(data_dir, content="observations")
+        expect = "manifest content 'observations', expected 'obs' or 'latent'"
     elif how == "manifest-array":
         with open(os.path.join(data_dir, "manifest.json"), "w") as fh:
             fh.write("[]")
@@ -583,10 +582,11 @@ def test_a_damaged_dataset_exits_with_code_2(tmp_path, capsys, how):
     else:
         _edit_manifest(data_dir, "content", "provenance")
         expect = "manifest.json lacks content, provenance"
-    with pytest.raises(ValueError, match=expect):
+    with pytest.raises(ValueError, match=re.escape(expect)):
         load_dataset(data_dir)
     assert _run("train", "--config", path) == 2
     assert f"dataset {data_dir}: {expect}" in capsys.readouterr().err
+    assert not os.path.exists(cfg["model"]["path"])
 
 
 def test_a_latent_dataset_at_the_dataset_path_exits_with_code_2(pipeline, capsys,

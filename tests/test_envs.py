@@ -264,23 +264,6 @@ def test_dataset_disk_roundtrip(tmp_path, wall_spec):
     assert np.array_equal(back.latents, latent.latents)
 
 
-def test_saving_removes_the_old_layouts_trajectory_files_and_nothing_else(
-        tmp_path, wall_spec):
-    path = tmp_path / "data"
-    (path / "traj_3.bin").mkdir(parents=True)  # a directory, not a file
-    stale = ["traj_0.bin", "traj_12.bin"]
-    kept = ["traj_3.bin", "traj_a.bin", "traj_1.bin.bak", "traj_.bin", "xtraj_1.bin",
-            "traj_1.binx", "run.json", "notes.txt"]
-    for name in stale + kept[1:]:
-        (path / name).write_bytes(name.encode())
-    ds = envs.generate_dataset(wall_spec, 2, 4, "random", seed=1)
-    save_dataset(path, ds)
-    assert sorted(os.listdir(path)) == sorted(kept + ["data.bin", "manifest.json"])
-    for name in kept[1:]:
-        assert (path / name).read_bytes() == name.encode()
-    assert np.array_equal(load_dataset(path)[0].obs, ds.obs)
-
-
 def test_obs_state_roundtrip(wall_spec, pm_spec):
     s = envs.EnvState(np.array([0.1, 0.9]), np.array([0.02, -0.01]))
     o = envs.obs_of(pm_spec, s)

@@ -3,6 +3,8 @@ per-step reference rollout of `reference_rollout`: the same loss and
 action gradient bit for bit, the same whole plans, and the same numeric
 guards."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,7 @@ def _same_plan(got, want):
 def test_gbp_plans_equal_the_reference(reference, shape, optimizer, eta, clamp, loss):
     f, H, z1, z_goal, _ = _problem(shape, seed=1)
     cfg = PlanConfig(horizon=H, iterations=8, optimizer=optimizer, eta=eta,
-                     loss=loss, a_max=0.5 if clamp else None, return_best=False)
+                     loss=loss, a_max=0.5 if clamp else math.inf, return_best=False)
     got = gbp(f, z1, z_goal, cfg, seed=2)
     assert got.model_evals == H * cfg.iterations  # no best iterate to rescore
     reference()

@@ -1,8 +1,8 @@
 """Every module-level function and class of the package is reached by the
 package itself or by the benchmark, or (if public) is a named test seam; no
 module imports a name it does not use; the model modules work on latents
-without the simulator or the encoder; only `tensorio` writes files and
-reads JSON; and no function keeps state in the module.
+without the simulator or the encoder; only `tensorio` opens, writes and
+reads files, JSON included; and no function keeps state in the module.
 
 A name counts as reached when code in `src/wmplanlab` (other than the
 `__init__.py` re-exports, and other than its own definition) or in
@@ -181,6 +181,22 @@ def test_only_tensorio_reads_json():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.load"]
     assert not found, "read through tensorio.read_json instead: " + ", ".join(found)
+
+
+_FILE_OPENERS = {"open", "io.open", "np.load", "np.fromfile", "np.memmap"}
+
+
+def test_only_tensorio_opens_files():
+    # `tensorio` is the one module that opens a file, so every input has one
+    # read path: `read_json` for JSON, `load_tensors` for WMT1 to its end
+    found = [f"{path.relative_to(ROOT)}:{node.lineno} {ast.unparse(node.func)}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "tensorio.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (ast.unparse(node.func) in _FILE_OPENERS
+                  or (isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("read_bytes", "read_text")))]
+    assert not found, "open files through tensorio instead: " + ", ".join(found)
 
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
