@@ -5,7 +5,10 @@ planned actions in the simulator, and finetunes on the corrected
 trajectories, expanding coverage to the states planning actually visits.
 Adversarial world modeling perturbs latent states and actions inside an
 l-infinity ball in the direction that maximizes one-step prediction error,
-by FGSM with first-batch radii, keeping the prediction targets clean.
+by FGSM with first-batch radii, keeping the prediction targets clean. The
+attack reads only the sign of the input gradient, so it differentiates a
+float32 copy of the model, made once per batch; its deltas, and the
+training step that sees them, are float64.
 Both keep teacher forcing's next-latent objective and change only the
 inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`,
 and returns `fit`'s `TrainResult` with the set it synthesized.
@@ -24,7 +27,8 @@ from .data import Dataset, flatten_transitions, sample_window
 from .encoder import Encoder, encode
 from .planners import OPTIMIZERS, PlanConfig, gbp
 from .rng import derive_seed, generator
-from .worldmodel import TrainResult, WorldModel, fit, shuffled_batches, step_loss_grad
+from .worldmodel import (TrainResult, WorldModel, _float32, fit, shuffled_batches,
+                         step_loss_grad)
 
 
 @dataclass
@@ -69,13 +73,27 @@ def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
     loss, taken at the start, then a clip back into the l-infinity ball of
     radius eps, which keeps every entry inside its radius exactly. Rows are
     independent transitions, so the batched attack equals the
-    per-transition attack."""
+    per-transition attack.
+
+    The step reads only the sign of the input gradient, so the gradient
+    comes from a float32 copy of `f` (`worldmodel._float32`), made once per
+    call because the weights change with every training step (mixed
+    precision as in Micikevicius et al. 2018). The start draws, the radii,
+    the sign step, the clip and the returned deltas are float64. The
+    gradient runs under one `np.errstate`: a perturbed input beyond
+    float32's range, or a non-finite float32 gradient, raises
+    NumericFailure, and a loss that overflows float32 is discarded without
+    a warning."""
     da = rng.uniform(-eps_a, eps_a, size=A.shape)
     dz = rng.uniform(-eps_z, eps_z, size=Z.shape)
-    # the gradient at a perturbed input is the gradient at its perturbation
-    _, gz, ga = step_loss_grad(f, Z + dz, A + da, ZN, 1.0, True, None)
-    da = np.clip(da + 1.25 * eps_a * np.sign(ga), -eps_a, eps_a)
-    dz = np.clip(dz + 1.25 * eps_z * np.sign(gz), -eps_z, eps_z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the gradient at a perturbed input is the gradient at its perturbation
+        _, gz, ga = step_loss_grad(_float32(f), Z + dz, A + da, ZN, 1.0, True,
+                                   None)
+    # a float64 sign keeps the step float64: times a float32 sign, 1.25 * eps
+    # would be rounded to float32
+    da = np.clip(da + 1.25 * eps_a * np.sign(ga, dtype=np.float64), -eps_a, eps_a)
+    dz = np.clip(dz + 1.25 * eps_z * np.sign(gz, dtype=np.float64), -eps_z, eps_z)
     return da, dz
 
 
@@ -88,8 +106,10 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
     trajectory), `batch_size` at a time from a shuffle seeded per epoch;
     the radii come from the first batch and hold for every batch, and
     attacks are regenerated fresh, against the current weights, every time
-    a batch is visited. With both scaling factors zero
-    the batches are the clean transitions of each trajectory batch.
+    a batch is visited, each through a float32 copy of the current
+    weights (`_attack_deltas`) that yields float64 deltas. With both scaling
+    factors zero the batches are the clean transitions of each trajectory
+    batch.
     keep_perturbed stores the final epoch's perturbed pairs as the result's
     `synthesized` set, one-step trajectories in the dataset format.
     """

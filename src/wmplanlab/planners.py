@@ -19,8 +19,9 @@ their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
 `predict` call per step for all N sequences). That rollout runs in
 float32, through a copy of the model's weights made once per plan
-(`_float32`), because only the ranking and weighting of candidates read
-the population's costs (mixed precision as in Micikevicius et al. 2018).
+(`worldmodel._float32`), because only the ranking and weighting of
+candidates read the population's costs (mixed precision as in
+Micikevicius et al. 2018).
 GBP takes each iteration's loss and action gradient from such a copy too,
 because only its choice of iterate and its Adam step read them. Everything
 else is float64: the sampling, CEM's elite mean and Cholesky refit, MPPI's
@@ -51,7 +52,8 @@ from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
-from .worldmodel import WorldModel, _rollout_loss, rollout_model, rollout_nodes
+from .worldmodel import (WorldModel, _float32, _rollout_loss, rollout_model,
+                         rollout_nodes)
 
 
 OPTIMIZERS = ("sgd", "adam")
@@ -125,8 +127,9 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     """Iterate rollout -> goal loss -> gradient step on the action sequence.
 
     Each iteration's goal loss and action gradient come from a float32 copy
-    of `f` (`_float32`, made once per plan, with the goal cast once); the
-    actions, the Adam state, the clamp and the best iterate stay float64.
+    of `f` (`worldmodel._float32`, made once per plan, with the goal cast
+    once); the actions, the Adam state, the clamp and the best iterate stay
+    float64.
     Returns the iterate of least float32 loss with its float64 goal loss,
     computed once more on `f` by the node's forward
     (`worldmodel._rollout_loss`) and counted in `model_evals`. With
@@ -219,16 +222,6 @@ def final_cost(f: WorldModel, z1, actions: np.ndarray, z_goal) -> float | np.nda
     return (d * d).sum(axis=-1)
 
 
-def _float32(f: WorldModel) -> WorldModel:
-    """The float32 copy of `f` that a plan scores with, made once per plan;
-    `f` itself when its weights are float32 already, as the copy that
-    `cem` hands GradCEM's refinement is."""
-    if all(w.dtype == np.float32 for w in f.weights):
-        return f
-    return WorldModel([w.astype(np.float32) for w in f.weights], f.d_z, f.d_a,
-                      f.hidden)
-
-
 @dataclass
 class RefineConfig(Checked):
     """Per-candidate refinement inside GradCEM: `steps` Adam iterations of
@@ -278,8 +271,8 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
     evaluation and elite selection. With refine.steps == 0 it is bit for
     bit plain CEM under the same seed.
 
-    Each population is ranked by its float32 costs (`_float32`); the refit
-    and the plan's `final_loss` are float64."""
+    Each population is ranked by its float32 costs (`worldmodel._float32`);
+    the refit and the plan's `final_loss` are float64."""
     t0 = time.perf_counter()
     H, refine = cfg.horizon, cfg.refine
     scorer = _float32(f)
@@ -333,7 +326,8 @@ def mppi(f: WorldModel, z1, z_goal, cfg: MppiConfig, seed: int) -> PlanResult:
 
     Single-shot update by default (iterations=1); the execute-and-replan
     loop belongs to mpc(). The samples are weighted by their float32 costs
-    (`_float32`); the update and each traced cost of the plan are float64.
+    (`worldmodel._float32`); the update and each traced cost of the plan
+    are float64.
     """
     t0 = time.perf_counter()
     H = cfg.horizon

@@ -10,8 +10,13 @@ one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
 which writes the weight gradients into views of the one vector that holds
 every weight for the length of a `fit` run (`FlatAdam`), so a step takes
 one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
-unrolls both, with their expressions and order, over its H model steps,
-in the dtype of the model's weights.
+unrolls both, with their expressions and order, over its H model steps.
+Every computation runs in the dtype of the model's weights. Models are
+float64; where only a ranking or a sign is read, a caller computes on a
+float32 copy (`_float32`) and keeps in float64 what accumulates: the
+planners score and differentiate one copy per plan, and the FGSM attack
+of `finetune.adversarial_wm` takes its input gradient from one copy per
+batch, while its deltas and the training step stay float64.
 
 `save_model` writes a checkpoint directory, `model.json` and `weights.bin`,
 and `load_model` alone reads and checks it."""
@@ -126,6 +131,17 @@ def init_world_model(d_z: int, d_a: int, hidden: tuple[int, ...] = (128, 128),
     return WorldModel(init_mlp(sizes, seed), d_z, d_a, tuple(hidden))
 
 
+def _float32(f: WorldModel) -> WorldModel:
+    """The float32 copy of `f` that a caller computes with, made once per
+    plan (`planners`) or per attacked batch (`finetune._attack_deltas`);
+    `f` itself when its weights are float32 already, as the copy that
+    `cem` hands GradCEM's refinement is."""
+    if all(w.dtype == np.float32 for w in f.weights):
+        return f
+    return WorldModel([w.astype(np.float32) for w in f.weights], f.d_z, f.d_a,
+                      f.hidden)
+
+
 def predict(f: WorldModel, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """One transition; accepts single vectors or batches. It computes in the
     dtype of the model's weights: `z` and `a` are cast to it, so a float64
@@ -182,7 +198,7 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
 
     The node computes in the dtype of `f`'s weights, like `predict`: every
     buffer below has that dtype, so a float64 model computes in float64 and
-    GBP's float32 copy (`planners._float32`) in float32. The loss is summed
+    GBP's float32 copy (`_float32`) in float32. The loss is summed
     into a float64 value either way, and `dc.grad` returns the action
     gradient as float64.
 
@@ -306,23 +322,45 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
                    scale: float, dx: bool, params: list[np.ndarray] | None):
     """(loss, gZ, gA) of the one-step loss scale * ||f(Z, A) - target||^2,
     a float, with the input gradients only if `dx` asks (else None each).
+    It computes in the dtype of the model's weights, like `predict`: each
+    input gets one finite check and one cast to that dtype, so a float64
+    model computes on the caller's float64 arrays themselves, and the
+    attack's float32 copy in float32, returning float32 input gradients.
     Given `params`, one array per weight array of `f` with its shape, the
     weight gradients are written into them, unchecked: `supervised_step`
     checks them all in one pass. The expressions and their order are those
     of a "wm-step" node under a squared-distance loss node on the tape, so
-    the bits are too. A non-finite input or target raises ValueError, a
-    non-finite input gradient NumericFailure."""
-    Z, A = dc.tensor(Z), dc.tensor(A)
+    the bits are too. A non-finite input or target raises ValueError; a
+    finite one beyond the range of the weights' dtype, or a non-finite
+    input gradient, NumericFailure. A loss that overflows is returned as
+    it is: `fit` checks it and the attack discards it. Both callers run the
+    call under one `np.errstate`, so NumPy warns of neither."""
+    dtype = f.weights[0].dtype
+    Z, A, target = (_as_finite(x, dtype) for x in (Z, A, target))
     pred, inputs = f.forward(Z, A)
-    d = pred - dc.tensor(target)
+    d = pred - target
     g = 2.0 * scale * d
     gx = mlp_backward(f.weights, inputs, g, dx, params)
     gZ = gA = None
     if dx:
         gZ, gA = g + gx[..., :f.d_z], gx[..., f.d_z:]  # the skip edge comes first
-        if not (np.isfinite(gZ.sum()) and np.isfinite(gA.sum())):
+        # summed in float64, where no sum of float32 entries overflows
+        if not (np.isfinite(gZ.sum(dtype=np.float64))
+                and np.isfinite(gA.sum(dtype=np.float64))):
             raise NumericFailure("NaN in the backward pass of a one-step loss")
     return float((d * d).sum() * scale), gZ, gA
+
+
+def _as_finite(x, dtype) -> np.ndarray:
+    """`x` as an array of `dtype`, `x` itself when it is one, after one
+    finite check of the cast: a non-finite entry of `x` is a ValueError,
+    and a finite one that the cast overflows a NumericFailure."""
+    arr = np.asarray(x, dtype=dtype)
+    if not np.isfinite(arr).all():
+        if not np.isfinite(x).all():
+            raise ValueError("tensor entries must be finite")
+        raise NumericFailure(f"a one-step loss input does not fit in {arr.dtype}")
+    return arr
 
 
 class FlatAdam:
@@ -362,12 +400,18 @@ def supervised_step(model: WorldModel, opt: FlatAdam, Z: np.ndarray,
     NumericFailure and leaves the weights and `opt.state` as they were.
     Then one `adam_step` steps the weights and the state in place, so the
     caller owns both (every trainer hands `fit` a clone). Returns the batch
-    loss."""
-    loss, _, _ = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False,
-                                opt.grad_views)
-    if not np.isfinite(opt.grads.sum()):
+    loss; a non-finite one is returned before any step, for `fit` to raise
+    on. The loss, the gradients and their check run under one
+    `np.errstate`, so an overflow shows as one of those two failures, never
+    as a NumPy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _, _ = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False,
+                                    opt.grad_views)
+        finite = np.isfinite(opt.grads.sum())
+    if not finite:
         raise NumericFailure("NaN in the backward pass of a one-step loss")
-    dc.adam_step(opt.params, opt.grads, opt.state, lr)
+    if np.isfinite(loss):
+        dc.adam_step(opt.params, opt.grads, opt.state, lr)
     return loss
 
 

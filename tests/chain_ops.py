@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from reference_rollout import cast
 from wmplanlab import diffcore as dc
 
 
@@ -117,9 +118,9 @@ def concat(parts: Sequence[dc.Node], axis: int = 0) -> dc.Node:
 
 
 def lift_params(tape: dc.Tape, weights: list[np.ndarray]) -> list[dc.Node]:
-    """Put parameter tensors on a tape as input nodes, without copying."""
-    return [dc.Node(tape, np.asarray(w, dtype=np.float64), "param")
-            for w in weights]
+    """Put parameter tensors on a tape as input nodes, in their dtype,
+    without copying."""
+    return [dc.Node(tape, np.asarray(w), "param") for w in weights]
 
 
 def chain_mlp(params: list[dc.Node], x: dc.Node) -> dc.Node:
@@ -154,16 +155,27 @@ def chain_sq_dist(xs, targets, weights, scale=1.0) -> dc.Node:
 
 
 def chain_step_loss_grad(f, Z, A, target, scale, dx, params):
-    """`worldmodel.step_loss_grad` on the tape: the one-step loss through
-    `chain_step` and `chain_sq_dist`, differentiated by `dc.grad`; the
-    weight gradients are copied into `params` when it is given."""
+    """`worldmodel.step_loss_grad` on the tape: the one-step loss as
+    `chain_step`, then sub -> square -> sum -> times the scale,
+    differentiated by `dc.grad`; the weight gradients are copied into
+    `params` when it is given. Like the fused call, it computes in the
+    dtype of `f`'s weights: the inputs, the target and the scale are
+    checked, then cast to it, and the loss meets `dc.grad`'s float64 seed
+    through a `cast` node, so a float32 model's chain runs in float32 from
+    the loss down and returns float32 input gradients."""
+    dtype = f.weights[0].dtype
     tape = dc.Tape()
+
+    def node(value, op):
+        return dc.Node(tape, dc.tensor(value).astype(dtype, copy=False), op)
+
     weights = lift_params(tape, f.weights)
-    z, a = tape.leaf(Z), tape.leaf(A)
-    loss = chain_sq_dist([chain_step(f, weights, z, a)], [target], [1.0], scale)
+    z, a = node(Z, "leaf"), node(A, "leaf")
+    err = sub(chain_step(f, weights, z, a), node(target, "const"))
+    loss = cast(mul(sum_(square(err)), node(scale, "const")))
     wrt = ([z, a] if dx else []) + (weights if params is not None else [])
     grads = dc.grad(loss, wrt)
-    gz, ga = grads[:2] if dx else (None, None)
+    gz, ga = (g.astype(dtype) for g in grads[:2]) if dx else (None, None)
     if params is not None:
         for out, g in zip(params, grads[-len(weights):], strict=True):
             out[...] = g

@@ -3,6 +3,8 @@
 matches the per-tensor reference of `reference_training` bit for bit, and
 a non-finite gradient stops a step before anything moves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,33 @@ def test_fit_packs_a_model_and_stops_at_a_diverged_loss(nan_on_call):
     with pytest.raises(dc.NumericFailure, match="^probe loss diverged$") as err:
         fit(f.clone(), iter(batches), 1e-3, "probe")
     assert err.value.trace == clean.batch_losses[:2]
+
+
+@pytest.mark.parametrize("what", ["loss", "gradient"])
+def test_an_overflowing_training_step_raises_without_a_warning(what):
+    # "loss": latents near 1e200 overflow the float64 squared error while
+    # the gradients stay finite, so the step returns an infinite loss
+    # before Adam squares them, and fit raises on it. "gradient": the
+    # saturated tanh of the second layer meets an infinite incoming
+    # gradient, and the step raises. Either way nothing moves, and NumPy
+    # warns of nothing
+    f = init_world_model(4, 2, hidden=(8, 8), seed=0)
+    Z, A, ZN = np.full((5, 4), 1e200), np.zeros((5, 2)), np.full((5, 4), -1e200)
+    if what == "gradient":
+        f.weights[2] = np.full((8, 8), 1e200)
+        f.weights[4] = np.full((8, 4), 1e200)
+        Z, A, ZN = _tiny_batch(3)
+    model = f.clone()
+    opt = FlatAdam(model)
+    before = [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if what == "loss":
+            assert supervised_step(model, opt, Z, A, ZN, 1e-3) == np.inf
+            with pytest.raises(dc.NumericFailure, match="^training loss diverged$"):
+                fit(f.clone(), iter([(0, Z, A, ZN)]), 1e-3, "training")
+        else:
+            with pytest.raises(dc.NumericFailure, match="backward pass"):
+                supervised_step(model, opt, Z, A, ZN, 1e-3)
+    assert [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)] == before
+    assert opt.state.t == 0

@@ -76,6 +76,29 @@ def test_step_loss_grad_equals_the_chain(residual, batch, dx, params):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("dx, params, batch", [
+    (True, False, None), (True, False, 7), (False, True, 7), (True, True, 7)])
+def test_a_float32_step_loss_grad_equals_the_float32_chain(batch, dx, params):
+    # the attack's call: a float32 copy of the model, float64 inputs cast
+    # once; the scale 1/7 is no float32 number, and the chain rounds it as
+    # the fused call does
+    f = worldmodel._float32(init_world_model(6, 2, hidden=(16, 12), seed=4))
+    rng = generator(4, "step-loss-float32", batch or 0)
+    lead = () if batch is None else (batch,)
+    Z, A, ZN = (rng.standard_normal(lead + (d,)) for d in (6, 2, 6))
+    scale = 1.0 / (batch or 1)
+    outs = [[np.full_like(w, np.nan) for w in f.weights] if params else None
+            for _ in range(2)]
+    got = step_loss_grad(f, Z, A, ZN, scale, dx, outs[0])
+    want = co.chain_step_loss_grad(f, Z, A, ZN, scale, dx, outs[1])
+    assert got[0] == want[0]
+    pairs = (list(zip(got[1:], want[1:])) if dx else []) + (
+        list(zip(*outs)) if params else [])
+    for g, w in pairs:
+        assert g.dtype == w.dtype == np.float32
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("loss", ["final", "late-heavy"])
 def test_wm_step_rollout_gradients_equal_the_chain(loss):
     # with a weighted goal loss every latent also feeds the loss, so z's
@@ -205,10 +228,17 @@ def test_adversarial_wm_weights_equal_the_chain(wall_spec):
         return res.batch_losses, res.model.weights
 
     fused_losses, fused_weights = run()
+    attacked = []  # the dtype of each model the attack's chain differentiates
+
+    def chain(f, *args):
+        attacked.append(f.weights[0].dtype)
+        return co.chain_step_loss_grad(f, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(worldmodel, "step_loss_grad", co.chain_step_loss_grad)
-        mp.setattr(finetune, "step_loss_grad", co.chain_step_loss_grad)
+        mp.setattr(finetune, "step_loss_grad", chain)
         chain_losses, chain_weights = run()
+    assert attacked == [np.float32] * 4  # one attack per batch
     assert fused_losses == chain_losses
     for got, want in zip(fused_weights, chain_weights):
         assert np.array_equal(got, want)

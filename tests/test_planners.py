@@ -12,7 +12,7 @@ from wmplanlab.planners import (GOAL_LOSSES, CemConfig, MpcConfig, MppiConfig,
                                 PlanConfig, RefineConfig, cem, final_cost, gbp,
                                 mpc, mppi, run_planner)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import init_world_model, predict, rollout_nodes
+from wmplanlab.worldmodel import _float32, init_world_model, predict, rollout_nodes
 
 from conftest import linear_model, rel_err
 
@@ -452,7 +452,7 @@ FLOAT32_SCORING_RTOL = 1e-6
 
 def test_cem_costs_and_elites_match_one_at_a_time_scoring(cem_scores):
     f, z1, z_goal = _scoring_case()
-    scorer = planners._float32(f)  # the copy cem scores its populations with
+    scorer = _float32(f)  # the copy cem scores its populations with
     H, cfg = 4, CemConfig(horizon=4, n_pop=60, k_elite=6, iterations=3)
     pr = cem(f, z1, z_goal, cfg, seed=2)
     assert pr.final_loss == final_cost(f, z1, pr.actions, z_goal)  # float64
@@ -473,7 +473,7 @@ def test_mppi_matches_one_at_a_time_scoring():
     pr = mppi(f, z1, z_goal, cfg, seed=4)
     # MPPI with every sample scored on its own by the float32 copy, and the
     # plan's traced cost in float64
-    scorer = planners._float32(f)
+    scorer = _float32(f)
     rng = generator(4, "mppi")
     nom, trace = np.zeros((H, 2)), []
     for _ in range(cfg.iterations):
