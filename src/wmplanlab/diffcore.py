@@ -24,9 +24,9 @@ Also houses the SGD and Adam update rules shared by training and planning.
 Both update their parameters in place and return nothing. Adam also
 advances its `AdamState` in place and writes its intermediates into two
 scratch buffers that the state makes once per tensor, so an Adam step
-allocates no array. Each caller steps one tensor: a training step the one
-contiguous vector that holds every weight of the model being trained
-(`worldmodel.FlatAdam`), GBP its (H, d_a) action array.
+allocates no array. Each caller steps one float64 tensor: a training step
+the one contiguous vector that holds every master weight of the model being
+trained (`worldmodel.FlatAdam`), GBP its (H, d_a) action array.
 """
 
 from __future__ import annotations

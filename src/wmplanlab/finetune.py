@@ -7,8 +7,9 @@ Adversarial world modeling perturbs latent states and actions inside an
 l-infinity ball in the direction that maximizes one-step prediction error,
 by FGSM with first-batch radii, keeping the prediction targets clean. The
 attack reads only the sign of the input gradient, so it differentiates a
-float32 copy of the model, made once per batch; its deltas, and the
-training step that sees them, are float64.
+float32 copy of the model, made once per batch; its deltas are float64,
+and the training step that sees them computes in float32 and steps the
+float64 weights, as every step of `worldmodel.fit` does.
 Both keep teacher forcing's next-latent objective and change only the
 inputs it sees: each trainer is a batch generator fed to `worldmodel.fit`,
 and returns `fit`'s `TrainResult` with the set it synthesized.
@@ -78,12 +79,13 @@ def _attack_deltas(f: WorldModel, Z: np.ndarray, A: np.ndarray, ZN: np.ndarray,
     The step reads only the sign of the input gradient, so the gradient
     comes from a float32 copy of `f` (`worldmodel._float32`), made once per
     call because the weights change with every training step (mixed
-    precision as in Micikevicius et al. 2018). The start draws, the radii,
-    the sign step, the clip and the returned deltas are float64. The
-    gradient runs under one `np.errstate`: a perturbed input beyond
-    float32's range, or a non-finite float32 gradient, raises
-    NumericFailure, and a loss that overflows float32 is discarded without
-    a warning."""
+    precision as in Micikevicius et al. 2018); the training step's float32
+    mirror would be one Adam step behind here, as a step refreshes it only
+    when it runs. The start draws, the radii, the sign step, the clip and
+    the returned deltas are float64. The gradient runs under one
+    `np.errstate`: a perturbed input beyond float32's range, or a
+    non-finite float32 gradient, raises NumericFailure, and a loss that
+    overflows float32 is discarded without a warning."""
     da = rng.uniform(-eps_a, eps_a, size=A.shape)
     dz = rng.uniform(-eps_z, eps_z, size=Z.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,9 +109,10 @@ def adversarial_wm(f: WorldModel, data: Dataset, pcfg: PerturbationConfig,
     the radii come from the first batch and hold for every batch, and
     attacks are regenerated fresh, against the current weights, every time
     a batch is visited, each through a float32 copy of the current
-    weights (`_attack_deltas`) that yields float64 deltas. With both scaling
-    factors zero the batches are the clean transitions of each trajectory
-    batch.
+    weights (`_attack_deltas`) that yields float64 deltas. `fit` trains on
+    the perturbed batches as on any other: a float32 step on the float64
+    weights. With both scaling factors zero the batches are the clean
+    transitions of each trajectory batch.
     keep_perturbed stores the final epoch's perturbed pairs as the result's
     `synthesized` set, one-step trajectories in the dataset format.
     """

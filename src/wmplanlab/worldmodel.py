@@ -7,16 +7,18 @@ simulator nor the encoder.
 The MLP is its weight and bias arrays in layer order: tanh hidden layers,
 then a linear output. Training and the attack (`step_loss_grad`) call its
 one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
-which writes the weight gradients into views of the one vector that holds
-every weight for the length of a `fit` run (`FlatAdam`), so a step takes
+which writes the weight gradients into views of one gradient vector that
+lives for the length of a `fit` run (`FlatAdam`), so a step takes one cast,
 one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
 unrolls both, with their expressions and order, over its H model steps.
-Every computation runs in the dtype of the model's weights. Models are
-float64; where only a ranking or a sign is read, a caller computes on a
-float32 copy (`_float32`) and keeps in float64 what accumulates: the
-planners score and differentiate one copy per plan, and the FGSM attack
-of `finetune.adversarial_wm` takes its input gradient from one copy per
-batch, while its deltas and the training step stay float64.
+Every computation runs in the dtype of the model's weights. Models, and
+checkpoints, are float64, and so is whatever accumulates; the computing
+is done on float32 copies (mixed precision, Micikevicius et al. 2018):
+each training step computes its loss and weight gradients on a float32
+mirror of the float64 master weights, which Adam steps in float64; the
+planners score and differentiate one copy (`_float32`) per plan; and the
+FGSM attack of `finetune.adversarial_wm` takes its input gradient from
+one copy per batch, while its deltas stay float64.
 
 `save_model` writes a checkpoint directory, `model.json` and `weights.bin`,
 and `load_model` alone reads and checks it."""
@@ -135,7 +137,9 @@ def _float32(f: WorldModel) -> WorldModel:
     """The float32 copy of `f` that a caller computes with, made once per
     plan (`planners`) or per attacked batch (`finetune._attack_deltas`);
     `f` itself when its weights are float32 already, as the copy that
-    `cem` hands GradCEM's refinement is."""
+    `cem` hands GradCEM's refinement is. A training step does not make
+    one: it casts into the mirror that its `FlatAdam` made once per run,
+    with the same rounding."""
     if all(w.dtype == np.float32 for w in f.weights):
         return f
     return WorldModel([w.astype(np.float32) for w in f.weights], f.d_z, f.d_a,
@@ -324,17 +328,19 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
     a float, with the input gradients only if `dx` asks (else None each).
     It computes in the dtype of the model's weights, like `predict`: each
     input gets one finite check and one cast to that dtype, so a float64
-    model computes on the caller's float64 arrays themselves, and the
-    attack's float32 copy in float32, returning float32 input gradients.
-    Given `params`, one array per weight array of `f` with its shape, the
-    weight gradients are written into them, unchecked: `supervised_step`
-    checks them all in one pass. The expressions and their order are those
-    of a "wm-step" node under a squared-distance loss node on the tape, so
-    the bits are too. A non-finite input or target raises ValueError; a
-    finite one beyond the range of the weights' dtype, or a non-finite
-    input gradient, NumericFailure. A loss that overflows is returned as
-    it is: `fit` checks it and the attack discards it. Both callers run the
-    call under one `np.errstate`, so NumPy warns of neither."""
+    model computes on the caller's float64 arrays themselves, and a float32
+    model (the attack's copy, the training step's mirror) in float32,
+    returning float32 input gradients and a loss summed in float32. Given
+    `params`, one array per weight array of `f` with its shape and dtype,
+    the weight gradients are written into them, unchecked:
+    `supervised_step` up-casts them and checks them all in one pass. The
+    expressions and their order are those of a "wm-step" node under a
+    squared-distance loss node on the tape, so the bits are too. A
+    non-finite input or target raises ValueError; a finite one beyond the
+    range of the weights' dtype, or a non-finite input gradient,
+    NumericFailure. A loss that overflows is returned as it is: `fit`
+    checks it and the attack discards it. Both callers run the call under
+    one `np.errstate`, so NumPy warns of neither."""
     dtype = f.weights[0].dtype
     Z, A, target = (_as_finite(x, dtype) for x in (Z, A, target))
     pred, inputs = f.forward(Z, A)
@@ -366,13 +372,20 @@ def _as_finite(x, dtype) -> np.ndarray:
 class FlatAdam:
     """Adam over every weight of one model at once, as one vector: the
     multi-tensor update of fused optimizers, which pays the per-call cost
-    once per step instead of once per weight array.
+    once per step instead of once per weight array, and the float32 mirror
+    that each training step computes with (mixed precision as in
+    Micikevicius et al., "Mixed Precision Training", 2018, with float64 as
+    the master copy).
 
-    Making one copies `model.weights` into one contiguous vector, `params`,
-    and re-seats them as views of it, so the model trains in place and the
-    arrays it held before are left as they were. `grads` is a vector of the
-    same layout that the backward pass fills through `grad_views`, one view
-    per weight array, and `state` holds Adam's moments of the vector."""
+    Making one copies `model.weights` into one contiguous float64 vector,
+    `params`, the master weights, and re-seats them as views of it, so the
+    model trains in place and the arrays it held before are left as they
+    were. `state` holds Adam's float64 moments of that vector and `grads`
+    its float64 gradient. `mirror` is one float32 vector of the same layout
+    whose views are the weights of `model32`, a float32 `WorldModel`, and
+    `grad_views` are views of one float32 gradient vector, one per weight
+    array, that the backward pass fills. All of them are made here, once
+    per `fit` run, and every step reuses them."""
 
     def __init__(self, model: WorldModel):
         shapes = [w.shape for w in model.weights]
@@ -380,7 +393,11 @@ class FlatAdam:
         self.grads = np.empty_like(self.params)
         self.state = AdamState.zeros(self.params.shape)
         model.weights = _views(self.params, shapes)
-        self.grad_views = _views(self.grads, shapes)
+        self.mirror = np.empty(self.params.shape, np.float32)
+        self.model32 = WorldModel(_views(self.mirror, shapes), model.d_z,
+                                  model.d_a, model.hidden)
+        self.grads32 = np.empty_like(self.mirror)
+        self.grad_views = _views(self.grads32, shapes)
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -392,21 +409,32 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 
 def supervised_step(model: WorldModel, opt: FlatAdam, Z: np.ndarray,
                     A: np.ndarray, ZN: np.ndarray, lr: float) -> float:
-    """One Adam step on the mean squared next-latent error of a batch.
+    """One Adam step on the mean squared next-latent error of a batch,
+    computed in float32 and applied in float64.
 
     `model.weights` must be the views of `opt.params` that making `opt`
-    re-seated. The gradients go into `opt.grads`, which is checked in one
-    pass before anything is stepped: a non-finite entry raises
-    NumericFailure and leaves the weights and `opt.state` as they were.
-    Then one `adam_step` steps the weights and the state in place, so the
-    caller owns both (every trainer hands `fit` a clone). Returns the batch
-    loss; a non-finite one is returned before any step, for `fit` to raise
-    on. The loss, the gradients and their check run under one
-    `np.errstate`, so an overflow shows as one of those two failures, never
-    as a NumPy warning."""
+    re-seated. The step casts `opt.params` into `opt.mirror` in place, takes
+    the loss and the float32 weight gradients from `opt.model32`
+    (`step_loss_grad`, which casts the batch to float32), and up-casts the
+    gradients into `opt.grads` with one copy. A master weight or a batch
+    entry that is finite but beyond float32's range raises NumericFailure;
+    so does a non-finite entry of `opt.grads`, which is checked in one
+    pass. Each leaves the weights and `opt.state` as they were. Then one
+    float64 `adam_step` steps the master weights, hence `model`, and the
+    state in place, so the caller owns both (every trainer hands `fit` a
+    clone). Returns the batch loss, summed in float32; a non-finite one is
+    returned before any step, for `fit` to raise on. The cast, the loss,
+    the gradients and their check run under `np.errstate`, so an overflow
+    shows as one of those failures, never as a NumPy warning."""
+    try:  # the cast flags overflow only for a weight beyond float32's range
+        with np.errstate(over="raise"):
+            np.copyto(opt.mirror, opt.params)
+    except FloatingPointError:
+        raise NumericFailure("a weight does not fit in float32") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, _, _ = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False,
+        loss, _, _ = step_loss_grad(opt.model32, Z, A, ZN, 1.0 / len(Z), False,
                                     opt.grad_views)
+        np.copyto(opt.grads, opt.grads32)
         finite = np.isfinite(opt.grads.sum())
     if not finite:
         raise NumericFailure("NaN in the backward pass of a one-step loss")
@@ -422,12 +450,14 @@ def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
 
     The one training loop: teacher forcing, adversarial and online
     finetuning differ only in the batches they feed it. The run first packs
-    the weights into one vector (`FlatAdam`), which re-seats
-    `model.weights` as its views; the arrays `model` held before are not
-    changed. `batches` is read lazily, so a batch built from `model` sees
-    the weights of every step before it. A non-finite loss raises
-    NumericFailure("<what> loss diverged") with the earlier batch losses as
-    its trace."""
+    the weights into one float64 vector (`FlatAdam`), which re-seats
+    `model.weights` as its views and makes the float32 mirror and the
+    gradient buffers that every step reuses; the arrays `model` held
+    before are not changed. Each step computes in float32 and steps the
+    float64 weights (`supervised_step`). `batches` is read lazily, so a
+    batch built from `model` sees the weights of every step before it. A
+    non-finite loss raises NumericFailure("<what> loss diverged") with the
+    earlier batch losses as its trace."""
     opt = FlatAdam(model)
     result = TrainResult(model)
     by_epoch: dict = {}

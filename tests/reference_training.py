@@ -1,30 +1,34 @@
 """Training loops written out by hand, the textbook reference that the
 trainers built on `worldmodel.fit` must match bit for bit: per batch, the
-weight gradients of `step_loss_grad` into arrays of their own, then one
-`adam_step` per weight array with its own `AdamState`. Nothing here packs
-the weights into one vector."""
+weight gradients of `step_loss_grad` on a float32 copy of the model
+(`worldmodel._float32`) into float32 arrays of their own, each up-cast to
+float64, then one `adam_step` per float64 weight array with its own
+`AdamState`. Nothing here packs the weights into one vector."""
 
 import numpy as np
 
 from wmplanlab.data import Dataset, flatten_transitions
 from wmplanlab.diffcore import AdamState, adam_step
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import step_loss_grad
+from wmplanlab.worldmodel import _float32, step_loss_grad
 
 
 def per_tensor_fit(f, batches, lr):
     """Train a copy of `f` with one per-tensor Adam step on the mean
     squared next-latent error of each (Z, A, ZN) batch that
     `batches(model)` yields, `model` being the copy as the steps before
-    the batch left it. Returns the copy and the batch losses."""
+    the batch left it. Each step computes in a float32 copy of the model
+    made for it, and steps the float64 weights. Returns the copy and the
+    batch losses."""
     model = f.clone()
     opt = [AdamState.zeros(w.shape) for w in model.weights]
-    grads = [np.empty_like(w) for w in model.weights]
+    grads = [np.empty(w.shape, np.float32) for w in model.weights]
     losses = []
     for Z, A, ZN in batches(model):
-        loss, _, _ = step_loss_grad(model, Z, A, ZN, 1.0 / len(Z), False, grads)
+        loss, _, _ = step_loss_grad(_float32(model), Z, A, ZN, 1.0 / len(Z),
+                                    False, grads)
         for w, g, state in zip(model.weights, grads, opt):
-            adam_step(w, g, state, lr)
+            adam_step(w, g.astype(np.float64), state, lr)
         losses.append(loss)
     return model, losses
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
@@ -1060,6 +1061,25 @@ def test_numeric_failure_exit_code(pipeline):
                     "finetune.adversarial.lambda_a=1e200", "--set",
                     "finetune.adversarial.lambda_z=1e200")
     assert code == 3
+
+
+def test_a_weight_beyond_float32_exits_3_without_a_warning(pipeline, capsys):
+    # a checkpoint weight that is finite in float64 but beyond float32's
+    # range, met by the float32 training step (both radii zero, so no
+    # attack runs before it); nothing is written and NumPy warns of nothing
+    cfg, path = pipeline
+    model, meta = worldmodel.load_model(cfg["model"]["path"])
+    model.weights[0][0, 0] = 1e39
+    worldmodel.save_model(cfg["model"]["path"], model, meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("finetune-adv", "--config", path, "--set",
+                    "finetune.adversarial.lambda_a=0", "--set",
+                    "finetune.adversarial.lambda_z=0")
+    assert code == 3
+    assert ("numeric failure: a weight does not fit in float32"
+            in capsys.readouterr().err)
+    assert not os.path.exists(cfg["finetune"]["adversarial"]["out_path"])
 
 
 def test_presets_exist_and_validate():

@@ -1,7 +1,9 @@
 """The one training loop, `worldmodel.fit`, on one flat weight vector
 (`worldmodel.FlatAdam`): at the preset model widths and batch sizes it
-matches the per-tensor reference of `reference_training` bit for bit, and
-a non-finite gradient stops a step before anything moves."""
+matches the per-tensor reference of `reference_training` bit for bit, its
+float32 step stays within a stated bound of the float64 gradient while
+everything that accumulates stays float64, and a non-finite gradient or a
+value beyond float32's range stops a step before anything moves."""
 
 import warnings
 
@@ -11,11 +13,12 @@ import pytest
 from reference_training import (trajectory_teacher_forcing,
                                  transition_teacher_forcing)
 from wmplanlab import diffcore as dc
+from wmplanlab import worldmodel
 from wmplanlab.data import Dataset
 from wmplanlab.finetune import (PerturbationConfig, _attack_deltas,
                                 adversarial_wm, compute_radii)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import (FlatAdam, fit, init_world_model,
+from wmplanlab.worldmodel import (FlatAdam, fit, init_world_model, step_loss_grad,
                                   supervised_step, train_teacher_forcing)
 
 
@@ -72,6 +75,68 @@ def test_fit_equals_the_per_tensor_reference_at_preset_widths(trainer, steps):
     assert not any(np.shares_memory(w, a) for w in got.model.weights for a in arrays)
 
 
+# the float32 step against the float64 gradient: 2.4e-7 by norm at both
+# batch sizes, and the loss within 7e-8, when this bound was set
+GRAD_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("n", [64, 2352], ids=["batch-64", "batch-2352"])
+def test_the_float32_step_keeps_to_the_float64_gradient(n):
+    # the preset's training batch, and its adversarial batch of 48
+    # trajectories of 49 transitions
+    f, _ = _preset_sized()
+    rng = generator(n, "float32-step")
+    Z, A, ZN = (rng.standard_normal((n, 64)), rng.uniform(-1.0, 1.0, (n, 2)),
+                rng.standard_normal((n, 64)))
+    grads = [np.empty_like(w) for w in f.weights]
+    loss64, _, _ = step_loss_grad(f, Z, A, ZN, 1.0 / n, False, grads)
+    g64 = np.concatenate([g.ravel() for g in grads])
+    model = f.clone()
+    opt = FlatAdam(model)
+    loss = supervised_step(model, opt, Z, A, ZN, 1e-3)
+    assert opt.grads.size == 33344
+    assert np.linalg.norm(opt.grads - g64) <= GRAD_RTOL * np.linalg.norm(g64)
+    assert abs(loss - loss64) <= GRAD_RTOL * loss64
+    # what accumulates stays float64; what the step computes in is float32
+    for a in (opt.params, opt.grads, opt.state.m, opt.state.v):
+        assert a.dtype == np.float64
+    assert all(w.dtype == np.float64 and w.base is opt.params for w in model.weights)
+    assert opt.mirror.dtype == np.float32
+    assert all(w.dtype == np.float32 for w in opt.model32.weights + opt.grad_views)
+
+
+def test_fit_refreshes_one_float32_mirror_in_place(monkeypatch):
+    # every step of a run computes with the one float32 model that the run's
+    # FlatAdam made, whose weights are views of one vector, cast in place
+    # from the master weights just before the step
+    f, data = _preset_sized()
+    made, seen = [], []
+
+    class Recorded(FlatAdam):
+        def __init__(self, model):
+            super().__init__(model)
+            made.append(self)
+
+    real = worldmodel.step_loss_grad
+
+    def spy(g, Z, A, ZN, scale, dx, params):
+        opt = made[-1]
+        seen.append((g, opt.mirror.ctypes.data, params[0].base))
+        assert all(w.base is opt.mirror for w in g.weights)
+        assert np.array_equal(opt.mirror, opt.params.astype(np.float32))
+        return real(g, Z, A, ZN, scale, dx, params)
+
+    monkeypatch.setattr(worldmodel, "FlatAdam", Recorded)
+    monkeypatch.setattr(worldmodel, "step_loss_grad", spy)
+    train_teacher_forcing(f, data, epochs=1, batch_size=64, lr=1e-3, seed=3)
+    assert len(made) == 1 and len(seen) == 75
+    opt = made[0]
+    assert opt.mirror.size == 33344
+    assert all(g is opt.model32 for g, _, _ in seen)
+    assert {address for _, address, _ in seen} == {opt.mirror.ctypes.data}
+    assert all(base is opt.grads32 for _, _, base in seen)
+
+
 def _tiny_batch(seed):
     rng = generator(seed, "flat-guard")
     return tuple(rng.standard_normal((6, d)) for d in (4, 2, 4))
@@ -113,23 +178,32 @@ def test_fit_packs_a_model_and_stops_at_a_diverged_loss(nan_on_call):
     assert err.value.trace == clean.batch_losses[:2]
 
 
-@pytest.mark.parametrize("what", ["loss", "gradient"])
+@pytest.mark.parametrize("what", ["loss", "gradient", "batch", "weight"])
 def test_an_overflowing_training_step_raises_without_a_warning(what):
-    # "loss": latents near 1e200 overflow the float64 squared error while
-    # the gradients stay finite, so the step returns an infinite loss
-    # before Adam squares them, and fit raises on it. "gradient": the
-    # saturated tanh of the second layer meets an infinite incoming
-    # gradient, and the step raises. Either way nothing moves, and NumPy
-    # warns of nothing
+    # A step computes in float32. "loss": latents near 1e20 overflow the
+    # float32 squared error while the gradients stay finite, so the step
+    # returns an infinite loss before Adam squares them, and fit raises on
+    # it. "gradient": the saturated tanh of the second layer meets an
+    # infinite incoming gradient, and the step raises. "batch": latents of
+    # 1e39 are finite in float64 but beyond float32's range. "weight": so
+    # is a master weight of 1e39. Either way nothing moves, and NumPy warns
+    # of nothing, not even of an overflow in a cast
     f = init_world_model(4, 2, hidden=(8, 8), seed=0)
-    Z, A, ZN = np.full((5, 4), 1e200), np.zeros((5, 2)), np.full((5, 4), -1e200)
+    big = {"loss": 1e20, "batch": 1e39}.get(what, 1.0)
+    Z, A, ZN = np.full((5, 4), big), np.zeros((5, 2)), np.full((5, 4), -big)
     if what == "gradient":
-        f.weights[2] = np.full((8, 8), 1e200)
-        f.weights[4] = np.full((8, 4), 1e200)
+        f.weights[2] = np.full((8, 8), 1e30)
+        f.weights[4] = np.full((8, 4), 1e30)
+        Z, A, ZN = _tiny_batch(3)
+    elif what == "weight":
+        f.weights[2] = np.full((8, 8), 1e39)
         Z, A, ZN = _tiny_batch(3)
     model = f.clone()
     opt = FlatAdam(model)
     before = [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)]
+    raises = {"gradient": "^NaN in the backward pass of a one-step loss$",
+              "batch": "^a one-step loss input does not fit in float32$",
+              "weight": "^a weight does not fit in float32$"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if what == "loss":
@@ -137,7 +211,7 @@ def test_an_overflowing_training_step_raises_without_a_warning(what):
             with pytest.raises(dc.NumericFailure, match="^training loss diverged$"):
                 fit(f.clone(), iter([(0, Z, A, ZN)]), 1e-3, "training")
         else:
-            with pytest.raises(dc.NumericFailure, match="backward pass"):
+            with pytest.raises(dc.NumericFailure, match=raises[what]):
                 supervised_step(model, opt, Z, A, ZN, 1e-3)
     assert [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)] == before
     assert opt.state.t == 0

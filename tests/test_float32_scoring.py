@@ -3,7 +3,9 @@ iteration's loss and action gradient, through a float32 copy of the world
 model (`worldmodel._float32`, made once per plan), and the FGSM attack
 takes its input gradient through one made once per batch, while the rest
 of the lab computes in float64: the sampling, the refit, GBP's Adam state,
-every cost a plan reports, the attack's deltas and the training step.
+every cost a plan reports and the attack's deltas. (The training step's
+float32 mirror and its float64 master weights are checked in
+`test_fit.py`.)
 These checks bound what the narrower arithmetic changes, at the preset
 shapes, and pin that a float64 model still computes in float64, that a
 plan's reported cost is a float64 cost, and that the attack's float32

@@ -127,10 +127,12 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
     # a finite forward whose backward overflows: the saturated tanh of the
     # second layer has derivative 0 and meets an infinite incoming gradient,
     # in the input gradient on GBP's tape or the weight gradients of a
-    # training step
+    # training step. A training step computes in float32, so its weights
+    # are ones that float32 holds and its backward overflows float32
+    big = 1e200 if wrt == "input" else 1e30
     f = init_world_model(2, 2, hidden=(2, 2), seed=0)
-    f.weights[2] = np.full((2, 2), 1e200)
-    f.weights[4] = np.full((2, 2), 1e200)
+    f.weights[2] = np.full((2, 2), big)
+    f.weights[4] = np.full((2, 2), big)
     z, a, zn = np.array([[0.1, 0.2]]), np.array([[0.3, -0.2]]), np.zeros((1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.all(np.isfinite(f.forward(z, a)[0]))
@@ -142,8 +144,9 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
                 dc.grad(loss, [a_node])
         else:
             # the weight gradients are written unchecked; the step checks them
-            grads = [np.empty_like(w) for w in f.weights]
-            step_loss_grad(f, z, a, zn, 1.0, False, grads)
+            f32 = worldmodel._float32(f)
+            grads = [np.empty_like(w) for w in f32.weights]
+            step_loss_grad(f32, z, a, zn, 1.0, False, grads)
             assert not all(np.isfinite(g).all() for g in grads)
             opt = worldmodel.FlatAdam(f)
             with pytest.raises(dc.NumericFailure, match="backward pass"):
