@@ -24,6 +24,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -178,12 +179,15 @@ _NAMES = {int: "integer", float: "number"}  # in messages; other types go by nam
 
 def _is_a(tp, value) -> bool:
     """Whether `value`, read from JSON, has the type `tp`: a float takes an
-    integer too, and only `T | None` takes null."""
+    integer too but not JSON's NaN or Infinity, and only `T | None` takes
+    null."""
     if isinstance(tp, UnionType):
         return any(_is_a(t, value) for t in get_args(tp))
     if get_origin(tp) is list:
         return isinstance(value, list) and all(_is_a(get_args(tp)[0], v) for v in value)
-    return type(value) in ((int, float) if tp is float else (tp,))
+    if tp is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is tp
 
 
 def _value(tp, f, default, value, here: str):
@@ -202,6 +206,8 @@ def _value(tp, f, default, value, here: str):
     tp = get_args(tp)[0] if isinstance(tp, UnionType) else tp
     expect = (f and f.metadata.get("expect") or _NAMES.get(tp)
               or (get_origin(tp) or tp).__name__)
+    if tp is float and type(value) is float:  # NaN or Infinity
+        expect = "a finite number"
     raise ConfigError(f"{here}: expected {expect}, got {value!r}")
 
 

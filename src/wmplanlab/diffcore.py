@@ -7,16 +7,15 @@ tape and everything on it are freed as soon as the caller drops the loss
 node. `grad` collects the loss's ancestors by walking `parents` and sweeps
 them in reverse index order; creation order is a topological order.
 
-`backward(g, needed)` maps the output gradient g to one gradient per
-parent. `needed` flags the parents a gradient must reach (PyTorch's
-`needs_input_grad`); the others may get None, and a node with no flag set
-is never asked.
+`backward(g)` maps the output gradient g to one gradient per parent, and
+every ancestor of the loss gets its gradient.
 
 Only gradient-based planning (`planners.gbp`) uses the tape, for the one
-gradient taken through an H-step rollout, and puts one "wm-rollout" node
-per iteration on it (`worldmodel.rollout_nodes`). Inputs are float64
-(`tensor`); the node computes in float32 on GBP's float32 copy of the
-model, and `grad` returns every gradient as float64. Every other gradient is
+gradient taken through an H-step rollout: each iteration puts the action
+leaf and one "wm-rollout" node, its only child, on it
+(`worldmodel.rollout_nodes`). The actions are float64 (`tensor`); the node
+computes in float32 on GBP's float32 copy of the model, and `grad` returns
+every gradient as float64. Every other gradient is
 one `worldmodel.mlp_forward` and one `worldmodel.mlp_backward` called
 directly (`worldmodel.step_loss_grad`).
 
@@ -92,9 +91,8 @@ class Tape:
 def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
     """Gradient of a scalar `loss` node with respect to each node in `wrt`.
 
-    Nodes not on a path to the loss receive a zero gradient. A node's
-    `backward` runs once, flagging the parents that a `wrt` node reaches, and
-    not at all if none is; contributions sum in sweep order, then parent
+    Nodes not on a path to the loss receive a zero gradient. Each ancestor's
+    `backward` runs once, and contributions sum in sweep order, then parent
     order. Raises NumericFailure (naming the op kind) if NaN appears during
     the sweep, and ValueError if an ancestor of the loss lives on another tape.
     """
@@ -111,27 +109,17 @@ def grad(loss: Node, wrt: Sequence[Node]) -> list[np.ndarray]:
                                      "than the loss")
                 seen.add(parent)
                 stack.append(parent)
-    nodes = sorted(seen, key=lambda node: node.index)
-    # forward-reachability from the wrt set: gradients only need to flow
-    # into ancestors of the loss that a wrt node can actually reach
-    needed = set(wrt)
-    for node in nodes:
-        if not needed.isdisjoint(node.parents):
-            needed.add(node)
+    # every child of a node comes later in creation order, so its gradient
+    # is whole when the reverse sweep reaches it
     grads: dict[Node, np.ndarray] = {loss: np.asarray(1.0)}
-    for node in reversed(nodes):
-        g = grads.get(node)
-        if g is None:
-            continue
+    for node in sorted(seen, key=lambda node: node.index, reverse=True):
+        g = grads[node]
         # a single reduction: the sum is non-finite iff any entry is NaN/Inf
         if not np.isfinite(g.sum()):
             raise NumericFailure(f"NaN in backward pass at op '{node.op}'")
-        mask = tuple(parent in needed for parent in node.parents)
-        if not any(mask):
-            continue
-        for parent, need, contrib in zip(node.parents, mask,
-                                         node.backward(g, mask), strict=True):
-            if need:
+        if node.parents:
+            for parent, contrib in zip(node.parents, node.backward(g),
+                                       strict=True):
                 acc = grads.get(parent)
                 grads[parent] = contrib if acc is None else acc + contrib
     return [np.asarray(grads[w], dtype=np.float64) if w in grads

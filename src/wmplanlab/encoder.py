@@ -74,9 +74,11 @@ def encode(enc: Encoder, o: np.ndarray) -> np.ndarray:
 
 def encode_dataset(enc: Encoder, data: Dataset) -> Dataset:
     """Return a copy of the dataset with latent sequences filled in, one
-    trajectory at a time into a preallocated (N, T+1, d_z) array: one
-    `encode` of every observation, with the same bits, holds an (N, T+1,
-    d_z / 2, d_o) temporary (+18.3 MB peak at 300 x 50, against +7.5 MB)."""
+    trajectory at a time into a preallocated (N, T+1, d_z) array. One
+    `encode` of every observation gives the same bits in about the same
+    time, but holds its (N, T+1, d_z / 2) phase array beside the result:
+    +11.6 MB peak at 300 x 50 and d_z 64, against +7.7 MB for the loop,
+    which is the result alone."""
     latents = np.empty(data.obs.shape[:2] + (enc.d_z,))
     for i, obs in enumerate(data.obs):
         latents[i] = encode(enc, obs)

@@ -142,19 +142,20 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     `seed` draws the initial actions unless `cfg.init_actions` gives
     them, which are copied and never changed. The plan owns one action
     array that the optimizer step and the clamp update in place, and one
-    buffer the best iterate is copied into. The goal loss's weights,
-    the start latent's tape node and the goal are made and checked once per
-    plan: one tape holds the plan, and each iteration adds a leaf holding
-    the action array itself, checked once, and one `rollout_nodes` node to
-    it. A non-finite start latent or goal is a ValueError; non-finite
-    actions, latents or gradients abort the plan.
+    buffer the best iterate is copied into. The goal loss's weights, the
+    start latent and the goal are made and checked (`dc.tensor`) once per
+    plan; the start latent is an array, not a node. One tape holds the
+    plan, and each iteration adds two nodes to it: a leaf holding the action
+    array itself, checked once, and the `rollout_nodes` node whose only
+    parent it is. A non-finite start latent or goal is a ValueError;
+    non-finite actions, latents or gradients abort the plan.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
     weights = GOAL_LOSSES[cfg.loss](H)
     scorer = _float32(f)
     tape = dc.Tape()
-    z1_node = tape.constant(z1)
+    z1 = dc.tensor(z1)
     z_goal = dc.tensor(z_goal)
     scored_goal = z_goal.astype(np.float32)
     actions = _initial_actions(cfg, f, seed)
@@ -178,8 +179,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             # with before the optimizer writes into the array
             a_leaf = dc.Node(tape, actions, "leaf")
             try:
-                loss_node = rollout_nodes(scorer, z1_node, a_leaf, scored_goal,
-                                          weights)
+                loss_node = rollout_nodes(scorer, z1, a_leaf, scored_goal, weights)
                 loss = float(loss_node.value)
                 trace.append(loss)
                 if not np.isfinite(loss):
@@ -203,7 +203,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     if cfg.return_best and np.isfinite(best_loss):
         # the float32 loss ranked the iterates; the plan reports the float64
         # loss of the one it returns, from the forward the node runs
-        final = _rollout_loss(f, z1_node.value, chosen, z_goal, weights)[0]
+        final = _rollout_loss(f, z1, chosen, z_goal, weights)[0]
         evals += H
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),
                       float(final), aborted, evals)

@@ -120,7 +120,7 @@ class WorldModel:
         the per-step rollout that `rollout_nodes` must match from it."""
         out, inputs = self.forward(z.value, a.value)
 
-        def backward(g, needed):
+        def backward(g):
             gx = mlp_backward(self.weights, inputs, g, True, None)
             return g, gx[..., :self.d_z], gx[..., self.d_z:]
 
@@ -187,18 +187,19 @@ def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndar
     return out.reshape(batch + (H, f.d_z))
 
 
-def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
+def rollout_nodes(f: WorldModel, z1: np.ndarray, a: dc.Node, z_goal,
                   weights: np.ndarray | None) -> dc.Node:
     """The goal loss of the H-step rollout of the actions `a` (H, d_a) from
-    the start latent `z1`, as one tape node (op "wm-rollout", parents
-    (z1, a)); gradients reach the whole action array at once.
+    the start latent `z1`, as one tape node (op "wm-rollout") whose only
+    parent is `a`; the gradient reaches the whole action array at once.
 
     With `weights` None the loss is the final-state distance
     ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
     z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.gbp`
     passes the H weights of a `planners.GOAL_LOSSES` entry, which sum to
-    one). The goal is taken as given: `gbp` checks it and casts it to the
-    dtype of the weights once per plan.
+    one). The start latent and the goal are arrays taken as given: `gbp`
+    checks both once per plan and casts the goal to the dtype of the
+    weights. No gradient reaches the start latent.
 
     The node computes in the dtype of `f`'s weights, like `predict`: every
     buffer below has that dtype, so a float64 model computes in float64 and
@@ -208,8 +209,8 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
 
     The forward is `_rollout_loss`. The backward is one reverse sweep that
     inlines the input-gradient half of `mlp_backward` per step, with
-    its expressions and order, into a row of an (H + 1, d_z) buffer of the
-    gradients of z_1 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
+    its expressions and order, into a row of an (H, d_z) buffer of the
+    gradients of z_2 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
     the MLP input gradients, whose action columns are copied out once. A
     latent's gradient sums (loss term + skip edge) + MLP edge, the order in
     which a tape of one "wm-step" node per step under a weighted squared
@@ -221,40 +222,39 @@ def rollout_nodes(f: WorldModel, z1: dc.Node, a: dc.Node, z_goal,
     `a` may hold an array its caller writes into once the gradient is taken,
     as GBP's leaf holds the plan's action array."""
     H, d_z, Ws, dtype = len(a.value), f.d_z, f.weights[0::2], f.weights[0].dtype
-    loss, hidden, diffs, ws, scale = _rollout_loss(f, z1.value, a.value, z_goal,
-                                                   weights)
+    loss, hidden, diffs, ws, scale = _rollout_loss(f, z1, a.value, z_goal, weights)
 
-    def backward(g, needed):
-        G = np.empty((H + 1, d_z), dtype)  # G[t] is the gradient of z_{t+1}
+    def backward(g):
+        G = np.empty((H, d_z), dtype)  # G[t] is the gradient of z_{t+2}
         GX = np.empty((H, d_z + f.d_a), dtype)  # GX[t] that of step t + 1's input
-        np.multiply((g * scale * ws * 2.0)[:, None], diffs, G[H + 1 - len(ws):])
-        if weights is not None:
-            G[0] = -0.0  # z_1 has no loss term, and -0.0 + x is x
+        np.multiply((g * scale * ws * 2.0)[:, None], diffs, G[H - len(ws):])
         # each layer's weights with the tanh derivative of its input, last
         # layer first, and one delta buffer per layer
         back = [(W, 1.0 - h * h, np.empty(len(W), dtype))
                 for W, h in zip(Ws[:0:-1], hidden[::-1])]
         for g_out, g_in, gx, gx_z, *dts in zip(
-                G[:0:-1], G[-2::-1], GX[::-1], GX[::-1, :d_z],
+                G[::-1], [*G[-2::-1], None], GX[::-1], GX[::-1, :d_z],
                 *(dt[::-1] for _, dt, _ in back)):
             d = g_out
             for (W, _, delta), dt in zip(back, dts):
                 d = np.dot(W, d, delta)
                 np.multiply(d, dt, d)
             np.dot(Ws[0], d, gx)
+            if g_in is None:  # the first step: z_1 is no node
+                break
             # z_{t+1}'s gradient: loss term, then skip edge, then MLP edge
             if weights is None:
                 np.add(g_out, gx_z, g_in)
             else:
                 np.add(g_in, g_out, g_in)
                 np.add(g_in, gx_z, g_in)
-        t = _first_nonfinite_row(G[:0:-1])
+        t = _first_nonfinite_row(G[::-1])
         if t is not None:
             raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
                                  f"step {H - t}")
-        return G[0], GX[:, d_z:].copy()
+        return (GX[:, d_z:].copy(),)
 
-    return dc.Node(z1.tape, np.asarray(loss), "wm-rollout", (z1, a), backward)
+    return dc.Node(a.tape, np.asarray(loss), "wm-rollout", (a,), backward)
 
 
 def _rollout_loss(f: WorldModel, z1: np.ndarray, actions: np.ndarray, z_goal,
@@ -536,7 +536,9 @@ def load_model(path) -> tuple[WorldModel, dict]:
     description, or a meta that is not an object whose `encoder_hash`, when
     present, is a string, is a ValueError naming the key. `weights.bin`
     must hold just the arrays `init_mlp` draws for the description, all
-    finite; a mismatched, truncated or non-finite file is a ValueError."""
+    finite; a mismatched, truncated or non-finite file is a ValueError.
+    Every model computes in float32 (`_float32`, `FlatAdam`), so a weight
+    beyond float32's range is a NumericFailure, with no NumPy warning."""
     desc = tensorio.read_json(os.path.join(path, "model.json"), _DESCRIPTION)
     for key, (ok, expect) in _DESCRIPTION.items():
         if not ok(desc[key]):
@@ -556,4 +558,7 @@ def load_model(path) -> tuple[WorldModel, dict]:
         raise ValueError(f"weights.bin holds shapes {got}, model.json describes {want}")
     if not all(np.isfinite(w).all() for w in weights):
         raise ValueError("weights.bin holds a non-finite entry")
+    with np.errstate(over="ignore"):  # a finite weight casts to inf iff it overflows
+        if not all(np.isfinite(w.astype(np.float32)).all() for w in weights):
+            raise NumericFailure("a weight does not fit in float32")
     return WorldModel(weights, d_z, d_a, hidden), meta

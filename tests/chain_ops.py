@@ -5,7 +5,7 @@ which GBP's "wm-rollout" node in turn must match, and the direct kernel
 calls of `worldmodel.step_loss_grad`.
 
 Each op is one `dc.Node` whose backward calls the closed-form vjp of each
-needed parent. Losses are built from them the long way, e.g.
+parent. Losses are built from them the long way, e.g.
 sum_(square(sub(x, target))), and MLP weights enter as "param" nodes
 (`lift_params`), so the tape differentiates them too.
 """
@@ -22,10 +22,9 @@ from wmplanlab import diffcore as dc
 
 def _node(tape: dc.Tape, value: np.ndarray, op: str,
           parents: tuple[dc.Node, ...], vjps: tuple) -> dc.Node:
-    """A node with one vjp per parent, each called only if its parent is
-    needed."""
-    return dc.Node(tape, value, op, parents, lambda g, needed: [
-        vjp(g) if need else None for vjp, need in zip(vjps, needed)])
+    """A node with one vjp per parent."""
+    return dc.Node(tape, value, op, parents,
+                   lambda g: [vjp(g) for vjp in vjps])
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

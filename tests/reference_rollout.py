@@ -34,9 +34,8 @@ def sq_dist(xs: Sequence[dc.Node], targets, weights, scale: float = 1.0) -> dc.N
     for d, w in zip(ds, weights, strict=True):
         total = total + (d * d).sum() * w
 
-    def backward(g, needed):
-        return [g * scale * w * 2.0 * d if need else None
-                for d, w, need in zip(ds, weights, needed)]
+    def backward(g):
+        return [g * scale * w * 2.0 * d for d, w in zip(ds, weights)]
 
     return dc.Node(xs[0].tape, np.asarray(total * scale), "sq-dist", tuple(xs),
                    backward)
@@ -57,7 +56,7 @@ def step_nodes(f, z1: dc.Node, action_nodes: list[dc.Node]) -> list[dc.Node]:
 def cast(x: dc.Node) -> dc.Node:
     """`x` as it is, with a backward that rounds the gradient to x's dtype."""
     return dc.Node(x.tape, x.value, "cast", (x,),
-                   lambda g, needed: [g.astype(x.value.dtype, copy=False)])
+                   lambda g: [g.astype(x.value.dtype, copy=False)])
 
 
 def goal_loss(zs: list[dc.Node], z_goal, weights) -> dc.Node:
@@ -69,17 +68,18 @@ def goal_loss(zs: list[dc.Node], z_goal, weights) -> dc.Node:
                    1.0 / len(zs))
 
 
-def rollout_nodes(f, z1: dc.Node, a: dc.Node, z_goal, weights) -> dc.Node:
+def rollout_nodes(f, z1, a: dc.Node, z_goal, weights) -> dc.Node:
     """A drop-in for `worldmodel.rollout_nodes` that builds the per-step
-    graph on the same tape, from one leaf per row of `a`. Its value is that
-    graph's loss, and its backward is `dc.grad` over it, the action rows'
-    gradients stacked. `z1` is a constant and gets no gradient."""
+    graph on the same tape, from a constant start latent `z1` and one leaf
+    per row of `a`. Its value is that graph's loss, its only parent `a`, and
+    its backward is `dc.grad` over the graph, the action rows' gradients
+    stacked."""
     dtype = f.weights[0].dtype
     rows = leaves(a.tape, a.value, dtype)
-    start = dc.Node(a.tape, z1.value.astype(dtype, copy=False), "const")
+    start = dc.Node(a.tape, dc.tensor(z1).astype(dtype, copy=False), "const")
     loss = goal_loss(step_nodes(f, start, rows), z_goal, weights)
 
-    def backward(g, needed):
-        return None, g * np.stack(dc.grad(loss, rows))
+    def backward(g):
+        return (g * np.stack(dc.grad(loss, rows)),)
 
-    return dc.Node(a.tape, loss.value, "ref-rollout", (z1, a), backward)
+    return dc.Node(a.tape, loss.value, "ref-rollout", (a,), backward)

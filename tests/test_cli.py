@@ -71,6 +71,11 @@ def _write(tmp_path, cfg) -> str:
     return path
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _run(*argv) -> int:
     return cli.main(list(argv))
 
@@ -129,9 +134,9 @@ def test_train_writes_checkpoint_and_manifest(pipeline):
     model, meta = worldmodel.load_model(cfg["model"]["path"])
     assert model.d_z == 8
     assert "encoder_hash" in meta and "config_hash" in meta
-    run = json.load(open(os.path.join(cfg["model"]["path"], "run.json")))
+    run = tensorio.read_json(os.path.join(cfg["model"]["path"], "run.json"))
     assert run["config_hash"] == meta["config_hash"]
-    trace = json.load(open(os.path.join(cfg["model"]["path"], "train_trace.json")))
+    trace = tensorio.read_json(os.path.join(cfg["model"]["path"], "train_trace.json"))
     assert len(trace["epoch_losses"]) == 2
 
 
@@ -144,7 +149,7 @@ def test_train_trace_holds_the_losses_each_trainer_keeps(pipeline, command, out,
     cfg, path = pipeline
     assert _run(command, "--config", path) == 0
     outdir = functools.reduce(dict.get, out.split("."), cfg)
-    trace = json.load(open(os.path.join(outdir, "train_trace.json")))
+    trace = tensorio.read_json(os.path.join(outdir, "train_trace.json"))
     assert sorted(trace) == keys
     assert trace["batch_losses"] and all(np.isfinite(trace["batch_losses"]))
 
@@ -193,25 +198,25 @@ def test_eval_single_cell_and_deterministic_rerun(pipeline, tmp_path):
     cfg, path = pipeline
     assert _run("eval", "--config", path, "--workers", "1") == 0
     out = cfg["eval"]["out_path"]
-    first = open(os.path.join(out, "report.json"), "rb").read()
-    first_csv = open(os.path.join(out, "report.csv"), "rb").read()
+    first = _read_bytes(os.path.join(out, "report.json"))
+    first_csv = _read_bytes(os.path.join(out, "report.csv"))
     body = json.loads(first)
     assert len(body["cells"]) == 1
     assert body["cells"][0]["n_tasks"] == 2
     # byte-identical rerun
     assert _run("eval", "--config", path, "--workers", "1") == 0
-    assert open(os.path.join(out, "report.json"), "rb").read() == first
-    assert open(os.path.join(out, "report.csv"), "rb").read() == first_csv
+    assert _read_bytes(os.path.join(out, "report.json")) == first
+    assert _read_bytes(os.path.join(out, "report.csv")) == first_csv
 
 
 def test_eval_mode_and_filters(pipeline):
     cfg, path = pipeline
     report = os.path.join(cfg["eval"]["out_path"], "report.json")
     assert _run("eval", "--config", path, "--workers", "1") == 0
-    open_loop = json.load(open(report))
+    open_loop = tensorio.read_json(report)
     assert _run("eval", "--config", path, "--set", "eval.mode=mpc", "--set",
                 'eval.planners=["cem_small"]', "--workers", "1") == 0
-    body = json.load(open(report))
+    body = tensorio.read_json(report)
     assert body["mode"] == "mpc"
     assert [cell["planner"] for cell in body["cells"]] == ["cem_small"]
     assert body["config_hash"] != open_loop["config_hash"]
@@ -227,7 +232,7 @@ def test_the_number_of_workers_changes_no_report_byte(pipeline, mode):
         assert _run("eval", "--config", path, "--workers", workers,
                     "--set", f"eval.mode={mode}", "--set", "eval.n_tasks=5",
                     "--set", 'eval.planners=["gbp_gd", "cem_small"]') == 0
-        reports.append([open(os.path.join(out, name), "rb").read()
+        reports.append([_read_bytes(os.path.join(out, name))
                         for name in ("report.json", "report.csv")])
     assert reports[0] == reports[1]
 
@@ -244,8 +249,7 @@ def test_eval_on_a_forkserver_pool_writes_the_report_of_one_worker(pipeline,
         assert _run("eval", "--config", path, "--workers", workers,
                     "--set", "eval.require_cross_room=true", "--set", "eval.n_tasks=3",
                     "--set", 'eval.planners=["gbp_gd", "cem_small"]') == 0
-        reports.append(open(os.path.join(cfg["eval"]["out_path"], "report.json"),
-                            "rb").read())
+        reports.append(_read_bytes(os.path.join(cfg["eval"]["out_path"], "report.json")))
     assert reports[0] == reports[1]
 
 
@@ -269,8 +273,8 @@ def test_eval_exits_2_when_no_task_crosses_rooms(tmp_path, capsys, workers):
 def test_gap_command(pipeline):
     cfg, path = pipeline
     assert _run("gap", "--config", path) == 0
-    body = json.load(open(os.path.join(cfg["gap"]["out_path"], "baseline",
-                                       "gap.json")))
+    body = tensorio.read_json(os.path.join(cfg["gap"]["out_path"], "baseline",
+                                           "gap.json"))
     assert body["n"] == 2
 
 
@@ -281,7 +285,7 @@ def test_gap_scores_every_model_on_the_same_windows(pipeline):
     assert _run("gap", "--config", path, "--set", f"gap.models={models}") == 0
     out = cfg["gap"]["out_path"]
     for name in ("gap.json", "gap.csv"):
-        a, b = (open(os.path.join(out, model, name), "rb").read() for model in "ab")
+        a, b = (_read_bytes(os.path.join(out, model, name)) for model in "ab")
         assert a == b, name
 
 
@@ -299,9 +303,9 @@ def test_landscape_command(pipeline):
     assert _run("finetune-adv", "--config", path) == 0
     assert _run("landscape", "--config", path) == 0
     out = cfg["landscape"]["out_path"]
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    summary = tensorio.read_json(os.path.join(out, "summary.json"))
     assert summary["n_tasks"] == 1
-    grid = json.load(open(os.path.join(out, "task_0", "landscape.json")))
+    grid = tensorio.read_json(os.path.join(out, "task_0", "landscape.json"))
     assert len(grid["baseline"]["values"]) == 5
 
 
@@ -471,7 +475,7 @@ def _damage(ckpt: str, how: str) -> None:
         return
     if how in _DESCRIPTIONS:
         key, value = _DESCRIPTIONS[how]
-        desc = json.load(open(os.path.join(ckpt, "model.json")))
+        desc = tensorio.read_json(os.path.join(ckpt, "model.json"))
         if value is None:
             del desc[key]
         else:
@@ -523,7 +527,7 @@ def test_a_model_trained_under_another_encoder_exits_with_code_2(pipeline, capsy
 
 def _edit_manifest(data_dir: str, *drop: str, **changes) -> None:
     manifest_path = os.path.join(data_dir, "manifest.json")
-    manifest = json.load(open(manifest_path))
+    manifest = tensorio.read_json(manifest_path)
     manifest.update(changes)
     for key in drop:
         del manifest[key]
@@ -1008,6 +1012,34 @@ def test_every_rule_is_checked_at_load_whatever_the_command(tmp_path, capsys, co
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("via", ["--set", "--config"])
+@pytest.mark.parametrize("command, key", [
+    ("train", "encoder.sigma"),
+    ("finetune-adv", "finetune.adversarial.lambda_a"),
+    ("eval", "planners.mppi_small.sigma"),
+    ("eval", "eval.mpc.eta"),
+    ("landscape", "landscape.c_max"),
+], ids=["encoder-sigma", "adv-lambda-a", "mppi-sigma", "mpc-eta", "landscape-c-max"])
+def test_a_nonfinite_number_exits_2_before_writing(tmp_path, capsys, command, key,
+                                                   via, token):
+    # JSON's NaN and Infinity tokens parse to floats, from a --set value and
+    # from a config file alike; no number field takes them
+    cfg = tiny_config(tmp_path)
+    cfg["planners"]["mppi_small"] = {"kind": "mppi", "horizon": 4, "samples": 4}
+    if via == "--config":
+        *path, last = key.split(".")
+        functools.reduce(dict.__getitem__, path, cfg)[last] = float(token)
+    argv = [command, "--config", _write(tmp_path, cfg)]
+    if via == "--set":
+        argv += ["--set", f"{key}={token}"]
+    before = sorted(tmp_path.rglob("*"))
+    assert _run(*argv) == 2
+    assert (f"config error: {key}: expected a finite number, got {float(token)!r}\n"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_train_initnet_is_no_command_and_writes_nothing(tmp_path, capsys):
     path = _write(tmp_path, tiny_config(tmp_path))
     before = sorted(tmp_path.rglob("*"))
@@ -1080,6 +1112,26 @@ def test_a_weight_beyond_float32_exits_3_without_a_warning(pipeline, capsys):
     assert ("numeric failure: a weight does not fit in float32"
             in capsys.readouterr().err)
     assert not os.path.exists(cfg["finetune"]["adversarial"]["out_path"])
+
+
+@pytest.mark.parametrize("command", ["eval", "gap", "landscape", "finetune-online"])
+def test_a_checkpoint_beyond_float32_exits_3_at_load(pipeline, capsys, tmp_path,
+                                                     command):
+    # every model computes in float32, so `load_model` refuses the weight
+    # before any plan or training step; nothing is written and NumPy warns
+    # of nothing
+    cfg, path = pipeline
+    model, meta = worldmodel.load_model(cfg["model"]["path"])
+    model.weights[0][0, 0] = 1e39
+    worldmodel.save_model(cfg["model"]["path"], model, meta)
+    before = sorted(tmp_path.rglob("*"))
+    workers = ["--workers", "1"] if command == "eval" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(command, "--config", path, *workers) == 3
+    assert ("numeric failure: a weight does not fit in float32"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_presets_exist_and_validate():

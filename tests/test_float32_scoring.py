@@ -158,7 +158,7 @@ def _node_loss_and_grad(f, z1, actions, z_goal, weights):
     """The "wm-rollout" node's loss and action gradient on model `f`."""
     tape = dc.Tape()
     a = tape.leaf(actions)
-    loss = rollout_nodes(f, tape.constant(z1), a, z_goal, weights)
+    loss = rollout_nodes(f, z1, a, z_goal, weights)
     (g,) = dc.grad(loss, [a])
     return float(loss.value), g
 

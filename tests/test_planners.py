@@ -23,7 +23,7 @@ def _rollout_with_distances(dists, d=2):
     zs = np.zeros((len(dists) + 1, d))
     zs[1:, 0] = np.sqrt(dists)
     tape = dc.Tape()
-    return linear_model(np.eye(d)), tape.constant(zs[0]), tape.leaf(np.diff(zs, axis=0))
+    return linear_model(np.eye(d)), zs[0], tape.leaf(np.diff(zs, axis=0))
 
 
 def _goal_loss(dists, weights) -> float:
@@ -144,7 +144,7 @@ def test_gbp_returns_the_iterate_its_final_loss_scores(optimizer, eta, a_max):
     pr = gbp(f, z1, z_goal, cfg, seed=3)
     assert pr.iterations == 30
     tape = dc.Tape()
-    exact = rollout_nodes(f, tape.constant(z1), tape.leaf(pr.actions), z_goal, None)
+    exact = rollout_nodes(f, z1, tape.leaf(pr.actions), z_goal, None)
     assert pr.final_loss == float(exact.value)
     assert rel_err(pr.final_loss, min(pr.loss_trace)) <= FLOAT32_SCORING_RTOL
     again = gbp(f, z1, z_goal, replace(cfg, iterations=1, init_actions=pr.actions),

@@ -38,7 +38,7 @@ def _problem(shape, seed=0):
 def _value_and_grad(build, f, z1, acts, z_goal, weights):
     tape = dc.Tape()
     a = tape.leaf(acts)
-    loss = build(f, tape.constant(z1), a, z_goal, weights)
+    loss = build(f, z1, a, z_goal, weights)
     (g,) = dc.grad(loss, [a])
     return loss.value, g
 
@@ -88,9 +88,9 @@ def test_gradcem_plans_equal_the_reference(reference):
     _same_plan(got, cem(f, z1, z_goal, cfg, seed=4))
 
 
-def test_a_gbp_plan_records_one_start_node_and_two_nodes_per_iteration(monkeypatch):
-    # one tape per plan: the start latent is made once, and each iteration
-    # adds its action leaf and its "wm-rollout" node
+def test_a_gbp_plan_records_two_nodes_per_iteration(monkeypatch):
+    # one tape per plan: the start latent is an array, not a node, and each
+    # iteration adds its action leaf and its "wm-rollout" node
     tapes = []
 
     class RecordedTape(dc.Tape):
@@ -102,7 +102,7 @@ def test_a_gbp_plan_records_one_start_node_and_two_nodes_per_iteration(monkeypat
     f, H, z1, z_goal, _ = _problem("tiny")
     for iterations in (1, 3):
         gbp(f, z1, z_goal, PlanConfig(horizon=H, iterations=iterations), seed=0)
-    assert [tape.count for tape in tapes] == [1 + 2 * 1, 1 + 2 * 3]
+    assert [tape.count for tape in tapes] == [2 * 1, 2 * 3]
 
 
 def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
@@ -114,7 +114,7 @@ def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
     with np.errstate(over="ignore", invalid="ignore"):
         tape = dc.Tape()
         with pytest.raises(dc.NumericFailure, match="non-finite latent at rollout step 2"):
-            rollout_nodes(f, tape.constant(np.zeros(2)), tape.leaf(acts), np.ones(2), None)
+            rollout_nodes(f, np.zeros(2), tape.leaf(acts), np.ones(2), None)
         got = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
         reference()
         want = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
@@ -133,8 +133,7 @@ def test_a_nonfinite_latent_before_the_last_step_is_named_by_its_step(reference)
             tape = dc.Tape()
             with pytest.raises(dc.NumericFailure,
                                match="non-finite latent at rollout step 2$"):
-                build(f, tape.constant(np.zeros(2)), tape.leaf(acts), np.ones(2),
-                      None)
+                build(f, np.zeros(2), tape.leaf(acts), np.ones(2), None)
         got = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
         reference()
         want = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
@@ -162,7 +161,7 @@ def test_a_nonfinite_backward_sweep_aborts_the_plan_like_the_reference(reference
     with np.errstate(over="ignore", invalid="ignore"):
         tape = dc.Tape()
         a = tape.leaf(np.full((3, 2), 0.3))
-        loss = rollout_nodes(f, tape.constant(z1), a, z_goal, None)
+        loss = rollout_nodes(f, z1, a, z_goal, None)
         assert np.isfinite(loss.value)
         with pytest.raises(dc.NumericFailure, match="op 'wm-rollout', step 2"):
             dc.grad(loss, [a])

@@ -4,9 +4,8 @@ module imports a name it does not use; the model modules work on latents
 without the simulator or the encoder; only `tensorio` opens, writes and
 reads files, JSON included; and no function keeps state in the module.
 
-A name counts as reached when code in `src/wmplanlab` (other than the
-`__init__.py` re-exports, and other than its own definition) or in
-`perfbench/` refers to it, or when a dotted string in `perfbench/` names
+A name counts as reached when code in `src/wmplanlab` (other than its
+own definition) or in `perfbench/` refers to it, or when a dotted string in `perfbench/` names
 it, as the layer tracer's "module.attr" paths do."""
 
 import ast
@@ -56,8 +55,6 @@ def _names(tree: ast.AST, strings: bool) -> set[str]:
 def _references() -> set[str]:
     refs = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for stmt in ast.parse(path.read_text()).body:
             names = _names(stmt, strings=False)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -118,9 +115,7 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # the package's __init__.py imports only to re-export
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, "unused imports: " + ", ".join(unused)
 

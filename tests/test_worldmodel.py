@@ -44,7 +44,7 @@ def test_predict_gradient_matches_fd():
 
     tape = dc.Tape()
     a_node = tape.leaf(a0[None])  # a one-step rollout
-    loss = rollout_nodes(f, tape.constant(z), a_node, np.zeros(6), None)
+    loss = rollout_nodes(f, z, a_node, np.zeros(6), None)
     (g,) = dc.grad(loss, [a_node])
     assert rel_err(g[0], central_fd(value, a0)) < 1e-5
     _, _, ga = step_loss_grad(f, z, a0, np.zeros(6), 1.0, True, None)
@@ -107,7 +107,7 @@ def test_rollout_goal_gradients_match_fd(seed):
 
     tape = dc.Tape()
     a_node = tape.leaf(acts)
-    loss = rollout_nodes(f, tape.constant(z1), a_node, z_goal, None)
+    loss = rollout_nodes(f, z1, a_node, z_goal, None)
     (grads,) = dc.grad(loss, [a_node])
     fd = central_fd(value, acts.ravel()).reshape(H, 2)
     assert rel_err(grads, fd) < 1e-4
