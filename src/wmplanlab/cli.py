@@ -68,7 +68,7 @@ class EnvSection(Checked):
 class EncoderSection(Checked):
     kind: str = field(default=RANDOM_FOURIER, metadata=one_of((IDENTITY, RANDOM_FOURIER)))
     d_z: int = field(default=64, metadata=COUNT)  # the random-fourier kind's
-    sigma: float = 4.0
+    sigma: float = field(default=4.0, metadata=POSITIVE)
     seed: int = 0
 
 
@@ -376,6 +376,11 @@ def _inputs(cfg: dict, conf: Config) -> tuple[envs.EnvSpec, Encoder, Dataset]:
         if differ:
             raise ConfigError(f"dataset {path}: generated under another env "
                               f"({', '.join(differ)} differ from the config)")
+    widths = (data.obs.shape[2], data.actions.shape[2])
+    if widths != (spec.obs_dim, spec.action_dim):
+        raise ConfigError(f"dataset {path}: observation and action widths "
+                          f"{widths[0]} and {widths[1]}, the configured env's are "
+                          f"{spec.obs_dim} and {spec.action_dim}")
     return spec, enc, encode_dataset(enc, data)
 
 
@@ -400,15 +405,20 @@ def _out(path: str | None, key: str, files=()) -> str:
     return path
 
 
-def _load_model(path: str, enc: Encoder):
-    """A world model checkpoint; a missing or damaged one, or one that
-    records training under another encoder than `enc`, is a config error."""
+def _load_model(path: str, enc: Encoder, spec: envs.EnvSpec):
+    """A world model checkpoint; a missing or damaged one, one whose latent
+    and action widths are not those of `enc` and `spec`, or one that records
+    training under another encoder than `enc`, is a config error."""
     if not path or not os.path.isdir(path):
         raise ConfigError(f"model checkpoint not found: {path}")
     try:
         model, meta = worldmodel.load_model(path)
     except ValueError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
+    if (model.d_z, model.d_a) != (enc.d_z, spec.action_dim):
+        raise ConfigError(f"checkpoint {path}: latent and action widths "
+                          f"{model.d_z} and {model.d_a}, the configured encoder "
+                          f"and env's are {enc.d_z} and {spec.action_dim}")
     trained_under = meta.get("encoder_hash")
     if trained_under is not None and trained_under != encoder_hash(enc):
         raise ConfigError(f"checkpoint {path}: trained under another encoder "
@@ -485,7 +495,7 @@ def cmd_finetune_adv(cfg: dict, conf: Config, args) -> int:
     if section.dump_perturbed:
         _out(perturbed, "finetune.adversarial.perturbed_path", _DATASET_FILES)
     spec, enc, data = _inputs(cfg, conf)
-    model = _load_model(conf.model.path, enc)
+    model = _load_model(conf.model.path, enc, spec)
     train = section.train
     result = finetune.adversarial_wm(
         model, data, section.perturbation, epochs=train.epochs,
@@ -506,7 +516,7 @@ def cmd_finetune_online(cfg: dict, conf: Config, args) -> int:
     if section.corrected_path:
         _out(section.corrected_path, "finetune.online.corrected_path", _DATASET_FILES)
     spec, enc, data = _inputs(cfg, conf)
-    model = _load_model(conf.model.path, enc)
+    model = _load_model(conf.model.path, enc, spec)
     result = finetune.online_wm(model, spec, enc, data, section.settings,
                                 seed=derive_seed(conf.seed, "finetune-online"))
     _save_trained(out, cfg, enc, result, finetune="online")
@@ -524,7 +534,7 @@ def cmd_eval(cfg: dict, conf: Config, args) -> int:
     out = _out(section.out_path, "eval.out_path",
                ("report.json", "timing.json", "report.csv", "run.json"))
     spec, enc, data = _inputs(cfg, conf)
-    models = {name: _load_model(path, enc) for name, path in section.models.items()}
+    models = {name: _load_model(path, enc, spec) for name, path in section.models.items()}
     if not models:
         raise ConfigError("eval.models names no checkpoints")
     planner_cfgs = cfg.get("planners", {})
@@ -566,7 +576,7 @@ def cmd_gap(cfg: dict, conf: Config, args) -> int:
                           ("gap.json", "gap.csv", "run.json"))
                for name in section.models}
     spec, enc, data = _inputs(cfg, conf)
-    models = {name: _load_model(path, enc) for name, path in section.models.items()}
+    models = {name: _load_model(path, enc, spec) for name, path in section.models.items()}
     if not models:
         raise ConfigError("gap.models names no checkpoints")
     plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
@@ -591,8 +601,8 @@ def cmd_landscape(cfg: dict, conf: Config, args) -> int:
                        "landscape_adversarial.csv"))
                  for t in range(section.n_tasks)]
     spec, enc, data = _inputs(cfg, conf)
-    f_base = _load_model(section.baseline, enc)
-    f_adv = _load_model(section.adversarial, enc)
+    f_base = _load_model(section.baseline, enc, spec)
+    f_adv = _load_model(section.adversarial, enc, spec)
     plan_cfg = PlanConfig(horizon=section.horizon, **asdict(section.plan),
                           a_max=spec.a_max)
     n_tasks = section.n_tasks

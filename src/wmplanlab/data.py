@@ -111,8 +111,9 @@ def save_dataset(path, data: Dataset, *, env: dict | None = None,
 def load_dataset(path) -> tuple[Dataset, dict]:
     """The dataset in directory `path` and its manifest; a missing or damaged
     file, another schema version or `content`, a `data.bin` of other than
-    two records, a non-finite entry, or records that disagree with each
-    other or with the manifest's count are a ValueError."""
+    two records, a non-finite entry, records that disagree with each other
+    or with the manifest's count, or no trajectory or no step, are a
+    ValueError. A `Dataset` in memory may hold no trajectory."""
     manifest = tensorio.read_json(os.path.join(path, "manifest.json"),
                                   ("schema_version", "content", "provenance", "count"))
     version = manifest["schema_version"]
@@ -133,4 +134,8 @@ def load_dataset(path) -> tuple[Dataset, dict]:
     if len(data) != manifest["count"]:
         raise ValueError(f"data.bin holds {len(data)} trajectories, "
                          f"the manifest lists {manifest['count']}")
+    n, t = actions.shape[:2]
+    if n == 0 or t == 0:
+        raise ValueError(f"data.bin holds {n} trajectories of {t} steps; "
+                         "a dataset needs one trajectory of one step or more")
     return data, manifest

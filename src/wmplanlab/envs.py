@@ -7,14 +7,15 @@ axis-separated clamp-and-slide against axis-aligned wall segments, so a
 blocked axis is clamped at the wall face while the other axis still moves.
 
 `step` runs one loop over the `frameskip` substeps for one state or a
-batch; the shape of the position picks only the move kernel. One state,
-`(2,)`, moves in Python floats (`_move`): the path of MPC, evaluation and
-every replay, such as `visit`. A batch, `(N, 2)`, moves in elementwise
-NumPy, one wall at a time in `_move`'s wall order (`_move_rows`), so each
-row keeps the bits of the one-state path. Each kernel is the fast one for
-its caller: on one state the NumPy kernel costs about 20x (see `step`),
-while a dataset of N trajectories takes T-1 batched steps in place of
-N(T-1) one-state steps.
+batch, and one clamp-and-slide rule, `_slide`, moves both: the shape of the
+position picks only its select. One state, `(2,)`, moves in Python floats
+with a plain conditional (`_move`): the path of MPC, evaluation and every
+replay, such as `visit`. A batch, `(N, 2)`, moves the same expressions on
+(N,) columns with `np.where` (`_move_rows`), so each row keeps the bits of
+the one-state path by construction. Each select is the fast one for its
+caller: on one state the NumPy select costs about 12x (see `step`), while a
+dataset of N trajectories takes T-1 batched steps in place of N(T-1)
+one-state steps.
 
 `generate_dataset` steps all N trajectories in lockstep. Each trajectory
 still draws only from its own stream generator(seed, "traj", i), the same
@@ -125,70 +126,51 @@ def spec_to_dict(spec: EnvSpec) -> dict:
     }
 
 
-def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
-    """Axis-separated slide: apply the x move, then the y move at the new x.
-
-    Returns the new position and whether each axis was blocked, (bx, by).
-    A move that would cross a solid wall span is clamped at the face minus a
-    contact epsilon; box faces clamp exactly.
-    """
-    x, y = float(pos[0]), float(pos[1])
-    dx, dy = float(delta[0]), float(delta[1])
-    bx = by = False
-
-    nx = x + dx
-    for w in spec.walls:
-        if w.axis == 0 and w.lo <= y <= w.hi:
-            if x < w.coord <= nx:
-                nx, bx = w.coord - CONTACT_EPS, True
-            elif x > w.coord >= nx:
-                nx, bx = w.coord + CONTACT_EPS, True
-    if nx < 0.0:
-        nx, bx = 0.0, True
-    elif nx > spec.size:
-        nx, bx = spec.size, True
-
-    ny = y + dy
-    for w in spec.walls:
-        if w.axis == 1 and w.lo <= nx <= w.hi:
-            if y < w.coord <= ny:
-                ny, by = w.coord - CONTACT_EPS, True
-            elif y > w.coord >= ny:
-                ny, by = w.coord + CONTACT_EPS, True
-    if ny < 0.0:
-        ny, by = 0.0, True
-    elif ny > spec.size:
-        ny, by = spec.size, True
-
-    return np.array([nx, ny]), (bx, by)
+def _select(cond, a, b):
+    """`np.where` for one state: `a` if `cond`, else `b`, in Python floats."""
+    return a if cond else b
 
 
-def _slide_rows(spec: EnvSpec, axis: int, start, end, other):
-    """One leg of `_move_rows`: clamp each move from `start` to `end` along
+def _slide(spec: EnvSpec, axis: int, start, end, other, where):
+    """One axis leg of a move: clamp the move from `start` to `end` along
     `axis` at the walls of that axis, in order, whose span holds `other`,
-    then at the box; returns the new end and the blocked mask."""
-    blocked = np.zeros(len(end), dtype=bool)
+    then at the box; returns the new end and whether the leg was blocked.
+    A move that would cross a solid wall span stops at the face minus a
+    contact epsilon; box faces clamp exactly. The arguments are Python
+    floats with `where` = `_select` for one state, or (N,) columns with
+    `where` = `np.where` for a batch: one expression for one row or many."""
+    blocked = False
     for w in spec.walls:
         if w.axis != axis:
             continue
         span = (w.lo <= other) & (other <= w.hi)
         fwd = span & (start < w.coord) & (w.coord <= end)
         back = span & (start > w.coord) & (w.coord >= end)
-        end = np.where(fwd, w.coord - CONTACT_EPS, np.where(back, w.coord + CONTACT_EPS, end))
+        end = where(fwd, w.coord - CONTACT_EPS, where(back, w.coord + CONTACT_EPS, end))
         blocked |= fwd | back
     low, high = end < 0.0, end > spec.size
-    end = np.where(low, 0.0, np.where(high, spec.size, end))
+    end = where(low, 0.0, where(high, spec.size, end))
     return end, blocked | low | high
 
 
+def _move(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
+    """Axis-separated slide of one state: apply the x move, then the y move
+    at the new x, in Python floats. Returns the new position and whether
+    each axis was blocked, (bx, by)."""
+    x, y = float(pos[0]), float(pos[1])
+    nx, bx = _slide(spec, 0, x, x + float(delta[0]), y, _select)
+    ny, by = _slide(spec, 1, y, y + float(delta[1]), nx, _select)
+    return np.array([nx, ny]), (bx, by)
+
+
 def _move_rows(spec: EnvSpec, pos: np.ndarray, delta: np.ndarray):
-    """`_move` of every row of `pos` (N, 2) by the same row of `delta`, with
-    `_move`'s comparisons and arithmetic in elementwise NumPy, so each row
+    """`_move` of every row of `pos` (N, 2) by the same row of `delta`: the
+    same `_slide` on (N,) columns with `np.where` as the select, so each row
     equals `_move` of that row bit for bit; the blocked flags are two (N,)
     masks."""
     x, y = pos[:, 0], pos[:, 1]
-    nx, bx = _slide_rows(spec, 0, x, x + delta[:, 0], y)
-    ny, by = _slide_rows(spec, 1, y, y + delta[:, 1], nx)
+    nx, bx = _slide(spec, 0, x, x + delta[:, 0], y, np.where)
+    ny, by = _slide(spec, 1, y, y + delta[:, 1], nx, np.where)
     return np.stack([nx, ny], axis=1), (bx, by)
 
 
@@ -197,12 +179,13 @@ def step(spec: EnvSpec, s: EnvState, a) -> EnvState:
 
     `s` is one state (position and velocity of shape (2,), `a` of shape
     (2,)) or a batch of N states ((N, 2) each, `a` of shape (N, 2)); row i
-    of a batched step equals the one-state step of row i bit for bit. The
-    shape picks the move kernel, the fast one for each caller: on one
-    Wall2D state a step took 390 us on `_move_rows` against 18 us on
-    `_move` (PointMass: 555 us against 30 us; 2 cores, Python 3.11, NumPy
-    2.4.6), about 90 ms more per 250-step MPC episode, while on a batch of
-    N rows `_move_rows` runs once where `_move` would run N times.
+    of a batched step equals the one-state step of row i bit for bit, as
+    both move by `_slide`. The shape picks its select, the fast one for
+    each caller: one Wall2D state took 13-14 us per step in Python floats
+    (`_move`; PointMass 25-28 us) against 180 us as a (1, 2) batch on
+    `_move_rows` (PointMass 350 us), about 12x, and a batch of 300 took
+    190 us (PointMass 380 us) on `_move_rows`, where `_move` would run 300
+    times (2-core Xeon, Python 3.11, NumPy 2.4.6, one BLAS thread).
     """
     rows = s.position.ndim == 2
     move = _move_rows if rows else _move

@@ -315,7 +315,7 @@ def cem(f: WorldModel, z1, z_goal, cfg: CemConfig, seed: int) -> PlanResult:
 class MppiConfig(Checked):
     horizon: int = field(default=25, metadata=COUNT)
     samples: int = field(default=64, metadata=COUNT)
-    sigma: float = 0.5
+    sigma: float = field(default=0.5, metadata=POSITIVE)
     temperature: float = field(default=1.0, metadata=POSITIVE)
     iterations: int = field(default=1, metadata=COUNT)
 

@@ -11,9 +11,9 @@ directory of its own. Every output path whose bytes differ, or that only one
 tree writes, is printed, and the number of paths compared goes to stderr.
 The exit status is 1 if a path is printed, 0 if none is, and 2 if BASE_REV
 cannot be checked out or either tree's digest lists no path (then nothing
-was compared); the worktree is removed either way. Run it with
-OPENBLAS_NUM_THREADS=1: some outputs depend on the number of BLAS threads
-(ROADMAP item 9).
+was compared); the worktree is removed either way. Both trees run with
+OPENBLAS_NUM_THREADS=1, whatever the caller's environment holds: some
+outputs depend on the number of BLAS threads (ROADMAP item 9).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ def digest(src: str, out: str, presets: list[str],
            size: str = "tiny") -> dict[str, str]:
     """The sha256 of every output file, by path, that `preset_digest.py`
     finds after running `presets` (all if empty) at `size` with `src` first
-    on PYTHONPATH and `out` as its output directory."""
+    on PYTHONPATH, one BLAS thread and `out` as its output directory."""
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, DIGEST, "--size", size, out, *presets],
                           env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:

@@ -16,7 +16,7 @@ from reference_training import trajectory_teacher_forcing
 from wmplanlab import cli, envs, evalreport, finetune, tensorio, worldmodel
 from wmplanlab.cli import ConfigError, config_hash, load_config, validate_config
 from wmplanlab.config import config_key
-from wmplanlab.data import load_dataset
+from wmplanlab.data import Dataset, load_dataset, save_dataset
 from wmplanlab.planners import (CemConfig, MpcConfig, MppiConfig, PlanConfig,
                                 RefineConfig)
 from wmplanlab.presets import PRESETS, get_preset
@@ -608,6 +608,80 @@ def test_a_latent_dataset_at_the_dataset_path_exits_with_code_2(pipeline, capsys
     assert not (tmp_path / "model-2").exists()
 
 
+def _files(root) -> dict:
+    """The bytes of every file under `root`, by path."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _exits_2_writing_nothing(tmp_path, capsys, command, path, message) -> None:
+    """`command` under the config at `path` exits 2 with `message`, prints
+    no traceback, warns of nothing and leaves every file under `tmp_path`
+    as it was."""
+    before = _files(tmp_path)
+    workers = ["--workers", "1"] if command == "eval" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(command, "--config", path, *workers) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert _files(tmp_path) == before
+
+
+_DATA_COMMANDS = ["train", "finetune-adv", "finetune-online", "eval", "gap", "landscape"]
+
+
+@pytest.fixture()
+def pipeline_adv(pipeline):
+    """The pipeline with its adversarial checkpoint, which `landscape` reads."""
+    assert _run("finetune-adv", "--config", pipeline[1]) == 0
+    return pipeline
+
+
+@pytest.mark.parametrize("command", _DATA_COMMANDS)
+@pytest.mark.parametrize("n, t", [(0, 9), (6, 0)], ids=["no-trajectory", "no-step"])
+def test_a_dataset_of_no_trajectory_or_no_step_exits_2_before_writing(
+        pipeline_adv, capsys, tmp_path, command, n, t):
+    # valid files whose manifest count matches; no writer of the lab makes them
+    cfg, path = pipeline_adv
+    data_dir = cfg["dataset"]["path"]
+    save_dataset(data_dir, Dataset(np.zeros((n, t, 2)), obs=np.full((n, t + 1, 2), 0.3)),
+                 env=envs.spec_to_dict(envs.wall2d_spec()), seed=0)
+    _exits_2_writing_nothing(
+        tmp_path, capsys, command, path,
+        f"dataset {data_dir}: data.bin holds {n} trajectories of {t} steps; "
+        "a dataset needs one trajectory of one step or more")
+
+
+@pytest.mark.parametrize("command", _DATA_COMMANDS)
+@pytest.mark.parametrize("d_o, d_a", [(4, 2), (2, 3)], ids=["obs", "action"])
+def test_a_dataset_of_other_widths_exits_2_before_writing(
+        pipeline_adv, capsys, tmp_path, command, d_o, d_a):
+    # a manifest that records no env, so only the widths tell the env apart
+    cfg, path = pipeline_adv
+    data_dir = cfg["dataset"]["path"]
+    save_dataset(data_dir, Dataset(np.zeros((6, 9, d_a)), obs=np.full((6, 10, d_o), 0.3)),
+                 env=None, seed=0)
+    _exits_2_writing_nothing(
+        tmp_path, capsys, command, path,
+        f"dataset {data_dir}: observation and action widths {d_o} and {d_a}, "
+        "the configured env's are 2 and 2")
+
+
+@pytest.mark.parametrize("command", ["finetune-adv", "finetune-online", "eval", "gap",
+                                     "landscape"])
+@pytest.mark.parametrize("d_z, d_a", [(16, 2), (8, 3)], ids=["latent", "action"])
+def test_a_checkpoint_of_other_widths_exits_2_before_writing(
+        pipeline_adv, capsys, tmp_path, command, d_z, d_a):
+    # a meta with no encoder_hash, so only the widths tell the encoder apart
+    cfg, path = pipeline_adv
+    ckpt = cfg["model"]["path"]
+    worldmodel.save_model(ckpt, worldmodel.init_world_model(d_z, d_a, (8,), seed=0))
+    _exits_2_writing_nothing(
+        tmp_path, capsys, command, path,
+        f"checkpoint {ckpt}: latent and action widths {d_z} and {d_a}, "
+        "the configured encoder and env's are 8 and 2")
+
+
 @pytest.mark.parametrize("command, out", [
     ("eval", "eval"),
     ("gap", "gap"),
@@ -888,6 +962,8 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("eval", "eval.mpc.eta", 0, None, "eval"),
     ("eval", "planners.gradcem_small.refine_eta", 0, None, "eval"),
     ("eval", "planners.mppi_small.temperature", 0, None, "eval"),
+    ("train", "encoder.sigma", 0, None, "model"),
+    ("eval", "planners.mppi_small.sigma", -0.5, None, "eval"),
     ("finetune-adv", "finetune.adversarial.lambda_a", -1,
      "finetune.adversarial.lambda_a: expected a number >= 0, got -1", "model-adv"),
     ("finetune-online", "finetune.online.mix_ratio", 1.5,
@@ -906,8 +982,8 @@ def test_a_setting_the_callee_would_reject_late_exits_2_before_writing(
     ("eval", "--workers", -3, "--workers: expected an integer >= 1, got -3", "eval"),
 ], ids=["train-lr", "adv-lr", "online-lr", "gap-eta",
         "landscape-eta", "online-plan-eta", "mpc-eta", "gradcem-refine-eta",
-        "mppi-temperature", "adv-lambda-a", "online-mix-ratio", "cem-sigma0",
-        "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z",
+        "mppi-temperature", "encoder-sigma", "mppi-sigma", "adv-lambda-a",
+        "online-mix-ratio", "cem-sigma0", "gradcem-sigma0", "cem-jitter", "adv-eps-a", "adv-eps-z",
         "landscape-c-range", "eval-workers"])
 def test_an_out_of_range_setting_exits_2_before_writing(tmp_path, capsys, command,
                                                         key, value, message, out):

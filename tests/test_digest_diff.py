@@ -1,4 +1,5 @@
 import os
+import subprocess
 
 import digest_diff
 import preset_digest
@@ -11,6 +12,24 @@ def test_a_tree_diffed_against_itself_prints_no_path(tmp_path):
                 for side in ("one", "two"))
     assert len(one) > 100  # every command of every preset wrote its outputs
     assert digest_diff.changed_paths(one, two) == []
+
+
+def test_both_trees_run_on_one_blas_thread_whatever_the_caller_sets(monkeypatch):
+    seen = []
+
+    def run(argv, env, **kwargs):
+        seen.append(env)
+        return subprocess.CompletedProcess(argv, 0, stdout="abc  a/model.json\n")
+
+    monkeypatch.setattr(digest_diff.subprocess, "run", run)
+    for threads in ("2", None):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert digest_diff.digest("src", "out", []) == {"a/model.json": "abc"}
+    assert [env["OPENBLAS_NUM_THREADS"] for env in seen] == ["1", "1"]
+    assert seen[0]["PYTHONPATH"].split(os.pathsep)[0] == "src"
 
 
 def test_changed_paths_names_every_path_whose_bytes_differ():

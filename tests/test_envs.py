@@ -352,7 +352,7 @@ def test_lockstep_generation_equals_the_one_trajectory_reference(kind, policy, s
 @pytest.mark.parametrize("kind", ["wall2d", "pointmass"])
 def test_the_state_shape_picks_the_move_kernel(kind, monkeypatch):
     # one state moves in Python floats only: the NumPy kernel would cost
-    # MPC and every replay about 20x per step
+    # MPC and every replay about 12x per step (180 against 14 us on Wall2D)
     spec = envs.wall2d_spec(3) if kind == "wall2d" else envs.pointmass_spec(3)
     calls = []
     for name in ("_move", "_move_rows"):
