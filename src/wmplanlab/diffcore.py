@@ -14,8 +14,10 @@ Only gradient-based planning (`planners.gbp`) uses the tape, for the one
 gradient taken through an H-step rollout: each iteration puts the action
 leaf and one "wm-rollout" node, its only child, on it
 (`worldmodel.rollout_nodes`). The actions are float64 (`tensor`); the node
-computes in float32 on GBP's float32 copy of the model, and `grad` returns
-every gradient as float64. Every other gradient is
+computes in float32 on GBP's float32 copy of the model, in buffers the plan
+makes once (`worldmodel.RolloutWorkspace`), not once per rollout, and
+`grad` returns every gradient as float64. A node's backward reads those
+buffers, so `grad` must run before the plan's next rollout. Every other gradient is
 one `worldmodel.mlp_forward` and one `worldmodel.mlp_backward` called
 directly (`worldmodel.step_loss_grad`).
 

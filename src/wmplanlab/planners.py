@@ -12,8 +12,11 @@ starting from a Gaussian draw of its seed or from the actions it is given
 (GradCEM's samples, the MPC warm start, `landscape`'s shared start), and
 clamping them to [-a_max, a_max] after each update (`math.inf` in GradCEM);
 it is the only code in the lab that builds a tape, one per plan, and takes
-each iteration's goal loss and gradient from one `rollout_nodes` node. A
-goal loss is a name (`GOAL_LOSSES`) that a plan turns into its weights once.
+each iteration's goal loss and gradient from one `rollout_nodes` node. The
+buffers those nodes compute in are made once per plan, not once per
+rollout: one `worldmodel.RolloutWorkspace` holds them with the start
+latent, the goal and the goal loss's weights. A goal loss is a name
+(`GOAL_LOSSES`) that a plan turns into its weights once.
 CEM samples from a full-covariance Gaussian. The sampling planners score
 their whole population in one batched NumPy
 rollout per iteration (`final_cost` on an (N, H, d_a) array, one
@@ -52,8 +55,8 @@ from .config import (COUNT, FLAT, NONNEG, NONNEG_NUMBER, POSITIVE, Checked,
 from .diffcore import AdamState, NumericFailure
 from .encoder import Encoder, encode
 from .rng import derive_seed, generator
-from .worldmodel import (WorldModel, _float32, _rollout_loss, rollout_model,
-                         rollout_nodes)
+from .worldmodel import (RolloutWorkspace, WorldModel, _float32, _rollout_loss,
+                         rollout_model, rollout_nodes)
 
 
 OPTIMIZERS = ("sgd", "adam")
@@ -129,10 +132,13 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     Each iteration's goal loss and action gradient come from a float32 copy
     of `f` (`worldmodel._float32`, made once per plan, with the goal cast
     once); the actions, the Adam state, the clamp and the best iterate stay
-    float64.
+    float64. Next to the copy the plan makes its one float32
+    `worldmodel.RolloutWorkspace`, whose buffers every iteration's rollout
+    and backward sweep reuse.
     Returns the iterate of least float32 loss with its float64 goal loss,
     computed once more on `f` by the node's forward
-    (`worldmodel._rollout_loss`) and counted in `model_evals`. With
+    (`worldmodel._rollout_loss`) on a float64 workspace of its own, made
+    for that one rollout, and counted in `model_evals`. With
     `return_best` False it returns the actions after the last step with the
     float32 loss of the iterate before that step, the last one scored.
     GradCEM's refinement, the one caller that sets the flag, rescores its
@@ -144,11 +150,12 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     array that the optimizer step and the clamp update in place, and one
     buffer the best iterate is copied into. The goal loss's weights, the
     start latent and the goal are made and checked (`dc.tensor`) once per
-    plan; the start latent is an array, not a node. One tape holds the
-    plan, and each iteration adds two nodes to it: a leaf holding the action
-    array itself, checked once, and the `rollout_nodes` node whose only
-    parent it is. A non-finite start latent or goal is a ValueError;
-    non-finite actions, latents or gradients abort the plan.
+    plan, before the workspace that holds them; the start latent is an
+    array, not a node. One tape holds the plan, and each iteration adds two
+    nodes to it: a leaf holding the action array itself, checked once, and
+    the `rollout_nodes` node whose only parent it is. A non-finite start
+    latent or goal is a ValueError; non-finite actions, latents or
+    gradients abort the plan.
     """
     t0 = time.perf_counter()
     H = cfg.horizon
@@ -157,7 +164,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     tape = dc.Tape()
     z1 = dc.tensor(z1)
     z_goal = dc.tensor(z_goal)
-    scored_goal = z_goal.astype(np.float32)
+    work = RolloutWorkspace(scorer, z1, z_goal.astype(np.float32), weights, H)
     actions = _initial_actions(cfg, f, seed)
     np.clip(actions, -cfg.a_max, cfg.a_max, out=actions)
     opt = AdamState.zeros((H, f.d_a)) if cfg.optimizer == "adam" else None
@@ -179,7 +186,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
             # with before the optimizer writes into the array
             a_leaf = dc.Node(tape, actions, "leaf")
             try:
-                loss_node = rollout_nodes(scorer, z1, a_leaf, scored_goal, weights)
+                loss_node = rollout_nodes(work, a_leaf)
                 loss = float(loss_node.value)
                 trace.append(loss)
                 if not np.isfinite(loss):
@@ -203,7 +210,7 @@ def gbp(f: WorldModel, z1: np.ndarray, z_goal: np.ndarray, cfg: PlanConfig,
     if cfg.return_best and np.isfinite(best_loss):
         # the float32 loss ranked the iterates; the plan reports the float64
         # loss of the one it returns, from the forward the node runs
-        final = _rollout_loss(f, z1, chosen, z_goal, weights)[0]
+        final = _rollout_loss(RolloutWorkspace(f, z1, z_goal, weights, H), chosen)
         evals += H
     return PlanResult(chosen, trace, time.perf_counter() - t0, len(trace),
                       float(final), aborted, evals)

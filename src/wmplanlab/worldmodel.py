@@ -10,7 +10,9 @@ one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
 which writes the weight gradients into views of one gradient vector that
 lives for the length of a `fit` run (`FlatAdam`), so a step takes one cast,
 one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
-unrolls both, with their expressions and order, over its H model steps.
+unrolls both, with their expressions and order, over its H model steps,
+on the buffers and pre-zipped row views of a `RolloutWorkspace` that a
+plan makes once, not once per rollout.
 Every computation runs in the dtype of the model's weights. Models, and
 checkpoints, are float64, and so is whatever accumulates; the computing
 is done on float32 copies (mixed precision, Micikevicius et al. 2018):
@@ -187,63 +189,121 @@ def rollout_model(f: WorldModel, z1: np.ndarray, actions: np.ndarray) -> np.ndar
     return out.reshape(batch + (H, f.d_z))
 
 
-def rollout_nodes(f: WorldModel, z1: np.ndarray, a: dc.Node, z_goal,
-                  weights: np.ndarray | None) -> dc.Node:
+class RolloutWorkspace:
+    """What every rollout of one GBP plan shares, made once per plan: the
+    model `f`, the start latent `z1`, the goal `z_goal`, the goal loss's
+    `weights` (None for the final-state distance) with the weights `ws`
+    and the `scale` its sum uses, and the buffers that the forward
+    (`_rollout_loss`) and the backward sweep of `rollout_nodes` write into,
+    in the dtype of `f`'s weights. The start latent and the goal are taken
+    as given: `planners.gbp` checks both once per plan and casts the goal
+    to the dtype of the weights.
+
+    The buffers: `X` (H + 1, d_z + d_a), whose row t is the MLP input
+    [z_{t+1}; a_t] and whose first d_z columns `zs` hold z_1 .. z_{H+1}
+    (z_1 is written here, once); `hidden`, one (H, width) array per hidden
+    layer for its tanh outputs; `diffs`, the scored latents minus the goal;
+    `G` (H, d_z), the gradients of z_2 .. z_{H+1}; `GX` (H, d_z + d_a),
+    those of the MLP inputs; `dts`, one (H, width) array per hidden layer
+    for its tanh derivative; and one delta row per layer after the first.
+
+    Each step's row views are zipped here too, so a rollout walks tuples
+    and makes no view: `steps` holds, for t = 0 .. H - 1, (x, z, z_next,
+    ((W, b, h_t) per hidden layer)), and `sweep`, for t = H - 1 .. 0,
+    (g_out, g_in, gx, gx_z, ((W, delta, dt_t) per layer after the first,
+    the last first)), where g_in is None at t = 0: z_1 gets no gradient.
+
+    Every rollout writes into the same buffers, so `runs` counts the
+    forwards, and a node's backward raises unless its forward was the last
+    one (see `rollout_nodes`)."""
+
+    def __init__(self, f: WorldModel, z1: np.ndarray, z_goal,
+                 weights: np.ndarray | None, horizon: int):
+        if horizon < 1:
+            raise ValueError("need at least one action")
+        H, d_z, dtype = horizon, f.d_z, f.weights[0].dtype
+        Ws, bs = f.weights[0::2], f.weights[1::2]
+        self.f, self.z1, self.z_goal, self.weights = f, z1, z_goal, weights
+        self.horizon, self.runs = H, 0
+        # the scored latents are the last len(ws) of z_2 .. z_{H+1}
+        self.ws, self.scale = (np.ones(1), 1.0) if weights is None else (weights, 1.0 / H)
+        self.X = np.empty((H + 1, d_z + f.d_a), dtype)
+        self.X[0, :d_z] = z1
+        self.zs = self.X[:, :d_z]  # zs[t + 1] is z_{t+2}
+        self.hidden = [np.empty((H, len(b)), dtype) for b in bs[:-1]]
+        self.diffs = np.empty((len(self.ws), d_z),
+                              np.result_type(dtype, np.asarray(z_goal).dtype))
+        self.G = np.empty((H, d_z), dtype)  # G[t] is the gradient of z_{t+2}
+        self.GX = np.empty((H, d_z + f.d_a), dtype)  # GX[t] that of step t + 1's input
+        self.dts = [np.empty_like(h) for h in self.hidden]
+        self.steps = tuple((x, z, z_next, tuple(zip(Ws[:-1], bs[:-1], hs)))
+                           for x, z, z_next, *hs in zip(self.X, self.zs, self.zs[1:],
+                                                        *self.hidden))
+        back = [(W, np.empty(len(W), dtype)) for W in Ws[:0:-1]]
+        self.sweep = tuple(
+            (g_out, g_in, gx, gx_z,
+             tuple((W, delta, dt) for (W, delta), dt in zip(back, dts)))
+            for g_out, g_in, gx, gx_z, *dts in zip(
+                self.G[::-1], [*self.G[-2::-1], None], self.GX[::-1],
+                self.GX[::-1, :d_z], *(dt[::-1] for dt in self.dts[::-1])))
+
+
+def rollout_nodes(work: RolloutWorkspace, a: dc.Node) -> dc.Node:
     """The goal loss of the H-step rollout of the actions `a` (H, d_a) from
-    the start latent `z1`, as one tape node (op "wm-rollout") whose only
-    parent is `a`; the gradient reaches the whole action array at once.
+    the workspace's start latent, as one tape node (op "wm-rollout") whose
+    only parent is `a`; the gradient reaches the whole action array at once.
 
-    With `weights` None the loss is the final-state distance
-    ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t] ||z_{t+1} -
-    z_goal||^2 over z_2 .. z_{H+1}, summed left to right (`planners.gbp`
-    passes the H weights of a `planners.GOAL_LOSSES` entry, which sum to
-    one). The start latent and the goal are arrays taken as given: `gbp`
-    checks both once per plan and casts the goal to the dtype of the
-    weights. No gradient reaches the start latent.
+    With the workspace's `weights` None the loss is the final-state
+    distance ||z_{H+1} - z_goal||^2; else it is (1/H) sum_t weights[t]
+    ||z_{t+1} - z_goal||^2 over z_2 .. z_{H+1}, summed left to right
+    (`planners.gbp` passes the H weights of a `planners.GOAL_LOSSES` entry,
+    which sum to one). No gradient reaches the start latent.
 
-    The node computes in the dtype of `f`'s weights, like `predict`: every
-    buffer below has that dtype, so a float64 model computes in float64 and
-    GBP's float32 copy (`_float32`) in float32. The loss is summed
-    into a float64 value either way, and `dc.grad` returns the action
-    gradient as float64.
+    The node computes in the dtype of the workspace model's weights, like
+    `predict`: every buffer of the workspace has that dtype, so a float64
+    model computes in float64 and GBP's float32 copy (`_float32`) in
+    float32. The loss is summed into a float64 value either way, and
+    `dc.grad` returns the action gradient as float64.
 
-    The forward is `_rollout_loss`. The backward is one reverse sweep that
-    inlines the input-gradient half of `mlp_backward` per step, with
-    its expressions and order, into a row of an (H, d_z) buffer of the
-    gradients of z_2 .. z_{H+1} and a row of an (H, d_z + d_a) buffer of
-    the MLP input gradients, whose action columns are copied out once. A
+    The forward is `_rollout_loss`. The backward is one reverse sweep over
+    the workspace's `sweep` rows that inlines the input-gradient half of
+    `mlp_backward` per step, with its expressions and order, into a row of
+    `G` and a row of `GX`, whose action columns are copied out once. A
     latent's gradient sums (loss term + skip edge) + MLP edge, the order in
     which a tape of one "wm-step" node per step under a weighted squared
     distance sums them, so the bits are that tape's. One check follows the
     sweep: it names the highest non-finite step, the first the sweep met,
     as the skip edge carries a non-finite gradient to every earlier step.
-    The weights of `f` are constants. The forward copies the actions into
-    its input buffer and the backward reads only the node's own buffers, so
-    `a` may hold an array its caller writes into once the gradient is taken,
-    as GBP's leaf holds the plan's action array."""
-    H, d_z, Ws, dtype = len(a.value), f.d_z, f.weights[0::2], f.weights[0].dtype
-    loss, hidden, diffs, ws, scale = _rollout_loss(f, z1, a.value, z_goal, weights)
+    The weights are constants. The buffers are made once per plan and
+    shared by its rollouts, so the backward raises RuntimeError if another
+    forward has run on the workspace since this node's. The forward copies
+    the actions into `X` and the backward reads only the workspace, so `a`
+    may hold an array its caller writes into once the gradient is taken, as
+    GBP's leaf holds the plan's action array."""
+    loss = _rollout_loss(work, a.value)
+    run = work.runs
 
     def backward(g):
-        G = np.empty((H, d_z), dtype)  # G[t] is the gradient of z_{t+2}
-        GX = np.empty((H, d_z + f.d_a), dtype)  # GX[t] that of step t + 1's input
-        np.multiply((g * scale * ws * 2.0)[:, None], diffs, G[H - len(ws):])
-        # each layer's weights with the tanh derivative of its input, last
-        # layer first, and one delta buffer per layer
-        back = [(W, 1.0 - h * h, np.empty(len(W), dtype))
-                for W, h in zip(Ws[:0:-1], hidden[::-1])]
-        for g_out, g_in, gx, gx_z, *dts in zip(
-                G[::-1], [*G[-2::-1], None], GX[::-1], GX[::-1, :d_z],
-                *(dt[::-1] for _, dt, _ in back)):
+        if work.runs != run:
+            raise RuntimeError("stale 'wm-rollout' node: its workspace has "
+                               "run a later rollout")
+        H, G, ws = work.horizon, work.G, work.ws
+        np.multiply((g * work.scale * ws * 2.0)[:, None], work.diffs,
+                    G[H - len(ws):])
+        for h, dt in zip(work.hidden, work.dts):  # the tanh derivatives
+            np.multiply(h, h, dt)
+            np.subtract(1.0, dt, dt)
+        W_in, final = work.f.weights[0], work.weights is None
+        for g_out, g_in, gx, gx_z, layers in work.sweep:
             d = g_out
-            for (W, _, delta), dt in zip(back, dts):
+            for W, delta, dt in layers:
                 d = np.dot(W, d, delta)
                 np.multiply(d, dt, d)
-            np.dot(Ws[0], d, gx)
+            np.dot(W_in, d, gx)
             if g_in is None:  # the first step: z_1 is no node
                 break
             # z_{t+1}'s gradient: loss term, then skip edge, then MLP edge
-            if weights is None:
+            if final:
                 np.add(g_out, gx_z, g_in)
             else:
                 np.add(g_in, g_out, g_in)
@@ -252,59 +312,54 @@ def rollout_nodes(f: WorldModel, z1: np.ndarray, a: dc.Node, z_goal,
         if t is not None:
             raise NumericFailure(f"NaN in backward pass at op 'wm-rollout', "
                                  f"step {H - t}")
-        return (GX[:, d_z:].copy(),)
+        return (work.GX[:, work.f.d_z:].copy(),)
 
     return dc.Node(a.tape, np.asarray(loss), "wm-rollout", (a,), backward)
 
 
-def _rollout_loss(f: WorldModel, z1: np.ndarray, actions: np.ndarray, z_goal,
-                  weights: np.ndarray | None):
-    """The forward of `rollout_nodes` on plain arrays, in the dtype of
-    `f`'s weights: the goal loss of the rollout of `actions` (H, d_a) from
-    `z1` as a float, then what the backward reads: the (H, width) tanh
-    outputs of each hidden layer, the scored latents minus the goal, their
-    weights and the loss's scale. `planners.gbp` also calls it to rescore
-    the iterate it returns with the float64 model.
+def _rollout_loss(work: RolloutWorkspace, actions: np.ndarray) -> float:
+    """The forward of `rollout_nodes` on a plain (H, d_a) array, in the
+    dtype of the workspace model's weights: the goal loss of the rollout
+    of `actions` from the workspace's start latent, as a float, leaving in
+    the workspace's buffers what the backward reads (the tanh outputs of
+    each hidden layer and the scored latents minus the goal).
+    `planners.gbp` also calls it to rescore the iterate it returns, on a
+    float64 workspace of its own.
 
-    Each model step makes only the NumPy calls its arithmetic needs: rows
-    of buffers made once per call are walked with `zip` and written with
-    `out=`. The forward is `WorldModel.forward` unrolled: row t of one
-    (H + 1, d_z + d_a) array is the MLP input [z_{t+1}; a_t], each hidden
-    layer's tanh outputs fill a row of one (H, width) array, and the output
-    layer and the skip add write z_{t+2} into row t + 1 in place. One
-    row-sum check over z_2 .. z_{H+1} follows the loop; the first non-finite
-    row raises NumericFailure naming its step. Each scored latent's squared
-    distance is summed in its dtype, and the weighted sum over the latents
-    in float64."""
-    H = len(actions)
-    if H < 1:
-        raise ValueError("need at least one action")
-    d_z, dtype = f.d_z, f.weights[0].dtype
-    Ws, bs = f.weights[0::2], f.weights[1::2]
-    layers = list(zip(Ws[:-1], bs[:-1]))
-    X = np.empty((H + 1, d_z + f.d_a), dtype)
-    X[0, :d_z] = z1
-    X[:H, d_z:] = actions
-    zs = X[:, :d_z]  # zs[t + 1] is z_{t+2}
-    hidden = [np.empty((H, len(b)), dtype) for _, b in layers]
-    for x, z, z_next, *hs in zip(X, zs, zs[1:], *hidden):
-        for (W, b), h in zip(layers, hs):
+    Each model step makes only the NumPy calls its arithmetic needs: it
+    walks the row views the workspace zipped once (`steps`) and writes with
+    `out=`. The forward is `WorldModel.forward` unrolled: the actions are
+    copied into the action columns of `X`, each hidden layer's tanh outputs
+    fill a row of its `hidden` array, and the output layer and the skip
+    add write z_{t+2} into row t + 1 of `zs` in place. One row-sum check
+    over z_2 .. z_{H+1} follows the loop; the first non-finite row raises
+    NumericFailure naming its step. Each scored latent's squared distance
+    is summed in its dtype, and the weighted sum over the latents in
+    float64."""
+    H, d_z = work.horizon, work.f.d_z
+    if len(actions) != H:
+        raise ValueError(f"need {H} actions, got {len(actions)}")
+    work.runs += 1
+    W_out, b_out = work.f.weights[-2:]
+    work.X[:H, d_z:] = actions
+    for x, z, z_next, layers in work.steps:
+        for W, b, h in layers:
             x = np.dot(x, W, h)
             np.add(x, b, x)
             np.tanh(x, x)
-        np.dot(x, Ws[-1], z_next)
-        np.add(z_next, bs[-1], z_next)
+        np.dot(x, W_out, z_next)
+        np.add(z_next, b_out, z_next)
         np.add(z, z_next, z_next)
+    zs = work.zs
     t = _first_nonfinite_row(zs[1:])
     if t is not None:
         raise NumericFailure(f"non-finite latent at rollout step {t + 1}")
-    # the scored latents (the last len(ws) of z_2 .. z_{H+1}) and their weights
-    ws, scale = (np.ones(1), 1.0) if weights is None else (weights, 1.0 / H)
-    diffs = zs[H + 1 - len(ws):] - z_goal
+    diffs = work.diffs
+    np.subtract(zs[H + 1 - len(diffs):], work.z_goal, diffs)
     total = 0.0
-    for sq, w in zip((diffs * diffs).sum(1).tolist(), ws):
+    for sq, w in zip((diffs * diffs).sum(1).tolist(), work.ws):
         total = total + sq * w
-    return total * scale, hidden, diffs, ws, scale
+    return total * work.scale
 
 
 def _first_nonfinite_row(rows: np.ndarray) -> int | None:

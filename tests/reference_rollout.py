@@ -68,16 +68,18 @@ def goal_loss(zs: list[dc.Node], z_goal, weights) -> dc.Node:
                    1.0 / len(zs))
 
 
-def rollout_nodes(f, z1, a: dc.Node, z_goal, weights) -> dc.Node:
+def rollout_nodes(work, a: dc.Node) -> dc.Node:
     """A drop-in for `worldmodel.rollout_nodes` that builds the per-step
-    graph on the same tape, from a constant start latent `z1` and one leaf
-    per row of `a`. Its value is that graph's loss, its only parent `a`, and
-    its backward is `dc.grad` over the graph, the action rows' gradients
-    stacked."""
+    graph on the same tape, from a constant start latent and one leaf per
+    row of `a`. It reads the model, the start latent, the goal and the goal
+    loss's weights of the workspace `work` and none of its buffers. Its
+    value is that graph's loss, its only parent `a`, and its backward is
+    `dc.grad` over the graph, the action rows' gradients stacked."""
+    f = work.f
     dtype = f.weights[0].dtype
     rows = leaves(a.tape, a.value, dtype)
-    start = dc.Node(a.tape, dc.tensor(z1).astype(dtype, copy=False), "const")
-    loss = goal_loss(step_nodes(f, start, rows), z_goal, weights)
+    start = dc.Node(a.tape, dc.tensor(work.z1).astype(dtype, copy=False), "const")
+    loss = goal_loss(step_nodes(f, start, rows), work.z_goal, work.weights)
 
     def backward(g):
         return (g * np.stack(dc.grad(loss, rows)),)

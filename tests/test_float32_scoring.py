@@ -26,9 +26,9 @@ from wmplanlab.finetune import (PerturbationConfig, _attack_deltas, adversarial_
 from wmplanlab.planners import (GOAL_LOSSES, CemConfig, PlanConfig, RefineConfig,
                                 cem, final_cost, gbp)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import (WorldModel, _float32, init_world_model,
-                                  mlp_forward, predict, rollout_model,
-                                  rollout_nodes, step_loss_grad)
+from wmplanlab.worldmodel import (RolloutWorkspace, WorldModel, _float32,
+                                  init_world_model, mlp_forward, predict,
+                                  rollout_model, rollout_nodes, step_loss_grad)
 
 from conftest import linear_model
 
@@ -158,7 +158,7 @@ def _node_loss_and_grad(f, z1, actions, z_goal, weights):
     """The "wm-rollout" node's loss and action gradient on model `f`."""
     tape = dc.Tape()
     a = tape.leaf(actions)
-    loss = rollout_nodes(f, z1, a, z_goal, weights)
+    loss = rollout_nodes(RolloutWorkspace(f, z1, z_goal, weights, len(actions)), a)
     (g,) = dc.grad(loss, [a])
     return float(loss.value), g
 
@@ -220,6 +220,72 @@ def test_a_plan_casts_the_model_once(monkeypatch):
     cem(f, z1, z_goal, cfg, seed=0)
     assert sum(casts) == 1 and len(casts) == 1 + 6 * 3
 
+
+
+def _spy_workspaces(monkeypatch) -> list:
+    """Record every workspace the planners make, where they look it up."""
+    made = []
+
+    class Recorded(RolloutWorkspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(planners, "RolloutWorkspace", Recorded)
+    return made
+
+
+def test_a_plan_makes_one_workspace_however_many_iterations_it_runs(monkeypatch):
+    # one float32 workspace for the iterations, and one float64 workspace
+    # to rescore the best iterate when the plan returns it; GradCEM's
+    # refinement makes one per call and rescores nothing
+    made = _spy_workspaces(monkeypatch)
+    f = init_world_model(6, 2, (16, 16), seed=6)
+    z1, z_goal = np.zeros(6), np.ones(6)
+    for iterations in (1, 3, 20):
+        for return_best in (True, False):
+            made.clear()
+            gbp(f, z1, z_goal, PlanConfig(horizon=4, iterations=iterations,
+                                          return_best=return_best), seed=0)
+            want = [np.float32, np.float64] if return_best else [np.float32]
+            assert [work.X.dtype for work in made] == want
+    made.clear()
+    cfg = CemConfig(horizon=4, n_pop=6, k_elite=2, iterations=3,
+                    refine=RefineConfig(steps=2))
+    cem(f, z1, z_goal, cfg, seed=0)
+    assert [work.X.dtype for work in made] == [np.float32] * (6 * 3)
+
+
+def _buffers(work) -> list[np.ndarray]:
+    """Every array a workspace's rollouts write into."""
+    deltas = [delta for *_, layers in work.sweep[:1] for _, delta, _ in layers]
+    return [work.X, *work.hidden, work.diffs, work.G, work.GX, *work.dts, *deltas]
+
+
+def test_the_float64_rescoring_never_writes_into_the_plans_workspace(monkeypatch):
+    made = _spy_workspaces(monkeypatch)
+    rescored = []
+    real = planners._rollout_loss
+
+    def spy(work, actions):
+        plan = made[0]
+        before = [b.copy() for b in _buffers(plan)]
+        loss = real(work, actions)
+        assert all(np.array_equal(b, a) for b, a in zip(_buffers(plan), before))
+        rescored.append((work, loss))
+        return loss
+
+    monkeypatch.setattr(planners, "_rollout_loss", spy)
+    f = init_world_model(6, 2, (16, 16), seed=6)
+    rng = generator(6, "rescoring-workspace")
+    z1, z_goal = rng.standard_normal(6), rng.standard_normal(6)
+    pr = gbp(f, z1, z_goal, PlanConfig(horizon=4, iterations=5, loss="late-heavy"),
+             seed=0)
+    (work, loss), = rescored
+    assert work is made[1] and work.X.dtype == np.float64
+    assert not any(np.shares_memory(a, b)
+                   for a in _buffers(work) for b in _buffers(made[0]))
+    assert pr.final_loss == loss
 
 def test_a_latent_beyond_float32s_range_aborts_a_gbp_plan_where_float64_scores_it():
     # the GBP twin of the test above: the fourth step of the float32 rollout

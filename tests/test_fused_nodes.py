@@ -18,8 +18,8 @@ from wmplanlab import envs, finetune, planners, worldmodel
 from wmplanlab.encoder import encode_dataset, make_random_fourier
 from wmplanlab.finetune import PerturbationConfig, adversarial_wm
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import (WorldModel, init_world_model, rollout_nodes,
-                                  step_loss_grad)
+from wmplanlab.worldmodel import (RolloutWorkspace, WorldModel, init_world_model,
+                                  rollout_nodes, step_loss_grad)
 
 
 def chain_forward_nodes(self, z, a):
@@ -113,7 +113,7 @@ def test_wm_step_rollout_gradients_equal_the_chain(loss):
     def run(build):
         tape = dc.Tape()
         a = tape.leaf(acts)
-        return dc.grad(build(f, z1, a, z_goal, weights), [a])
+        return dc.grad(build(RolloutWorkspace(f, z1, z_goal, weights, H), a), [a])
 
     fused = run(rollout_nodes)
     with pytest.MonkeyPatch.context() as mp:
@@ -139,7 +139,7 @@ def test_nonfinite_fused_backward_raises_numeric_failure(wrt):
         if wrt == "input":
             tape = dc.Tape()
             a_node = tape.leaf(a)
-            loss = rollout_nodes(f, z[0], a_node, zn[0], None)
+            loss = rollout_nodes(RolloutWorkspace(f, z[0], zn[0], None, 1), a_node)
             with pytest.raises(dc.NumericFailure, match="op"):
                 dc.grad(loss, [a_node])
         else:

@@ -12,7 +12,8 @@ from wmplanlab.planners import (GOAL_LOSSES, CemConfig, MpcConfig, MppiConfig,
                                 PlanConfig, RefineConfig, cem, final_cost, gbp,
                                 mpc, mppi, run_planner)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import _float32, init_world_model, predict, rollout_nodes
+from wmplanlab.worldmodel import (RolloutWorkspace, _float32, init_world_model,
+                                  predict, rollout_nodes)
 
 from conftest import linear_model, rel_err
 
@@ -30,7 +31,8 @@ def _goal_loss(dists, weights) -> float:
     """The goal loss of a rollout whose latents lie at squared distances
     `dists` from a zero goal, with the goal loss weights `weights`."""
     f, z1, a = _rollout_with_distances(dists)
-    return float(rollout_nodes(f, z1, a, np.zeros(2), weights).value)
+    work = RolloutWorkspace(f, z1, np.zeros(2), weights, len(dists))
+    return float(rollout_nodes(work, a).value)
 
 
 def test_goal_loss_final_mode():
@@ -144,7 +146,8 @@ def test_gbp_returns_the_iterate_its_final_loss_scores(optimizer, eta, a_max):
     pr = gbp(f, z1, z_goal, cfg, seed=3)
     assert pr.iterations == 30
     tape = dc.Tape()
-    exact = rollout_nodes(f, z1, tape.leaf(pr.actions), z_goal, None)
+    exact = rollout_nodes(RolloutWorkspace(f, z1, z_goal, None, 4),
+                          tape.leaf(pr.actions))
     assert pr.final_loss == float(exact.value)
     assert rel_err(pr.final_loss, min(pr.loss_trace)) <= FLOAT32_SCORING_RTOL
     again = gbp(f, z1, z_goal, replace(cfg, iterations=1, init_actions=pr.actions),

@@ -15,7 +15,8 @@ from wmplanlab import planners
 from wmplanlab.planners import (GOAL_LOSSES, CemConfig, PlanConfig, RefineConfig,
                                 cem, gbp)
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import init_world_model, rollout_nodes
+from wmplanlab.worldmodel import (RolloutWorkspace, _float32, _rollout_loss,
+                                  init_world_model, rollout_model, rollout_nodes)
 
 SHAPES = {"tiny": (8, (16, 16), 5), "preset": (64, (128, 128), 25),  # d_z, hidden, H
           "no-hidden": (8, (), 4), "one-hidden": (8, (16,), 5),
@@ -38,7 +39,7 @@ def _problem(shape, seed=0):
 def _value_and_grad(build, f, z1, acts, z_goal, weights):
     tape = dc.Tape()
     a = tape.leaf(acts)
-    loss = build(f, z1, a, z_goal, weights)
+    loss = build(RolloutWorkspace(f, z1, z_goal, weights, len(acts)), a)
     (g,) = dc.grad(loss, [a])
     return loss.value, g
 
@@ -56,6 +57,39 @@ def test_node_value_and_action_gradient_equal_the_reference(shape, residual, los
         assert g.shape == w.shape
         assert np.array_equal(g, w)
 
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_workspace_latents_equal_rollout_models(shape, dtype):
+    # the forward that GBP runs on its workspace and the one `rollout_model`
+    # runs for one sequence give the same latents z_2 .. z_{H+1}
+    f, H, z1, z_goal, rng = _problem(shape)
+    f = f if dtype == np.float64 else _float32(f)
+    acts = rng.standard_normal((H, 2))
+    work = RolloutWorkspace(f, z1, z_goal.astype(dtype), None, H)
+    _rollout_loss(work, acts)
+    assert work.zs.dtype == dtype
+    assert np.array_equal(work.zs[1:], rollout_model(f, z1, acts))
+
+
+@pytest.mark.parametrize("loss", GOAL_LOSSES)
+def test_a_nodes_backward_after_a_later_forward_on_its_workspace_raises(loss):
+    # the rollouts of a workspace share its buffers, so only the node of its
+    # last forward can take its gradient, and the one that can is unharmed
+    f, H, z1, z_goal, rng = _problem("tiny")
+    weights = GOAL_LOSSES[loss](H)
+    first, second = rng.standard_normal((2, H, 2))
+    work = RolloutWorkspace(f, z1, z_goal, weights, H)
+    tape = dc.Tape()
+    a1, a2 = tape.leaf(first), tape.leaf(second)
+    stale = rollout_nodes(work, a1)
+    fresh = rollout_nodes(work, a2)
+    with pytest.raises(RuntimeError, match="stale 'wm-rollout' node"):
+        dc.grad(stale, [a1])
+    got = (fresh.value, *dc.grad(fresh, [a2]))
+    want = _value_and_grad(rollout_nodes, f, z1, second, z_goal, weights)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 def _same_plan(got, want):
     assert got.loss_trace == want.loss_trace
@@ -114,7 +148,8 @@ def test_a_nonfinite_latent_aborts_the_plan_on_the_same_iteration(reference):
     with np.errstate(over="ignore", invalid="ignore"):
         tape = dc.Tape()
         with pytest.raises(dc.NumericFailure, match="non-finite latent at rollout step 2"):
-            rollout_nodes(f, np.zeros(2), tape.leaf(acts), np.ones(2), None)
+            rollout_nodes(RolloutWorkspace(f, np.zeros(2), np.ones(2), None, 2),
+                          tape.leaf(acts))
         got = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
         reference()
         want = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
@@ -133,7 +168,8 @@ def test_a_nonfinite_latent_before_the_last_step_is_named_by_its_step(reference)
             tape = dc.Tape()
             with pytest.raises(dc.NumericFailure,
                                match="non-finite latent at rollout step 2$"):
-                build(f, np.zeros(2), tape.leaf(acts), np.ones(2), None)
+                build(RolloutWorkspace(f, np.zeros(2), np.ones(2), None, 5),
+                      tape.leaf(acts))
         got = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
         reference()
         want = gbp(f, np.zeros(2), np.ones(2), cfg, seed=0)
@@ -161,7 +197,7 @@ def test_a_nonfinite_backward_sweep_aborts_the_plan_like_the_reference(reference
     with np.errstate(over="ignore", invalid="ignore"):
         tape = dc.Tape()
         a = tape.leaf(np.full((3, 2), 0.3))
-        loss = rollout_nodes(f, z1, a, z_goal, None)
+        loss = rollout_nodes(RolloutWorkspace(f, z1, z_goal, None, 3), a)
         assert np.isfinite(loss.value)
         with pytest.raises(dc.NumericFailure, match="op 'wm-rollout', step 2"):
             dc.grad(loss, [a])

@@ -6,8 +6,8 @@ from wmplanlab import envs
 from wmplanlab.data import Dataset
 from wmplanlab.encoder import encode_dataset, encoder_hash, make_identity
 from wmplanlab.rng import generator
-from wmplanlab.worldmodel import (WorldModel, init_world_model, load_model,
-                                  predict, rollout_model, rollout_nodes,
+from wmplanlab.worldmodel import (RolloutWorkspace, WorldModel, init_world_model,
+                                  load_model, predict, rollout_model, rollout_nodes,
                                   save_model, step_loss_grad,
                                   train_teacher_forcing, wm_error)
 
@@ -44,7 +44,7 @@ def test_predict_gradient_matches_fd():
 
     tape = dc.Tape()
     a_node = tape.leaf(a0[None])  # a one-step rollout
-    loss = rollout_nodes(f, z, a_node, np.zeros(6), None)
+    loss = rollout_nodes(RolloutWorkspace(f, z, np.zeros(6), None, 1), a_node)
     (g,) = dc.grad(loss, [a_node])
     assert rel_err(g[0], central_fd(value, a0)) < 1e-5
     _, _, ga = step_loss_grad(f, z, a0, np.zeros(6), 1.0, True, None)
@@ -107,7 +107,7 @@ def test_rollout_goal_gradients_match_fd(seed):
 
     tape = dc.Tape()
     a_node = tape.leaf(acts)
-    loss = rollout_nodes(f, z1, a_node, z_goal, None)
+    loss = rollout_nodes(RolloutWorkspace(f, z1, z_goal, None, H), a_node)
     (grads,) = dc.grad(loss, [a_node])
     fd = central_fd(value, acts.ravel()).reshape(H, 2)
     assert rel_err(grads, fd) < 1e-4
