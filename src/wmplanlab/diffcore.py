@@ -27,7 +27,8 @@ advances its `AdamState` in place and writes its intermediates into two
 scratch buffers that the state makes once per tensor, so an Adam step
 allocates no array. Each caller steps one float64 tensor: a training step
 the one contiguous vector that holds every master weight of the model being
-trained (`worldmodel.FlatAdam`), GBP its (H, d_a) action array.
+trained (`worldmodel.FlatAdam`), from float32 moments and a float32
+gradient; GBP its (H, d_a) action array, from float64 moments.
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ ADAM_EPS = 1e-8
 @dataclass
 class AdamState:
     """Adam's moment estimates and step count for one parameter tensor, and
-    the two scratch buffers of its shape that `adam_step` writes its
-    intermediates into, made once here."""
+    the two scratch buffers of its shape and dtype that `adam_step` writes
+    its intermediates into, made once here. The moments' dtype is the one
+    `adam_step` computes in: float64 by default, as GBP's are, and float32
+    for a training run's (`worldmodel.FlatAdam`)."""
 
     m: np.ndarray
     v: np.ndarray
@@ -150,8 +153,8 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape))
+    def zeros(cls, shape, dtype=np.float64) -> "AdamState":
+        return cls(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, eta: float) -> None:
@@ -173,8 +176,15 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     array of the tensor's size. The expressions and their order are those
     of the textbook update, hence so are the bits:
     m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
-    params - (eta m_hat) / (sqrt(v_hat) + eps). A shape mismatch or a step
-    size <= 0 is a ValueError that changes nothing."""
+    params - (eta m_hat) / (sqrt(v_hat) + eps). Every expression but the
+    last computes in the dtype of the state, which `grads` shares; the last
+    subtracts the step from `params` in their dtype, so float32 moments step
+    float64 parameters with an exact promotion of the step. A second moment
+    that overflows would make a silent zero step and is not checked here:
+    float64 moments cannot overflow on GBP's gradients, which come from
+    float32, and the caller of float32 moments rules it out before the call
+    (`worldmodel.supervised_step`). A shape mismatch or a step size <= 0 is
+    a ValueError that changes nothing."""
     if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ValueError("parameter/gradient/state shape mismatch")
     if eta <= 0:

@@ -8,19 +8,21 @@ The MLP is its weight and bias arrays in layer order: tanh hidden layers,
 then a linear output. Training and the attack (`step_loss_grad`) call its
 one forward pass, `mlp_forward`, and its one backward pass, `mlp_backward`,
 which writes the weight gradients into views of one gradient vector that
-lives for the length of a `fit` run (`FlatAdam`), so a step takes one cast,
-one finite check and one Adam call. GBP's tape node, `rollout_nodes`,
-unrolls both, with their expressions and order, over its H model steps,
-on the buffers and pre-zipped row views of a `RolloutWorkspace` that a
-plan makes once, not once per rollout.
+lives for the length of a `fit` run (`FlatAdam`), so a step takes one
+cast, one check of the gradient and one Adam call. GBP's tape node,
+`rollout_nodes`, unrolls both, with their expressions and order, over its
+H model steps, on the buffers and pre-zipped row views of a
+`RolloutWorkspace` that a plan makes once, not once per rollout.
 Every computation runs in the dtype of the model's weights. Models, and
-checkpoints, are float64, and so is whatever accumulates; the computing
-is done on float32 copies (mixed precision, Micikevicius et al. 2018):
-each training step computes its loss and weight gradients on a float32
-mirror of the float64 master weights, which Adam steps in float64; the
-planners score and differentiate one copy (`_float32`) per plan; and the
-FGSM attack of `finetune.adversarial_wm` takes its input gradient from
-one copy per batch, while its deltas stay float64.
+checkpoints, are float64, and so are the master weights, which accumulate
+over a run; the computing is done on float32 copies (mixed precision,
+Micikevicius et al. 2018): each training step computes its loss and
+weight gradients on a float32 mirror of the float64 master weights, and
+Adam steps the master weights from float32 moments, exponential averages
+whose rounding does not grow with the length of a run; the planners score
+and differentiate one copy (`_float32`) per plan; and the FGSM attack of
+`finetune.adversarial_wm` takes its input gradient from one copy per
+batch, while its deltas stay float64.
 
 `save_model` writes a checkpoint directory, `model.json` and `weights.bin`,
 and `load_model` alone reads and checks it."""
@@ -388,7 +390,7 @@ def step_loss_grad(f: WorldModel, Z: np.ndarray, A: np.ndarray, target: np.ndarr
     returning float32 input gradients and a loss summed in float32. Given
     `params`, one array per weight array of `f` with its shape and dtype,
     the weight gradients are written into them, unchecked:
-    `supervised_step` up-casts them and checks them all in one pass. The
+    `supervised_step` checks them all in one pass. The
     expressions and their order are those of a "wm-step" node under a
     squared-distance loss node on the tape, so the bits are too. A
     non-finite input or target raises ValueError; a finite one beyond the
@@ -435,18 +437,19 @@ class FlatAdam:
     Making one copies `model.weights` into one contiguous float64 vector,
     `params`, the master weights, and re-seats them as views of it, so the
     model trains in place and the arrays it held before are left as they
-    were. `state` holds Adam's float64 moments of that vector and `grads`
-    its float64 gradient. `mirror` is one float32 vector of the same layout
-    whose views are the weights of `model32`, a float32 `WorldModel`, and
-    `grad_views` are views of one float32 gradient vector, one per weight
-    array, that the backward pass fills. All of them are made here, once
-    per `fit` run, and every step reuses them."""
+    were. Everything else is float32 and has the layout of `params`:
+    `state` holds Adam's moments and scratch buffers, which only average
+    over a window of about 1 / (1 - beta2) steps, so their rounding does
+    not grow with the run; `grads32` is the gradient, with one view per
+    weight array, `grad_views`, that the backward pass fills; and `mirror`
+    is the vector whose views are the weights of `model32`, a float32
+    `WorldModel`. All of them are made here, once per `fit` run, and every
+    step reuses them."""
 
     def __init__(self, model: WorldModel):
         shapes = [w.shape for w in model.weights]
         self.params = np.concatenate([w.ravel() for w in model.weights])
-        self.grads = np.empty_like(self.params)
-        self.state = AdamState.zeros(self.params.shape)
+        self.state = AdamState.zeros(self.params.shape, np.float32)
         model.weights = _views(self.params, shapes)
         self.mirror = np.empty(self.params.shape, np.float32)
         self.model32 = WorldModel(_views(self.mirror, shapes), model.d_z,
@@ -462,25 +465,36 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
             for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
+# A float32 gradient whose squared norm is below this has every entry below
+# 1e19 in size, so Adam's float32 moments, running averages of the entries
+# and of their squares, stay within rounding of 1e38 even bias-corrected,
+# inside float32's 3.4e38. Above it, the bias-corrected second moment of a
+# large entry can overflow (from |g| of about 1.8e19 at the first step) and
+# make that entry's step a silent zero
+_MOMENT_NORM2 = 1e38
+
+
 def supervised_step(model: WorldModel, opt: FlatAdam, Z: np.ndarray,
                     A: np.ndarray, ZN: np.ndarray, lr: float) -> float:
     """One Adam step on the mean squared next-latent error of a batch,
-    computed in float32 and applied in float64.
+    computed in float32 and applied to the float64 master weights.
 
     `model.weights` must be the views of `opt.params` that making `opt`
-    re-seated. The step casts `opt.params` into `opt.mirror` in place, takes
-    the loss and the float32 weight gradients from `opt.model32`
-    (`step_loss_grad`, which casts the batch to float32), and up-casts the
-    gradients into `opt.grads` with one copy. A master weight or a batch
-    entry that is finite but beyond float32's range raises NumericFailure;
-    so does a non-finite entry of `opt.grads`, which is checked in one
-    pass. Each leaves the weights and `opt.state` as they were. Then one
-    float64 `adam_step` steps the master weights, hence `model`, and the
-    state in place, so the caller owns both (every trainer hands `fit` a
-    clone). Returns the batch loss, summed in float32; a non-finite one is
-    returned before any step, for `fit` to raise on. The cast, the loss,
-    the gradients and their check run under `np.errstate`, so an overflow
-    shows as one of those failures, never as a NumPy warning."""
+    re-seated. The step casts `opt.params` into `opt.mirror` in place, and
+    takes the loss and the float32 weight gradients, into `opt.grads32`,
+    from `opt.model32` (`step_loss_grad`, which casts the batch to float32).
+    A master weight or a batch entry that is finite but beyond float32's
+    range raises NumericFailure. One float32 pass over the gradient, its
+    squared norm, checks the rest: a non-finite entry raises NumericFailure,
+    and so, when the loss is finite, does a norm of 1e19 or more, with
+    which Adam's float32 moments could overflow. Each leaves the weights
+    and `opt.state` as they were. Then one `adam_step` steps the float32
+    moments and, through them, the float64 master weights, hence `model`,
+    in place, so the caller owns both (every trainer hands `fit` a clone).
+    Returns the batch loss, summed in float32; a non-finite one is returned
+    before any step, for `fit` to raise on. The cast, the loss, the
+    gradients and their check run under `np.errstate`, so an overflow shows
+    as one of those failures, never as a NumPy warning."""
     try:  # the cast flags overflow only for a weight beyond float32's range
         with np.errstate(over="raise"):
             np.copyto(opt.mirror, opt.params)
@@ -489,12 +503,15 @@ def supervised_step(model: WorldModel, opt: FlatAdam, Z: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         loss, _, _ = step_loss_grad(opt.model32, Z, A, ZN, 1.0 / len(Z), False,
                                     opt.grad_views)
-        np.copyto(opt.grads, opt.grads32)
-        finite = np.isfinite(opt.grads.sum())
-    if not finite:
+        # NaN, inf and a norm too large for the moments all fail the test
+        fits = np.dot(opt.grads32, opt.grads32) < _MOMENT_NORM2
+    if not fits and not np.isfinite(opt.grads32).all():
         raise NumericFailure("NaN in the backward pass of a one-step loss")
-    if np.isfinite(loss):
-        dc.adam_step(opt.params, opt.grads, opt.state, lr)
+    if not np.isfinite(loss):
+        return loss
+    if not fits:
+        raise NumericFailure("a gradient does not fit in Adam's float32 moments")
+    dc.adam_step(opt.params, opt.grads32, opt.state, lr)
     return loss
 
 
@@ -506,8 +523,8 @@ def fit(model: WorldModel, batches, lr: float, what: str) -> TrainResult:
     The one training loop: teacher forcing, adversarial and online
     finetuning differ only in the batches they feed it. The run first packs
     the weights into one float64 vector (`FlatAdam`), which re-seats
-    `model.weights` as its views and makes the float32 mirror and the
-    gradient buffers that every step reuses; the arrays `model` held
+    `model.weights` as its views and makes the float32 mirror, gradient
+    and Adam moments that every step reuses; the arrays `model` held
     before are not changed. Each step computes in float32 and steps the
     float64 weights (`supervised_step`). `batches` is read lazily, so a
     batch built from `model` sees the weights of every step before it. A

@@ -1190,6 +1190,30 @@ def test_a_weight_beyond_float32_exits_3_without_a_warning(pipeline, capsys):
     assert not os.path.exists(cfg["finetune"]["adversarial"]["out_path"])
 
 
+def test_a_gradient_beyond_adams_float32_moments_exits_3_without_a_warning(
+        pipeline, capsys):
+    # a dead first layer (every hidden pre-activation 0, so every tanh 0)
+    # under output weights of 1e22: the loss is finite, and so is the first
+    # layer's float32 gradient, but it is far beyond what float32 Adam
+    # moments hold, which would overflow and silently zero its steps;
+    # nothing is written and NumPy warns of nothing
+    cfg, path = pipeline
+    model, meta = worldmodel.load_model(cfg["model"]["path"])
+    for w in [model.weights[0]] + model.weights[1:-2:2]:
+        w[...] = 0.0
+    model.weights[-2][...] = 1e22
+    worldmodel.save_model(cfg["model"]["path"], model, meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run("finetune-adv", "--config", path, "--set",
+                    "finetune.adversarial.lambda_a=0", "--set",
+                    "finetune.adversarial.lambda_z=0")
+    assert code == 3
+    assert ("numeric failure: a gradient does not fit in Adam's float32 moments"
+            in capsys.readouterr().err)
+    assert not os.path.exists(cfg["finetune"]["adversarial"]["out_path"])
+
+
 @pytest.mark.parametrize("command", ["eval", "gap", "landscape", "finetune-online"])
 def test_a_checkpoint_beyond_float32_exits_3_at_load(pipeline, capsys, tmp_path,
                                                      command):

@@ -1,9 +1,11 @@
 """The one training loop, `worldmodel.fit`, on one flat weight vector
 (`worldmodel.FlatAdam`): at the preset model widths and batch sizes it
-matches the per-tensor reference of `reference_training` bit for bit, its
-float32 step stays within a stated bound of the float64 gradient while
-everything that accumulates stays float64, and a non-finite gradient or a
-value beyond float32's range stops a step before anything moves."""
+matches the per-tensor reference of `reference_training`, with float32
+Adam moments, bit for bit; its float32 step stays within a stated bound of
+the float64 gradient, and its float32 moments within stated bounds of
+float64 moments over a run, while the master weights stay float64; and a
+non-finite gradient, one too large for float32 moments, or a value beyond
+float32's range stops a step before anything moves."""
 
 import warnings
 
@@ -17,6 +19,7 @@ from wmplanlab import worldmodel
 from wmplanlab.data import Dataset
 from wmplanlab.finetune import (PerturbationConfig, _attack_deltas,
                                 adversarial_wm, compute_radii)
+from wmplanlab.planners import PlanConfig, gbp
 from wmplanlab.rng import generator
 from wmplanlab.worldmodel import (FlatAdam, fit, init_world_model, step_loss_grad,
                                   supervised_step, train_teacher_forcing)
@@ -32,14 +35,14 @@ def _preset_sized():
     return init_world_model(64, 2, hidden=(128, 128), seed=25), data
 
 
-def _teacher_forcing(f, data):
+def _teacher_forcing(f, data, moments=np.float32):
     # batch 64, as the preset trains
     got = train_teacher_forcing(f, data, epochs=1, batch_size=64, lr=1e-3, seed=3)
     return got, transition_teacher_forcing(f, data, epochs=1, batch_size=64,
-                                           lr=1e-3, seed=3)
+                                           lr=1e-3, seed=3, moments=moments)
 
 
-def _adversarial(f, data):
+def _adversarial(f, data, moments=np.float32):
     # batches of 48 trajectories, 2352 rows, as the preset finetunes
     pcfg = PerturbationConfig()
     radii = []
@@ -53,7 +56,8 @@ def _adversarial(f, data):
 
     got = adversarial_wm(f, data, pcfg, epochs=2, batch_size=48, lr=1e-4, seed=4)
     return got, trajectory_teacher_forcing(f, data, epochs=2, batch_size=48,
-                                           lr=1e-4, seed=4, perturb=perturb)
+                                           lr=1e-4, seed=4, perturb=perturb,
+                                           moments=moments)
 
 
 # 4753 transitions in batches of 64; 97 trajectories in batches of 48, twice
@@ -75,6 +79,43 @@ def test_fit_equals_the_per_tensor_reference_at_preset_widths(trainer, steps):
     assert not any(np.shares_memory(w, a) for w in got.model.weights for a in arrays)
 
 
+# float32 Adam moments against float64 ones over a run at preset widths:
+# the weights were 9.5e-8 apart by norm (relative) after the 75 teacher
+# forcing steps and 6.4e-10 after the 6 adversarial ones, and every batch
+# loss within 1.6e-7, when these bounds were set
+MOMENT_WEIGHT_RTOL = 1e-6
+MOMENT_LOSS_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("trainer", [_teacher_forcing, _adversarial],
+                         ids=["teacher-forcing", "adversarial"])
+def test_float32_moments_keep_to_float64_moments_at_preset_widths(trainer):
+    f, data = _preset_sized()
+    got, (want, losses) = trainer(f, data, moments=np.float64)
+    flat = [np.concatenate([w.ravel() for w in m.weights]) for m in (got.model, want)]
+    drift = np.linalg.norm(flat[0] - flat[1])
+    assert drift <= MOMENT_WEIGHT_RTOL * np.linalg.norm(flat[1])
+    assert len(got.batch_losses) == len(losses)
+    for loss, ref in zip(got.batch_losses, losses):
+        assert abs(loss - ref) <= MOMENT_LOSS_RTOL * ref
+
+
+def test_gbp_steps_its_actions_from_float64_moments(monkeypatch):
+    # only training keeps float32 moments; GBP's Adam is as it was
+    seen = []
+    real = dc.adam_step
+
+    def spy(params, grads, state, eta):
+        seen.append((params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
+        real(params, grads, state, eta)
+
+    monkeypatch.setattr(dc, "adam_step", spy)
+    f = init_world_model(4, 2, hidden=(8,), seed=5)
+    cfg = PlanConfig(horizon=3, iterations=4, optimizer="adam", eta=0.1)
+    gbp(f, np.zeros(4), np.ones(4), cfg, seed=0)
+    assert seen == [(np.float64,) * 4] * 4
+
+
 # the float32 step against the float64 gradient: 2.4e-7 by norm at both
 # batch sizes, and the loss within 7e-8, when this bound was set
 GRAD_RTOL = 1e-6
@@ -94,12 +135,14 @@ def test_the_float32_step_keeps_to_the_float64_gradient(n):
     model = f.clone()
     opt = FlatAdam(model)
     loss = supervised_step(model, opt, Z, A, ZN, 1e-3)
-    assert opt.grads.size == 33344
-    assert np.linalg.norm(opt.grads - g64) <= GRAD_RTOL * np.linalg.norm(g64)
+    assert opt.grads32.size == 33344
+    assert np.linalg.norm(opt.grads32 - g64) <= GRAD_RTOL * np.linalg.norm(g64)
     assert abs(loss - loss64) <= GRAD_RTOL * loss64
-    # what accumulates stays float64; what the step computes in is float32
-    for a in (opt.params, opt.grads, opt.state.m, opt.state.v):
-        assert a.dtype == np.float64
+    # the master weights, which accumulate over a run, stay float64; the
+    # gradient and Adam's moments, like what the step computes in, are float32
+    assert opt.params.dtype == np.float64
+    for a in (opt.grads32, opt.state.m, opt.state.v):
+        assert a.dtype == np.float32
     assert all(w.dtype == np.float64 and w.base is opt.params for w in model.weights)
     assert opt.mirror.dtype == np.float32
     assert all(w.dtype == np.float32 for w in opt.model32.weights + opt.grad_views)
@@ -178,7 +221,7 @@ def test_fit_packs_a_model_and_stops_at_a_diverged_loss(nan_on_call):
     assert err.value.trace == clean.batch_losses[:2]
 
 
-@pytest.mark.parametrize("what", ["loss", "gradient", "batch", "weight"])
+@pytest.mark.parametrize("what", ["loss", "gradient", "batch", "weight", "moment"])
 def test_an_overflowing_training_step_raises_without_a_warning(what):
     # A step computes in float32. "loss": latents near 1e20 overflow the
     # float32 squared error while the gradients stay finite, so the step
@@ -186,8 +229,11 @@ def test_an_overflowing_training_step_raises_without_a_warning(what):
     # it. "gradient": the saturated tanh of the second layer meets an
     # infinite incoming gradient, and the step raises. "batch": latents of
     # 1e39 are finite in float64 but beyond float32's range. "weight": so
-    # is a master weight of 1e39. Either way nothing moves, and NumPy warns
-    # of nothing, not even of an overflow in a cast
+    # is a master weight of 1e39. "moment": a dead first layer (tanh(0) = 0)
+    # under output weights of 1e22 gives a finite loss and finite gradients
+    # of up to 2.6e22, whose float32 second moments would overflow and
+    # silently zero 64 of the 68 nonzero entries' steps. Either way nothing
+    # moves, and NumPy warns of nothing, not even of an overflow in a cast
     f = init_world_model(4, 2, hidden=(8, 8), seed=0)
     big = {"loss": 1e20, "batch": 1e39}.get(what, 1.0)
     Z, A, ZN = np.full((5, 4), big), np.zeros((5, 2)), np.full((5, 4), -big)
@@ -198,12 +244,18 @@ def test_an_overflowing_training_step_raises_without_a_warning(what):
     elif what == "weight":
         f.weights[2] = np.full((8, 8), 1e39)
         Z, A, ZN = _tiny_batch(3)
+    elif what == "moment":
+        for i in (0, 1, 3):
+            f.weights[i] = np.zeros_like(f.weights[i])
+        f.weights[4] = np.full((8, 4), 1e22)
+        Z, A, ZN = _tiny_batch(3)
     model = f.clone()
     opt = FlatAdam(model)
     before = [a.tobytes() for a in (opt.params, opt.state.m, opt.state.v)]
     raises = {"gradient": "^NaN in the backward pass of a one-step loss$",
               "batch": "^a one-step loss input does not fit in float32$",
-              "weight": "^a weight does not fit in float32$"}
+              "weight": "^a weight does not fit in float32$",
+              "moment": "^a gradient does not fit in Adam's float32 moments$"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if what == "loss":
